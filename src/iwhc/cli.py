@@ -44,9 +44,18 @@ _DEFAULT_SEED = 0
 _LOW_ESS_FRACTION = 0.05
 
 
-def _default_seed() -> int:
-    env = os.environ.get("IWHC_SEED")
-    return int(env) if env else _DEFAULT_SEED
+def _seed(args) -> int:
+    """``--seed``, else the IWHC_SEED environment variable, else the default."""
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("IWHC_SEED")
+        try:
+            seed = int(env) if env else _DEFAULT_SEED
+        except ValueError:
+            raise DomainError(f"IWHC_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
 
 
 def _add_common(parser, scheme=True, seed=False):
@@ -155,7 +164,7 @@ def cmd_bayes(args) -> int:
     hs = apply_scheme(data, scheme)
     rs = reciprocals(hs)
     priors = _parse_prior(args.prior)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     warnings: list[str] = []
     if args.method == "lindley":
         fit = fit_mle(rs, SolverConfig())
@@ -244,8 +253,8 @@ def cmd_gof(args) -> int:
     hs = apply_scheme(data, scheme)
     fit = fit_mle(reciprocals(hs), SolverConfig())
     params = IwParams(fit.alpha_hat, fit.theta_hat)
-    result = ks_test(data, params, sims=args.sims,
-                     seed=args.seed if args.seed is not None else _default_seed())
+    seed = _seed(args)
+    result = ks_test(data, params, sims=args.sims, seed=seed)
     report = {
         "report_version": REPORT_VERSION,
         "command": "gof",
@@ -254,7 +263,7 @@ def cmd_gof(args) -> int:
             "statistic": "max_i |i/n - F(t_(i))|",
             "p_value": "seeded Monte Carlo null of the statistic",
             "sims": args.sims,
-            "seed": args.seed if args.seed is not None else _default_seed(),
+            "seed": seed,
             "fitted": {"alpha": fit.alpha_hat, "theta": fit.theta_hat},
         },
         "results": {"statistic": result.statistic, "p_value": result.p_value, "n": result.n},

@@ -73,5 +73,7 @@ def ks_test(
     arr = np.asarray(data, dtype=float)
     if arr.size == 0:
         raise DomainError("data must be nonempty")
+    if sims < 1:
+        raise DomainError(f"sims must be >= 1, got {sims}")
     d = ks_statistic(arr, p)
     return KsResult(statistic=d, p_value=_null_sf(d, arr.size, sims, seed), n=int(arr.size))

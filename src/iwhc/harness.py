@@ -59,6 +59,11 @@ class StudyConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise DomainError("replicates must be >= 1")
+        if not 0.0 < self.level < 1.0:
+            raise DomainError(f"level must be in (0, 1), got {self.level}")
+        # the importance-sampling HPD interval needs draws * level >= 2
+        if self.draws < 2 or self.draws * self.level < 2:
+            raise DomainError(f"draws must be >= 2 with draws * level >= 2, got {self.draws}")
         if self.true_alpha <= 0 or self.true_lambda <= 0:
             raise DomainError("true parameters must be positive")
         if self.base_seed < 0:

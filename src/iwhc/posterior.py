@@ -15,7 +15,6 @@ is the shortest of the candidate quantile windows.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,15 +71,17 @@ def g2_log_density(alpha, s: ReciprocalSample, priors: GammaPriors):
             + (arr + 1.0) * slx)
 
 
-def g2_log_density_grad(alpha: float, s: ReciprocalSample, priors: GammaPriors) -> float:
-    """d/d-alpha of :func:`g2_log_density` (scalar)."""
-    if alpha <= 0:
+def g2_log_density_grad(alpha, s: ReciprocalSample, priors: GammaPriors):
+    """d/d-alpha of :func:`g2_log_density`; scalar or array ``alpha``."""
+    arr = np.asarray(alpha, dtype=float)
+    if np.any(arr <= 0):
         raise DomainError("alpha must be strictly positive")
     lx = np.log(s.x)
-    xa = s.x ** alpha
-    S = priors.d + xa.sum()
-    return float(-(s.r + priors.c) * (xa * lx).sum() / S
-                 + (priors.a + s.r - 1.0) / alpha - priors.b + lx.sum())
+    xa = np.power.outer(s.x, arr)
+    S = priors.d + xa.sum(axis=0)
+    out = (-(s.r + priors.c) * (lx @ xa) / S
+           + (priors.a + s.r - 1.0) / arr - priors.b + lx.sum())
+    return float(out) if arr.ndim == 0 else out
 
 
 def sample_g1(alpha, s: ReciprocalSample, priors: GammaPriors, seed):
@@ -109,6 +110,11 @@ def sample_g1(alpha, s: ReciprocalSample, priors: GammaPriors, seed):
 # ---------------------------------------------------------------------------
 
 
+_FIRST_ROUND = 16          # proposals in the first round; each later round doubles
+_REFINE_PER_ROUND = 8      # rejected points added to the hull after a round
+_MAX_HULL_POINTS = 60
+
+
 class _Hull:
     """Piecewise-linear upper hull of a concave function on (0, inf).
 
@@ -118,61 +124,53 @@ class _Hull:
     """
 
     def __init__(self, xs, hs, ds):
-        self.x = list(xs)
-        self.h = list(hs)
-        self.d = list(ds)
+        self.x = np.asarray(xs, dtype=float)
+        self.h = np.asarray(hs, dtype=float)
+        self.d = np.asarray(ds, dtype=float)
         self._refresh()
 
     def _refresh(self):
         x, h, d = self.x, self.h, self.d
-        z = [0.0]
-        for i in range(len(x) - 1):
-            slope_gap = d[i] - d[i + 1]
-            if slope_gap <= 1e-14:          # numerically parallel tangents
-                z.append(0.5 * (x[i] + x[i + 1]))
-            else:
-                z.append((h[i + 1] - h[i] + x[i] * d[i] - x[i + 1] * d[i + 1]) / slope_gap)
-        z.append(np.inf)
-        self.z = z
-        logmass = []
-        for i in range(len(x)):
-            a = h[i] - x[i] * d[i]
-            k = d[i]
-            lo, hi = z[i], z[i + 1]
-            if not np.isfinite(hi):
-                lm = a + k * lo - np.log(-k)    # k < 0 on the last segment
-            elif abs(k) < 1e-12:
-                lm = a + np.log(max(hi - lo, 0.0)) if hi > lo else -np.inf
-            elif k > 0:
-                lm = a + k * hi + np.log1p(-np.exp(-k * (hi - lo))) - np.log(k)
-            else:
-                lm = a + k * lo + np.log1p(-np.exp(k * (hi - lo))) - np.log(-k)
-            logmass.append(lm)
-        logmass = np.array(logmass)
-        peak = logmass.max()
-        w = np.exp(logmass - peak)
-        self.seg_prob = w / w.sum()
+        gap = d[:-1] - d[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = (h[1:] - h[:-1] + x[:-1] * d[:-1] - x[1:] * d[1:]) / gap
+        # numerically parallel tangents meet halfway between their points
+        cross = np.where(gap <= 1e-14, 0.5 * (x[:-1] + x[1:]), cross)
+        self.z = np.concatenate(([0.0], cross, [np.inf]))
+        # segment j carries exp(a_j + d_j t) on [z_j, z_j+1]; its mass is
+        # factored out at the end where the envelope is highest, so that
+        # nothing overflows
+        a = h - x * d
+        width = np.maximum(self.z[1:] - self.z[:-1], 0.0)
+        top = np.where(d > 0, self.z[1:], self.z[:-1])
+        self.flat = (np.abs(d) < 1e-12) & np.isfinite(self.z[1:])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            logmass = np.where(
+                self.flat,
+                a + d * self.z[:-1] + np.log(width),
+                a + d * top + np.log(-np.expm1(-np.abs(d) * width)) - np.log(np.abs(d)))
+        w = np.exp(logmass - logmass.max())
+        self.cum = np.cumsum(w)
 
-    def envelope(self, t: float) -> float:
-        j = bisect.bisect_left(self.z, t, 1, len(self.z) - 1) - 1
-        return self.h[j] + self.d[j] * (t - self.x[j])
-
-    def draw(self, rng: np.random.Generator) -> float:
-        j = rng.choice(len(self.seg_prob), p=self.seg_prob)
+    def propose(self, size: int, rng: np.random.Generator):
+        """``size`` independent envelope draws and the segment of each."""
+        j = np.minimum(np.searchsorted(self.cum, rng.random(size) * self.cum[-1], side="right"),
+                       self.x.size - 1)
         k = self.d[j]
         lo, hi = self.z[j], self.z[j + 1]
-        xi = rng.random()
-        if not np.isfinite(hi):
-            return lo + np.log1p(-xi) / k
-        if abs(k) < 1e-12:
-            return lo + xi * (hi - lo)
-        return lo + np.log1p(xi * np.expm1(k * (hi - lo))) / k
+        xi = rng.random(size)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            width = hi - lo
+            steep = np.where(k > 0, hi, lo) + np.log1p(xi * np.expm1(-np.abs(k) * width)) / k
+            t = np.where(self.flat[j], lo + xi * width, steep)
+        return t, j
 
-    def insert(self, t: float, h: float, d: float) -> None:
-        j = bisect.bisect(self.x, t)
-        self.x.insert(j, t)
-        self.h.insert(j, h)
-        self.d.insert(j, d)
+    def insert(self, ts, hs, ds) -> None:
+        x = np.concatenate((self.x, ts))
+        order = np.argsort(x, kind="stable")
+        self.x = x[order]
+        self.h = np.concatenate((self.h, hs))[order]
+        self.d = np.concatenate((self.d, ds))[order]
         self._refresh()
 
 
@@ -205,10 +203,15 @@ def sample_g2(
 ):
     """Exact draws from the normalized g2 via adaptive rejection sampling.
 
-    Builds a tangent hull around the mode of log g2 and refines it on every
-    rejection, so acceptance climbs toward 1 as draws accumulate.  Deterministic
+    Builds a tangent hull around the mode of log g2 and draws in rounds: each
+    round proposes a batch from the current envelope, evaluates log g2 on it
+    at once and accepts with one comparison, then adds a few of the rejected
+    points to the hull.  Rounds start small and double, so the hull is refined
+    before the bulk of the draws.  Every proposal is judged against the
+    envelope it was drawn from, so each accepted draw is exact.  Deterministic
     for a given seed.  With ``return_info=True`` also returns a dict carrying
-    the realized acceptance ratio and number of hull points.
+    the acceptance ratio (accepted over evaluated proposals, including
+    accepted surplus the last round discards) and the number of hull points.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
@@ -234,24 +237,31 @@ def sample_g2(
             raise NumericError("upper tail of g2 never turns over; density improper?")
     hull = _Hull(xs, hs, ds)
     draws = np.empty(count)
-    proposals = 0
-    accepted = 0
-    for idx in range(count):
-        while True:
-            t = hull.draw(rng)
-            proposals += 1
-            if t <= 0.0 or not np.isfinite(t):
-                continue
-            hval = lnf(t) - offset
-            if np.log(rng.random()) <= hval - hull.envelope(t):
-                draws[idx] = t
-                accepted += 1
-                break
-            if len(hull.x) < 60:
-                hull.insert(t, hval, dlnf(t))
+    filled = proposals = accepted = 0
+    size = _FIRST_ROUND
+    while filled < count:
+        need = count - filled
+        t, j = hull.propose(min(size, need + need // 8 + 4), rng)
+        u = rng.random(t.size)
+        ok = (t > 0.0) & np.isfinite(t)
+        t, j, u = t[ok], j[ok], u[ok]
+        hval = lnf(t) - offset
+        hit = np.log(u) <= hval - hull.h[j] - hull.d[j] * (t - hull.x[j])
+        got = t[hit]
+        take = min(got.size, need)
+        draws[filled:filled + take] = got[:take]
+        filled += take
+        proposals += t.size
+        accepted += got.size
+        miss = ~hit
+        room = min(_REFINE_PER_ROUND, _MAX_HULL_POINTS - hull.x.size)
+        if filled < count and room > 0 and miss.any():
+            ts = t[miss][:room]
+            hull.insert(ts, hval[miss][:room], dlnf(ts))
+        size *= 2
     if return_info:
         return draws, {"acceptance_ratio": accepted / proposals,
-                       "hull_points": len(hull.x), "mode": mode}
+                       "hull_points": int(hull.x.size), "mode": mode}
     return draws
 
 

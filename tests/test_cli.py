@@ -104,6 +104,18 @@ def test_bayes_seed_env_override(capsys, monkeypatch):
     assert report["method"]["seed"] == 99
 
 
+@pytest.mark.parametrize("env, argv, needle", [
+    ("abc", (), "IWHC_SEED"),
+    ("-3", (), "seed"),
+    ("", ("--seed", "-1"), "seed"),
+])
+def test_bad_seed_fails(capsys, monkeypatch, env, argv, needle):
+    monkeypatch.setenv("IWHC_SEED", env)
+    code, out, err = run_cli(capsys, "bayes", "flood", "--method", "is", "--draws", "500", *argv)
+    assert code == 1
+    assert needle in err
+
+
 @pytest.mark.xfail(reason="published interval is inconsistent with the stated "
                           "model (see README)", strict=False)
 def test_bayes_is_flood_scheme2_theta_hpd(capsys):
@@ -125,6 +137,12 @@ def test_gof_flood(capsys):
     report = run_json(capsys, "gof", "flood", "--sims", "40000")
     assert report["results"]["statistic"] == pytest.approx(0.1060, abs=1e-3)
     assert report["results"]["p_value"] == pytest.approx(0.8557, abs=0.02)
+
+
+def test_gof_zero_sims_fails(capsys):
+    code, out, err = run_cli(capsys, "gof", "flood", "--sims", "0")
+    assert code == 1
+    assert "sims" in err
 
 
 def test_gof_curve_columns(capsys):

@@ -58,3 +58,8 @@ def test_p_value_deterministic(flood):
 def test_empty_data_rejected():
     with pytest.raises(DomainError):
         ks_test([], IwParams(1.0, 1.0))
+
+
+def test_nonpositive_sims_rejected(flood):
+    with pytest.raises(DomainError):
+        ks_test(flood, IwParams(4.3143, 2.7905), sims=0)

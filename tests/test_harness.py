@@ -38,6 +38,9 @@ def _tiny_config(**overrides):
 def test_config_validation():
     with pytest.raises(DomainError):
         _tiny_config(replicates=0)
+    for bad in (dict(draws=1), dict(draws=2), dict(level=1.5)):
+        with pytest.raises(DomainError):
+            _tiny_config(**bad)
     with pytest.raises(DomainError):
         _tiny_config(methods=("mle", "bootstrap"))
     with pytest.raises(DomainError):

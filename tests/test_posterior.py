@@ -77,11 +77,16 @@ def test_g2_proper_flood_scheme1(flood_s1):
 # ---------------------------------------------------------------------------
 
 
-def test_sample_g2_matches_quadrature_cdf(flood_s1):
-    draws, info = sample_g2(50_000, flood_s1, FLAT, seed=3, return_info=True)
+@pytest.mark.parametrize("case, priors, lo, hi", [
+    ("flood_s1", FLAT, 0.8, 12.0),
+    ("guinea_s1", GammaPriors(2, 1, 1, 1), 0.3, 1.5),
+], ids=["flood", "guinea"])
+def test_sample_g2_matches_quadrature_cdf(request, case, priors, lo, hi):
+    s = request.getfixturevalue(case)
+    draws, info = sample_g2(50_000, s, priors, seed=3, return_info=True)
     assert 0 < info["acceptance_ratio"] <= 1
-    grid = np.linspace(0.8, 12.0, 4000)
-    cdf = g2_quadrature_cdf(flood_s1, FLAT, grid)
+    grid = np.linspace(lo, hi, 4000)
+    cdf = g2_quadrature_cdf(s, priors, grid)
     srt = np.sort(draws)
     ranks = np.arange(1, srt.size + 1) / srt.size
     sup = np.abs(ranks - np.interp(srt, grid, cdf)).max()
@@ -96,6 +101,19 @@ def test_sample_g2_mean_matches_quadrature(flood_s1):
     mean_quad = np.trapezoid(grid * dens, grid) / np.trapezoid(dens, grid)
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - mean_quad) < 3 * se
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_sample_g2_fewer_draws_than_first_round(flood_s1, count):
+    draws = sample_g2(count, flood_s1, FLAT, seed=10)
+    assert draws.shape == (count,)
+    assert np.all(np.isfinite(draws)) and np.all(draws > 0)
+
+
+def test_sample_g2_acceptance_after_refinement(flood_s1):
+    # one full-size first round, before the hull is refined, drops this to ~0.66
+    _, info = sample_g2(1000, flood_s1, FLAT, seed=26, return_info=True)
+    assert info["acceptance_ratio"] >= 0.9
 
 
 def test_sample_g2_deterministic(flood_s1):
