@@ -76,17 +76,36 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StudyConfig":
-        return cls(
-            true_alpha=float(raw["true_alpha"]),
-            true_lambda=float(raw["true_lambda"]),
-            cells=tuple((int(n), float(T), int(R)) for n, T, R in raw["cells"]),
-            priors=tuple(GammaPriors(*map(float, p)) for p in raw.get("priors", [(0, 0, 0, 0)])),
-            replicates=int(raw.get("replicates", 1000)),
-            draws=int(raw.get("draws", 1000)),
-            base_seed=int(raw.get("base_seed", 0)),
-            methods=tuple(raw.get("methods", list(_METHODS))),
-            level=float(raw.get("level", 0.95)),
-        )
+        if not isinstance(raw, dict):
+            raise DomainError("a study config must be a JSON object")
+        missing = [key for key in ("true_alpha", "true_lambda", "cells") if key not in raw]
+        if missing:
+            raise DomainError(f"study config lacks required keys: {', '.join(missing)}")
+        cells = raw["cells"]
+        priors = raw.get("priors", [(0, 0, 0, 0)])
+        for key, items, size, shape in (("cells", cells, 3, "[n, T, R]"),
+                                        ("priors", priors, 4, "[a, b, c, d]")):
+            if not isinstance(items, (list, tuple)) or not all(
+                isinstance(item, (list, tuple)) and len(item) == size for item in items
+            ):
+                raise DomainError(f"{key} must be a list of {shape}, got {items!r}")
+        try:
+            fields = dict(
+                true_alpha=float(raw["true_alpha"]),
+                true_lambda=float(raw["true_lambda"]),
+                cells=tuple((int(n), float(T), int(R)) for n, T, R in cells),
+                priors=tuple(GammaPriors(*map(float, p)) for p in priors),
+                replicates=int(raw.get("replicates", 1000)),
+                draws=int(raw.get("draws", 1000)),
+                base_seed=int(raw.get("base_seed", 0)),
+                methods=tuple(raw.get("methods", list(_METHODS))),
+                level=float(raw.get("level", 0.95)),
+            )
+        except DomainError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"malformed study config: {exc}") from None
+        return cls(**fields)
 
     @classmethod
     def from_json(cls, path) -> "StudyConfig":

@@ -202,6 +202,13 @@ def fit_mle(s: ReciprocalSample, config: SolverConfig = SolverConfig()) -> MleFi
         raise InsufficientDataError(
             f"a two-parameter fit needs at least 2 observed failures, got r={s.r}"
         )
+    # With every failure at one time t and no unit censored later than t, the
+    # profile log-likelihood is r*log(alpha) + const: it has no maximiser.
+    if np.all(s.x == s.x[0]) and (s.r == s.n or s.u * s.x[0] <= 1.0 + 1e-12):
+        raise InsufficientDataError(
+            f"all {s.r} observed failures are tied at t={1.0 / s.x[0]:g} and no unit "
+            "is censored later, so the likelihood has no maximum"
+        )
     if config.alpha0 is not None and config.lam0 is not None:
         alpha, lam = config.alpha0, config.lam0
     else:

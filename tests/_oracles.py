@@ -150,3 +150,27 @@ def g2_quadrature_cdf(s, priors, grid):
     dens = np.exp(logd - logd.max())
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(grid))])
     return cdf / cdf[-1]
+
+
+# ---------------------------------------------------------------------------
+# streamed null distribution of the distance statistic
+# ---------------------------------------------------------------------------
+
+
+def null_sf_streaming(d, n, sims, seed):
+    """P(D >= d) by re-simulating the null in blocks and counting exceedances.
+
+    Keeps no table: every call redraws and re-sorts all ``sims`` uniform
+    samples of size ``n`` from ``default_rng(seed)``.
+    """
+    rng = np.random.default_rng(seed)
+    ranks = np.arange(1, n + 1) / n
+    exceed = 0
+    left = sims
+    while left > 0:
+        block = min(left, 50_000)
+        u = np.sort(rng.random((block, n)), axis=1)
+        stat = np.abs(ranks - u).max(axis=1)
+        exceed += int((stat >= d - 1e-12).sum())
+        left -= block
+    return exceed / sims

@@ -68,6 +68,15 @@ def test_insufficient_data_fails(capsys, tmp_path):
     assert "failures" in err
 
 
+def test_fit_tied_data_has_no_mle(capsys, tmp_path):
+    path = tmp_path / "tied.txt"
+    path.write_text("1 1 1 1 1\n")
+    code, out, err = run_cli(capsys, "fit", str(path), "--json")
+    assert code == 1
+    assert out == ""
+    assert "tied" in err
+
+
 def test_censor_scheme2_listing(capsys):
     report = run_json(capsys, "censor", "flood", "--big-r", "14", "--time", "0.45")
     times = report["results"]["times"]
@@ -185,6 +194,27 @@ def test_simulate_json_rows(capsys, tmp_path):
     report = run_json(capsys, "simulate", str(cfg), "--out-dir", str(tmp_path))
     assert len(report["results"]) == 2
     assert {row["parameter"] for row in report["results"]} == {"alpha", "lambda"}
+
+
+@pytest.mark.parametrize("text, needle", [
+    ('{"true_alpha": 2, "true_lambda": 1, "cells": [[12, 1.5]]}', "[n, T, R]"),
+    ('{"true_alpha": 2, "true_lambda": 1, "cells": 12}', "[n, T, R]"),
+    ('{"true_alpha": 2, "true_lambda": 1, "cells": [[12, 1.5, 8]], "priors": [[2, 1]]}',
+     "[a, b, c, d]"),
+    ('{"true_alpha": 2, "cells": [[12, 1.5, 8]]}', "true_lambda"),
+    ('{"true_alpha": 2, "true_lambda": 1, "cells": [[12, 1.5, 8]], "draws": "many"}',
+     "malformed"),
+    ('[[12, 1.5, 8]]', "JSON object"),
+], ids=["short-cell", "cells-not-list", "short-prior", "missing-key", "bad-number",
+        "not-object"])
+def test_simulate_malformed_config_fails(capsys, tmp_path, text, needle):
+    cfg = tmp_path / "study.json"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "simulate", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert needle in err
+    assert not (tmp_path / "summary.csv").exists()
 
 
 def test_human_readable_output(capsys):

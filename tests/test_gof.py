@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iwhc import DomainError, IwParams, cdf, fit_mle, ks_statistic, ks_test, quantile
+from iwhc.gof import _null_sf, _null_stats
+from _oracles import null_sf_streaming
 
 
 def test_flood_regression(flood, flood_complete):
@@ -63,3 +67,54 @@ def test_empty_data_rejected():
 def test_nonpositive_sims_rejected(flood):
     with pytest.raises(DomainError):
         ks_test(flood, IwParams(4.3143, 2.7905), sims=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"sims": 1e4}, {"sims": True}, {"sims": "100"},
+    {"seed": -1}, {"seed": 1.5}, {"seed": False},
+])
+def test_non_integer_sims_and_seed_rejected(flood, kwargs):
+    with pytest.raises(DomainError):
+        ks_test(flood, IwParams(4.3143, 2.7905), **kwargs)
+
+
+@pytest.mark.parametrize("sims", [999, 50_000, 120_001])
+@pytest.mark.parametrize("n", [1, 2, 20, 72])
+def test_null_table_p_values_equal_streaming_oracle(n, sims):
+    seed = 11
+    table = _null_stats(n, sims, seed)
+    inside = table[[0, sims // 3, sims // 2, -1]]
+    ds = [*inside, *(inside + 1e-12), np.nextafter(table[0], 0.0),
+          table[0] - 0.5, table[-1] + 0.5]
+    for d in ds:
+        assert _null_sf(d, n, sims, seed) == null_sf_streaming(d, n, sims, seed), d
+
+
+def test_null_table_cached_read_only_and_bounded(flood):
+    p = IwParams(4.3143, 2.7905)
+    first = ks_test(flood, p, sims=np.int64(20_000), seed=5)
+    info = _null_stats.cache_info()
+    assert ks_test(flood, p, sims=20_000, seed=np.int64(5)) == first
+    after = _null_stats.cache_info()
+    assert (after.hits, after.currsize) == (info.hits + 1, info.currsize)
+
+    table = _null_stats(20, 20_000, 5)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+
+    limit = _null_stats.cache_info().maxsize
+    assert limit is not None
+    for seed in range(limit + 3):
+        _null_stats(2, 10, seed)
+    assert _null_stats.cache_info().currsize <= limit
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 30), seed=st.integers(0, 3),
+       a=st.floats(-1.0, 2.0), b=st.floats(-1.0, 2.0))
+def test_p_value_in_unit_interval_and_nonincreasing(n, seed, a, b):
+    lo, hi = sorted((a, b))
+    p_lo = _null_sf(lo, n, 2_000, seed)
+    p_hi = _null_sf(hi, n, 2_000, seed)
+    assert 0.0 <= p_hi <= p_lo <= 1.0

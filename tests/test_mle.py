@@ -152,6 +152,28 @@ def test_fit_requires_two_failures():
         fit_mle(s)
 
 
+@pytest.mark.parametrize("times, R, T", [
+    ([2.0] * 5, 5, math.inf),
+    ([2.0] * 5 + [3.0, 4.0], 5, 2.5),
+    ([2.0] * 5 + [3.0, 4.0], 7, 2.0),
+], ids=["complete", "stops-at-tie", "time-ends-at-tie"])
+def test_fit_rejects_ties_without_later_censoring(times, R, T):
+    # five failures tied at t=2, every other unit censored at t: l grows like r*log(alpha)
+    s = reciprocals(apply_scheme(np.array(times), HybridScheme(n=len(times), R=R, T=T)))
+    with pytest.raises(InsufficientDataError, match="tied"):
+        fit_mle(s)
+
+
+def test_fit_ties_with_later_censoring_is_a_maximum():
+    # units censored past the tie bound alpha, so a finite maximiser exists
+    s = reciprocals(apply_scheme(np.array([2.0] * 5 + [3.0, 4.0]), HybridScheme(n=7, R=6, T=2.5)))
+    fit = fit_mle(s)
+    assert s.r == 5 and fit.alpha_hat < 100
+    for da in (0.98, 1.02):
+        for dl in (0.98, 1.02):
+            assert log_likelihood(fit.alpha_hat * da, fit.lam_hat * dl, s) < fit.loglik
+
+
 def test_nonconvergence_carries_last_iterate(flood_s1):
     with pytest.raises(ConvergenceError) as err:
         fit_mle(flood_s1, SolverConfig(max_iter=1, alpha0=50.0, lam0=1e-9))
