@@ -16,6 +16,7 @@ seed when ``--seed`` is not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -357,9 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every :func:`main` call in this process shares."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, InsufficientDataError, DegenerateWeightsError,

@@ -59,10 +59,15 @@ def _null_stats(n: int, sims: int, seed: int) -> np.ndarray:
     place, in the same order and with the same arithmetic as a fresh
     ``np.sort(rng.random((block, n)), axis=1)`` per block.
     """
+    try:
+        stats = np.empty(sims)
+        buffer = np.empty((min(sims, _BLOCK), n))
+    except (ValueError, MemoryError):
+        raise DomainError(
+            f"sims={sims} needs a null table of {8 * sims} bytes, which cannot be allocated"
+        ) from None
     rng = np.random.default_rng(seed)
     ranks = np.arange(1, n + 1) / n
-    stats = np.empty(sims)
-    buffer = np.empty((min(sims, _BLOCK), n))
     for start in range(0, sims, _BLOCK):
         u = buffer[: min(_BLOCK, sims - start)]
         rng.random(out=u)

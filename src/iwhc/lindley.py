@@ -20,7 +20,7 @@ import numpy as np
 
 from .censoring import ReciprocalSample
 from .errors import DomainError, NumericError
-from .mle import CovarianceMatrix, MleFit, _censor_blocks, _check
+from .mle import CovarianceMatrix, MleFit, _derivatives
 
 __all__ = ["GammaPriors", "LindleyWorkspace", "LindleyEstimate",
            "third_derivatives", "lindley_workspace", "lindley_estimates"]
@@ -76,31 +76,7 @@ def third_derivatives(
     l30 = 2r/alpha**3 - lam*sum(x**alpha * log(x)**3), l03 = 2r/lam**3,
     l21 = -sum(x**alpha * log(x)**2) and l12 = 0.
     """
-    _check(alpha_hat, lam_hat, s)
-    x = s.x
-    lx = np.log(x)
-    xa = x ** alpha_hat
-    l30 = 2.0 * s.r / alpha_hat ** 3 - lam_hat * (xa * lx ** 3).sum()
-    l03 = 2.0 * s.r / lam_hat ** 3
-    l21 = -(xa * lx ** 2).sum()
-    l12 = 0.0
-    blocks = _censor_blocks(alpha_hat, lam_hat, s)
-    if blocks is not None:
-        L, q, wD = blocks
-        m = s.n - s.r
-        wD2 = wD * wD
-        wD3 = wD2 * wD
-        poly = 1.0 - 3.0 * q + q * q
-        l30 += m * L ** 3 * (-q * poly * wD + 3.0 * q ** 2 * (1.0 - q) * wD2
-                             - 2.0 * q ** 3 * wD3)
-        l03 += m * (q / lam_hat) ** 3 * (wD + 3.0 * wD2 + 2.0 * wD3)
-        l21 += m * L ** 2 * ((q / lam_hat) * poly * wD
-                             - 3.0 * (q ** 2 / lam_hat) * (1.0 - q) * wD2
-                             + 2.0 * (q ** 3 / lam_hat) * wD3)
-        l12 += m * L * ((q / lam_hat) ** 2 * (2.0 - q) * wD
-                        + (q / lam_hat) ** 2 * (2.0 - 3.0 * q) * wD2
-                        - 2.0 * (q ** 3 / lam_hat ** 2) * wD3)
-    return float(l30), float(l03), float(l21), float(l12)
+    return _derivatives(alpha_hat, lam_hat, s, 3)[3]
 
 
 def lindley_workspace(fit: MleFit, priors: GammaPriors, s: ReciprocalSample) -> LindleyWorkspace:

@@ -7,9 +7,11 @@ With reciprocal data ``x_i = 1/t_(i)`` the log-likelihood is
                     + (alpha+1)*sum(log x_i)
                     + (n-r)*log(1 - exp(-lam * u**-alpha))
 
-and the censoring term vanishes for complete samples (r == n).  Every
-censoring contribution below is expressed through ``q = lam * u**-alpha`` and
-``1/expm1(q) = e^-q/(1-e^-q)``, which stays finite for extreme parameters.
+and the censoring term vanishes for complete samples (r == n).  The value and
+every partial up to third order come from one kernel, ``_derivatives``, built
+on the power sums ``S_k = sum x**alpha * (log x)**k`` and on ``q = lam *
+u**-alpha`` and ``1/expm1(q) = e^-q/(1-e^-q)``, which stays finite for
+extreme parameters.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class CovarianceMatrix:
     v22: float
 
     def __post_init__(self):
-        if not (self.v11 > 0 and self.v22 > 0 and self.v11 * self.v22 - self.v12 ** 2 > 0):
+        if not (self.v11 > 0 and self.v22 > 0 and self.v11 * self.v22 - self.v12 * self.v12 > 0):
             raise NumericError(
                 "covariance matrix is not positive definite: "
                 f"v11={self.v11}, v12={self.v12}, v22={self.v22}"
@@ -105,72 +107,98 @@ class SolverConfig:
 _TINY = np.finfo(float).tiny
 
 
-def _check(alpha: float, lam: float, s: ReciprocalSample, min_r: int = 1) -> None:
-    if s.r < min_r:
-        raise InsufficientDataError(f"need at least {min_r} observed failures, got r={s.r}")
+def _power_sums(alpha, x: np.ndarray, order: int):
+    """``log x`` and ``[S_0]``, or ``[S_0, S_1]`` for order 1, at every element of
+    ``alpha`` (scalars for a scalar).  ``_derivatives`` keeps its own sums:
+    this dot product rounds differently from its pairwise ones."""
+    lx = np.log(x)
+    xa = np.power.outer(x, alpha)
+    return lx, [xa.sum(axis=0), lx @ xa] if order else [xa.sum(axis=0)]
+
+
+def _censor_q(alpha, lam, log_u):
+    """q = lam * u**-alpha, elementwise, clamped to [tiny, e**709] so that
+    ``expm1(q)`` overflows cleanly and ``log(-expm1(-q))`` stays finite."""
+    with np.errstate(over="ignore"):
+        q = np.exp(np.minimum(np.log(lam) - alpha * log_u, 709.0))
+    return np.maximum(q, _TINY)
+
+
+def _derivatives(alpha: float, lam: float, s: ReciprocalSample, order: int) -> list:
+    """The log-likelihood and its partials up to ``order`` (0 to 3) at one point.
+
+    Entry k of the result holds the order-k terms: the value, then
+    (d_a, d_l), then a :class:`FisherMatrix`, then (l30, l03, l21, l12).
+    """
+    if s.r < 1:
+        raise InsufficientDataError(f"need at least 1 observed failures, got r={s.r}")
     if not (alpha > 0 and lam > 0 and np.isfinite(alpha) and np.isfinite(lam)):
         raise DomainError(f"alpha and lam must be positive, got ({alpha}, {lam})")
-
-
-def _censor_blocks(alpha: float, lam: float, s: ReciprocalSample):
-    """(L, q, wD) with L=log u, q=lam*u**-alpha, wD=1/expm1(q); None if r==n."""
-    if s.n == s.r:
-        return None
-    L = np.log(s.u)
-    q = np.exp(min(np.log(lam) - alpha * L, 709.0))
-    q = max(q, _TINY)
-    with np.errstate(over="ignore"):
-        e = np.expm1(q)
-    wD = 0.0 if np.isinf(e) else 1.0 / e
-    return L, q, wD
+    # numpy scalars overflow to inf where Python floats would raise
+    alpha, lam = np.float64(alpha), np.float64(lam)
+    xa = s.x ** alpha
+    lx = np.log(s.x)
+    S = [xa.sum()] + [(xa * lx ** k).sum() for k in range(1, order + 1)]
+    slx = lx.sum()
+    r, m = s.r, s.n - s.r
+    ll = r * np.log(alpha * lam) - lam * S[0] + (alpha + 1.0) * slx
+    if m:
+        L = np.log(s.u)
+        q = _censor_q(alpha, lam, L)
+        ll += m * np.log(-np.expm1(-q))
+        with np.errstate(over="ignore"):
+            wD = 1.0 / np.expm1(q)
+    out = [float(ll)]
+    if order >= 1:
+        d_a = r / alpha - lam * S[1] + slx
+        d_l = r / lam - S[0]
+        if m:
+            d_a -= m * L * q * wD
+            d_l += m * (q / lam) * wD
+        out.append((float(d_a), float(d_l)))
+    if order >= 2:
+        d2_aa = -r / alpha ** 2 - lam * S[2]
+        d2_al = -S[1]
+        d2_ll = -r / lam ** 2
+        if m:
+            wD2 = wD * wD
+            d2_aa += m * L ** 2 * q * (1.0 - q) * wD - m * L ** 2 * q ** 2 * wD2
+            d2_al += -m * L * (q / lam) * (1.0 - q) * wD + m * L * (q ** 2 / lam) * wD2
+            d2_ll += -m * (q / lam) ** 2 * (wD + wD2)
+        out.append(FisherMatrix(float(d2_aa), float(d2_al), float(d2_ll)))
+    if order >= 3:
+        l30 = 2.0 * r / alpha ** 3 - lam * S[3]
+        l03 = 2.0 * r / lam ** 3
+        l21 = -S[2]
+        l12 = 0.0
+        if m:
+            wD3 = wD2 * wD
+            poly = 1.0 - 3.0 * q + q * q
+            l30 += m * L ** 3 * (-q * poly * wD + 3.0 * q ** 2 * (1.0 - q) * wD2
+                                 - 2.0 * q ** 3 * wD3)
+            l03 += m * (q / lam) ** 3 * (wD + 3.0 * wD2 + 2.0 * wD3)
+            l21 += m * L ** 2 * ((q / lam) * poly * wD
+                                 - 3.0 * (q ** 2 / lam) * (1.0 - q) * wD2
+                                 + 2.0 * (q ** 3 / lam) * wD3)
+            l12 += m * L * ((q / lam) ** 2 * (2.0 - q) * wD
+                            + (q / lam) ** 2 * (2.0 - 3.0 * q) * wD2
+                            - 2.0 * (q ** 3 / lam ** 2) * wD3)
+        out.append((float(l30), float(l03), float(l21), float(l12)))
+    return out
 
 
 def log_likelihood(alpha: float, lam: float, s: ReciprocalSample) -> float:
-    _check(alpha, lam, s)
-    x = s.x
-    out = s.r * np.log(alpha * lam) - lam * (x ** alpha).sum() + (alpha + 1.0) * np.log(x).sum()
-    blocks = _censor_blocks(alpha, lam, s)
-    if blocks is not None:
-        _, q, _ = blocks
-        out += (s.n - s.r) * np.log(-np.expm1(-q))
-    return float(out)
+    return _derivatives(alpha, lam, s, 0)[0]
 
 
 def score(alpha: float, lam: float, s: ReciprocalSample) -> tuple[float, float]:
     """Gradient of :func:`log_likelihood` in (alpha, lam)."""
-    _check(alpha, lam, s)
-    x = s.x
-    lx = np.log(x)
-    xa = x ** alpha
-    d_a = s.r / alpha - lam * (xa * lx).sum() + lx.sum()
-    d_l = s.r / lam - xa.sum()
-    blocks = _censor_blocks(alpha, lam, s)
-    if blocks is not None:
-        L, q, wD = blocks
-        m = s.n - s.r
-        d_a -= m * L * q * wD
-        d_l += m * (q / lam) * wD
-    return float(d_a), float(d_l)
+    return _derivatives(alpha, lam, s, 1)[1]
 
 
 def observed_fisher(alpha: float, lam: float, s: ReciprocalSample) -> FisherMatrix:
     """Second partials of the log-likelihood; negate to get observed information."""
-    _check(alpha, lam, s)
-    x = s.x
-    lx = np.log(x)
-    xa = x ** alpha
-    d2_aa = -s.r / alpha ** 2 - lam * (xa * lx ** 2).sum()
-    d2_al = -(xa * lx).sum()
-    d2_ll = -s.r / lam ** 2
-    blocks = _censor_blocks(alpha, lam, s)
-    if blocks is not None:
-        L, q, wD = blocks
-        m = s.n - s.r
-        wD2 = wD * wD
-        d2_aa += m * L ** 2 * q * (1.0 - q) * wD - m * L ** 2 * q ** 2 * wD2
-        d2_al += -m * L * (q / lam) * (1.0 - q) * wD + m * L * (q ** 2 / lam) * wD2
-        d2_ll += -m * (q / lam) ** 2 * (wD + wD2)
-    return FisherMatrix(float(d2_aa), float(d2_al), float(d2_ll))
+    return _derivatives(alpha, lam, s, 2)[2]
 
 
 def _initial_guess(s: ReciprocalSample) -> tuple[float, float]:
@@ -185,10 +213,11 @@ def _initial_guess(s: ReciprocalSample) -> tuple[float, float]:
     cx = lx - lx.mean()
     denom = (cx ** 2).sum()
     alpha0 = float((cx * (y - y.mean())).sum() / denom) if denom > 0 else 1.0
-    if not np.isfinite(alpha0) or alpha0 <= 0.05:
-        alpha0 = 1.0
-    lam0 = s.r / float((s.x ** alpha0).sum())
-    return alpha0, lam0
+    total = float(_power_sums(alpha0, s.x, 0)[1][0])
+    # alpha = 1 when the slope is useless or x**alpha0 under- or overflows
+    if not (np.isfinite(alpha0) and alpha0 > 0.05 and 0.0 < total < np.inf):
+        alpha0, total = 1.0, float(s.x.sum())
+    return alpha0, s.r / total
 
 
 def fit_mle(s: ReciprocalSample, config: SolverConfig = SolverConfig()) -> MleFit:
@@ -213,23 +242,21 @@ def fit_mle(s: ReciprocalSample, config: SolverConfig = SolverConfig()) -> MleFi
         alpha, lam = config.alpha0, config.lam0
     else:
         alpha, lam = _initial_guess(s)
-    ll = log_likelihood(alpha, lam, s)
+    ll, g, fisher = _derivatives(alpha, lam, s, 2)
     iterations = 0
     for iterations in range(1, max(config.max_iter, 1) + 1):
-        g = np.array(score(alpha, lam, s))
         if np.abs(g).max() < config.tol:
             iterations -= 1
             break
-        fisher = observed_fisher(alpha, lam, s)
         # chain rule to eta = (log alpha, log lam)
         jac = np.array([alpha, lam])
         g_eta = jac * g
-        h_eta = fisher.as_matrix() * np.outer(jac, jac) + np.diag(jac * g)
+        h_eta = fisher.as_matrix() * np.outer(jac, jac) + np.diag(g_eta)
         try:
             step = np.linalg.solve(h_eta, -g_eta)
         except np.linalg.LinAlgError:
             step = g_eta
-        if g_eta @ step <= 0.0:
+        if not g_eta @ step > 0.0:
             step = g_eta / max(1.0, np.abs(g_eta).max())
         scale = 1.0
         improved = False
@@ -237,15 +264,14 @@ def fit_mle(s: ReciprocalSample, config: SolverConfig = SolverConfig()) -> MleFi
             cand_a = alpha * np.exp(scale * step[0])
             cand_l = lam * np.exp(scale * step[1])
             with np.errstate(all="ignore"):
-                cand_ll = log_likelihood(cand_a, cand_l, s)
-            if np.isfinite(cand_ll) and cand_ll >= ll - 1e-13:
+                cand = _derivatives(cand_a, cand_l, s, 2)
+            if np.isfinite(cand[0]) and cand[0] >= ll - 1e-13:
                 improved = True
                 break
             scale *= 0.5
         if not improved:
             break
-        alpha, lam, ll = cand_a, cand_l, cand_ll
-    g = np.array(score(alpha, lam, s))
+        alpha, lam, (ll, g, fisher) = cand_a, cand_l, cand
     grad_norm = float(np.abs(g).max())
     if grad_norm >= config.tol:
         raise ConvergenceError(
@@ -253,8 +279,8 @@ def fit_mle(s: ReciprocalSample, config: SolverConfig = SolverConfig()) -> MleFi
             f"after {iterations} iterations",
             last_iterate=(float(alpha), float(lam)),
         )
-    fisher = observed_fisher(alpha, lam, s)
-    det = fisher.d2_aa * fisher.d2_ll - fisher.d2_al ** 2
+    # a numpy scalar squares to inf where a Python float would raise
+    det = fisher.d2_aa * fisher.d2_ll - np.float64(fisher.d2_al) ** 2
     if det <= 0 or fisher.d2_aa >= 0:
         raise NumericError("observed information is not positive definite at the optimum")
     cov = CovarianceMatrix(

@@ -10,20 +10,23 @@ censoring information.  Posterior summaries are computed by importance
 sampling: draw alpha from g2 (adaptive rejection sampling exploits the
 log-concavity), lam from g1 given alpha, and weight each pair by h.  Weighted
 step-function quantiles give credible bounds, and the highest-density interval
-is the shortest of the candidate quantile windows.
+is the shortest of the candidate quantile windows.  g2, its derivative and the
+g1 rate read ``sum x**alpha`` and ``sum x**alpha * log x`` from one array
+helper in :mod:`iwhc.mle`, and h takes ``q`` from the likelihood kernel's
+censoring helper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize
 
 from .censoring import ReciprocalSample
-from .errors import DegenerateWeightsError, DomainError, InsufficientDataError, NumericError
+from .errors import DegenerateWeightsError, DomainError, InsufficientDataError
 from .lindley import GammaPriors
-from .mle import ConfidenceInterval
+from .mle import ConfidenceInterval, _censor_q, _power_sums
 
 __all__ = [
     "PosteriorDraws",
@@ -58,17 +61,11 @@ def g2_log_density(alpha, s: ReciprocalSample, priors: GammaPriors):
     arr = np.asarray(alpha, dtype=float)
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise DomainError("alpha must be strictly positive and finite")
-    slx = np.log(s.x).sum()
-    if arr.ndim == 0:
-        S = priors.d + (s.x ** float(arr)).sum()
-        out = (-(s.r + priors.c) * np.log(S)
-               + (priors.a + s.r - 1.0) * np.log(arr) - priors.b * arr
-               + (arr + 1.0) * slx)
-        return float(out)
-    S = priors.d + np.power.outer(s.x, arr).sum(axis=0)
-    return (-(s.r + priors.c) * np.log(S)
-            + (priors.a + s.r - 1.0) * np.log(arr) - priors.b * arr
-            + (arr + 1.0) * slx)
+    lx, (S0,) = _power_sums(arr, s.x, 0)
+    out = (-(s.r + priors.c) * np.log(priors.d + S0)
+           + (priors.a + s.r - 1.0) * np.log(arr) - priors.b * arr
+           + (arr + 1.0) * lx.sum())
+    return float(out) if arr.ndim == 0 else out
 
 
 def g2_log_density_grad(alpha, s: ReciprocalSample, priors: GammaPriors):
@@ -76,10 +73,8 @@ def g2_log_density_grad(alpha, s: ReciprocalSample, priors: GammaPriors):
     arr = np.asarray(alpha, dtype=float)
     if np.any(arr <= 0):
         raise DomainError("alpha must be strictly positive")
-    lx = np.log(s.x)
-    xa = np.power.outer(s.x, arr)
-    S = priors.d + xa.sum(axis=0)
-    out = (-(s.r + priors.c) * (lx @ xa) / S
+    lx, (S0, S1) = _power_sums(arr, s.x, 1)
+    out = (-(s.r + priors.c) * S1 / (priors.d + S0)
            + (priors.a + s.r - 1.0) / arr - priors.b + lx.sum())
     return float(out) if arr.ndim == 0 else out
 
@@ -98,11 +93,9 @@ def sample_g1(alpha, s: ReciprocalSample, priors: GammaPriors, seed):
     arr = np.asarray(alpha, dtype=float)
     if np.any(arr <= 0):
         raise DomainError("alpha must be strictly positive")
-    if arr.ndim == 0:
-        rate = priors.d + (s.x ** float(arr)).sum()
-        return float(rng.gamma(shape, 1.0 / rate))
-    rate = priors.d + np.power.outer(s.x, arr).sum(axis=0)
-    return rng.gamma(shape, 1.0, size=arr.size) / rate
+    _, (S0,) = _power_sums(arr, s.x, 0)
+    out = rng.gamma(shape, 1.0, size=arr.shape) / (priors.d + S0)
+    return float(out) if arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +106,7 @@ def sample_g1(alpha, s: ReciprocalSample, priors: GammaPriors, seed):
 _FIRST_ROUND = 16          # proposals in the first round; each later round doubles
 _REFINE_PER_ROUND = 8      # rejected points added to the hull after a round
 _MAX_HULL_POINTS = 60
+_IMPROPER = "the alpha posterior is improper for these data and priors"
 
 
 class _Hull:
@@ -188,7 +182,7 @@ def _find_mode(lnf, dlnf, guess: float = 1.0) -> float:
             break
         hi *= 4.0
     else:
-        raise NumericError("mode search failed: log density still rising at huge alpha")
+        raise InsufficientDataError(f"{_IMPROPER}: log g2 is still rising at alpha={hi:.3g}")
     if lo >= hi:
         return lo
     return float(optimize.brentq(dlnf, lo, hi, xtol=1e-12 * max(1.0, hi)))
@@ -234,7 +228,7 @@ def sample_g2(
         hs.append(lnf(xs[-1]) - offset)
         ds.append(dlnf(xs[-1]))
         if xs[-1] > 1e12:
-            raise NumericError("upper tail of g2 never turns over; density improper?")
+            raise InsufficientDataError(f"{_IMPROPER}: the upper tail of g2 never turns over")
     hull = _Hull(xs, hs, ds)
     draws = np.empty(count)
     filled = proposals = accepted = 0
@@ -308,14 +302,6 @@ class IsResult:
     draws: PosteriorDraws
 
 
-def _log_weights(alphas: np.ndarray, lams: np.ndarray, s: ReciprocalSample) -> np.ndarray:
-    if s.n == s.r:
-        return np.zeros(alphas.size)
-    with np.errstate(over="ignore"):
-        q = np.exp(np.minimum(np.log(lams) - alphas * np.log(s.u), 709.0))
-    return (s.n - s.r) * np.log(-np.expm1(-np.maximum(q, np.finfo(float).tiny)))
-
-
 def posterior_draws(
     s: ReciprocalSample,
     priors: GammaPriors,
@@ -354,7 +340,7 @@ def posterior_draws(
     if s.n == s.r:
         weights = np.full(count, 1.0 / count)
     else:
-        lw = _log_weights(alphas, lams, s)
+        lw = (s.n - s.r) * np.log(-np.expm1(-_censor_q(alphas, lams, np.log(s.u))))
         w = np.exp(lw - lw.max())
         total = w.sum()
         if not total > 0:
@@ -434,10 +420,8 @@ def bayes_is(
     draws = posterior_draws(s, priors, count, seed, chunks=chunks)
 
     def summarize(values: np.ndarray) -> BayesEstimate:
-        mean = float((values * draws.weights).sum())
-        var = float((((values - mean) ** 2) * draws.weights).sum())
-        hpd = hpd_interval(values, draws.weights, level)
-        return BayesEstimate(mean=mean, variance=var, hpd=hpd)
+        estimate = importance_estimate(draws, lambda alphas, lams: values)
+        return replace(estimate, hpd=hpd_interval(values, draws.weights, level))
 
     return IsResult(
         alpha=summarize(draws.alphas),

@@ -1,9 +1,9 @@
 """Independent numerical oracles used by the test suite.
 
 Everything here deliberately avoids the library's analytic derivative and
-sampling code paths: derivatives come from finite differences of the
-log-likelihood alone, and posterior moments come from nested adaptive
-quadrature of the joint posterior density.
+sampling code paths: the reference formulas compute each derivative on its
+own, finite differences use the log-likelihood alone, and posterior moments
+come from nested adaptive quadrature of the joint posterior density.
 """
 
 from __future__ import annotations
@@ -12,6 +12,100 @@ import numpy as np
 from scipy import integrate, optimize, special, stats
 
 from iwhc import GammaPriors, ReciprocalSample, log_likelihood
+
+
+# ---------------------------------------------------------------------------
+# term-by-term formulas of the log-likelihood and its derivatives
+# ---------------------------------------------------------------------------
+#
+# Each function below computes its own power sums and censoring terms, in the
+# same arithmetic as the library's shared derivative kernel, so the kernel
+# must match them exactly.
+
+
+def _censor_terms(alpha, lam, s):
+    """(L, q, wD) with L=log u, q=lam*u**-alpha, wD=1/expm1(q); None if r==n."""
+    if s.n == s.r:
+        return None
+    L = np.log(s.u)
+    q = np.exp(min(np.log(lam) - alpha * L, 709.0))
+    q = max(q, np.finfo(float).tiny)
+    with np.errstate(over="ignore"):
+        e = np.expm1(q)
+    wD = 0.0 if np.isinf(e) else 1.0 / e
+    return L, q, wD
+
+
+def log_likelihood_ref(alpha, lam, s):
+    x = s.x
+    out = s.r * np.log(alpha * lam) - lam * (x ** alpha).sum() + (alpha + 1.0) * np.log(x).sum()
+    blocks = _censor_terms(alpha, lam, s)
+    if blocks is not None:
+        _, q, _ = blocks
+        out += (s.n - s.r) * np.log(-np.expm1(-q))
+    return float(out)
+
+
+def score_ref(alpha, lam, s):
+    x = s.x
+    lx = np.log(x)
+    xa = x ** alpha
+    d_a = s.r / alpha - lam * (xa * lx).sum() + lx.sum()
+    d_l = s.r / lam - xa.sum()
+    blocks = _censor_terms(alpha, lam, s)
+    if blocks is not None:
+        L, q, wD = blocks
+        m = s.n - s.r
+        d_a -= m * L * q * wD
+        d_l += m * (q / lam) * wD
+    return float(d_a), float(d_l)
+
+
+def observed_fisher_ref(alpha, lam, s):
+    """(d2_aa, d2_al, d2_ll)."""
+    x = s.x
+    lx = np.log(x)
+    xa = x ** alpha
+    d2_aa = -s.r / alpha ** 2 - lam * (xa * lx ** 2).sum()
+    d2_al = -(xa * lx).sum()
+    d2_ll = -s.r / lam ** 2
+    blocks = _censor_terms(alpha, lam, s)
+    if blocks is not None:
+        L, q, wD = blocks
+        m = s.n - s.r
+        wD2 = wD * wD
+        d2_aa += m * L ** 2 * q * (1.0 - q) * wD - m * L ** 2 * q ** 2 * wD2
+        d2_al += -m * L * (q / lam) * (1.0 - q) * wD + m * L * (q ** 2 / lam) * wD2
+        d2_ll += -m * (q / lam) ** 2 * (wD + wD2)
+    return float(d2_aa), float(d2_al), float(d2_ll)
+
+
+def third_derivatives_ref(alpha, lam, s):
+    """(l30, l03, l21, l12)."""
+    x = s.x
+    lx = np.log(x)
+    xa = x ** alpha
+    l30 = 2.0 * s.r / alpha ** 3 - lam * (xa * lx ** 3).sum()
+    l03 = 2.0 * s.r / lam ** 3
+    l21 = -(xa * lx ** 2).sum()
+    l12 = 0.0
+    blocks = _censor_terms(alpha, lam, s)
+    if blocks is not None:
+        L, q, wD = blocks
+        m = s.n - s.r
+        wD2 = wD * wD
+        wD3 = wD2 * wD
+        poly = 1.0 - 3.0 * q + q * q
+        l30 += m * L ** 3 * (-q * poly * wD + 3.0 * q ** 2 * (1.0 - q) * wD2
+                             - 2.0 * q ** 3 * wD3)
+        l03 += m * (q / lam) ** 3 * (wD + 3.0 * wD2 + 2.0 * wD3)
+        l21 += m * L ** 2 * ((q / lam) * poly * wD
+                             - 3.0 * (q ** 2 / lam) * (1.0 - q) * wD2
+                             + 2.0 * (q ** 3 / lam) * wD3)
+        l12 += m * L * ((q / lam) ** 2 * (2.0 - q) * wD
+                        + (q / lam) ** 2 * (2.0 - 3.0 * q) * wD2
+                        - 2.0 * (q ** 3 / lam ** 2) * wD3)
+    return float(l30), float(l03), float(l21), float(l12)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,11 @@ def flood_s2(flood):
 
 
 @pytest.fixture(scope="session")
+def guinea_complete(guinea):
+    return reciprocals(apply_scheme(guinea, HybridScheme(n=72, R=72, T=math.inf)))
+
+
+@pytest.fixture(scope="session")
 def guinea_s1(guinea):
     return reciprocals(apply_scheme(guinea, HybridScheme(n=72, R=50, T=90.0)))
 

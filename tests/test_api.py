@@ -1,0 +1,35 @@
+import importlib
+import pkgutil
+
+import iwhc
+
+# Growing the public API is a reviewed decision: extend this set with it.
+PUBLIC = {
+    "HybridScheme", "HybridSample", "ReciprocalSample", "apply_scheme", "reciprocals",
+    "IwParams", "cdf", "pdf", "quantile", "rate_from_scale", "sample", "scale_from_rate",
+    "ConvergenceError", "DegenerateWeightsError", "DomainError",
+    "InsufficientDataError", "NumericError",
+    "KsResult", "ks_statistic", "ks_test",
+    "SimulationSummary", "StudyConfig", "run_study",
+    "GammaPriors", "LindleyEstimate", "lindley_estimates", "third_derivatives",
+    "ConfidenceInterval", "CovarianceMatrix", "FisherMatrix", "MleFit", "SolverConfig",
+    "asymptotic_ci", "fit_mle", "log_likelihood", "observed_fisher", "score",
+    "BayesEstimate", "IsResult", "PosteriorDraws", "bayes_is", "g2_log_density",
+    "hpd_interval", "importance_estimate", "posterior_draws", "sample_g1", "sample_g2",
+    "weighted_quantile",
+    "__version__",
+}
+
+
+def test_package_exports_are_pinned():
+    assert set(iwhc.__all__) == PUBLIC
+    assert len(iwhc.__all__) == len(PUBLIC)
+    for name in iwhc.__all__:
+        assert hasattr(iwhc, name), name
+
+
+def test_every_submodule_export_resolves():
+    for info in pkgutil.iter_modules(iwhc.__path__):
+        module = importlib.import_module(f"iwhc.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"iwhc.{info.name}.{name}"

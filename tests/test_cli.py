@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from iwhc import cli
 from iwhc.cli import main
 
 
@@ -75,6 +76,15 @@ def test_fit_tied_data_has_no_mle(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "tied" in err
+
+
+def test_bayes_is_improper_posterior_fails(capsys, tmp_path):
+    path = tmp_path / "tied.txt"
+    path.write_text("1 1 1 1 1\n")
+    code, out, err = run_cli(capsys, "bayes", str(path), "--method", "is")
+    assert code == 1
+    assert out == ""
+    assert "improper" in err
 
 
 def test_censor_scheme2_listing(capsys):
@@ -154,6 +164,14 @@ def test_gof_zero_sims_fails(capsys):
     assert "sims" in err
 
 
+def test_gof_unallocatable_null_table_fails(capsys):
+    sims = 2 ** 62
+    code, out, err = run_cli(capsys, "gof", "flood", "--sims", str(sims))
+    assert code == 1
+    assert out == ""
+    assert f"sims={sims}" in err and f"{8 * sims} bytes" in err
+
+
 def test_gof_curve_columns(capsys):
     report = run_json(capsys, "gof", "flood", "--sims", "5000", "--curve")
     curve = report["results"]["curve"]
@@ -222,3 +240,12 @@ def test_human_readable_output(capsys):
     assert code == 0
     assert "MLE: alpha=4.3143" in out
     assert "95% CI alpha" in out
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    cli._parser.cache_clear()
+    first = run_cli(capsys, "fit", "flood", "--json")
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    run_json(capsys, "bayes", "flood", "--big-r", "18", "--time", "0.5",
+             "--method", "is", "--seed", "3")
+    assert run_cli(capsys, "fit", "flood", "--json") == first

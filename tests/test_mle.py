@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iwhc import (
     ConvergenceError,
@@ -18,8 +20,18 @@ from iwhc import (
     reciprocals,
     sample,
     score,
+    third_derivatives,
 )
-from _oracles import fd_gradient, fd_hessian
+from iwhc import errors
+from _oracles import (
+    fd_gradient,
+    fd_hessian,
+    log_likelihood_ref,
+    observed_fisher_ref,
+    score_ref,
+    third_derivatives_ref,
+)
+from conftest import random_censored_sample
 
 
 def _single_point_sample():
@@ -77,9 +89,35 @@ def test_loglik_is_local_max_at_mle(flood_s1):
             assert perturbed <= peak
 
 
+def _assert_kernel_matches_reference(alpha, lam, s):
+    assert log_likelihood(alpha, lam, s) == log_likelihood_ref(alpha, lam, s)
+    assert score(alpha, lam, s) == score_ref(alpha, lam, s)
+    fisher = observed_fisher(alpha, lam, s)
+    assert (fisher.d2_aa, fisher.d2_al, fisher.d2_ll) == observed_fisher_ref(alpha, lam, s)
+    assert third_derivatives(alpha, lam, s) == third_derivatives_ref(alpha, lam, s)
+
+
+@pytest.mark.parametrize("name", ["flood_complete", "flood_s1", "flood_s2",
+                                  "guinea_complete", "guinea_s1", "guinea_s2"])
+def test_kernel_equals_reference_formulas_on_datasets(request, name):
+    s = request.getfixturevalue(name)
+    fit = fit_mle(s)
+    for da in (0.5, 1.0, 2.0):
+        for dl in (0.1, 1.0, 10.0):
+            _assert_kernel_matches_reference(fit.alpha_hat * da, fit.lam_hat * dl, s)
+
+
+def test_kernel_equals_reference_formulas_random():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        s, params = random_censored_sample(rng)
+        _assert_kernel_matches_reference(params.alpha, params.lam, s)
+        _assert_kernel_matches_reference(params.alpha * rng.uniform(0.3, 3.0),
+                                         params.lam * rng.uniform(0.1, 10.0), s)
+
+
 def test_score_matches_finite_differences():
     rng = np.random.default_rng(11)
-    from conftest import random_censored_sample
 
     for _ in range(100):
         s, params = random_censored_sample(rng)
@@ -92,7 +130,6 @@ def test_score_matches_finite_differences():
 
 def test_fisher_matches_finite_differences():
     rng = np.random.default_rng(12)
-    from conftest import random_censored_sample
 
     for _ in range(100):
         s, params = random_censored_sample(rng)
@@ -180,6 +217,53 @@ def test_nonconvergence_carries_last_iterate(flood_s1):
     assert err.value.last_iterate is not None
     alpha, lam = err.value.last_iterate
     assert alpha > 0 and lam > 0
+
+
+@st.composite
+def censored_samples(draw):
+    """Random hybrid schemes over extreme (alpha, theta), often with ties."""
+    n = draw(st.integers(2, 40))
+    alpha = math.exp(draw(st.floats(math.log(0.1), math.log(40.0))))
+    theta = math.exp(draw(st.floats(math.log(1e-3), math.log(1e3))))
+    data = sample(n, IwParams(alpha, theta), draw(st.integers(0, 2 ** 32 - 1)))
+    decimals = draw(st.none() | st.integers(0, 3))
+    if decimals is not None:
+        data = np.round(data, decimals)
+    R = draw(st.integers(1, n))
+    T = draw(st.none() | st.floats(0.0, 1.0))
+    T = math.inf if T is None else float(np.quantile(data, T))
+    return data, HybridScheme(n=n, R=R, T=T) if T > 0 else None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme draws overflow on purpose
+@settings(max_examples=300, deadline=None)
+@given(censored_samples())
+# nearly tied failures: x**alpha underflows at the regression start, and the
+# covariance or the information of the fit overflows when squared
+@example((np.array([905.23289736, 255.37203952, 130.88489675, 288.99848025, 130.35063588]),
+          HybridScheme(n=5, R=2, T=math.inf)))
+@example((np.array([76.57062102829455, 78.07569044586481, 83.39385953000003]),
+          HybridScheme(n=3, R=2, T=82.83734628222653)))
+@example((np.array([0.014722764826835632, 0.014836466100912058, 0.01500974506993151,
+                    0.01534921577614401, 0.015359722387111448]),
+          HybridScheme(n=5, R=3, T=math.inf)))
+def test_fit_is_a_stationary_maximum_or_a_typed_error(case):
+    data, scheme = case
+    if scheme is None or not (np.all(np.isfinite(data)) and np.all(data > 0)):
+        return  # rounding or an overflowing draw left no valid lifetimes
+    s = reciprocals(apply_scheme(data, scheme))
+    config = SolverConfig()
+    try:
+        fit = fit_mle(s, config)
+    except (errors.DomainError, errors.InsufficientDataError, errors.NumericError,
+            errors.ConvergenceError):
+        return
+    assert np.all(np.isfinite([fit.alpha_hat, fit.lam_hat, fit.theta_hat, fit.loglik]))
+    assert fit.converged
+    assert np.abs(score(fit.alpha_hat, fit.lam_hat, s)).max() < config.tol
+    cov = fit.cov.as_matrix()
+    assert np.all(np.isfinite(cov))
+    assert np.all(np.linalg.eigvalsh(cov) > 0)
 
 
 def test_cov_is_exact_inverse(flood_s1):

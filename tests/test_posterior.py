@@ -8,6 +8,7 @@ from iwhc import (
     DomainError,
     GammaPriors,
     HybridScheme,
+    InsufficientDataError,
     IwParams,
     PosteriorDraws,
     apply_scheme,
@@ -22,6 +23,7 @@ from iwhc import (
     sample_g2,
     weighted_quantile,
 )
+from iwhc import posterior
 from _oracles import g2_quadrature_cdf, posterior_quadrature_means
 from conftest import random_censored_sample
 
@@ -114,6 +116,19 @@ def test_sample_g2_acceptance_after_refinement(flood_s1):
     # one full-size first round, before the hull is refined, drops this to ~0.66
     _, info = sample_g2(1000, flood_s1, FLAT, seed=26, return_info=True)
     assert info["acceptance_ratio"] >= 0.9
+
+
+def test_sample_g2_improper_posterior_is_insufficient_data():
+    # all failures tied at t=1: log g2 = (a+r-1)*log(alpha) + const keeps rising
+    with pytest.raises(InsufficientDataError, match="improper"):
+        sample_g2(10, _complete([1.0] * 5), FLAT, seed=0)
+
+
+def test_sample_g2_tail_that_never_turns_over_is_insufficient_data(monkeypatch):
+    # a mode reported inside the rising density reaches the upper-tail check
+    monkeypatch.setattr(posterior, "_find_mode", lambda lnf, dlnf: 1.0)
+    with pytest.raises(InsufficientDataError, match="never turns over"):
+        sample_g2(10, _complete([1.0] * 5), FLAT, seed=0)
 
 
 def test_sample_g2_deterministic(flood_s1):
