@@ -102,20 +102,28 @@ def lindley_estimates(
     prior tilt; with priors (1, 0, 1, 0) that reduces to the MLE exactly,
     which is the debugging identity exposed by the command line.
     """
-    ws = lindley_workspace(fit, priors, s)
-    t11, t12, t22 = ws.tau.v11, ws.tau.v12, ws.tau.v22
-    t21 = t12
-    if curvature:
-        corr_a = 0.5 * (ws.l30 * t11 ** 2 + ws.l03 * t21 * t22
-                        + 3.0 * ws.l21 * t11 * t12
-                        + ws.l12 * (t22 * t11 + 2.0 * t21 ** 2))
-        corr_l = 0.5 * (ws.l30 * t12 * t11 + ws.l03 * t22 ** 2
-                        + ws.l21 * (t11 * t22 + 2.0 * t12 ** 2)
-                        + 3.0 * ws.l12 * t22 * t21)
-    else:
-        corr_a = corr_l = 0.0
-    alpha_L = fit.alpha_hat + corr_a + ws.p1 * t11 + ws.p2 * t12
-    lambda_L = fit.lam_hat + corr_l + ws.p1 * t21 + ws.p2 * t22
+    # numpy scalars overflow to inf where Python floats would raise; a wide
+    # covariance overflows the third derivatives or the corrections
+    with np.errstate(over="ignore", invalid="ignore"):
+        ws = lindley_workspace(fit, priors, s)
+        t11, t12, t22 = np.float64(ws.tau.v11), np.float64(ws.tau.v12), np.float64(ws.tau.v22)
+        t21 = t12
+        if curvature:
+            corr_a = 0.5 * (ws.l30 * t11 ** 2 + ws.l03 * t21 * t22
+                            + 3.0 * ws.l21 * t11 * t12
+                            + ws.l12 * (t22 * t11 + 2.0 * t21 ** 2))
+            corr_l = 0.5 * (ws.l30 * t12 * t11 + ws.l03 * t22 ** 2
+                            + ws.l21 * (t11 * t22 + 2.0 * t12 ** 2)
+                            + 3.0 * ws.l12 * t22 * t21)
+        else:
+            corr_a = corr_l = 0.0
+        alpha_L = fit.alpha_hat + corr_a + ws.p1 * t11 + ws.p2 * t12
+        lambda_L = fit.lam_hat + corr_l + ws.p1 * t21 + ws.p2 * t22
+    if not (np.isfinite(alpha_L) and np.isfinite(lambda_L)):
+        raise NumericError(
+            f"expansion overflowed to ({alpha_L}, {lambda_L}); the posterior covariance "
+            "is too wide for the quadratic approximation"
+        )
     if not (alpha_L > 0 and lambda_L > 0):
         raise NumericError(
             f"expansion produced nonpositive estimates ({alpha_L}, {lambda_L}); "

@@ -107,15 +107,6 @@ class SolverConfig:
 _TINY = np.finfo(float).tiny
 
 
-def _power_sums(alpha, x: np.ndarray, order: int):
-    """``log x`` and ``[S_0]``, or ``[S_0, S_1]`` for order 1, at every element of
-    ``alpha`` (scalars for a scalar).  ``_derivatives`` keeps its own sums:
-    this dot product rounds differently from its pairwise ones."""
-    lx = np.log(x)
-    xa = np.power.outer(x, alpha)
-    return lx, [xa.sum(axis=0), lx @ xa] if order else [xa.sum(axis=0)]
-
-
 def _censor_q(alpha, lam, log_u):
     """q = lam * u**-alpha, elementwise, clamped to [tiny, e**709] so that
     ``expm1(q)`` overflows cleanly and ``log(-expm1(-q))`` stays finite."""
@@ -213,7 +204,7 @@ def _initial_guess(s: ReciprocalSample) -> tuple[float, float]:
     cx = lx - lx.mean()
     denom = (cx ** 2).sum()
     alpha0 = float((cx * (y - y.mean())).sum() / denom) if denom > 0 else 1.0
-    total = float(_power_sums(alpha0, s.x, 0)[1][0])
+    total = float(np.power(s.x, alpha0).sum())
     # alpha = 1 when the slope is useless or x**alpha0 under- or overflows
     if not (np.isfinite(alpha0) and alpha0 > 0.05 and 0.0 < total < np.inf):
         alpha0, total = 1.0, float(s.x.sum())
@@ -238,40 +229,44 @@ def fit_mle(s: ReciprocalSample, config: SolverConfig = SolverConfig()) -> MleFi
             f"all {s.r} observed failures are tied at t={1.0 / s.x[0]:g} and no unit "
             "is censored later, so the likelihood has no maximum"
         )
-    if config.alpha0 is not None and config.lam0 is not None:
-        alpha, lam = config.alpha0, config.lam0
-    else:
-        alpha, lam = _initial_guess(s)
-    ll, g, fisher = _derivatives(alpha, lam, s, 2)
-    iterations = 0
-    for iterations in range(1, max(config.max_iter, 1) + 1):
-        if np.abs(g).max() < config.tol:
-            iterations -= 1
-            break
-        # chain rule to eta = (log alpha, log lam)
-        jac = np.array([alpha, lam])
-        g_eta = jac * g
-        h_eta = fisher.as_matrix() * np.outer(jac, jac) + np.diag(g_eta)
-        try:
-            step = np.linalg.solve(h_eta, -g_eta)
-        except np.linalg.LinAlgError:
-            step = g_eta
-        if not g_eta @ step > 0.0:
-            step = g_eta / max(1.0, np.abs(g_eta).max())
-        scale = 1.0
-        improved = False
-        for _ in range(60):
-            cand_a = alpha * np.exp(scale * step[0])
-            cand_l = lam * np.exp(scale * step[1])
-            with np.errstate(all="ignore"):
-                cand = _derivatives(cand_a, cand_l, s, 2)
-            if np.isfinite(cand[0]) and cand[0] >= ll - 1e-13:
-                improved = True
+    # extreme iterates overflow in the Newton step and the line search; the
+    # gradient step replaces a step that is not finite, and a candidate that
+    # leaves (0, inf) or whose log-likelihood is not finite is a failed halving
+    with np.errstate(all="ignore"):
+        if config.alpha0 is not None and config.lam0 is not None:
+            alpha, lam = config.alpha0, config.lam0
+        else:
+            alpha, lam = _initial_guess(s)
+        ll, g, fisher = _derivatives(alpha, lam, s, 2)
+        iterations = 0
+        for iterations in range(1, max(config.max_iter, 1) + 1):
+            if np.abs(g).max() < config.tol:
+                iterations -= 1
                 break
-            scale *= 0.5
-        if not improved:
-            break
-        alpha, lam, (ll, g, fisher) = cand_a, cand_l, cand
+            # chain rule to eta = (log alpha, log lam)
+            jac = np.array([alpha, lam])
+            g_eta = jac * g
+            h_eta = fisher.as_matrix() * np.outer(jac, jac) + np.diag(g_eta)
+            try:
+                step = np.linalg.solve(h_eta, -g_eta)
+            except np.linalg.LinAlgError:
+                step = g_eta
+            if not g_eta @ step > 0.0:
+                step = g_eta / max(1.0, np.abs(g_eta).max())
+            scale = 1.0
+            improved = False
+            for _ in range(60):
+                cand_a = alpha * np.exp(scale * step[0])
+                cand_l = lam * np.exp(scale * step[1])
+                if 0.0 < cand_a < np.inf and 0.0 < cand_l < np.inf:
+                    cand = _derivatives(cand_a, cand_l, s, 2)
+                    if np.isfinite(cand[0]) and cand[0] >= ll - 1e-13:
+                        improved = True
+                        break
+                scale *= 0.5
+            if not improved:
+                break
+            alpha, lam, (ll, g, fisher) = cand_a, cand_l, cand
     grad_norm = float(np.abs(g).max())
     if grad_norm >= config.tol:
         raise ConvergenceError(

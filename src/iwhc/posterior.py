@@ -10,10 +10,11 @@ censoring information.  Posterior summaries are computed by importance
 sampling: draw alpha from g2 (adaptive rejection sampling exploits the
 log-concavity), lam from g1 given alpha, and weight each pair by h.  Weighted
 step-function quantiles give credible bounds, and the highest-density interval
-is the shortest of the candidate quantile windows.  g2, its derivative and the
-g1 rate read ``sum x**alpha`` and ``sum x**alpha * log x`` from one array
-helper in :mod:`iwhc.mle`, and h takes ``q`` from the likelihood kernel's
-censoring helper.
+is the shortest of the candidate quantile windows.  g2, its derivatives and
+the g1 rate read ``log(d + sum x**alpha)`` and the ratios ``sum x**alpha *
+(log x)**k / (d + sum x**alpha)`` from one log-sum-exp helper, and each lam is
+drawn with the g1 rate of the round that accepted its alpha; h takes ``q``
+from the likelihood kernel's censoring helper.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize
 
 from .censoring import ReciprocalSample
-from .errors import DegenerateWeightsError, DomainError, InsufficientDataError
+from .errors import DegenerateWeightsError, DomainError, InsufficientDataError, NumericError
 from .lindley import GammaPriors
-from .mle import ConfidenceInterval, _censor_q, _power_sums
+from .mle import ConfidenceInterval, _censor_q, _initial_guess
 
 __all__ = [
     "PosteriorDraws",
@@ -49,6 +49,49 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _log_rate_sums(alpha, x: np.ndarray, d: float, order: int) -> list:
+    """``log(d + S_0)`` and, for k = 1..order, ``S_k / (d + S_0)`` at every
+    element of ``alpha`` (> 0), where ``S_k = sum x**alpha * (log x)**k``.
+
+    Sums ``exp(alpha * (log x - max log x))``, whose largest term is 1, and
+    adds the shift back in logs, so nothing under- or overflows at any finite
+    alpha.  ``d + S_0`` is the rate of g1.
+    """
+    lx = np.log(x)
+    top = lx.max()
+    e = np.multiply.outer(lx - top, alpha)
+    np.exp(e, out=e)
+    total = e.sum(axis=0)
+    log_sum = alpha * top + np.log(total)
+    out = [log_sum if d == 0 else np.logaddexp(np.log(d), log_sum)]
+    if order:
+        with np.errstate(over="ignore"):
+            denom = total if d == 0 else total + d * np.exp(-alpha * top)
+        out += [(lx ** k @ e) / denom for k in range(1, order + 1)]
+    return out
+
+
+def _g2_terms(alpha, s: ReciprocalSample, priors: GammaPriors, order: int) -> list:
+    """``[log(d + S_0), log g2, (log g2)', (log g2)'']``, the last two only up
+    to ``order``, at every element of ``alpha`` (> 0)."""
+    log_rate, *ratio = _log_rate_sums(alpha, s.x, priors.d, order)
+    shape, k, slx = s.r + priors.c, priors.a + s.r - 1.0, np.log(s.x).sum()
+    out = [log_rate, -shape * log_rate + k * np.log(alpha) - priors.b * alpha
+           + (alpha + 1.0) * slx]
+    if order >= 1:
+        out.append(-shape * ratio[0] + k / alpha - priors.b + slx)
+    if order >= 2:
+        out.append(-shape * (ratio[1] - ratio[0] ** 2) - k / alpha ** 2)
+    return out
+
+
+def _alpha_array(alpha) -> np.ndarray:
+    arr = np.asarray(alpha, dtype=float)
+    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
+        raise DomainError("alpha must be strictly positive and finite")
+    return arr
+
+
 def g2_log_density(alpha, s: ReciprocalSample, priors: GammaPriors):
     """Unnormalized log density of the alpha-marginal proposal g2.
 
@@ -58,25 +101,29 @@ def g2_log_density(alpha, s: ReciprocalSample, priors: GammaPriors):
     """
     if s.r < 1:
         raise InsufficientDataError("g2 requires at least one observed failure")
-    arr = np.asarray(alpha, dtype=float)
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise DomainError("alpha must be strictly positive and finite")
-    lx, (S0,) = _power_sums(arr, s.x, 0)
-    out = (-(s.r + priors.c) * np.log(priors.d + S0)
-           + (priors.a + s.r - 1.0) * np.log(arr) - priors.b * arr
-           + (arr + 1.0) * lx.sum())
+    arr = _alpha_array(alpha)
+    out = _g2_terms(arr, s, priors, 0)[1]
     return float(out) if arr.ndim == 0 else out
 
 
 def g2_log_density_grad(alpha, s: ReciprocalSample, priors: GammaPriors):
     """d/d-alpha of :func:`g2_log_density`; scalar or array ``alpha``."""
-    arr = np.asarray(alpha, dtype=float)
-    if np.any(arr <= 0):
-        raise DomainError("alpha must be strictly positive")
-    lx, (S0, S1) = _power_sums(arr, s.x, 1)
-    out = (-(s.r + priors.c) * S1 / (priors.d + S0)
-           + (priors.a + s.r - 1.0) / arr - priors.b + lx.sum())
+    arr = _alpha_array(alpha)
+    out = _g2_terms(arr, s, priors, 1)[2]
     return float(out) if arr.ndim == 0 else out
+
+
+def _draw_lams(log_rate, shape: float, rng: np.random.Generator):
+    """One Gamma(shape, rate exp(log_rate)) draw per element of ``log_rate``."""
+    with np.errstate(over="ignore", divide="ignore"):
+        lams = np.exp(np.log(rng.gamma(shape, 1.0, size=np.shape(log_rate))) - log_rate)
+    bad = np.count_nonzero(~((lams > 0) & np.isfinite(lams)))
+    if bad:
+        raise NumericError(
+            f"{bad} of {np.size(lams)} lam draws from g1 overflow or underflow float64: "
+            f"the log rate log(d + sum x**alpha) reaches {np.min(log_rate):.4g} "
+            f"to {np.max(log_rate):.4g} at these alphas")
+    return lams
 
 
 def sample_g1(alpha, s: ReciprocalSample, priors: GammaPriors, seed):
@@ -85,16 +132,14 @@ def sample_g1(alpha, s: ReciprocalSample, priors: GammaPriors, seed):
     The "scale" of the conditional gamma is a rate: the joint density carries
     exp(-lam * (d + sum x**alpha)).  ``alpha`` may be a scalar or an array of
     conditioning values (one draw each); ``seed`` may also be a Generator.
+    A draw beyond the float64 range raises :class:`NumericError`.
     """
     shape = s.r + priors.c
     if shape <= 0:
         raise DomainError(f"gamma shape r + c must be positive, got {shape}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    arr = np.asarray(alpha, dtype=float)
-    if np.any(arr <= 0):
-        raise DomainError("alpha must be strictly positive")
-    _, (S0,) = _power_sums(arr, s.x, 0)
-    out = rng.gamma(shape, 1.0, size=arr.shape) / (priors.d + S0)
+    arr = _alpha_array(alpha)
+    out = _draw_lams(_log_rate_sums(arr, s.x, priors.d, 0)[0], shape, rng)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -103,9 +148,10 @@ def sample_g1(alpha, s: ReciprocalSample, priors: GammaPriors, seed):
 # ---------------------------------------------------------------------------
 
 
-_FIRST_ROUND = 16          # proposals in the first round; each later round doubles
 _REFINE_PER_ROUND = 8      # rejected points added to the hull after a round
 _MAX_HULL_POINTS = 60
+_MODE_STEP = 2.0           # longest Newton step of the mode search, in log alpha
+_LOG_ALPHA_LIMIT = 80.0    # the mode search stays in exp(-80) < alpha < exp(80)
 _IMPROPER = "the alpha posterior is improper for these data and priors"
 
 
@@ -168,24 +214,41 @@ class _Hull:
         self._refresh()
 
 
-def _find_mode(lnf, dlnf, guess: float = 1.0) -> float:
-    """Safeguarded search for the stationary point of a concave lnf on (0, inf)."""
-    lo = hi = guess
-    for _ in range(80):
-        if dlnf(lo) > 0:
-            break
-        lo /= 4.0
-    else:
-        return lo      # decreasing everywhere that matters: mode at the left edge
-    for _ in range(80):
-        if dlnf(hi) < 0:
-            break
-        hi *= 4.0
-    else:
-        raise InsufficientDataError(f"{_IMPROPER}: log g2 is still rising at alpha={hi:.3g}")
-    if lo >= hi:
-        return lo
-    return float(optimize.brentq(dlnf, lo, hi, xtol=1e-12 * max(1.0, hi)))
+def _find_mode(dlnf, guess: float) -> float:
+    """Stationary point of a concave lnf on (0, inf); ``dlnf(alpha)`` returns
+    the first and second derivatives of lnf.
+
+    Newton's method for the root of the first derivative in eta = log(alpha),
+    from ``guess``.  Each step is clamped to ``_MODE_STEP``, and a step that
+    leaves the bracket of the sign changes seen so far bisects it instead.
+    """
+    eta = float(np.clip(np.log(guess), -_LOG_ALPHA_LIMIT, _LOG_ALPHA_LIMIT))
+    lo, hi = -np.inf, np.inf
+    for _ in range(200):
+        alpha = float(np.exp(eta))
+        slope, curve = dlnf(alpha)
+        if slope > 0:
+            lo = eta
+        elif slope < 0:
+            hi = eta
+        else:
+            return alpha
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -slope / (alpha * curve)
+        if not step * slope > 0:        # curvature lost to rounding
+            step = slope
+        step = float(np.clip(step, -_MODE_STEP, _MODE_STEP))
+        if abs(step) < 1e-10 or hi - lo < 1e-10:
+            return float(np.exp(eta + step))
+        new = eta + step
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if new > _LOG_ALPHA_LIMIT:
+            raise InsufficientDataError(f"{_IMPROPER}: log g2 is still rising at alpha={alpha:.3g}")
+        if new < -_LOG_ALPHA_LIMIT:
+            return alpha      # decreasing everywhere that matters: mode at the left edge
+        eta = new
+    return float(np.exp(eta))
 
 
 def sample_g2(
@@ -197,65 +260,74 @@ def sample_g2(
 ):
     """Exact draws from the normalized g2 via adaptive rejection sampling.
 
-    Builds a tangent hull around the mode of log g2 and draws in rounds: each
-    round proposes a batch from the current envelope, evaluates log g2 on it
-    at once and accepts with one comparison, then adds a few of the rejected
-    points to the hull.  Rounds start small and double, so the hull is refined
-    before the bulk of the draws.  Every proposal is judged against the
-    envelope it was drawn from, so each accepted draw is exact.  Deterministic
-    for a given seed.  With ``return_info=True`` also returns a dict carrying
-    the acceptance ratio (accepted over evaluated proposals, including
-    accepted surplus the last round discards) and the number of hull points.
+    Finds the mode of log g2 by Newton's method and builds a tangent hull at
+    ``mode * exp(k * sigma)``, k = -2..2, where ``sigma`` is the spread in
+    log alpha that the curvature at the mode implies.  Then draws in rounds:
+    each round proposes ``need + need // 16 + 4`` points from the current
+    envelope, evaluates log g2 on them at once and accepts with one
+    comparison, then adds up to eight of the rejected points to the hull.
+    Every proposal is judged against the envelope it was drawn from, so each
+    accepted draw is exact.  Deterministic for a given seed.  With
+    ``return_info=True`` also returns a dict carrying the acceptance ratio
+    (accepted over evaluated proposals, including accepted surplus the last
+    round discards), the number of hull points and of rounds, the mode, and
+    ``log_rate``: log(d + sum x**alpha), the log g1 rate, at each draw.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
+    if s.r < 1:
+        raise InsufficientDataError("g2 requires at least one observed failure")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
-    def lnf(a):
-        return g2_log_density(a, s, priors)
-
     def dlnf(a):
-        return g2_log_density_grad(a, s, priors)
+        return _g2_terms(a, s, priors, 2)[2:]
 
-    mode = _find_mode(lnf, dlnf)
-    offset = lnf(mode)
-    pts = sorted({mode * 0.5, mode, mode * 2.0})
-    xs = [float(t) for t in pts]
-    hs = [lnf(t) - offset for t in xs]
-    ds = [dlnf(t) for t in xs]
+    # the regression start of the MLE is near the mode of g2
+    with np.errstate(over="ignore"):
+        guess = _initial_guess(s)[0]
+    mode = _find_mode(dlnf, guess)
+    curve = mode * mode * dlnf(mode)[1]
+    sigma = min(1.0, 1.0 / np.sqrt(-curve)) if curve < 0 else 1.0
+    xs = mode * np.exp(sigma * np.arange(-2.0, 3.0))
+    _, hs, ds = _g2_terms(xs, s, priors, 1)
+    offset = hs[2]
+    xs, hs, ds = list(xs), list(hs - offset), list(ds)
     while ds[-1] >= 0.0:
         xs.append(xs[-1] * 2.0)
-        hs.append(lnf(xs[-1]) - offset)
-        ds.append(dlnf(xs[-1]))
+        _, h, d = _g2_terms(xs[-1], s, priors, 1)
+        hs.append(h - offset)
+        ds.append(d)
         if xs[-1] > 1e12:
             raise InsufficientDataError(f"{_IMPROPER}: the upper tail of g2 never turns over")
     hull = _Hull(xs, hs, ds)
     draws = np.empty(count)
-    filled = proposals = accepted = 0
-    size = _FIRST_ROUND
+    log_rate = np.empty(count)
+    filled = proposals = accepted = rounds = 0
     while filled < count:
         need = count - filled
-        t, j = hull.propose(min(size, need + need // 8 + 4), rng)
+        t, j = hull.propose(need + need // 16 + 4, rng)
         u = rng.random(t.size)
         ok = (t > 0.0) & np.isfinite(t)
         t, j, u = t[ok], j[ok], u[ok]
-        hval = lnf(t) - offset
+        lr, hval = _g2_terms(t, s, priors, 0)
+        hval -= offset
         hit = np.log(u) <= hval - hull.h[j] - hull.d[j] * (t - hull.x[j])
-        got = t[hit]
-        take = min(got.size, need)
-        draws[filled:filled + take] = got[:take]
-        filled += take
+        got = np.flatnonzero(hit)[:need]
+        draws[filled:filled + got.size] = t[got]
+        log_rate[filled:filled + got.size] = lr[got]
+        filled += got.size
         proposals += t.size
-        accepted += got.size
+        accepted += int(hit.sum())
+        rounds += 1
         miss = ~hit
         room = min(_REFINE_PER_ROUND, _MAX_HULL_POINTS - hull.x.size)
         if filled < count and room > 0 and miss.any():
             ts = t[miss][:room]
-            hull.insert(ts, hval[miss][:room], dlnf(ts))
-        size *= 2
+            hull.insert(ts, hval[miss][:room], _g2_terms(ts, s, priors, 1)[2])
     if return_info:
         return draws, {"acceptance_ratio": accepted / proposals,
-                       "hull_points": int(hull.x.size), "mode": mode}
+                       "hull_points": int(hull.x.size), "rounds": rounds, "mode": mode,
+                       "log_rate": log_rate}
     return draws
 
 
@@ -311,6 +383,9 @@ def posterior_draws(
 ) -> PosteriorDraws:
     """Steps 1-3 of the sampler: alphas from g2, lams from g1, weights from h.
 
+    Each lam is drawn with the g1 rate that :func:`sample_g2` computed for its
+    alpha; a lam beyond the float64 range raises :class:`NumericError`.
+
     ``chunks`` splits the draw budget into independently seeded streams
     (children of ``SeedSequence(seed)``) concatenated in chunk order, so the
     result is reproducible for a given (seed, count, chunks) regardless of
@@ -332,9 +407,8 @@ def posterior_draws(
     for child, size in zip(root.spawn(chunks), sizes):
         rng = np.random.default_rng(child)
         a, info = sample_g2(size, s, priors, rng, return_info=True)
-        l = sample_g1(a, s, priors, rng)
         alphas[pos:pos + size] = a
-        lams[pos:pos + size] = l
+        lams[pos:pos + size] = _draw_lams(info["log_rate"], s.r + priors.c, rng)
         acc += info["acceptance_ratio"] * size
         pos += size
     if s.n == s.r:
@@ -350,14 +424,19 @@ def posterior_draws(
 
 
 def importance_estimate(draws: PosteriorDraws, statistic) -> BayesEstimate:
-    """Weighted posterior mean and variance of ``statistic(alphas, lams)``."""
+    """Weighted posterior mean and variance of ``statistic(alphas, lams)``;
+    :class:`NumericError` when either overflows float64."""
     if draws.size < 2:
         raise DomainError("need at least two draws")
     if not np.any(draws.weights > 0):
         raise DegenerateWeightsError("no positive importance weight")
     values = np.asarray(statistic(draws.alphas, draws.lams), dtype=float)
-    mean = float((values * draws.weights).sum())
-    var = float((((values - mean) ** 2) * draws.weights).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float((values * draws.weights).sum())
+        var = float((((values - mean) ** 2) * draws.weights).sum())
+    if not (np.isfinite(mean) and np.isfinite(var)):
+        raise NumericError(f"the weighted mean or variance overflows float64 "
+                           f"(mean={mean:.4g}, variance={var:.4g})")
     return BayesEstimate(mean=mean, variance=var)
 
 

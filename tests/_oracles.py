@@ -268,3 +268,27 @@ def null_sf_streaming(d, n, sims, seed):
         exceed += int((stat >= d - 1e-12).sum())
         left -= block
     return exceed / sims
+
+
+# ---------------------------------------------------------------------------
+# Lindley corrections and the g1 rate, term by term
+# ---------------------------------------------------------------------------
+
+
+def lindley_estimates_ref(ws, fit):
+    """(alpha_L, lambda_L) from a workspace, in Python-float arithmetic."""
+    t11, t12, t22 = ws.tau.v11, ws.tau.v12, ws.tau.v22
+    t21 = t12
+    corr_a = 0.5 * (ws.l30 * t11 ** 2 + ws.l03 * t21 * t22
+                    + 3.0 * ws.l21 * t11 * t12
+                    + ws.l12 * (t22 * t11 + 2.0 * t21 ** 2))
+    corr_l = 0.5 * (ws.l30 * t12 * t11 + ws.l03 * t22 ** 2
+                    + ws.l21 * (t11 * t22 + 2.0 * t12 ** 2)
+                    + 3.0 * ws.l12 * t22 * t21)
+    return (fit.alpha_hat + corr_a + ws.p1 * t11 + ws.p2 * t12,
+            fit.lam_hat + corr_l + ws.p1 * t21 + ws.p2 * t22)
+
+
+def g1_rate_ref(s, priors, alphas):
+    """The g1 rate d + sum x**alpha at each alpha, by direct powers."""
+    return priors.d + (s.x[:, None] ** np.asarray(alphas)).sum(0)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from iwhc import HybridScheme, apply_scheme, reciprocals
+from iwhc import HybridScheme, IwParams, apply_scheme, reciprocals, sample
 from iwhc.datasets import load_bundled
 
 
@@ -50,8 +51,6 @@ def guinea_s2(guinea):
 def random_censored_sample(rng, n_range=(8, 40), alpha_range=(0.4, 5.0),
                            theta_range=(0.3, 3.0)):
     """A random hybrid censored dataset with at least two observed failures."""
-    from iwhc import IwParams, sample
-
     while True:
         n = int(rng.integers(*n_range))
         alpha = float(rng.uniform(*alpha_range))
@@ -63,3 +62,19 @@ def random_censored_sample(rng, n_range=(8, 40), alpha_range=(0.4, 5.0),
         s = reciprocals(apply_scheme(data, HybridScheme(n=n, R=R, T=T)))
         if s.r >= 3:
             return s, params
+
+
+@st.composite
+def censored_samples(draw):
+    """Random hybrid schemes over extreme (alpha, theta), often with ties."""
+    n = draw(st.integers(2, 40))
+    alpha = math.exp(draw(st.floats(math.log(0.1), math.log(40.0))))
+    theta = math.exp(draw(st.floats(math.log(1e-3), math.log(1e3))))
+    data = sample(n, IwParams(alpha, theta), draw(st.integers(0, 2 ** 32 - 1)))
+    decimals = draw(st.none() | st.integers(0, 3))
+    if decimals is not None:
+        data = np.round(data, decimals)
+    R = draw(st.integers(1, n))
+    T = draw(st.none() | st.floats(0.0, 1.0))
+    T = math.inf if T is None else float(np.quantile(data, T))
+    return data, HybridScheme(n=n, R=R, T=T) if T > 0 else None

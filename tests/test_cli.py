@@ -87,6 +87,18 @@ def test_bayes_is_improper_posterior_fails(capsys, tmp_path):
     assert "improper" in err
 
 
+def test_bayes_is_lam_overflow_fails(capsys, tmp_path):
+    # the shape posterior reaches alphas where lam overflows float64; this
+    # command used to run forever
+    path = tmp_path / "wide.txt"
+    path.write_text("9.22 9.29 9.82 9.99 10.13 10.31\n")
+    code, out, err = run_cli(capsys, "bayes", str(path), "--big-r", "4", "--time", "9.308",
+                             "--method", "is", "--draws", "200")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "overflow" in err
+
+
 def test_censor_scheme2_listing(capsys):
     report = run_json(capsys, "censor", "flood", "--big-r", "14", "--time", "0.45")
     times = report["results"]["times"]

@@ -8,6 +8,7 @@ from iwhc import (
     GammaPriors,
     HybridScheme,
     IwParams,
+    NumericError,
     apply_scheme,
     fit_mle,
     lindley_estimates,
@@ -15,8 +16,10 @@ from iwhc import (
     sample,
     third_derivatives,
 )
+from iwhc.cli import main
 from iwhc.lindley import lindley_workspace
-from _oracles import fd_third_derivatives, posterior_quadrature_means
+from _oracles import fd_third_derivatives, lindley_estimates_ref, posterior_quadrature_means
+from conftest import random_censored_sample
 
 
 def test_priors_validation():
@@ -113,3 +116,43 @@ def test_theta_derived_from_corrected_pair(guinea_s2):
     fit = fit_mle(guinea_s2)
     est = lindley_estimates(fit, GammaPriors(), guinea_s2)
     assert est.theta_L == pytest.approx(est.lambda_L ** (-1 / est.alpha_L), rel=1e-12)
+
+
+def test_estimates_equal_python_float_formulas():
+    rng = np.random.default_rng(41)
+    for _ in range(150):
+        s, _ = random_censored_sample(rng)
+        fit = fit_mle(s)
+        for priors in (GammaPriors(), GammaPriors(2, 1, 1, 1)):
+            alpha_L, lambda_L = lindley_estimates_ref(lindley_workspace(fit, priors, s), fit)
+            if not (alpha_L > 0 and lambda_L > 0):
+                with pytest.raises(NumericError, match="nonpositive"):
+                    lindley_estimates(fit, priors, s)
+                continue
+            est = lindley_estimates(fit, priors, s)
+            assert (est.alpha_L, est.lambda_L) == (alpha_L, lambda_L)
+
+
+_WIDE = ("484 496 497 499 500 508 509 509 511 512 528 529 539", 12, 541.3552498174076)
+
+
+def test_overflowing_correction_is_numeric_error():
+    # the MLE covariance is so wide that squaring it overflows float64
+    times, R, T = _WIDE
+    data = np.array(times.split(), dtype=float)
+    s = reciprocals(apply_scheme(data, HybridScheme(n=data.size, R=R, T=T)))
+    fit = fit_mle(s)
+    with pytest.raises(NumericError, match="overflow"):
+        lindley_estimates(fit, GammaPriors(), s)
+
+
+def test_cli_overflowing_correction_exits_2(capsys, tmp_path):
+    times, R, T = _WIDE
+    path = tmp_path / "wide.txt"
+    path.write_text(times + "\n")
+    code = main(["bayes", str(path), "--big-r", str(R), "--time", repr(T),
+                 "--method", "lindley"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err

@@ -1,9 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from iwhc import (
     ConvergenceError,
@@ -31,7 +31,7 @@ from _oracles import (
     score_ref,
     third_derivatives_ref,
 )
-from conftest import random_censored_sample
+from conftest import censored_samples, random_censored_sample
 
 
 def _single_point_sample():
@@ -211,28 +211,28 @@ def test_fit_ties_with_later_censoring_is_a_maximum():
             assert log_likelihood(fit.alpha_hat * da, fit.lam_hat * dl, s) < fit.loglik
 
 
+def test_fit_line_search_skips_overflowing_candidates():
+    # nearly tied data: a Newton step overflowed alpha to inf, and the fit used
+    # to fail naming its own iterate, with a RuntimeWarning on stderr
+    data = np.array([1.0] * 16 + [2.0, 3.0])
+    s = reciprocals(apply_scheme(data, HybridScheme(n=18, R=17, T=1.003877522497901)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            fit = fit_mle(s)
+        except (ConvergenceError, InsufficientDataError, errors.NumericError) as exc:
+            assert "must be positive" not in str(exc)
+            return
+    assert np.isfinite([fit.alpha_hat, fit.lam_hat, fit.loglik]).all()
+    assert np.abs(score(fit.alpha_hat, fit.lam_hat, s)).max() < SolverConfig().tol
+
+
 def test_nonconvergence_carries_last_iterate(flood_s1):
     with pytest.raises(ConvergenceError) as err:
         fit_mle(flood_s1, SolverConfig(max_iter=1, alpha0=50.0, lam0=1e-9))
     assert err.value.last_iterate is not None
     alpha, lam = err.value.last_iterate
     assert alpha > 0 and lam > 0
-
-
-@st.composite
-def censored_samples(draw):
-    """Random hybrid schemes over extreme (alpha, theta), often with ties."""
-    n = draw(st.integers(2, 40))
-    alpha = math.exp(draw(st.floats(math.log(0.1), math.log(40.0))))
-    theta = math.exp(draw(st.floats(math.log(1e-3), math.log(1e3))))
-    data = sample(n, IwParams(alpha, theta), draw(st.integers(0, 2 ** 32 - 1)))
-    decimals = draw(st.none() | st.integers(0, 3))
-    if decimals is not None:
-        data = np.round(data, decimals)
-    R = draw(st.integers(1, n))
-    T = draw(st.none() | st.floats(0.0, 1.0))
-    T = math.inf if T is None else float(np.quantile(data, T))
-    return data, HybridScheme(n=n, R=R, T=T) if T > 0 else None
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme draws overflow on purpose

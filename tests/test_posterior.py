@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iwhc import (
     DegenerateWeightsError,
@@ -10,6 +12,7 @@ from iwhc import (
     HybridScheme,
     InsufficientDataError,
     IwParams,
+    NumericError,
     PosteriorDraws,
     apply_scheme,
     bayes_is,
@@ -23,9 +26,9 @@ from iwhc import (
     sample_g2,
     weighted_quantile,
 )
-from iwhc import posterior
-from _oracles import g2_quadrature_cdf, posterior_quadrature_means
-from conftest import random_censored_sample
+from iwhc import errors, posterior
+from _oracles import g1_rate_ref, g2_quadrature_cdf, posterior_quadrature_means
+from conftest import censored_samples, random_censored_sample
 
 FLAT = GammaPriors()
 
@@ -33,6 +36,16 @@ FLAT = GammaPriors()
 def _complete(times):
     arr = np.asarray(times, dtype=float)
     return reciprocals(apply_scheme(arr, HybridScheme(n=arr.size, R=arr.size, T=math.inf)))
+
+
+# two failures 0.8% apart and four censored units: the shape posterior is so
+# wide that sum x**alpha underflows inside it and lam overflows float64
+_WIDE_TIMES = np.array([9.22, 9.29, 9.82, 9.99, 10.13, 10.31])
+_WIDE_SCHEME = HybridScheme(n=6, R=4, T=9.308)
+
+
+def _wide_shape_sample():
+    return reciprocals(apply_scheme(_WIDE_TIMES, _WIDE_SCHEME))
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +148,69 @@ def test_sample_g2_deterministic(flood_s1):
     a = sample_g2(500, flood_s1, FLAT, seed=9)
     b = sample_g2(500, flood_s1, FLAT, seed=9)
     assert np.array_equal(a, b)
+
+
+_CASES = pytest.mark.parametrize("case, priors", [
+    ("flood_s1", FLAT),
+    ("guinea_s1", GammaPriors(2, 1, 1, 1)),
+], ids=["flood", "guinea"])
+
+
+@_CASES
+def test_sample_g2_fills_m1000_in_at_most_two_rounds(request, case, priors):
+    s = request.getfixturevalue(case)
+    for seed in range(20):
+        _, info = sample_g2(1000, s, priors, seed=seed, return_info=True)
+        assert info["rounds"] <= 2
+
+
+@pytest.mark.parametrize("case, priors, lo, hi", [
+    ("flood_s1", FLAT, 0.8, 12.0),
+    ("guinea_s1", GammaPriors(2, 1, 1, 1), 0.3, 1.5),
+], ids=["flood", "guinea"])
+def test_sample_g2_pooled_three_draw_calls_match_quadrature_cdf(request, case, priors, lo, hi):
+    # each call builds its own hull and fills in one or two rounds
+    s = request.getfixturevalue(case)
+    draws = np.concatenate([sample_g2(3, s, priors, seed=seed) for seed in range(6000)])
+    grid = np.linspace(lo, hi, 4000)
+    cdf = g2_quadrature_cdf(s, priors, grid)
+    srt = np.sort(draws)
+    ranks = np.arange(1, srt.size + 1) / srt.size
+    sup = np.abs(ranks - np.interp(srt, grid, cdf)).max()
+    assert sup < 0.012      # 1% critical value for 18,000 draws
+
+
+@_CASES
+def test_g1_rate_of_each_draw_matches_direct_powers(request, case, priors):
+    s = request.getfixturevalue(case)
+    for p in (priors, GammaPriors(0, 0, 0, 3.5)):
+        draws, info = sample_g2(1000, s, p, seed=27, return_info=True)
+        assert np.exp(info["log_rate"]) == pytest.approx(g1_rate_ref(s, p, draws), rel=1e-12)
+
+
+@_CASES
+def test_posterior_draws_take_lams_from_the_g2_rates(request, case, priors):
+    s = request.getfixturevalue(case)
+    out = posterior_draws(s, priors, 500, seed=28)
+    rng = np.random.default_rng(np.random.SeedSequence(28).spawn(1)[0])
+    alphas = sample_g2(500, s, priors, rng)
+    lams = rng.gamma(s.r + priors.c, 1.0, size=500) / g1_rate_ref(s, priors, alphas)
+    assert np.array_equal(out.alphas, alphas)
+    assert out.lams == pytest.approx(lams, rel=1e-12)
+
+
+def test_sample_g2_wide_shape_posterior_returns():
+    # sum x**alpha underflowed above alpha ~ 330 and the sampler never returned
+    s = _wide_shape_sample()
+    assert np.all(np.isfinite(g2_log_density(np.array([400.0, 1e4, 1e6]), s, FLAT)))
+    draws = sample_g2(200, s, FLAT, seed=0)
+    assert draws.shape == (200,)
+    assert np.all(np.isfinite(draws)) and np.all(draws > 0)
+
+
+def test_bayes_is_lam_overflow_is_numeric_error():
+    with pytest.raises(NumericError, match="overflow"):
+        bayes_is(_wide_shape_sample(), FLAT, 200, seed=0)
 
 
 def test_sample_g1_moments(flood_s1):
@@ -369,3 +445,26 @@ def test_bayes_is_deterministic(flood_s1):
     b = bayes_is(flood_s1, FLAT, 2000, seed=25)
     assert a.alpha.mean == b.alpha.mean
     assert a.theta.hpd.lower == b.theta.hpd.lower
+
+
+@settings(max_examples=300, deadline=None)
+@given(censored_samples(),
+       st.sampled_from([FLAT, GammaPriors(2, 1, 1, 1), GammaPriors(0.5, 0.01, 3.0, 0.01)]),
+       st.integers(0, 2 ** 32 - 1))
+@example((_WIDE_TIMES, _WIDE_SCHEME), FLAT, 0)
+# lam draws near 1e169: the weighted variance of lam overflows
+@example((np.array([5.3427662, 135.04106728, 4.43969929, 4.29910518]),
+          HybridScheme(n=4, R=2, T=math.inf)), FLAT, 0)
+def test_bayes_is_is_finite_or_a_typed_error(case, priors, seed):
+    data, scheme = case
+    if scheme is None or not (np.all(np.isfinite(data)) and np.all(data > 0)):
+        return  # rounding or an overflowing draw left no valid lifetimes
+    s = reciprocals(apply_scheme(data, scheme))
+    try:
+        res = bayes_is(s, priors, 50, seed)
+    except (errors.DomainError, errors.InsufficientDataError, errors.NumericError,
+            errors.ConvergenceError, errors.DegenerateWeightsError):
+        return
+    for est in (res.alpha, res.lam, res.theta):
+        assert np.all(np.isfinite([est.mean, est.variance, est.hpd.lower, est.hpd.upper]))
+        assert est.variance >= 0
