@@ -103,8 +103,8 @@ def lindley_estimates(
     which is the debugging identity exposed by the command line.
     """
     # numpy scalars overflow to inf where Python floats would raise; a wide
-    # covariance overflows the third derivatives or the corrections
-    with np.errstate(over="ignore", invalid="ignore"):
+    # covariance overflows the third derivatives, the corrections or theta
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ws = lindley_workspace(fit, priors, s)
         t11, t12, t22 = np.float64(ws.tau.v11), np.float64(ws.tau.v12), np.float64(ws.tau.v22)
         t21 = t12
@@ -119,6 +119,7 @@ def lindley_estimates(
             corr_a = corr_l = 0.0
         alpha_L = fit.alpha_hat + corr_a + ws.p1 * t11 + ws.p2 * t12
         lambda_L = fit.lam_hat + corr_l + ws.p1 * t21 + ws.p2 * t22
+        theta_L = np.exp(-np.log(lambda_L) / alpha_L)
     if not (np.isfinite(alpha_L) and np.isfinite(lambda_L)):
         raise NumericError(
             f"expansion overflowed to ({alpha_L}, {lambda_L}); the posterior covariance "
@@ -129,5 +130,9 @@ def lindley_estimates(
             f"expansion produced nonpositive estimates ({alpha_L}, {lambda_L}); "
             "the quadratic approximation is unreliable for this sample"
         )
-    theta_L = float(np.exp(-np.log(lambda_L) / alpha_L))
-    return LindleyEstimate(float(alpha_L), float(lambda_L), theta_L)
+    if not 0.0 < theta_L < np.inf:
+        raise NumericError(
+            f"theta = lambda**(-1/alpha) at the expansion estimate ({alpha_L}, {lambda_L}) "
+            f"is {theta_L}, outside the float64 range"
+        )
+    return LindleyEstimate(float(alpha_L), float(lambda_L), float(theta_L))

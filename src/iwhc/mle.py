@@ -11,7 +11,8 @@ and the censoring term vanishes for complete samples (r == n).  The value and
 every partial up to third order come from one kernel, ``_derivatives``, built
 on the power sums ``S_k = sum x**alpha * (log x)**k`` and on ``q = lam *
 u**-alpha`` and ``1/expm1(q) = e^-q/(1-e^-q)``, which stays finite for
-extreme parameters.
+extreme parameters.  Where q underflows float64, the censoring term is read in
+logs as ``(n-r)*log q``.
 """
 
 from __future__ import annotations
@@ -105,14 +106,18 @@ class SolverConfig:
 
 
 _TINY = np.finfo(float).tiny
+_LOG_TINY = np.log(_TINY)
 
 
 def _censor_q(alpha, lam, log_u):
-    """q = lam * u**-alpha, elementwise, clamped to [tiny, e**709] so that
-    ``expm1(q)`` overflows cleanly and ``log(-expm1(-q))`` stays finite."""
+    """``(log q, q)`` for q = lam * u**-alpha, elementwise.  q is clamped to
+    [tiny, e**709] so that ``expm1(q)`` overflows cleanly.  Where log q is
+    below ``_LOG_TINY``, the censoring factor log(1 - e**-q) is log q to float
+    precision, and callers read log q for it."""
+    log_q = np.log(lam) - alpha * log_u
     with np.errstate(over="ignore"):
-        q = np.exp(np.minimum(np.log(lam) - alpha * log_u, 709.0))
-    return np.maximum(q, _TINY)
+        q = np.exp(np.minimum(log_q, 709.0))
+    return log_q, np.maximum(q, _TINY)
 
 
 def _derivatives(alpha: float, lam: float, s: ReciprocalSample, order: int) -> list:
@@ -133,36 +138,46 @@ def _derivatives(alpha: float, lam: float, s: ReciprocalSample, order: int) -> l
     slx = lx.sum()
     r, m = s.r, s.n - s.r
     ll = r * np.log(alpha * lam) - lam * S[0] + (alpha + 1.0) * slx
+    # below q = tiny the censoring term is m*log q = m*(log lam - alpha*L),
+    # whose only nonzero partials are -m*L, m/lam, -m/lam**2 and 2m/lam**3
+    tail = False
     if m:
         L = np.log(s.u)
-        q = _censor_q(alpha, lam, L)
-        ll += m * np.log(-np.expm1(-q))
+        log_q, q = _censor_q(alpha, lam, L)
+        tail = log_q < _LOG_TINY
+        ll += m * (log_q if tail else np.log(-np.expm1(-q)))
         with np.errstate(over="ignore"):
             wD = 1.0 / np.expm1(q)
+    full = m and not tail
     out = [float(ll)]
     if order >= 1:
         d_a = r / alpha - lam * S[1] + slx
         d_l = r / lam - S[0]
-        if m:
+        if full:
             d_a -= m * L * q * wD
             d_l += m * (q / lam) * wD
+        elif tail:
+            d_a -= m * L
+            d_l += m / lam
         out.append((float(d_a), float(d_l)))
     if order >= 2:
         d2_aa = -r / alpha ** 2 - lam * S[2]
         d2_al = -S[1]
         d2_ll = -r / lam ** 2
-        if m:
+        if full:
             wD2 = wD * wD
             d2_aa += m * L ** 2 * q * (1.0 - q) * wD - m * L ** 2 * q ** 2 * wD2
             d2_al += -m * L * (q / lam) * (1.0 - q) * wD + m * L * (q ** 2 / lam) * wD2
             d2_ll += -m * (q / lam) ** 2 * (wD + wD2)
+        elif tail:
+            d2_ll -= m / lam ** 2
         out.append(FisherMatrix(float(d2_aa), float(d2_al), float(d2_ll)))
     if order >= 3:
         l30 = 2.0 * r / alpha ** 3 - lam * S[3]
         l03 = 2.0 * r / lam ** 3
         l21 = -S[2]
         l12 = 0.0
-        if m:
+        if full:
             wD3 = wD2 * wD
             poly = 1.0 - 3.0 * q + q * q
             l30 += m * L ** 3 * (-q * poly * wD + 3.0 * q ** 2 * (1.0 - q) * wD2
@@ -174,6 +189,8 @@ def _derivatives(alpha: float, lam: float, s: ReciprocalSample, order: int) -> l
             l12 += m * L * ((q / lam) ** 2 * (2.0 - q) * wD
                             + (q / lam) ** 2 * (2.0 - 3.0 * q) * wD2
                             - 2.0 * (q ** 3 / lam ** 2) * wD3)
+        elif tail:
+            l03 += 2.0 * m / lam ** 3
         out.append((float(l30), float(l03), float(l21), float(l12)))
     return out
 

@@ -24,8 +24,9 @@ from iwhc import GammaPriors, ReciprocalSample, log_likelihood
 
 
 def _censor_terms(alpha, lam, s):
-    """(L, q, wD) with L=log u, q=lam*u**-alpha, wD=1/expm1(q); None if r==n."""
-    if s.n == s.r:
+    """(L, q, wD) with L=log u, q=lam*u**-alpha, wD=1/expm1(q); None if r==n
+    or if q underflows (see :func:`_log_q_tail`)."""
+    if s.n == s.r or _log_q_tail(alpha, lam, s) is not None:
         return None
     L = np.log(s.u)
     q = np.exp(min(np.log(lam) - alpha * L, 709.0))
@@ -36,6 +37,17 @@ def _censor_terms(alpha, lam, s):
     return L, q, wD
 
 
+def _log_q_tail(alpha, lam, s):
+    """(m, L, log q) when q = lam*u**-alpha < tiny, else None.  There the
+    censoring term m*log(1 - e**-q) is m*log q = m*(log lam - alpha*L) to
+    float precision, and its partials are -m*L, m/lam, -m/lam**2, 2m/lam**3."""
+    if s.n == s.r:
+        return None
+    L = np.log(s.u)
+    log_q = np.log(lam) - alpha * L
+    return (s.n - s.r, L, log_q) if log_q < np.log(np.finfo(float).tiny) else None
+
+
 def log_likelihood_ref(alpha, lam, s):
     x = s.x
     out = s.r * np.log(alpha * lam) - lam * (x ** alpha).sum() + (alpha + 1.0) * np.log(x).sum()
@@ -43,6 +55,10 @@ def log_likelihood_ref(alpha, lam, s):
     if blocks is not None:
         _, q, _ = blocks
         out += (s.n - s.r) * np.log(-np.expm1(-q))
+    tail = _log_q_tail(alpha, lam, s)
+    if tail is not None:
+        m, _, log_q = tail
+        out += m * log_q
     return float(out)
 
 
@@ -58,6 +74,11 @@ def score_ref(alpha, lam, s):
         m = s.n - s.r
         d_a -= m * L * q * wD
         d_l += m * (q / lam) * wD
+    tail = _log_q_tail(alpha, lam, s)
+    if tail is not None:
+        m, L, _ = tail
+        d_a -= m * L
+        d_l += m / lam
     return float(d_a), float(d_l)
 
 
@@ -77,6 +98,9 @@ def observed_fisher_ref(alpha, lam, s):
         d2_aa += m * L ** 2 * q * (1.0 - q) * wD - m * L ** 2 * q ** 2 * wD2
         d2_al += -m * L * (q / lam) * (1.0 - q) * wD + m * L * (q ** 2 / lam) * wD2
         d2_ll += -m * (q / lam) ** 2 * (wD + wD2)
+    tail = _log_q_tail(alpha, lam, s)
+    if tail is not None:
+        d2_ll -= tail[0] / lam ** 2
     return float(d2_aa), float(d2_al), float(d2_ll)
 
 
@@ -105,6 +129,9 @@ def third_derivatives_ref(alpha, lam, s):
         l12 += m * L * ((q / lam) ** 2 * (2.0 - q) * wD
                         + (q / lam) ** 2 * (2.0 - 3.0 * q) * wD2
                         - 2.0 * (q ** 3 / lam ** 2) * wD3)
+    tail = _log_q_tail(alpha, lam, s)
+    if tail is not None:
+        l03 += 2.0 * tail[0] / lam ** 3
     return float(l30), float(l03), float(l21), float(l12)
 
 
@@ -268,6 +295,41 @@ def null_sf_streaming(d, n, sims, seed):
         exceed += int((stat >= d - 1e-12).sum())
         left -= block
     return exceed / sims
+
+
+# ---------------------------------------------------------------------------
+# weighted quantiles and HPD windows over a stable sort
+# ---------------------------------------------------------------------------
+
+
+def stable_sorted_cum(values, weights):
+    """Values in stable ascending order and their cumulative weights over the
+    total."""
+    v = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    order = np.argsort(v, kind="stable")
+    return v[order], np.cumsum(w[order]) / w.sum()
+
+
+def weighted_quantile_ref(values, weights, beta):
+    """The first value, in stable sorted order, whose cumulative weight
+    reaches ``beta``."""
+    vs, cum = stable_sorted_cum(values, weights)
+    idx = int(np.searchsorted(cum, beta, side="left"))
+    return float(vs[min(idx, vs.size - 1)])
+
+
+def hpd_interval_ref(values, weights, level):
+    """(lower, upper) of the shortest window (q(j/M), q((j + k)/M)), k =
+    floor(level*M), with the quantiles of :func:`weighted_quantile_ref`."""
+    vs, cum = stable_sorted_cum(values, weights)
+    m = vs.size
+    k = int(np.floor(level * m))
+    js = np.arange(1, m - k + 1)
+    lo_idx = np.minimum(np.searchsorted(cum, js / m, side="left"), m - 1)
+    hi_idx = np.minimum(np.searchsorted(cum, (js + k) / m, side="left"), m - 1)
+    j = int(np.argmin(vs[hi_idx] - vs[lo_idx]))
+    return float(vs[lo_idx[j]]), float(vs[hi_idx[j]])
 
 
 # ---------------------------------------------------------------------------

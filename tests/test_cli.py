@@ -1,9 +1,16 @@
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from iwhc import cli
+from iwhc import HybridScheme, cli
 from iwhc.cli import main
+from conftest import censored_samples
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +83,15 @@ def test_fit_tied_data_has_no_mle(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "tied" in err
+
+
+def test_fit_converges_where_the_censoring_factor_underflows(capsys, tmp_path):
+    # exited 2: the clamped censoring term let Newton run off to alpha = 8.5e191
+    path = tmp_path / "tied.txt"
+    path.write_text("1 " * 16 + "2 3\n")
+    report = run_json(capsys, "fit", str(path), "--big-r", "17", "--time", "1.003877522497901")
+    assert report["results"]["alpha"] == pytest.approx(2067.560, rel=1e-6)
+    assert report["results"]["converged"] is True
 
 
 def test_bayes_is_improper_posterior_fails(capsys, tmp_path):
@@ -261,3 +277,63 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     run_json(capsys, "bayes", "flood", "--big-r", "18", "--time", "0.5",
              "--method", "is", "--seed", "3")
     assert run_cli(capsys, "fit", "flood", "--json") == first
+
+
+def _no_constant(name):
+    raise AssertionError(f"report holds {name}")
+
+
+def _check_report(argv, report):
+    res = report["results"]
+    assert report["input"]["censoring"]["r"] <= report["input"]["count"]
+    if argv[0] == "fit":
+        assert res["converged"] is True
+        for name in ("alpha", "lambda", "theta"):
+            lo, hi = res["ci_" + name]
+            assert lo < res[name] < hi
+        assert res["alpha"] > 0 and res["lambda"] > 0
+        assert res["theta"] == pytest.approx(res["lambda"] ** (-1 / res["alpha"]), rel=1e-9)
+    elif argv[0] == "gof":
+        assert 0 <= res["statistic"] <= 1 and 0 <= res["p_value"] <= 1
+        assert res["n"] == report["input"]["count"]
+    elif "lindley" in argv:
+        assert res["alpha"] > 0 and res["lambda"] > 0
+        assert res["theta"] == pytest.approx(res["lambda"] ** (-1 / res["alpha"]), rel=1e-9)
+    else:
+        for name in ("alpha", "lambda", "theta"):
+            lo, hi = res[name]["hpd"]
+            assert lo < hi and res[name]["variance"] >= 0
+        assert 0 < report["method"]["ess"] <= 50 * (1 + 1e-12)
+        assert 0 < report["method"]["acceptance_ratio"] <= 1
+
+
+@pytest.fixture(scope="module")
+def data_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("robust") / "data.txt"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme draws overflow on purpose
+@settings(max_examples=150, deadline=None)
+@given(case=censored_samples(), seed=st.integers(0, 2 ** 32 - 1))
+# Lindley's theta overflowed and the report printed "theta": Infinity with exit 0
+@example(case=(np.array([0.14287908, 0.20255697, 0.12375345, 0.20154748, 0.1325623, 0.13813453,
+                         0.16955077, 0.13741247, 0.14506901, 0.11383188, 0.16054687,
+                         0.1443919]), HybridScheme(n=12, R=12, T=math.inf)), seed=0)
+def test_cli_reports_are_finite_and_consistent_or_typed_errors(data_path, case, seed):
+    data, scheme = case
+    data_path.write_text(" ".join(repr(float(t)) for t in data) + "\n")
+    flags = [] if scheme is None or math.isinf(scheme.T) else \
+        ["--big-r", str(scheme.R), "--time", repr(scheme.T)]
+    path = str(data_path)
+    for argv in (["fit", path, *flags],
+                 ["bayes", path, *flags, "--method", "lindley", "--prior", "2,1,1,1"],
+                 ["bayes", path, *flags, "--method", "is", "--draws", "50", "--seed", str(seed)],
+                 ["gof", path, "--sims", "500", "--seed", str(seed)]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "--json"])
+        if code:
+            assert code in (1, 2) and out.getvalue() == ""
+            assert err.getvalue().startswith("error:")
+            continue
+        _check_report(argv, json.loads(out.getvalue(), parse_constant=_no_constant))

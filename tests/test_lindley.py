@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iwhc import (
     DomainError,
@@ -16,10 +18,11 @@ from iwhc import (
     sample,
     third_derivatives,
 )
+from iwhc import errors
 from iwhc.cli import main
 from iwhc.lindley import lindley_workspace
 from _oracles import fd_third_derivatives, lindley_estimates_ref, posterior_quadrature_means
-from conftest import random_censored_sample
+from conftest import censored_samples, random_censored_sample
 
 
 def test_priors_validation():
@@ -156,3 +159,30 @@ def test_cli_overflowing_correction_exits_2(capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme draws overflow on purpose
+@settings(max_examples=300, deadline=None)
+@given(censored_samples(),
+       st.sampled_from([GammaPriors(), GammaPriors(2, 1, 1, 1), GammaPriors(0.5, 0.01, 3.0, 0.01)]))
+# the prior pulls alpha to 0.0116 and lam to 1.5e-5: theta = lam**(-1/alpha)
+# overflowed and was returned as inf
+@example((np.array([0.14287908, 0.20255697, 0.12375345, 0.20154748, 0.1325623, 0.13813453,
+                    0.16955077, 0.13741247, 0.14506901, 0.11383188, 0.16054687, 0.1443919]),
+          HybridScheme(n=12, R=12, T=math.inf)), GammaPriors(2, 1, 1, 1))
+def test_lindley_is_finite_and_consistent_or_a_typed_error(case, priors):
+    data, scheme = case
+    if scheme is None or not (np.all(np.isfinite(data)) and np.all(data > 0)):
+        return  # rounding or an overflowing draw left no valid lifetimes
+    s = reciprocals(apply_scheme(data, scheme))
+    try:
+        fit = fit_mle(s)
+        est = lindley_estimates(fit, priors, s)
+    except (errors.DomainError, errors.InsufficientDataError, errors.NumericError,
+            errors.ConvergenceError):
+        return
+    assert np.all(np.isfinite([est.alpha_L, est.lambda_L, est.theta_L]))
+    assert est.alpha_L > 0 and est.lambda_L > 0
+    assert est.theta_L == float(np.exp(-np.log(est.lambda_L) / est.alpha_L))
+    flat = lindley_estimates(fit, GammaPriors(1, 0, 1, 0), s, curvature=False)
+    assert (flat.alpha_L, flat.lambda_L) == (fit.alpha_hat, fit.lam_hat)

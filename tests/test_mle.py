@@ -227,6 +227,42 @@ def test_fit_line_search_skips_overflowing_candidates():
     assert np.abs(score(fit.alpha_hat, fit.lam_hat, s)).max() < SolverConfig().tol
 
 
+def _tied_then_censored():
+    # sixteen failures tied at t=1, then 2 and 3; two units censored at u=T
+    data = np.array([1.0] * 16 + [2.0, 3.0])
+    return reciprocals(apply_scheme(data, HybridScheme(n=18, R=17, T=1.003877522497901)))
+
+
+def test_fit_converges_where_the_censoring_factor_underflows():
+    # q = lam*u**-alpha underflows above alpha ~ 1.8e5; clamped at tiny, the
+    # censoring term stopped falling there, the log-likelihood rose without
+    # bound and the fit ran off to alpha = 8.5e191
+    s = _tied_then_censored()
+    fit = fit_mle(s)
+    assert fit.alpha_hat == pytest.approx(2067.560, rel=1e-6)
+    assert fit.lam_hat == pytest.approx(1.12498, rel=1e-5)
+    assert fit.iterations < 20
+    assert log_likelihood(1e100, fit.lam_hat, s) < log_likelihood(1e6, fit.lam_hat, s) < fit.loglik
+
+
+def test_kernel_in_the_underflow_tail():
+    s = _tied_then_censored()
+    L = math.log(s.u)
+    # log q = log(lam) - alpha*L on both sides of log(tiny) = -708.40
+    edge = (math.log(1.125) + 708.3964185322641) / L
+    for alpha in (edge * (1 + 1e-9), 2e5, 1e6):
+        _assert_kernel_matches_reference(alpha, 1.125, s)
+    above, below = (log_likelihood(edge * f, 1.125, s) for f in (1 - 1e-9, 1 + 1e-9))
+    assert log_likelihood_ref(edge * (1 - 1e-9), 1.125, s) == above
+    # no jump at the switch: the change across it is the slope times the step
+    assert below - above == pytest.approx(score(edge, 1.125, s)[0] * edge * 2e-9, rel=1e-3)
+    # the term is m*log q there: linear in alpha, log-linear in lam
+    assert score(2e5, 1.125, s) == pytest.approx(fd_gradient(2e5, 1.125, s), rel=1e-6)
+    fisher = observed_fisher(2e5, 1.125, s)
+    assert np.all(np.isfinite([fisher.d2_aa, fisher.d2_al, fisher.d2_ll]))
+    assert fisher.d2_ll == pytest.approx(-s.n / 1.125 ** 2, rel=1e-15)
+
+
 def test_nonconvergence_carries_last_iterate(flood_s1):
     with pytest.raises(ConvergenceError) as err:
         fit_mle(flood_s1, SolverConfig(max_iter=1, alpha0=50.0, lam0=1e-9))

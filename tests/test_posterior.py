@@ -27,7 +27,14 @@ from iwhc import (
     weighted_quantile,
 )
 from iwhc import errors, posterior
-from _oracles import g1_rate_ref, g2_quadrature_cdf, posterior_quadrature_means
+from _oracles import (
+    g1_rate_ref,
+    g2_quadrature_cdf,
+    hpd_interval_ref,
+    posterior_quadrature_means,
+    stable_sorted_cum,
+    weighted_quantile_ref,
+)
 from conftest import censored_samples, random_censored_sample
 
 FLAT = GammaPriors()
@@ -261,16 +268,14 @@ def test_censored_weights_normalized(flood_s1):
     assert 0 < draws.acceptance_ratio <= 1
 
 
-def test_posterior_draws_deterministic_per_chunking(flood_s1):
-    one = posterior_draws(flood_s1, FLAT, 1000, seed=13, chunks=1)
-    same = posterior_draws(flood_s1, FLAT, 1000, seed=13, chunks=1)
-    assert np.array_equal(one.alphas, same.alphas)
-    assert np.array_equal(one.weights, same.weights)
-    four = posterior_draws(flood_s1, FLAT, 1000, seed=13, chunks=4)
-    again = posterior_draws(flood_s1, FLAT, 1000, seed=13, chunks=4)
-    assert np.array_equal(four.alphas, again.alphas)
-    # chunking policy is part of the reproducibility contract: streams differ
-    assert not np.array_equal(one.alphas, four.alphas)
+def test_posterior_draws_deterministic(flood_s1):
+    one = posterior_draws(flood_s1, FLAT, 1000, seed=13)
+    same = posterior_draws(flood_s1, FLAT, 1000, seed=13)
+    for field in ("alphas", "lams", "weights"):
+        assert np.array_equal(getattr(one, field), getattr(same, field))
+    assert one.acceptance_ratio == same.acceptance_ratio
+    other = posterior_draws(flood_s1, FLAT, 1000, seed=14)
+    assert not np.array_equal(one.alphas, other.alphas)
 
 
 def test_importance_estimate_reduces_to_average_for_complete():
@@ -329,6 +334,19 @@ def test_weighted_quantile_monotone_in_beta():
     betas = np.linspace(0, 1, 101)
     qs = [weighted_quantile(values, weights, b) for b in betas]
     assert np.all(np.diff(qs) >= 0)
+
+
+def test_weighted_quantile_ties_gather_weight_in_input_order():
+    # 15 zeros and 17 ones; at the weight of the zeros summed in input order
+    # the quantile is 0.  Summed in the order numpy's default argsort leaves
+    # them in on x86 SIMD builds, the zeros round to less, which would give 1
+    rng = np.random.default_rng(7)
+    values = rng.integers(0, 2, size=32).astype(float)
+    weights = rng.random(32)
+    zeros = values == 0
+    beta = float(np.cumsum(weights[zeros])[-1] / weights.sum())
+    assert weighted_quantile(values, weights, beta) == 0.0
+    assert weighted_quantile(values, weights, np.nextafter(beta, 1.0)) == 1.0
 
 
 def test_weighted_quantile_validation():
@@ -402,6 +420,64 @@ def test_hpd_validation():
         hpd_interval(np.arange(10.0), np.full(10, 0.1), 0.1)  # M*level < 2
     with pytest.raises(DomainError):
         hpd_interval(np.arange(10.0), np.full(10, 0.1), 1.5)
+
+
+@st.composite
+def _weighted_samples(draw):
+    """Values and weights of up to 10,000 draws, with ties, signed zeros,
+    infinities or NaNs among the values and equal, sparse or skewed weights."""
+    m = draw(st.integers(1, 40) | st.integers(1_000, 10_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.normal(size=m) * 10.0 ** draw(st.integers(-3, 3))
+    kind = draw(st.sampled_from(["distinct", "ties", "zeros", "inf", "nan"]))
+    if kind == "ties":
+        values = rng.integers(0, draw(st.integers(1, 50)), size=m).astype(float)
+    elif kind != "distinct":
+        special = {"zeros": [0.0, -0.0], "inf": [np.inf, -np.inf], "nan": [np.nan]}[kind]
+        hit = rng.random(m) < draw(st.floats(0.0, 1.0))
+        values[hit] = rng.choice(special, size=int(hit.sum()))
+    weighting = draw(st.sampled_from(["random", "equal", "sparse", "skewed"]))
+    weights = {"random": lambda: rng.random(m),
+               "equal": lambda: np.full(m, 1.0 / m),
+               "sparse": lambda: rng.random(m) * (rng.random(m) < 0.2),
+               "skewed": lambda: np.exp(8.0 * rng.normal(size=m))}[weighting]()
+    return values, weights
+
+
+def _bits(x):
+    return float(x).hex()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf window lengths
+@settings(max_examples=200, deadline=None)
+@given(_weighted_samples(), st.floats(0.0, 1.0), st.floats(0.01, 0.99), st.data())
+def test_quantile_and_hpd_equal_the_stable_sort_formulas(sample_, beta, level, data):
+    values, weights = sample_
+    if not weights.sum() > 0:
+        with pytest.raises(DegenerateWeightsError):
+            weighted_quantile(values, weights, beta)
+        return
+    # the shared sort gives the stable order's arrays, NaN tail included
+    vs, cum = posterior._sorted_cum(values, weights)
+    ref_vs, ref_cum = stable_sorted_cum(values, weights)
+    assert np.array_equal(vs, ref_vs, equal_nan=True)
+    assert np.array_equal(cum, ref_cum, equal_nan=True)
+    # boundaries of the cumulative weights are where a tie order would show
+    at = float(ref_cum[data.draw(st.integers(0, values.size - 1))])
+    for b in (0.0, 1.0, beta, min(at, 1.0)):
+        assert _bits(weighted_quantile(values, weights, b)) == \
+            _bits(weighted_quantile_ref(values, weights, b))
+    if values.size * level < 2:
+        with pytest.raises(DomainError):
+            hpd_interval(values, weights, level)
+        return
+    lo, hi = hpd_interval_ref(values, weights, level)
+    try:
+        interval = hpd_interval(values, weights, level)
+    except NumericError:
+        assert not lo < hi
+        return
+    assert (_bits(interval.lower), _bits(interval.upper)) == (_bits(lo), _bits(hi))
 
 
 # ---------------------------------------------------------------------------
