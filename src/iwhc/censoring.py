@@ -4,6 +4,7 @@ comes first, and record the failures observed up to that point."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,12 +61,34 @@ class ReciprocalSample:
     The order follows ``times``, so ``x`` is nonincreasing with every entry
     ``>= 1/u``.  This is the working representation of the likelihood code:
     inverse Weibull data become Weibull data under ``t -> 1/t``.
+
+    The logs that the likelihood code reads are computed once per sample and
+    cached, so ``x`` must not be changed after construction.
     """
 
     x: np.ndarray
     u: float
     r: int
     n: int
+
+    @cached_property
+    def log_x(self) -> np.ndarray:
+        return np.log(self.x)
+
+    @cached_property
+    def log_x_powers(self) -> np.ndarray:
+        """Rows ``(log x)**k`` for k = 0..3, so that one product with
+        ``x**alpha`` and one row sum give the power sums ``S_0..S_3``."""
+        lx = self.log_x
+        return np.stack([np.ones_like(lx)] + [lx ** k for k in (1, 2, 3)])
+
+    @cached_property
+    def sum_log_x(self) -> float:
+        return float(self.log_x.sum())
+
+    @cached_property
+    def log_u(self) -> float:
+        return float(np.log(self.u))
 
 
 def apply_scheme(complete_times, scheme: HybridScheme) -> HybridSample:

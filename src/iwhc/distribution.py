@@ -112,8 +112,12 @@ def quantile(prob, p: IwParams):
     arr = np.asarray(prob, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0) or not np.all(np.isfinite(arr)):
         raise DomainError("prob must lie strictly inside (0, 1)")
-    out = np.exp((np.log(p.lam) - np.log(-np.log(arr))) / p.alpha)
+    out = _quantile(arr, p)
     return float(out) if np.ndim(prob) == 0 else out
+
+
+def _quantile(prob: np.ndarray, p: IwParams) -> np.ndarray:
+    return np.exp((np.log(p.lam) - np.log(-np.log(prob))) / p.alpha)
 
 
 def sample(count: int, p: IwParams, seed) -> np.ndarray:
@@ -127,6 +131,6 @@ def sample(count: int, p: IwParams, seed) -> np.ndarray:
         raise DomainError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     u = rng.random(count)
-    # guard the measure-zero event u == 0, which quantile() rejects
+    # guard the measure-zero event u == 0, the one draw outside (0, 1)
     u[u == 0.0] = 0.5 ** 53
-    return quantile(u, p)
+    return _quantile(u, p)

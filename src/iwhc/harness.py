@@ -181,9 +181,10 @@ def run_study(config: StudyConfig) -> SimulationSummary:
                 method_keys.append(("is", pi))
 
         for rep in range(config.replicates):
-            root = np.random.SeedSequence(entropy=(config.base_seed, cell_idx, rep))
-            children = root.spawn(1 + len(config.priors))
-            data = sample(scheme.n, params, children[0])
+            # child k of SeedSequence(entropy), as spawn() gives it, made
+            # only for the streams this replicate uses
+            entropy = (config.base_seed, cell_idx, rep)
+            data = sample(scheme.n, params, np.random.SeedSequence(entropy, spawn_key=(0,)))
             rs = reciprocals(apply_scheme(data, scheme))
             if rs.r < 2:
                 for key in method_keys:
@@ -217,7 +218,8 @@ def run_study(config: StudyConfig) -> SimulationSummary:
             if want_is:
                 for pi, prior in enumerate(config.priors):
                     try:
-                        res = bayes_is(rs, prior, config.draws, children[1 + pi],
+                        res = bayes_is(rs, prior, config.draws,
+                                       np.random.SeedSequence(entropy, spawn_key=(1 + pi,)),
                                        level=config.level)
                     except _FIT_ERRORS:
                         fail(("is", pi))

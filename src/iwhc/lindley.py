@@ -20,7 +20,7 @@ import numpy as np
 
 from .censoring import ReciprocalSample
 from .errors import DomainError, NumericError
-from .mle import CovarianceMatrix, MleFit, _derivatives
+from .mle import CovarianceMatrix, MleFit, _derivatives, _in_floats
 
 __all__ = ["GammaPriors", "LindleyWorkspace", "LindleyEstimate",
            "third_derivatives", "lindley_workspace", "lindley_estimates"]
@@ -90,6 +90,20 @@ def lindley_workspace(fit: MleFit, priors: GammaPriors, s: ReciprocalSample) -> 
     return LindleyWorkspace(l30, l03, l21, l12, fit.cov, p1, p2)
 
 
+def _expansion(alpha_hat, lam_hat, t11, t12, t22, l30, l03, l21, l12, p1, p2, curvature):
+    """(alpha_L, lambda_L): the MLE plus the curvature and prior corrections."""
+    t21 = t12
+    if curvature:
+        corr_a = 0.5 * (l30 * t11 ** 2 + l03 * t21 * t22 + 3.0 * l21 * t11 * t12
+                        + l12 * (t22 * t11 + 2.0 * t21 ** 2))
+        corr_l = 0.5 * (l30 * t12 * t11 + l03 * t22 ** 2 + l21 * (t11 * t22 + 2.0 * t12 ** 2)
+                        + 3.0 * l12 * t22 * t21)
+    else:
+        corr_a = corr_l = 0.0
+    return (alpha_hat + corr_a + p1 * t11 + p2 * t12,
+            lam_hat + corr_l + p1 * t21 + p2 * t22)
+
+
 def lindley_estimates(
     fit: MleFit,
     priors: GammaPriors,
@@ -102,23 +116,12 @@ def lindley_estimates(
     prior tilt; with priors (1, 0, 1, 0) that reduces to the MLE exactly,
     which is the debugging identity exposed by the command line.
     """
-    # numpy scalars overflow to inf where Python floats would raise; a wide
-    # covariance overflows the third derivatives, the corrections or theta
+    # a wide covariance overflows the third derivatives, the corrections or theta
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ws = lindley_workspace(fit, priors, s)
-        t11, t12, t22 = np.float64(ws.tau.v11), np.float64(ws.tau.v12), np.float64(ws.tau.v22)
-        t21 = t12
-        if curvature:
-            corr_a = 0.5 * (ws.l30 * t11 ** 2 + ws.l03 * t21 * t22
-                            + 3.0 * ws.l21 * t11 * t12
-                            + ws.l12 * (t22 * t11 + 2.0 * t21 ** 2))
-            corr_l = 0.5 * (ws.l30 * t12 * t11 + ws.l03 * t22 ** 2
-                            + ws.l21 * (t11 * t22 + 2.0 * t12 ** 2)
-                            + 3.0 * ws.l12 * t22 * t21)
-        else:
-            corr_a = corr_l = 0.0
-        alpha_L = fit.alpha_hat + corr_a + ws.p1 * t11 + ws.p2 * t12
-        lambda_L = fit.lam_hat + corr_l + ws.p1 * t21 + ws.p2 * t22
+        alpha_L, lambda_L = _in_floats(
+            _expansion, fit.alpha_hat, fit.lam_hat, ws.tau.v11, ws.tau.v12, ws.tau.v22,
+            ws.l30, ws.l03, ws.l21, ws.l12, ws.p1, ws.p2, curvature)
         theta_L = np.exp(-np.log(lambda_L) / alpha_L)
     if not (np.isfinite(alpha_L) and np.isfinite(lambda_L)):
         raise NumericError(

@@ -12,15 +12,18 @@ every partial up to third order come from one kernel, ``_derivatives``, built
 on the power sums ``S_k = sum x**alpha * (log x)**k`` and on ``q = lam *
 u**-alpha`` and ``1/expm1(q) = e^-q/(1-e^-q)``, which stays finite for
 extreme parameters.  Where q underflows float64, the censoring term is read in
-logs as ``(n-r)*log q``.
+logs as ``(n-r)*log q``.  The logs of the data come from the sample's cache,
+and the scalar arithmetic runs in Python floats, falling back to numpy
+scalars (same bits, inf instead of an exception) where a float would raise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .censoring import ReciprocalSample
 from .errors import ConvergenceError, DomainError, InsufficientDataError, NumericError
@@ -105,8 +108,8 @@ class SolverConfig:
     lam0: float | None = None
 
 
-_TINY = np.finfo(float).tiny
-_LOG_TINY = np.log(_TINY)
+_TINY = float(np.finfo(float).tiny)
+_LOG_TINY = float(np.log(_TINY))
 
 
 def _censor_q(alpha, lam, log_u):
@@ -120,36 +123,62 @@ def _censor_q(alpha, lam, log_u):
     return log_q, np.maximum(q, _TINY)
 
 
+def _inv_expm1(q: float) -> float:
+    """``1/expm1(q)`` for q > 0; 0 where expm1 overflows (q above about 709.78)."""
+    if q < 709.0:
+        return 1.0 / float(np.expm1(q))
+    with np.errstate(over="ignore"):
+        return 1.0 / float(np.expm1(q))
+
+
 def _derivatives(alpha: float, lam: float, s: ReciprocalSample, order: int) -> list:
     """The log-likelihood and its partials up to ``order`` (0 to 3) at one point.
 
-    Entry k of the result holds the order-k terms: the value, then
-    (d_a, d_l), then a :class:`FisherMatrix`, then (l30, l03, l21, l12).
+    Entry k of the result holds the order-k terms as floats: the value, then
+    (d_a, d_l), then (d2_aa, d2_al, d2_ll), then (l30, l03, l21, l12).
     """
     if s.r < 1:
         raise InsufficientDataError(f"need at least 1 observed failures, got r={s.r}")
-    if not (alpha > 0 and lam > 0 and np.isfinite(alpha) and np.isfinite(lam)):
+    if not (0.0 < alpha < np.inf and 0.0 < lam < np.inf):
         raise DomainError(f"alpha and lam must be positive, got ({alpha}, {lam})")
-    # numpy scalars overflow to inf where Python floats would raise
-    alpha, lam = np.float64(alpha), np.float64(lam)
-    xa = s.x ** alpha
-    lx = np.log(s.x)
-    S = [xa.sum()] + [(xa * lx ** k).sum() for k in range(1, order + 1)]
-    slx = lx.sum()
-    r, m = s.r, s.n - s.r
-    ll = r * np.log(alpha * lam) - lam * S[0] + (alpha + 1.0) * slx
+    alpha, lam = float(alpha), float(lam)
+    S = (s.x ** alpha * s.log_x_powers[:order + 1]).sum(axis=1).tolist()
+    m = s.n - s.r
+    L = q = wD = ll_censor = 0.0
     # below q = tiny the censoring term is m*log q = m*(log lam - alpha*L),
     # whose only nonzero partials are -m*L, m/lam, -m/lam**2 and 2m/lam**3
-    tail = False
+    full = tail = False
     if m:
-        L = np.log(s.u)
-        log_q, q = _censor_q(alpha, lam, L)
+        L = s.log_u
+        log_q = float(np.log(lam)) - alpha * L
         tail = log_q < _LOG_TINY
-        ll += m * (log_q if tail else np.log(-np.expm1(-q)))
-        with np.errstate(over="ignore"):
-            wD = 1.0 / np.expm1(q)
-    full = m and not tail
-    out = [float(ll)]
+        full = not tail
+        if tail:
+            ll_censor = m * log_q
+        else:
+            q = max(float(np.exp(min(log_q, 709.0))), _TINY)     # _censor_q on floats
+            ll_censor = m * float(np.log(-np.expm1(-q)))
+            wD = _inv_expm1(q) if order else 0.0
+    return _in_floats(_derivative_terms, order, full, tail, s.r, m, float(np.log(alpha * lam)),
+                      alpha, lam, s.sum_log_x, L, q, wD, ll_censor, *S)
+
+
+def _in_floats(fn, *args):
+    """``fn(*args)`` in Python floats.  Where a Python float raises (``**``
+    overflows or a divisor is 0) a numpy scalar gives inf or NaN; there the
+    same arithmetic runs again with every float argument a numpy scalar."""
+    try:
+        return fn(*args)
+    except (OverflowError, ZeroDivisionError):
+        with np.errstate(all="ignore"):
+            return fn(*(np.float64(a) if isinstance(a, float) else a for a in args))
+
+
+def _derivative_terms(order, full, tail, r, m, log_al, alpha, lam, slx, L, q, wD, ll_censor,
+                      *S) -> list:
+    """The arithmetic of :func:`_derivatives` from its power sums ``S`` and
+    censoring factors, for Python floats or numpy scalars alike."""
+    out = [float(r * log_al - lam * S[0] + (alpha + 1.0) * slx + ll_censor)]
     if order >= 1:
         d_a = r / alpha - lam * S[1] + slx
         d_l = r / lam - S[0]
@@ -171,7 +200,7 @@ def _derivatives(alpha: float, lam: float, s: ReciprocalSample, order: int) -> l
             d2_ll += -m * (q / lam) ** 2 * (wD + wD2)
         elif tail:
             d2_ll -= m / lam ** 2
-        out.append(FisherMatrix(float(d2_aa), float(d2_al), float(d2_ll)))
+        out.append((float(d2_aa), float(d2_al), float(d2_ll)))
     if order >= 3:
         l30 = 2.0 * r / alpha ** 3 - lam * S[3]
         l03 = 2.0 * r / lam ** 3
@@ -206,7 +235,13 @@ def score(alpha: float, lam: float, s: ReciprocalSample) -> tuple[float, float]:
 
 def observed_fisher(alpha: float, lam: float, s: ReciprocalSample) -> FisherMatrix:
     """Second partials of the log-likelihood; negate to get observed information."""
-    return _derivatives(alpha, lam, s, 2)[2]
+    return FisherMatrix(*_derivatives(alpha, lam, s, 2)[2])
+
+
+def _sup_norm(a: float, b: float) -> float:
+    """``max(|a|, |b|)``, NaN if either is NaN (as numpy's max)."""
+    a, b = abs(a), abs(b)
+    return a if a >= b or a != a else b
 
 
 def _initial_guess(s: ReciprocalSample) -> tuple[float, float]:
@@ -217,7 +252,7 @@ def _initial_guess(s: ReciprocalSample) -> tuple[float, float]:
     """
     i = np.arange(1, s.r + 1)
     y = np.log(-np.log((i - 0.5) / s.n))
-    lx = np.log(s.x)
+    lx = s.log_x
     cx = lx - lx.mean()
     denom = (cx ** 2).sum()
     alpha0 = float((cx * (y - y.mean())).sum() / denom) if denom > 0 else 1.0
@@ -248,64 +283,71 @@ def fit_mle(s: ReciprocalSample, config: SolverConfig = SolverConfig()) -> MleFi
         )
     # extreme iterates overflow in the Newton step and the line search; the
     # gradient step replaces a step that is not finite, and a candidate that
-    # leaves (0, inf) or whose log-likelihood is not finite is a failed halving
+    # leaves (0, inf) or whose log-likelihood is not finite is a failed halving.
+    # The scalar work is in Python floats, in the rounding order of the matrix
+    # form: h_eta = H * outer(jac, jac) + diag(g_eta) with jac = (alpha, lam).
     with np.errstate(all="ignore"):
         if config.alpha0 is not None and config.lam0 is not None:
             alpha, lam = config.alpha0, config.lam0
         else:
             alpha, lam = _initial_guess(s)
-        ll, g, fisher = _derivatives(alpha, lam, s, 2)
+        ll, g, h = _derivatives(alpha, lam, s, 2)
+        alpha, lam = float(alpha), float(lam)
         iterations = 0
         for iterations in range(1, max(config.max_iter, 1) + 1):
-            if np.abs(g).max() < config.tol:
+            if _sup_norm(*g) < config.tol:
                 iterations -= 1
                 break
             # chain rule to eta = (log alpha, log lam)
-            jac = np.array([alpha, lam])
-            g_eta = jac * g
-            h_eta = fisher.as_matrix() * np.outer(jac, jac) + np.diag(g_eta)
+            ge_a, ge_l = alpha * g[0], lam * g[1]
+            off = h[1] * (alpha * lam) + 0.0
+            h_eta = np.array([[h[0] * (alpha * alpha) + ge_a, off],
+                              [off, h[2] * (lam * lam) + ge_l]])
+            rhs = np.array([-ge_a, -ge_l])
             try:
-                step = np.linalg.solve(h_eta, -g_eta)
+                step = np.linalg.solve(h_eta, rhs)
             except np.linalg.LinAlgError:
-                step = g_eta
-            if not g_eta @ step > 0.0:
-                step = g_eta / max(1.0, np.abs(g_eta).max())
+                step = -rhs
+            # rhs @ step is exactly -(g_eta @ step): negating one factor
+            # negates every rounded product and sum of the dot product
+            if not rhs @ step < 0.0:
+                step = -rhs / max(1.0, _sup_norm(ge_a, ge_l))
+            step_a, step_l = step.tolist()
             scale = 1.0
             improved = False
             for _ in range(60):
-                cand_a = alpha * np.exp(scale * step[0])
-                cand_l = lam * np.exp(scale * step[1])
-                if 0.0 < cand_a < np.inf and 0.0 < cand_l < np.inf:
+                cand_a = alpha * float(np.exp(scale * step_a))
+                cand_l = lam * float(np.exp(scale * step_l))
+                if 0.0 < cand_a < math.inf and 0.0 < cand_l < math.inf:
                     cand = _derivatives(cand_a, cand_l, s, 2)
-                    if np.isfinite(cand[0]) and cand[0] >= ll - 1e-13:
+                    if math.isfinite(cand[0]) and cand[0] >= ll - 1e-13:
                         improved = True
                         break
                 scale *= 0.5
             if not improved:
                 break
-            alpha, lam, (ll, g, fisher) = cand_a, cand_l, cand
-    grad_norm = float(np.abs(g).max())
+            alpha, lam, (ll, g, h) = cand_a, cand_l, cand
+    grad_norm = _sup_norm(*g)
     if grad_norm >= config.tol:
         raise ConvergenceError(
             f"Newton solver stopped at grad sup-norm {grad_norm:.3e} "
             f"after {iterations} iterations",
-            last_iterate=(float(alpha), float(lam)),
+            last_iterate=(alpha, lam),
         )
+    d2_aa, d2_al, d2_ll = h
     # a numpy scalar squares to inf where a Python float would raise
-    det = fisher.d2_aa * fisher.d2_ll - np.float64(fisher.d2_al) ** 2
-    if det <= 0 or fisher.d2_aa >= 0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = d2_aa * d2_ll - np.float64(d2_al) ** 2
+    if det <= 0 or d2_aa >= 0:
         raise NumericError("observed information is not positive definite at the optimum")
-    cov = CovarianceMatrix(
-        v11=float(-fisher.d2_ll / det),
-        v12=float(fisher.d2_al / det),
-        v22=float(-fisher.d2_aa / det),
-    )
+    cov = CovarianceMatrix(v11=float(-d2_ll / det), v12=float(d2_al / det),
+                           v22=float(-d2_aa / det))
     theta = float(np.exp(-np.log(lam) / alpha))
     return MleFit(
-        alpha_hat=float(alpha),
-        lam_hat=float(lam),
+        alpha_hat=alpha,
+        lam_hat=lam,
         theta_hat=theta,
-        loglik=float(ll),
+        loglik=ll,
         cov=cov,
         iterations=iterations,
         converged=True,
@@ -326,7 +368,9 @@ def asymptotic_ci(
         raise DomainError(f"level must be in (0, 1), got {level}")
     if not fit.converged:
         raise DomainError("confidence intervals require a converged fit")
-    z = float(ndtri(0.5 + level / 2.0))
+    p = 0.5 + level / 2.0
+    # inv_cdf rejects p == 1.0, where a level within an ulp of 1 rounds
+    z = NormalDist().inv_cdf(p) if p < 1.0 else math.inf
     half_a = z * np.sqrt(fit.cov.v11)
     half_l = z * np.sqrt(fit.cov.v22)
     grad = np.array([

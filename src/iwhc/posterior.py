@@ -48,15 +48,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _log_rate_sums(alpha, x: np.ndarray, d: float, order: int) -> list:
+def _log_rate_sums(alpha, lx: np.ndarray, d: float, order: int) -> list:
     """``log(d + S_0)`` and, for k = 1..order, ``S_k / (d + S_0)`` at every
-    element of ``alpha`` (> 0), where ``S_k = sum x**alpha * (log x)**k``.
+    element of ``alpha`` (> 0), where ``S_k = sum x**alpha * (log x)**k`` and
+    ``lx = log x``.
 
     Sums ``exp(alpha * (log x - max log x))``, whose largest term is 1, and
     adds the shift back in logs, so nothing under- or overflows at any finite
     alpha.  ``d + S_0`` is the rate of g1.
     """
-    lx = np.log(x)
     top = lx.max()
     e = np.multiply.outer(lx - top, alpha)
     np.exp(e, out=e)
@@ -73,8 +73,8 @@ def _log_rate_sums(alpha, x: np.ndarray, d: float, order: int) -> list:
 def _g2_terms(alpha, s: ReciprocalSample, priors: GammaPriors, order: int) -> list:
     """``[log(d + S_0), log g2, (log g2)', (log g2)'']``, the last two only up
     to ``order``, at every element of ``alpha`` (> 0)."""
-    log_rate, *ratio = _log_rate_sums(alpha, s.x, priors.d, order)
-    shape, k, slx = s.r + priors.c, priors.a + s.r - 1.0, np.log(s.x).sum()
+    log_rate, *ratio = _log_rate_sums(alpha, s.log_x, priors.d, order)
+    shape, k, slx = s.r + priors.c, priors.a + s.r - 1.0, s.sum_log_x
     out = [log_rate, -shape * log_rate + k * np.log(alpha) - priors.b * alpha
            + (alpha + 1.0) * slx]
     if order >= 1:
@@ -131,7 +131,7 @@ def sample_g1(alpha, s: ReciprocalSample, priors: GammaPriors, seed):
         raise DomainError(f"gamma shape r + c must be positive, got {shape}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     arr = _alpha_array(alpha)
-    out = _draw_lams(_log_rate_sums(arr, s.x, priors.d, 0)[0], shape, rng)
+    out = _draw_lams(_log_rate_sums(arr, s.log_x, priors.d, 0)[0], shape, rng)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -391,7 +391,7 @@ def posterior_draws(
     if s.n == s.r:
         weights = np.full(count, 1.0 / count)
     else:
-        log_q, q = _censor_q(alphas, lams, np.log(s.u))
+        log_q, q = _censor_q(alphas, lams, s.log_u)
         lw = (s.n - s.r) * np.where(log_q < _LOG_TINY, log_q, np.log(-np.expm1(-q)))
         w = np.exp(lw - lw.max())
         total = w.sum()
@@ -433,8 +433,13 @@ def _sorted_cum(v: np.ndarray, w: np.ndarray):
     than the stable one at 10,000 values.  Where the sorted values increase
     strictly the order is unique, so it is the stable one; otherwise (a tie,
     signed zeros or a NaN) the values are sorted again stably, so that tied
-    values gather weight in their input order.
+    values gather weight in their input order.  Raises :class:`DomainError`
+    unless the weights are nonnegative and as many as the values (at least one).
     """
+    if v.size == 0 or v.shape != w.shape:
+        raise DomainError("values and weights must be nonempty and equally long")
+    if np.any(w < 0):
+        raise DomainError("weights must be nonnegative")
     total = w.sum()
     if not total > 0:
         raise DegenerateWeightsError("weights sum to zero")
@@ -453,12 +458,7 @@ def weighted_quantile(values, weights, beta: float) -> float:
     if not 0.0 <= beta <= 1.0:
         raise DomainError(f"beta must be in [0, 1], got {beta}")
     v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if v.size == 0 or v.shape != w.shape:
-        raise DomainError("values and weights must be nonempty and equally long")
-    if np.any(w < 0):
-        raise DomainError("weights must be nonnegative")
-    vs, cum = _sorted_cum(v, w)
+    vs, cum = _sorted_cum(v, np.asarray(weights, dtype=float))
     idx = int(np.searchsorted(cum, beta, side="left"))
     return float(vs[min(idx, v.size - 1)])
 
@@ -478,7 +478,10 @@ def hpd_interval(values, weights, level: float) -> ConfidenceInterval:
     js = np.arange(1, m - k + 1)
     lo_idx = np.minimum(np.searchsorted(cum, js / m, side="left"), m - 1)
     hi_idx = np.minimum(np.searchsorted(cum, (js + k) / m, side="left"), m - 1)
-    lengths = vs[hi_idx] - vs[lo_idx]
+    # a window with both ends at one infinity has length inf - inf = NaN,
+    # which argmin picks and ConfidenceInterval rejects as degenerate
+    with np.errstate(invalid="ignore"):
+        lengths = vs[hi_idx] - vs[lo_idx]
     j = int(np.argmin(lengths))
     return ConfidenceInterval(float(vs[lo_idx[j]]), float(vs[hi_idx[j]]), level)
 

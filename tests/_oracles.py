@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate, optimize, special, stats
 
-from iwhc import GammaPriors, ReciprocalSample, log_likelihood
+from iwhc import (ConvergenceError, CovarianceMatrix, GammaPriors, InsufficientDataError,
+                  MleFit, NumericError, ReciprocalSample, SolverConfig, log_likelihood)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +134,97 @@ def third_derivatives_ref(alpha, lam, s):
     if tail is not None:
         l03 += 2.0 * tail[0] / lam ** 3
     return float(l30), float(l03), float(l21), float(l12)
+
+
+# ---------------------------------------------------------------------------
+# the Newton MLE over the term-by-term formulas
+# ---------------------------------------------------------------------------
+#
+# A copy of the damped Newton loop as it ran on numpy scalars and arrays,
+# before the library moved its scalar work to Python floats; the library must
+# match it in every field and every error.
+
+
+def _initial_guess_ref(s):
+    i = np.arange(1, s.r + 1)
+    y = np.log(-np.log((i - 0.5) / s.n))
+    lx = np.log(s.x)
+    cx = lx - lx.mean()
+    denom = (cx ** 2).sum()
+    alpha0 = float((cx * (y - y.mean())).sum() / denom) if denom > 0 else 1.0
+    total = float(np.power(s.x, alpha0).sum())
+    if not (np.isfinite(alpha0) and alpha0 > 0.05 and 0.0 < total < np.inf):
+        alpha0, total = 1.0, float(s.x.sum())
+    return alpha0, s.r / total
+
+
+def _derivatives_ref(alpha, lam, s):
+    alpha, lam = np.float64(alpha), np.float64(lam)
+    return (log_likelihood_ref(alpha, lam, s), score_ref(alpha, lam, s),
+            observed_fisher_ref(alpha, lam, s))
+
+
+def fit_mle_ref(s, config=SolverConfig()):
+    if s.r < 2:
+        raise InsufficientDataError(
+            f"a two-parameter fit needs at least 2 observed failures, got r={s.r}"
+        )
+    if np.all(s.x == s.x[0]) and (s.r == s.n or s.u * s.x[0] <= 1.0 + 1e-12):
+        raise InsufficientDataError(
+            f"all {s.r} observed failures are tied at t={1.0 / s.x[0]:g} and no unit "
+            "is censored later, so the likelihood has no maximum"
+        )
+    with np.errstate(all="ignore"):
+        if config.alpha0 is not None and config.lam0 is not None:
+            alpha, lam = config.alpha0, config.lam0
+        else:
+            alpha, lam = _initial_guess_ref(s)
+        ll, g, fisher = _derivatives_ref(alpha, lam, s)
+        iterations = 0
+        for iterations in range(1, max(config.max_iter, 1) + 1):
+            if np.abs(g).max() < config.tol:
+                iterations -= 1
+                break
+            jac = np.array([alpha, lam])
+            g_eta = jac * g
+            h_eta = (np.array([[fisher[0], fisher[1]], [fisher[1], fisher[2]]])
+                     * np.outer(jac, jac) + np.diag(g_eta))
+            try:
+                step = np.linalg.solve(h_eta, -g_eta)
+            except np.linalg.LinAlgError:
+                step = g_eta
+            if not g_eta @ step > 0.0:
+                step = g_eta / max(1.0, np.abs(g_eta).max())
+            scale = 1.0
+            improved = False
+            for _ in range(60):
+                cand_a = alpha * np.exp(scale * step[0])
+                cand_l = lam * np.exp(scale * step[1])
+                if 0.0 < cand_a < np.inf and 0.0 < cand_l < np.inf:
+                    cand = _derivatives_ref(cand_a, cand_l, s)
+                    if np.isfinite(cand[0]) and cand[0] >= ll - 1e-13:
+                        improved = True
+                        break
+                scale *= 0.5
+            if not improved:
+                break
+            alpha, lam, (ll, g, fisher) = cand_a, cand_l, cand
+    grad_norm = float(np.abs(g).max())
+    if grad_norm >= config.tol:
+        raise ConvergenceError(
+            f"Newton solver stopped at grad sup-norm {grad_norm:.3e} "
+            f"after {iterations} iterations",
+            last_iterate=(float(alpha), float(lam)),
+        )
+    d2_aa, d2_al, d2_ll = fisher
+    det = d2_aa * d2_ll - np.float64(d2_al) ** 2
+    if det <= 0 or d2_aa >= 0:
+        raise NumericError("observed information is not positive definite at the optimum")
+    cov = CovarianceMatrix(v11=float(-d2_ll / det), v12=float(d2_al / det),
+                           v22=float(-d2_aa / det))
+    return MleFit(alpha_hat=float(alpha), lam_hat=float(lam),
+                  theta_hat=float(np.exp(-np.log(lam) / alpha)), loglik=float(ll), cov=cov,
+                  iterations=iterations, converged=True, grad_norm=grad_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +420,8 @@ def hpd_interval_ref(values, weights, level):
     js = np.arange(1, m - k + 1)
     lo_idx = np.minimum(np.searchsorted(cum, js / m, side="left"), m - 1)
     hi_idx = np.minimum(np.searchsorted(cum, (js + k) / m, side="left"), m - 1)
-    j = int(np.argmin(vs[hi_idx] - vs[lo_idx]))
+    with np.errstate(invalid="ignore"):     # inf - inf where both ends are one infinity
+        j = int(np.argmin(vs[hi_idx] - vs[lo_idx]))
     return float(vs[lo_idx[j]]), float(vs[hi_idx[j]])
 
 

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import iwhc
 
@@ -33,3 +37,17 @@ def test_every_submodule_export_resolves():
         module = importlib.import_module(f"iwhc.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"iwhc.{info.name}.{name}"
+
+
+def test_import_path_loads_no_scipy():
+    # scipy is a test dependency only: importing the package and the CLI and
+    # reading the bundled data must not pull it in (it doubles import time)
+    code = ("import sys, iwhc, iwhc.cli\n"
+            "from iwhc import datasets\n"
+            "datasets.resolve('flood'), datasets.resolve('guinea')\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(iwhc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -92,6 +92,16 @@ def test_reciprocals_flood_scheme1(flood_s1):
     assert np.all(flood_s1.x >= 1 / flood_s1.u)
 
 
+def test_log_cache_equals_the_logs(flood_s1, guinea_complete):
+    for s in (flood_s1, guinea_complete):
+        assert np.array_equal(s.log_x, np.log(s.x))
+        assert s.sum_log_x == np.log(s.x).sum()
+        assert s.log_u == np.log(s.u)
+        lx = np.log(s.x)
+        powers = [np.ones_like(lx)] + [lx ** k for k in (1, 2, 3)]
+        assert np.array_equal(s.log_x_powers, np.stack(powers))
+
+
 def test_reciprocals_involution(flood_s1):
     assert 1.0 / (1.0 / flood_s1.x) == pytest.approx(flood_s1.x, rel=1e-15)
 

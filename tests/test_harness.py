@@ -12,6 +12,7 @@ from iwhc import (
     StudyConfig,
     apply_scheme,
     asymptotic_ci,
+    bayes_is,
     fit_mle,
     reciprocals,
     run_study,
@@ -76,6 +77,19 @@ def test_single_replicate_equals_direct_fit():
     assert by_param["alpha"].avg_interval_length == ci_a.length
     assert by_param["lambda"].average_estimate == fit.lam_hat
     assert by_param["lambda"].avg_interval_length == ci_l.length
+
+
+def test_importance_sampling_uses_child_one_plus_prior():
+    priors = (GammaPriors(), GammaPriors(2, 1, 1, 1))
+    config = _tiny_config(replicates=1, methods=("is",), cells=((25, 1.5, 18),), priors=priors)
+    summary = run_study(config)
+    children = np.random.SeedSequence(entropy=(config.base_seed, 0, 0)).spawn(3)
+    data = sample(25, IwParams.from_rate(2.0, 1.0), children[0])
+    s = reciprocals(apply_scheme(data, HybridScheme(n=25, R=18, T=1.5)))
+    for p, prior in enumerate(priors):
+        res = bayes_is(s, prior, config.draws, children[1 + p], level=config.level)
+        assert summary.estimates[(0, "is", p, "alpha")].tolist() == [res.alpha.mean]
+        assert summary.lengths[(0, "is", p, "lambda")].tolist() == [res.lam.hpd.length]
 
 
 def test_bit_identical_reruns():

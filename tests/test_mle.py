@@ -26,6 +26,7 @@ from iwhc import errors
 from _oracles import (
     fd_gradient,
     fd_hessian,
+    fit_mle_ref,
     log_likelihood_ref,
     observed_fisher_ref,
     score_ref,
@@ -114,6 +115,47 @@ def test_kernel_equals_reference_formulas_random():
         _assert_kernel_matches_reference(params.alpha, params.lam, s)
         _assert_kernel_matches_reference(params.alpha * rng.uniform(0.3, 3.0),
                                          params.lam * rng.uniform(0.1, 10.0), s)
+
+
+def _assert_fit_matches_reference(s, config=SolverConfig()):
+    """fit_mle equals the numpy-scalar Newton loop of the oracles in every
+    field, or raises the same error with the same message."""
+    try:
+        want = fit_mle_ref(s, config)
+    except (ConvergenceError, InsufficientDataError, errors.NumericError) as exc:
+        with pytest.raises(type(exc)) as got:
+            fit_mle(s, config)
+        assert str(got.value) == str(exc)
+        assert getattr(got.value, "last_iterate", None) == getattr(exc, "last_iterate", None)
+        return
+    assert fit_mle(s, config) == want
+
+
+@pytest.mark.parametrize("name", ["flood_complete", "flood_s1", "flood_s2",
+                                  "guinea_complete", "guinea_s1", "guinea_s2"])
+def test_fit_equals_reference_loop_on_datasets(request, name):
+    _assert_fit_matches_reference(request.getfixturevalue(name))
+
+
+def test_fit_equals_reference_loop_random():
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        _assert_fit_matches_reference(random_censored_sample(rng)[0])
+
+
+@pytest.mark.parametrize("times, R, T", [
+    ([1.0] * 16 + [2.0, 3.0], 17, 1.003877522497901),
+    ([2.0] * 5 + [3.0, 4.0], 6, 2.5),
+    ([905.23289736, 255.37203952, 130.88489675, 288.99848025, 130.35063588], 2, math.inf),
+    ([76.57062102829455, 78.07569044586481, 83.39385953000003], 2, 82.83734628222653),
+    ([0.014722764826835632, 0.014836466100912058, 0.01500974506993151,
+      0.01534921577614401, 0.015359722387111448], 3, math.inf),
+], ids=["sixteen-tied", "five-tied", "underflowing-start", "overflowing-cov", "close-five"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference loop warns on overflow
+def test_fit_equals_reference_loop_nearly_tied(times, R, T):
+    s = reciprocals(apply_scheme(np.array(times), HybridScheme(n=len(times), R=R, T=T)))
+    _assert_fit_matches_reference(s)
+    _assert_fit_matches_reference(s, SolverConfig(alpha0=500.0, lam0=1.0))
 
 
 def test_score_matches_finite_differences():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -422,6 +423,24 @@ def test_hpd_validation():
         hpd_interval(np.arange(10.0), np.full(10, 0.1), 1.5)
 
 
+def test_hpd_validates_weights_as_the_quantile_does():
+    with pytest.raises(DomainError, match="equally long"):
+        hpd_interval(np.arange(10.0), np.ones(5), 0.5)
+    negative = np.array([19.0] + [-1.0] * 9)
+    for summary in (lambda w: hpd_interval(np.arange(10.0), w, 0.5),
+                    lambda w: weighted_quantile(np.arange(10.0), w, 0.5)):
+        with pytest.raises(DomainError, match="nonnegative"):
+            summary(negative)
+
+
+def test_hpd_with_infinite_values_raises_without_a_warning():
+    values = np.array([-np.inf] * 6 + [1.0, 2.0, 3.0, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"degenerate interval \(-inf, -inf\)"):
+            hpd_interval(values, np.full(10, 0.1), 0.5)
+
+
 @st.composite
 def _weighted_samples(draw):
     """Values and weights of up to 10,000 draws, with ties, signed zeros,
@@ -448,7 +467,7 @@ def _bits(x):
     return float(x).hex()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf window lengths
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(_weighted_samples(), st.floats(0.0, 1.0), st.floats(0.01, 0.99), st.data())
 def test_quantile_and_hpd_equal_the_stable_sort_formulas(sample_, beta, level, data):
