@@ -62,8 +62,9 @@ class ReciprocalSample:
     ``>= 1/u``.  This is the working representation of the likelihood code:
     inverse Weibull data become Weibull data under ``t -> 1/t``.
 
-    The logs that the likelihood code reads are computed once per sample and
-    cached, so ``x`` must not be changed after construction.
+    The logs that the likelihood code reads, and the regression start of the
+    MLE and of the g2 mode search, are computed once per sample and cached, so
+    ``x`` must not be changed after construction.
     """
 
     x: np.ndarray
@@ -83,12 +84,49 @@ class ReciprocalSample:
         return np.stack([np.ones_like(lx)] + [lx ** k for k in (1, 2, 3)])
 
     @cached_property
+    def log_x_max(self) -> float:
+        return float(self.log_x.max())
+
+    @cached_property
+    def log_x_shifted(self) -> np.ndarray:
+        """``log x - max log x``: its exponential times alpha has largest term 1."""
+        return self.log_x - self.log_x_max
+
+    @cached_property
     def sum_log_x(self) -> float:
         return float(self.log_x.sum())
 
     @cached_property
     def log_u(self) -> float:
         return float(np.log(self.u))
+
+    @cached_property
+    def _thirds(self) -> dict:
+        """Third log-likelihood derivatives by point ``(alpha, lam)``, kept by
+        the Lindley expansion, which reads them at one MLE under every prior."""
+        return {}
+
+    @cached_property
+    def regression_start(self) -> tuple[float, float]:
+        """``(alpha0, lam0)`` from regressing log(-log F_hat) on log x over
+        the observed portion.
+
+        Plotting positions (i - 0.5)/n estimate F at t_(i); under the model
+        log(-log F) = log(lam) + alpha*log(x), so the slope estimates alpha.
+        alpha0 is 1 when the slope is useless or x**alpha0 under- or
+        overflows, and lam0 = r / sum x**alpha0.
+        """
+        i = np.arange(1, self.r + 1)
+        y = np.log(-np.log((i - 0.5) / self.n))
+        lx = self.log_x
+        cx = lx - lx.mean()
+        with np.errstate(all="ignore"):
+            denom = (cx ** 2).sum()
+            alpha0 = float((cx * (y - y.mean())).sum() / denom) if denom > 0 else 1.0
+            total = float(np.power(self.x, alpha0).sum())
+        if not (np.isfinite(alpha0) and alpha0 > 0.05 and 0.0 < total < np.inf):
+            alpha0, total = 1.0, float(self.x.sum())
+        return alpha0, self.r / total
 
 
 def apply_scheme(complete_times, scheme: HybridScheme) -> HybridSample:

@@ -7,6 +7,7 @@ classic flood-level and guinea-pig survival data used throughout the tests.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 from pathlib import Path
 
@@ -39,8 +40,15 @@ def _parse_text(text: str, origin: str) -> np.ndarray:
 
 
 def load_bundled(name: str) -> np.ndarray:
+    """A bundled dataset, as a new array on every call."""
     if name not in BUNDLED:
         raise DomainError(f"unknown bundled dataset {name!r}; available: {BUNDLED}")
+    return _parsed_bundled(name).copy()
+
+
+@functools.cache
+def _parsed_bundled(name: str) -> np.ndarray:
+    """The packaged file of ``name``, read and parsed once per process."""
     text = importlib.resources.files("iwhc").joinpath(f"data/{name}.txt").read_text()
     return _parse_text(text, origin=name)
 

@@ -82,7 +82,10 @@ def third_derivatives(
 def lindley_workspace(fit: MleFit, priors: GammaPriors, s: ReciprocalSample) -> LindleyWorkspace:
     if not fit.converged:
         raise DomainError("the expansion must be evaluated at a converged MLE")
-    l30, l03, l21, l12 = third_derivatives(fit.alpha_hat, fit.lam_hat, s)
+    point = (fit.alpha_hat, fit.lam_hat)
+    if point not in s._thirds:      # the same for every prior
+        s._thirds[point] = third_derivatives(*point, s)
+    l30, l03, l21, l12 = s._thirds[point]
     p1 = (priors.a - 1.0) / fit.alpha_hat - priors.b
     p2 = (priors.c - 1.0) / fit.lam_hat - priors.d
     if not (np.isfinite(p1) and np.isfinite(p2)):

@@ -244,25 +244,6 @@ def _sup_norm(a: float, b: float) -> float:
     return a if a >= b or a != a else b
 
 
-def _initial_guess(s: ReciprocalSample) -> tuple[float, float]:
-    """Regression start: log(-log F_hat) on log x over the observed portion.
-
-    Plotting positions (i - 0.5)/n estimate F at t_(i); under the model
-    log(-log F) = log(lam) + alpha*log(x), so the slope estimates alpha.
-    """
-    i = np.arange(1, s.r + 1)
-    y = np.log(-np.log((i - 0.5) / s.n))
-    lx = s.log_x
-    cx = lx - lx.mean()
-    denom = (cx ** 2).sum()
-    alpha0 = float((cx * (y - y.mean())).sum() / denom) if denom > 0 else 1.0
-    total = float(np.power(s.x, alpha0).sum())
-    # alpha = 1 when the slope is useless or x**alpha0 under- or overflows
-    if not (np.isfinite(alpha0) and alpha0 > 0.05 and 0.0 < total < np.inf):
-        alpha0, total = 1.0, float(s.x.sum())
-    return alpha0, s.r / total
-
-
 def fit_mle(s: ReciprocalSample, config: SolverConfig = SolverConfig()) -> MleFit:
     """Damped Newton ascent on (log alpha, log lam).
 
@@ -290,7 +271,7 @@ def fit_mle(s: ReciprocalSample, config: SolverConfig = SolverConfig()) -> MleFi
         if config.alpha0 is not None and config.lam0 is not None:
             alpha, lam = config.alpha0, config.lam0
         else:
-            alpha, lam = _initial_guess(s)
+            alpha, lam = s.regression_start
         ll, g, h = _derivatives(alpha, lam, s, 2)
         alpha, lam = float(alpha), float(lam)
         iterations = 0

@@ -12,21 +12,27 @@ log-concavity), lam from g1 given alpha, and weight each pair by h.  Weighted
 step-function quantiles give credible bounds, and the highest-density interval
 is the shortest of the candidate quantile windows.  g2, its derivatives and
 the g1 rate read ``log(d + sum x**alpha)`` and the ratios ``sum x**alpha *
-(log x)**k / (d + sum x**alpha)`` from one log-sum-exp helper, and each lam is
-drawn with the g1 rate of the round that accepted its alpha; h takes ``q``
-from the likelihood kernel's censoring helper.
+(log x)**k / (d + sum x**alpha)`` from log-sum-exp sums over the sample's
+cached ``log x - max log x``, and each lam is drawn with the g1 rate of the
+round that accepted its alpha; h takes ``q`` from the likelihood kernel's
+censoring helper.  The sampler's setup, at one alpha per Newton step and a
+few on the hull, does its scalar arithmetic in Python floats over numpy's sums
+and logarithms, in the operations and order of the array arithmetic.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .censoring import ReciprocalSample
 from .errors import DegenerateWeightsError, DomainError, InsufficientDataError, NumericError
 from .lindley import GammaPriors
-from .mle import _LOG_TINY, ConfidenceInterval, _censor_q, _initial_guess
+from .mle import _LOG_TINY, ConfidenceInterval, _censor_q, _in_floats
 
 __all__ = [
     "PosteriorDraws",
@@ -48,17 +54,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _log_rate_sums(alpha, lx: np.ndarray, d: float, order: int) -> list:
+def _log_rate_sums(alpha, s: ReciprocalSample, d: float, order: int) -> list:
     """``log(d + S_0)`` and, for k = 1..order, ``S_k / (d + S_0)`` at every
-    element of ``alpha`` (> 0), where ``S_k = sum x**alpha * (log x)**k`` and
-    ``lx = log x``.
+    element of ``alpha`` (> 0), where ``S_k = sum x**alpha * (log x)**k``.
 
     Sums ``exp(alpha * (log x - max log x))``, whose largest term is 1, and
     adds the shift back in logs, so nothing under- or overflows at any finite
     alpha.  ``d + S_0`` is the rate of g1.
     """
-    top = lx.max()
-    e = np.multiply.outer(lx - top, alpha)
+    top = s.log_x_max
+    e = np.multiply.outer(s.log_x_shifted, alpha)
     np.exp(e, out=e)
     total = e.sum(axis=0)
     log_sum = alpha * top + np.log(total)
@@ -66,22 +71,62 @@ def _log_rate_sums(alpha, lx: np.ndarray, d: float, order: int) -> list:
     if order:
         with np.errstate(over="ignore"):
             denom = total if d == 0 else total + d * np.exp(-alpha * top)
-        out += [(lx ** k @ e) / denom for k in range(1, order + 1)]
+        out += [(s.log_x_powers[k] @ e) / denom for k in range(1, order + 1)]
     return out
 
 
-def _g2_terms(alpha, s: ReciprocalSample, priors: GammaPriors, order: int) -> list:
-    """``[log(d + S_0), log g2, (log g2)', (log g2)'']``, the last two only up
-    to ``order``, at every element of ``alpha`` (> 0)."""
-    log_rate, *ratio = _log_rate_sums(alpha, s.log_x, priors.d, order)
+def _g2_terms(alpha, s: ReciprocalSample, priors: GammaPriors) -> list:
+    """``[log(d + S_0), log g2]`` at every element of ``alpha`` (> 0)."""
+    log_rate = _log_rate_sums(alpha, s, priors.d, 0)[0]
     shape, k, slx = s.r + priors.c, priors.a + s.r - 1.0, s.sum_log_x
-    out = [log_rate, -shape * log_rate + k * np.log(alpha) - priors.b * alpha
-           + (alpha + 1.0) * slx]
-    if order >= 1:
-        out.append(-shape * ratio[0] + k / alpha - priors.b + slx)
-    if order >= 2:
-        out.append(-shape * (ratio[1] - ratio[0] ** 2) - k / alpha ** 2)
-    return out
+    return [log_rate, -shape * log_rate + k * np.log(alpha) - priors.b * alpha
+            + (alpha + 1.0) * slx]
+
+
+def _g2_tangents(alphas: list, s: ReciprocalSample, priors: GammaPriors) -> tuple:
+    """``log g2`` and ``(log g2)' = -(r+c) S_1/(d + S_0) + (a+r-1)/alpha - b
+    + sum log x`` at a few alphas (> 0), as two lists of floats.
+
+    numpy takes the sums over x and the logarithms, and the rest runs on
+    floats in the order of :func:`_g2_terms`, so the bits are those of the
+    elementwise array arithmetic.
+    """
+    arr = np.array(alphas)
+    log_rate, ratio = _log_rate_sums(arr, s, priors.d, 1)
+    shape, k, b, slx = s.r + priors.c, priors.a + s.r - 1.0, priors.b, s.sum_log_x
+    hs, ds = [], []
+    for a, lr, la, r1 in zip(alphas, log_rate.tolist(), np.log(arr).tolist(), ratio.tolist()):
+        hs.append(-shape * lr + k * la - b * a + (a + 1.0) * slx)
+        ds.append(-shape * r1 + k / a - b + slx)
+    return hs, ds
+
+
+def _g2_slope_curve(alpha: float, s: ReciprocalSample, priors: GammaPriors) -> tuple:
+    """``(log g2)'`` and ``(log g2)'' = -(r+c) (S_2/(d + S_0) - (S_1/(d +
+    S_0))**2) - (a+r-1)/alpha**2`` at one alpha (> 0), as Python floats.
+
+    numpy takes the exponentials over x, their sum and the two dot products,
+    and the rest runs on floats in the order of the elementwise array
+    arithmetic.  No division can be by zero (the sum is at least 1 and
+    alpha > 0), and ``r1 ** 2`` is a power, as on a numpy scalar, not a
+    product, which rounds differently.
+    """
+    e = s.log_x_shifted * alpha
+    np.exp(e, out=e)
+    denom = float(e.sum())
+    if priors.d != 0:
+        tilt = -alpha * s.log_x_max
+        if tilt < 709.0:
+            denom += priors.d * float(np.exp(tilt))
+        else:
+            with np.errstate(over="ignore"):
+                denom += priors.d * float(np.exp(tilt))
+    powers = s.log_x_powers
+    r1 = float(powers[1] @ e) / denom
+    r2 = float(powers[2] @ e) / denom
+    shape, k = s.r + priors.c, priors.a + s.r - 1.0
+    return (-shape * r1 + k / alpha - priors.b + s.sum_log_x,
+            -shape * (r2 - r1 ** 2) - k / alpha ** 2)
 
 
 def _alpha_array(alpha) -> np.ndarray:
@@ -101,7 +146,7 @@ def g2_log_density(alpha, s: ReciprocalSample, priors: GammaPriors):
     if s.r < 1:
         raise InsufficientDataError("g2 requires at least one observed failure")
     arr = _alpha_array(alpha)
-    out = _g2_terms(arr, s, priors, 0)[1]
+    out = _g2_terms(arr, s, priors)[1]
     return float(out) if arr.ndim == 0 else out
 
 
@@ -131,7 +176,7 @@ def sample_g1(alpha, s: ReciprocalSample, priors: GammaPriors, seed):
         raise DomainError(f"gamma shape r + c must be positive, got {shape}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     arr = _alpha_array(alpha)
-    out = _draw_lams(_log_rate_sums(arr, s.log_x, priors.d, 0)[0], shape, rng)
+    out = _draw_lams(_log_rate_sums(arr, s, priors.d, 0)[0], shape, rng)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -162,39 +207,48 @@ class _Hull:
         self._refresh()
 
     def _refresh(self):
-        x, h, d = self.x, self.h, self.d
-        gap = d[:-1] - d[1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cross = (h[1:] - h[:-1] + x[:-1] * d[:-1] - x[1:] * d[1:]) / gap
-        # numerically parallel tangents meet halfway between their points
-        cross = np.where(gap <= 1e-14, 0.5 * (x[:-1] + x[1:]), cross)
-        self.z = np.concatenate(([0.0], cross, [np.inf]))
+        # Python floats over the few tangents; numpy takes expm1 and log
+        x, h, d = self.x.tolist(), self.h.tolist(), self.d.tolist()
+        n = len(x)
+        z = [0.0]
+        for i in range(n - 1):
+            gap = d[i] - d[i + 1]
+            # numerically parallel tangents meet halfway between their points
+            z.append(0.5 * (x[i] + x[i + 1]) if gap <= 1e-14
+                     else (h[i + 1] - h[i] + x[i] * d[i] - x[i + 1] * d[i + 1]) / gap)
+        z.append(math.inf)
         # segment j carries exp(a_j + d_j t) on [z_j, z_j+1]; its mass is
         # factored out at the end where the envelope is highest, so that
         # nothing overflows
-        a = h - x * d
-        width = np.maximum(self.z[1:] - self.z[:-1], 0.0)
-        top = np.where(d > 0, self.z[1:], self.z[:-1])
-        self.flat = (np.abs(d) < 1e-12) & np.isfinite(self.z[1:])
+        span = [hi - lo for lo, hi in zip(z, z[1:])]
+        width = [max(v, 0.0) for v in span]
+        top = [hi if dj > 0 else lo for dj, lo, hi in zip(d, z, z[1:])]
+        flat = [abs(dj) < 1e-12 and math.isfinite(hi) for dj, hi in zip(d, z[1:])]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            logmass = np.where(
-                self.flat,
-                a + d * self.z[:-1] + np.log(width),
-                a + d * top + np.log(-np.expm1(-np.abs(d) * width)) - np.log(np.abs(d)))
+            # expm1(-|d| width) for the masses, and over the unclamped span
+            # for the proposals
+            em = np.expm1([-abs(dj) * wj for dj, wj in zip(d + d, width + span)]).tolist()
+            logs = np.log([wj if fj else -ej for wj, fj, ej in zip(width, flat, em)]
+                          + [abs(dj) for dj in d]).tolist()
+        logmass = np.array([
+            h[j] - x[j] * d[j] + d[j] * z[j] + logs[j] if flat[j] else
+            h[j] - x[j] * d[j] + d[j] * top[j] + logs[j] - logs[n + j]
+            for j in range(n)])
         w = np.exp(logmass - logmass.max())
+        self.z = np.array(z)
+        self.flat = np.array(flat)
         self.cum = np.cumsum(w)
+        # what a proposal in segment j reads, the same for every proposal
+        self.top, self.span, self.fall = np.array(top), np.array(span), np.array(em[n:])
 
     def propose(self, size: int, rng: np.random.Generator):
         """``size`` independent envelope draws and the segment of each."""
-        j = np.minimum(np.searchsorted(self.cum, rng.random(size) * self.cum[-1], side="right"),
+        j = np.minimum(self.cum.searchsorted(rng.random(size) * self.cum[-1], side="right"),
                        self.x.size - 1)
-        k = self.d[j]
-        lo, hi = self.z[j], self.z[j + 1]
         xi = rng.random(size)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            width = hi - lo
-            steep = np.where(k > 0, hi, lo) + np.log1p(xi * np.expm1(-np.abs(k) * width)) / k
-            t = np.where(self.flat[j], lo + xi * width, steep)
+            steep = self.top[j] + np.log1p(xi * self.fall[j]) / self.d[j]
+            t = np.where(self.flat[j], self.z[j] + xi * self.span[j], steep)
         return t, j
 
     def insert(self, ts, hs, ds) -> None:
@@ -208,14 +262,14 @@ class _Hull:
 
 def _find_mode(dlnf, guess: float) -> float:
     """Stationary point of a concave lnf on (0, inf); ``dlnf(alpha)`` returns
-    the first and second derivatives of lnf.
+    the first and second derivatives of lnf as floats.
 
     Newton's method for the root of the first derivative in eta = log(alpha),
     from ``guess``.  Each step is clamped to ``_MODE_STEP``, and a step that
     leaves the bracket of the sign changes seen so far bisects it instead.
     """
-    eta = float(np.clip(np.log(guess), -_LOG_ALPHA_LIMIT, _LOG_ALPHA_LIMIT))
-    lo, hi = -np.inf, np.inf
+    eta = min(max(float(np.log(guess)), -_LOG_ALPHA_LIMIT), _LOG_ALPHA_LIMIT)
+    lo, hi = -math.inf, math.inf
     for _ in range(200):
         alpha = float(np.exp(eta))
         slope, curve = dlnf(alpha)
@@ -225,11 +279,11 @@ def _find_mode(dlnf, guess: float) -> float:
             hi = eta
         else:
             return alpha
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = -slope / (alpha * curve)
+        # a zero curvature gives a signed inf, as on numpy scalars
+        step = _in_floats(operator.truediv, -slope, alpha * curve)
         if not step * slope > 0:        # curvature lost to rounding
             step = slope
-        step = float(np.clip(step, -_MODE_STEP, _MODE_STEP))
+        step = min(max(step, -_MODE_STEP), _MODE_STEP)
         if abs(step) < 1e-10 or hi - lo < 1e-10:
             return float(np.exp(eta + step))
         new = eta + step
@@ -272,21 +326,19 @@ def sample_g2(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
     def dlnf(a):
-        return _g2_terms(a, s, priors, 2)[2:]
+        return _g2_slope_curve(a, s, priors)
 
     # the regression start of the MLE is near the mode of g2
-    with np.errstate(over="ignore"):
-        guess = _initial_guess(s)[0]
-    mode = _find_mode(dlnf, guess)
+    mode = _find_mode(dlnf, s.regression_start[0])
     curve = mode * mode * dlnf(mode)[1]
-    sigma = min(1.0, 1.0 / np.sqrt(-curve)) if curve < 0 else 1.0
-    xs = mode * np.exp(sigma * np.arange(-2.0, 3.0))
-    _, hs, ds = _g2_terms(xs, s, priors, 1)
+    sigma = min(1.0, 1.0 / math.sqrt(-curve)) if curve < 0 else 1.0
+    xs = (mode * np.exp(sigma * np.arange(-2.0, 3.0))).tolist()
+    hs, ds = _g2_tangents(xs, s, priors)
     offset = hs[2]
-    xs, hs, ds = list(xs), list(hs - offset), list(ds)
+    hs = [h - offset for h in hs]
     while ds[-1] >= 0.0:
         xs.append(xs[-1] * 2.0)
-        _, h, d = _g2_terms(xs[-1], s, priors, 1)
+        (h,), (d,) = _g2_tangents(xs[-1:], s, priors)
         hs.append(h - offset)
         ds.append(d)
         if xs[-1] > 1e12:
@@ -301,7 +353,7 @@ def sample_g2(
         u = rng.random(t.size)
         ok = (t > 0.0) & np.isfinite(t)
         t, j, u = t[ok], j[ok], u[ok]
-        lr, hval = _g2_terms(t, s, priors, 0)
+        lr, hval = _g2_terms(t, s, priors)
         hval -= offset
         hit = np.log(u) <= hval - hull.h[j] - hull.d[j] * (t - hull.x[j])
         got = np.flatnonzero(hit)[:need]
@@ -315,7 +367,7 @@ def sample_g2(
         room = min(_REFINE_PER_ROUND, _MAX_HULL_POINTS - hull.x.size)
         if filled < count and room > 0 and miss.any():
             ts = t[miss][:room]
-            hull.insert(ts, hval[miss][:room], _g2_terms(ts, s, priors, 1)[2])
+            hull.insert(ts, hval[miss][:room], _g2_tangents(ts.tolist(), s, priors)[1])
     if return_info:
         return draws, {"acceptance_ratio": accepted / proposals,
                        "hull_points": int(hull.x.size), "rounds": rounds, "mode": mode,
@@ -377,15 +429,18 @@ def posterior_draws(
     Each lam is drawn with the g1 rate that :func:`sample_g2` computed for its
     alpha; a lam beyond the float64 range raises :class:`NumericError`.  The
     draws come from the first child of ``SeedSequence(seed)``, so they are
-    reproducible for a given (seed, count).  For complete samples the weights
-    are exactly uniform.
+    reproducible for a given (seed, count), also when one ``SeedSequence`` is
+    passed to several calls.  For complete samples the weights are exactly
+    uniform.
     """
     if s.r < 1:
         raise InsufficientDataError("posterior sampling needs at least one failure")
     if count < 2:
         raise DomainError(f"count must be >= 2, got {count}")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.default_rng(root.spawn(1)[0])
+    # the child that root.spawn(1) would give first, made without advancing root
+    rng = np.random.default_rng(np.random.SeedSequence(
+        root.entropy, spawn_key=root.spawn_key + (0,), pool_size=root.pool_size))
     alphas, info = sample_g2(count, s, priors, rng, return_info=True)
     lams = _draw_lams(info["log_rate"], s.r + priors.c, rng)
     if s.n == s.r:
@@ -412,14 +467,16 @@ def importance_estimate(draws: PosteriorDraws, statistic) -> BayesEstimate:
     if not np.any(draws.weights > 0):
         raise DegenerateWeightsError("no positive importance weight")
     values = np.asarray(statistic(draws.alphas, draws.lams), dtype=float)
-    return BayesEstimate(*_mean_var(values, draws.weights))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return BayesEstimate(*_mean_var(values, draws.weights))
 
 
 def _mean_var(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float((values * weights).sum())
-        var = float((((values - mean) ** 2) * weights).sum())
-    if not (np.isfinite(mean) and np.isfinite(var)):
+    """Weighted mean and variance; callers ignore numpy's overflow and
+    invalid warnings around it, since a value that overflows raises here."""
+    mean = float((values * weights).sum())
+    var = float((((values - mean) ** 2) * weights).sum())
+    if not (math.isfinite(mean) and math.isfinite(var)):
         raise NumericError(f"the weighted mean or variance overflows float64 "
                            f"(mean={mean:.4g}, variance={var:.4g})")
     return mean, var
@@ -438,17 +495,17 @@ def _sorted_cum(v: np.ndarray, w: np.ndarray):
     """
     if v.size == 0 or v.shape != w.shape:
         raise DomainError("values and weights must be nonempty and equally long")
-    if np.any(w < 0):
+    if (w < 0).any():
         raise DomainError("weights must be nonnegative")
     total = w.sum()
     if not total > 0:
         raise DegenerateWeightsError("weights sum to zero")
-    order = np.argsort(v)
+    order = v.argsort()
     vs = v[order]
     if not (vs[1:] > vs[:-1]).all():
         order = np.argsort(v, kind="stable")
         vs = v[order]
-    return vs, np.cumsum(w[order]) / total
+    return vs, w[order].cumsum() / total
 
 
 def weighted_quantile(values, weights, beta: float) -> float:
@@ -463,6 +520,18 @@ def weighted_quantile(values, weights, beta: float) -> float:
     return float(vs[min(idx, v.size - 1)])
 
 
+@lru_cache(maxsize=16)
+def _hpd_thresholds(m: int, level: float) -> np.ndarray:
+    """The cumulative weights j/m at which the candidate windows of
+    :func:`hpd_interval` start, then the (j + k)/m at which they end, for
+    j = 1, ..., m - k and k = floor(level*m).  Read-only: calls share it."""
+    k = int(np.floor(level * m))
+    js = np.arange(1, m - k + 1)
+    out = np.concatenate((js / m, (js + k) / m))
+    out.flags.writeable = False
+    return out
+
+
 def hpd_interval(values, weights, level: float) -> ConfidenceInterval:
     """Shortest credible interval among the candidate quantile windows
     (q(j/M), q((j + floor(level*M))/M)) for j = 1, ..., M - floor(level*M)."""
@@ -474,15 +543,13 @@ def hpd_interval(values, weights, level: float) -> ConfidenceInterval:
     if m * level < 2:
         raise DomainError(f"need M*level >= 2, got M={m}, level={level}")
     vs, cum = _sorted_cum(v, w)
-    k = int(np.floor(level * m))
-    js = np.arange(1, m - k + 1)
-    lo_idx = np.minimum(np.searchsorted(cum, js / m, side="left"), m - 1)
-    hi_idx = np.minimum(np.searchsorted(cum, (js + k) / m, side="left"), m - 1)
+    ends = np.minimum(cum.searchsorted(_hpd_thresholds(m, level), side="left"), m - 1)
+    lo_idx, hi_idx = ends[:ends.size // 2], ends[ends.size // 2:]
     # a window with both ends at one infinity has length inf - inf = NaN,
     # which argmin picks and ConfidenceInterval rejects as degenerate
     with np.errstate(invalid="ignore"):
         lengths = vs[hi_idx] - vs[lo_idx]
-    j = int(np.argmin(lengths))
+    j = int(lengths.argmin())
     return ConfidenceInterval(float(vs[lo_idx[j]]), float(vs[hi_idx[j]]), level)
 
 
@@ -501,9 +568,11 @@ def bayes_is(
         return BayesEstimate(*_mean_var(values, draws.weights),
                              hpd=hpd_interval(values, draws.weights, level))
 
-    return IsResult(
-        alpha=summarize(draws.alphas),
-        lam=summarize(draws.lams),
-        theta=summarize(draws.thetas),
-        draws=draws,
-    )
+    # theta and the moments overflow to inf, which _mean_var reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        return IsResult(
+            alpha=summarize(draws.alphas),
+            lam=summarize(draws.lams),
+            theta=summarize(draws.thetas),
+            draws=draws,
+        )

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's analytic derivative and
 sampling code paths: the reference formulas compute each derivative on its
 own, finite differences use the log-likelihood alone, and posterior moments
-come from nested adaptive quadrature of the joint posterior density.
+come from nested adaptive quadrature of the joint posterior density.  Where
+the library has moved a loop from numpy to Python floats, a copy of the numpy
+version pins its bits.
 """
 
 from __future__ import annotations
@@ -447,3 +449,230 @@ def lindley_estimates_ref(ws, fit):
 def g1_rate_ref(s, priors, alphas):
     """The g1 rate d + sum x**alpha at each alpha, by direct powers."""
     return priors.d + (s.x[:, None] ** np.asarray(alphas)).sum(0)
+
+
+# ---------------------------------------------------------------------------
+# the g2 sampler's setup and the importance-sampling summaries on numpy
+# ---------------------------------------------------------------------------
+#
+# Copies of the mode search, the tangent hull and the summaries as they ran on
+# numpy scalars and small arrays, before the library moved their scalar work
+# to Python floats; the library must match them in every bit and every error.
+
+
+def _log_rate_sums_ref(alpha, lx, d, order):
+    top = lx.max()
+    e = np.multiply.outer(lx - top, alpha)
+    np.exp(e, out=e)
+    total = e.sum(axis=0)
+    log_sum = alpha * top + np.log(total)
+    out = [log_sum if d == 0 else np.logaddexp(np.log(d), log_sum)]
+    if order:
+        with np.errstate(over="ignore"):
+            denom = total if d == 0 else total + d * np.exp(-alpha * top)
+        out += [(lx ** k @ e) / denom for k in range(1, order + 1)]
+    return out
+
+
+def g2_terms_ref(alpha, s, priors, order):
+    """``[log(d + S_0), log g2, (log g2)', (log g2)'']`` up to ``order``."""
+    log_rate, *ratio = _log_rate_sums_ref(alpha, np.log(s.x), priors.d, order)
+    shape, k, slx = s.r + priors.c, priors.a + s.r - 1.0, float(np.log(s.x).sum())
+    out = [log_rate, -shape * log_rate + k * np.log(alpha) - priors.b * alpha
+           + (alpha + 1.0) * slx]
+    if order >= 1:
+        out.append(-shape * ratio[0] + k / alpha - priors.b + slx)
+    if order >= 2:
+        out.append(-shape * (ratio[1] - ratio[0] ** 2) - k / alpha ** 2)
+    return out
+
+
+def find_mode_ref(dlnf, guess):
+    eta = float(np.clip(np.log(guess), -80.0, 80.0))
+    lo, hi = -np.inf, np.inf
+    for _ in range(200):
+        alpha = float(np.exp(eta))
+        slope, curve = dlnf(alpha)
+        if slope > 0:
+            lo = eta
+        elif slope < 0:
+            hi = eta
+        else:
+            return alpha
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -slope / (alpha * curve)
+        if not step * slope > 0:
+            step = slope
+        step = float(np.clip(step, -2.0, 2.0))
+        if abs(step) < 1e-10 or hi - lo < 1e-10:
+            return float(np.exp(eta + step))
+        new = eta + step
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if new > 80.0:
+            raise InsufficientDataError(
+                "the alpha posterior is improper for these data and priors: "
+                f"log g2 is still rising at alpha={alpha:.3g}")
+        if new < -80.0:
+            return alpha
+        eta = new
+    return float(np.exp(eta))
+
+
+def hull_refresh_ref(x, h, d):
+    """``(z, flat, cum)`` of the tangent hull at points x with values h and
+    slopes d, all float arrays."""
+    gap = d[:-1] - d[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (h[1:] - h[:-1] + x[:-1] * d[:-1] - x[1:] * d[1:]) / gap
+    cross = np.where(gap <= 1e-14, 0.5 * (x[:-1] + x[1:]), cross)
+    z = np.concatenate(([0.0], cross, [np.inf]))
+    a = h - x * d
+    width = np.maximum(z[1:] - z[:-1], 0.0)
+    top = np.where(d > 0, z[1:], z[:-1])
+    flat = (np.abs(d) < 1e-12) & np.isfinite(z[1:])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logmass = np.where(
+            flat,
+            a + d * z[:-1] + np.log(width),
+            a + d * top + np.log(-np.expm1(-np.abs(d) * width)) - np.log(np.abs(d)))
+    w = np.exp(logmass - logmass.max())
+    return z, flat, np.cumsum(w)
+
+
+def hull_ref(xs, hs, ds):
+    """The hull with the numpy refresh and proposal step."""
+    from iwhc.posterior import _Hull
+
+    class HullRef(_Hull):
+        def _refresh(self):
+            self.z, self.flat, self.cum = hull_refresh_ref(self.x, self.h, self.d)
+
+        def propose(self, size, rng):
+            j = np.minimum(np.searchsorted(self.cum, rng.random(size) * self.cum[-1],
+                                           side="right"), self.x.size - 1)
+            k = self.d[j]
+            lo, hi = self.z[j], self.z[j + 1]
+            xi = rng.random(size)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                width = hi - lo
+                steep = np.where(k > 0, hi, lo) + np.log1p(xi * np.expm1(-np.abs(k) * width)) / k
+                t = np.where(self.flat[j], lo + xi * width, steep)
+            return t, j
+
+    return HullRef(xs, hs, ds)
+
+
+def sample_g2_ref(count, s, priors, rng):
+    """``(draws, info)`` of the sampler over the copies above."""
+    if s.r < 1:
+        raise InsufficientDataError("g2 requires at least one observed failure")
+
+    def dlnf(a):
+        return g2_terms_ref(a, s, priors, 2)[2:]
+
+    with np.errstate(over="ignore"):
+        guess = _initial_guess_ref(s)[0]
+    mode = find_mode_ref(dlnf, guess)
+    curve = mode * mode * dlnf(mode)[1]
+    sigma = min(1.0, 1.0 / np.sqrt(-curve)) if curve < 0 else 1.0
+    xs = mode * np.exp(sigma * np.arange(-2.0, 3.0))
+    _, hs, ds = g2_terms_ref(xs, s, priors, 1)
+    offset = hs[2]
+    xs, hs, ds = list(xs), list(hs - offset), list(ds)
+    while ds[-1] >= 0.0:
+        xs.append(xs[-1] * 2.0)
+        _, h, d = g2_terms_ref(xs[-1], s, priors, 1)
+        hs.append(h - offset)
+        ds.append(d)
+        if xs[-1] > 1e12:
+            raise InsufficientDataError(
+                "the alpha posterior is improper for these data and priors: "
+                "the upper tail of g2 never turns over")
+    hull = hull_ref(xs, hs, ds)
+    draws = np.empty(count)
+    log_rate = np.empty(count)
+    filled = proposals = accepted = rounds = 0
+    while filled < count:
+        need = count - filled
+        t, j = hull.propose(need + need // 16 + 4, rng)
+        u = rng.random(t.size)
+        ok = (t > 0.0) & np.isfinite(t)
+        t, j, u = t[ok], j[ok], u[ok]
+        lr, hval = g2_terms_ref(t, s, priors, 0)
+        hval -= offset
+        hit = np.log(u) <= hval - hull.h[j] - hull.d[j] * (t - hull.x[j])
+        got = np.flatnonzero(hit)[:need]
+        draws[filled:filled + got.size] = t[got]
+        log_rate[filled:filled + got.size] = lr[got]
+        filled += got.size
+        proposals += t.size
+        accepted += int(hit.sum())
+        rounds += 1
+        miss = ~hit
+        room = min(8, 60 - hull.x.size)
+        if filled < count and room > 0 and miss.any():
+            ts = t[miss][:room]
+            hull.insert(ts, hval[miss][:room], g2_terms_ref(ts, s, priors, 1)[2])
+    return draws, {"acceptance_ratio": accepted / proposals, "hull_points": int(hull.x.size),
+                   "rounds": rounds, "mode": mode, "log_rate": log_rate}
+
+
+def hpd_interval_numpy_ref(values, weights, level):
+    """(lower, upper) as the library computed them on numpy, window ends by
+    two searches."""
+    from iwhc.posterior import _sorted_cum
+
+    v = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    m = v.size
+    vs, cum = _sorted_cum(v, w)
+    k = int(np.floor(level * m))
+    js = np.arange(1, m - k + 1)
+    lo_idx = np.minimum(np.searchsorted(cum, js / m, side="left"), m - 1)
+    hi_idx = np.minimum(np.searchsorted(cum, (js + k) / m, side="left"), m - 1)
+    with np.errstate(invalid="ignore"):
+        lengths = vs[hi_idx] - vs[lo_idx]
+    j = int(np.argmin(lengths))
+    return float(vs[lo_idx[j]]), float(vs[hi_idx[j]])
+
+
+def bayes_is_ref(s, priors, count, seed, level=0.95):
+    """Every field of ``bayes_is`` as a tuple: (draws, weights, acceptance
+    ratio, then mean, variance, HPD lower and upper of alpha, lam and theta).
+    Raises what the library raised: the typed errors, and ``NumericError`` for
+    a degenerate interval."""
+    from iwhc.mle import _LOG_TINY, _censor_q
+    from iwhc.posterior import _draw_lams
+
+    if s.r < 1:
+        raise InsufficientDataError("posterior sampling needs at least one failure")
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    rng = np.random.default_rng(root.spawn(1)[0])
+    alphas, info = sample_g2_ref(count, s, priors, rng)
+    lams = _draw_lams(info["log_rate"], s.r + priors.c, rng)
+    if s.n == s.r:
+        weights = np.full(count, 1.0 / count)
+    else:
+        log_q, q = _censor_q(alphas, lams, s.log_u)
+        lw = (s.n - s.r) * np.where(log_q < _LOG_TINY, log_q, np.log(-np.expm1(-q)))
+        w = np.exp(lw - lw.max())
+        total = w.sum()
+        if not total > 0:
+            raise DegenerateWeightsError("all importance weights underflowed to zero")
+        weights = w / total
+    out = [alphas, lams, weights, info["acceptance_ratio"] * count / count]
+    with np.errstate(over="ignore"):
+        thetas = np.exp(-np.log(lams) / alphas)
+    for values in (alphas, lams, thetas):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float((values * weights).sum())
+            var = float((((values - mean) ** 2) * weights).sum())
+        if not (np.isfinite(mean) and np.isfinite(var)):
+            raise NumericError(f"the weighted mean or variance overflows float64 "
+                               f"(mean={mean:.4g}, variance={var:.4g})")
+        lo, hi = hpd_interval_numpy_ref(values, weights, level)
+        if not lo < hi:
+            raise NumericError(f"degenerate interval ({lo}, {hi})")
+        out += [mean, var, lo, hi]
+    return tuple(out)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from iwhc import DomainError, HybridScheme, IwParams, apply_scheme, reciprocals, sample
+from _oracles import _initial_guess_ref
+from conftest import censored_samples, random_censored_sample
 
 
 def test_scheme_invariants():
@@ -100,6 +103,35 @@ def test_log_cache_equals_the_logs(flood_s1, guinea_complete):
         lx = np.log(s.x)
         powers = [np.ones_like(lx)] + [lx ** k for k in (1, 2, 3)]
         assert np.array_equal(s.log_x_powers, np.stack(powers))
+
+
+def _assert_regression_start_equals_the_copy(s):
+    with np.errstate(all="ignore"):
+        want = _initial_guess_ref(s)
+    assert s.regression_start == want
+    assert s.log_x_max == np.log(s.x).max()
+    assert np.array_equal(s.log_x_shifted, np.log(s.x) - np.log(s.x).max())
+
+
+def test_cached_regression_start_equals_the_copy(flood_s1, flood_s2, flood_complete,
+                                                 guinea_s1, guinea_s2, guinea_complete):
+    for s in (flood_s1, flood_s2, flood_complete, guinea_s1, guinea_s2, guinea_complete):
+        _assert_regression_start_equals_the_copy(s)
+    rng = np.random.default_rng(33)
+    for _ in range(200):
+        _assert_regression_start_equals_the_copy(random_censored_sample(rng)[0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(censored_samples())
+def test_cached_regression_start_equals_the_copy_property(case):
+    data, scheme = case
+    if scheme is None or not (np.all(np.isfinite(data)) and np.all(data > 0)):
+        return
+    s = reciprocals(apply_scheme(data, scheme))
+    if s.r >= 1:
+        _assert_regression_start_equals_the_copy(s)
 
 
 def test_reciprocals_involution(flood_s1):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iwhc import HybridScheme, cli
+from iwhc import DomainError, HybridScheme, cli, datasets
 from iwhc.cli import main
 from conftest import censored_samples
 
@@ -55,6 +55,17 @@ def test_fit_reads_files(capsys, tmp_path):
     path.write_text("# comment line\n1.0 2.0 3.0\n4.0\n5.0 6.0 7.0 8.0\n")
     report = run_json(capsys, "fit", str(path))
     assert report["input"]["count"] == 8
+
+
+def test_bundled_data_is_a_fresh_array_each_call():
+    first = datasets.resolve("flood")
+    want = first.copy()
+    first[:] = -1.0
+    again = datasets.resolve("flood")
+    assert np.array_equal(again, want)
+    assert again is not datasets.load_bundled("flood")
+    with pytest.raises(DomainError, match="unknown bundled dataset"):
+        datasets.load_bundled("nile")
 
 
 def test_scheme_needs_both_flags(capsys):

@@ -11,6 +11,7 @@ from iwhc import (
     HybridScheme,
     IwParams,
     NumericError,
+    ReciprocalSample,
     apply_scheme,
     fit_mle,
     lindley_estimates,
@@ -18,7 +19,7 @@ from iwhc import (
     sample,
     third_derivatives,
 )
-from iwhc import errors
+from iwhc import errors, lindley
 from iwhc.cli import main
 from iwhc.lindley import lindley_workspace
 from _oracles import fd_third_derivatives, lindley_estimates_ref, posterior_quadrature_means
@@ -134,6 +135,30 @@ def test_estimates_equal_python_float_formulas():
                 continue
             est = lindley_estimates(fit, priors, s)
             assert (est.alpha_L, est.lambda_L) == (alpha_L, lambda_L)
+
+
+def test_third_derivatives_evaluated_once_per_fit(monkeypatch):
+    rng = np.random.default_rng(42)
+    priors = (GammaPriors(), GammaPriors(2, 1, 1, 1))
+    calls = []
+    kernel = lindley.third_derivatives
+    monkeypatch.setattr(lindley, "third_derivatives",
+                        lambda *args: calls.append(args) or kernel(*args))
+    for _ in range(50):
+        s, _ = random_censored_sample(rng)
+        fresh = [ReciprocalSample(s.x.copy(), s.u, s.r, s.n) for _ in priors]
+        fit = fit_mle(s)
+        calls.clear()
+        for p, s_alone in zip(priors, fresh):
+            # the same bits or error as on a sample that has seen no other prior
+            try:
+                want = lindley_estimates(fit, p, s_alone)
+            except NumericError as exc:
+                with pytest.raises(NumericError, match=str(exc)):
+                    lindley_estimates(fit, p, s)
+                continue
+            assert lindley_estimates(fit, p, s) == want
+        assert len(calls) == 1 + len(priors)
 
 
 _WIDE = ("484 496 497 499 500 508 509 509 511 512 528 529 539", 12, 541.3552498174076)

@@ -29,10 +29,16 @@ from iwhc import (
 )
 from iwhc import errors, posterior
 from _oracles import (
+    bayes_is_ref,
+    find_mode_ref,
     g1_rate_ref,
     g2_quadrature_cdf,
+    g2_terms_ref,
     hpd_interval_ref,
+    hull_ref,
+    hull_refresh_ref,
     posterior_quadrature_means,
+    sample_g2_ref,
     stable_sorted_cum,
     weighted_quantile_ref,
 )
@@ -205,6 +211,131 @@ def test_posterior_draws_take_lams_from_the_g2_rates(request, case, priors):
     lams = rng.gamma(s.r + priors.c, 1.0, size=500) / g1_rate_ref(s, priors, alphas)
     assert np.array_equal(out.alphas, alphas)
     assert out.lams == pytest.approx(lams, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the float setup and the lean summaries against their numpy copies
+# ---------------------------------------------------------------------------
+
+
+_TYPED = (DomainError, InsufficientDataError, NumericError, DegenerateWeightsError)
+_PRIORS3 = (FLAT, GammaPriors(2, 1, 1, 1), GammaPriors(0.5, 0.01, 3.0, 0.01))
+
+
+def _outcome(fn):
+    """``fn()``, or the type and message of the typed error it raised."""
+    try:
+        return fn()
+    except _TYPED as exc:
+        return type(exc), str(exc)
+
+
+def _g2_fields(draws, info):
+    return (draws.tobytes(), info["log_rate"].tobytes(), info["mode"], info["hull_points"],
+            info["rounds"], info["acceptance_ratio"])
+
+
+def _bayes_is_fields(res):
+    d = res.draws
+    out = [d.alphas, d.lams, d.weights, d.acceptance_ratio]
+    for est in (res.alpha, res.lam, res.theta):
+        out += [est.mean, est.variance, est.hpd.lower, est.hpd.upper]
+    return out
+
+
+def _bits_of(fields):
+    return tuple(f.tobytes() if isinstance(f, np.ndarray) else float(f).hex() for f in fields)
+
+
+def _assert_sampler_and_summaries_equal_the_copies(s, priors, seed, count):
+    """Equal bits or equal typed errors; the library must not warn, where
+    the copies warn when theta overflows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        new_g2 = _outcome(lambda: _g2_fields(*sample_g2(count, s, priors, seed,
+                                                        return_info=True)))
+        new_is = _outcome(lambda: _bits_of(_bayes_is_fields(bayes_is(s, priors, count, seed))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ref_g2 = _outcome(lambda: _g2_fields(*sample_g2_ref(count, s, priors,
+                                                            np.random.default_rng(seed))))
+        ref_is = _outcome(lambda: _bits_of(bayes_is_ref(s, priors, count, seed)))
+    assert new_g2 == ref_g2
+    assert new_is == ref_is
+
+
+@pytest.mark.parametrize("case", ["flood_complete", "flood_s1", "flood_s2",
+                                  "guinea_complete", "guinea_s1", "guinea_s2"])
+def test_sampler_and_summaries_equal_the_numpy_copies_on_datasets(request, case):
+    s = request.getfixturevalue(case)
+    for i, priors in enumerate(_PRIORS3):
+        _assert_sampler_and_summaries_equal_the_copies(s, priors, 30 + i, 1000)
+
+
+def test_sampler_and_summaries_equal_the_numpy_copies_random():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        s, _ = random_censored_sample(rng)
+        seed = int(rng.integers(2 ** 32))
+        for priors in _PRIORS3:
+            _assert_sampler_and_summaries_equal_the_copies(s, priors, seed, 1000)
+            # the mode search from starts other than the regression start
+            guess = float(np.exp(rng.uniform(-5.0, 5.0)))
+            new = _outcome(lambda: posterior._find_mode(
+                lambda a: posterior._g2_slope_curve(a, s, priors), guess))
+            ref = _outcome(lambda: find_mode_ref(lambda a: g2_terms_ref(a, s, priors, 2)[2:],
+                                                 guess))
+            assert new == ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(censored_samples(), st.sampled_from(_PRIORS3), st.integers(0, 2 ** 32 - 1))
+def test_sampler_and_summaries_equal_the_numpy_copies_property(case, priors, seed):
+    data, scheme = case
+    if scheme is None or not (np.all(np.isfinite(data)) and np.all(data > 0)):
+        return
+    _assert_sampler_and_summaries_equal_the_copies(
+        reciprocals(apply_scheme(data, scheme)), priors, seed, 50)
+
+
+# a tangent set that no concave function has can give NaN masses, in both
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+def test_hull_refresh_equals_the_numpy_copy():
+    rng = np.random.default_rng(32)
+    for _ in range(2000):
+        n = int(rng.integers(2, 14))
+        x = np.sort(np.exp(rng.normal(size=n) * 2.0))
+        d = np.sort(rng.normal(size=n) * 10.0 ** rng.uniform(-14, 3))[::-1].copy()
+        h = rng.normal(size=n) * 10.0
+        # parallel tangents, and flat ones exactly or nearly at zero slope
+        for i in np.flatnonzero(rng.random(n) < 0.2):
+            d[i] = d[i - 1] if i > 0 else d[i]
+        for i in np.flatnonzero(rng.random(n) < 0.2):
+            d[i] = rng.choice([0.0, -0.0, 1e-13, -5e-13])
+        if rng.random() < 0.5:
+            d = np.sort(d)[::-1].copy()
+        hull = posterior._Hull(x, h, d)
+        z, flat, cum = hull_refresh_ref(x, h, d)
+        assert hull.z.tobytes() == z.tobytes()
+        assert hull.flat.tobytes() == flat.tobytes()
+        assert hull.cum.tobytes() == cum.tobytes()
+        if np.isfinite(cum[-1]) and cum[-1] > 0:
+            seed = int(rng.integers(2 ** 32))
+            t, j = hull.propose(50, np.random.default_rng(seed))
+            t_ref, j_ref = hull_ref(x, h, d).propose(50, np.random.default_rng(seed))
+            assert (t.tobytes(), j.tobytes()) == (t_ref.tobytes(), j_ref.tobytes())
+
+
+def test_posterior_draws_reuse_of_one_seed_sequence(flood_s1):
+    root = np.random.SeedSequence(18)
+    first = posterior_draws(flood_s1, FLAT, 300, root)
+    again = posterior_draws(flood_s1, FLAT, 300, root)
+    from_int = posterior_draws(flood_s1, FLAT, 300, 18)
+    for draws in (again, from_int):
+        assert np.array_equal(draws.alphas, first.alphas)
+        assert np.array_equal(draws.lams, first.lams)
+        assert np.array_equal(draws.weights, first.weights)
+    assert root.n_children_spawned == 0
 
 
 def test_sample_g2_wide_shape_posterior_returns():
