@@ -4,7 +4,7 @@ comes first, and record the failures observed up to that point."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,6 +54,18 @@ class HybridSample:
         return self.scheme.n
 
 
+@lru_cache(maxsize=128)
+def _centred_positions(r: int, n: int) -> np.ndarray:
+    """``y - mean(y)`` for the plotting positions ``y = log(-log((i -
+    0.5)/n))``, i = 1..r, of :attr:`ReciprocalSample.regression_start`.
+    Read-only: every sample with this (r, n) shares it."""
+    i = np.arange(1, r + 1)
+    y = np.log(-np.log((i - 0.5) / n))
+    out = y - y.mean()
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class ReciprocalSample:
     """Reciprocals ``x_i = 1/t_(i)`` of the observed failure times.
@@ -81,7 +93,12 @@ class ReciprocalSample:
         """Rows ``(log x)**k`` for k = 0..3, so that one product with
         ``x**alpha`` and one row sum give the power sums ``S_0..S_3``."""
         lx = self.log_x
-        return np.stack([np.ones_like(lx)] + [lx ** k for k in (1, 2, 3)])
+        out = np.empty((4, lx.size))
+        out[0] = 1.0
+        out[1] = lx
+        np.square(lx, out=out[2])
+        np.power(lx, 3, out=out[3])
+        return out
 
     @cached_property
     def log_x_max(self) -> float:
@@ -116,13 +133,12 @@ class ReciprocalSample:
         alpha0 is 1 when the slope is useless or x**alpha0 under- or
         overflows, and lam0 = r / sum x**alpha0.
         """
-        i = np.arange(1, self.r + 1)
-        y = np.log(-np.log((i - 0.5) / self.n))
         lx = self.log_x
         cx = lx - lx.mean()
         with np.errstate(all="ignore"):
             denom = (cx ** 2).sum()
-            alpha0 = float((cx * (y - y.mean())).sum() / denom) if denom > 0 else 1.0
+            alpha0 = (float((cx * _centred_positions(self.r, self.n)).sum() / denom)
+                      if denom > 0 else 1.0)
             total = float(np.power(self.x, alpha0).sum())
         if not (np.isfinite(alpha0) and alpha0 > 0.05 and 0.0 < total < np.inf):
             alpha0, total = 1.0, float(self.x.sum())

@@ -41,7 +41,7 @@ __all__ = ["StudyConfig", "CellMetric", "SimulationSummary", "run_study",
 
 _METHODS = ("mle", "lindley", "is")
 _FIT_ERRORS = (ConvergenceError, NumericError, InsufficientDataError,
-               DegenerateWeightsError, np.linalg.LinAlgError)
+               DegenerateWeightsError)
 
 
 @dataclass(frozen=True)

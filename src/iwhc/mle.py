@@ -10,11 +10,14 @@ With reciprocal data ``x_i = 1/t_(i)`` the log-likelihood is
 and the censoring term vanishes for complete samples (r == n).  The value and
 every partial up to third order come from one kernel, ``_derivatives``, built
 on the power sums ``S_k = sum x**alpha * (log x)**k`` and on ``q = lam *
-u**-alpha`` and ``1/expm1(q) = e^-q/(1-e^-q)``, which stays finite for
-extreme parameters.  Where q underflows float64, the censoring term is read in
-logs as ``(n-r)*log q``.  The logs of the data come from the sample's cache,
-and the scalar arithmetic runs in Python floats, falling back to numpy
-scalars (same bits, inf instead of an exception) where a float would raise.
+u**-alpha`` and ``p = q/expm1(q)``, which tends to 1 as q falls to 0 and to 0
+as q grows, so that the censoring coefficients stay finite for extreme
+parameters (after Maechler, *Accurately computing log(1 - exp(-|a|))*, 2012).
+Where q underflows float64, the censoring term is read in logs as
+``(n-r)*log q``.  The logs of the data come from the sample's cache, and the
+scalar arithmetic runs in Python floats, falling back to numpy scalars (same
+bits, inf instead of an exception) where a float would raise.  ``fit_mle``
+solves its 2x2 Newton systems in Python floats too.
 """
 
 from __future__ import annotations
@@ -123,12 +126,13 @@ def _censor_q(alpha, lam, log_u):
     return log_q, np.maximum(q, _TINY)
 
 
-def _inv_expm1(q: float) -> float:
-    """``1/expm1(q)`` for q > 0; 0 where expm1 overflows (q above about 709.78)."""
+def _q_over_expm1(q: float) -> float:
+    """``p = q/expm1(q)`` for q > 0: 1 to float precision below about 1e-16,
+    and 0 where expm1 overflows (q above about 709.78)."""
     if q < 709.0:
-        return 1.0 / float(np.expm1(q))
+        return q / float(np.expm1(q))
     with np.errstate(over="ignore"):
-        return 1.0 / float(np.expm1(q))
+        return q / float(np.expm1(q))
 
 
 def _derivatives(alpha: float, lam: float, s: ReciprocalSample, order: int) -> list:
@@ -144,7 +148,7 @@ def _derivatives(alpha: float, lam: float, s: ReciprocalSample, order: int) -> l
     alpha, lam = float(alpha), float(lam)
     S = (s.x ** alpha * s.log_x_powers[:order + 1]).sum(axis=1).tolist()
     m = s.n - s.r
-    L = q = wD = ll_censor = 0.0
+    L = q = p = ll_censor = 0.0
     # below q = tiny the censoring term is m*log q = m*(log lam - alpha*L),
     # whose only nonzero partials are -m*L, m/lam, -m/lam**2 and 2m/lam**3
     full = tail = False
@@ -158,9 +162,9 @@ def _derivatives(alpha: float, lam: float, s: ReciprocalSample, order: int) -> l
         else:
             q = max(float(np.exp(min(log_q, 709.0))), _TINY)     # _censor_q on floats
             ll_censor = m * float(np.log(-np.expm1(-q)))
-            wD = _inv_expm1(q) if order else 0.0
+            p = _q_over_expm1(q) if order else 0.0
     return _in_floats(_derivative_terms, order, full, tail, s.r, m, float(np.log(alpha * lam)),
-                      alpha, lam, s.sum_log_x, L, q, wD, ll_censor, *S)
+                      alpha, lam, s.sum_log_x, L, q, p, ll_censor, *S)
 
 
 def _in_floats(fn, *args):
@@ -174,17 +178,24 @@ def _in_floats(fn, *args):
             return fn(*(np.float64(a) if isinstance(a, float) else a for a in args))
 
 
-def _derivative_terms(order, full, tail, r, m, log_al, alpha, lam, slx, L, q, wD, ll_censor,
+def _derivative_terms(order, full, tail, r, m, log_al, alpha, lam, slx, L, q, p, ll_censor,
                       *S) -> list:
     """The arithmetic of :func:`_derivatives` from its power sums ``S`` and
-    censoring factors, for Python floats or numpy scalars alike."""
+    censoring factors, for Python floats or numpy scalars alike.
+
+    With f(q) = log(1 - e**-q), the censoring term's partials are sums of
+    ``p = q f'(q)``, ``c2 = q (q f')' = p - pq - p**2`` and ``c3 = q c2'``,
+    times powers of L = log u and 1/lam.  Every product with q is formed as
+    ``(p*q)*q``, so a zero p never meets an overflowing q**2.
+    """
     out = [float(r * log_al - lam * S[0] + (alpha + 1.0) * slx + ll_censor)]
+    pq, pp = p * q, p * p
     if order >= 1:
         d_a = r / alpha - lam * S[1] + slx
         d_l = r / lam - S[0]
         if full:
-            d_a -= m * L * q * wD
-            d_l += m * (q / lam) * wD
+            d_a -= m * L * p
+            d_l += m * p / lam
         elif tail:
             d_a -= m * L
             d_l += m / lam
@@ -194,10 +205,10 @@ def _derivative_terms(order, full, tail, r, m, log_al, alpha, lam, slx, L, q, wD
         d2_al = -S[1]
         d2_ll = -r / lam ** 2
         if full:
-            wD2 = wD * wD
-            d2_aa += m * L ** 2 * q * (1.0 - q) * wD - m * L ** 2 * q ** 2 * wD2
-            d2_al += -m * L * (q / lam) * (1.0 - q) * wD + m * L * (q ** 2 / lam) * wD2
-            d2_ll += -m * (q / lam) ** 2 * (wD + wD2)
+            c2 = p - pq - pp
+            d2_aa += m * L ** 2 * c2
+            d2_al -= m * L * c2 / lam
+            d2_ll -= m * (pq + pp) / lam ** 2
         elif tail:
             d2_ll -= m / lam ** 2
         out.append((float(d2_aa), float(d2_al), float(d2_ll)))
@@ -207,17 +218,11 @@ def _derivative_terms(order, full, tail, r, m, log_al, alpha, lam, slx, L, q, wD
         l21 = -S[2]
         l12 = 0.0
         if full:
-            wD3 = wD2 * wD
-            poly = 1.0 - 3.0 * q + q * q
-            l30 += m * L ** 3 * (-q * poly * wD + 3.0 * q ** 2 * (1.0 - q) * wD2
-                                 - 2.0 * q ** 3 * wD3)
-            l03 += m * (q / lam) ** 3 * (wD + 3.0 * wD2 + 2.0 * wD3)
-            l21 += m * L ** 2 * ((q / lam) * poly * wD
-                                 - 3.0 * (q ** 2 / lam) * (1.0 - q) * wD2
-                                 + 2.0 * (q ** 3 / lam) * wD3)
-            l12 += m * L * ((q / lam) ** 2 * (2.0 - q) * wD
-                            + (q / lam) ** 2 * (2.0 - 3.0 * q) * wD2
-                            - 2.0 * (q ** 3 / lam ** 2) * wD3)
+            c3 = p - 3.0 * pq - 3.0 * pp + pq * q + 3.0 * pq * p + 2.0 * pp * p
+            l30 -= m * L ** 3 * c3
+            l03 += m * (pq * q + 3.0 * pq * p + 2.0 * pp * p) / lam ** 3
+            l21 += m * L ** 2 * c3 / lam
+            l12 -= m * L * (c3 - c2) / lam ** 2
         elif tail:
             l03 += 2.0 * m / lam ** 3
         out.append((float(l30), float(l03), float(l21), float(l12)))
@@ -244,6 +249,33 @@ def _sup_norm(a: float, b: float) -> float:
     return a if a >= b or a != a else b
 
 
+def _newton_step(h11: float, h12: float, h22: float, g1: float, g2: float) -> tuple:
+    """The ascent step of :func:`fit_mle` from the Hessian ``[[h11, h12],
+    [h12, h22]]`` and the gradient ``(g1, g2)``, in Python floats.
+
+    Solves ``H s = -g`` by Gaussian elimination with partial pivoting: the
+    first pivot is the larger of |h11| and |h12| (h11 on a tie).  An exactly
+    zero pivot (H singular) gives the gradient step ``g``.  A step that does
+    not ascend, ``g . s > 0`` failing also where it is not finite, gives ``g``
+    scaled to a sup-norm of at most 1.  No division is by zero.
+    """
+    s1, s2 = g1, g2
+    if abs(h12) > abs(h11):      # eliminate with the second row
+        p0, p1, pb, o0, o1, ob = h12, h22, -g2, h11, h12, -g1
+    else:
+        p0, p1, pb, o0, o1, ob = h11, h12, -g1, h12, h22, -g2
+    if p0 != 0.0:
+        f = o0 / p0
+        u = o1 - f * p1
+        if u != 0.0:
+            s2 = (ob - f * pb) / u
+            s1 = (pb - p1 * s2) / p0
+    if not g1 * s1 + g2 * s2 > 0.0:
+        scale = max(1.0, _sup_norm(g1, g2))
+        s1, s2 = g1 / scale, g2 / scale
+    return s1, s2
+
+
 def fit_mle(s: ReciprocalSample, config: SolverConfig = SolverConfig()) -> MleFit:
     """Damped Newton ascent on (log alpha, log lam).
 
@@ -265,8 +297,6 @@ def fit_mle(s: ReciprocalSample, config: SolverConfig = SolverConfig()) -> MleFi
     # extreme iterates overflow in the Newton step and the line search; the
     # gradient step replaces a step that is not finite, and a candidate that
     # leaves (0, inf) or whose log-likelihood is not finite is a failed halving.
-    # The scalar work is in Python floats, in the rounding order of the matrix
-    # form: h_eta = H * outer(jac, jac) + diag(g_eta) with jac = (alpha, lam).
     with np.errstate(all="ignore"):
         if config.alpha0 is not None and config.lam0 is not None:
             alpha, lam = config.alpha0, config.lam0
@@ -279,21 +309,11 @@ def fit_mle(s: ReciprocalSample, config: SolverConfig = SolverConfig()) -> MleFi
             if _sup_norm(*g) < config.tol:
                 iterations -= 1
                 break
-            # chain rule to eta = (log alpha, log lam)
+            # chain rule to eta = (log alpha, log lam): h_eta = H * outer(jac,
+            # jac) + diag(g_eta) with jac = (alpha, lam)
             ge_a, ge_l = alpha * g[0], lam * g[1]
-            off = h[1] * (alpha * lam) + 0.0
-            h_eta = np.array([[h[0] * (alpha * alpha) + ge_a, off],
-                              [off, h[2] * (lam * lam) + ge_l]])
-            rhs = np.array([-ge_a, -ge_l])
-            try:
-                step = np.linalg.solve(h_eta, rhs)
-            except np.linalg.LinAlgError:
-                step = -rhs
-            # rhs @ step is exactly -(g_eta @ step): negating one factor
-            # negates every rounded product and sum of the dot product
-            if not rhs @ step < 0.0:
-                step = -rhs / max(1.0, _sup_norm(ge_a, ge_l))
-            step_a, step_l = step.tolist()
+            step_a, step_l = _newton_step(h[0] * (alpha * alpha) + ge_a, h[1] * (alpha * lam),
+                                          h[2] * (lam * lam) + ge_l, ge_a, ge_l)
             scale = 1.0
             improved = False
             for _ in range(60):

@@ -348,6 +348,10 @@ def sample_g2(
     log_rate = np.empty(count)
     filled = proposals = accepted = rounds = 0
     while filled < count:
+        # slope rounding can fake a mode of an improper g2, and the hull
+        # masses far out are then NaN: nothing could ever be accepted
+        if not 0.0 < hull.cum[-1] < math.inf:
+            raise InsufficientDataError(f"{_IMPROPER}: the envelope of g2 has no finite mass")
         need = count - filled
         t, j = hull.propose(need + need // 16 + 4, rng)
         u = rng.random(t.size)

@@ -27,8 +27,8 @@ from iwhc import (ConvergenceError, CovarianceMatrix, GammaPriors, InsufficientD
 
 
 def _censor_terms(alpha, lam, s):
-    """(L, q, wD) with L=log u, q=lam*u**-alpha, wD=1/expm1(q); None if r==n
-    or if q underflows (see :func:`_log_q_tail`)."""
+    """(L, q, p) with L=log u, q=lam*u**-alpha, p=q/expm1(q) (0 where expm1
+    overflows); None if r==n or if q underflows (see :func:`_log_q_tail`)."""
     if s.n == s.r or _log_q_tail(alpha, lam, s) is not None:
         return None
     L = np.log(s.u)
@@ -36,8 +36,16 @@ def _censor_terms(alpha, lam, s):
     q = max(q, np.finfo(float).tiny)
     with np.errstate(over="ignore"):
         e = np.expm1(q)
-    wD = 0.0 if np.isinf(e) else 1.0 / e
-    return L, q, wD
+    p = 0.0 if np.isinf(e) else q / e
+    return L, q, p
+
+
+def _censor_coefficients(q, p):
+    """(c2, c3) of the censoring term's partials: with f(q) = log(1 - e**-q),
+    p = q f'(q), c2 = q p'(q) and c3 = q c2'(q), each product with q formed
+    as (p*q)*q."""
+    pq, pp = p * q, p * p
+    return p - pq - pp, p - 3.0 * pq - 3.0 * pp + pq * q + 3.0 * pq * p + 2.0 * pp * p
 
 
 def _log_q_tail(alpha, lam, s):
@@ -73,10 +81,10 @@ def score_ref(alpha, lam, s):
     d_l = s.r / lam - xa.sum()
     blocks = _censor_terms(alpha, lam, s)
     if blocks is not None:
-        L, q, wD = blocks
+        L, q, p = blocks
         m = s.n - s.r
-        d_a -= m * L * q * wD
-        d_l += m * (q / lam) * wD
+        d_a -= m * L * p
+        d_l += m * p / lam
     tail = _log_q_tail(alpha, lam, s)
     if tail is not None:
         m, L, _ = tail
@@ -95,12 +103,12 @@ def observed_fisher_ref(alpha, lam, s):
     d2_ll = -s.r / lam ** 2
     blocks = _censor_terms(alpha, lam, s)
     if blocks is not None:
-        L, q, wD = blocks
+        L, q, p = blocks
         m = s.n - s.r
-        wD2 = wD * wD
-        d2_aa += m * L ** 2 * q * (1.0 - q) * wD - m * L ** 2 * q ** 2 * wD2
-        d2_al += -m * L * (q / lam) * (1.0 - q) * wD + m * L * (q ** 2 / lam) * wD2
-        d2_ll += -m * (q / lam) ** 2 * (wD + wD2)
+        c2, _ = _censor_coefficients(q, p)
+        d2_aa += m * L ** 2 * c2
+        d2_al -= m * L * c2 / lam
+        d2_ll -= m * (p * q + p * p) / lam ** 2
     tail = _log_q_tail(alpha, lam, s)
     if tail is not None:
         d2_ll -= tail[0] / lam ** 2
@@ -118,20 +126,14 @@ def third_derivatives_ref(alpha, lam, s):
     l12 = 0.0
     blocks = _censor_terms(alpha, lam, s)
     if blocks is not None:
-        L, q, wD = blocks
+        L, q, p = blocks
         m = s.n - s.r
-        wD2 = wD * wD
-        wD3 = wD2 * wD
-        poly = 1.0 - 3.0 * q + q * q
-        l30 += m * L ** 3 * (-q * poly * wD + 3.0 * q ** 2 * (1.0 - q) * wD2
-                             - 2.0 * q ** 3 * wD3)
-        l03 += m * (q / lam) ** 3 * (wD + 3.0 * wD2 + 2.0 * wD3)
-        l21 += m * L ** 2 * ((q / lam) * poly * wD
-                             - 3.0 * (q ** 2 / lam) * (1.0 - q) * wD2
-                             + 2.0 * (q ** 3 / lam) * wD3)
-        l12 += m * L * ((q / lam) ** 2 * (2.0 - q) * wD
-                        + (q / lam) ** 2 * (2.0 - 3.0 * q) * wD2
-                        - 2.0 * (q ** 3 / lam ** 2) * wD3)
+        c2, c3 = _censor_coefficients(q, p)
+        pq = p * q
+        l30 -= m * L ** 3 * c3
+        l03 += m * (pq * q + 3.0 * pq * p + 2.0 * (p * p) * p) / lam ** 3
+        l21 += m * L ** 2 * c3 / lam
+        l12 -= m * L * (c3 - c2) / lam ** 2
     tail = _log_q_tail(alpha, lam, s)
     if tail is not None:
         l03 += 2.0 * tail[0] / lam ** 3
@@ -142,9 +144,10 @@ def third_derivatives_ref(alpha, lam, s):
 # the Newton MLE over the term-by-term formulas
 # ---------------------------------------------------------------------------
 #
-# A copy of the damped Newton loop as it ran on numpy scalars and arrays,
-# before the library moved its scalar work to Python floats; the library must
-# match it in every field and every error.
+# A copy of the damped Newton loop on numpy scalars, with its step either by
+# Gaussian elimination, as the library takes it in Python floats (the library
+# must match this loop in every field and every error), or by LAPACK, as the
+# library took it before (the library must agree with that loop to rounding).
 
 
 def _initial_guess_ref(s):
@@ -166,7 +169,30 @@ def _derivatives_ref(alpha, lam, s):
             observed_fisher_ref(alpha, lam, s))
 
 
-def fit_mle_ref(s, config=SolverConfig()):
+def elimination_solve(h_eta, g_eta):
+    """The solution of ``h_eta @ step = -g_eta`` by Gaussian elimination with
+    partial pivoting on numpy scalars; raises ``LinAlgError`` at an exactly
+    zero pivot, as LAPACK does."""
+    (h11, h12), (_, h22) = h_eta
+    rows = [[h11, h12, -g_eta[0]], [h12, h22, -g_eta[1]]]
+    if np.abs(h12) > np.abs(h11):
+        rows.reverse()
+    (p0, p1, pb), (o0, o1, ob) = rows
+    if p0 == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    f = o0 / p0
+    u = o1 - f * p1
+    if u == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    s2 = (ob - f * pb) / u
+    return np.array([(pb - p1 * s2) / p0, s2])
+
+
+def lapack_solve(h_eta, g_eta):
+    return np.linalg.solve(h_eta, -g_eta)
+
+
+def fit_mle_ref(s, config=SolverConfig(), solve=elimination_solve):
     if s.r < 2:
         raise InsufficientDataError(
             f"a two-parameter fit needs at least 2 observed failures, got r={s.r}"
@@ -192,7 +218,7 @@ def fit_mle_ref(s, config=SolverConfig()):
             h_eta = (np.array([[fisher[0], fisher[1]], [fisher[1], fisher[2]]])
                      * np.outer(jac, jac) + np.diag(g_eta))
             try:
-                step = np.linalg.solve(h_eta, -g_eta)
+                step = solve(h_eta, g_eta)
             except np.linalg.LinAlgError:
                 step = g_eta
             if not g_eta @ step > 0.0:

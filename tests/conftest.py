@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -6,6 +7,24 @@ from hypothesis import strategies as st
 
 from iwhc import HybridScheme, IwParams, apply_scheme, reciprocals, sample
 from iwhc.datasets import load_bundled
+
+
+@pytest.fixture
+def deadline():
+    """``deadline(seconds)`` fails the test once it has run that many more
+    seconds (whole seconds, by ``SIGALRM``), so a regression to a hang fails
+    quickly instead of stalling the suite.  The alarm is cleared at teardown."""
+    def expire(signum, frame):
+        pytest.fail("the test ran past its deadline", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+
+    def arm(seconds: int):
+        signal.alarm(seconds)
+
+    yield arm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -114,9 +114,22 @@ def test_bayes_is_improper_posterior_fails(capsys, tmp_path):
     assert "improper" in err
 
 
-def test_bayes_is_lam_overflow_fails(capsys, tmp_path):
+def test_bayes_is_improper_posterior_with_a_rounded_mode_fails(capsys, tmp_path, deadline):
+    # sixteen failures tied at u = 0.003 of 39 units: the sampler never returned
+    deadline(10)
+    path = tmp_path / "tied.txt"
+    path.write_text("0.003 " * 16 + "1.0 " * 23 + "\n")
+    code, out, err = run_cli(capsys, "bayes", str(path), "--big-r", "16", "--time", "0.5",
+                             "--method", "is")
+    assert code == 1
+    assert out == ""
+    assert "improper" in err
+
+
+def test_bayes_is_lam_overflow_fails(capsys, tmp_path, deadline):
     # the shape posterior reaches alphas where lam overflows float64; this
     # command used to run forever
+    deadline(10)
     path = tmp_path / "wide.txt"
     path.write_text("9.22 9.29 9.82 9.99 10.13 10.31\n")
     code, out, err = run_cli(capsys, "bayes", str(path), "--big-r", "4", "--time", "9.308",

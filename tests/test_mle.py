@@ -23,10 +23,12 @@ from iwhc import (
     third_derivatives,
 )
 from iwhc import errors
+from iwhc.mle import _newton_step
 from _oracles import (
     fd_gradient,
     fd_hessian,
     fit_mle_ref,
+    lapack_solve,
     log_likelihood_ref,
     observed_fisher_ref,
     score_ref,
@@ -117,12 +119,16 @@ def test_kernel_equals_reference_formulas_random():
                                          params.lam * rng.uniform(0.1, 10.0), s)
 
 
+_FIT_ERRORS = (ConvergenceError, InsufficientDataError, errors.NumericError)
+
+
 def _assert_fit_matches_reference(s, config=SolverConfig()):
-    """fit_mle equals the numpy-scalar Newton loop of the oracles in every
-    field, or raises the same error with the same message."""
+    """fit_mle equals the numpy-scalar Newton loop of the oracles, with the
+    same elimination step, in every field, or raises the same error with the
+    same message."""
     try:
         want = fit_mle_ref(s, config)
-    except (ConvergenceError, InsufficientDataError, errors.NumericError) as exc:
+    except _FIT_ERRORS as exc:
         with pytest.raises(type(exc)) as got:
             fit_mle(s, config)
         assert str(got.value) == str(exc)
@@ -141,6 +147,73 @@ def test_fit_equals_reference_loop_random():
     rng = np.random.default_rng(32)
     for _ in range(200):
         _assert_fit_matches_reference(random_censored_sample(rng)[0])
+
+
+def _assert_fit_near_lapack_loop(s):
+    """fit_mle agrees with the Newton loop that solves each step by LAPACK to
+    a relative 1e-12, in as many iterations, or both raise the same error."""
+    try:
+        want = fit_mle_ref(s, solve=lapack_solve)
+    except _FIT_ERRORS as exc:
+        with pytest.raises(type(exc)):
+            fit_mle(s)
+        return
+    got = fit_mle(s)
+    assert got.iterations == want.iterations
+    for field in ("alpha_hat", "lam_hat", "theta_hat", "loglik"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=0)
+    for field in ("v11", "v12", "v22"):
+        assert getattr(got.cov, field) == pytest.approx(getattr(want.cov, field), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["flood_complete", "flood_s1", "flood_s2",
+                                  "guinea_complete", "guinea_s1", "guinea_s2"])
+def test_fit_agrees_with_lapack_loop_on_datasets(request, name):
+    _assert_fit_near_lapack_loop(request.getfixturevalue(name))
+
+
+def test_fit_agrees_with_lapack_loop_random():
+    rng = np.random.default_rng(31)
+    for _ in range(1000):
+        _assert_fit_near_lapack_loop(random_censored_sample(rng)[0])
+
+
+def test_newton_step_matches_lapack_on_well_conditioned_systems():
+    rng = np.random.default_rng(34)
+    for _ in range(2000):
+        # symmetric with condition number below 100, pivoting either way
+        scale = 10.0 ** rng.uniform(-6, 6)
+        eig = -scale * rng.uniform(1.0, 100.0, 2)
+        turn = rng.uniform(0, np.pi)
+        rot = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+        h = rot @ np.diag(eig) @ rot.T
+        h = (h + h.T) / 2
+        g = rng.normal(size=2) * 10.0 ** rng.uniform(-6, 6, 2)
+        want = np.linalg.solve(h, -g)
+        got = _newton_step(h[0, 0], h[0, 1], h[1, 1], g[0], g[1])
+        assert got == pytest.approx(tuple(want), rel=1e-12, abs=1e-12 * np.abs(want).max())
+
+
+def test_newton_step_singular_hessian_takes_the_gradient_step():
+    # zero first pivot, then a zero second pivot: LAPACK's LinAlgError cases
+    for h in ((0.0, 0.0, -3.0), (-1.0, 2.0, -4.0), (0.0, 0.0, 0.0)):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve([[h[0], h[1]], [h[1], h[2]]], [1.0, 1.0])
+        assert _newton_step(*h, 30.0, -0.5) == (30.0, -0.5)
+
+
+def test_newton_step_not_finite_takes_the_scaled_gradient_step():
+    # a NaN anywhere, or an infinite pivot that leaves a zero or NaN step
+    nan, inf = math.nan, math.inf
+    for h in ((nan, 0.5, -2.0), (-1.0, nan, -2.0), (-1.0, 0.5, nan),
+              (-1.0, inf, -2.0), (inf, inf, -2.0), (-inf, -inf, -inf)):
+        assert _newton_step(*h, 30.0, -0.5) == (1.0, -0.5 / 30.0)
+        assert _newton_step(*h, 0.25, -0.5) == (0.25, -0.5)
+
+
+def test_newton_step_that_descends_takes_the_scaled_gradient_step():
+    # H positive definite: the Newton step -H^-1 g runs downhill
+    assert _newton_step(1.0, 0.0, 1.0, 4.0, 2.0) == (1.0, 0.5)
 
 
 @pytest.mark.parametrize("times, R, T", [
@@ -303,6 +376,24 @@ def test_kernel_in_the_underflow_tail():
     fisher = observed_fisher(2e5, 1.125, s)
     assert np.all(np.isfinite([fisher.d2_aa, fisher.d2_al, fisher.d2_ll]))
     assert fisher.d2_ll == pytest.approx(-s.n / 1.125 ** 2, rel=1e-15)
+
+
+def test_kernel_is_finite_across_the_censoring_factor_bands():
+    # 1/expm1(q) squared to inf while q**2 underflowed for tiny <= q < 1e-154
+    # (alpha from about 9e4 to 1.8e5 here; the thirds from 6e4), and q**2
+    # overflowed against 1/expm1(q) = 0 for q above 1e154 (lam = 1e160)
+    s = _tied_then_censored()
+    points = [(alpha, 1.125) for alpha in np.geomspace(5e4, 2e5, 200)]
+    points += [(1.0, np.float64(lam)) for lam in (1e100, 1e160, 1e300)]
+    for alpha, lam in points:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fisher = observed_fisher(alpha, lam, s)
+            thirds = third_derivatives(alpha, lam, s)
+        assert np.all(np.isfinite([fisher.d2_aa, fisher.d2_al, fisher.d2_ll]))
+        assert np.all(np.isfinite(thirds))
+        with np.errstate(all="ignore"):     # lam**2 overflows in the reference
+            _assert_kernel_matches_reference(alpha, lam, s)
 
 
 def test_nonconvergence_carries_last_iterate(flood_s1):

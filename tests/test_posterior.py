@@ -15,6 +15,7 @@ from iwhc import (
     IwParams,
     NumericError,
     PosteriorDraws,
+    ReciprocalSample,
     apply_scheme,
     bayes_is,
     g2_log_density,
@@ -149,6 +150,19 @@ def test_sample_g2_improper_posterior_is_insufficient_data():
     # all failures tied at t=1: log g2 = (a+r-1)*log(alpha) + const keeps rising
     with pytest.raises(InsufficientDataError, match="improper"):
         sample_g2(10, _complete([1.0] * 5), FLAT, seed=0)
+
+
+@pytest.mark.parametrize("s", [
+    ReciprocalSample(x=np.full(18, 1 / 8), u=8.0, r=18, n=32),
+    ReciprocalSample(x=np.full(16, 1 / 0.003), u=0.003, r=16, n=39),
+], ids=["eighteen-tied-at-u", "sixteen-tied-at-u"])
+def test_sample_g2_improper_with_a_rounded_mode_is_insufficient_data(deadline, s):
+    # every failure tied at the censoring time u under flat priors: log g2 =
+    # (r-1)*log(alpha) + const, but its float slope reads 0 near alpha =
+    # 4.8e15; the hull masses there came out NaN and the sampler never returned
+    deadline(5)
+    with pytest.raises(InsufficientDataError, match="improper"):
+        sample_g2(1000, s, FLAT, seed=0)
 
 
 def test_sample_g2_tail_that_never_turns_over_is_insufficient_data(monkeypatch):
@@ -338,8 +352,9 @@ def test_posterior_draws_reuse_of_one_seed_sequence(flood_s1):
     assert root.n_children_spawned == 0
 
 
-def test_sample_g2_wide_shape_posterior_returns():
+def test_sample_g2_wide_shape_posterior_returns(deadline):
     # sum x**alpha underflowed above alpha ~ 330 and the sampler never returned
+    deadline(10)
     s = _wide_shape_sample()
     assert np.all(np.isfinite(g2_log_density(np.array([400.0, 1e4, 1e6]), s, FLAT)))
     draws = sample_g2(200, s, FLAT, seed=0)
@@ -347,7 +362,8 @@ def test_sample_g2_wide_shape_posterior_returns():
     assert np.all(np.isfinite(draws)) and np.all(draws > 0)
 
 
-def test_bayes_is_lam_overflow_is_numeric_error():
+def test_bayes_is_lam_overflow_is_numeric_error(deadline):
+    deadline(10)
     with pytest.raises(NumericError, match="overflow"):
         bayes_is(_wide_shape_sample(), FLAT, 200, seed=0)
 
