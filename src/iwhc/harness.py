@@ -8,10 +8,11 @@ intervals for importance sampling; the expansion estimator has no interval).
 
 Reproducibility contract: replicate seeds derive from
 ``SeedSequence((base_seed, cell_index, replicate_index))``; child 0 generates
-the data and child 1+p drives importance sampling under prior p.  Replicates
-are therefore independent tasks whose results merge in replicate order, and a
-summary is bit-identical for a given config no matter how the replicates are
-scheduled.
+the data and child 1+p drives importance sampling under prior p.  Each
+replicate is one independent task that returns a record per (method, prior)
+group, and a merge step builds the rows from the records in replicate order,
+so a summary is bit-identical for a given config no matter how the replicates
+are scheduled, and no group's stream depends on which other groups run.
 """
 
 from __future__ import annotations
@@ -73,6 +74,9 @@ class StudyConfig:
                 raise DomainError(f"unknown method {method!r}; choose from {_METHODS}")
         for n, T, R in self.cells:
             HybridScheme(n=int(n), R=int(R), T=float(T))  # validates invariants
+        if not self.cells or not _groups(self):
+            raise DomainError("the study runs no estimator: it needs a cell and a method, "
+                              "and lindley and is need a prior")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StudyConfig":
@@ -147,94 +151,77 @@ def _se(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(values.size))
 
 
+def _groups(config: StudyConfig) -> list:
+    """The (method, prior index) of every estimator the study runs, in row
+    order: the MLE, then Lindley and importance sampling under each prior."""
+    groups = [("mle", None)] if "mle" in config.methods else []
+    for pi in range(len(config.priors)):
+        groups += [(method, pi) for method in ("lindley", "is") if method in config.methods]
+    return groups
+
+
+def _replicate(config: StudyConfig, scheme: HybridScheme, params: IwParams, groups: list,
+               entropy: tuple) -> list:
+    """Draws, censors and fits one replicate.
+
+    Returns one record per group: ``(alpha, lambda, alpha length, lambda
+    length)``, with lengths ``None`` for Lindley, or ``None`` where the fit
+    failed.  Fewer than two failures fail every group.
+    """
+    # child k of SeedSequence(entropy), as spawn() gives it, made only for
+    # the streams this replicate uses
+    data = sample(scheme.n, params, np.random.SeedSequence(entropy, spawn_key=(0,)))
+    rs = reciprocals(apply_scheme(data, scheme))
+    if rs.r < 2:
+        return [None] * len(groups)
+    # one MLE for the groups that need it; row order puts them first
+    fit = None
+    if groups[0][0] != "is":
+        try:
+            fit = fit_mle(rs)
+        except _FIT_ERRORS:
+            pass
+    records = []
+    for method, pi in groups:
+        try:
+            if method == "is":
+                res = bayes_is(rs, config.priors[pi], config.draws,
+                               np.random.SeedSequence(entropy, spawn_key=(1 + pi,)),
+                               level=config.level)
+                record = (res.alpha.mean, res.lam.mean, res.alpha.hpd.length, res.lam.hpd.length)
+            elif fit is None:
+                record = None
+            elif method == "mle":
+                ci_a, ci_l, _ = asymptotic_ci(fit, config.level)
+                record = (fit.alpha_hat, fit.lam_hat, ci_a.length, ci_l.length)
+            else:
+                lest = lindley_estimates(fit, config.priors[pi], rs)
+                record = (lest.alpha_L, lest.lambda_L, None, None)
+        except _FIT_ERRORS:
+            record = None
+        records.append(record)
+    return records
+
+
 def run_study(config: StudyConfig) -> SimulationSummary:
-    truth = {"alpha": config.true_alpha, "lambda": config.true_lambda}
+    truth = (config.true_alpha, config.true_lambda)
     params = IwParams.from_rate(config.true_alpha, config.true_lambda)
-    want_mle = "mle" in config.methods
-    want_lin = "lindley" in config.methods
-    want_is = "is" in config.methods
+    groups = _groups(config)
     rows: list[CellMetric] = []
     estimates: dict = {}
     lengths: dict = {}
 
     for cell_idx, (n, T, R) in enumerate(config.cells):
         scheme = HybridScheme(n=int(n), R=int(R), T=float(T))
-        est: dict = {}
-        lens: dict = {}
-        fails: dict = {}
-
-        def record(key, parameter, value, length=None):
-            est.setdefault((key, parameter), []).append(value)
-            if length is not None:
-                lens.setdefault((key, parameter), []).append(length)
-
-        def fail(key):
-            fails[key] = fails.get(key, 0) + 1
-
-        method_keys = []
-        if want_mle:
-            method_keys.append(("mle", None))
-        for pi in range(len(config.priors)):
-            if want_lin:
-                method_keys.append(("lindley", pi))
-            if want_is:
-                method_keys.append(("is", pi))
-
-        for rep in range(config.replicates):
-            # child k of SeedSequence(entropy), as spawn() gives it, made
-            # only for the streams this replicate uses
-            entropy = (config.base_seed, cell_idx, rep)
-            data = sample(scheme.n, params, np.random.SeedSequence(entropy, spawn_key=(0,)))
-            rs = reciprocals(apply_scheme(data, scheme))
-            if rs.r < 2:
-                for key in method_keys:
-                    fail(key)
-                continue
-            fit = None
-            if want_mle or want_lin:
-                try:
-                    fit = fit_mle(rs)
-                except _FIT_ERRORS:
-                    fit = None
-            if want_mle:
-                if fit is None:
-                    fail(("mle", None))
-                else:
-                    ci_a, ci_l, _ = asymptotic_ci(fit, config.level)
-                    record(("mle", None), "alpha", fit.alpha_hat, ci_a.length)
-                    record(("mle", None), "lambda", fit.lam_hat, ci_l.length)
-            if want_lin:
-                for pi, prior in enumerate(config.priors):
-                    if fit is None:
-                        fail(("lindley", pi))
-                        continue
-                    try:
-                        lest = lindley_estimates(fit, prior, rs)
-                    except _FIT_ERRORS:
-                        fail(("lindley", pi))
-                        continue
-                    record(("lindley", pi), "alpha", lest.alpha_L)
-                    record(("lindley", pi), "lambda", lest.lambda_L)
-            if want_is:
-                for pi, prior in enumerate(config.priors):
-                    try:
-                        res = bayes_is(rs, prior, config.draws,
-                                       np.random.SeedSequence(entropy, spawn_key=(1 + pi,)),
-                                       level=config.level)
-                    except _FIT_ERRORS:
-                        fail(("is", pi))
-                        continue
-                    record(("is", pi), "alpha", res.alpha.mean, res.alpha.hpd.length)
-                    record(("is", pi), "lambda", res.lam.mean, res.lam.hpd.length)
-
-        for key in method_keys:
-            method, pi = key
+        records = [_replicate(config, scheme, params, groups, (config.base_seed, cell_idx, rep))
+                   for rep in range(config.replicates)]
+        for g, (method, pi) in enumerate(groups):
+            fits = [rec[g] for rec in records if rec[g] is not None]
             prior = config.priors[pi].as_tuple() if pi is not None else None
-            n_fail = fails.get(key, 0)
-            for parameter in ("alpha", "lambda"):
-                vals = np.array(est.get((key, parameter), []))
-                lvals = np.array(lens.get((key, parameter), []))
-                errors2 = (vals - truth[parameter]) ** 2 if vals.size else np.array([])
+            for i, parameter in enumerate(("alpha", "lambda")):
+                vals = np.array([fit[i] for fit in fits])
+                lvals = np.array([fit[2 + i] for fit in fits if fit[2 + i] is not None])
+                errors2 = (vals - truth[i]) ** 2
                 rows.append(CellMetric(
                     n=scheme.n, T=scheme.T, R=scheme.R,
                     method=method, prior=prior, parameter=parameter,
@@ -244,8 +231,8 @@ def run_study(config: StudyConfig) -> SimulationSummary:
                     se_average=_se(vals),
                     se_mse=_se(errors2),
                     se_interval_length=_se(lvals) if lvals.size else None,
-                    replicates_used=int(vals.size),
-                    failures=n_fail,
+                    replicates_used=len(fits),
+                    failures=config.replicates - len(fits),
                 ))
                 estimates[(cell_idx, method, pi, parameter)] = vals
                 if lvals.size:
@@ -275,23 +262,11 @@ def _column_label(method: str, prior) -> str:
 def format_table(summary: SimulationSummary) -> str:
     """Aligned text tables: A.E/MSE per parameter, then interval lengths."""
     rows = summary.rows
-    columns: list[tuple[str, tuple | None]] = []
+    columns = list(dict.fromkeys((row.method, row.prior) for row in rows))
+    cells = list(dict.fromkeys((row.n, row.T, row.R) for row in rows))
+    by_key: dict = {}
     for row in rows:
-        key = (row.method, row.prior)
-        if key not in columns:
-            columns.append(key)
-    cells = []
-    for row in rows:
-        cell = (row.n, row.T, row.R)
-        if cell not in cells:
-            cells.append(cell)
-
-    def lookup(cell, col, parameter):
-        for row in rows:
-            if ((row.n, row.T, row.R) == cell and (row.method, row.prior) == col
-                    and row.parameter == parameter):
-                return row
-        return None
+        by_key.setdefault(((row.n, row.T, row.R), (row.method, row.prior), row.parameter), row)
 
     width = 18
     out = []
@@ -304,7 +279,7 @@ def format_table(summary: SimulationSummary) -> str:
             for metric in ("A.E", "MSE"):
                 line = f"({n:3d},{T:5.2f}) {R:4d}  {metric:6s}"
                 for col in columns:
-                    row = lookup(cell, col, parameter)
+                    row = by_key.get((cell, col, parameter))
                     if row is None or np.isnan(row.average_estimate):
                         line += "-".rjust(width)
                     else:
@@ -322,7 +297,7 @@ def format_table(summary: SimulationSummary) -> str:
             for parameter in ("alpha", "lambda"):
                 line = f"({n:3d},{T:5.2f}) {R:4d}  {parameter:6s}"
                 for col in interval_cols:
-                    row = lookup(cell, col, parameter)
+                    row = by_key.get((cell, col, parameter))
                     if row is None or row.avg_interval_length is None:
                         line += "-".rjust(width)
                     else:

@@ -190,6 +190,7 @@ _MAX_HULL_POINTS = 60
 _MODE_STEP = 2.0           # longest Newton step of the mode search, in log alpha
 _LOG_ALPHA_LIMIT = 80.0    # the mode search stays in exp(-80) < alpha < exp(80)
 _IMPROPER = "the alpha posterior is improper for these data and priors"
+_SLOPE_ROUNDING = 8.0 * math.ulp(1.0)   # relative rounding of (log g2)'
 
 
 class _Hull:
@@ -343,13 +344,20 @@ def sample_g2(
         ds.append(d)
         if xs[-1] > 1e12:
             raise InsufficientDataError(f"{_IMPROPER}: the upper tail of g2 never turns over")
+    # a rising (a+r-1)/alpha lost to the rounding of the slope's other terms
+    # fakes a mode of an improper g2, and a tail that seems to turn over
+    k = priors.a + s.r - 1.0
+    if k > 0 and k / mode <= _SLOPE_ROUNDING * (
+            abs((s.r + priors.c) * s.log_x_max) + abs(s.sum_log_x) + priors.b):
+        raise InsufficientDataError(f"{_IMPROPER}: the slope of log g2 vanishes only to "
+                                    f"rounding at alpha={mode:.3g}")
     hull = _Hull(xs, hs, ds)
     draws = np.empty(count)
     log_rate = np.empty(count)
     filled = proposals = accepted = rounds = 0
     while filled < count:
-        # slope rounding can fake a mode of an improper g2, and the hull
-        # masses far out are then NaN: nothing could ever be accepted
+        # an envelope without finite mass (NaN hull masses far out, as on a
+        # faked mode) could never accept a draw
         if not 0.0 < hull.cum[-1] < math.inf:
             raise InsufficientDataError(f"{_IMPROPER}: the envelope of g2 has no finite mass")
         need = count - filled

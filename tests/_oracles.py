@@ -5,7 +5,8 @@ sampling code paths: the reference formulas compute each derivative on its
 own, finite differences use the log-likelihood alone, and posterior moments
 come from nested adaptive quadrature of the joint posterior density.  Where
 the library has moved a loop from numpy to Python floats, a copy of the numpy
-version pins its bits.
+version pins its bits, and where it has split a loop into parts, a copy of the
+loop does.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate, optimize, special, stats
 
-from iwhc import (ConvergenceError, CovarianceMatrix, GammaPriors, InsufficientDataError,
-                  MleFit, NumericError, ReciprocalSample, SolverConfig, log_likelihood)
+from iwhc import (ConvergenceError, CovarianceMatrix, DegenerateWeightsError, GammaPriors,
+                  HybridScheme, InsufficientDataError, IwParams, MleFit, NumericError,
+                  ReciprocalSample, SolverConfig, apply_scheme, asymptotic_ci, bayes_is,
+                  fit_mle, lindley_estimates, log_likelihood, reciprocals, sample)
 
 
 # ---------------------------------------------------------------------------
@@ -702,3 +705,117 @@ def bayes_is_ref(s, priors, count, seed, level=0.95):
             raise NumericError(f"degenerate interval ({lo}, {hi})")
         out += [mean, var, lo, hi]
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the study harness as one loop
+# ---------------------------------------------------------------------------
+
+
+def run_study_ref(config):
+    """``run_study`` as one loop over cells and replicates that records and
+    counts failures in three dicts per cell, as the harness did before it was
+    split into per-replicate records and a merge."""
+    from iwhc.harness import _FIT_ERRORS, CellMetric, SimulationSummary, _se
+
+    truth = {"alpha": config.true_alpha, "lambda": config.true_lambda}
+    params = IwParams.from_rate(config.true_alpha, config.true_lambda)
+    want_mle = "mle" in config.methods
+    want_lin = "lindley" in config.methods
+    want_is = "is" in config.methods
+    rows = []
+    estimates = {}
+    lengths = {}
+
+    for cell_idx, (n, T, R) in enumerate(config.cells):
+        scheme = HybridScheme(n=int(n), R=int(R), T=float(T))
+        est = {}
+        lens = {}
+        fails = {}
+
+        def record(key, parameter, value, length=None):
+            est.setdefault((key, parameter), []).append(value)
+            if length is not None:
+                lens.setdefault((key, parameter), []).append(length)
+
+        def fail(key):
+            fails[key] = fails.get(key, 0) + 1
+
+        method_keys = []
+        if want_mle:
+            method_keys.append(("mle", None))
+        for pi in range(len(config.priors)):
+            if want_lin:
+                method_keys.append(("lindley", pi))
+            if want_is:
+                method_keys.append(("is", pi))
+
+        for rep in range(config.replicates):
+            entropy = (config.base_seed, cell_idx, rep)
+            data = sample(scheme.n, params, np.random.SeedSequence(entropy, spawn_key=(0,)))
+            rs = reciprocals(apply_scheme(data, scheme))
+            if rs.r < 2:
+                for key in method_keys:
+                    fail(key)
+                continue
+            fit = None
+            if want_mle or want_lin:
+                try:
+                    fit = fit_mle(rs)
+                except _FIT_ERRORS:
+                    fit = None
+            if want_mle:
+                if fit is None:
+                    fail(("mle", None))
+                else:
+                    ci_a, ci_l, _ = asymptotic_ci(fit, config.level)
+                    record(("mle", None), "alpha", fit.alpha_hat, ci_a.length)
+                    record(("mle", None), "lambda", fit.lam_hat, ci_l.length)
+            if want_lin:
+                for pi, prior in enumerate(config.priors):
+                    if fit is None:
+                        fail(("lindley", pi))
+                        continue
+                    try:
+                        lest = lindley_estimates(fit, prior, rs)
+                    except _FIT_ERRORS:
+                        fail(("lindley", pi))
+                        continue
+                    record(("lindley", pi), "alpha", lest.alpha_L)
+                    record(("lindley", pi), "lambda", lest.lambda_L)
+            if want_is:
+                for pi, prior in enumerate(config.priors):
+                    try:
+                        res = bayes_is(rs, prior, config.draws,
+                                       np.random.SeedSequence(entropy, spawn_key=(1 + pi,)),
+                                       level=config.level)
+                    except _FIT_ERRORS:
+                        fail(("is", pi))
+                        continue
+                    record(("is", pi), "alpha", res.alpha.mean, res.alpha.hpd.length)
+                    record(("is", pi), "lambda", res.lam.mean, res.lam.hpd.length)
+
+        for key in method_keys:
+            method, pi = key
+            prior = config.priors[pi].as_tuple() if pi is not None else None
+            n_fail = fails.get(key, 0)
+            for parameter in ("alpha", "lambda"):
+                vals = np.array(est.get((key, parameter), []))
+                lvals = np.array(lens.get((key, parameter), []))
+                errors2 = (vals - truth[parameter]) ** 2 if vals.size else np.array([])
+                rows.append(CellMetric(
+                    n=scheme.n, T=scheme.T, R=scheme.R,
+                    method=method, prior=prior, parameter=parameter,
+                    average_estimate=float(vals.mean()) if vals.size else float("nan"),
+                    mse=float(errors2.mean()) if vals.size else float("nan"),
+                    avg_interval_length=float(lvals.mean()) if lvals.size else None,
+                    se_average=_se(vals),
+                    se_mse=_se(errors2),
+                    se_interval_length=_se(lvals) if lvals.size else None,
+                    replicates_used=int(vals.size),
+                    failures=n_fail,
+                ))
+                estimates[(cell_idx, method, pi, parameter)] = vals
+                if lvals.size:
+                    lengths[(cell_idx, method, pi, parameter)] = lvals
+    return SimulationSummary(config=config, rows=rows, estimates=estimates, lengths=lengths)

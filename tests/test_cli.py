@@ -275,8 +275,10 @@ def test_simulate_json_rows(capsys, tmp_path):
     ('{"true_alpha": 2, "true_lambda": 1, "cells": [[12, 1.5, 8]], "draws": "many"}',
      "malformed"),
     ('[[12, 1.5, 8]]', "JSON object"),
+    ('{"true_alpha": 2, "true_lambda": 1, "cells": [[12, 1.5, 8]], "methods": ["is"], '
+     '"priors": []}', "no estimator"),
 ], ids=["short-cell", "cells-not-list", "short-prior", "missing-key", "bad-number",
-        "not-object"])
+        "not-object", "no-estimator"])
 def test_simulate_malformed_config_fails(capsys, tmp_path, text, needle):
     cfg = tmp_path / "study.json"
     cfg.write_text(text)

@@ -19,6 +19,7 @@ from iwhc import (
     sample,
 )
 from iwhc.harness import format_table, write_csv
+from _oracles import run_study_ref
 
 
 def _tiny_config(**overrides):
@@ -46,6 +47,12 @@ def test_config_validation():
         _tiny_config(methods=("mle", "bootstrap"))
     with pytest.raises(DomainError):
         _tiny_config(cells=((10, 1.5, 11),))
+    # a study that would run no estimator
+    for empty in (dict(cells=()), dict(methods=()), dict(methods=("is",), priors=()),
+                  dict(methods=("lindley", "is"), priors=())):
+        with pytest.raises(DomainError, match="no estimator"):
+            _tiny_config(**empty)
+    assert _tiny_config(methods=("mle",), priors=()).priors == ()
 
 
 def test_config_json_round_trip(tmp_path):
@@ -113,13 +120,63 @@ def test_mse_matches_independent_second_pass():
         assert row.mse == pytest.approx(recomputed, rel=1e-14)
 
 
-def test_accounting_with_degenerate_replicates():
+@pytest.mark.parametrize("methods", [("mle",), ("lindley",), ("is",), ("mle", "lindley", "is")],
+                         ids=["mle", "lindley", "is", "all"])
+def test_accounting_with_degenerate_replicates(methods):
     # a time budget so small that many replicates see fewer than 2 failures
-    config = _tiny_config(cells=((4, 0.05, 4),), replicates=60, methods=("mle",))
+    config = _tiny_config(cells=((4, 0.05, 4),), replicates=60, methods=methods)
     summary = run_study(config)
+    assert {row.method for row in summary.rows} == set(methods)
     for row in summary.rows:
         assert row.replicates_used + row.failures == 60
         assert row.failures > 0
+        key = (0, row.method, None if row.method == "mle" else 0, row.parameter)
+        assert summary.estimates[key].size == row.replicates_used
+
+
+_TWO_PRIORS = (GammaPriors(), GammaPriors(2, 1, 1, 1))
+
+
+def _rows(summary, method=None):
+    """The rows as dicts, of one method or all, with NaN as a string so that
+    a row without estimates compares equal to itself."""
+    return [{k: "nan" if isinstance(v, float) and np.isnan(v) else v
+             for k, v in dataclasses.asdict(row).items()}
+            for row in summary.rows if method in (None, row.method)]
+
+
+@pytest.mark.parametrize("config", [
+    _tiny_config(cells=((12, 1.5, 8), (20, 2.5, 14)), priors=_TWO_PRIORS, replicates=15,
+                 draws=150),
+    _tiny_config(cells=((30, 1.5, 20), (30, 1.5, 30), (50, 1.5, 35), (50, 2.5, 50)),
+                 priors=_TWO_PRIORS, replicates=25, methods=("mle", "lindley")),
+    # no replicate of the first cell has two failures, half of the second's
+    _tiny_config(cells=((4, 0.05, 4), (4, 1.0, 4)), priors=_TWO_PRIORS, replicates=30,
+                 draws=100),
+    _tiny_config(cells=((4, 0.05, 4), (12, 1.5, 8)), replicates=20, draws=100,
+                 methods=("lindley", "is")),
+    _tiny_config(replicates=10, draws=100, methods=("is",)),
+], ids=["all-methods", "mle-lindley", "degenerate-cell", "lindley-is", "is-only"])
+def test_run_study_equals_the_one_loop_copy(config):
+    new, ref = run_study(config), run_study_ref(config)
+    assert _rows(new) == _rows(ref)
+    for got, want in ((new.estimates, ref.estimates), (new.lengths, ref.lengths)):
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key].dtype == want[key].dtype
+            assert got[key].tobytes() == want[key].tobytes()
+
+
+def test_a_groups_stream_does_not_depend_on_the_other_groups():
+    config = _tiny_config(cells=((12, 1.5, 8), (20, 2.5, 14)), priors=_TWO_PRIORS,
+                          replicates=10, draws=150)
+    full = run_study(config)
+    for method in ("mle", "is"):
+        alone = run_study(dataclasses.replace(config, methods=(method,)))
+        assert _rows(alone) == _rows(full, method)
+        for key, vals in alone.estimates.items():
+            assert key[1] == method
+            assert vals.tobytes() == full.estimates[key].tobytes()
 
 
 def test_mse_decreases_with_sample_size():

@@ -152,17 +152,29 @@ def test_sample_g2_improper_posterior_is_insufficient_data():
         sample_g2(10, _complete([1.0] * 5), FLAT, seed=0)
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("count", [10, 1000])
 @pytest.mark.parametrize("s", [
     ReciprocalSample(x=np.full(18, 1 / 8), u=8.0, r=18, n=32),
     ReciprocalSample(x=np.full(16, 1 / 0.003), u=0.003, r=16, n=39),
 ], ids=["eighteen-tied-at-u", "sixteen-tied-at-u"])
-def test_sample_g2_improper_with_a_rounded_mode_is_insufficient_data(deadline, s):
+def test_sample_g2_improper_with_a_rounded_mode_is_insufficient_data(deadline, s, count, seed):
     # every failure tied at the censoring time u under flat priors: log g2 =
     # (r-1)*log(alpha) + const, but its float slope reads 0 near alpha =
-    # 4.8e15; the hull masses there came out NaN and the sampler never returned
+    # 4.8e15; the hull masses there came out NaN and the sampler never
+    # returned, or on other seeds it returned draws near that false mode
     deadline(5)
     with pytest.raises(InsufficientDataError, match="improper"):
-        sample_g2(1000, s, FLAT, seed=0)
+        sample_g2(count, s, FLAT, seed=seed)
+
+
+def test_sample_g2_envelope_without_finite_mass_is_insufficient_data(deadline, monkeypatch):
+    # with the rounding check off, the false mode of the eighteen-tied sample
+    # gives NaN hull masses on this seed, and the envelope check stops the loop
+    monkeypatch.setattr(posterior, "_SLOPE_ROUNDING", 0.0)
+    deadline(5)
+    with pytest.raises(InsufficientDataError, match="no finite mass"):
+        sample_g2(1000, ReciprocalSample(x=np.full(18, 1 / 8), u=8.0, r=18, n=32), FLAT, seed=0)
 
 
 def test_sample_g2_tail_that_never_turns_over_is_insufficient_data(monkeypatch):
