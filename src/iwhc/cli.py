@@ -79,197 +79,149 @@ def _parse_prior(text: str) -> GammaPriors:
     return GammaPriors(*(float(v) for v in parts))
 
 
-def _scheme_from_args(args, n: int) -> HybridScheme:
-    if (args.big_r is None) != (args.time is None):
-        raise DomainError("a Type-I hybrid scheme needs both --big-r and --time")
-    if args.big_r is None:
-        return HybridScheme(n=n, R=n, T=math.inf)
-    return HybridScheme(n=n, R=args.big_r, T=args.time)
-
-
-def _input_digest(data: np.ndarray, hs: HybridSample) -> dict:
-    return {
-        "count": int(data.size),
-        "min": float(data.min()),
-        "max": float(data.max()),
-        "censoring": {
-            "n": hs.scheme.n,
-            "R": hs.scheme.R,
-            "T": hs.scheme.T if math.isfinite(hs.scheme.T) else None,
-            "r": hs.r,
-            "u": hs.u,
-        },
-    }
-
-
-def _interval(ci) -> list:
-    return [ci.lower, ci.upper]
-
-
-def _emit(report: dict, as_json: bool, lines) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-        for warning in report.get("warnings", []):
-            print(f"warning: {warning}")
-
-
-def cmd_fit(args) -> int:
+def _observed(args, complete: bool = False) -> tuple:
+    """The data and its sample under the ``--big-r``/``--time`` scheme, or
+    complete when ``complete`` is set or neither flag is given."""
     data = datasets.resolve(args.data)
-    scheme = _scheme_from_args(args, data.size)
-    hs = apply_scheme(data, scheme)
-    rs = reciprocals(hs)
-    fit = fit_mle(rs, SolverConfig())
-    ci_a, ci_l, ci_t = asymptotic_ci(fit, args.level)
-    report = {
-        "report_version": REPORT_VERSION,
-        "command": "fit",
-        "input": _input_digest(data, hs),
-        "method": {
-            "solver": "damped-newton-log-scale",
-            "tol": SolverConfig().tol,
-            "max_iter": SolverConfig().max_iter,
-            "theta_ci": "delta-method on lam**(-1/alpha)",
-            "level": args.level,
-        },
-        "results": {
-            "alpha": fit.alpha_hat,
-            "theta": fit.theta_hat,
-            "lambda": fit.lam_hat,
-            "loglik": fit.loglik,
-            "iterations": fit.iterations,
-            "grad_norm": fit.grad_norm,
-            "converged": fit.converged,
-            "ci_alpha": _interval(ci_a),
-            "ci_lambda": _interval(ci_l),
-            "ci_theta": _interval(ci_t),
-        },
-        "warnings": [],
-    }
-    _emit(report, args.json, [
-        f"observed r={hs.r} of n={scheme.n}, censoring terminus u={hs.u:g}",
-        f"MLE: alpha={fit.alpha_hat:.4f}  theta={fit.theta_hat:.4f}  "
-        f"lambda={fit.lam_hat:.6g}  (loglik {fit.loglik:.4f}, {fit.iterations} iterations)",
-        f"{args.level:.0%} CI alpha : ({ci_a.lower:.4f}, {ci_a.upper:.4f})",
-        f"{args.level:.0%} CI lambda: ({ci_l.lower:.6g}, {ci_l.upper:.6g})",
-        f"{args.level:.0%} CI theta : ({ci_t.lower:.4f}, {ci_t.upper:.4f})",
-    ])
+    n = data.size
+    if complete or (args.big_r is None and args.time is None):
+        scheme = HybridScheme(n=n, R=n, T=math.inf)
+    elif args.big_r is None or args.time is None:
+        raise DomainError("a Type-I hybrid scheme needs both --big-r and --time")
+    else:
+        scheme = HybridScheme(n=n, R=args.big_r, T=args.time)
+    return data, apply_scheme(data, scheme)
+
+
+def _observed_line(hs: HybridSample) -> str:
+    return f"observed r={hs.r} of n={hs.n}, censoring terminus u={hs.u:g}"
+
+
+def _interval_lines(kind: str, level: float, rows) -> list:
+    """One ``kind`` (CI or HPD) line for each of the alpha, lambda and theta
+    intervals in ``rows``."""
+    names = (("alpha ", ".4f"), ("lambda", ".6g"), ("theta ", ".4f"))
+    return [f"{level:.0%} {kind} {name}: ({ci.lower:{fmt}}, {ci.upper:{fmt}})"
+            for (name, fmt), ci in zip(names, rows)]
+
+
+def _report(args, data, hs: HybridSample, method: dict, results: dict, lines,
+            warnings=()) -> int:
+    """Prints the ``args.cmd`` report: JSON with ``--json``, else ``lines``
+    and the warnings.  Returns the exit code 0."""
+    if args.json:
+        scheme = hs.scheme
+        digest = {"count": int(data.size), "min": float(data.min()), "max": float(data.max()),
+                  "censoring": {"n": scheme.n, "R": scheme.R,
+                                "T": scheme.T if math.isfinite(scheme.T) else None,
+                                "r": hs.r, "u": hs.u}}
+        print(json.dumps({"report_version": REPORT_VERSION, "command": args.cmd,
+                          "input": digest, "method": method, "results": results,
+                          "warnings": list(warnings)}, indent=2, sort_keys=True))
+    else:
+        print("\n".join([*lines, *(f"warning: {w}" for w in warnings)]))
     return 0
 
 
+def cmd_fit(args) -> int:
+    data, hs = _observed(args)
+    fit = fit_mle(reciprocals(hs), SolverConfig())
+    cis = asymptotic_ci(fit, args.level)
+    method = {
+        "solver": "damped-newton-log-scale",
+        "tol": SolverConfig().tol,
+        "max_iter": SolverConfig().max_iter,
+        "theta_ci": "delta-method on lam**(-1/alpha)",
+        "level": args.level,
+    }
+    results = {
+        "alpha": fit.alpha_hat,
+        "theta": fit.theta_hat,
+        "lambda": fit.lam_hat,
+        "loglik": fit.loglik,
+        "iterations": fit.iterations,
+        "grad_norm": fit.grad_norm,
+        "converged": fit.converged,
+    }
+    for name, ci in zip(("alpha", "lambda", "theta"), cis):
+        results[f"ci_{name}"] = [ci.lower, ci.upper]
+    return _report(args, data, hs, method, results, [
+        _observed_line(hs),
+        f"MLE: alpha={fit.alpha_hat:.4f}  theta={fit.theta_hat:.4f}  "
+        f"lambda={fit.lam_hat:.6g}  (loglik {fit.loglik:.4f}, {fit.iterations} iterations)",
+        *_interval_lines("CI", args.level, cis),
+    ])
+
+
 def cmd_bayes(args) -> int:
-    data = datasets.resolve(args.data)
-    scheme = _scheme_from_args(args, data.size)
-    hs = apply_scheme(data, scheme)
+    data, hs = _observed(args)
     rs = reciprocals(hs)
     priors = _parse_prior(args.prior)
     seed = _seed(args)
-    warnings: list[str] = []
     if args.method == "lindley":
         fit = fit_mle(rs, SolverConfig())
         est = lindley_estimates(fit, priors, rs, curvature=not args.debug_zero_curvature)
-        method_meta = {
+        method = {
             "estimator": "lindley-expansion",
             "prior": priors.as_tuple(),
             "curvature": not args.debug_zero_curvature,
         }
         results = {"alpha": est.alpha_L, "lambda": est.lambda_L, "theta": est.theta_L,
                    "mle_alpha": fit.alpha_hat, "mle_lambda": fit.lam_hat}
-        lines = [
-            f"observed r={hs.r} of n={scheme.n}, censoring terminus u={hs.u:g}",
+        return _report(args, data, hs, method, results, [
+            _observed_line(hs),
             f"expansion estimate: alpha={est.alpha_L:.4f}  theta={est.theta_L:.4f}  "
             f"lambda={est.lambda_L:.6g}",
-        ]
-    else:
-        res = bayes_is(rs, priors, args.draws, seed, level=args.level)
-        ess = res.draws.ess
-        if ess < _LOW_ESS_FRACTION * args.draws:
-            warnings.append(
-                f"effective sample size {ess:.1f} of {args.draws} draws; "
-                "posterior summaries are noisy under heavy censoring"
-            )
-        method_meta = {
-            "estimator": "importance-sampling",
-            "prior": priors.as_tuple(),
-            "draws": args.draws,
-            "seed": seed,
-            "level": args.level,
-            "acceptance_ratio": res.draws.acceptance_ratio,
-            "ess": ess,
-        }
-        results = {
-            "alpha": {"mean": res.alpha.mean, "variance": res.alpha.variance,
-                      "hpd": _interval(res.alpha.hpd)},
-            "lambda": {"mean": res.lam.mean, "variance": res.lam.variance,
-                       "hpd": _interval(res.lam.hpd)},
-            "theta": {"mean": res.theta.mean, "variance": res.theta.variance,
-                      "hpd": _interval(res.theta.hpd)},
-        }
-        lines = [
-            f"observed r={hs.r} of n={scheme.n}, censoring terminus u={hs.u:g}",
-            f"posterior means (M={args.draws}, seed={seed}): "
-            f"alpha={res.alpha.mean:.4f}  theta={res.theta.mean:.4f}  "
-            f"lambda={res.lam.mean:.6g}",
-            f"{args.level:.0%} HPD alpha : ({res.alpha.hpd.lower:.4f}, {res.alpha.hpd.upper:.4f})",
-            f"{args.level:.0%} HPD lambda: ({res.lam.hpd.lower:.6g}, {res.lam.hpd.upper:.6g})",
-            f"{args.level:.0%} HPD theta : ({res.theta.hpd.lower:.4f}, {res.theta.hpd.upper:.4f})",
-            f"effective sample size {ess:.1f}, acceptance ratio "
-            f"{res.draws.acceptance_ratio:.3f}",
-        ]
-    report = {
-        "report_version": REPORT_VERSION,
-        "command": "bayes",
-        "input": _input_digest(data, hs),
-        "method": method_meta,
-        "results": results,
-        "warnings": warnings,
+        ])
+    res = bayes_is(rs, priors, args.draws, seed, level=args.level)
+    ess = res.draws.ess
+    warnings = []
+    if ess < _LOW_ESS_FRACTION * args.draws:
+        warnings.append(f"effective sample size {ess:.1f} of {args.draws} draws; "
+                        "posterior summaries are noisy under heavy censoring")
+    method = {
+        "estimator": "importance-sampling",
+        "prior": priors.as_tuple(),
+        "draws": args.draws,
+        "seed": seed,
+        "level": args.level,
+        "acceptance_ratio": res.draws.acceptance_ratio,
+        "ess": ess,
     }
-    _emit(report, args.json, lines)
-    return 0
+    ests = (res.alpha, res.lam, res.theta)
+    results = {name: {"mean": est.mean, "variance": est.variance,
+                      "hpd": [est.hpd.lower, est.hpd.upper]}
+               for name, est in zip(("alpha", "lambda", "theta"), ests)}
+    return _report(args, data, hs, method, results, [
+        _observed_line(hs),
+        f"posterior means (M={args.draws}, seed={seed}): "
+        f"alpha={res.alpha.mean:.4f}  theta={res.theta.mean:.4f}  lambda={res.lam.mean:.6g}",
+        *_interval_lines("HPD", args.level, [est.hpd for est in ests]),
+        f"effective sample size {ess:.1f}, acceptance ratio {res.draws.acceptance_ratio:.3f}",
+    ], warnings)
 
 
 def cmd_censor(args) -> int:
-    data = datasets.resolve(args.data)
-    scheme = _scheme_from_args(args, data.size)
-    hs = apply_scheme(data, scheme)
-    report = {
-        "report_version": REPORT_VERSION,
-        "command": "censor",
-        "input": _input_digest(data, hs),
-        "method": {},
-        "results": {"times": [float(t) for t in hs.times], "r": hs.r, "u": hs.u},
-        "warnings": [],
-    }
-    lines = [f"observed r={hs.r} of n={scheme.n}, censoring terminus u={hs.u:g}",
-             " ".join(f"{t:g}" for t in hs.times)]
-    _emit(report, args.json, lines)
-    return 0
+    data, hs = _observed(args)
+    results = {"times": [float(t) for t in hs.times], "r": hs.r, "u": hs.u}
+    return _report(args, data, hs, {}, results,
+                   [_observed_line(hs), " ".join(f"{t:g}" for t in hs.times)])
 
 
 def cmd_gof(args) -> int:
-    data = datasets.resolve(args.data)
-    scheme = HybridScheme(n=data.size, R=data.size, T=math.inf)
-    hs = apply_scheme(data, scheme)
+    data, hs = _observed(args, complete=True)
     fit = fit_mle(reciprocals(hs), SolverConfig())
     params = IwParams(fit.alpha_hat, fit.theta_hat)
     seed = _seed(args)
     result = ks_test(data, params, sims=args.sims, seed=seed)
-    report = {
-        "report_version": REPORT_VERSION,
-        "command": "gof",
-        "input": _input_digest(data, hs),
-        "method": {
-            "statistic": "max_i |i/n - F(t_(i))|",
-            "p_value": "seeded Monte Carlo null of the statistic",
-            "sims": args.sims,
-            "seed": seed,
-            "fitted": {"alpha": fit.alpha_hat, "theta": fit.theta_hat},
-        },
-        "results": {"statistic": result.statistic, "p_value": result.p_value, "n": result.n},
-        "warnings": [],
+    method = {
+        "statistic": "max_i |i/n - F(t_(i))|",
+        "p_value": "seeded Monte Carlo null of the statistic",
+        "sims": args.sims,
+        "seed": seed,
+        "fitted": {"alpha": fit.alpha_hat, "theta": fit.theta_hat},
     }
+    results = {"statistic": result.statistic, "p_value": result.p_value, "n": result.n}
     lines = [
         f"fitted complete-sample MLE: alpha={fit.alpha_hat:.4f} theta={fit.theta_hat:.4f}",
         f"distance D={result.statistic:.4f}   p-value={result.p_value:.4f}   (n={result.n})",
@@ -278,14 +230,11 @@ def cmd_gof(args) -> int:
         srt = np.sort(data)
         ranks = np.arange(1, srt.size + 1) / srt.size
         fitted = cdf(srt, params)
-        report["results"]["curve"] = [
-            {"x": float(x), "ecdf": float(e), "fitted": float(f)}
-            for x, e, f in zip(srt, ranks, fitted)
-        ]
+        results["curve"] = [{"x": float(x), "ecdf": float(e), "fitted": float(f)}
+                            for x, e, f in zip(srt, ranks, fitted)]
         lines.append(f"{'x':>12s} {'ecdf':>10s} {'fitted':>10s}")
         lines += [f"{x:12.6g} {e:10.4f} {f:10.4f}" for x, e, f in zip(srt, ranks, fitted)]
-    _emit(report, args.json, lines)
-    return 0
+    return _report(args, data, hs, method, results, lines)
 
 
 def cmd_simulate(args) -> int:

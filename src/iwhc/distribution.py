@@ -130,7 +130,11 @@ def sample(count: int, p: IwParams, seed) -> np.ndarray:
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    u = rng.random(count)
+    try:
+        u = rng.random(count)
+    except (ValueError, MemoryError):
+        raise DomainError(f"a sample of {count} lifetimes needs {8 * count} bytes, "
+                          "which cannot be allocated") from None
     # guard the measure-zero event u == 0, the one draw outside (0, 1)
     u[u == 0.0] = 0.5 ** 53
     return _quantile(u, p)

@@ -15,9 +15,10 @@ the g1 rate read ``log(d + sum x**alpha)`` and the ratios ``sum x**alpha *
 (log x)**k / (d + sum x**alpha)`` from log-sum-exp sums over the sample's
 cached ``log x - max log x``, and each lam is drawn with the g1 rate of the
 round that accepted its alpha; h takes ``q`` from the likelihood kernel's
-censoring helper.  The sampler's setup, at one alpha per Newton step and a
-few on the hull, does its scalar arithmetic in Python floats over numpy's sums
-and logarithms, in the operations and order of the array arithmetic.
+censoring helper.  The mode search, at one alpha per Newton step, and the
+hull over a few tangents do their scalar arithmetic in Python floats over
+numpy's sums and logarithms, in the operations and order of the array
+arithmetic.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "sample_g2",
     "sample_g1",
     "posterior_draws",
-    "importance_estimate",
     "weighted_quantile",
     "hpd_interval",
     "bayes_is",
@@ -75,30 +75,17 @@ def _log_rate_sums(alpha, s: ReciprocalSample, d: float, order: int) -> list:
     return out
 
 
-def _g2_terms(alpha, s: ReciprocalSample, priors: GammaPriors) -> list:
-    """``[log(d + S_0), log g2]`` at every element of ``alpha`` (> 0)."""
-    log_rate = _log_rate_sums(alpha, s, priors.d, 0)[0]
+def _g2_terms(alpha, s: ReciprocalSample, priors: GammaPriors, order: int) -> list:
+    """``[log(d + S_0), log g2]`` at every element of ``alpha`` (> 0), and
+    for ``order`` 1 also ``(log g2)' = -(r+c) S_1/(d + S_0) + (a+r-1)/alpha
+    - b + sum log x``."""
+    log_rate, *ratio = _log_rate_sums(alpha, s, priors.d, order)
     shape, k, slx = s.r + priors.c, priors.a + s.r - 1.0, s.sum_log_x
-    return [log_rate, -shape * log_rate + k * np.log(alpha) - priors.b * alpha
-            + (alpha + 1.0) * slx]
-
-
-def _g2_tangents(alphas: list, s: ReciprocalSample, priors: GammaPriors) -> tuple:
-    """``log g2`` and ``(log g2)' = -(r+c) S_1/(d + S_0) + (a+r-1)/alpha - b
-    + sum log x`` at a few alphas (> 0), as two lists of floats.
-
-    numpy takes the sums over x and the logarithms, and the rest runs on
-    floats in the order of :func:`_g2_terms`, so the bits are those of the
-    elementwise array arithmetic.
-    """
-    arr = np.array(alphas)
-    log_rate, ratio = _log_rate_sums(arr, s, priors.d, 1)
-    shape, k, b, slx = s.r + priors.c, priors.a + s.r - 1.0, priors.b, s.sum_log_x
-    hs, ds = [], []
-    for a, lr, la, r1 in zip(alphas, log_rate.tolist(), np.log(arr).tolist(), ratio.tolist()):
-        hs.append(-shape * lr + k * la - b * a + (a + 1.0) * slx)
-        ds.append(-shape * r1 + k / a - b + slx)
-    return hs, ds
+    out = [log_rate, -shape * log_rate + k * np.log(alpha) - priors.b * alpha
+           + (alpha + 1.0) * slx]
+    if order:
+        out.append(-shape * ratio[0] + k / alpha - priors.b + slx)
+    return out
 
 
 def _g2_slope_curve(alpha: float, s: ReciprocalSample, priors: GammaPriors) -> tuple:
@@ -146,7 +133,7 @@ def g2_log_density(alpha, s: ReciprocalSample, priors: GammaPriors):
     if s.r < 1:
         raise InsufficientDataError("g2 requires at least one observed failure")
     arr = _alpha_array(alpha)
-    out = _g2_terms(arr, s, priors)[1]
+    out = _g2_terms(arr, s, priors, 0)[1]
     return float(out) if arr.ndim == 0 else out
 
 
@@ -334,14 +321,14 @@ def sample_g2(
     curve = mode * mode * dlnf(mode)[1]
     sigma = min(1.0, 1.0 / math.sqrt(-curve)) if curve < 0 else 1.0
     xs = (mode * np.exp(sigma * np.arange(-2.0, 3.0))).tolist()
-    hs, ds = _g2_tangents(xs, s, priors)
-    offset = hs[2]
-    hs = [h - offset for h in hs]
+    _, hs, ds = _g2_terms(np.array(xs), s, priors, 1)
+    offset = float(hs[2])
+    hs, ds = (hs - offset).tolist(), ds.tolist()
     while ds[-1] >= 0.0:
         xs.append(xs[-1] * 2.0)
-        (h,), (d,) = _g2_tangents(xs[-1:], s, priors)
-        hs.append(h - offset)
-        ds.append(d)
+        _, h, d = _g2_terms(np.array(xs[-1:]), s, priors, 1)
+        hs += (h - offset).tolist()
+        ds += d.tolist()
         if xs[-1] > 1e12:
             raise InsufficientDataError(f"{_IMPROPER}: the upper tail of g2 never turns over")
     # a rising (a+r-1)/alpha lost to the rounding of the slope's other terms
@@ -352,8 +339,12 @@ def sample_g2(
         raise InsufficientDataError(f"{_IMPROPER}: the slope of log g2 vanishes only to "
                                     f"rounding at alpha={mode:.3g}")
     hull = _Hull(xs, hs, ds)
-    draws = np.empty(count)
-    log_rate = np.empty(count)
+    try:
+        draws = np.empty(count)
+        log_rate = np.empty(count)
+    except (ValueError, MemoryError):
+        raise DomainError(f"{count} draws need {16 * count} bytes, which cannot be "
+                          "allocated") from None
     filled = proposals = accepted = rounds = 0
     while filled < count:
         # an envelope without finite mass (NaN hull masses far out, as on a
@@ -365,7 +356,7 @@ def sample_g2(
         u = rng.random(t.size)
         ok = (t > 0.0) & np.isfinite(t)
         t, j, u = t[ok], j[ok], u[ok]
-        lr, hval = _g2_terms(t, s, priors)
+        lr, hval = _g2_terms(t, s, priors, 0)
         hval -= offset
         hit = np.log(u) <= hval - hull.h[j] - hull.d[j] * (t - hull.x[j])
         got = np.flatnonzero(hit)[:need]
@@ -379,7 +370,7 @@ def sample_g2(
         room = min(_REFINE_PER_ROUND, _MAX_HULL_POINTS - hull.x.size)
         if filled < count and room > 0 and miss.any():
             ts = t[miss][:room]
-            hull.insert(ts, hval[miss][:room], _g2_tangents(ts.tolist(), s, priors)[1])
+            hull.insert(ts, hval[miss][:room], _g2_terms(ts, s, priors, 1)[2])
     if return_info:
         return draws, {"acceptance_ratio": accepted / proposals,
                        "hull_points": int(hull.x.size), "rounds": rounds, "mode": mode,
@@ -469,18 +460,6 @@ def posterior_draws(
     # draw-weighted mean); it differs from the plain ratio by an ulp at times
     acceptance = info["acceptance_ratio"] * count / count
     return PosteriorDraws(alphas, lams, weights, acceptance_ratio=acceptance)
-
-
-def importance_estimate(draws: PosteriorDraws, statistic) -> BayesEstimate:
-    """Weighted posterior mean and variance of ``statistic(alphas, lams)``;
-    :class:`NumericError` when either overflows float64."""
-    if draws.size < 2:
-        raise DomainError("need at least two draws")
-    if not np.any(draws.weights > 0):
-        raise DegenerateWeightsError("no positive importance weight")
-    values = np.asarray(statistic(draws.alphas, draws.lams), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return BayesEstimate(*_mean_var(values, draws.weights))
 
 
 def _mean_var(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -19,7 +20,7 @@ PUBLIC = {
     "ConfidenceInterval", "CovarianceMatrix", "FisherMatrix", "MleFit", "SolverConfig",
     "asymptotic_ci", "fit_mle", "log_likelihood", "observed_fisher", "score",
     "BayesEstimate", "IsResult", "PosteriorDraws", "bayes_is", "g2_log_density",
-    "hpd_interval", "importance_estimate", "posterior_draws", "sample_g1", "sample_g2",
+    "hpd_interval", "posterior_draws", "sample_g1", "sample_g2",
     "weighted_quantile",
     "__version__",
 }
@@ -37,6 +38,17 @@ def test_every_submodule_export_resolves():
         module = importlib.import_module(f"iwhc.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"iwhc.{info.name}.{name}"
+
+
+def test_every_traced_function_resolves():
+    # the benchmark's span tracer wraps these by name and fails on a missing one
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, function in tracer.TRACED:
+        assert callable(getattr(importlib.import_module(f"iwhc.{module}"), function, None)), \
+            f"iwhc.{module}.{function}"
 
 
 def test_import_path_loads_no_scipy():

@@ -224,6 +224,23 @@ def test_gof_unallocatable_null_table_fails(capsys):
     assert f"sims={sims}" in err and f"{8 * sims} bytes" in err
 
 
+@pytest.mark.parametrize("argv, config", [
+    (("bayes", "flood", "--method", "is", "--draws", str(10 ** 30)), None),
+    (("simulate",), {"draws": 10 ** 30}),
+    (("simulate",), {"cells": [[10 ** 30, 1.5, 8]]}),
+], ids=["bayes-draws", "simulate-draws", "simulate-n"])
+def test_unallocatable_counts_fail_with_one_error_line(capsys, tmp_path, argv, config):
+    if config is not None:
+        study = {"true_alpha": 2.0, "true_lambda": 1.0, "cells": [[12, 1.5, 8]],
+                 "replicates": 1, "draws": 100, **config}
+        (tmp_path / "study.json").write_text(json.dumps(study))
+        argv = (*argv, str(tmp_path / "study.json"), "--out-dir", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cannot be allocated" in err
+
+
 def test_gof_curve_columns(capsys):
     report = run_json(capsys, "gof", "flood", "--sims", "5000", "--curve")
     curve = report["results"]["curve"]
@@ -294,6 +311,68 @@ def test_human_readable_output(capsys):
     assert code == 0
     assert "MLE: alpha=4.3143" in out
     assert "95% CI alpha" in out
+
+
+# text reports as printed, line for line
+_GOLDEN_TEXT = {
+    "fit-censored": (("fit", "flood", "--big-r", "18", "--time", "0.5"), """\
+observed r=17 of n=20, censoring terminus u=0.5
+MLE: alpha=4.4191  theta=2.8015  lambda=0.0105412  (loglik 14.1020, 5 iterations)
+95% CI alpha : (2.8505, 5.9878)
+95% CI lambda: (-0.00876326, 0.0298457)
+95% CI theta : (2.5052, 3.0979)
+"""),
+    "censor": (("censor", "flood", "--big-r", "14", "--time", "0.45"), """\
+observed r=14 of n=20, censoring terminus u=0.423
+0.265 0.269 0.297 0.315 0.324 0.338 0.379 0.379 0.392 0.402 0.412 0.416 0.418 0.423
+"""),
+    "bayes-lindley": (("bayes", "flood", "--big-r", "18", "--time", "0.5", "--method", "lindley",
+                       "--prior", "2,1,1,1"), """\
+observed r=17 of n=20, censoring terminus u=0.5
+expansion estimate: alpha=3.3019  theta=2.9332  lambda=0.0286344
+"""),
+    "bayes-is-low-ess": (("bayes", "flood", "--big-r", "10", "--time", "0.35", "--method", "is",
+                          "--draws", "300", "--seed", "7"), """\
+observed r=6 of n=20, censoring terminus u=0.35
+posterior means (M=300, seed=7): alpha=5.0108  theta=2.9413  lambda=0.00493406
+95% HPD alpha : (4.6208, 5.4612)
+95% HPD lambda: (0.00291125, 0.00657624)
+95% HPD theta : (2.9131, 2.9663)
+effective sample size 3.0, acceptance ratio 0.969
+warning: effective sample size 3.0 of 300 draws; posterior summaries are noisy under heavy \
+censoring
+"""),
+    "gof-curve": (("gof", "flood", "--sims", "2000", "--seed", "4", "--curve"), """\
+fitted complete-sample MLE: alpha=4.3143 theta=2.7906
+distance D=0.1060   p-value=0.8580   (n=20)
+           x       ecdf     fitted
+       0.265     0.0500     0.0253
+       0.269     0.1000     0.0319
+       0.297     0.1500     0.1056
+       0.315     0.2000     0.1748
+       0.324     0.2500     0.2134
+       0.338     0.3000     0.2761
+       0.379     0.3500     0.4560
+       0.379     0.4000     0.4560
+       0.392     0.4500     0.5072
+       0.402     0.5000     0.5439
+       0.412     0.5500     0.5782
+       0.416     0.6000     0.5913
+       0.418     0.6500     0.5977
+       0.423     0.7000     0.6133
+       0.449     0.7500     0.6853
+       0.484     0.8000     0.7608
+       0.494     0.8500     0.7786
+       0.613     0.9000     0.9061
+       0.654     0.9500     0.9281
+        0.74     1.0000     0.9572
+"""),
+}
+
+
+@pytest.mark.parametrize("argv, text", _GOLDEN_TEXT.values(), ids=_GOLDEN_TEXT.keys())
+def test_text_report_is_unchanged(capsys, argv, text):
+    assert run_cli(capsys, *argv) == (0, text, "")
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):

@@ -155,3 +155,6 @@ def test_sample_matches_cdf():
 def test_sample_count_validation():
     with pytest.raises(DomainError):
         sample(0, IwParams(1.0, 1.0), 1)
+    count = 10 ** 30        # numpy rejects the shape before allocating
+    with pytest.raises(DomainError, match=f"{count} lifetimes needs {8 * count} bytes"):
+        sample(count, IwParams(1.0, 1.0), 1)

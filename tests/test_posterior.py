@@ -14,13 +14,11 @@ from iwhc import (
     InsufficientDataError,
     IwParams,
     NumericError,
-    PosteriorDraws,
     ReciprocalSample,
     apply_scheme,
     bayes_is,
     g2_log_density,
     hpd_interval,
-    importance_estimate,
     posterior_draws,
     reciprocals,
     sample,
@@ -29,6 +27,7 @@ from iwhc import (
     weighted_quantile,
 )
 from iwhc import errors, posterior
+import _oracles
 from _oracles import (
     bayes_is_ref,
     find_mode_ref,
@@ -184,6 +183,12 @@ def test_sample_g2_tail_that_never_turns_over_is_insufficient_data(monkeypatch):
         sample_g2(10, _complete([1.0] * 5), FLAT, seed=0)
 
 
+def test_sample_g2_unallocatable_count_is_a_domain_error(flood_s1):
+    count = 10 ** 30
+    with pytest.raises(DomainError, match=f"{count} draws need {16 * count} bytes"):
+        sample_g2(count, flood_s1, FLAT, seed=0)
+
+
 def test_sample_g2_deterministic(flood_s1):
     a = sample_g2(500, flood_s1, FLAT, seed=9)
     b = sample_g2(500, flood_s1, FLAT, seed=9)
@@ -312,6 +317,25 @@ def test_sampler_and_summaries_equal_the_numpy_copies_random():
             ref = _outcome(lambda: find_mode_ref(lambda a: g2_terms_ref(a, s, priors, 2)[2:],
                                                  guess))
             assert new == ref
+            # the tangents of the hull, at the start points and one doubling
+            alphas = guess * np.exp(np.arange(-2.0, 3.0))
+            for a in (alphas, alphas[-1:] * 2.0):
+                new = [v.tobytes() for v in posterior._g2_terms(a, s, priors, 1)]
+                assert new == [v.tobytes() for v in g2_terms_ref(a, s, priors, 1)]
+
+
+@pytest.mark.parametrize("case", ["flood_s1", "guinea_s2"])
+def test_sampler_tail_doubling_equals_the_numpy_copy(request, monkeypatch, case):
+    # a mode reported far below the true one puts the top start tangent on
+    # the rising side, so the setup doubles alpha until log g2 turns over
+    s = request.getfixturevalue(case)
+    for i, priors in enumerate(_PRIORS3):
+        low = sample_g2(10, s, priors, 0, return_info=True)[1]["mode"] / 1000.0
+        assert g2_terms_ref(low * math.e ** 2, s, priors, 1)[2] > 0
+        monkeypatch.setattr(posterior, "_find_mode", lambda dlnf, guess: low)
+        monkeypatch.setattr(_oracles, "find_mode_ref", lambda dlnf, guess: low)
+        _assert_sampler_and_summaries_equal_the_copies(s, priors, 40 + i, 1000)
+        monkeypatch.undo()
 
 
 @settings(max_examples=200, deadline=None)
@@ -438,30 +462,11 @@ def test_posterior_draws_deterministic(flood_s1):
     assert not np.array_equal(one.alphas, other.alphas)
 
 
-def test_importance_estimate_reduces_to_average_for_complete():
-    s = _complete(sample(30, IwParams(1.5, 1.0), 14))
-    draws = posterior_draws(s, FLAT, 3000, seed=15)
-    est = importance_estimate(draws, lambda a, l: a)
-    assert est.mean == pytest.approx(draws.alphas.mean(), rel=1e-12)
-
-
-def test_importance_estimate_hand_oracle():
+def test_mean_var_hand_oracle():
     raw = np.array([1.0, 1.0, 2.0])
-    draws = PosteriorDraws(
-        alphas=np.array([1.0, 2.0, 3.0]),
-        lams=np.ones(3),
-        weights=raw / raw.sum(),
-    )
-    est = importance_estimate(draws, lambda a, l: a)
-    assert est.mean == pytest.approx(2.25, abs=1e-14)
-    assert est.variance == pytest.approx(0.6875, abs=1e-14)
-
-
-def test_importance_estimate_degenerate_weights():
-    draws = PosteriorDraws(alphas=np.array([1.0, 2.0]), lams=np.ones(2),
-                           weights=np.zeros(2))
-    with pytest.raises(DegenerateWeightsError):
-        importance_estimate(draws, lambda a, l: a)
+    mean, var = posterior._mean_var(np.array([1.0, 2.0, 3.0]), raw / raw.sum())
+    assert mean == pytest.approx(2.25, abs=1e-14)
+    assert var == pytest.approx(0.6875, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +697,13 @@ def test_bayes_is_bundles_hpd_and_diagnostics(flood_s1):
     assert res.draws.ess > 0
     assert res.theta.mean == pytest.approx(
         (res.draws.thetas * res.draws.weights).sum(), rel=1e-12)
+
+
+def test_bayes_is_reduces_to_averages_for_complete():
+    s = _complete(sample(30, IwParams(1.5, 1.0), 14))
+    res = bayes_is(s, FLAT, 3000, seed=15)
+    assert res.alpha.mean == pytest.approx(res.draws.alphas.mean(), rel=1e-12)
+    assert res.lam.mean == pytest.approx(res.draws.lams.mean(), rel=1e-12)
 
 
 def test_bayes_is_deterministic(flood_s1):
