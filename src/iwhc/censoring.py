@@ -145,6 +145,96 @@ class ReciprocalSample:
         return alpha0, self.r / total
 
 
+@dataclass(frozen=True)
+class ReciprocalRows:
+    """Many censored samples of one design, one :class:`ReciprocalSample` a
+    row, for the array path of the study harness.
+
+    Row i holds ``x[i, :r[i]]`` and is padded with ones to width ``n``; the
+    rows are ordered by r.  numpy's pairwise sum rounds by length, so each sum
+    along rows reduces a slice ``[:, :r]`` of the rows of equal r, which gives
+    the bits of the same sum over ``ReciprocalSample.x``.
+    """
+
+    x: np.ndarray
+    u: np.ndarray
+    r: np.ndarray
+    n: int
+
+    def sample(self, i: int) -> ReciprocalSample:
+        """The sample of row i."""
+        r = int(self.r[i])
+        return ReciprocalSample(x=self.x[i, :r].copy(), u=float(self.u[i]), r=r, n=self.n)
+
+    def runs(self, idx=slice(None)) -> list:
+        """``(start, stop, r)`` for each run of equal r in the rows ``idx``,
+        all rows or an increasing index array: ``idx[start:stop]`` are the
+        rows of the run."""
+        r = self.r[idx]
+        cuts = [0, *(np.flatnonzero(r[1:] != r[:-1]) + 1).tolist(), r.size]
+        return [(a, b, int(r[a])) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
+
+    def row_sums(self, values: np.ndarray, idx=slice(None)) -> np.ndarray:
+        """The sums over the last axis of ``values``, whose first axis runs
+        over the rows ``idx``, of each row's r entries: one reduction for
+        each run of equal r."""
+        out = np.empty(values.shape[:-1])
+        for a, b, r in self.runs(idx):
+            np.add.reduce(values[a:b, ..., :r], axis=-1, out=out[a:b])
+        return out
+
+    @cached_property
+    def held(self) -> np.ndarray:
+        """True at the entries of ``x`` that a row holds, False in the padding."""
+        return np.arange(self.n) < self.r[:, None]
+
+    @cached_property
+    def log_x(self) -> np.ndarray:
+        return np.log(self.x)
+
+    @cached_property
+    def log_x_powers(self) -> np.ndarray:
+        """``[i, k] = (log x[i])**k`` for k = 0..3, as ReciprocalSample has
+        them (the cubes, costly, only where a row holds x)."""
+        lx = self.log_x
+        out = np.zeros((lx.shape[0], 4, lx.shape[1]))
+        out[:, 0] = 1.0
+        out[:, 1] = lx
+        np.square(lx, out=out[:, 2])
+        np.power(lx, 3, out=out[:, 3], where=self.held)
+        return out
+
+    @cached_property
+    def sum_log_x(self) -> np.ndarray:
+        return self.row_sums(self.log_x)
+
+    @cached_property
+    def log_u(self) -> np.ndarray:
+        return np.log(self.u)
+
+    @cached_property
+    def regression_start(self) -> tuple[np.ndarray, np.ndarray]:
+        """:attr:`ReciprocalSample.regression_start` of every row, as two
+        arrays (NaN where r < 2)."""
+        positions = np.zeros_like(self.x)
+        for a, b, r in self.runs():
+            if r >= 2:
+                positions[a:b, :r] = _centred_positions(r, self.n)
+        with np.errstate(all="ignore"):
+            # the mean is the sum of log x over r, as ndarray.mean computes it
+            cx = self.log_x - (self.sum_log_x / self.r)[:, None]
+            denom, cross = self.row_sums(np.stack([cx ** 2, cx * positions], axis=1)).T
+            slope = np.where(denom > 0, cross / denom, 1.0)
+            total, x_sum = self.row_sums(np.stack([np.power(self.x, slope[:, None]), self.x],
+                                                  axis=1)).T
+            bad = ~(np.isfinite(slope) & (slope > 0.05) & (0.0 < total) & (total < np.inf))
+            alpha0 = np.where(bad, 1.0, slope)
+            lam0 = self.r / np.where(bad, x_sum, total)
+        few = self.r < 2
+        alpha0[few] = lam0[few] = np.nan
+        return alpha0, lam0
+
+
 def apply_scheme(complete_times, scheme: HybridScheme) -> HybridSample:
     """Censor a complete sample of ``scheme.n`` failure times.
 
@@ -170,6 +260,24 @@ def apply_scheme(complete_times, scheme: HybridScheme) -> HybridSample:
         observed = srt[srt <= scheme.T]
         u = float(scheme.T)
     return HybridSample(times=observed.copy(), r=int(observed.size), u=u, scheme=scheme)
+
+
+def _censor_rows(complete_times: np.ndarray, scheme: HybridScheme) -> tuple:
+    """:func:`apply_scheme` and :func:`reciprocals` on every row of a matrix
+    of complete samples, with the same bits.  Returns the
+    :class:`ReciprocalRows` and, for each of its rows, the index of the
+    matrix row it came from."""
+    if not np.all(np.isfinite(complete_times)) or np.any(complete_times <= 0.0):
+        raise DomainError("failure times must be strictly positive and finite")
+    srt = np.sort(complete_times, axis=1)
+    t_R = srt[:, scheme.R - 1]
+    within = t_R <= scheme.T
+    r = np.where(within, scheme.R, (srt <= scheme.T).sum(axis=1))
+    order = np.argsort(r, kind="stable")
+    x = 1.0 / srt[order]
+    x[np.arange(scheme.n) >= r[order, None]] = 1.0
+    u = np.where(within, t_R, scheme.T)[order]
+    return ReciprocalRows(x=x, u=u, r=r[order], n=scheme.n), order
 
 
 def reciprocals(s: HybridSample) -> ReciprocalSample:

@@ -74,9 +74,13 @@ def _add_common(parser, scheme=True, seed=False):
 
 def _parse_prior(text: str) -> GammaPriors:
     parts = text.split(",")
-    if len(parts) != 4:
-        raise DomainError(f"--prior expects four comma-separated values, got {text!r}")
-    return GammaPriors(*(float(v) for v in parts))
+    try:
+        values = [float(v) for v in parts]
+    except ValueError:
+        values = []
+    if len(values) != 4:
+        raise DomainError(f"--prior expects four comma-separated numbers, got {text!r}")
+    return GammaPriors(*values)
 
 
 def _observed(args, complete: bool = False) -> tuple:

@@ -135,6 +135,20 @@ def sample(count: int, p: IwParams, seed) -> np.ndarray:
     except (ValueError, MemoryError):
         raise DomainError(f"a sample of {count} lifetimes needs {8 * count} bytes, "
                           "which cannot be allocated") from None
-    # guard the measure-zero event u == 0, the one draw outside (0, 1)
+    return _quantile(_guard_zero(u), p)
+
+
+def _sample_rows(count: int, p: IwParams, seeds) -> np.ndarray:
+    """:func:`sample` for each seed in ``seeds``, as the rows of one matrix:
+    each row draws its uniforms from its own generator, and one
+    inverse-transform call maps them all."""
+    u = np.empty((len(seeds), count))
+    for row, seed in zip(u, seeds):
+        np.random.default_rng(seed).random(out=row)
+    return _quantile(_guard_zero(u), p)
+
+
+def _guard_zero(u: np.ndarray) -> np.ndarray:
+    """Maps the measure-zero draw u == 0, the one outside (0, 1), to 2**-53."""
     u[u == 0.0] = 0.5 ** 53
-    return _quantile(u, p)
+    return u

@@ -13,6 +13,12 @@ replicate is one independent task that returns a record per (method, prior)
 group, and a merge step builds the rows from the records in replicate order,
 so a summary is bit-identical for a given config no matter how the replicates
 are scheduled, and no group's stream depends on which other groups run.
+
+The replicates of a cell are fitted in chunks, as arrays: each draws its own
+data into one row of a matrix, and censoring, the MLE, its intervals and
+Lindley run on all rows at once (``_chunk``).  The records have the same bits
+as those of one replicate at a time (``_replicate``), which a chunk of one
+replicate still takes.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .censoring import HybridScheme, apply_scheme, reciprocals
-from .distribution import IwParams, sample
+from .censoring import HybridScheme, _censor_rows, apply_scheme, reciprocals
+from .distribution import IwParams, _sample_rows, sample
 from .errors import (
     ConvergenceError,
     DegenerateWeightsError,
@@ -33,8 +39,8 @@ from .errors import (
     InsufficientDataError,
     NumericError,
 )
-from .lindley import GammaPriors, lindley_estimates
-from .mle import asymptotic_ci, fit_mle
+from .lindley import GammaPriors, _lindley_rows, lindley_estimates
+from .mle import _ci_rows, _fit_rows, asymptotic_ci, fit_mle
 from .posterior import bayes_is
 
 __all__ = ["StudyConfig", "CellMetric", "SimulationSummary", "run_study",
@@ -43,6 +49,9 @@ __all__ = ["StudyConfig", "CellMetric", "SimulationSummary", "run_study",
 _METHODS = ("mle", "lindley", "is")
 _FIT_ERRORS = (ConvergenceError, NumericError, InsufficientDataError,
                DegenerateWeightsError)
+# replicates fitted together: at most this many rows, and rows times n values
+_CHUNK_ROWS = 256
+_CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -62,8 +71,9 @@ class StudyConfig:
             raise DomainError("replicates must be >= 1")
         if not 0.0 < self.level < 1.0:
             raise DomainError(f"level must be in (0, 1), got {self.level}")
-        # the importance-sampling HPD interval needs draws * level >= 2
-        if self.draws < 2 or self.draws * self.level < 2:
+        # the importance-sampling HPD interval needs draws * level >= 2; a
+        # count past 2**53, which a float cannot hold, compares as 2**53
+        if self.draws < 2 or min(self.draws, 2 ** 53) * self.level < 2:
             raise DomainError(f"draws must be >= 2 with draws * level >= 2, got {self.draws}")
         if self.true_alpha <= 0 or self.true_lambda <= 0:
             raise DomainError("true parameters must be positive")
@@ -107,7 +117,7 @@ class StudyConfig:
             )
         except DomainError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed study config: {exc}") from None
         return cls(**fields)
 
@@ -183,24 +193,87 @@ def _replicate(config: StudyConfig, scheme: HybridScheme, params: IwParams, grou
             pass
     records = []
     for method, pi in groups:
-        try:
-            if method == "is":
-                res = bayes_is(rs, config.priors[pi], config.draws,
-                               np.random.SeedSequence(entropy, spawn_key=(1 + pi,)),
-                               level=config.level)
-                record = (res.alpha.mean, res.lam.mean, res.alpha.hpd.length, res.lam.hpd.length)
-            elif fit is None:
-                record = None
-            elif method == "mle":
-                ci_a, ci_l, _ = asymptotic_ci(fit, config.level)
-                record = (fit.alpha_hat, fit.lam_hat, ci_a.length, ci_l.length)
-            else:
-                lest = lindley_estimates(fit, config.priors[pi], rs)
-                record = (lest.alpha_L, lest.lambda_L, None, None)
-        except _FIT_ERRORS:
-            record = None
+        record = None
+        if method == "is":
+            record = _is_record(config, rs, pi, entropy)
+        elif fit is not None:
+            try:
+                if method == "mle":
+                    ci_a, ci_l, _ = asymptotic_ci(fit, config.level)
+                    record = (fit.alpha_hat, fit.lam_hat, ci_a.length, ci_l.length)
+                else:
+                    lest = lindley_estimates(fit, config.priors[pi], rs)
+                    record = (lest.alpha_L, lest.lambda_L, None, None)
+            except _FIT_ERRORS:
+                pass
         records.append(record)
     return records
+
+
+def _is_record(config: StudyConfig, rs, pi: int, entropy: tuple):
+    """The importance-sampling record under prior ``pi``, or None."""
+    try:
+        res = bayes_is(rs, config.priors[pi], config.draws,
+                       np.random.SeedSequence(entropy, spawn_key=(1 + pi,)), level=config.level)
+    except _FIT_ERRORS:
+        return None
+    return (res.alpha.mean, res.lam.mean, res.alpha.hpd.length, res.lam.hpd.length)
+
+
+def _chunk(config: StudyConfig, scheme: HybridScheme, params: IwParams, groups: list,
+           entropies: list) -> list:
+    """The records of :func:`_replicate` for each of ``entropies``, from the
+    replicates fitted together as arrays, with the same bits.
+
+    Each replicate draws its data from its own stream into one row of a
+    matrix; censoring, the MLE, its intervals and Lindley run on all rows at
+    once, and importance sampling runs on each row's sample.  One replicate
+    takes the one-at-a-time path, and so does every replicate of a chunk
+    where one of them raises an error that is not a failed fit, so that the
+    error comes from the same replicate.
+    """
+    if len(entropies) > 1:
+        try:
+            return _fit_chunk(config, scheme, params, groups, entropies)
+        except (DomainError, OverflowError, ZeroDivisionError):
+            pass
+    return [_replicate(config, scheme, params, groups, e) for e in entropies]
+
+
+def _fit_chunk(config, scheme, params, groups, entropies) -> list:
+    """The array path of :func:`_chunk`."""
+    data = _sample_rows(scheme.n, params,
+                        [np.random.SeedSequence(e, spawn_key=(0,)) for e in entropies])
+    rows, order = _censor_rows(data, scheme)
+    fitted = {}     # the record of each row that has one, by group
+    if groups[0][0] != "is":
+        fits = _fit_rows(rows)
+        if groups[0][0] == "mle":
+            len_a, len_l, ok = _ci_rows(fits, config.level)
+            fitted[groups[0]] = _by_row(ok, fits.alpha, fits.lam, len_a, len_l)
+        lindley = [group for group in groups if group[0] == "lindley"]
+        for group, (alpha_L, lambda_L, ok) in zip(lindley, _lindley_rows(
+                fits, rows, [config.priors[pi] for _, pi in lindley])):
+            fitted[group] = _by_row(ok, alpha_L, lambda_L, None, None)
+    sampled = any(method == "is" for method, _ in groups)
+    records = [None] * len(entropies)
+    for i, (rep, r) in enumerate(zip(order.tolist(), rows.r.tolist())):
+        if r < 2:
+            records[rep] = [None] * len(groups)
+            continue
+        rs = rows.sample(i) if sampled else None
+        records[rep] = [fitted[group].get(i) if group in fitted
+                        else _is_record(config, rs, group[1], entropies[rep])
+                        for group in groups]
+    return records
+
+
+def _by_row(ok: np.ndarray, *columns) -> dict:
+    """``{row: record}`` over the rows where ``ok``, a column None where it
+    is None."""
+    rows = np.flatnonzero(ok)
+    return dict(zip(rows.tolist(), zip(*(
+        [None] * rows.size if column is None else column[rows].tolist() for column in columns))))
 
 
 def run_study(config: StudyConfig) -> SimulationSummary:
@@ -213,8 +286,12 @@ def run_study(config: StudyConfig) -> SimulationSummary:
 
     for cell_idx, (n, T, R) in enumerate(config.cells):
         scheme = HybridScheme(n=int(n), R=int(R), T=float(T))
-        records = [_replicate(config, scheme, params, groups, (config.base_seed, cell_idx, rep))
-                   for rep in range(config.replicates)]
+        size = max(1, min(_CHUNK_ROWS, _CHUNK_VALUES // scheme.n))
+        records = []
+        for start in range(0, config.replicates, size):
+            records += _chunk(config, scheme, params, groups,
+                              [(config.base_seed, cell_idx, rep)
+                               for rep in range(start, min(start + size, config.replicates))])
         for g, (method, pi) in enumerate(groups):
             fits = [rec[g] for rec in records if rec[g] is not None]
             prior = config.priors[pi].as_tuple() if pi is not None else None

@@ -14,13 +14,14 @@ interval output: the expansion yields point estimates only.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .censoring import ReciprocalSample
+from .censoring import ReciprocalRows, ReciprocalSample
 from .errors import DomainError, NumericError
-from .mle import CovarianceMatrix, MleFit, _derivatives, _in_floats
+from .mle import CovarianceMatrix, MleFit, _derivative_rows, _derivatives, _in_floats, _RowFits
 
 __all__ = ["GammaPriors", "LindleyWorkspace", "LindleyEstimate",
            "third_derivatives", "lindley_workspace", "lindley_estimates"]
@@ -93,13 +94,14 @@ def lindley_workspace(fit: MleFit, priors: GammaPriors, s: ReciprocalSample) -> 
     return LindleyWorkspace(l30, l03, l21, l12, fit.cov, p1, p2)
 
 
-def _expansion(alpha_hat, lam_hat, t11, t12, t22, l30, l03, l21, l12, p1, p2, curvature):
-    """(alpha_L, lambda_L): the MLE plus the curvature and prior corrections."""
+def _expansion(pw, alpha_hat, lam_hat, t11, t12, t22, l30, l03, l21, l12, p1, p2, curvature):
+    """(alpha_L, lambda_L): the MLE plus the curvature and prior corrections,
+    for floats or arrays (``pw`` as in :func:`iwhc.mle._derivative_terms`)."""
     t21 = t12
     if curvature:
-        corr_a = 0.5 * (l30 * t11 ** 2 + l03 * t21 * t22 + 3.0 * l21 * t11 * t12
-                        + l12 * (t22 * t11 + 2.0 * t21 ** 2))
-        corr_l = 0.5 * (l30 * t12 * t11 + l03 * t22 ** 2 + l21 * (t11 * t22 + 2.0 * t12 ** 2)
+        corr_a = 0.5 * (l30 * pw(t11, 2) + l03 * t21 * t22 + 3.0 * l21 * t11 * t12
+                        + l12 * (t22 * t11 + 2.0 * pw(t21, 2)))
+        corr_l = 0.5 * (l30 * t12 * t11 + l03 * pw(t22, 2) + l21 * (t11 * t22 + 2.0 * pw(t12, 2))
                         + 3.0 * l12 * t22 * t21)
     else:
         corr_a = corr_l = 0.0
@@ -123,8 +125,8 @@ def lindley_estimates(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ws = lindley_workspace(fit, priors, s)
         alpha_L, lambda_L = _in_floats(
-            _expansion, fit.alpha_hat, fit.lam_hat, ws.tau.v11, ws.tau.v12, ws.tau.v22,
-            ws.l30, ws.l03, ws.l21, ws.l12, ws.p1, ws.p2, curvature)
+            _expansion, operator.pow, fit.alpha_hat, fit.lam_hat, ws.tau.v11, ws.tau.v12,
+            ws.tau.v22, ws.l30, ws.l03, ws.l21, ws.l12, ws.p1, ws.p2, curvature)
         theta_L = np.exp(-np.log(lambda_L) / alpha_L)
     if not (np.isfinite(alpha_L) and np.isfinite(lambda_L)):
         raise NumericError(
@@ -142,3 +144,30 @@ def lindley_estimates(
             f"is {theta_L}, outside the float64 range"
         )
     return LindleyEstimate(float(alpha_L), float(lambda_L), float(theta_L))
+
+
+def _lindley_rows(fits: _RowFits, rows: ReciprocalRows, priors) -> list:
+    """:func:`lindley_estimates` on every ok row of ``fits`` under each of
+    ``priors``, with the same bits: ``(alpha_L, lambda_L, ok)`` arrays per
+    prior, ``ok`` False on the rows that failed to fit and where
+    lindley_estimates raises NumericError."""
+    good = np.flatnonzero(fits.ok)
+    alpha, lam = fits.alpha[good], fits.lam[good]
+    out = []
+    with np.errstate(all="ignore"):
+        thirds = _derivative_rows(alpha, lam, rows, good, 3)[6:]    # the same for every prior
+        for prior in priors:
+            p1 = (prior.a - 1.0) / alpha - prior.b
+            p2 = (prior.c - 1.0) / lam - prior.d
+            alpha_L, lambda_L = _expansion(np.float_power, alpha, lam, fits.v11[good],
+                                           fits.v12[good], fits.v22[good], *thirds, p1, p2, True)
+            theta_L = np.exp(-np.log(lambda_L) / alpha_L)
+            fine = (np.isfinite(p1) & np.isfinite(p2) & np.isfinite(alpha_L)
+                    & np.isfinite(lambda_L) & (alpha_L > 0) & (lambda_L > 0)
+                    & (0.0 < theta_L) & (theta_L < np.inf))
+            ok = np.zeros(fits.ok.size, dtype=bool)
+            ok[good] = fine
+            est = np.full((2, ok.size), np.nan)
+            est[:, good] = alpha_L, lambda_L
+            out.append((est[0], est[1], ok))
+    return out

@@ -18,17 +18,23 @@ Where q underflows float64, the censoring term is read in logs as
 scalar arithmetic runs in Python floats, falling back to numpy scalars (same
 bits, inf instead of an exception) where a float would raise.  ``fit_mle``
 solves its 2x2 Newton systems in Python floats too.
+
+For the study harness, ``_derivative_rows``, ``_fit_rows`` and ``_ci_rows``
+run the same arithmetic on arrays over many samples at once, one sample a
+row of a ``ReciprocalRows``, and give each row the bits and the outcome that
+the one-sample functions give its sample.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
-from .censoring import ReciprocalSample
+from .censoring import ReciprocalRows, ReciprocalSample
 from .errors import ConvergenceError, DomainError, InsufficientDataError, NumericError
 
 __all__ = [
@@ -78,6 +84,11 @@ class CovarianceMatrix:
 
 @dataclass(frozen=True)
 class MleFit:
+    """The maximiser, its log-likelihood and covariance, and the solver's
+    diagnostics: Newton iterations taken, and ``grad_norm``, the sup-norm
+    ``max(|dl/dalpha|, |dl/dlam|)`` of the raw score in (alpha, lam) at the
+    maximiser, which :attr:`SolverConfig.tol` bounds."""
+
     alpha_hat: float
     lam_hat: float
     theta_hat: float
@@ -163,32 +174,87 @@ def _derivatives(alpha: float, lam: float, s: ReciprocalSample, order: int) -> l
             q = max(float(np.exp(min(log_q, 709.0))), _TINY)     # _censor_q on floats
             ll_censor = m * float(np.log(-np.expm1(-q)))
             p = _q_over_expm1(q) if order else 0.0
-    return _in_floats(_derivative_terms, order, full, tail, s.r, m, float(np.log(alpha * lam)),
-                      alpha, lam, s.sum_log_x, L, q, p, ll_censor, *S)
+    return _in_floats(_derivative_terms, operator.pow, order, full, tail, s.r, m,
+                      float(np.log(alpha * lam)), alpha, lam, s.sum_log_x, L, q, p, ll_censor, *S)
+
+
+def _derivative_rows(alpha: np.ndarray, lam: np.ndarray, rows: ReciprocalRows, idx,
+                     order: int) -> np.ndarray:
+    """:func:`_derivatives` at ``(alpha[j], lam[j])`` on row ``idx[j]`` of
+    ``rows``, for every j at once and with the same bits.
+
+    ``idx`` is all rows (``slice(None)``) or an increasing index array, and
+    every point must be in (0, inf)**2.  Returns one row per term: the value, d_a, d_l, then
+    d2_aa, d2_al, d2_ll, then l30, l03, l21, l12, as far as ``order``.  Rows
+    differ in their censoring branch, so the arithmetic runs once for each
+    branch that some row takes.
+    """
+    # the exponent broadcast along each row, as over one sample's x; the
+    # padding gives terms that no sum reads
+    power = rows.x[idx] ** alpha[:, None]
+    S = rows.row_sums(power[:, None, :] * rows.log_x_powers[idx, :order + 1], idx).T
+    # the counts as floats: Python converts an int that meets a float the same way
+    r = rows.r[idx].astype(float)
+    m = rows.n - r
+    log_al = np.log(alpha * lam)
+    slx = rows.sum_log_x[idx]
+    cens = m > 0
+    branches = [(False, False, ~cens, 0.0, 0.0, 0.0, 0.0)]
+    if cens.any():
+        L = rows.log_u[idx]
+        log_q = np.log(lam) - alpha * L
+        tail = cens & (log_q < _LOG_TINY)
+        with np.errstate(over="ignore"):
+            q = np.maximum(np.exp(np.minimum(log_q, 709.0)), _TINY)
+            p = q / np.expm1(q)
+        branches += [(True, False, cens & ~tail, L, q, p, m * np.log(-np.expm1(-q))),
+                     (False, True, tail, L, 0.0, 0.0, m * log_q)]
+    out = np.empty(((1, 3, 6, 10)[order], alpha.size))
+    for full, tail, mask, *censor in branches:
+        if not mask.any():
+            continue
+        j = slice(None) if mask.all() else np.flatnonzero(mask)
+        L, q, p, ll_censor = (v[j] if isinstance(v, np.ndarray) else v for v in censor)
+        terms = _derivative_terms(np.float_power, order, full, tail, r[j], m[j], log_al[j],
+                                  alpha[j], lam[j], slx[j], L, q, p, ll_censor, *S[:, j])
+        for k, term in enumerate([terms[0], *(t for group in terms[1:] for t in group)]):
+            out[k, j] = term
+    return out
 
 
 def _in_floats(fn, *args):
     """``fn(*args)`` in Python floats.  Where a Python float raises (``**``
     overflows or a divisor is 0) a numpy scalar gives inf or NaN; there the
-    same arithmetic runs again with every float argument a numpy scalar."""
+    same arithmetic runs again with every float argument a numpy scalar, and
+    the numbers it returns, in lists and tuples too, come back as floats."""
     try:
         return fn(*args)
     except (OverflowError, ZeroDivisionError):
         with np.errstate(all="ignore"):
-            return fn(*(np.float64(a) if isinstance(a, float) else a for a in args))
+            return _as_floats(fn(*(np.float64(a) if isinstance(a, float) else a for a in args)))
 
 
-def _derivative_terms(order, full, tail, r, m, log_al, alpha, lam, slx, L, q, p, ll_censor,
+def _as_floats(value):
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_as_floats, value))
+    return float(value)
+
+
+def _derivative_terms(pw, order, full, tail, r, m, log_al, alpha, lam, slx, L, q, p, ll_censor,
                       *S) -> list:
     """The arithmetic of :func:`_derivatives` from its power sums ``S`` and
-    censoring factors, for Python floats or numpy scalars alike.
+    censoring factors, for Python floats, numpy scalars or arrays alike.
+
+    ``pw`` raises to a power: ``operator.pow`` on floats, ``np.float_power``
+    on arrays, where ``**`` would square or cube with other last bits than
+    the C ``pow`` that Python floats and numpy scalars call.
 
     With f(q) = log(1 - e**-q), the censoring term's partials are sums of
     ``p = q f'(q)``, ``c2 = q (q f')' = p - pq - p**2`` and ``c3 = q c2'``,
     times powers of L = log u and 1/lam.  Every product with q is formed as
     ``(p*q)*q``, so a zero p never meets an overflowing q**2.
     """
-    out = [float(r * log_al - lam * S[0] + (alpha + 1.0) * slx + ll_censor)]
+    out = [r * log_al - lam * S[0] + (alpha + 1.0) * slx + ll_censor]
     pq, pp = p * q, p * p
     if order >= 1:
         d_a = r / alpha - lam * S[1] + slx
@@ -199,33 +265,35 @@ def _derivative_terms(order, full, tail, r, m, log_al, alpha, lam, slx, L, q, p,
         elif tail:
             d_a -= m * L
             d_l += m / lam
-        out.append((float(d_a), float(d_l)))
+        out.append((d_a, d_l))
     if order >= 2:
-        d2_aa = -r / alpha ** 2 - lam * S[2]
+        lam2, L2 = pw(lam, 2), pw(L, 2)
+        d2_aa = -r / pw(alpha, 2) - lam * S[2]
         d2_al = -S[1]
-        d2_ll = -r / lam ** 2
+        d2_ll = -r / lam2
         if full:
             c2 = p - pq - pp
-            d2_aa += m * L ** 2 * c2
+            d2_aa += m * L2 * c2
             d2_al -= m * L * c2 / lam
-            d2_ll -= m * (pq + pp) / lam ** 2
+            d2_ll -= m * (pq + pp) / lam2
         elif tail:
-            d2_ll -= m / lam ** 2
-        out.append((float(d2_aa), float(d2_al), float(d2_ll)))
+            d2_ll -= m / lam2
+        out.append((d2_aa, d2_al, d2_ll))
     if order >= 3:
-        l30 = 2.0 * r / alpha ** 3 - lam * S[3]
-        l03 = 2.0 * r / lam ** 3
+        lam3 = pw(lam, 3)
+        l30 = 2.0 * r / pw(alpha, 3) - lam * S[3]
+        l03 = 2.0 * r / lam3
         l21 = -S[2]
         l12 = 0.0
         if full:
             c3 = p - 3.0 * pq - 3.0 * pp + pq * q + 3.0 * pq * p + 2.0 * pp * p
-            l30 -= m * L ** 3 * c3
-            l03 += m * (pq * q + 3.0 * pq * p + 2.0 * pp * p) / lam ** 3
-            l21 += m * L ** 2 * c3 / lam
-            l12 -= m * L * (c3 - c2) / lam ** 2
+            l30 -= m * pw(L, 3) * c3
+            l03 += m * (pq * q + 3.0 * pq * p + 2.0 * pp * p) / lam3
+            l21 += m * L2 * c3 / lam
+            l12 -= m * L * (c3 - c2) / lam2
         elif tail:
-            l03 += 2.0 * m / lam ** 3
-        out.append((float(l30), float(l03), float(l21), float(l12)))
+            l03 += 2.0 * m / lam3
+        out.append((l30, l03, l21, l12))
     return out
 
 
@@ -274,6 +342,24 @@ def _newton_step(h11: float, h12: float, h22: float, g1: float, g2: float) -> tu
         scale = max(1.0, _sup_norm(g1, g2))
         s1, s2 = g1 / scale, g2 / scale
     return s1, s2
+
+
+def _newton_steps(h11, h12, h22, g1, g2) -> tuple:
+    """:func:`_newton_step` on arrays, with the same bits."""
+    swap = np.abs(h12) > np.abs(h11)
+    p0, p1, pb = np.where(swap, h12, h11), np.where(swap, h22, h12), np.where(swap, -g2, -g1)
+    o0, o1, ob = np.where(swap, h11, h12), np.where(swap, h12, h22), np.where(swap, -g1, -g2)
+    with np.errstate(all="ignore"):
+        f = o0 / p0
+        u = o1 - f * p1
+        s2 = (ob - f * pb) / u
+        s1 = (pb - p1 * s2) / p0
+        solved = (p0 != 0.0) & (u != 0.0)
+        s1, s2 = np.where(solved, s1, g1), np.where(solved, s2, g2)
+        scale = np.maximum(np.abs(g1), np.abs(g2))
+        scale = np.where(scale > 1.0, scale, 1.0)       # max(1.0, scale), NaN to 1.0
+        ascent = g1 * s1 + g2 * s2 > 0.0
+        return np.where(ascent, s1, g1 / scale), np.where(ascent, s2, g2 / scale)
 
 
 def fit_mle(s: ReciprocalSample, config: SolverConfig = SolverConfig()) -> MleFit:
@@ -336,13 +422,14 @@ def fit_mle(s: ReciprocalSample, config: SolverConfig = SolverConfig()) -> MleFi
             last_iterate=(alpha, lam),
         )
     d2_aa, d2_al, d2_ll = h
-    # a numpy scalar squares to inf where a Python float would raise
+    # a numpy scalar squares to inf where a Python float would raise, and a
+    # tiny det divides to inf, which CovarianceMatrix rejects
     with np.errstate(over="ignore", invalid="ignore"):
         det = d2_aa * d2_ll - np.float64(d2_al) ** 2
-    if det <= 0 or d2_aa >= 0:
-        raise NumericError("observed information is not positive definite at the optimum")
-    cov = CovarianceMatrix(v11=float(-d2_ll / det), v12=float(d2_al / det),
-                           v22=float(-d2_aa / det))
+        if det <= 0 or d2_aa >= 0:
+            raise NumericError("observed information is not positive definite at the optimum")
+        cov = CovarianceMatrix(v11=float(-d2_ll / det), v12=float(d2_al / det),
+                               v22=float(-d2_aa / det))
     theta = float(np.exp(-np.log(lam) / alpha))
     return MleFit(
         alpha_hat=alpha,
@@ -354,6 +441,111 @@ def fit_mle(s: ReciprocalSample, config: SolverConfig = SolverConfig()) -> MleFi
         converged=True,
         grad_norm=grad_norm,
     )
+
+
+@dataclass(frozen=True)
+class _RowFits:
+    """:func:`fit_mle` on each row of a :class:`ReciprocalRows`, as arrays
+    of the :class:`MleFit` fields.  ``error`` holds the error class that
+    fit_mle raises on the row, or None where ``ok``."""
+
+    alpha: np.ndarray
+    lam: np.ndarray
+    theta: np.ndarray
+    loglik: np.ndarray
+    v11: np.ndarray
+    v12: np.ndarray
+    v22: np.ndarray
+    iterations: np.ndarray
+    grad_norm: np.ndarray
+    ok: np.ndarray
+    error: np.ndarray
+
+    def fit(self, i: int) -> MleFit:
+        """The :class:`MleFit` of row i, which must be ok."""
+        return MleFit(alpha_hat=float(self.alpha[i]), lam_hat=float(self.lam[i]),
+                      theta_hat=float(self.theta[i]), loglik=float(self.loglik[i]),
+                      cov=CovarianceMatrix(float(self.v11[i]), float(self.v12[i]),
+                                           float(self.v22[i])),
+                      iterations=int(self.iterations[i]), converged=True,
+                      grad_norm=float(self.grad_norm[i]))
+
+
+def _fit_rows(rows: ReciprocalRows) -> _RowFits:
+    """:func:`fit_mle` with its default solver on every row of ``rows`` at
+    once, with the same bits and the same outcome on each row.
+
+    The rows still iterating take their Newton steps together, and the rows
+    still searching halve their steps together, so each row follows the path
+    fit_mle takes on it alone.  Raises DomainError, as fit_mle does, where a
+    regression start is not in (0, inf)**2.
+    """
+    config = SolverConfig()
+    k = rows.r.size
+    first = rows.x[:, :1]
+    tied = ((rows.x == first) | ~rows.held).all(axis=1) & (
+        (rows.r == rows.n) | (rows.u * first[:, 0] <= 1.0 + 1e-12))
+    fitted = (rows.r >= 2) & ~tied
+    live = np.flatnonzero(fitted)
+    alpha, lam = (v.copy() for v in rows.regression_start)
+    if not np.all((0.0 < alpha[live]) & (alpha[live] < np.inf)
+                  & (0.0 < lam[live]) & (lam[live] < np.inf)):
+        raise DomainError("alpha and lam must be positive at every regression start")
+    terms = np.full((6, k), np.nan)       # ll, d_a, d_l, d2_aa, d2_al, d2_ll per row
+    iterations = np.zeros(k, dtype=int)
+    with np.errstate(all="ignore"):
+        terms[:, live] = _derivative_rows(alpha[live], lam[live], rows, live, 2)
+        active = live
+        for it in range(1, config.max_iter + 1):
+            g_a, g_l = terms[1, active], terms[2, active]
+            done = np.maximum(np.abs(g_a), np.abs(g_l)) < config.tol
+            iterations[active[done]] = it - 1
+            active, g_a, g_l = active[~done], g_a[~done], g_l[~done]
+            if not active.size:
+                break
+            a, l, h = alpha[active], lam[active], terms[3:, active]
+            ge_a, ge_l = a * g_a, l * g_l
+            step_a, step_l = _newton_steps(h[0] * (a * a) + ge_a, h[1] * (a * l),
+                                           h[2] * (l * l) + ge_l, ge_a, ge_l)
+            pending = np.arange(active.size)
+            scale = 1.0
+            for _ in range(60):
+                cand_a = a[pending] * np.exp(scale * step_a[pending])
+                cand_l = l[pending] * np.exp(scale * step_l[pending])
+                valid = np.flatnonzero((0.0 < cand_a) & (cand_a < np.inf)
+                                       & (0.0 < cand_l) & (cand_l < np.inf))
+                at = active[pending[valid]]
+                cand = _derivative_rows(cand_a[valid], cand_l[valid], rows, at, 2)
+                up = np.isfinite(cand[0]) & (cand[0] >= terms[0, at] - 1e-13)
+                alpha[at[up]], lam[at[up]] = cand_a[valid[up]], cand_l[valid[up]]
+                terms[:, at[up]] = cand[:, up]
+                pending = np.delete(pending, valid[up])
+                if not pending.size:
+                    break
+                scale *= 0.5
+            iterations[active[pending]] = it        # no ascent: the fit stops here
+            active = np.delete(active, pending)
+        iterations[active] = config.max_iter
+        grad_norm = np.maximum(np.abs(terms[1]), np.abs(terms[2]))
+        converged = fitted & ~(grad_norm >= config.tol)
+        h11, h12, h22 = terms[3:]
+        det = h11 * h22 - np.float_power(h12, 2)
+        v11, v12, v22 = -h22 / det, h12 / det, -h11 / det
+        ok = (converged & ~((det <= 0) | (h11 >= 0))
+              & (v11 > 0) & (v22 > 0) & (v11 * v22 - v12 * v12 > 0))
+        theta = np.exp(-np.log(lam) / alpha)
+    error = np.full(k, None, dtype=object)
+    error[~ok] = NumericError
+    error[~converged] = ConvergenceError
+    error[~fitted] = InsufficientDataError
+    return _RowFits(alpha, lam, theta, terms[0], v11, v12, v22, iterations, grad_norm, ok, error)
+
+
+def _z(level: float) -> float:
+    """The standard normal quantile of ``0.5 + level/2``."""
+    p = 0.5 + level / 2.0
+    # inv_cdf rejects p == 1.0, where a level within an ulp of 1 rounds
+    return NormalDist().inv_cdf(p) if p < 1.0 else math.inf
 
 
 def asymptotic_ci(
@@ -369,9 +561,7 @@ def asymptotic_ci(
         raise DomainError(f"level must be in (0, 1), got {level}")
     if not fit.converged:
         raise DomainError("confidence intervals require a converged fit")
-    p = 0.5 + level / 2.0
-    # inv_cdf rejects p == 1.0, where a level within an ulp of 1 rounds
-    z = NormalDist().inv_cdf(p) if p < 1.0 else math.inf
+    z = _z(level)
     half_a = z * np.sqrt(fit.cov.v11)
     half_l = z * np.sqrt(fit.cov.v22)
     grad = np.array([
@@ -385,3 +575,26 @@ def asymptotic_ci(
         ConfidenceInterval(fit.lam_hat - half_l, fit.lam_hat + half_l, level),
         ConfidenceInterval(fit.theta_hat - half_t, fit.theta_hat + half_t, level),
     )
+
+
+def _ci_rows(fits: _RowFits, level: float) -> tuple:
+    """``(alpha length, lam length, ok)``: :func:`asymptotic_ci` on every ok
+    row of ``fits``, with the same bits.  ``ok`` is False on the rows that
+    failed to fit and where asymptotic_ci raises NumericError."""
+    z = _z(level)
+    alpha, lam, theta = fits.alpha, fits.lam, fits.theta
+    with np.errstate(all="ignore"):
+        alpha2, alpha_lam = np.float_power(alpha, 2), alpha * lam
+        for i in np.flatnonzero(fits.ok & ((alpha2 == np.inf) | (alpha_lam == 0.0))):
+            asymptotic_ci(fits.fit(i), level)   # raises there, in Python floats
+        grad = np.stack([theta * np.log(lam) / alpha2, -theta / alpha_lam], axis=1)
+        cov = np.stack([fits.v11, fits.v12, fits.v12, fits.v22], axis=1).reshape(-1, 2, 2)
+        var_theta = (grad[:, None, :] @ cov @ grad[:, :, None])[:, 0, 0]
+        ok = fits.ok.copy()
+        lengths = []
+        for centre, half in ((alpha, z * np.sqrt(fits.v11)), (lam, z * np.sqrt(fits.v22)),
+                             (theta, z * np.sqrt(var_theta))):
+            lower, upper = centre - half, centre + half
+            ok &= lower < upper
+            lengths.append(upper - lower)
+    return lengths[0], lengths[1], ok

@@ -105,6 +105,19 @@ def test_fit_converges_where_the_censoring_factor_underflows(capsys, tmp_path):
     assert report["results"]["converged"] is True
 
 
+@pytest.mark.filterwarnings("error")     # a numpy warning would print a second line
+def test_fit_with_an_overflowing_covariance_fails_with_one_error_line(capsys, tmp_path):
+    # six failures within 2% of each other; the covariance overflows to inf
+    times = [876.4088958007841, 876.8465154682667, 889.0327210406107, 890.6039051225001,
+             891.4125952009579, 891.4342880221113]
+    path = tmp_path / "data.txt"
+    path.write_text(" ".join(map(repr, times + [5000.0] * 29)))
+    code, out, err = run_cli(capsys, "fit", str(path), "--big-r", "6", "--time", "1e9")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: covariance matrix is not positive definite")
+    assert err.count("\n") == 1
+
+
 def test_bayes_is_improper_posterior_fails(capsys, tmp_path):
     path = tmp_path / "tied.txt"
     path.write_text("1 1 1 1 1\n")
@@ -202,6 +215,14 @@ def test_bad_prior_flag(capsys):
                              "--prior", "1,2,3")
     assert code == 1
     assert "prior" in err
+
+
+@pytest.mark.parametrize("method", ["lindley", "is"])
+@pytest.mark.parametrize("prior", ["a,b,c,d", "1,2,3,x", "1,,1,1", "1,2,3,4,5", "1,-2,1,1"])
+def test_non_numeric_or_negative_prior_fails_with_one_error_line(capsys, method, prior):
+    code, out, err = run_cli(capsys, "bayes", "flood", "--method", method, "--prior", prior)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_gof_flood(capsys):

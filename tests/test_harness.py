@@ -1,8 +1,13 @@
 import dataclasses
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iwhc import (
     DomainError,
@@ -18,6 +23,7 @@ from iwhc import (
     run_study,
     sample,
 )
+from iwhc import cli, harness
 from iwhc.harness import format_table, write_csv
 from _oracles import run_study_ref
 
@@ -211,3 +217,83 @@ def test_outputs_are_complete(tmp_path):
     table = format_table(summary)
     assert "Average estimates and MSE for alpha" in table
     assert "MLE" in table and "IS(0,0,0,0)" in table
+
+
+def _cell():
+    """(n, T, R), with R out of range now and then."""
+    return st.integers(2, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.floats(0.05, 5.0) | st.just(math.inf),
+        st.integers(1, n) | st.integers(-1, 13)))
+
+
+_SMALL_CONFIGS = st.fixed_dictionaries({
+    "true_alpha": st.floats(0.3, 8.0), "true_lambda": st.floats(0.05, 20.0),
+    "cells": st.lists(_cell(), min_size=1, max_size=2),
+    "priors": st.lists(st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 2.0])] * 4), max_size=2),
+    "methods": st.lists(st.sampled_from(["mle", "lindley", "is"]), unique=True, min_size=1),
+    "replicates": st.integers(1, 3), "draws": st.just(20),
+    "base_seed": st.integers(0, 2 ** 32),
+})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(raw=_SMALL_CONFIGS)
+def test_small_configs_give_consistent_rows_or_domain_error(raw):
+    try:
+        config = StudyConfig.from_dict(raw)
+    except DomainError:
+        return
+    summary = run_study(config)
+    params = ("alpha", "lambda")
+    assert [(row.n, row.T, row.R, row.method, row.prior, row.parameter) for row in summary.rows] \
+        == [(int(n), float(T), int(R), method,
+             None if pi is None else config.priors[pi].as_tuple(), parameter)
+            for n, T, R in config.cells for method, pi in harness._groups(config)
+            for parameter in params]
+    for row in summary.rows:
+        assert row.replicates_used + row.failures == config.replicates
+        if row.replicates_used:
+            assert math.isfinite(row.average_estimate) and math.isfinite(row.mse)
+        assert (row.avg_interval_length is None) == (row.method == "lindley"
+                                                     or not row.replicates_used)
+    for key, values in summary.estimates.items():
+        assert np.isfinite(values).all()
+    assert {key[1] for key in summary.lengths} <= {"mle", "is"}
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=2),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=_SMALL_CONFIGS, junk=st.dictionaries(
+    st.sampled_from(["true_alpha", "true_lambda", "cells", "priors", "methods", "replicates",
+                     "draws", "base_seed", "level"]),
+    _JSON | st.integers(10 ** 300, 10 ** 400) | st.just([[12, 10 ** 400, 8]]), min_size=1))
+def test_malformed_configs_raise_only_domain_error(raw, junk):
+    try:
+        StudyConfig.from_dict({**raw, **junk})
+    except DomainError:
+        pass
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@given(raw=_SMALL_CONFIGS, junk=st.dictionaries(st.sampled_from(["cells", "replicates", "level"]),
+                                                _JSON, max_size=1))
+# "replicates": 1e400 reads as inf, and int(inf) raised OverflowError
+@example(raw={"true_alpha": 2.0, "true_lambda": 1.0, "cells": [(12, 1.5, 8)]},
+         junk={"replicates": math.inf})
+def test_simulate_exits_0_or_1_with_no_traceback(tmp_path_factory, raw, junk):
+    out_dir = tmp_path_factory.mktemp("simulate")
+    path = out_dir / "study.json"
+    path.write_text(json.dumps({**raw, **junk}))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(["simulate", str(path), "--out-dir", str(out_dir), "--json"])
+    assert code in (0, 1)
+    assert (err.getvalue() == "") == (code == 0)

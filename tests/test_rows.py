@@ -1,0 +1,231 @@
+"""The array path of the study harness: censored samples fitted together as
+the rows of one matrix give, row by row, the bits and the error classes of
+``fit_mle``, ``asymptotic_ci`` and ``lindley_estimates`` on each sample, and
+``run_study`` gives the bytes of the one-replicate-at-a-time loop whatever
+the chunk size."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from iwhc import (
+    DomainError,
+    GammaPriors,
+    HybridScheme,
+    IwParams,
+    NumericError,
+    ReciprocalSample,
+    StudyConfig,
+    apply_scheme,
+    asymptotic_ci,
+    fit_mle,
+    lindley_estimates,
+    reciprocals,
+    run_study,
+    sample,
+)
+from iwhc import harness
+from iwhc.censoring import ReciprocalRows, _censor_rows
+from iwhc.distribution import _sample_rows
+from iwhc.lindley import _lindley_rows
+from iwhc.mle import _ci_rows, _derivative_rows, _derivatives, _fit_rows
+from _oracles import run_study_ref
+
+_PRIORS = (GammaPriors(), GammaPriors(2, 1, 1, 1), GammaPriors(5, 0.1, 3, 2))
+
+
+def _stack(samples) -> ReciprocalRows:
+    """Samples of one n, given in the order of r, as the rows of one batch."""
+    n = samples[0].n
+    x = np.ones((len(samples), n))
+    for row, s in zip(x, samples):
+        row[:s.r] = s.x
+    return ReciprocalRows(x=x, u=np.array([s.u for s in samples], dtype=float),
+                          r=np.array([s.r for s in samples]), n=n)
+
+
+def _bits(*values) -> list:
+    return [float(v).hex() for v in values]
+
+
+def _outcome(fn, *args):
+    """``(result, None)``, or ``(None, error class)`` where ``fn`` raises."""
+    try:
+        return fn(*args), None
+    except Exception as exc:        # the class is what is compared
+        return None, type(exc)
+
+
+@st.composite
+def _design_sample(draw, n):
+    """One censored sample of n units: plain, rounded to ties, complete,
+    with its failures tied, or with fewer than two failures."""
+    kind = draw(st.sampled_from(["plain", "ties", "complete", "tied", "few"]))
+    alpha = math.exp(draw(st.floats(math.log(0.1), math.log(40.0))))
+    theta = math.exp(draw(st.floats(math.log(1e-3), math.log(1e3))))
+    data = sample(n, IwParams(alpha, theta), draw(st.integers(0, 2 ** 32 - 1)))
+    R = draw(st.integers(1, n))
+    T = float(np.quantile(data, draw(st.floats(0.0, 1.0))))
+    if kind == "ties":
+        decimals = draw(st.integers(0, 3))
+        data = np.maximum(np.round(data, decimals), 10.0 ** -decimals)
+        T = float(np.round(T, decimals)) or math.inf
+    elif kind == "complete":
+        R, T = n, math.inf
+    elif kind == "tied":
+        # failures tied at t, then units censored at t (no MLE) or later
+        data = np.full(n, 1.0 + draw(st.floats(0.0, 5.0)))
+        data[draw(st.integers(1, n)):] *= draw(st.sampled_from([1.0, 3.0]))
+    elif kind == "few":
+        T = float(np.sort(data)[1]) * 0.999
+    return reciprocals(apply_scheme(data, HybridScheme(n=n, R=R, T=T)))
+
+
+@st.composite
+def _rows(draw):
+    n = draw(st.integers(2, 30))
+    samples = draw(st.lists(_design_sample(n), min_size=2, max_size=8))
+    return sorted(samples, key=lambda s: s.r)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # extreme samples overflow on purpose
+@settings(max_examples=120, deadline=None)
+@given(samples=_rows(), level=st.sampled_from([0.9, 0.95, 0.99]))
+def test_rows_fit_as_each_sample_does_alone(samples, level):
+    _check_rows(samples, level)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("x, u, n", [
+    ([0.0019100684920142657, 0.0018879949331040062, 0.0018697917762716162], 534.8189101537339,
+     8),
+    ([0.0011410199106734185, 0.0011404504464113255, 0.0011248179918839235,
+      0.0011228336123929893, 0.0011218149770192134, 0.0011217876779440145], 891.4342880221113,
+     35),
+], ids=["n8", "n35"])
+def test_rows_keep_a_covariance_error(x, u, n):
+    """Found in a random scan: these fits raise NumericError, since the
+    covariance at the maximum is not positive definite in float64."""
+    odd = ReciprocalSample(x=np.array(x), u=u, r=len(x), n=n)
+    with pytest.raises(NumericError, match="not positive definite"):
+        fit_mle(odd)
+    plain = reciprocals(apply_scheme(sample(n, IwParams(2.0, 1.0), 5),
+                                     HybridScheme(n=n, R=n - 1, T=2.0)))
+    _check_rows(sorted([odd, plain], key=lambda s: s.r), 0.95)
+
+
+def _check_rows(samples, level):
+    rows = _stack(samples)
+    fits_alone = [_outcome(fit_mle, s) for s in samples]
+    if any(error is DomainError for _, error in fits_alone):
+        with pytest.raises(DomainError):
+            _fit_rows(rows)
+        return
+    fits = _fit_rows(rows)
+    len_a, len_l, ci_ok = _ci_rows(fits, level)
+    lindley = _lindley_rows(fits, rows, _PRIORS)
+    for i, (s, (fit, error)) in enumerate(zip(samples, fits_alone)):
+        assert fits.error[i] is error
+        assert bool(fits.ok[i]) == (error is None)
+        if error is not None:
+            assert not ci_ok[i] and not any(ok[i] for _, _, ok in lindley)
+            continue
+        assert fits.fit(i) == fit
+        assert _bits(fits.alpha[i], fits.lam[i], fits.theta[i], fits.loglik[i],
+                     fits.grad_norm[i]) \
+            == _bits(fit.alpha_hat, fit.lam_hat, fit.theta_hat, fit.loglik, fit.grad_norm)
+        ci, error = _outcome(asymptotic_ci, fit, level)
+        assert error in (None, NumericError)
+        assert bool(ci_ok[i]) == (error is None)
+        if ci is not None:
+            assert _bits(len_a[i], len_l[i]) == _bits(ci[0].length, ci[1].length)
+        for prior, (alpha_L, lambda_L, ok) in zip(_PRIORS, lindley):
+            est, error = _outcome(lindley_estimates, fit, prior, s)
+            assert error in (None, NumericError)
+            assert bool(ok[i]) == (error is None)
+            if est is not None:
+                assert _bits(alpha_L[i], lambda_L[i]) == _bits(est.alpha_L, est.lambda_L)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(samples=_rows(), data=st.data())
+def test_row_kernel_equals_the_sample_kernel_at_extreme_points(samples, data):
+    """Every branch of the censoring term, q underflowing at extreme lam
+    included, and every order."""
+    samples = [s for s in samples if s.r >= 1]
+    if not samples:
+        return
+    rows = _stack(samples)
+    log_points = st.tuples(st.floats(-8.0, 12.0), st.floats(-700.0, 700.0))
+    points = np.exp(np.array(data.draw(st.lists(log_points, min_size=len(samples),
+                                                max_size=len(samples)))))
+    for order in range(4):
+        got = _derivative_rows(points[:, 0], points[:, 1], rows, slice(None), order)
+        for i, s in enumerate(samples):
+            want = _derivatives(points[i, 0], points[i, 1], s, order)
+            assert _bits(*got[:, i]) == _bits(want[0], *(t for terms in want[1:] for t in terms))
+
+
+def test_censored_rows_equal_each_censored_sample():
+    scheme = HybridScheme(n=30, R=20, T=1.5)
+    params = IwParams.from_rate(2.0, 1.0)
+    seeds = [np.random.SeedSequence((3, 0, rep), spawn_key=(0,)) for rep in range(50)]
+    rows, order = _censor_rows(_sample_rows(30, params, seeds), scheme)
+    assert (np.diff(rows.r) >= 0).all() and sorted(order.tolist()) == list(range(50))
+    for i, rep in enumerate(order.tolist()):
+        want = reciprocals(apply_scheme(sample(30, params, seeds[rep]), scheme))
+        got = rows.sample(i)
+        assert (got.r, got.u, got.n) == (want.r, want.u, want.n)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.regression_start == want.regression_start
+        assert _bits(rows.sum_log_x[i], *(v[i] for v in rows.regression_start)) \
+            == _bits(want.sum_log_x, *want.regression_start)
+
+
+def _config(**overrides):
+    base = dict(true_alpha=2.0, true_lambda=1.0,
+                cells=((12, 1.5, 8), (20, 2.5, 20), (4, 0.3, 4)),
+                priors=(GammaPriors(), GammaPriors(2, 1, 1, 1)), replicates=3, draws=60,
+                base_seed=17, methods=("mle", "lindley", "is"))
+    base.update(overrides)
+    return StudyConfig(**base)
+
+
+def _assert_same_bytes(got, want):
+    assert repr([dataclasses.astuple(r) for r in got.rows]) \
+        == repr([dataclasses.astuple(r) for r in want.rows])
+    for mine, theirs in ((got.estimates, want.estimates), (got.lengths, want.lengths)):
+        assert list(mine) == list(theirs)
+        for key in theirs:
+            assert mine[key].tobytes() == theirs[key].tobytes()
+
+
+@pytest.mark.parametrize("replicates", [1, 2, 3, 9])
+@pytest.mark.parametrize("chunk", [4, harness._CHUNK_ROWS])
+def test_run_study_bytes_do_not_depend_on_the_chunk_size(monkeypatch, replicates, chunk):
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", chunk)
+    config = _config(replicates=replicates)
+    _assert_same_bytes(run_study(config), run_study_ref(config))
+
+
+def test_run_study_bytes_across_the_default_chunk_boundary():
+    config = _config(cells=((10, 1.0, 6),), replicates=harness._CHUNK_ROWS + 3,
+                     methods=("mle", "lindley"))
+    _assert_same_bytes(run_study(config), run_study_ref(config))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_chunk_with_a_replicate_that_raises_raises_as_one_at_a_time():
+    # shape 0.005 overflows some draws to inf, which apply_scheme rejects
+    config = _config(true_alpha=0.005, cells=((30, 1.5, 20),), replicates=40,
+                     methods=("mle", "lindley"))
+    with pytest.raises(DomainError) as want:
+        run_study_ref(config)
+    with pytest.raises(DomainError) as got:
+        run_study(config)
+    assert str(got.value) == str(want.value)
