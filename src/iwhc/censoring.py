@@ -267,17 +267,19 @@ def _censor_rows(complete_times: np.ndarray, scheme: HybridScheme) -> tuple:
     of complete samples, with the same bits.  Returns the
     :class:`ReciprocalRows` and, for each of its rows, the index of the
     matrix row it came from."""
-    if not np.all(np.isfinite(complete_times)) or np.any(complete_times <= 0.0):
-        raise DomainError("failure times must be strictly positive and finite")
     srt = np.sort(complete_times, axis=1)
-    t_R = srt[:, scheme.R - 1]
-    within = t_R <= scheme.T
-    r = np.where(within, scheme.R, (srt <= scheme.T).sum(axis=1))
+    # each row's least and greatest value, where NaN sorts last
+    if not ((srt[:, 0] > 0.0) & (srt[:, -1] < np.inf)).all():
+        raise DomainError("failure times must be strictly positive and finite")
+    # a row stops at its R-th failure where that is within T, so that r and u
+    # are the least of (failures within T, R) and of (R-th failure, T)
+    r = np.minimum((srt <= scheme.T).sum(axis=1), scheme.R)
     order = np.argsort(r, kind="stable")
+    r = r[order]
     x = 1.0 / srt[order]
-    x[np.arange(scheme.n) >= r[order, None]] = 1.0
-    u = np.where(within, t_R, scheme.T)[order]
-    return ReciprocalRows(x=x, u=u, r=r[order], n=scheme.n), order
+    x[np.arange(scheme.n) >= r[:, None]] = 1.0
+    u = np.minimum(srt[order, scheme.R - 1], scheme.T)
+    return ReciprocalRows(x=x, u=u, r=r, n=scheme.n), order
 
 
 def reciprocals(s: HybridSample) -> ReciprocalSample:

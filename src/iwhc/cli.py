@@ -322,7 +322,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (DomainError, InsufficientDataError, DegenerateWeightsError,
-            FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+            OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, NumericError) as exc:

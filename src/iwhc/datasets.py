@@ -53,8 +53,16 @@ def _parsed_bundled(name: str) -> np.ndarray:
     return _parse_text(text, origin=name)
 
 
+def _read_text(path) -> str:
+    """The text of the file at ``path``; DomainError where it does not decode."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not a text file (byte {exc.start}: {exc.reason})") from None
+
+
 def parse_data_file(path) -> np.ndarray:
-    return _parse_text(Path(path).read_text(), origin=str(path))
+    return _parse_text(_read_text(path), origin=str(path))
 
 
 def resolve(name_or_path: str) -> np.ndarray:

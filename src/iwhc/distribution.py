@@ -129,26 +129,20 @@ def sample(count: int, p: IwParams, seed) -> np.ndarray:
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
-    try:
-        u = rng.random(count)
-    except (ValueError, MemoryError):
-        raise DomainError(f"a sample of {count} lifetimes needs {8 * count} bytes, "
-                          "which cannot be allocated") from None
-    return _quantile(_guard_zero(u), p)
+    return _sample_rows(count, p, [seed])[0]
 
 
 def _sample_rows(count: int, p: IwParams, seeds) -> np.ndarray:
     """:func:`sample` for each seed in ``seeds``, as the rows of one matrix:
     each row draws its uniforms from its own generator, and one
-    inverse-transform call maps them all."""
-    u = np.empty((len(seeds), count))
+    inverse-transform call maps them all, the measure-zero draw u == 0 (the
+    one outside (0, 1)) as 2**-53."""
+    try:
+        u = np.empty((len(seeds), count))
+    except (ValueError, MemoryError):
+        raise DomainError(f"a sample of {len(seeds) * count} lifetimes needs "
+                          f"{8 * len(seeds) * count} bytes, which cannot be allocated") from None
     for row, seed in zip(u, seeds):
         np.random.default_rng(seed).random(out=row)
-    return _quantile(_guard_zero(u), p)
-
-
-def _guard_zero(u: np.ndarray) -> np.ndarray:
-    """Maps the measure-zero draw u == 0, the one outside (0, 1), to 2**-53."""
     u[u == 0.0] = 0.5 ** 53
-    return u
+    return _quantile(u, p)

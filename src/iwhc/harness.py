@@ -14,11 +14,11 @@ group, and a merge step builds the rows from the records in replicate order,
 so a summary is bit-identical for a given config no matter how the replicates
 are scheduled, and no group's stream depends on which other groups run.
 
-The replicates of a cell are fitted in chunks, as arrays: each draws its own
-data into one row of a matrix, and censoring, the MLE, its intervals and
-Lindley run on all rows at once (``_chunk``).  The records have the same bits
-as those of one replicate at a time (``_replicate``), which a chunk of one
-replicate still takes.
+The replicates of a cell run in chunks (``_chunk``): each replicate draws
+its own data into one row of a matrix, and censoring runs on all rows at
+once.  Only the fits fork, on the number of rows: a chunk of one replicate is
+fitted on its sample by ``fit_mle``, ``asymptotic_ci`` and
+``lindley_estimates``, and a chunk of several as arrays, with the same bits.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .censoring import HybridScheme, _censor_rows, apply_scheme, reciprocals
-from .distribution import IwParams, _sample_rows, sample
+from .censoring import HybridScheme, _censor_rows
+from .datasets import _read_text
+from .distribution import IwParams, _sample_rows
 from .errors import (
     ConvergenceError,
     DegenerateWeightsError,
@@ -123,7 +123,7 @@ class StudyConfig:
 
     @classmethod
     def from_json(cls, path) -> "StudyConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(json.loads(_read_text(path)))
 
 
 @dataclass(frozen=True)
@@ -170,46 +170,6 @@ def _groups(config: StudyConfig) -> list:
     return groups
 
 
-def _replicate(config: StudyConfig, scheme: HybridScheme, params: IwParams, groups: list,
-               entropy: tuple) -> list:
-    """Draws, censors and fits one replicate.
-
-    Returns one record per group: ``(alpha, lambda, alpha length, lambda
-    length)``, with lengths ``None`` for Lindley, or ``None`` where the fit
-    failed.  Fewer than two failures fail every group.
-    """
-    # child k of SeedSequence(entropy), as spawn() gives it, made only for
-    # the streams this replicate uses
-    data = sample(scheme.n, params, np.random.SeedSequence(entropy, spawn_key=(0,)))
-    rs = reciprocals(apply_scheme(data, scheme))
-    if rs.r < 2:
-        return [None] * len(groups)
-    # one MLE for the groups that need it; row order puts them first
-    fit = None
-    if groups[0][0] != "is":
-        try:
-            fit = fit_mle(rs)
-        except _FIT_ERRORS:
-            pass
-    records = []
-    for method, pi in groups:
-        record = None
-        if method == "is":
-            record = _is_record(config, rs, pi, entropy)
-        elif fit is not None:
-            try:
-                if method == "mle":
-                    ci_a, ci_l, _ = asymptotic_ci(fit, config.level)
-                    record = (fit.alpha_hat, fit.lam_hat, ci_a.length, ci_l.length)
-                else:
-                    lest = lindley_estimates(fit, config.priors[pi], rs)
-                    record = (lest.alpha_L, lest.lambda_L, None, None)
-            except _FIT_ERRORS:
-                pass
-        records.append(record)
-    return records
-
-
 def _is_record(config: StudyConfig, rs, pi: int, entropy: tuple):
     """The importance-sampling record under prior ``pi``, or None."""
     try:
@@ -222,50 +182,86 @@ def _is_record(config: StudyConfig, rs, pi: int, entropy: tuple):
 
 def _chunk(config: StudyConfig, scheme: HybridScheme, params: IwParams, groups: list,
            entropies: list) -> list:
-    """The records of :func:`_replicate` for each of ``entropies``, from the
-    replicates fitted together as arrays, with the same bits.
+    """The records of the replicates of ``entropies``, in order.
 
-    Each replicate draws its data from its own stream into one row of a
-    matrix; censoring, the MLE, its intervals and Lindley run on all rows at
-    once, and importance sampling runs on each row's sample.  One replicate
-    takes the one-at-a-time path, and so does every replicate of a chunk
-    where one of them raises an error that is not a failed fit, so that the
-    error comes from the same replicate.
+    A replicate's record has one entry per group: ``(alpha, lambda, alpha
+    length, lambda length)``, with lengths ``None`` for Lindley, or ``None``
+    where the fit failed.  Fewer than two failures fail every group.  A
+    chunk where some replicate raises an error that is not a failed fit
+    (DomainError) runs again one replicate at a time, so that the error comes
+    from the same replicate.
     """
-    if len(entropies) > 1:
-        try:
-            return _fit_chunk(config, scheme, params, groups, entropies)
-        except (DomainError, OverflowError, ZeroDivisionError):
-            pass
-    return [_replicate(config, scheme, params, groups, e) for e in entropies]
+    try:
+        return _records(config, scheme, params, groups, entropies)
+    except DomainError:
+        if len(entropies) == 1:
+            raise
+    return [_records(config, scheme, params, groups, [e])[0] for e in entropies]
 
 
-def _fit_chunk(config, scheme, params, groups, entropies) -> list:
-    """The array path of :func:`_chunk`."""
+def _records(config, scheme, params, groups, entropies) -> list:
+    """The records of :func:`_chunk`, from one try at the whole chunk.  A
+    single row is fitted on its sample, which importance sampling then reads
+    too, so that the logs and the regression start that the sample caches
+    are computed once."""
+    # child k of SeedSequence(entropy), as spawn() gives it, made only for
+    # the streams a replicate uses
     data = _sample_rows(scheme.n, params,
                         [np.random.SeedSequence(e, spawn_key=(0,)) for e in entropies])
     rows, order = _censor_rows(data, scheme)
+    single = len(entropies) == 1
+    rs = rows.sample(0) if single else None
     fitted = {}     # the record of each row that has one, by group
-    if groups[0][0] != "is":
-        fits = _fit_rows(rows)
-        if groups[0][0] == "mle":
-            len_a, len_l, ok = _ci_rows(fits, config.level)
-            fitted[groups[0]] = _by_row(ok, fits.alpha, fits.lam, len_a, len_l)
-        lindley = [group for group in groups if group[0] == "lindley"]
-        for group, (alpha_L, lambda_L, ok) in zip(lindley, _lindley_rows(
-                fits, rows, [config.priors[pi] for _, pi in lindley])):
-            fitted[group] = _by_row(ok, alpha_L, lambda_L, None, None)
+    if groups[0][0] != "is":        # row order puts the MLE and Lindley groups first
+        fitted = _sample_fits(config, groups, rs) if single else _row_fits(config, groups, rows)
     sampled = any(method == "is" for method, _ in groups)
     records = [None] * len(entropies)
     for i, (rep, r) in enumerate(zip(order.tolist(), rows.r.tolist())):
         if r < 2:
             records[rep] = [None] * len(groups)
             continue
-        rs = rows.sample(i) if sampled else None
+        if sampled and not single:
+            rs = rows.sample(i)
         records[rep] = [fitted[group].get(i) if group in fitted
                         else _is_record(config, rs, group[1], entropies[rep])
                         for group in groups]
     return records
+
+
+def _sample_fits(config: StudyConfig, groups: list, rs) -> dict:
+    """``{group: {0: record}}`` for the MLE and Lindley groups on one sample,
+    the record left out where the fit fails."""
+    fitted = {group: {} for group in groups if group[0] != "is"}
+    try:
+        fit = fit_mle(rs)
+    except _FIT_ERRORS:
+        return fitted
+    for method, pi in fitted:
+        try:
+            if method == "mle":
+                ci_a, ci_l, _ = asymptotic_ci(fit, config.level)
+                fitted[method, pi][0] = (fit.alpha_hat, fit.lam_hat, ci_a.length, ci_l.length)
+            else:
+                est = lindley_estimates(fit, config.priors[pi], rs)
+                fitted[method, pi][0] = (est.alpha_L, est.lambda_L, None, None)
+        except _FIT_ERRORS:
+            pass
+    return fitted
+
+
+def _row_fits(config: StudyConfig, groups: list, rows) -> dict:
+    """``{group: {row: record}}`` for the MLE and Lindley groups on every row
+    of ``rows`` at once, the rows where the fit fails left out."""
+    fits = _fit_rows(rows)
+    fitted = {}
+    if groups[0][0] == "mle":
+        len_a, len_l, ok = _ci_rows(fits, config.level)
+        fitted[groups[0]] = _by_row(ok, fits.alpha, fits.lam, len_a, len_l)
+    lindley = [group for group in groups if group[0] == "lindley"]
+    for group, (alpha_L, lambda_L, ok) in zip(lindley, _lindley_rows(
+            fits, rows, [config.priors[pi] for _, pi in lindley])):
+        fitted[group] = _by_row(ok, alpha_L, lambda_L, None, None)
+    return fitted
 
 
 def _by_row(ok: np.ndarray, *columns) -> dict:

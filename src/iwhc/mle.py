@@ -127,14 +127,13 @@ _LOG_TINY = float(np.log(_TINY))
 
 
 def _censor_q(alpha, lam, log_u):
-    """``(log q, q)`` for q = lam * u**-alpha, elementwise.  q is clamped to
-    [tiny, e**709] so that ``expm1(q)`` overflows cleanly.  Where log q is
-    below ``_LOG_TINY``, the censoring factor log(1 - e**-q) is log q to float
-    precision, and callers read log q for it."""
+    """``(log q, q, f)`` for q = lam * u**-alpha and the censoring factor f =
+    log(1 - e**-q), elementwise.  q is clamped to [tiny, e**709] so that
+    ``expm1(q)`` overflows cleanly.  Where log q is below ``_LOG_TINY``, q
+    underflows and f is log q, which equals it to float precision there."""
     log_q = np.log(lam) - alpha * log_u
-    with np.errstate(over="ignore"):
-        q = np.exp(np.minimum(log_q, 709.0))
-    return log_q, np.maximum(q, _TINY)
+    q = np.maximum(np.exp(np.minimum(log_q, 709.0)), _TINY)
+    return log_q, q, np.where(log_q < _LOG_TINY, log_q, np.log(-np.expm1(-q)))
 
 
 def _q_over_expm1(q: float) -> float:
@@ -202,13 +201,13 @@ def _derivative_rows(alpha: np.ndarray, lam: np.ndarray, rows: ReciprocalRows, i
     branches = [(False, False, ~cens, 0.0, 0.0, 0.0, 0.0)]
     if cens.any():
         L = rows.log_u[idx]
-        log_q = np.log(lam) - alpha * L
+        log_q, q, factor = _censor_q(alpha, lam, L)
         tail = cens & (log_q < _LOG_TINY)
         with np.errstate(over="ignore"):
-            q = np.maximum(np.exp(np.minimum(log_q, 709.0)), _TINY)
             p = q / np.expm1(q)
-        branches += [(True, False, cens & ~tail, L, q, p, m * np.log(-np.expm1(-q))),
-                     (False, True, tail, L, 0.0, 0.0, m * log_q)]
+        ll_censor = m * factor
+        branches += [(True, False, cens & ~tail, L, q, p, ll_censor),
+                     (False, True, tail, L, 0.0, 0.0, ll_censor)]
     out = np.empty(((1, 3, 6, 10)[order], alpha.size))
     for full, tail, mask, *censor in branches:
         if not mask.any():
@@ -461,15 +460,6 @@ class _RowFits:
     ok: np.ndarray
     error: np.ndarray
 
-    def fit(self, i: int) -> MleFit:
-        """The :class:`MleFit` of row i, which must be ok."""
-        return MleFit(alpha_hat=float(self.alpha[i]), lam_hat=float(self.lam[i]),
-                      theta_hat=float(self.theta[i]), loglik=float(self.loglik[i]),
-                      cov=CovarianceMatrix(float(self.v11[i]), float(self.v12[i]),
-                                           float(self.v22[i])),
-                      iterations=int(self.iterations[i]), converged=True,
-                      grad_norm=float(self.grad_norm[i]))
-
 
 def _fit_rows(rows: ReciprocalRows) -> _RowFits:
     """:func:`fit_mle` with its default solver on every row of ``rows`` at
@@ -555,7 +545,8 @@ def asymptotic_ci(
 
     alpha and lam use the pivots (hat - true)/sqrt(V_ii); theta uses the delta
     method on theta = lam**(-1/alpha) with gradient
-    (theta*log(lam)/alpha**2, -theta/(alpha*lam)) and the full covariance.
+    (theta*log(lam)/alpha**2, -theta/(alpha*lam)) and the full covariance;
+    NumericError where alpha**2 overflows or alpha*lam underflows to 0.
     """
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
@@ -564,10 +555,14 @@ def asymptotic_ci(
     z = _z(level)
     half_a = z * np.sqrt(fit.cov.v11)
     half_l = z * np.sqrt(fit.cov.v22)
-    grad = np.array([
-        fit.theta_hat * np.log(fit.lam_hat) / fit.alpha_hat ** 2,
-        -fit.theta_hat / (fit.alpha_hat * fit.lam_hat),
-    ])
+    try:
+        grad = np.array([
+            fit.theta_hat * np.log(fit.lam_hat) / fit.alpha_hat ** 2,
+            -fit.theta_hat / (fit.alpha_hat * fit.lam_hat),
+        ])
+    except (OverflowError, ZeroDivisionError):
+        raise NumericError(f"the delta-method gradient of theta at ({fit.alpha_hat}, "
+                           f"{fit.lam_hat}) is outside the float64 range") from None
     var_theta = float(grad @ fit.cov.as_matrix() @ grad)
     half_t = z * np.sqrt(var_theta)
     return (
@@ -585,12 +580,10 @@ def _ci_rows(fits: _RowFits, level: float) -> tuple:
     alpha, lam, theta = fits.alpha, fits.lam, fits.theta
     with np.errstate(all="ignore"):
         alpha2, alpha_lam = np.float_power(alpha, 2), alpha * lam
-        for i in np.flatnonzero(fits.ok & ((alpha2 == np.inf) | (alpha_lam == 0.0))):
-            asymptotic_ci(fits.fit(i), level)   # raises there, in Python floats
         grad = np.stack([theta * np.log(lam) / alpha2, -theta / alpha_lam], axis=1)
         cov = np.stack([fits.v11, fits.v12, fits.v12, fits.v22], axis=1).reshape(-1, 2, 2)
         var_theta = (grad[:, None, :] @ cov @ grad[:, :, None])[:, 0, 0]
-        ok = fits.ok.copy()
+        ok = fits.ok & (alpha2 < np.inf) & (alpha_lam != 0.0)
         lengths = []
         for centre, half in ((alpha, z * np.sqrt(fits.v11)), (lam, z * np.sqrt(fits.v22)),
                              (theta, z * np.sqrt(var_theta))):

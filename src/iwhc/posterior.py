@@ -33,7 +33,7 @@ import numpy as np
 from .censoring import ReciprocalSample
 from .errors import DegenerateWeightsError, DomainError, InsufficientDataError, NumericError
 from .lindley import GammaPriors
-from .mle import _LOG_TINY, ConfidenceInterval, _censor_q, _in_floats
+from .mle import ConfidenceInterval, _censor_q, _in_floats
 
 __all__ = [
     "PosteriorDraws",
@@ -449,8 +449,7 @@ def posterior_draws(
     if s.n == s.r:
         weights = np.full(count, 1.0 / count)
     else:
-        log_q, q = _censor_q(alphas, lams, s.log_u)
-        lw = (s.n - s.r) * np.where(log_q < _LOG_TINY, log_q, np.log(-np.expm1(-q)))
+        lw = (s.n - s.r) * _censor_q(alphas, lams, s.log_u)[2]
         w = np.exp(lw - lw.max())
         total = w.sum()
         if not total > 0:

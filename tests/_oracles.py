@@ -671,7 +671,6 @@ def bayes_is_ref(s, priors, count, seed, level=0.95):
     ratio, then mean, variance, HPD lower and upper of alpha, lam and theta).
     Raises what the library raised: the typed errors, and ``NumericError`` for
     a degenerate interval."""
-    from iwhc.mle import _LOG_TINY, _censor_q
     from iwhc.posterior import _draw_lams
 
     if s.r < 1:
@@ -683,8 +682,12 @@ def bayes_is_ref(s, priors, count, seed, level=0.95):
     if s.n == s.r:
         weights = np.full(count, 1.0 / count)
     else:
-        log_q, q = _censor_q(alphas, lams, s.log_u)
-        lw = (s.n - s.r) * np.where(log_q < _LOG_TINY, log_q, np.log(-np.expm1(-q)))
+        # log(1 - e**-q), read as log q where q underflows
+        tiny = np.finfo(float).tiny
+        log_q = np.log(lams) - alphas * s.log_u
+        with np.errstate(over="ignore"):
+            q = np.maximum(np.exp(np.minimum(log_q, 709.0)), tiny)
+        lw = (s.n - s.r) * np.where(log_q < np.log(tiny), log_q, np.log(-np.expm1(-q)))
         w = np.exp(lw - lw.max())
         total = w.sum()
         if not total > 0:

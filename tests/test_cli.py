@@ -262,6 +262,26 @@ def test_unallocatable_counts_fail_with_one_error_line(capsys, tmp_path, argv, c
     assert "cannot be allocated" in err
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (("fit", "{tmp}"), "{tmp}"),
+    (("fit", "{tmp}/bytes.txt"), "bytes.txt: not a text file"),
+    (("simulate", "{tmp}/bytes.txt"), "bytes.txt: not a text file"),
+    (("simulate", "{tmp}/study.json", "--out-dir", "{tmp}/file"), "file"),
+    (("simulate", "{tmp}/study.json", "--out-dir", "{tmp}/file/sub"), "file/sub"),
+], ids=["fit-directory", "fit-undecodable", "simulate-undecodable", "out-dir-is-a-file",
+        "out-dir-under-a-file"])
+def test_unreadable_or_unwritable_paths_fail_with_one_error_line(capsys, tmp_path, argv, needle):
+    (tmp_path / "bytes.txt").write_bytes(b"\xff 1.0 2.0\n")
+    (tmp_path / "file").write_text("")
+    (tmp_path / "study.json").write_text(json.dumps(
+        {"true_alpha": 2.0, "true_lambda": 1.0, "cells": [[12, 1.5, 8]], "replicates": 1,
+         "methods": ["mle"]}))
+    code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle.format(tmp=tmp_path) in err
+
+
 def test_gof_curve_columns(capsys):
     report = run_json(capsys, "gof", "flood", "--sims", "5000", "--curve")
     curve = report["results"]["curve"]

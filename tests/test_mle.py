@@ -7,10 +7,12 @@ from hypothesis import example, given, settings
 
 from iwhc import (
     ConvergenceError,
+    CovarianceMatrix,
     DomainError,
     HybridScheme,
     InsufficientDataError,
     IwParams,
+    MleFit,
     SolverConfig,
     apply_scheme,
     asymptotic_ci,
@@ -471,6 +473,16 @@ def test_ci_level_validation(flood_s1):
     for bad in (0.0, 1.0, -0.1, 2.0):
         with pytest.raises(DomainError):
             asymptotic_ci(fit, bad)
+
+
+@pytest.mark.parametrize("alpha, lam", [(1e200, 1.0), (0.5, 5e-324)],
+                         ids=["alpha-squared-overflows", "alpha-lam-underflows"])
+def test_ci_where_the_theta_gradient_leaves_float_range_is_a_numeric_error(alpha, lam):
+    fit = MleFit(alpha_hat=alpha, lam_hat=lam, theta_hat=1.0, loglik=0.0,
+                 cov=CovarianceMatrix(1.0, 0.0, 1.0), iterations=1, converged=True,
+                 grad_norm=0.0)
+    with pytest.raises(errors.NumericError, match="gradient of theta"):
+        asymptotic_ci(fit)
 
 
 def test_consistency_large_sample():

@@ -4,6 +4,7 @@ the rows of one matrix give, row by row, the bits and the error classes of
 ``run_study`` gives the bytes of the one-replicate-at-a-time loop whatever
 the chunk size."""
 
+import collections
 import dataclasses
 import math
 
@@ -28,7 +29,7 @@ from iwhc import (
     run_study,
     sample,
 )
-from iwhc import harness
+from iwhc import harness, lindley
 from iwhc.censoring import ReciprocalRows, _censor_rows
 from iwhc.distribution import _sample_rows
 from iwhc.lindley import _lindley_rows
@@ -134,10 +135,11 @@ def _check_rows(samples, level):
         if error is not None:
             assert not ci_ok[i] and not any(ok[i] for _, _, ok in lindley)
             continue
-        assert fits.fit(i) == fit
-        assert _bits(fits.alpha[i], fits.lam[i], fits.theta[i], fits.loglik[i],
-                     fits.grad_norm[i]) \
-            == _bits(fit.alpha_hat, fit.lam_hat, fit.theta_hat, fit.loglik, fit.grad_norm)
+        assert fits.iterations[i] == fit.iterations
+        assert _bits(fits.alpha[i], fits.lam[i], fits.theta[i], fits.loglik[i], fits.v11[i],
+                     fits.v12[i], fits.v22[i], fits.grad_norm[i]) \
+            == _bits(fit.alpha_hat, fit.lam_hat, fit.theta_hat, fit.loglik, fit.cov.v11,
+                     fit.cov.v12, fit.cov.v22, fit.grad_norm)
         ci, error = _outcome(asymptotic_ci, fit, level)
         assert error in (None, NumericError)
         assert bool(ci_ok[i]) == (error is None)
@@ -217,6 +219,37 @@ def test_run_study_bytes_across_the_default_chunk_boundary():
     config = _config(cells=((10, 1.0, 6),), replicates=harness._CHUNK_ROWS + 3,
                      methods=("mle", "lindley"))
     _assert_same_bytes(run_study(config), run_study_ref(config))
+
+
+def test_a_single_replicate_is_fitted_and_sampled_on_one_sample(monkeypatch):
+    """A chunk of one replicate, the shape of a Bayes study, is fitted by the
+    one-sample functions, not as arrays, and importance sampling reads the
+    very sample they fitted, so that its cached work is done once: the third
+    derivatives once for both priors."""
+    config = _config(cells=((12, 1.5, 8), (20, 2.5, 20)), replicates=1,
+                     methods=("lindley", "is"))
+    want = run_study_ref(config)
+    calls = []
+
+    def spy(module, name, at):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[at]))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name, at in ((harness, "_fit_rows", 0), (harness, "fit_mle", 0),
+                             (harness, "lindley_estimates", 2), (harness, "bayes_is", 0),
+                             (lindley, "third_derivatives", 2)):
+        spy(module, name, at)
+    _assert_same_bytes(run_study(config), want)
+    by_sample = {}      # the calls on each sample object, by its id
+    for name, s in calls:
+        by_sample.setdefault(id(s), []).append(name)
+    per_replicate = {"fit_mle": 1, "lindley_estimates": 2, "third_derivatives": 1, "bayes_is": 2}
+    assert [collections.Counter(names) for names in by_sample.values()] \
+        == [per_replicate] * len(config.cells)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
