@@ -243,9 +243,9 @@ def cmd_gof(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = StudyConfig.from_json(args.config)
-    summary = run_study(config)
     out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)     # before the study, which may take long
+    summary = run_study(config)
     csv_path = os.path.join(out_dir, "summary.csv")
     table_path = os.path.join(out_dir, "summary.txt")
     write_csv(summary, csv_path)

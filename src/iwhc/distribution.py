@@ -29,7 +29,6 @@ __all__ = [
 # exp() saturation guards: beyond these the result under/overflows anyway
 _EXP_MAX = 709.0
 
-
 def rate_from_scale(alpha: float, theta: float) -> float:
     """Rate ``lam = theta**(-alpha)``, evaluated in log space."""
     if not (alpha > 0 and np.isfinite(alpha)):
@@ -136,13 +135,129 @@ def _sample_rows(count: int, p: IwParams, seeds) -> np.ndarray:
     """:func:`sample` for each seed in ``seeds``, as the rows of one matrix:
     each row draws its uniforms from its own generator, and one
     inverse-transform call maps them all, the measure-zero draw u == 0 (the
-    one outside (0, 1)) as 2**-53."""
+    one outside (0, 1)) as 2**-53.
+
+    ``seeds`` is a list of seeds, or a uint32 matrix whose row i holds the
+    entropy words of the seed ``SeedSequence(seeds[i], spawn_key=(0,))``.
+    The generator states of a matrix's rows come from one array pass
+    (:func:`_child_states`), and one generator, re-stated per row, draws
+    them all."""
     try:
         u = np.empty((len(seeds), count))
     except (ValueError, MemoryError):
         raise DomainError(f"a sample of {len(seeds) * count} lifetimes needs "
                           f"{8 * len(seeds) * count} bytes, which cannot be allocated") from None
-    for row, seed in zip(u, seeds):
-        np.random.default_rng(seed).random(out=row)
+    if isinstance(seeds, np.ndarray):
+        rng = np.random.Generator(np.random.PCG64(0))
+        for row, state in zip(u, _child_states(seeds)):
+            rng.bit_generator.state = state
+            rng.random(out=row)
+    else:
+        for row, seed in zip(u, seeds):
+            np.random.default_rng(seed).random(out=row)
     u[u == 0.0] = 0.5 ** 53
     return _quantile(u, p)
+
+
+# numpy's SeedSequence (NEP 19): a pool of four 32-bit words, filled and mixed
+# by a multiply-xorshift hash whose constant is multiplied by a fixed factor
+# at each use; then PCG64's 128-bit LCG multiplier
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_XSHIFT = np.uint32(16)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# at least this many seeds take the array pass, whose fixed cost is about
+# five times numpy's seeding of one stream
+_ARRAY_SEEDING = 8
+# the pool words that each pool word is mixed into (all but itself), and the
+# cycle of pool words that generate_state hashes into eight output words
+_OTHERS = [np.array([dst for dst in range(_POOL) if dst != src]) for src in range(_POOL)]
+_CYCLE = np.arange(2 * _POOL) % _POOL
+
+
+def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**k`` modulo 2**32 for k < count, as a uint32 column:
+    the successive constants of a SeedSequence hash."""
+    chain = [init]
+    for _ in range(count - 1):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint32)[:, None]
+
+
+# the mix of an entropy of w assembled words hashes 4*w times; this covers
+# w <= 8, a base seed below 2**160 in the study harness
+_HASH_A = _hash_chain(_INIT_A, _MULT_A, 33)
+_HASH_B = _hash_chain(0x8B51F9DD, 0x58F38DED, 2 * _POOL + 1)
+
+
+def _hashmix(value: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of ``value`` under the hash constant ``before``,
+    which it advances to ``after``."""
+    value = (value ^ before) * after
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ out >> _XSHIFT
+
+
+def _child_seeds(prefix: tuple, last: range):
+    """Seeds for :func:`_sample_rows`: child 0 of ``SeedSequence((*prefix,
+    i))`` for each ``i`` in ``last``.  At least ``_ARRAY_SEEDING`` of them,
+    all with ``i`` below 2**32, come as the matrix of their entropy words,
+    each int split into little-endian 32-bit words as numpy splits it; any
+    others as numpy's own ``SeedSequence`` each."""
+    if len(last) < _ARRAY_SEEDING or last[-1] > _MASK32:
+        return [np.random.SeedSequence((*prefix, i), spawn_key=(0,)) for i in last]
+    head = [value >> shift & _MASK32 for value in prefix
+            for shift in range(0, max(value.bit_length(), 1), 32)]
+    words = np.empty((len(last), len(head) + 1), dtype=np.uint32)
+    words[:, :-1] = head
+    words[:, -1] = np.arange(last.start, last.stop)
+    return words
+
+
+def _child_states(entropy: np.ndarray) -> list:
+    """The PCG64 state of ``default_rng(SeedSequence(row, spawn_key=(0,)))``
+    for each row of the uint32 matrix ``entropy``, as
+    ``bit_generator.state`` takes it.
+
+    This is numpy's own seeding, computed for all rows at once:
+    SeedSequence's ``mix_entropy`` and ``generate_state(4, np.uint64)`` in
+    uint32 arithmetic, vectorised over the rows and the pool words, then the
+    two LCG steps of ``pcg64_set_seed`` in Python ints.
+    """
+    rows, width = entropy.shape
+    # the assembled entropy, a column per row: the words zero-padded to the
+    # pool size, then the spawn key (0,)
+    words = np.zeros((max(width, _POOL) + 1, rows), dtype=np.uint32)
+    words[:width] = entropy.T
+    a = _HASH_A if 4 * len(words) < len(_HASH_A) else \
+        _hash_chain(_INIT_A, _MULT_A, 4 * len(words) + 1)
+    # mix_entropy: hash the first words into the pool, mix the hash of each
+    # pool word into every other, then of each further word into every one
+    pool = _hashmix(words[:_POOL], a[:_POOL], a[1:_POOL + 1])
+    k = _POOL
+    for src, dst in enumerate(_OTHERS):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[k:k + _POOL - 1], a[k + 1:k + _POOL]))
+        k += _POOL - 1
+    for word in words[_POOL:]:
+        pool = _mix(pool, _hashmix(word, a[k:k + _POOL], a[k + 1:k + _POOL + 1]))
+        k += _POOL
+    # generate_state: eight hashed words, read in pairs as little-endian
+    # uint64 words (lo | hi << 32); the first two seed the state, the
+    # last two the increment
+    out = _hashmix(pool[_CYCLE], _HASH_B[:-1], _HASH_B[1:]).astype(np.uint64)
+    seed = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*seed):
+        # pcg64_set_seed: from state 0, one step, add the seed, one more step
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states

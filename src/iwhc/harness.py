@@ -16,22 +16,27 @@ are scheduled, and no group's stream depends on which other groups run.
 
 The replicates of a cell run in chunks (``_chunk``): each replicate draws
 its own data into one row of a matrix, and censoring runs on all rows at
-once.  Only the fits fork, on the number of rows: a chunk of one replicate is
-fitted on its sample by ``fit_mle``, ``asymptotic_ci`` and
-``lindley_estimates``, and a chunk of several as arrays, with the same bits.
+once.  The data streams are the same child 0 streams in every chunk: a large
+chunk computes their generator states in one array pass over its entropy
+words, and a small one gets them from numpy's own ``SeedSequence``
+(``distribution._child_seeds``).  Only the fits fork, on the number of rows:
+a chunk of one replicate is fitted on its sample by ``fit_mle``,
+``asymptotic_ci`` and ``lindley_estimates``, and a chunk of several as
+arrays, with the same bits.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .censoring import HybridScheme, _censor_rows
 from .datasets import _read_text
-from .distribution import IwParams, _sample_rows
+from .distribution import IwParams, _child_seeds, _sample_rows
 from .errors import (
     ConvergenceError,
     DegenerateWeightsError,
@@ -54,6 +59,18 @@ _CHUNK_ROWS = 256
 _CHUNK_VALUES = 1 << 16
 
 
+def _integer(raw: dict, key: str, default: int) -> int:
+    """``raw[key]`` as an int: an int, or a float with an integral value
+    (JSON reads ``1e3`` as one), never truncated."""
+    value = raw.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     true_alpha: float
@@ -67,6 +84,12 @@ class StudyConfig:
     level: float = 0.95
 
     def __post_init__(self):
+        for name in ("replicates", "draws", "base_seed"):
+            try:    # a numpy integer is stored as the int it holds
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, "
+                                  f"got {getattr(self, name)!r}") from None
         if self.replicates < 1:
             raise DomainError("replicates must be >= 1")
         if not 0.0 < self.level < 1.0:
@@ -109,9 +132,9 @@ class StudyConfig:
                 true_lambda=float(raw["true_lambda"]),
                 cells=tuple((int(n), float(T), int(R)) for n, T, R in cells),
                 priors=tuple(GammaPriors(*map(float, p)) for p in priors),
-                replicates=int(raw.get("replicates", 1000)),
-                draws=int(raw.get("draws", 1000)),
-                base_seed=int(raw.get("base_seed", 0)),
+                replicates=_integer(raw, "replicates", 1000),
+                draws=_integer(raw, "draws", 1000),
+                base_seed=_integer(raw, "base_seed", 0),
                 methods=tuple(raw.get("methods", list(_METHODS))),
                 level=float(raw.get("level", 0.95)),
             )
@@ -172,6 +195,7 @@ def _groups(config: StudyConfig) -> list:
 
 def _is_record(config: StudyConfig, rs, pi: int, entropy: tuple):
     """The importance-sampling record under prior ``pi``, or None."""
+    # child 1 + pi of SeedSequence(entropy), as spawn() gives it
     try:
         res = bayes_is(rs, config.priors[pi], config.draws,
                        np.random.SeedSequence(entropy, spawn_key=(1 + pi,)), level=config.level)
@@ -181,8 +205,8 @@ def _is_record(config: StudyConfig, rs, pi: int, entropy: tuple):
 
 
 def _chunk(config: StudyConfig, scheme: HybridScheme, params: IwParams, groups: list,
-           entropies: list) -> list:
-    """The records of the replicates of ``entropies``, in order.
+           cell: int, reps: range) -> list:
+    """The records of the replicates ``reps`` of cell ``cell``, in order.
 
     A replicate's record has one entry per group: ``(alpha, lambda, alpha
     length, lambda length)``, with lengths ``None`` for Lindley, or ``None``
@@ -192,30 +216,28 @@ def _chunk(config: StudyConfig, scheme: HybridScheme, params: IwParams, groups: 
     from the same replicate.
     """
     try:
-        return _records(config, scheme, params, groups, entropies)
+        return _records(config, scheme, params, groups, cell, reps)
     except DomainError:
-        if len(entropies) == 1:
+        if len(reps) == 1:
             raise
-    return [_records(config, scheme, params, groups, [e])[0] for e in entropies]
+    return [_records(config, scheme, params, groups, cell, range(rep, rep + 1))[0]
+            for rep in reps]
 
 
-def _records(config, scheme, params, groups, entropies) -> list:
+def _records(config, scheme, params, groups, cell, reps) -> list:
     """The records of :func:`_chunk`, from one try at the whole chunk.  A
     single row is fitted on its sample, which importance sampling then reads
     too, so that the logs and the regression start that the sample caches
     are computed once."""
-    # child k of SeedSequence(entropy), as spawn() gives it, made only for
-    # the streams a replicate uses
-    data = _sample_rows(scheme.n, params,
-                        [np.random.SeedSequence(e, spawn_key=(0,)) for e in entropies])
+    data = _sample_rows(scheme.n, params, _child_seeds((config.base_seed, cell), reps))
     rows, order = _censor_rows(data, scheme)
-    single = len(entropies) == 1
+    single = len(reps) == 1
     rs = rows.sample(0) if single else None
     fitted = {}     # the record of each row that has one, by group
     if groups[0][0] != "is":        # row order puts the MLE and Lindley groups first
         fitted = _sample_fits(config, groups, rs) if single else _row_fits(config, groups, rows)
     sampled = any(method == "is" for method, _ in groups)
-    records = [None] * len(entropies)
+    records = [None] * len(reps)
     for i, (rep, r) in enumerate(zip(order.tolist(), rows.r.tolist())):
         if r < 2:
             records[rep] = [None] * len(groups)
@@ -223,7 +245,8 @@ def _records(config, scheme, params, groups, entropies) -> list:
         if sampled and not single:
             rs = rows.sample(i)
         records[rep] = [fitted[group].get(i) if group in fitted
-                        else _is_record(config, rs, group[1], entropies[rep])
+                        else _is_record(config, rs, group[1],
+                                        (config.base_seed, cell, reps[rep]))
                         for group in groups]
     return records
 
@@ -285,9 +308,8 @@ def run_study(config: StudyConfig) -> SimulationSummary:
         size = max(1, min(_CHUNK_ROWS, _CHUNK_VALUES // scheme.n))
         records = []
         for start in range(0, config.replicates, size):
-            records += _chunk(config, scheme, params, groups,
-                              [(config.base_seed, cell_idx, rep)
-                               for rep in range(start, min(start + size, config.replicates))])
+            records += _chunk(config, scheme, params, groups, cell_idx,
+                              range(start, min(start + size, config.replicates)))
         for g, (method, pi) in enumerate(groups):
             fits = [rec[g] for rec in records if rec[g] is not None]
             prior = config.priors[pi].as_tuple() if pi is not None else None

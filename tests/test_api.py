@@ -51,6 +51,15 @@ def test_every_traced_function_resolves():
             f"iwhc.{module}.{function}"
 
 
+def _fresh_import(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this package."""
+    src = str(Path(iwhc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return proc.stdout.strip()
+
+
 def test_import_path_loads_no_scipy():
     # scipy is a test dependency only: importing the package and the CLI and
     # reading the bundled data must not pull it in (it doubles import time)
@@ -58,8 +67,11 @@ def test_import_path_loads_no_scipy():
             "from iwhc import datasets\n"
             "datasets.resolve('flood'), datasets.resolve('guinea')\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    src = str(Path(iwhc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_import(code) == "[]"
+
+
+def test_import_path_loads_no_numpy_random():
+    # numpy loads numpy.random on first use; the package makes no generator
+    # at import, which would add to every command's start-up
+    assert _fresh_import("import sys, iwhc, iwhc.cli\n"
+                         "print('numpy.random' in sys.modules)\n") == "False"

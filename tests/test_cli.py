@@ -282,6 +282,19 @@ def test_unreadable_or_unwritable_paths_fail_with_one_error_line(capsys, tmp_pat
     assert needle.format(tmp=tmp_path) in err
 
 
+def test_simulate_checks_the_out_dir_before_the_study(capsys, tmp_path, monkeypatch):
+    def study(config):
+        raise AssertionError("run_study ran before the output directory was checked")
+    monkeypatch.setattr(cli, "run_study", study)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "study.json").write_text(json.dumps(
+        {"true_alpha": 2.0, "true_lambda": 1.0, "cells": [[12, 1.5, 8]], "replicates": 3000}))
+    code, out, err = run_cli(capsys, "simulate", str(tmp_path / "study.json"),
+                             "--out-dir", str(tmp_path / "file"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_gof_curve_columns(capsys):
     report = run_json(capsys, "gof", "flood", "--sims", "5000", "--curve")
     curve = report["results"]["curve"]

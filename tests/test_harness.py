@@ -61,6 +61,30 @@ def test_config_validation():
     assert _tiny_config(methods=("mle",), priors=()).priors == ()
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "3", None, [1], math.nan])
+@pytest.mark.parametrize("name", ["base_seed", "replicates", "draws"])
+def test_config_takes_only_integer_seed_and_counts(name, bad):
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        _tiny_config(**{name: bad})
+
+
+def test_config_keeps_numpy_integers_as_ints():
+    config = _tiny_config(base_seed=np.uint64(7), replicates=np.int32(3), draws=np.int64(50),
+                          methods=("mle", "lindley"))
+    assert [type(v) for v in (config.base_seed, config.replicates, config.draws)] == [int] * 3
+    want = run_study(_tiny_config(base_seed=7, replicates=3, draws=50, methods=("mle", "lindley")))
+    assert run_study(config).rows == want.rows
+
+
+@pytest.mark.parametrize("name", ["base_seed", "replicates", "draws"])
+def test_config_from_dict_rejects_a_fraction_rather_than_truncate_it(name):
+    raw = {"true_alpha": 2.0, "true_lambda": 1.0, "cells": [[12, 1.5, 8]]}
+    with pytest.raises(DomainError, match=f"malformed study config: {name} must be an integer"):
+        StudyConfig.from_dict({**raw, name: 3.5})
+    # JSON may write a whole number as a float
+    assert getattr(StudyConfig.from_dict({**raw, name: 3e0}), name) == 3
+
+
 def test_config_json_round_trip(tmp_path):
     raw = {
         "true_alpha": 2.0, "true_lambda": 1.0,

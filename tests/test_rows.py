@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iwhc import (
@@ -31,7 +31,13 @@ from iwhc import (
 )
 from iwhc import harness, lindley
 from iwhc.censoring import ReciprocalRows, _censor_rows
-from iwhc.distribution import _sample_rows
+from iwhc.distribution import (
+    _ARRAY_SEEDING,
+    _child_seeds,
+    _child_states,
+    _quantile,
+    _sample_rows,
+)
 from iwhc.lindley import _lindley_rows
 from iwhc.mle import _ci_rows, _derivative_rows, _derivatives, _fit_rows
 from _oracles import run_study_ref
@@ -262,3 +268,54 @@ def test_a_chunk_with_a_replicate_that_raises_raises_as_one_at_a_time():
     with pytest.raises(DomainError) as got:
         run_study(config)
     assert str(got.value) == str(want.value)
+
+
+# where the entropy of (base_seed, cell, rep) gains a 32-bit word
+_WORD_EDGES = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 96)
+
+
+@settings(max_examples=80, deadline=None)
+@given(base_seed=st.integers(0, 2 ** 70) | st.sampled_from(_WORD_EDGES),
+       cell=st.integers(0, 40) | st.sampled_from(_WORD_EDGES),
+       start=st.integers(0, 5000) | st.integers(2 ** 32 - 20, 2 ** 32 + 5),
+       size=st.integers(1, 3 * _ARRAY_SEEDING))
+@example(base_seed=2 ** 64, cell=0, start=0, size=_ARRAY_SEEDING)
+@example(base_seed=2 ** 32 - 1, cell=3, start=0, size=_ARRAY_SEEDING - 1)
+@example(base_seed=2 ** 32, cell=0, start=2 ** 32 - 4, size=_ARRAY_SEEDING)
+def test_child_seeds_give_numpys_child_streams(base_seed, cell, start, size):
+    """The data of replicates ``reps`` are drawn from child 0 of numpy's
+    ``SeedSequence((base_seed, cell, rep))``, by the array pass or not."""
+    reps = range(start, start + size)
+    seeds = _child_seeds((base_seed, cell), reps)
+    want = [np.random.default_rng(np.random.SeedSequence((base_seed, cell, rep), spawn_key=(0,)))
+            for rep in reps]
+    assert isinstance(seeds, np.ndarray) == (size >= _ARRAY_SEEDING and reps[-1] < 2 ** 32)
+    if isinstance(seeds, np.ndarray):
+        assert _child_states(seeds) == [rng.bit_generator.state for rng in want]
+    params = IwParams.from_rate(2.0, 1.0)
+    u = np.array([rng.random(9) for rng in want])
+    u[u == 0.0] = 0.5 ** 53
+    assert _sample_rows(9, params, seeds).tobytes() == _quantile(u, params).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(entropy=st.integers(1, 12).flatmap(lambda width: st.lists(
+    st.lists(st.integers(0, 2 ** 32 - 1), min_size=width, max_size=width),
+    min_size=1, max_size=4)))
+def test_child_states_are_numpys_for_any_entropy_width(entropy):
+    """Entropy shorter than the pool is zero-padded; longer entropy mixes
+    every further word into the pool and, past eight assembled words, needs
+    a longer hash chain than the precomputed one."""
+    entropy = np.array(entropy, dtype=np.uint32)
+    assert _child_states(entropy) == [
+        np.random.default_rng(np.random.SeedSequence(row, spawn_key=(0,))).bit_generator.state
+        for row in entropy]
+
+
+@pytest.mark.parametrize("base_seed", [17, 2 ** 64])
+@pytest.mark.parametrize("replicates", [_ARRAY_SEEDING - 1, _ARRAY_SEEDING,
+                                        2 * _ARRAY_SEEDING + 1])
+def test_run_study_bytes_across_the_array_seeding_threshold(base_seed, replicates):
+    config = _config(cells=((12, 1.5, 8), (4, 0.3, 4)), replicates=replicates,
+                     base_seed=base_seed, draws=40)
+    _assert_same_bytes(run_study(config), run_study_ref(config))
