@@ -31,7 +31,6 @@ from .mle import (
     CovarianceMatrix,
     FisherMatrix,
     MleFit,
-    SolverConfig,
     asymptotic_ci,
     fit_mle,
     log_likelihood,
@@ -61,7 +60,7 @@ __all__ = [
     "KsResult", "ks_statistic", "ks_test",
     "SimulationSummary", "StudyConfig", "run_study",
     "GammaPriors", "LindleyEstimate", "lindley_estimates", "third_derivatives",
-    "ConfidenceInterval", "CovarianceMatrix", "FisherMatrix", "MleFit", "SolverConfig",
+    "ConfidenceInterval", "CovarianceMatrix", "FisherMatrix", "MleFit",
     "asymptotic_ci", "fit_mle", "log_likelihood", "observed_fisher", "score",
     "BayesEstimate", "IsResult", "PosteriorDraws", "bayes_is", "g2_log_density",
     "hpd_interval", "posterior_draws", "sample_g1", "sample_g2",

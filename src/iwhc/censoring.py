@@ -8,7 +8,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _integer
 
 __all__ = ["HybridScheme", "HybridSample", "ReciprocalSample", "apply_scheme", "reciprocals"]
 
@@ -26,8 +26,9 @@ class HybridScheme:
     T: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
+        # a numpy integer is stored as the int it holds, a fraction rejected
+        object.__setattr__(self, "n", _integer("n", self.n, 1))
+        object.__setattr__(self, "R", _integer("R", self.R))
         if not 1 <= self.R <= self.n:
             raise DomainError(f"R must satisfy 1 <= R <= n, got R={self.R}, n={self.n}")
         if not self.T > 0:
@@ -238,28 +239,31 @@ class ReciprocalRows:
 def apply_scheme(complete_times, scheme: HybridScheme) -> HybridSample:
     """Censor a complete sample of ``scheme.n`` failure times.
 
-    Sorts ascending (stable, so ties keep their order), then truncates at
-    ``u = min(t_(R), T)``.  A failure exactly at ``T`` counts as observed.
-    When the R-th failure occurs within the budget, exactly ``R`` failures are
-    kept even if further ties at ``t_(R)`` exist: the test stops at that
-    failure event.
+    Sorts ascending, then truncates at ``u = min(t_(R), T)``.  A failure
+    exactly at ``T`` counts as observed.  When the R-th failure occurs within
+    the budget, exactly ``R`` failures are kept even if further ties at
+    ``t_(R)`` exist: the test stops at that failure event.
     """
     times = np.asarray(complete_times, dtype=float)
     if times.ndim != 1 or times.size != scheme.n:
         raise DomainError(
             f"expected exactly {scheme.n} complete failure times, got {times.size}"
         )
-    if not np.all(np.isfinite(times)) or np.any(times <= 0.0):
+    srt, r, u = _stop(times, scheme)
+    return HybridSample(times=srt[:r].copy(), r=int(r), u=float(u), scheme=scheme)
+
+
+def _stop(complete_times: np.ndarray, scheme: HybridScheme) -> tuple:
+    """``(sorted times, r, u)`` for each complete sample along the last axis
+    of ``complete_times``: it stops at its R-th failure where that is within
+    T, so u = min(t_(R), T) and r, the failures up to u, is the least of R
+    and the failures within T."""
+    srt = np.sort(complete_times, axis=-1)
+    # each sample's least and greatest value, where NaN sorts last
+    if not ((srt[..., 0] > 0.0) & (srt[..., -1] < np.inf)).all():
         raise DomainError("failure times must be strictly positive and finite")
-    srt = np.sort(times, kind="stable")
-    t_R = srt[scheme.R - 1]
-    if t_R <= scheme.T:
-        observed = srt[: scheme.R]
-        u = float(t_R)
-    else:
-        observed = srt[srt <= scheme.T]
-        u = float(scheme.T)
-    return HybridSample(times=observed.copy(), r=int(observed.size), u=u, scheme=scheme)
+    return (srt, np.minimum((srt <= scheme.T).sum(axis=-1), scheme.R),
+            np.minimum(srt[..., scheme.R - 1], scheme.T))
 
 
 def _censor_rows(complete_times: np.ndarray, scheme: HybridScheme) -> tuple:
@@ -267,19 +271,12 @@ def _censor_rows(complete_times: np.ndarray, scheme: HybridScheme) -> tuple:
     of complete samples, with the same bits.  Returns the
     :class:`ReciprocalRows` and, for each of its rows, the index of the
     matrix row it came from."""
-    srt = np.sort(complete_times, axis=1)
-    # each row's least and greatest value, where NaN sorts last
-    if not ((srt[:, 0] > 0.0) & (srt[:, -1] < np.inf)).all():
-        raise DomainError("failure times must be strictly positive and finite")
-    # a row stops at its R-th failure where that is within T, so that r and u
-    # are the least of (failures within T, R) and of (R-th failure, T)
-    r = np.minimum((srt <= scheme.T).sum(axis=1), scheme.R)
+    srt, r, u = _stop(complete_times, scheme)
     order = np.argsort(r, kind="stable")
     r = r[order]
     x = 1.0 / srt[order]
     x[np.arange(scheme.n) >= r[:, None]] = 1.0
-    u = np.minimum(srt[order, scheme.R - 1], scheme.T)
-    return ReciprocalRows(x=x, u=u, r=r, n=scheme.n), order
+    return ReciprocalRows(x=x, u=u[order], r=r, n=scheme.n), order
 
 
 def reciprocals(s: HybridSample) -> ReciprocalSample:

@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import datasets
+from . import datasets, mle
 from .censoring import HybridScheme, HybridSample, apply_scheme, reciprocals
 from .distribution import IwParams, cdf
 from .errors import (
@@ -37,7 +37,7 @@ from .errors import (
 from .gof import ks_test
 from .harness import StudyConfig, format_table, run_study, write_csv
 from .lindley import GammaPriors, lindley_estimates
-from .mle import SolverConfig, asymptotic_ci, fit_mle
+from .mle import asymptotic_ci, fit_mle
 from .posterior import bayes_is
 
 REPORT_VERSION = 1
@@ -129,12 +129,12 @@ def _report(args, data, hs: HybridSample, method: dict, results: dict, lines,
 
 def cmd_fit(args) -> int:
     data, hs = _observed(args)
-    fit = fit_mle(reciprocals(hs), SolverConfig())
+    fit = fit_mle(reciprocals(hs))
     cis = asymptotic_ci(fit, args.level)
     method = {
         "solver": "damped-newton-log-scale",
-        "tol": SolverConfig().tol,
-        "max_iter": SolverConfig().max_iter,
+        "tol": mle._TOL,
+        "max_iter": mle._MAX_ITER,
         "theta_ci": "delta-method on lam**(-1/alpha)",
         "level": args.level,
     }
@@ -163,7 +163,7 @@ def cmd_bayes(args) -> int:
     priors = _parse_prior(args.prior)
     seed = _seed(args)
     if args.method == "lindley":
-        fit = fit_mle(rs, SolverConfig())
+        fit = fit_mle(rs)
         est = lindley_estimates(fit, priors, rs, curvature=not args.debug_zero_curvature)
         method = {
             "estimator": "lindley-expansion",
@@ -214,7 +214,7 @@ def cmd_censor(args) -> int:
 
 def cmd_gof(args) -> int:
     data, hs = _observed(args, complete=True)
-    fit = fit_mle(reciprocals(hs), SolverConfig())
+    fit = fit_mle(reciprocals(hs))
     params = IwParams(fit.alpha_hat, fit.theta_hat)
     seed = _seed(args)
     result = ks_test(data, params, sims=args.sims, seed=seed)

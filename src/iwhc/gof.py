@@ -17,13 +17,12 @@ every p-value with that key is a binary search in it.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distribution import IwParams, cdf
-from .errors import DomainError
+from .errors import DomainError, _integer
 
 __all__ = ["KsResult", "ks_statistic", "ks_test"]
 
@@ -84,19 +83,6 @@ def _null_sf(d: float, n: int, sims: int, seed: int) -> float:
     """P(D >= d) under the null: the share of simulated statistics >= d."""
     table = _null_stats(n, sims, seed)
     return (sims - int(np.searchsorted(table, d - 1e-12, "left"))) / sims
-
-
-def _integer(name: str, value, least: int) -> int:
-    """``value`` as a Python int no smaller than ``least``, else DomainError."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise DomainError(f"{name} must be >= {least}, got {value}")
-    return value
 
 
 def ks_test(

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -43,6 +42,7 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     NumericError,
+    _integer,
 )
 from .lindley import GammaPriors, _lindley_rows, lindley_estimates
 from .mle import _ci_rows, _fit_rows, asymptotic_ci, fit_mle
@@ -59,16 +59,11 @@ _CHUNK_ROWS = 256
 _CHUNK_VALUES = 1 << 16
 
 
-def _integer(raw: dict, key: str, default: int) -> int:
-    """``raw[key]`` as an int: an int, or a float with an integral value
-    (JSON reads ``1e3`` as one), never truncated."""
-    value = raw.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+def _json_integer(name: str, value) -> int:
+    """A JSON number as an int, checked by :func:`_integer`: a float with an
+    integral value counts (JSON reads ``1e3`` as one), and none is truncated."""
+    return _integer(name, int(value) if isinstance(value, float) and value.is_integer()
+                    else value)
 
 
 @dataclass(frozen=True)
@@ -84,14 +79,9 @@ class StudyConfig:
     level: float = 0.95
 
     def __post_init__(self):
-        for name in ("replicates", "draws", "base_seed"):
-            try:    # a numpy integer is stored as the int it holds
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise DomainError(f"{name} must be an integer, "
-                                  f"got {getattr(self, name)!r}") from None
-        if self.replicates < 1:
-            raise DomainError("replicates must be >= 1")
+        # a numpy integer is stored as the int it holds
+        for name, least in (("replicates", 1), ("draws", None), ("base_seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         if not 0.0 < self.level < 1.0:
             raise DomainError(f"level must be in (0, 1), got {self.level}")
         # the importance-sampling HPD interval needs draws * level >= 2; a
@@ -100,13 +90,11 @@ class StudyConfig:
             raise DomainError(f"draws must be >= 2 with draws * level >= 2, got {self.draws}")
         if self.true_alpha <= 0 or self.true_lambda <= 0:
             raise DomainError("true parameters must be positive")
-        if self.base_seed < 0:
-            raise DomainError("base_seed must be a nonnegative integer")
         for method in self.methods:
             if method not in _METHODS:
                 raise DomainError(f"unknown method {method!r}; choose from {_METHODS}")
         for n, T, R in self.cells:
-            HybridScheme(n=int(n), R=int(R), T=float(T))  # validates invariants
+            HybridScheme(n=n, R=R, T=float(T))  # validates invariants
         if not self.cells or not _groups(self):
             raise DomainError("the study runs no estimator: it needs a cell and a method, "
                               "and lindley and is need a prior")
@@ -130,16 +118,15 @@ class StudyConfig:
             fields = dict(
                 true_alpha=float(raw["true_alpha"]),
                 true_lambda=float(raw["true_lambda"]),
-                cells=tuple((int(n), float(T), int(R)) for n, T, R in cells),
+                cells=tuple((_json_integer("n", n), float(T), _json_integer("R", R))
+                            for n, T, R in cells),
                 priors=tuple(GammaPriors(*map(float, p)) for p in priors),
-                replicates=_integer(raw, "replicates", 1000),
-                draws=_integer(raw, "draws", 1000),
-                base_seed=_integer(raw, "base_seed", 0),
+                replicates=_json_integer("replicates", raw.get("replicates", 1000)),
+                draws=_json_integer("draws", raw.get("draws", 1000)),
+                base_seed=_json_integer("base_seed", raw.get("base_seed", 0)),
                 methods=tuple(raw.get("methods", list(_METHODS))),
                 level=float(raw.get("level", 0.95)),
             )
-        except DomainError:
-            raise
         except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed study config: {exc}") from None
         return cls(**fields)
@@ -304,7 +291,7 @@ def run_study(config: StudyConfig) -> SimulationSummary:
     lengths: dict = {}
 
     for cell_idx, (n, T, R) in enumerate(config.cells):
-        scheme = HybridScheme(n=int(n), R=int(R), T=float(T))
+        scheme = HybridScheme(n=n, R=R, T=float(T))
         size = max(1, min(_CHUNK_ROWS, _CHUNK_VALUES // scheme.n))
         records = []
         for start in range(0, config.replicates, size):

@@ -42,7 +42,6 @@ __all__ = [
     "CovarianceMatrix",
     "MleFit",
     "ConfidenceInterval",
-    "SolverConfig",
     "log_likelihood",
     "score",
     "observed_fisher",
@@ -87,7 +86,7 @@ class MleFit:
     """The maximiser, its log-likelihood and covariance, and the solver's
     diagnostics: Newton iterations taken, and ``grad_norm``, the sup-norm
     ``max(|dl/dalpha|, |dl/dlam|)`` of the raw score in (alpha, lam) at the
-    maximiser, which :attr:`SolverConfig.tol` bounds."""
+    maximiser, which ``_TOL`` bounds."""
 
     alpha_hat: float
     lam_hat: float
@@ -114,13 +113,10 @@ class ConfidenceInterval:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-8          # sup-norm of the score at the solution
-    max_iter: int = 200
-    alpha0: float | None = None
-    lam0: float | None = None
-
+# the Newton stopping rule of fit_mle and _fit_rows, read at each call: stop
+# where the sup-norm of the score is below _TOL, or after _MAX_ITER steps
+_TOL = 1e-8
+_MAX_ITER = 200
 
 _TINY = float(np.finfo(float).tiny)
 _LOG_TINY = float(np.log(_TINY))
@@ -361,8 +357,9 @@ def _newton_steps(h11, h12, h22, g1, g2) -> tuple:
         return np.where(ascent, s1, g1 / scale), np.where(ascent, s2, g2 / scale)
 
 
-def fit_mle(s: ReciprocalSample, config: SolverConfig = SolverConfig()) -> MleFit:
-    """Damped Newton ascent on (log alpha, log lam).
+def fit_mle(s: ReciprocalSample) -> MleFit:
+    """Damped Newton ascent on (log alpha, log lam) from the sample's
+    regression start.
 
     The log parametrization keeps both parameters positive without constraints;
     steps are halved until the log-likelihood does not decrease, and a scaled
@@ -383,15 +380,12 @@ def fit_mle(s: ReciprocalSample, config: SolverConfig = SolverConfig()) -> MleFi
     # gradient step replaces a step that is not finite, and a candidate that
     # leaves (0, inf) or whose log-likelihood is not finite is a failed halving.
     with np.errstate(all="ignore"):
-        if config.alpha0 is not None and config.lam0 is not None:
-            alpha, lam = config.alpha0, config.lam0
-        else:
-            alpha, lam = s.regression_start
+        alpha, lam = s.regression_start
         ll, g, h = _derivatives(alpha, lam, s, 2)
         alpha, lam = float(alpha), float(lam)
         iterations = 0
-        for iterations in range(1, max(config.max_iter, 1) + 1):
-            if _sup_norm(*g) < config.tol:
+        for iterations in range(1, _MAX_ITER + 1):
+            if _sup_norm(*g) < _TOL:
                 iterations -= 1
                 break
             # chain rule to eta = (log alpha, log lam): h_eta = H * outer(jac,
@@ -414,7 +408,7 @@ def fit_mle(s: ReciprocalSample, config: SolverConfig = SolverConfig()) -> MleFi
                 break
             alpha, lam, (ll, g, h) = cand_a, cand_l, cand
     grad_norm = _sup_norm(*g)
-    if grad_norm >= config.tol:
+    if grad_norm >= _TOL:
         raise ConvergenceError(
             f"Newton solver stopped at grad sup-norm {grad_norm:.3e} "
             f"after {iterations} iterations",
@@ -462,15 +456,13 @@ class _RowFits:
 
 
 def _fit_rows(rows: ReciprocalRows) -> _RowFits:
-    """:func:`fit_mle` with its default solver on every row of ``rows`` at
-    once, with the same bits and the same outcome on each row.
+    """:func:`fit_mle` on every row of ``rows`` at once, with the same bits and the same outcome on each row.
 
     The rows still iterating take their Newton steps together, and the rows
     still searching halve their steps together, so each row follows the path
     fit_mle takes on it alone.  Raises DomainError, as fit_mle does, where a
     regression start is not in (0, inf)**2.
     """
-    config = SolverConfig()
     k = rows.r.size
     first = rows.x[:, :1]
     tied = ((rows.x == first) | ~rows.held).all(axis=1) & (
@@ -486,9 +478,9 @@ def _fit_rows(rows: ReciprocalRows) -> _RowFits:
     with np.errstate(all="ignore"):
         terms[:, live] = _derivative_rows(alpha[live], lam[live], rows, live, 2)
         active = live
-        for it in range(1, config.max_iter + 1):
+        for it in range(1, _MAX_ITER + 1):
             g_a, g_l = terms[1, active], terms[2, active]
-            done = np.maximum(np.abs(g_a), np.abs(g_l)) < config.tol
+            done = np.maximum(np.abs(g_a), np.abs(g_l)) < _TOL
             iterations[active[done]] = it - 1
             active, g_a, g_l = active[~done], g_a[~done], g_l[~done]
             if not active.size:
@@ -515,9 +507,9 @@ def _fit_rows(rows: ReciprocalRows) -> _RowFits:
                 scale *= 0.5
             iterations[active[pending]] = it        # no ascent: the fit stops here
             active = np.delete(active, pending)
-        iterations[active] = config.max_iter
+        iterations[active] = _MAX_ITER
         grad_norm = np.maximum(np.abs(terms[1]), np.abs(terms[2]))
-        converged = fitted & ~(grad_norm >= config.tol)
+        converged = fitted & ~(grad_norm >= _TOL)
         h11, h12, h22 = terms[3:]
         det = h11 * h22 - np.float_power(h12, 2)
         v11, v12, v22 = -h22 / det, h12 / det, -h11 / det

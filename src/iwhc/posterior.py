@@ -290,8 +290,7 @@ def sample_g2(
     s: ReciprocalSample,
     priors: GammaPriors,
     seed,
-    return_info: bool = False,
-):
+) -> tuple[np.ndarray, dict]:
     """Exact draws from the normalized g2 via adaptive rejection sampling.
 
     Finds the mode of log g2 by Newton's method and builds a tangent hull at
@@ -301,11 +300,11 @@ def sample_g2(
     envelope, evaluates log g2 on them at once and accepts with one
     comparison, then adds up to eight of the rejected points to the hull.
     Every proposal is judged against the envelope it was drawn from, so each
-    accepted draw is exact.  Deterministic for a given seed.  With
-    ``return_info=True`` also returns a dict carrying the acceptance ratio
-    (accepted over evaluated proposals, including accepted surplus the last
-    round discards), the number of hull points and of rounds, the mode, and
-    ``log_rate``: log(d + sum x**alpha), the log g1 rate, at each draw.
+    accepted draw is exact.  Deterministic for a given seed.  Returns the
+    draws and a dict carrying the acceptance ratio (accepted over evaluated
+    proposals, including accepted surplus the last round discards), the
+    number of hull points and of rounds, the mode, and ``log_rate``: log(d +
+    sum x**alpha), the log g1 rate, at each draw.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
@@ -371,11 +370,9 @@ def sample_g2(
         if filled < count and room > 0 and miss.any():
             ts = t[miss][:room]
             hull.insert(ts, hval[miss][:room], _g2_terms(ts, s, priors, 1)[2])
-    if return_info:
-        return draws, {"acceptance_ratio": accepted / proposals,
-                       "hull_points": int(hull.x.size), "rounds": rounds, "mode": mode,
-                       "log_rate": log_rate}
-    return draws
+    return draws, {"acceptance_ratio": accepted / proposals,
+                   "hull_points": int(hull.x.size), "rounds": rounds, "mode": mode,
+                   "log_rate": log_rate}
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +441,7 @@ def posterior_draws(
     # the child that root.spawn(1) would give first, made without advancing root
     rng = np.random.default_rng(np.random.SeedSequence(
         root.entropy, spawn_key=root.spawn_key + (0,), pool_size=root.pool_size))
-    alphas, info = sample_g2(count, s, priors, rng, return_info=True)
+    alphas, info = sample_g2(count, s, priors, rng)
     lams = _draw_lams(info["log_rate"], s.r + priors.c, rng)
     if s.n == s.r:
         weights = np.full(count, 1.0 / count)

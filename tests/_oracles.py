@@ -16,7 +16,7 @@ from scipy import integrate, optimize, special, stats
 
 from iwhc import (ConvergenceError, CovarianceMatrix, DegenerateWeightsError, GammaPriors,
                   HybridScheme, InsufficientDataError, IwParams, MleFit, NumericError,
-                  ReciprocalSample, SolverConfig, apply_scheme, asymptotic_ci, bayes_is,
+                  ReciprocalSample, apply_scheme, asymptotic_ci, bayes_is,
                   fit_mle, lindley_estimates, log_likelihood, reciprocals, sample)
 
 
@@ -195,7 +195,10 @@ def lapack_solve(h_eta, g_eta):
     return np.linalg.solve(h_eta, -g_eta)
 
 
-def fit_mle_ref(s, config=SolverConfig(), solve=elimination_solve):
+def fit_mle_ref(s, start=None, max_iter=200, solve=elimination_solve):
+    """fit_mle as a numpy-scalar Newton loop, from ``start``, else from its own
+    regression start, stopping at a score sup-norm below 1e-8 or after
+    ``max_iter`` steps."""
     if s.r < 2:
         raise InsufficientDataError(
             f"a two-parameter fit needs at least 2 observed failures, got r={s.r}"
@@ -206,14 +209,11 @@ def fit_mle_ref(s, config=SolverConfig(), solve=elimination_solve):
             "is censored later, so the likelihood has no maximum"
         )
     with np.errstate(all="ignore"):
-        if config.alpha0 is not None and config.lam0 is not None:
-            alpha, lam = config.alpha0, config.lam0
-        else:
-            alpha, lam = _initial_guess_ref(s)
+        alpha, lam = _initial_guess_ref(s) if start is None else start
         ll, g, fisher = _derivatives_ref(alpha, lam, s)
         iterations = 0
-        for iterations in range(1, max(config.max_iter, 1) + 1):
-            if np.abs(g).max() < config.tol:
+        for iterations in range(1, max(max_iter, 1) + 1):
+            if np.abs(g).max() < 1e-8:
                 iterations -= 1
                 break
             jac = np.array([alpha, lam])
@@ -241,7 +241,7 @@ def fit_mle_ref(s, config=SolverConfig(), solve=elimination_solve):
                 break
             alpha, lam, (ll, g, fisher) = cand_a, cand_l, cand
     grad_norm = float(np.abs(g).max())
-    if grad_norm >= config.tol:
+    if grad_norm >= 1e-8:
         raise ConvergenceError(
             f"Newton solver stopped at grad sup-norm {grad_norm:.3e} "
             f"after {iterations} iterations",

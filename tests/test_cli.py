@@ -345,17 +345,20 @@ def test_simulate_json_rows(capsys, tmp_path):
     ('{"true_alpha": 2, "cells": [[12, 1.5, 8]]}', "true_lambda"),
     ('{"true_alpha": 2, "true_lambda": 1, "cells": [[12, 1.5, 8]], "draws": "many"}',
      "malformed"),
+    ('{"true_alpha": 2, "true_lambda": 1, "cells": [[12.7, 1.5, 8.9]]}',
+     "malformed study config: n must be an integer, got 12.7"),
     ('[[12, 1.5, 8]]', "JSON object"),
     ('{"true_alpha": 2, "true_lambda": 1, "cells": [[12, 1.5, 8]], "methods": ["is"], '
      '"priors": []}', "no estimator"),
 ], ids=["short-cell", "cells-not-list", "short-prior", "missing-key", "bad-number",
-        "not-object", "no-estimator"])
+        "fractional-cell", "not-object", "no-estimator"])
 def test_simulate_malformed_config_fails(capsys, tmp_path, text, needle):
     cfg = tmp_path / "study.json"
     cfg.write_text(text)
     code, out, err = run_cli(capsys, "simulate", str(cfg), "--out-dir", str(tmp_path))
     assert code == 1
     assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
     assert not (tmp_path / "summary.csv").exists()
 

@@ -85,6 +85,25 @@ def test_config_from_dict_rejects_a_fraction_rather_than_truncate_it(name):
     assert getattr(StudyConfig.from_dict({**raw, name: 3e0}), name) == 3
 
 
+def test_cells_take_only_integer_n_and_r():
+    with pytest.raises(DomainError, match="n must be an integer, got 12.7"):
+        HybridScheme(n=12.7, R=8.9, T=1.5)
+    with pytest.raises(DomainError, match="R must be an integer, got 8.9"):
+        HybridScheme(n=12, R=8.9, T=1.5)
+    scheme = HybridScheme(n=np.int64(12), R=np.int32(8), T=1.5)
+    assert (type(scheme.n), type(scheme.R)) == (int, int)
+    with pytest.raises(DomainError, match="n must be an integer, got 12.7"):
+        _tiny_config(cells=((12.7, 1.5, 8.9),))
+    raw = {"true_alpha": 2.0, "true_lambda": 1.0}
+    with pytest.raises(DomainError, match="malformed study config: n must be an integer"):
+        StudyConfig.from_dict({**raw, "cells": [[12.7, 1.5, 8.9]]})
+    with pytest.raises(DomainError, match="malformed study config: R must be an integer"):
+        StudyConfig.from_dict({**raw, "cells": [[12, 1.5, 8.9]]})
+    # JSON may write a whole number as a float
+    cells = StudyConfig.from_dict({**raw, "cells": [[12.0, 1.5, 8e0]]}).cells
+    assert cells == ((12, 1.5, 8),) and [type(v) for v in cells[0]] == [int, float, int]
+
+
 def test_config_json_round_trip(tmp_path):
     raw = {
         "true_alpha": 2.0, "true_lambda": 1.0,

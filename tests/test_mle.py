@@ -13,7 +13,7 @@ from iwhc import (
     InsufficientDataError,
     IwParams,
     MleFit,
-    SolverConfig,
+    ReciprocalSample,
     apply_scheme,
     asymptotic_ci,
     fit_mle,
@@ -24,7 +24,7 @@ from iwhc import (
     score,
     third_derivatives,
 )
-from iwhc import errors
+from iwhc import errors, mle
 from iwhc.mle import _newton_step
 from _oracles import (
     fd_gradient,
@@ -124,19 +124,28 @@ def test_kernel_equals_reference_formulas_random():
 _FIT_ERRORS = (ConvergenceError, InsufficientDataError, errors.NumericError)
 
 
-def _assert_fit_matches_reference(s, config=SolverConfig()):
+def _started_at(s, start):
+    """A fresh copy of ``s`` whose regression start, where fit_mle starts, is
+    ``start``."""
+    fresh = ReciprocalSample(x=s.x, u=s.u, r=s.r, n=s.n)
+    fresh.__dict__["regression_start"] = start
+    return fresh
+
+
+def _assert_fit_matches_reference(s, start=None):
     """fit_mle equals the numpy-scalar Newton loop of the oracles, with the
-    same elimination step, in every field, or raises the same error with the
-    same message."""
+    same elimination step and iteration cap, in every field, or raises the
+    same error with the same message; both from ``start`` where given."""
+    fit_s = s if start is None else _started_at(s, start)
     try:
-        want = fit_mle_ref(s, config)
+        want = fit_mle_ref(s, start, mle._MAX_ITER)
     except _FIT_ERRORS as exc:
         with pytest.raises(type(exc)) as got:
-            fit_mle(s, config)
+            fit_mle(fit_s)
         assert str(got.value) == str(exc)
         assert getattr(got.value, "last_iterate", None) == getattr(exc, "last_iterate", None)
         return
-    assert fit_mle(s, config) == want
+    assert fit_mle(fit_s) == want
 
 
 @pytest.mark.parametrize("name", ["flood_complete", "flood_s1", "flood_s2",
@@ -230,7 +239,7 @@ def test_newton_step_that_descends_takes_the_scaled_gradient_step():
 def test_fit_equals_reference_loop_nearly_tied(times, R, T):
     s = reciprocals(apply_scheme(np.array(times), HybridScheme(n=len(times), R=R, T=T)))
     _assert_fit_matches_reference(s)
-    _assert_fit_matches_reference(s, SolverConfig(alpha0=500.0, lam0=1.0))
+    _assert_fit_matches_reference(s, start=(500.0, 1.0))
 
 
 def test_score_matches_finite_differences():
@@ -341,7 +350,7 @@ def test_fit_line_search_skips_overflowing_candidates():
             assert "must be positive" not in str(exc)
             return
     assert np.isfinite([fit.alpha_hat, fit.lam_hat, fit.loglik]).all()
-    assert np.abs(score(fit.alpha_hat, fit.lam_hat, s)).max() < SolverConfig().tol
+    assert np.abs(score(fit.alpha_hat, fit.lam_hat, s)).max() < mle._TOL
 
 
 def _tied_then_censored():
@@ -398,12 +407,14 @@ def test_kernel_is_finite_across_the_censoring_factor_bands():
             _assert_kernel_matches_reference(alpha, lam, s)
 
 
-def test_nonconvergence_carries_last_iterate(flood_s1):
+def test_nonconvergence_carries_last_iterate(flood_s1, monkeypatch):
+    monkeypatch.setattr(mle, "_MAX_ITER", 1)
     with pytest.raises(ConvergenceError) as err:
-        fit_mle(flood_s1, SolverConfig(max_iter=1, alpha0=50.0, lam0=1e-9))
+        fit_mle(_started_at(flood_s1, (50.0, 1e-9)))
     assert err.value.last_iterate is not None
     alpha, lam = err.value.last_iterate
     assert alpha > 0 and lam > 0
+    _assert_fit_matches_reference(flood_s1, start=(50.0, 1e-9))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme draws overflow on purpose
@@ -423,15 +434,14 @@ def test_fit_is_a_stationary_maximum_or_a_typed_error(case):
     if scheme is None or not (np.all(np.isfinite(data)) and np.all(data > 0)):
         return  # rounding or an overflowing draw left no valid lifetimes
     s = reciprocals(apply_scheme(data, scheme))
-    config = SolverConfig()
     try:
-        fit = fit_mle(s, config)
+        fit = fit_mle(s)
     except (errors.DomainError, errors.InsufficientDataError, errors.NumericError,
             errors.ConvergenceError):
         return
     assert np.all(np.isfinite([fit.alpha_hat, fit.lam_hat, fit.theta_hat, fit.loglik]))
     assert fit.converged
-    assert np.abs(score(fit.alpha_hat, fit.lam_hat, s)).max() < config.tol
+    assert np.abs(score(fit.alpha_hat, fit.lam_hat, s)).max() < mle._TOL
     cov = fit.cov.as_matrix()
     assert np.all(np.isfinite(cov))
     assert np.all(np.linalg.eigvalsh(cov) > 0)

@@ -112,7 +112,7 @@ def test_g2_proper_flood_scheme1(flood_s1):
 ], ids=["flood", "guinea"])
 def test_sample_g2_matches_quadrature_cdf(request, case, priors, lo, hi):
     s = request.getfixturevalue(case)
-    draws, info = sample_g2(50_000, s, priors, seed=3, return_info=True)
+    draws, info = sample_g2(50_000, s, priors, seed=3)
     assert 0 < info["acceptance_ratio"] <= 1
     grid = np.linspace(lo, hi, 4000)
     cdf = g2_quadrature_cdf(s, priors, grid)
@@ -123,7 +123,7 @@ def test_sample_g2_matches_quadrature_cdf(request, case, priors, lo, hi):
 
 
 def test_sample_g2_mean_matches_quadrature(flood_s1):
-    draws = sample_g2(50_000, flood_s1, FLAT, seed=4)
+    draws, _ = sample_g2(50_000, flood_s1, FLAT, seed=4)
     grid = np.linspace(0.8, 14.0, 6000)
     dens = np.exp(g2_log_density(grid, flood_s1, FLAT)
                   - g2_log_density(grid, flood_s1, FLAT).max())
@@ -134,14 +134,14 @@ def test_sample_g2_mean_matches_quadrature(flood_s1):
 
 @pytest.mark.parametrize("count", [1, 3])
 def test_sample_g2_fewer_draws_than_first_round(flood_s1, count):
-    draws = sample_g2(count, flood_s1, FLAT, seed=10)
+    draws, _ = sample_g2(count, flood_s1, FLAT, seed=10)
     assert draws.shape == (count,)
     assert np.all(np.isfinite(draws)) and np.all(draws > 0)
 
 
 def test_sample_g2_acceptance_after_refinement(flood_s1):
     # one full-size first round, before the hull is refined, drops this to ~0.66
-    _, info = sample_g2(1000, flood_s1, FLAT, seed=26, return_info=True)
+    _, info = sample_g2(1000, flood_s1, FLAT, seed=26)
     assert info["acceptance_ratio"] >= 0.9
 
 
@@ -190,8 +190,8 @@ def test_sample_g2_unallocatable_count_is_a_domain_error(flood_s1):
 
 
 def test_sample_g2_deterministic(flood_s1):
-    a = sample_g2(500, flood_s1, FLAT, seed=9)
-    b = sample_g2(500, flood_s1, FLAT, seed=9)
+    a, _ = sample_g2(500, flood_s1, FLAT, seed=9)
+    b, _ = sample_g2(500, flood_s1, FLAT, seed=9)
     assert np.array_equal(a, b)
 
 
@@ -205,7 +205,7 @@ _CASES = pytest.mark.parametrize("case, priors", [
 def test_sample_g2_fills_m1000_in_at_most_two_rounds(request, case, priors):
     s = request.getfixturevalue(case)
     for seed in range(20):
-        _, info = sample_g2(1000, s, priors, seed=seed, return_info=True)
+        _, info = sample_g2(1000, s, priors, seed=seed)
         assert info["rounds"] <= 2
 
 
@@ -216,7 +216,7 @@ def test_sample_g2_fills_m1000_in_at_most_two_rounds(request, case, priors):
 def test_sample_g2_pooled_three_draw_calls_match_quadrature_cdf(request, case, priors, lo, hi):
     # each call builds its own hull and fills in one or two rounds
     s = request.getfixturevalue(case)
-    draws = np.concatenate([sample_g2(3, s, priors, seed=seed) for seed in range(6000)])
+    draws = np.concatenate([sample_g2(3, s, priors, seed=seed)[0] for seed in range(6000)])
     grid = np.linspace(lo, hi, 4000)
     cdf = g2_quadrature_cdf(s, priors, grid)
     srt = np.sort(draws)
@@ -229,7 +229,7 @@ def test_sample_g2_pooled_three_draw_calls_match_quadrature_cdf(request, case, p
 def test_g1_rate_of_each_draw_matches_direct_powers(request, case, priors):
     s = request.getfixturevalue(case)
     for p in (priors, GammaPriors(0, 0, 0, 3.5)):
-        draws, info = sample_g2(1000, s, p, seed=27, return_info=True)
+        draws, info = sample_g2(1000, s, p, seed=27)
         assert np.exp(info["log_rate"]) == pytest.approx(g1_rate_ref(s, p, draws), rel=1e-12)
 
 
@@ -238,7 +238,7 @@ def test_posterior_draws_take_lams_from_the_g2_rates(request, case, priors):
     s = request.getfixturevalue(case)
     out = posterior_draws(s, priors, 500, seed=28)
     rng = np.random.default_rng(np.random.SeedSequence(28).spawn(1)[0])
-    alphas = sample_g2(500, s, priors, rng)
+    alphas, _ = sample_g2(500, s, priors, rng)
     lams = rng.gamma(s.r + priors.c, 1.0, size=500) / g1_rate_ref(s, priors, alphas)
     assert np.array_equal(out.alphas, alphas)
     assert out.lams == pytest.approx(lams, rel=1e-12)
@@ -283,8 +283,7 @@ def _assert_sampler_and_summaries_equal_the_copies(s, priors, seed, count):
     the copies warn when theta overflows."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        new_g2 = _outcome(lambda: _g2_fields(*sample_g2(count, s, priors, seed,
-                                                        return_info=True)))
+        new_g2 = _outcome(lambda: _g2_fields(*sample_g2(count, s, priors, seed)))
         new_is = _outcome(lambda: _bits_of(_bayes_is_fields(bayes_is(s, priors, count, seed))))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -330,7 +329,7 @@ def test_sampler_tail_doubling_equals_the_numpy_copy(request, monkeypatch, case)
     # the rising side, so the setup doubles alpha until log g2 turns over
     s = request.getfixturevalue(case)
     for i, priors in enumerate(_PRIORS3):
-        low = sample_g2(10, s, priors, 0, return_info=True)[1]["mode"] / 1000.0
+        low = sample_g2(10, s, priors, 0)[1]["mode"] / 1000.0
         assert g2_terms_ref(low * math.e ** 2, s, priors, 1)[2] > 0
         monkeypatch.setattr(posterior, "_find_mode", lambda dlnf, guess: low)
         monkeypatch.setattr(_oracles, "find_mode_ref", lambda dlnf, guess: low)
@@ -393,7 +392,7 @@ def test_sample_g2_wide_shape_posterior_returns(deadline):
     deadline(10)
     s = _wide_shape_sample()
     assert np.all(np.isfinite(g2_log_density(np.array([400.0, 1e4, 1e6]), s, FLAT)))
-    draws = sample_g2(200, s, FLAT, seed=0)
+    draws, _ = sample_g2(200, s, FLAT, seed=0)
     assert draws.shape == (200,)
     assert np.all(np.isfinite(draws)) and np.all(draws > 0)
 

@@ -29,7 +29,7 @@ from iwhc import (
     run_study,
     sample,
 )
-from iwhc import harness, lindley
+from iwhc import harness, lindley, mle
 from iwhc.censoring import ReciprocalRows, _censor_rows
 from iwhc.distribution import (
     _ARRAY_SEEDING,
@@ -104,6 +104,18 @@ def _rows(draw):
 @given(samples=_rows(), level=st.sampled_from([0.9, 0.95, 0.99]))
 def test_rows_fit_as_each_sample_does_alone(samples, level):
     _check_rows(samples, level)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(samples=_rows(), max_iter=st.integers(1, 4), tol=st.sampled_from([1e-8, 1e-3]))
+def test_rows_and_samples_read_one_set_of_solver_settings(samples, max_iter, tol):
+    """With the Newton cap and tolerance of ``mle`` changed, every row stops
+    where its sample stops alone: the same bits or the same error class."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mle, "_MAX_ITER", max_iter)
+        patch.setattr(mle, "_TOL", tol)
+        _check_rows(samples, 0.95)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
