@@ -8,7 +8,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, _integer
+from .errors import DomainError, _integer, _real
 
 __all__ = ["HybridScheme", "HybridSample", "ReciprocalSample", "apply_scheme", "reciprocals"]
 
@@ -26,9 +26,11 @@ class HybridScheme:
     T: float
 
     def __post_init__(self):
-        # a numpy integer is stored as the int it holds, a fraction rejected
+        # a numpy integer is stored as the int it holds, a fraction rejected,
+        # and T as a float
         object.__setattr__(self, "n", _integer("n", self.n, 1))
         object.__setattr__(self, "R", _integer("R", self.R))
+        object.__setattr__(self, "T", _real("T", self.T))
         if not 1 <= self.R <= self.n:
             raise DomainError(f"R must satisfy 1 <= R <= n, got R={self.R}, n={self.n}")
         if not self.T > 0:

@@ -205,6 +205,14 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ out >> _XSHIFT
 
 
+def _entropy_words(values) -> list:
+    """The 32-bit words that ``SeedSequence`` splits the nonnegative ints
+    ``values`` into, each int little end first: the same seed given as an
+    array of these words is mixed without converting the ints again."""
+    return [value >> shift & _MASK32 for value in values
+            for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
 def _child_seeds(prefix: tuple, last: range):
     """Seeds for :func:`_sample_rows`: child 0 of ``SeedSequence((*prefix,
     i))`` for each ``i`` in ``last``.  At least ``_ARRAY_SEEDING`` of them,
@@ -213,8 +221,7 @@ def _child_seeds(prefix: tuple, last: range):
     others as numpy's own ``SeedSequence`` each."""
     if len(last) < _ARRAY_SEEDING or last[-1] > _MASK32:
         return [np.random.SeedSequence((*prefix, i), spawn_key=(0,)) for i in last]
-    head = [value >> shift & _MASK32 for value in prefix
-            for shift in range(0, max(value.bit_length(), 1), 32)]
+    head = _entropy_words(prefix)
     words = np.empty((len(last), len(head) + 1), dtype=np.uint32)
     words[:, :-1] = head
     words[:, -1] = np.arange(last.start, last.stop)

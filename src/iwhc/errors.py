@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the integer check that
-raises one."""
+"""Exception types shared across the package, and the integer and real
+number checks that raise one."""
 
+import numbers
 import operator
 
 
@@ -43,3 +44,15 @@ def _integer(name: str, value, least=None) -> int:
     if least is not None and value < least:
         raise DomainError(f"{name} must be >= {least}, got {value}")
     return value
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a Python float: a real number (an int, a float or a
+    numpy number, not a bool or a string) within the float range.  Else
+    DomainError.  Callers check the range they need."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} is outside the float range, got {value!r}") from None

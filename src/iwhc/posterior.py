@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -65,7 +65,7 @@ def _log_rate_sums(alpha, s: ReciprocalSample, d: float, order: int) -> list:
     top = s.log_x_max
     e = np.multiply.outer(s.log_x_shifted, alpha)
     np.exp(e, out=e)
-    total = e.sum(axis=0)
+    total = np.add.reduce(e, axis=0)
     log_sum = alpha * top + np.log(total)
     out = [log_sum if d == 0 else np.logaddexp(np.log(d), log_sum)]
     if order:
@@ -100,7 +100,7 @@ def _g2_slope_curve(alpha: float, s: ReciprocalSample, priors: GammaPriors) -> t
     """
     e = s.log_x_shifted * alpha
     np.exp(e, out=e)
-    denom = float(e.sum())
+    denom = float(np.add.reduce(e))
     if priors.d != 0:
         tilt = -alpha * s.log_x_max
         if tilt < 709.0:
@@ -223,11 +223,10 @@ class _Hull:
             h[j] - x[j] * d[j] + d[j] * top[j] + logs[j] - logs[n + j]
             for j in range(n)])
         w = np.exp(logmass - logmass.max())
-        self.z = np.array(z)
-        self.flat = np.array(flat)
-        self.cum = np.cumsum(w)
+        self.z, self.flat, self.any_flat = np.array(z), np.array(flat), any(flat)
+        self.cum = w.cumsum()
         # what a proposal in segment j reads, the same for every proposal
-        self.top, self.span, self.fall = np.array(top), np.array(span), np.array(em[n:])
+        self.top, self.span, self.fall = np.array([top, span, em[n:]])
 
     def propose(self, size: int, rng: np.random.Generator):
         """``size`` independent envelope draws and the segment of each."""
@@ -235,8 +234,9 @@ class _Hull:
                        self.x.size - 1)
         xi = rng.random(size)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            steep = self.top[j] + np.log1p(xi * self.fall[j]) / self.d[j]
-            t = np.where(self.flat[j], self.z[j] + xi * self.span[j], steep)
+            t = self.top[j] + np.log1p(xi * self.fall[j]) / self.d[j]
+            if self.any_flat:
+                t = np.where(self.flat[j], self.z[j] + xi * self.span[j], t)
         return t, j
 
     def insert(self, ts, hs, ds) -> None:
@@ -354,7 +354,8 @@ def sample_g2(
         t, j = hull.propose(need + need // 16 + 4, rng)
         u = rng.random(t.size)
         ok = (t > 0.0) & np.isfinite(t)
-        t, j, u = t[ok], j[ok], u[ok]
+        if np.count_nonzero(ok) < t.size:
+            t, j, u = t[ok], j[ok], u[ok]
         lr, hval = _g2_terms(t, s, priors, 0)
         hval -= offset
         hit = np.log(u) <= hval - hull.h[j] - hull.d[j] * (t - hull.x[j])
@@ -362,12 +363,13 @@ def sample_g2(
         draws[filled:filled + got.size] = t[got]
         log_rate[filled:filled + got.size] = lr[got]
         filled += got.size
+        hits = np.count_nonzero(hit)
         proposals += t.size
-        accepted += int(hit.sum())
+        accepted += hits
         rounds += 1
-        miss = ~hit
         room = min(_REFINE_PER_ROUND, _MAX_HULL_POINTS - hull.x.size)
-        if filled < count and room > 0 and miss.any():
+        if filled < count and room > 0 and hits < t.size:
+            miss = ~hit
             ts = t[miss][:room]
             hull.insert(ts, hval[miss][:room], _g2_terms(ts, s, priors, 1)[2])
     return draws, {"acceptance_ratio": accepted / proposals,
@@ -412,10 +414,21 @@ class BayesEstimate:
 
 @dataclass(frozen=True)
 class IsResult:
+    """The summaries of :func:`bayes_is`: alpha and lam from its call, and
+    theta = lam**(-1/alpha) at its first read, from ``draws`` at ``level``.
+    A failure of the theta summary (theta or its moments overflow, or its
+    interval is degenerate) raises at that read, as the same typed error."""
+
     alpha: BayesEstimate
     lam: BayesEstimate
-    theta: BayesEstimate
     draws: PosteriorDraws
+    level: float = 0.95
+
+    @cached_property
+    def theta(self) -> BayesEstimate:
+        # theta and its moments overflow to inf, which _mean_var reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _summary(self.draws.thetas, self.draws.weights, self.level)
 
 
 def posterior_draws(
@@ -447,8 +460,8 @@ def posterior_draws(
         weights = np.full(count, 1.0 / count)
     else:
         lw = (s.n - s.r) * _censor_q(alphas, lams, s.log_u)[2]
-        w = np.exp(lw - lw.max())
-        total = w.sum()
+        w = np.exp(lw - np.maximum.reduce(lw))
+        total = np.add.reduce(w)
         if not total > 0:
             raise DegenerateWeightsError("all importance weights underflowed to zero")
         weights = w / total
@@ -461,8 +474,8 @@ def posterior_draws(
 def _mean_var(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     """Weighted mean and variance; callers ignore numpy's overflow and
     invalid warnings around it, since a value that overflows raises here."""
-    mean = float((values * weights).sum())
-    var = float((((values - mean) ** 2) * weights).sum())
+    mean = float(np.add.reduce(values * weights))
+    var = float(np.add.reduce(((values - mean) ** 2) * weights))
     if not (math.isfinite(mean) and math.isfinite(var)):
         raise NumericError(f"the weighted mean or variance overflows float64 "
                            f"(mean={mean:.4g}, variance={var:.4g})")
@@ -484,7 +497,7 @@ def _sorted_cum(v: np.ndarray, w: np.ndarray):
         raise DomainError("values and weights must be nonempty and equally long")
     if (w < 0).any():
         raise DomainError("weights must be nonnegative")
-    total = w.sum()
+    total = np.add.reduce(w, axis=None)
     if not total > 0:
         raise DegenerateWeightsError("weights sum to zero")
     order = v.argsort()
@@ -540,6 +553,12 @@ def hpd_interval(values, weights, level: float) -> ConfidenceInterval:
     return ConfidenceInterval(float(vs[lo_idx[j]]), float(vs[hi_idx[j]]), level)
 
 
+def _summary(values: np.ndarray, weights: np.ndarray, level: float) -> BayesEstimate:
+    """Weighted mean, variance and highest-density interval; callers ignore
+    numpy's overflow and invalid warnings around it, as for :func:`_mean_var`."""
+    return BayesEstimate(*_mean_var(values, weights), hpd=hpd_interval(values, weights, level))
+
+
 def bayes_is(
     s: ReciprocalSample,
     priors: GammaPriors,
@@ -548,18 +567,11 @@ def bayes_is(
     level: float = 0.95,
 ) -> IsResult:
     """Full importance-sampling pipeline: draws, then means, variances and
-    highest-density intervals for alpha, lam and theta = lam**(-1/alpha)."""
+    highest-density intervals for alpha and lam, and for theta =
+    lam**(-1/alpha) when :attr:`IsResult.theta` is first read."""
     draws = posterior_draws(s, priors, count, seed)
-
-    def summarize(values: np.ndarray) -> BayesEstimate:
-        return BayesEstimate(*_mean_var(values, draws.weights),
-                             hpd=hpd_interval(values, draws.weights, level))
-
-    # theta and the moments overflow to inf, which _mean_var reports
+    # the moments overflow to inf, which _mean_var reports
     with np.errstate(over="ignore", invalid="ignore"):
-        return IsResult(
-            alpha=summarize(draws.alphas),
-            lam=summarize(draws.lams),
-            theta=summarize(draws.thetas),
-            draws=draws,
-        )
+        alpha = _summary(draws.alphas, draws.weights, level)
+        lam = _summary(draws.lams, draws.weights, level)
+    return IsResult(alpha=alpha, lam=lam, draws=draws, level=level)

@@ -719,7 +719,13 @@ def run_study_ref(config):
     """``run_study`` as one loop over cells and replicates that records and
     counts failures in three dicts per cell, as the harness did before it was
     split into per-replicate records and a merge."""
-    from iwhc.harness import _FIT_ERRORS, CellMetric, SimulationSummary, _se
+    from iwhc.harness import _FIT_ERRORS, CellMetric, SimulationSummary
+
+    def se(values):
+        """numpy's standard error of the mean, NaN for fewer than two values."""
+        if values.size < 2:
+            return float("nan")
+        return float(values.std(ddof=1) / np.sqrt(values.size))
 
     truth = {"alpha": config.true_alpha, "lambda": config.true_lambda}
     params = IwParams.from_rate(config.true_alpha, config.true_lambda)
@@ -812,9 +818,9 @@ def run_study_ref(config):
                     average_estimate=float(vals.mean()) if vals.size else float("nan"),
                     mse=float(errors2.mean()) if vals.size else float("nan"),
                     avg_interval_length=float(lvals.mean()) if lvals.size else None,
-                    se_average=_se(vals),
-                    se_mse=_se(errors2),
-                    se_interval_length=_se(lvals) if lvals.size else None,
+                    se_average=se(vals),
+                    se_mse=se(errors2),
+                    se_interval_length=se(lvals) if lvals.size else None,
                     replicates_used=int(vals.size),
                     failures=n_fail,
                 ))

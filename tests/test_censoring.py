@@ -18,6 +18,22 @@ def test_scheme_invariants():
         HybridScheme(n=10, R=5, T=0.0)
 
 
+@pytest.mark.parametrize("bad", ["1.5", None, [1.5], True, 1j, 10 ** 400])
+def test_scheme_takes_only_a_real_time(bad):
+    with pytest.raises(DomainError, match="T (must be a real number|is outside the float range)"):
+        HybridScheme(n=5, R=2, T=bad)
+
+
+def test_scheme_time_is_a_positive_float_and_may_be_infinite():
+    for T in (1.5, np.float64(1.5), np.float32(1.5), 3):
+        scheme = HybridScheme(n=5, R=2, T=T)
+        assert type(scheme.T) is float and scheme.T == float(T)
+    assert HybridScheme(n=5, R=5, T=math.inf).T == math.inf
+    for T in (0.0, -1.0, math.nan, -math.inf):
+        with pytest.raises(DomainError, match="T must be positive"):
+            HybridScheme(n=5, R=2, T=T)
+
+
 def test_flood_scheme1(flood):
     s = apply_scheme(flood, HybridScheme(n=20, R=18, T=0.5))
     assert s.r == 17

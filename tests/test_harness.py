@@ -14,6 +14,7 @@ from iwhc import (
     GammaPriors,
     HybridScheme,
     IwParams,
+    PosteriorDraws,
     StudyConfig,
     apply_scheme,
     asymptotic_ci,
@@ -226,6 +227,69 @@ def test_a_groups_stream_does_not_depend_on_the_other_groups():
         for key, vals in alone.estimates.items():
             assert key[1] == method
             assert vals.tobytes() == full.estimates[key].tobytes()
+
+
+# sizes on both sides of the blocks of numpy's pairwise sum (8 and 128 values)
+@settings(max_examples=400, deadline=None)
+@given(size=st.integers(1, 300) | st.sampled_from([1, 2, 7, 8, 9, 127, 128, 129]),
+       exponent=st.integers(-300, 300) | st.sampled_from([0, -200, 200, 154, 155]),
+       offset=st.sampled_from([0.0, 1.0, -3.0, 1e8]), seed=st.integers(0, 2 ** 32 - 1))
+def test_merge_mean_and_se_are_numpys_bits(size, exponent, offset, seed):
+    """The merge's mean and standard error are ``ndarray.mean()`` and
+    ``std(ddof=1) / sqrt(size)``, bit for bit, also where the squares
+    overflow or underflow."""
+    values = (offset + np.random.default_rng(seed).standard_normal(size)) * 10.0 ** exponent
+    with np.errstate(all="ignore"):
+        want = (values.mean(),
+                values.std(ddof=1) / np.sqrt(values.size) if size > 1 else math.nan)
+        got = (harness._mean(values), harness._se(values))
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+def test_a_study_never_reads_theta(monkeypatch):
+    """The harness records alpha and lambda only, so a theta that cannot be
+    summarized neither runs nor fails a record."""
+    config = _tiny_config(cells=((12, 1.5, 8), (20, 2.5, 14)), priors=_TWO_PRIORS,
+                          replicates=4, draws=100, methods=("is",))
+    want = run_study(config)
+
+    def unread(self):
+        raise AssertionError("theta was read")
+
+    monkeypatch.setattr(PosteriorDraws, "thetas", property(unread))
+    got = run_study(config)
+    assert _rows(got) == _rows(want)
+    for mine, theirs in ((got.estimates, want.estimates), (got.lengths, want.lengths)):
+        assert list(mine) == list(theirs)
+        assert [v.tobytes() for v in mine.values()] == [v.tobytes() for v in theirs.values()]
+
+
+@pytest.mark.parametrize("name", ["true_alpha", "true_lambda"])
+@pytest.mark.parametrize("bad", ["2", None, [2.0], True, 10 ** 400])
+def test_config_takes_only_real_true_parameters(name, bad):
+    with pytest.raises(DomainError, match=f"{name} (must be a real number|is outside)"):
+        _tiny_config(**{name: bad})
+
+
+@pytest.mark.parametrize("name", ["true_alpha", "true_lambda"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_config_rejects_true_parameters_that_are_not_finite(name, bad):
+    with pytest.raises(DomainError, match="true parameters must be finite"):
+        _tiny_config(**{name: bad})
+    raw = {"true_alpha": 2.0, "true_lambda": 1.0, "cells": [[12, 1.5, 8]], name: bad}
+    with pytest.raises(DomainError, match="true parameters must be finite"):
+        StudyConfig.from_dict(raw)
+
+
+def test_config_keeps_numpy_and_integer_true_parameters_as_floats():
+    config = _tiny_config(true_alpha=np.float64(2.0), true_lambda=1, methods=("mle",),
+                          replicates=3)
+    assert [type(v) for v in (config.true_alpha, config.true_lambda)] == [float, float]
+    assert _rows(run_study(config)) == _rows(run_study(_tiny_config(methods=("mle",),
+                                                                    replicates=3)))
+    # the messages for parameters that are not positive are as before
+    with pytest.raises(DomainError, match="^true parameters must be positive$"):
+        StudyConfig.from_dict({"true_alpha": -2.0, "true_lambda": 1.0, "cells": [[12, 1.5, 8]]})
 
 
 def test_mse_decreases_with_sample_size():

@@ -14,6 +14,7 @@ from iwhc import (
     InsufficientDataError,
     IwParams,
     NumericError,
+    PosteriorDraws,
     ReciprocalSample,
     apply_scheme,
     bayes_is,
@@ -698,6 +699,32 @@ def test_bayes_is_bundles_hpd_and_diagnostics(flood_s1):
         (res.draws.thetas * res.draws.weights).sum(), rel=1e-12)
 
 
+def test_bayes_is_summarizes_theta_on_first_read(monkeypatch, flood_s1):
+    reads = []
+    thetas = PosteriorDraws.thetas.fget
+    monkeypatch.setattr(PosteriorDraws, "thetas",
+                        property(lambda draws: reads.append(1) or thetas(draws)))
+    res = bayes_is(flood_s1, FLAT, 500, seed=26)
+    assert reads == []
+    first = res.theta
+    assert res.theta is first and reads == [1]
+    # at the level of the call
+    res = bayes_is(flood_s1, FLAT, 500, seed=26, level=0.9)
+    assert res.theta.hpd == hpd_interval(thetas(res.draws), res.draws.weights, 0.9)
+
+
+def test_a_theta_that_overflows_raises_at_its_read(monkeypatch, flood_s1):
+    monkeypatch.setattr(PosteriorDraws, "thetas",
+                        property(lambda draws: np.full(draws.size, 1e300) * draws.alphas))
+    res = bayes_is(flood_s1, FLAT, 300, seed=27)
+    assert math.isfinite(res.alpha.mean) and math.isfinite(res.lam.mean)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(2):
+            with pytest.raises(NumericError, match="overflows float64"):
+                res.theta
+
+
 def test_bayes_is_reduces_to_averages_for_complete():
     s = _complete(sample(30, IwParams(1.5, 1.0), 14))
     res = bayes_is(s, FLAT, 3000, seed=15)
@@ -727,9 +754,11 @@ def test_bayes_is_is_finite_or_a_typed_error(case, priors, seed):
     s = reciprocals(apply_scheme(data, scheme))
     try:
         res = bayes_is(s, priors, 50, seed)
+        # theta is summarized at its first read, which raises the same errors
+        ests = (res.alpha, res.lam, res.theta)
     except (errors.DomainError, errors.InsufficientDataError, errors.NumericError,
             errors.ConvergenceError, errors.DegenerateWeightsError):
         return
-    for est in (res.alpha, res.lam, res.theta):
+    for est in ests:
         assert np.all(np.isfinite([est.mean, est.variance, est.hpd.lower, est.hpd.upper]))
         assert est.variance >= 0

@@ -35,6 +35,7 @@ from iwhc.distribution import (
     _ARRAY_SEEDING,
     _child_seeds,
     _child_states,
+    _entropy_words,
     _quantile,
     _sample_rows,
 )
@@ -308,6 +309,19 @@ def test_child_seeds_give_numpys_child_streams(base_seed, cell, start, size):
     u = np.array([rng.random(9) for rng in want])
     u[u == 0.0] = 0.5 ** 53
     assert _sample_rows(9, params, seeds).tobytes() == _quantile(u, params).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=st.lists(st.integers(0, 2 ** 70) | st.sampled_from(_WORD_EDGES),
+                       min_size=1, max_size=4),
+       prior=st.integers(0, 3))
+def test_entropy_words_seed_as_the_ints_do(values, prior):
+    """The importance-sampling stream of prior p, child 0 of SeedSequence((base_seed,
+    cell, rep), spawn_key=(1 + p,)), is the same from the words of the seed."""
+    words = np.array(_entropy_words(values), dtype=np.uint32)
+    want = np.random.SeedSequence(tuple(values), spawn_key=(1 + prior, 0))
+    got = np.random.SeedSequence(words, spawn_key=(1 + prior, 0))
+    assert got.generate_state(8).tobytes() == want.generate_state(8).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
