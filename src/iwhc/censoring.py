@@ -8,7 +8,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, _integer, _real
+from .errors import DomainError, _integer, _positive, _real
 
 __all__ = ["HybridScheme", "HybridSample", "ReciprocalSample", "apply_scheme", "reciprocals"]
 
@@ -283,6 +283,4 @@ def _censor_rows(complete_times: np.ndarray, scheme: HybridScheme) -> tuple:
 
 def reciprocals(s: HybridSample) -> ReciprocalSample:
     """Map observed times to their reciprocals, carrying (u, r, n) through."""
-    if np.any(s.times <= 0.0):
-        raise DomainError("failure times must be strictly positive")
-    return ReciprocalSample(x=1.0 / s.times, u=s.u, r=s.r, n=s.n)
+    return ReciprocalSample(x=1.0 / _positive("failure times", s.times), u=s.u, r=s.r, n=s.n)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _positive
 
 __all__ = [
     "IwParams",
@@ -72,12 +72,9 @@ class IwParams:
 
 
 def _validate_x(x):
-    arr = np.asarray(x, dtype=float)
-    if arr.size == 0:
+    if np.size(x) == 0:
         raise DomainError("x must be nonempty")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError("x must be strictly positive and finite")
-    return arr
+    return _positive("x", x)
 
 
 def _log_tail(x: np.ndarray, p: IwParams) -> np.ndarray:

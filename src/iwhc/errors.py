@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the integer and real
-number checks that raise one."""
+"""Exception types shared across the package, and the integer, real number
+and positive array checks that raise one."""
 
 import numbers
 import operator
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -56,3 +58,12 @@ def _real(name: str, value) -> float:
         return float(value)
     except OverflowError:
         raise DomainError(f"{name} is outside the float range, got {value!r}") from None
+
+
+def _positive(name: str, values) -> np.ndarray:
+    """``values`` as a float array whose every element is in (0, inf).
+    Else DomainError; NaN fails too."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all((arr > 0.0) & (arr < np.inf)):
+        raise DomainError(f"{name} must be strictly positive and finite")
+    return arr

@@ -21,10 +21,9 @@ import numpy as np
 
 from .censoring import ReciprocalRows, ReciprocalSample
 from .errors import DomainError, NumericError
-from .mle import CovarianceMatrix, MleFit, _derivative_rows, _derivatives, _in_floats, _RowFits
+from .mle import MleFit, _derivative_rows, _derivatives, _in_floats, _RowFits
 
-__all__ = ["GammaPriors", "LindleyWorkspace", "LindleyEstimate",
-           "third_derivatives", "lindley_workspace", "lindley_estimates"]
+__all__ = ["GammaPriors", "LindleyEstimate", "third_derivatives", "lindley_estimates"]
 
 
 @dataclass(frozen=True)
@@ -49,19 +48,6 @@ class GammaPriors:
 
 
 @dataclass(frozen=True)
-class LindleyWorkspace:
-    """Ingredients of the expansion, exposed for diagnostics and testing."""
-
-    l30: float
-    l03: float
-    l21: float
-    l12: float
-    tau: CovarianceMatrix
-    p1: float
-    p2: float
-
-
-@dataclass(frozen=True)
 class LindleyEstimate:
     alpha_L: float
     lambda_L: float
@@ -78,20 +64,6 @@ def third_derivatives(
     l21 = -sum(x**alpha * log(x)**2) and l12 = 0.
     """
     return _derivatives(alpha_hat, lam_hat, s, 3)[3]
-
-
-def lindley_workspace(fit: MleFit, priors: GammaPriors, s: ReciprocalSample) -> LindleyWorkspace:
-    if not fit.converged:
-        raise DomainError("the expansion must be evaluated at a converged MLE")
-    point = (fit.alpha_hat, fit.lam_hat)
-    if point not in s._thirds:      # the same for every prior
-        s._thirds[point] = third_derivatives(*point, s)
-    l30, l03, l21, l12 = s._thirds[point]
-    p1 = (priors.a - 1.0) / fit.alpha_hat - priors.b
-    p2 = (priors.c - 1.0) / fit.lam_hat - priors.d
-    if not (np.isfinite(p1) and np.isfinite(p2)):
-        raise NumericError("prior gradient overflowed; estimate too close to zero")
-    return LindleyWorkspace(l30, l03, l21, l12, fit.cov, p1, p2)
 
 
 def _expansion(pw, alpha_hat, lam_hat, t11, t12, t22, l30, l03, l21, l12, p1, p2, curvature):
@@ -121,12 +93,20 @@ def lindley_estimates(
     prior tilt; with priors (1, 0, 1, 0) that reduces to the MLE exactly,
     which is the debugging identity exposed by the command line.
     """
+    if not fit.converged:
+        raise DomainError("the expansion must be evaluated at a converged MLE")
+    point = alpha_hat, lam_hat = fit.alpha_hat, fit.lam_hat
     # a wide covariance overflows the third derivatives, the corrections or theta
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ws = lindley_workspace(fit, priors, s)
-        alpha_L, lambda_L = _in_floats(
-            _expansion, operator.pow, fit.alpha_hat, fit.lam_hat, ws.tau.v11, ws.tau.v12,
-            ws.tau.v22, ws.l30, ws.l03, ws.l21, ws.l12, ws.p1, ws.p2, curvature)
+        if point not in s._thirds:      # the same for every prior
+            s._thirds[point] = third_derivatives(*point, s)
+        p1 = (priors.a - 1.0) / alpha_hat - priors.b
+        p2 = (priors.c - 1.0) / lam_hat - priors.d
+        if not (np.isfinite(p1) and np.isfinite(p2)):
+            raise NumericError("prior gradient overflowed; estimate too close to zero")
+        alpha_L, lambda_L = _in_floats(_expansion, operator.pow, alpha_hat, lam_hat, fit.cov.v11,
+                                       fit.cov.v12, fit.cov.v22, *s._thirds[point], p1, p2,
+                                       curvature)
         theta_L = np.exp(-np.log(lambda_L) / alpha_L)
     if not (np.isfinite(alpha_L) and np.isfinite(lambda_L)):
         raise NumericError(

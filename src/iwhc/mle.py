@@ -14,10 +14,16 @@ u**-alpha`` and ``p = q/expm1(q)``, which tends to 1 as q falls to 0 and to 0
 as q grows, so that the censoring coefficients stay finite for extreme
 parameters (after Maechler, *Accurately computing log(1 - exp(-|a|))*, 2012).
 Where q underflows float64, the censoring term is read in logs as
-``(n-r)*log q``.  The logs of the data come from the sample's cache, and the
-scalar arithmetic runs in Python floats, falling back to numpy scalars (same
-bits, inf instead of an exception) where a float would raise.  ``fit_mle``
-solves its 2x2 Newton systems in Python floats too.
+``(n-r)*log q``.  Its partials need no branch of their own: q is clamped at
+``tiny`` there, where p = 1 and the coefficients c2 and c3 of the second and
+third partials are exactly 0 in float64, so the general formulas give the
+partials of ``(n-r)*log q`` but in two cases: l21 reads +0.0, not -0.0,
+where the power sum S_2 underflows, and l12 reads NaN, not 0, where lam**2
+underflows (beside d2_ll = -inf and l03 = inf).  The logs of the data come
+from the sample's cache, and the scalar arithmetic runs in Python floats,
+falling back to numpy scalars (same bits, inf instead of an exception) where
+a float would raise.  ``fit_mle`` solves its 2x2 Newton systems in Python
+floats too.
 
 For the study harness, ``_derivative_rows``, ``_fit_rows`` and ``_ci_rows``
 run the same arithmetic on arrays over many samples at once, one sample a
@@ -123,13 +129,13 @@ _LOG_TINY = float(np.log(_TINY))
 
 
 def _censor_q(alpha, lam, log_u):
-    """``(log q, q, f)`` for q = lam * u**-alpha and the censoring factor f =
+    """``(q, f)`` for q = lam * u**-alpha and the censoring factor f =
     log(1 - e**-q), elementwise.  q is clamped to [tiny, e**709] so that
     ``expm1(q)`` overflows cleanly.  Where log q is below ``_LOG_TINY``, q
     underflows and f is log q, which equals it to float precision there."""
     log_q = np.log(lam) - alpha * log_u
     q = np.maximum(np.exp(np.minimum(log_q, 709.0)), _TINY)
-    return log_q, q, np.where(log_q < _LOG_TINY, log_q, np.log(-np.expm1(-q)))
+    return q, np.where(log_q < _LOG_TINY, log_q, np.log(-np.expm1(-q)))
 
 
 def _q_over_expm1(q: float) -> float:
@@ -155,21 +161,13 @@ def _derivatives(alpha: float, lam: float, s: ReciprocalSample, order: int) -> l
     S = (s.x ** alpha * s.log_x_powers[:order + 1]).sum(axis=1).tolist()
     m = s.n - s.r
     L = q = p = ll_censor = 0.0
-    # below q = tiny the censoring term is m*log q = m*(log lam - alpha*L),
-    # whose only nonzero partials are -m*L, m/lam, -m/lam**2 and 2m/lam**3
-    full = tail = False
     if m:
         L = s.log_u
         log_q = float(np.log(lam)) - alpha * L
-        tail = log_q < _LOG_TINY
-        full = not tail
-        if tail:
-            ll_censor = m * log_q
-        else:
-            q = max(float(np.exp(min(log_q, 709.0))), _TINY)     # _censor_q on floats
-            ll_censor = m * float(np.log(-np.expm1(-q)))
-            p = _q_over_expm1(q) if order else 0.0
-    return _in_floats(_derivative_terms, operator.pow, order, full, tail, s.r, m,
+        q = max(float(np.exp(min(log_q, 709.0))), _TINY)     # _censor_q on floats
+        ll_censor = m * (log_q if log_q < _LOG_TINY else float(np.log(-np.expm1(-q))))
+        p = _q_over_expm1(q) if order else 0.0
+    return _in_floats(_derivative_terms, operator.pow, order, m > 0, s.r, m,
                       float(np.log(alpha * lam)), alpha, lam, s.sum_log_x, L, q, p, ll_censor, *S)
 
 
@@ -180,9 +178,9 @@ def _derivative_rows(alpha: np.ndarray, lam: np.ndarray, rows: ReciprocalRows, i
 
     ``idx`` is all rows (``slice(None)``) or an increasing index array, and
     every point must be in (0, inf)**2.  Returns one row per term: the value, d_a, d_l, then
-    d2_aa, d2_al, d2_ll, then l30, l03, l21, l12, as far as ``order``.  Rows
-    differ in their censoring branch, so the arithmetic runs once for each
-    branch that some row takes.
+    d2_aa, d2_al, d2_ll, then l30, l03, l21, l12, as far as ``order``.  The
+    arithmetic runs once over the complete rows and once over the censored
+    ones, where some row of each kind is present.
     """
     # the exponent broadcast along each row, as over one sample's x; the
     # padding gives terms that no sum reads
@@ -194,23 +192,20 @@ def _derivative_rows(alpha: np.ndarray, lam: np.ndarray, rows: ReciprocalRows, i
     log_al = np.log(alpha * lam)
     slx = rows.sum_log_x[idx]
     cens = m > 0
-    branches = [(False, False, ~cens, 0.0, 0.0, 0.0, 0.0)]
+    branches = [(False, ~cens, 0.0, 0.0, 0.0, 0.0)]
     if cens.any():
         L = rows.log_u[idx]
-        log_q, q, factor = _censor_q(alpha, lam, L)
-        tail = cens & (log_q < _LOG_TINY)
+        q, factor = _censor_q(alpha, lam, L)
         with np.errstate(over="ignore"):
             p = q / np.expm1(q)
-        ll_censor = m * factor
-        branches += [(True, False, cens & ~tail, L, q, p, ll_censor),
-                     (False, True, tail, L, 0.0, 0.0, ll_censor)]
+        branches.append((True, cens, L, q, p, m * factor))
     out = np.empty(((1, 3, 6, 10)[order], alpha.size))
-    for full, tail, mask, *censor in branches:
+    for full, mask, *censor in branches:
         if not mask.any():
             continue
         j = slice(None) if mask.all() else np.flatnonzero(mask)
         L, q, p, ll_censor = (v[j] if isinstance(v, np.ndarray) else v for v in censor)
-        terms = _derivative_terms(np.float_power, order, full, tail, r[j], m[j], log_al[j],
+        terms = _derivative_terms(np.float_power, order, full, r[j], m[j], log_al[j],
                                   alpha[j], lam[j], slx[j], L, q, p, ll_censor, *S[:, j])
         for k, term in enumerate([terms[0], *(t for group in terms[1:] for t in group)]):
             out[k, j] = term
@@ -235,7 +230,7 @@ def _as_floats(value):
     return float(value)
 
 
-def _derivative_terms(pw, order, full, tail, r, m, log_al, alpha, lam, slx, L, q, p, ll_censor,
+def _derivative_terms(pw, order, full, r, m, log_al, alpha, lam, slx, L, q, p, ll_censor,
                       *S) -> list:
     """The arithmetic of :func:`_derivatives` from its power sums ``S`` and
     censoring factors, for Python floats, numpy scalars or arrays alike.
@@ -248,6 +243,14 @@ def _derivative_terms(pw, order, full, tail, r, m, log_al, alpha, lam, slx, L, q
     ``p = q f'(q)``, ``c2 = q (q f')' = p - pq - p**2`` and ``c3 = q c2'``,
     times powers of L = log u and 1/lam.  Every product with q is formed as
     ``(p*q)*q``, so a zero p never meets an overflowing q**2.
+
+    ``full`` is False for a complete sample, which has no censoring term.
+    Where q underflows, the caller clamps it at ``tiny``: then p = 1, pq =
+    tiny and pp = 1, so c2 = (1 - tiny) - 1 and c3 both round to exactly 0,
+    and the partials are the tail's -m*L, m/lam, -m/lam**2 and 2m/lam**3 in
+    the same bits, with two exceptions: l21 = -S_2 + 0.0 reads +0.0 where
+    S_2 underflows to 0, and l12 = 0.0 - (m*L*0)/lam**2 reads NaN where
+    lam**2 underflows to 0 (there d2_ll is -inf and l03 is inf).
     """
     out = [r * log_al - lam * S[0] + (alpha + 1.0) * slx + ll_censor]
     pq, pp = p * q, p * p
@@ -257,9 +260,6 @@ def _derivative_terms(pw, order, full, tail, r, m, log_al, alpha, lam, slx, L, q
         if full:
             d_a -= m * L * p
             d_l += m * p / lam
-        elif tail:
-            d_a -= m * L
-            d_l += m / lam
         out.append((d_a, d_l))
     if order >= 2:
         lam2, L2 = pw(lam, 2), pw(L, 2)
@@ -271,8 +271,6 @@ def _derivative_terms(pw, order, full, tail, r, m, log_al, alpha, lam, slx, L, q
             d2_aa += m * L2 * c2
             d2_al -= m * L * c2 / lam
             d2_ll -= m * (pq + pp) / lam2
-        elif tail:
-            d2_ll -= m / lam2
         out.append((d2_aa, d2_al, d2_ll))
     if order >= 3:
         lam3 = pw(lam, 3)
@@ -286,8 +284,6 @@ def _derivative_terms(pw, order, full, tail, r, m, log_al, alpha, lam, slx, L, q
             l03 += m * (pq * q + 3.0 * pq * p + 2.0 * pp * p) / lam3
             l21 += m * L2 * c3 / lam
             l12 -= m * L * (c3 - c2) / lam2
-        elif tail:
-            l03 += 2.0 * m / lam3
         out.append((l30, l03, l21, l12))
     return out
 

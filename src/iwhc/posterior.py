@@ -31,7 +31,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .censoring import ReciprocalSample
-from .errors import DegenerateWeightsError, DomainError, InsufficientDataError, NumericError
+from .errors import (DegenerateWeightsError, DomainError, InsufficientDataError, NumericError,
+                     _positive)
 from .lindley import GammaPriors
 from .mle import ConfidenceInterval, _censor_q, _in_floats
 
@@ -116,13 +117,6 @@ def _g2_slope_curve(alpha: float, s: ReciprocalSample, priors: GammaPriors) -> t
             -shape * (r2 - r1 ** 2) - k / alpha ** 2)
 
 
-def _alpha_array(alpha) -> np.ndarray:
-    arr = np.asarray(alpha, dtype=float)
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise DomainError("alpha must be strictly positive and finite")
-    return arr
-
-
 def g2_log_density(alpha, s: ReciprocalSample, priors: GammaPriors):
     """Unnormalized log density of the alpha-marginal proposal g2.
 
@@ -132,7 +126,7 @@ def g2_log_density(alpha, s: ReciprocalSample, priors: GammaPriors):
     """
     if s.r < 1:
         raise InsufficientDataError("g2 requires at least one observed failure")
-    arr = _alpha_array(alpha)
+    arr = _positive("alpha", alpha)
     out = _g2_terms(arr, s, priors, 0)[1]
     return float(out) if arr.ndim == 0 else out
 
@@ -162,7 +156,7 @@ def sample_g1(alpha, s: ReciprocalSample, priors: GammaPriors, seed):
     if shape <= 0:
         raise DomainError(f"gamma shape r + c must be positive, got {shape}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    arr = _alpha_array(alpha)
+    arr = _positive("alpha", alpha)
     out = _draw_lams(_log_rate_sums(arr, s, priors.d, 0)[0], shape, rng)
     return float(out) if arr.ndim == 0 else out
 
@@ -459,16 +453,13 @@ def posterior_draws(
     if s.n == s.r:
         weights = np.full(count, 1.0 / count)
     else:
-        lw = (s.n - s.r) * _censor_q(alphas, lams, s.log_u)[2]
+        lw = (s.n - s.r) * _censor_q(alphas, lams, s.log_u)[1]
         w = np.exp(lw - np.maximum.reduce(lw))
         total = np.add.reduce(w)
         if not total > 0:
             raise DegenerateWeightsError("all importance weights underflowed to zero")
         weights = w / total
-    # ratio * count / count is how reports have always rounded the ratio (a
-    # draw-weighted mean); it differs from the plain ratio by an ulp at times
-    acceptance = info["acceptance_ratio"] * count / count
-    return PosteriorDraws(alphas, lams, weights, acceptance_ratio=acceptance)
+    return PosteriorDraws(alphas, lams, weights, acceptance_ratio=info["acceptance_ratio"])
 
 
 def _mean_var(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:

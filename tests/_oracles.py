@@ -461,18 +461,21 @@ def hpd_interval_ref(values, weights, level):
 # ---------------------------------------------------------------------------
 
 
-def lindley_estimates_ref(ws, fit):
-    """(alpha_L, lambda_L) from a workspace, in Python-float arithmetic."""
-    t11, t12, t22 = ws.tau.v11, ws.tau.v12, ws.tau.v22
+def lindley_estimates_ref(fit, priors, s):
+    """(alpha_L, lambda_L) at a converged fit, in Python-float arithmetic over
+    the term-by-term third derivatives and the prior gradient
+    p1 = (a-1)/alpha_hat - b, p2 = (c-1)/lam_hat - d."""
+    l30, l03, l21, l12 = third_derivatives_ref(fit.alpha_hat, fit.lam_hat, s)
+    p1 = (priors.a - 1.0) / fit.alpha_hat - priors.b
+    p2 = (priors.c - 1.0) / fit.lam_hat - priors.d
+    t11, t12, t22 = fit.cov.v11, fit.cov.v12, fit.cov.v22
     t21 = t12
-    corr_a = 0.5 * (ws.l30 * t11 ** 2 + ws.l03 * t21 * t22
-                    + 3.0 * ws.l21 * t11 * t12
-                    + ws.l12 * (t22 * t11 + 2.0 * t21 ** 2))
-    corr_l = 0.5 * (ws.l30 * t12 * t11 + ws.l03 * t22 ** 2
-                    + ws.l21 * (t11 * t22 + 2.0 * t12 ** 2)
-                    + 3.0 * ws.l12 * t22 * t21)
-    return (fit.alpha_hat + corr_a + ws.p1 * t11 + ws.p2 * t12,
-            fit.lam_hat + corr_l + ws.p1 * t21 + ws.p2 * t22)
+    corr_a = 0.5 * (l30 * t11 ** 2 + l03 * t21 * t22 + 3.0 * l21 * t11 * t12
+                    + l12 * (t22 * t11 + 2.0 * t21 ** 2))
+    corr_l = 0.5 * (l30 * t12 * t11 + l03 * t22 ** 2 + l21 * (t11 * t22 + 2.0 * t12 ** 2)
+                    + 3.0 * l12 * t22 * t21)
+    return (fit.alpha_hat + corr_a + p1 * t11 + p2 * t12,
+            fit.lam_hat + corr_l + p1 * t21 + p2 * t22)
 
 
 def g1_rate_ref(s, priors, alphas):
@@ -693,7 +696,7 @@ def bayes_is_ref(s, priors, count, seed, level=0.95):
         if not total > 0:
             raise DegenerateWeightsError("all importance weights underflowed to zero")
         weights = w / total
-    out = [alphas, lams, weights, info["acceptance_ratio"] * count / count]
+    out = [alphas, lams, weights, info["acceptance_ratio"]]
     with np.errstate(over="ignore"):
         thetas = np.exp(-np.log(lams) / alphas)
     for values in (alphas, lams, thetas):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from iwhc import DomainError, HybridScheme, IwParams, apply_scheme, reciprocals, sample
+from iwhc import (DomainError, HybridSample, HybridScheme, IwParams, apply_scheme, reciprocals,
+                  sample)
 from _oracles import _initial_guess_ref
 from conftest import censored_samples, random_censored_sample
 
@@ -102,6 +103,15 @@ def test_reciprocals_basic():
     assert rs.u == 2.0
     assert rs.r == 2
     assert rs.n == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_reciprocals_rejects_times_outside_zero_to_inf(bad):
+    # a hand-built sample has not been through apply_scheme
+    scheme = HybridScheme(n=4, R=3, T=math.inf)
+    s = HybridSample(times=np.array([1.0, 2.0, bad]), r=3, u=2.0, scheme=scheme)
+    with pytest.raises(DomainError, match="failure times must be strictly positive and finite"):
+        reciprocals(s)
 
 
 def test_reciprocals_flood_scheme1(flood_s1):

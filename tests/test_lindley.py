@@ -21,7 +21,6 @@ from iwhc import (
 )
 from iwhc import errors, lindley
 from iwhc.cli import main
-from iwhc.lindley import lindley_workspace
 from _oracles import fd_third_derivatives, lindley_estimates_ref, posterior_quadrature_means
 from conftest import censored_samples, random_censored_sample
 
@@ -67,13 +66,6 @@ def test_third_derivatives_match_finite_differences_random():
         numeric = fd_third_derivatives(alpha, lam, s)
         for a, n in zip(analytic, numeric):
             assert a == pytest.approx(n, rel=1e-3, abs=1e-3)
-
-
-def test_prior_gradient_vanishes_for_unit_priors(flood_s1):
-    fit = fit_mle(flood_s1)
-    ws = lindley_workspace(fit, GammaPriors(1, 0, 1, 0), flood_s1)
-    assert ws.p1 == 0.0
-    assert ws.p2 == 0.0
 
 
 def test_estimate_reduces_to_mle_without_curvature(flood_s1):
@@ -128,7 +120,7 @@ def test_estimates_equal_python_float_formulas():
         s, _ = random_censored_sample(rng)
         fit = fit_mle(s)
         for priors in (GammaPriors(), GammaPriors(2, 1, 1, 1)):
-            alpha_L, lambda_L = lindley_estimates_ref(lindley_workspace(fit, priors, s), fit)
+            alpha_L, lambda_L = lindley_estimates_ref(fit, priors, s)
             if not (alpha_L > 0 and lambda_L > 0):
                 with pytest.raises(NumericError, match="nonpositive"):
                     lindley_estimates(fit, priors, s)

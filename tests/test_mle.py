@@ -376,7 +376,14 @@ def test_kernel_in_the_underflow_tail():
     L = math.log(s.u)
     # log q = log(lam) - alpha*L on both sides of log(tiny) = -708.40
     edge = (math.log(1.125) + 708.3964185322641) / L
-    for alpha in (edge * (1 + 1e-9), 2e5, 1e6):
+    # the general censored formulas with q clamped at tiny, against the
+    # reference's own m*log q partials below log(tiny)
+    for lam in (1e-150, 1e-3, 1.125, 1e100):
+        at = (math.log(lam) + 708.3964185322641) / L
+        for alpha in (at * 0.5, at * (1 - 1e-9), at * (1 + 1e-9), at * 2.0, at * 1e3):
+            with np.errstate(all="ignore"):     # lam**3 underflows to 0 in the reference
+                _assert_kernel_matches_reference(alpha, np.float64(lam), s)
+    for alpha in (2e5, 1e6):
         _assert_kernel_matches_reference(alpha, 1.125, s)
     above, below = (log_likelihood(edge * f, 1.125, s) for f in (1 - 1e-9, 1 + 1e-9))
     assert log_likelihood_ref(edge * (1 - 1e-9), 1.125, s) == above
