@@ -150,31 +150,38 @@ class ReciprocalSample:
 
 @dataclass(frozen=True)
 class ReciprocalRows:
-    """Many censored samples of one design, one :class:`ReciprocalSample` a
-    row, for the array path of the study harness.
+    """Many censored samples, one :class:`ReciprocalSample` a row, for the
+    array path of the study harness.  The samples may come from designs of
+    different n.
 
-    Row i holds ``x[i, :r[i]]`` and is padded with ones to width ``n``; the
-    rows are ordered by r.  numpy's pairwise sum rounds by length, so each sum
-    along rows reduces a slice ``[:, :r]`` of the rows of equal r, which gives
-    the bits of the same sum over ``ReciprocalSample.x``.
+    Row i holds ``x[i, :r[i]]`` of its ``n[i]`` units and is padded with ones
+    to the width of ``x``; the rows are ordered by r.  numpy's pairwise sum
+    rounds by length, so each sum along rows reduces a slice ``[:, :r]`` of
+    the rows of equal r, which gives the bits of the same sum over
+    ``ReciprocalSample.x``.
     """
 
     x: np.ndarray
     u: np.ndarray
     r: np.ndarray
-    n: int
+    n: np.ndarray
 
     def sample(self, i: int) -> ReciprocalSample:
         """The sample of row i."""
         r = int(self.r[i])
-        return ReciprocalSample(x=self.x[i, :r].copy(), u=float(self.u[i]), r=r, n=self.n)
+        return ReciprocalSample(x=self.x[i, :r].copy(), u=float(self.u[i]), r=r,
+                                n=int(self.n[i]))
 
-    def runs(self, idx=slice(None)) -> list:
-        """``(start, stop, r)`` for each run of equal r in the rows ``idx``,
-        all rows or an increasing index array: ``idx[start:stop]`` are the
-        rows of the run."""
+    def runs(self, idx=slice(None), *keys) -> list:
+        """``(start, stop, r)`` for each run of equal r, and of equal
+        ``keys`` (arrays over the same rows) where given, in the rows
+        ``idx``, all rows or an increasing index array: ``idx[start:stop]``
+        are the rows of the run."""
         r = self.r[idx]
-        cuts = [0, *(np.flatnonzero(r[1:] != r[:-1]) + 1).tolist(), r.size]
+        change = r[1:] != r[:-1]
+        for key in keys:
+            change |= key[1:] != key[:-1]
+        cuts = [0, *(np.flatnonzero(change) + 1).tolist(), r.size]
         return [(a, b, int(r[a])) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
 
     def row_sums(self, values: np.ndarray, idx=slice(None)) -> np.ndarray:
@@ -189,22 +196,22 @@ class ReciprocalRows:
     @cached_property
     def held(self) -> np.ndarray:
         """True at the entries of ``x`` that a row holds, False in the padding."""
-        return np.arange(self.n) < self.r[:, None]
+        return np.arange(self.x.shape[1]) < self.r[:, None]
 
     @cached_property
     def log_x(self) -> np.ndarray:
-        return np.log(self.x)
+        """``log x``, a view of ``log_x_powers[0]``."""
+        return self.log_x_powers[0]
 
     @cached_property
     def log_x_powers(self) -> np.ndarray:
-        """``[i, k] = (log x[i])**k`` for k = 0..3, as ReciprocalSample has
-        them (the cubes, costly, only where a row holds x)."""
-        lx = self.log_x
-        out = np.zeros((lx.shape[0], 4, lx.shape[1]))
-        out[:, 0] = 1.0
-        out[:, 1] = lx
-        np.square(lx, out=out[:, 2])
-        np.power(lx, 3, out=out[:, 3], where=self.held)
+        """``[k - 1] = (log x)**k`` for k = 1..3, the powers of
+        ReciprocalSample's ``log_x_powers`` but for the ones of k = 0, each
+        a matrix like ``x`` (the cubes, costly, only where a row holds x)."""
+        out = np.zeros((3, *self.x.shape))
+        lx = np.log(self.x, out=out[0])
+        np.square(lx, out=out[1])
+        np.power(lx, 3, out=out[2], where=self.held)
         return out
 
     @cached_property
@@ -219,17 +226,23 @@ class ReciprocalRows:
     def regression_start(self) -> tuple[np.ndarray, np.ndarray]:
         """:attr:`ReciprocalSample.regression_start` of every row, as two
         arrays (NaN where r < 2)."""
-        positions = np.zeros_like(self.x)
-        for a, b, r in self.runs():
+        # two terms a row, summed by one row_sums: first the squares of the
+        # centred log x and their products with the positions, then x**slope and x
+        pair = np.zeros((self.r.size, 2, self.x.shape[1]))
+        positions = pair[:, 1]
+        for a, b, r in self.runs(slice(None), self.n):
             if r >= 2:
-                positions[a:b, :r] = _centred_positions(r, self.n)
+                positions[a:b, :r] = _centred_positions(r, int(self.n[a]))
         with np.errstate(all="ignore"):
             # the mean is the sum of log x over r, as ndarray.mean computes it
             cx = self.log_x - (self.sum_log_x / self.r)[:, None]
-            denom, cross = self.row_sums(np.stack([cx ** 2, cx * positions], axis=1)).T
+            np.square(cx, out=pair[:, 0])
+            positions *= cx
+            denom, cross = self.row_sums(pair).T
             slope = np.where(denom > 0, cross / denom, 1.0)
-            total, x_sum = self.row_sums(np.stack([np.power(self.x, slope[:, None]), self.x],
-                                                  axis=1)).T
+            np.power(self.x, slope[:, None], out=pair[:, 0])
+            pair[:, 1] = self.x
+            total, x_sum = self.row_sums(pair).T
             bad = ~(np.isfinite(slope) & (slope > 0.05) & (0.0 < total) & (total < np.inf))
             alpha0 = np.where(bad, 1.0, slope)
             lam0 = self.r / np.where(bad, x_sum, total)
@@ -268,19 +281,40 @@ def _stop(complete_times: np.ndarray, scheme: HybridScheme) -> tuple:
             np.minimum(srt[..., scheme.R - 1], scheme.T))
 
 
-def _censor_rows(complete_times: np.ndarray, scheme: HybridScheme) -> tuple:
-    """:func:`apply_scheme` and :func:`reciprocals` on every row of a matrix
-    of complete samples, with the same bits.  Returns the
-    :class:`ReciprocalRows` and, for each of its rows, the index of the
-    matrix row it came from."""
-    srt, r, u = _stop(complete_times, scheme)
+def _censor_rows(pieces) -> tuple:
+    """:func:`apply_scheme` and :func:`reciprocals` on every row of each
+    ``(complete samples, scheme)`` piece, a matrix of samples of
+    ``scheme.n`` lifetimes each, with the same bits.  Returns the
+    :class:`ReciprocalRows` of all the pieces' rows, as wide as the widest,
+    and, for each of its rows, the index of the row it came from in the
+    pieces' rows taken in order."""
+    srt, r, u = zip(*(_stop(times, scheme) for times, scheme in pieces))
+    r, u = np.concatenate(r), np.concatenate(u)
+    n = np.concatenate([np.full(len(times), scheme.n) for times, scheme in pieces])
     order = np.argsort(r, kind="stable")
-    r = r[order]
-    x = 1.0 / srt[order]
-    x[np.arange(scheme.n) >= r[:, None]] = 1.0
-    return ReciprocalRows(x=x, u=u[order], r=r, n=scheme.n), order
+    x = np.ones((r.size, n.max()))
+    start = 0
+    for block in srt:
+        x[start:start + len(block), :block.shape[1]] = block
+        start += len(block)
+    x, r = x[order], r[order]
+    np.divide(1.0, x, out=x)
+    x[np.arange(x.shape[1]) >= r[:, None]] = 1.0
+    return ReciprocalRows(x=x, u=u[order], r=r, n=n[order]), order
 
 
 def reciprocals(s: HybridSample) -> ReciprocalSample:
-    """Map observed times to their reciprocals, carrying (u, r, n) through."""
-    return ReciprocalSample(x=1.0 / _positive("failure times", s.times), u=s.u, r=s.r, n=s.n)
+    """Map observed times to their reciprocals, carrying (u, r, n) through.
+
+    The sample must be one that :func:`apply_scheme` could return: ``r``
+    failure times, at most n, ascending, positive and finite, none beyond
+    a positive and finite ``u``.  Else DomainError."""
+    times = _positive("failure times", s.times)
+    if times.ndim != 1 or times.size != s.r or s.r > s.n:
+        raise DomainError(f"a sample of r={s.r} failures among n={s.n} units needs r <= n "
+                          f"failure times in one dimension, got shape {times.shape}")
+    if not (0.0 < s.u < np.inf and (times[1:] >= times[:-1]).all()
+            and (times[-1:] <= s.u).all()):
+        raise DomainError(f"failure times must be ascending and at most u={s.u}, "
+                          "which must be positive and finite")
+    return ReciprocalSample(x=1.0 / times, u=s.u, r=s.r, n=s.n)

@@ -14,17 +14,23 @@ group, and a merge step builds the rows from the records in replicate order,
 so a summary is bit-identical for a given config no matter how the replicates
 are scheduled, and no group's stream depends on which other groups run.
 
-The replicates of a cell run in chunks (``_chunk``): each replicate draws
-its own data into one row of a matrix, and censoring runs on all rows at
-once.  The data streams are the same child 0 streams in every chunk: a large
-chunk computes their generator states in one array pass over its entropy
-words, and a small one gets them from numpy's own ``SeedSequence``
-(``distribution._child_seeds``).  Only the fits fork, on the number of rows:
-a chunk of one replicate is fitted on its sample by ``fit_mle``,
-``asymptotic_ci`` and ``lindley_estimates``, and a chunk of several as
-arrays, with the same bits.  Importance sampling records alpha and lambda
-only, so theta, which ``bayes_is`` summarizes on first read, is never
-computed here.
+The (cell, replicate) tasks, in cell-major order, run in batches
+(``_batches``) of at most ``_CHUNK_VALUES`` values at the width of the
+batch's widest cell, so that a batch may span cells.  Each cell's piece of
+a batch draws its replicates' data into the rows of a matrix and censors
+them under its own scheme; the pieces are then stacked into one
+``ReciprocalRows``, its rows padded to the widest n and ordered by r.  The
+data streams are the same child 0 streams in every batch: a piece of at
+least ``_ARRAY_SEEDING`` replicates computes their generator states in one
+array pass over its entropy words, and a smaller one gets them from numpy's
+own ``SeedSequence`` (``distribution._child_seeds``).  Only the fits fork,
+on the number of rows: a batch of fewer than ``_ARRAY_SEEDING`` rows, such
+as the one batch of a study of one replicate in each of two cells, fits
+each row on its own sample with ``fit_mle``, ``asymptotic_ci`` and
+``lindley_estimates``, and a larger one fits all its rows at once as
+arrays, with the same bits, so that the fixed cost of the array fit is paid
+once per batch rather than once per cell.  Importance sampling records alpha and lambda only, so theta, which
+``bayes_is`` summarizes on first read, is never computed here.
 
 The merge (``run_study``) takes the means and standard errors of the
 records with ``_mean`` and ``_se``: numpy's ``ndarray.mean()`` and
@@ -43,7 +49,13 @@ import numpy as np
 
 from .censoring import HybridScheme, _censor_rows
 from .datasets import _read_text
-from .distribution import IwParams, _child_seeds, _entropy_words, _sample_rows
+from .distribution import (
+    _ARRAY_SEEDING,
+    IwParams,
+    _child_seeds,
+    _entropy_words,
+    _sample_rows,
+)
 from .errors import (
     ConvergenceError,
     DegenerateWeightsError,
@@ -63,8 +75,8 @@ __all__ = ["StudyConfig", "CellMetric", "SimulationSummary", "run_study",
 _METHODS = ("mle", "lindley", "is")
 _FIT_ERRORS = (ConvergenceError, NumericError, InsufficientDataError,
                DegenerateWeightsError)
-# replicates fitted together: at most this many rows, and rows times n values
-_CHUNK_ROWS = 256
+# replicates fitted together: at most this many values, rows times the
+# largest n among their cells
 _CHUNK_VALUES = 1 << 16
 
 
@@ -207,68 +219,96 @@ def _groups(config: StudyConfig) -> list:
 def _is_record(config: StudyConfig, rs, pi: int, entropy: np.ndarray):
     """The importance-sampling record under prior ``pi``, or None.
     ``entropy`` holds the words of the replicate's seed."""
-    # child 1 + pi of SeedSequence(entropy), as spawn() gives it
+    # the stream of child 0 of child 1 + pi of SeedSequence(entropy), as
+    # bayes_is reads it from a seed
+    rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(1 + pi, 0)))
     try:
-        res = bayes_is(rs, config.priors[pi], config.draws,
-                       np.random.SeedSequence(entropy, spawn_key=(1 + pi,)), level=config.level)
+        res = bayes_is(rs, config.priors[pi], config.draws, rng, level=config.level)
     except _FIT_ERRORS:
         return None
     return (res.alpha.mean, res.lam.mean, res.alpha.hpd.length, res.lam.hpd.length)
 
 
-def _chunk(config: StudyConfig, scheme: HybridScheme, params: IwParams, groups: list,
-           cell: int, reps: range) -> list:
-    """The records of the replicates ``reps`` of cell ``cell``, in order.
+def _batches(replicates: int, schemes: list):
+    """The (cell, replicate) tasks in cell-major order, cut into batches:
+    lists of ``(cell, reps)`` pieces.  A batch holds at most
+    ``_CHUNK_VALUES`` values at the width of its widest cell, and at least
+    one task."""
+    batch, rows, width = [], 0, 0
+    for cell, scheme in enumerate(schemes):
+        start = 0
+        while start < replicates:
+            width = max(width, scheme.n)
+            take = min(replicates - start, _CHUNK_VALUES // width - rows)
+            if take < 1 and batch:
+                yield batch
+                batch, rows, width = [], 0, 0
+                continue
+            take = max(take, 1)
+            batch.append((cell, range(start, start + take)))
+            rows += take
+            start += take
+    if batch:
+        yield batch
+
+
+def _batch(config: StudyConfig, schemes: list, params: IwParams, groups: list,
+           batch: list) -> list:
+    """The records of the replicates of ``batch``, a list of ``(cell,
+    reps)`` pieces, in the order of the pieces and their replicates.
 
     A replicate's record has one entry per group: ``(alpha, lambda, alpha
     length, lambda length)``, with lengths ``None`` for Lindley, or ``None``
     where the fit failed.  Fewer than two failures fail every group.  A
-    chunk where some replicate raises an error that is not a failed fit
-    (DomainError) runs again one replicate at a time, so that the error comes
-    from the same replicate.
+    batch where some replicate raises an error that is not a failed fit
+    (DomainError) runs again one replicate at a time, in batch order, so
+    that the error comes from the replicate that a loop over the cells and
+    their replicates meets first.
     """
     try:
-        return _records(config, scheme, params, groups, cell, reps)
+        return _records(config, schemes, params, groups, batch)
     except DomainError:
-        if len(reps) == 1:
+        if sum(len(reps) for _, reps in batch) == 1:
             raise
-    return [_records(config, scheme, params, groups, cell, range(rep, rep + 1))[0]
-            for rep in reps]
+    return [_records(config, schemes, params, groups, [(cell, range(rep, rep + 1))])[0]
+            for cell, reps in batch for rep in reps]
 
 
-def _records(config, scheme, params, groups, cell, reps) -> list:
-    """The records of :func:`_chunk`, from one try at the whole chunk.  A
-    single row is fitted on its sample, which importance sampling then reads
-    too, so that the logs and the regression start that the sample caches
-    are computed once."""
-    data = _sample_rows(scheme.n, params, _child_seeds((config.base_seed, cell), reps))
-    rows, order = _censor_rows(data, scheme)
-    single = len(reps) == 1
-    rs = rows.sample(0) if single else None
-    fitted = {}     # the record of each row that has one, by group
-    if groups[0][0] != "is":        # row order puts the MLE and Lindley groups first
-        fitted = _sample_fits(config, groups, rs) if single else _row_fits(config, groups, rows)
+def _records(config, schemes, params, groups, batch) -> list:
+    """The records of :func:`_batch`, from one try at the whole batch.  A
+    batch of fewer than ``_ARRAY_SEEDING`` rows fits each row on its own
+    sample, which importance sampling then reads too, so that the logs and
+    the regression start that the sample caches are computed once; a larger
+    one fits all its rows as arrays."""
+    rows, order = _censor_rows([
+        (_sample_rows(schemes[cell].n, params, _child_seeds((config.base_seed, cell), reps)),
+         schemes[cell]) for cell, reps in batch])
+    tasks = [(cell, rep) for cell, reps in batch for rep in reps]
+    small = len(tasks) < _ARRAY_SEEDING
+    fitting = groups[0][0] != "is"      # row order puts the MLE and Lindley groups first
     sampled = any(method == "is" for method, _ in groups)
-    records = [None] * len(reps)
-    for i, (rep, r) in enumerate(zip(order.tolist(), rows.r.tolist())):
+    fitted = _row_fits(config, groups, rows) if fitting and not small else {}
+    records = [None] * len(tasks)
+    for i, (k, r) in enumerate(zip(order.tolist(), rows.r.tolist())):
         if r < 2:
-            records[rep] = [None] * len(groups)
+            records[k] = [None] * len(groups)
             continue
+        if small or sampled:
+            rs = rows.sample(i)
+        if small and fitting:
+            fitted = _sample_fits(config, groups, rs, i)
         if sampled:
-            if not single:
-                rs = rows.sample(i)
             # the seed (base_seed, cell, replicate) as words, once for every prior
-            entropy = np.array(_entropy_words((config.base_seed, cell, reps[rep])),
-                               dtype=np.uint32)
-        records[rep] = [fitted[group].get(i) if group in fitted
-                        else _is_record(config, rs, group[1], entropy)
-                        for group in groups]
+            entropy = np.array(_entropy_words((config.base_seed, *tasks[k])), dtype=np.uint32)
+        records[k] = [fitted[group].get(i) if group in fitted
+                      else _is_record(config, rs, group[1], entropy)
+                      for group in groups]
     return records
 
 
-def _sample_fits(config: StudyConfig, groups: list, rs) -> dict:
-    """``{group: {0: record}}`` for the MLE and Lindley groups on one sample,
-    the record left out where the fit fails."""
+def _sample_fits(config: StudyConfig, groups: list, rs, row: int) -> dict:
+    """``{group: {row: record}}`` for the MLE and Lindley groups on the
+    sample ``rs`` of row ``row``, the record left out where the fit fails."""
     fitted = {group: {} for group in groups if group[0] != "is"}
     try:
         fit = fit_mle(rs)
@@ -278,10 +318,10 @@ def _sample_fits(config: StudyConfig, groups: list, rs) -> dict:
         try:
             if method == "mle":
                 ci_a, ci_l, _ = asymptotic_ci(fit, config.level)
-                fitted[method, pi][0] = (fit.alpha_hat, fit.lam_hat, ci_a.length, ci_l.length)
+                fitted[method, pi][row] = (fit.alpha_hat, fit.lam_hat, ci_a.length, ci_l.length)
             else:
                 est = lindley_estimates(fit, config.priors[pi], rs)
-                fitted[method, pi][0] = (est.alpha_L, est.lambda_L, None, None)
+                fitted[method, pi][row] = (est.alpha_L, est.lambda_L, None, None)
         except _FIT_ERRORS:
             pass
     return fitted
@@ -318,13 +358,13 @@ def run_study(config: StudyConfig) -> SimulationSummary:
     estimates: dict = {}
     lengths: dict = {}
 
-    for cell_idx, (n, T, R) in enumerate(config.cells):
-        scheme = HybridScheme(n=n, R=R, T=T)
-        size = max(1, min(_CHUNK_ROWS, _CHUNK_VALUES // scheme.n))
-        records = []
-        for start in range(0, config.replicates, size):
-            records += _chunk(config, scheme, params, groups, cell_idx,
-                              range(start, min(start + size, config.replicates)))
+    schemes = [HybridScheme(n=n, R=R, T=T) for n, T, R in config.cells]
+    by_cell: list = [[] for _ in schemes]
+    for batch in _batches(config.replicates, schemes):
+        records = iter(_batch(config, schemes, params, groups, batch))
+        for cell, reps in batch:
+            by_cell[cell] += [next(records) for _ in reps]
+    for cell_idx, (scheme, records) in enumerate(zip(schemes, by_cell)):
         for g, (method, pi) in enumerate(groups):
             fits = [rec[g] for rec in records if rec[g] is not None]
             prior = config.priors[pi].as_tuple() if pi is not None else None

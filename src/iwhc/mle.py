@@ -182,13 +182,21 @@ def _derivative_rows(alpha: np.ndarray, lam: np.ndarray, rows: ReciprocalRows, i
     arithmetic runs once over the complete rows and once over the censored
     ones, where some row of each kind is present.
     """
-    # the exponent broadcast along each row, as over one sample's x; the
-    # padding gives terms that no sum reads
-    power = rows.x[idx] ** alpha[:, None]
-    S = rows.row_sums(power[:, None, :] * rows.log_x_powers[idx, :order + 1], idx).T
+    if isinstance(idx, slice):
+        idx = np.arange(rows.r.size)[idx]
+    # the terms of S_k for k <= order in one buffer, each formed in place
+    # where its rows are gathered: x**alpha with the exponent broadcast along
+    # each row, as over one sample's x, then its products with the logs.
+    # The padding gives terms that no sum reads.
+    terms = np.empty((order + 1, idx.size, rows.x.shape[1]))
+    power = np.take(rows.x, idx, axis=0, out=terms[0], mode="clip")
+    np.power(power, alpha[:, None], out=power)
+    np.take(rows.log_x_powers[:order], idx, axis=1, out=terms[1:], mode="clip")
+    terms[1:] *= power
+    S = rows.row_sums(terms.transpose(1, 0, 2), idx).T
     # the counts as floats: Python converts an int that meets a float the same way
     r = rows.r[idx].astype(float)
-    m = rows.n - r
+    m = rows.n[idx] - r
     log_al = np.log(alpha * lam)
     slx = rows.sum_log_x[idx]
     cens = m > 0

@@ -435,7 +435,8 @@ def posterior_draws(
 
     Each lam is drawn with the g1 rate that :func:`sample_g2` computed for its
     alpha; a lam beyond the float64 range raises :class:`NumericError`.  The
-    draws come from the first child of ``SeedSequence(seed)``, so they are
+    draws come from ``seed`` where it is a ``numpy.random.Generator``, and
+    else from the first child of ``SeedSequence(seed)``, so they are
     reproducible for a given (seed, count), also when one ``SeedSequence`` is
     passed to several calls.  For complete samples the weights are exactly
     uniform.
@@ -444,10 +445,13 @@ def posterior_draws(
         raise InsufficientDataError("posterior sampling needs at least one failure")
     if count < 2:
         raise DomainError(f"count must be >= 2, got {count}")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    # the child that root.spawn(1) would give first, made without advancing root
-    rng = np.random.default_rng(np.random.SeedSequence(
-        root.entropy, spawn_key=root.spawn_key + (0,), pool_size=root.pool_size))
+    if isinstance(seed, np.random.Generator):
+        rng = seed
+    else:
+        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        # the child that root.spawn(1) would give first, made without advancing root
+        rng = np.random.default_rng(np.random.SeedSequence(
+            root.entropy, spawn_key=root.spawn_key + (0,), pool_size=root.pool_size))
     alphas, info = sample_g2(count, s, priors, rng)
     lams = _draw_lams(info["log_rate"], s.r + priors.c, rng)
     if s.n == s.r:
@@ -559,7 +563,8 @@ def bayes_is(
 ) -> IsResult:
     """Full importance-sampling pipeline: draws, then means, variances and
     highest-density intervals for alpha and lam, and for theta =
-    lam**(-1/alpha) when :attr:`IsResult.theta` is first read."""
+    lam**(-1/alpha) when :attr:`IsResult.theta` is first read.  ``seed`` is
+    read as :func:`posterior_draws` reads it."""
     draws = posterior_draws(s, priors, count, seed)
     # the moments overflow to inf, which _mean_var reports
     with np.errstate(over="ignore", invalid="ignore"):

@@ -114,6 +114,34 @@ def test_reciprocals_rejects_times_outside_zero_to_inf(bad):
         reciprocals(s)
 
 
+@pytest.mark.parametrize("times, r, u, match", [
+    ([1.0, 2.0], 3, 2.0, "r=3 failures among n=4 units"),
+    ([1.0, 2.0, 3.0], 2, 3.0, "r=2 failures among n=4 units"),
+    ([1.0, 2.0, 3.0, 4.0, 5.0], 5, 5.0, "r=5 failures among n=4 units"),
+    ([[1.0, 2.0, 3.0]], 3, 3.0, "in one dimension"),
+    ([3.0, 1.0, 2.0], 3, 3.0, "ascending"),
+    ([1.0, 2.0, 3.0], 3, 2.0, "at most u=2.0"),
+    ([1.0, 2.0], 2, math.inf, "positive and finite"),
+    ([1.0, 2.0], 2, math.nan, "positive and finite"),
+    ([], 0, 0.0, "positive and finite"),
+], ids=["r-above-times", "r-below-times", "r-above-n", "2d", "unsorted", "beyond-u",
+        "u-inf", "u-nan", "u-zero"])
+def test_reciprocals_rejects_a_sample_apply_scheme_cannot_return(times, r, u, match):
+    """Hand-built samples whose r, order or u do not fit their times: each
+    would otherwise reach the likelihood, as a broadcast error or a fit."""
+    s = HybridSample(times=np.array(times), r=r, u=u, scheme=HybridScheme(n=4, R=3, T=math.inf))
+    with pytest.raises(DomainError, match=match):
+        reciprocals(s)
+
+
+def test_reciprocals_keeps_ties_and_a_failure_at_u():
+    s = HybridSample(times=np.array([1.0, 2.0, 2.0]), r=3, u=2.0,
+                     scheme=HybridScheme(n=4, R=3, T=math.inf))
+    assert reciprocals(s).x.tolist() == [1.0, 0.5, 0.5]
+    empty = apply_scheme(np.array([3.0, 4.0]), HybridScheme(n=2, R=2, T=1.0))
+    assert (empty.r, reciprocals(empty).x.size) == (0, 0)
+
+
 def test_reciprocals_flood_scheme1(flood_s1):
     assert flood_s1.r == 17
     assert flood_s1.x.min() == pytest.approx(1 / 0.494, rel=1e-12)

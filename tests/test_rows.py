@@ -1,8 +1,8 @@
 """The array path of the study harness: censored samples fitted together as
-the rows of one matrix give, row by row, the bits and the error classes of
-``fit_mle``, ``asymptotic_ci`` and ``lindley_estimates`` on each sample, and
-``run_study`` gives the bytes of the one-replicate-at-a-time loop whatever
-the chunk size."""
+the rows of one matrix, of one design or of several, give, row by row, the
+bits and the error classes of ``fit_mle``, ``asymptotic_ci`` and
+``lindley_estimates`` on each sample, and ``run_study`` gives the bytes of
+the one-replicate-at-a-time loop whatever the batch bound."""
 
 import collections
 import dataclasses
@@ -47,13 +47,14 @@ _PRIORS = (GammaPriors(), GammaPriors(2, 1, 1, 1), GammaPriors(5, 0.1, 3, 2))
 
 
 def _stack(samples) -> ReciprocalRows:
-    """Samples of one n, given in the order of r, as the rows of one batch."""
-    n = samples[0].n
-    x = np.ones((len(samples), n))
+    """Samples, given in the order of r, as the rows of one batch, padded to
+    the largest n."""
+    x = np.ones((len(samples), max(s.n for s in samples)))
     for row, s in zip(x, samples):
         row[:s.r] = s.x
     return ReciprocalRows(x=x, u=np.array([s.u for s in samples], dtype=float),
-                          r=np.array([s.r for s in samples]), n=n)
+                          r=np.array([s.r for s in samples]),
+                          n=np.array([s.n for s in samples]))
 
 
 def _bits(*values) -> list:
@@ -94,9 +95,12 @@ def _design_sample(draw, n):
 
 
 @st.composite
-def _rows(draw):
+def _rows(draw, mixed=False):
+    """Two to eight samples in the order of r: of one n, or, where
+    ``mixed``, each of its own n."""
     n = draw(st.integers(2, 30))
-    samples = draw(st.lists(_design_sample(n), min_size=2, max_size=8))
+    design = st.integers(2, 30).flatmap(_design_sample) if mixed else _design_sample(n)
+    samples = draw(st.lists(design, min_size=2, max_size=8))
     return sorted(samples, key=lambda s: s.r)
 
 
@@ -104,6 +108,15 @@ def _rows(draw):
 @settings(max_examples=120, deadline=None)
 @given(samples=_rows(), level=st.sampled_from([0.9, 0.95, 0.99]))
 def test_rows_fit_as_each_sample_does_alone(samples, level):
+    _check_rows(samples, level)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=120, deadline=None)
+@given(samples=_rows(mixed=True), level=st.sampled_from([0.9, 0.95, 0.99]))
+def test_rows_of_different_designs_fit_as_each_sample_does_alone(samples, level):
+    """Samples of different (n, T, R), stacked into one batch as the harness
+    stacks the replicates of several cells."""
     _check_rows(samples, level)
 
 
@@ -174,7 +187,7 @@ def _check_rows(samples, level):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
-@given(samples=_rows(), data=st.data())
+@given(samples=_rows() | _rows(mixed=True), data=st.data())
 def test_row_kernel_equals_the_sample_kernel_at_extreme_points(samples, data):
     """Every branch of the censoring term, q underflowing at extreme lam
     included, and every order."""
@@ -193,19 +206,27 @@ def test_row_kernel_equals_the_sample_kernel_at_extreme_points(samples, data):
 
 
 def test_censored_rows_equal_each_censored_sample():
-    scheme = HybridScheme(n=30, R=20, T=1.5)
+    """Two designs, the rows of the narrower padded to the wider n."""
     params = IwParams.from_rate(2.0, 1.0)
-    seeds = [np.random.SeedSequence((3, 0, rep), spawn_key=(0,)) for rep in range(50)]
-    rows, order = _censor_rows(_sample_rows(30, params, seeds), scheme)
+    pieces, samples = [], []
+    for cell, scheme in enumerate((HybridScheme(n=30, R=20, T=1.5),
+                                   HybridScheme(n=12, R=12, T=1.0))):
+        seeds = [np.random.SeedSequence((3, cell, rep), spawn_key=(0,)) for rep in range(25)]
+        pieces.append((_sample_rows(scheme.n, params, seeds), scheme))
+        samples += [reciprocals(apply_scheme(sample(scheme.n, params, seed), scheme))
+                    for seed in seeds]
+    rows, order = _censor_rows(pieces)
+    assert rows.x.shape == (50, 30)
     assert (np.diff(rows.r) >= 0).all() and sorted(order.tolist()) == list(range(50))
-    for i, rep in enumerate(order.tolist()):
-        want = reciprocals(apply_scheme(sample(30, params, seeds[rep]), scheme))
+    for i, k in enumerate(order.tolist()):
+        want = samples[k]
         got = rows.sample(i)
         assert (got.r, got.u, got.n) == (want.r, want.u, want.n)
-        assert got.x.tobytes() == want.x.tobytes()
+        assert got.x.tobytes() == want.x.tobytes() and (rows.x[i, got.r:] == 1.0).all()
         assert got.regression_start == want.regression_start
-        assert _bits(rows.sum_log_x[i], *(v[i] for v in rows.regression_start)) \
-            == _bits(want.sum_log_x, *want.regression_start)
+        if want.r >= 2:     # the rows give NaN below two failures
+            assert _bits(rows.sum_log_x[i], *(v[i] for v in rows.regression_start)) \
+                == _bits(want.sum_log_x, *want.regression_start)
 
 
 def _config(**overrides):
@@ -227,24 +248,63 @@ def _assert_same_bytes(got, want):
 
 
 @pytest.mark.parametrize("replicates", [1, 2, 3, 9])
-@pytest.mark.parametrize("chunk", [4, harness._CHUNK_ROWS])
-def test_run_study_bytes_do_not_depend_on_the_chunk_size(monkeypatch, replicates, chunk):
-    monkeypatch.setattr(harness, "_CHUNK_ROWS", chunk)
+@pytest.mark.parametrize("batch_rows", [1, 7, 8, 9, None])
+def test_run_study_bytes_do_not_depend_on_the_batch_bound(monkeypatch, replicates, batch_rows):
+    """A bound of 1, 7, 8 or 9 rows at the widest cell's n, or the default
+    one, cuts batches inside cells and across cells of different n, on both
+    sides of the fit fork at 8 rows."""
     config = _config(replicates=replicates)
+    if batch_rows is not None:
+        monkeypatch.setattr(harness, "_CHUNK_VALUES",
+                            batch_rows * max(n for n, _, _ in config.cells))
     _assert_same_bytes(run_study(config), run_study_ref(config))
 
 
-def test_run_study_bytes_across_the_default_chunk_boundary():
-    config = _config(cells=((10, 1.0, 6),), replicates=harness._CHUNK_ROWS + 3,
+def test_run_study_bytes_across_the_default_batch_bound():
+    # 65 rows of n = 1000 to a batch: the first batch ends inside cell 1
+    config = _config(cells=((1000, 1.0, 600), (800, 2.0, 800)), replicates=40,
                      methods=("mle", "lindley"))
+    assert harness._CHUNK_VALUES // 1000 == 65
     _assert_same_bytes(run_study(config), run_study_ref(config))
+
+
+def _spy_fit_rows(monkeypatch) -> list:
+    """The row count of each ``_fit_rows`` call of the harness, as made."""
+    calls = []
+    fit_rows = harness._fit_rows
+
+    def spy(rows):
+        calls.append(rows.r.size)
+        return fit_rows(rows)
+    monkeypatch.setattr(harness, "_fit_rows", spy)
+    return calls
+
+
+def test_the_replicates_of_every_cell_are_fitted_in_one_call(monkeypatch):
+    """The shape of the benchmark's MLE study: 4 cells of 100 replicates,
+    400 rows at the width n = 50, are one batch."""
+    calls = _spy_fit_rows(monkeypatch)
+    config = _config(cells=((30, 1.5, 20), (30, 1.5, 30), (50, 1.5, 35), (50, 2.5, 50)),
+                     replicates=100, methods=("mle", "lindley"))
+    _assert_same_bytes(run_study(config), run_study_ref(config))
+    assert calls == [400]
+
+
+@pytest.mark.parametrize("cells, replicates", [(((12, 1.5, 8), (20, 2.5, 20)), 1),
+                                               (((12, 1.5, 8), (20, 2.5, 20), (4, 0.3, 4)), 2),
+                                               (((12, 1.5, 8),), _ARRAY_SEEDING - 1)])
+def test_a_study_of_fewer_than_eight_rows_fits_no_rows(monkeypatch, cells, replicates):
+    calls = _spy_fit_rows(monkeypatch)
+    config = _config(cells=cells, replicates=replicates, methods=("mle", "lindley"))
+    _assert_same_bytes(run_study(config), run_study_ref(config))
+    assert calls == []
 
 
 def test_a_single_replicate_is_fitted_and_sampled_on_one_sample(monkeypatch):
-    """A chunk of one replicate, the shape of a Bayes study, is fitted by the
-    one-sample functions, not as arrays, and importance sampling reads the
-    very sample they fitted, so that its cached work is done once: the third
-    derivatives once for both priors."""
+    """A batch of one replicate in each of two cells, the shape of a Bayes
+    study, is fitted by the one-sample functions, not as arrays, and
+    importance sampling reads the very sample they fitted, so that its
+    cached work is done once: the third derivatives once for both priors."""
     config = _config(cells=((12, 1.5, 8), (20, 2.5, 20)), replicates=1,
                      methods=("lindley", "is"))
     want = run_study_ref(config)
@@ -280,6 +340,24 @@ def test_a_chunk_with_a_replicate_that_raises_raises_as_one_at_a_time():
         run_study_ref(config)
     with pytest.raises(DomainError) as got:
         run_study(config)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_batch_raises_as_the_loop_does_from_a_later_cell():
+    """At this rate the lifetimes are near 1e150, and some regression starts
+    overflow lam to inf, which fit_mle rejects with a message that names
+    the start.  The 12 rows are one batch.  No replicate of cell 0 raises;
+    in cell 1, replicates 1 (r = 10) and 4 (r = 7) raise.  The batch's rows
+    are in the order of r, but the loop meets replicate 1 first."""
+    config = _config(true_lambda=1e300, cells=((12, 1e150, 9), (20, 1e150, 18)), replicates=6,
+                     base_seed=11, methods=("mle", "lindley"))
+    run_study(dataclasses.replace(config, cells=config.cells[:1]))
+    with pytest.raises(DomainError) as want:
+        run_study_ref(config)
+    with pytest.raises(DomainError) as got:
+        run_study(config)
+    assert str(want.value).startswith("alpha and lam must be positive, got (")
     assert str(got.value) == str(want.value)
 
 
