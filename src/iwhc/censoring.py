@@ -94,13 +94,14 @@ class ReciprocalSample:
     @cached_property
     def log_x_powers(self) -> np.ndarray:
         """Rows ``(log x)**k`` for k = 0..3, so that one product with
-        ``x**alpha`` and one row sum give the power sums ``S_0..S_3``."""
+        ``x**alpha`` and one row sum give the power sums ``S_0..S_3``.  The
+        cube is the product of the square and log x."""
         lx = self.log_x
         out = np.empty((4, lx.size))
         out[0] = 1.0
         out[1] = lx
         np.square(lx, out=out[2])
-        np.power(lx, 3, out=out[3])
+        np.multiply(out[2], lx, out=out[3])
         return out
 
     @cached_property
@@ -207,11 +208,12 @@ class ReciprocalRows:
     def log_x_powers(self) -> np.ndarray:
         """``[k - 1] = (log x)**k`` for k = 1..3, the powers of
         ReciprocalSample's ``log_x_powers`` but for the ones of k = 0, each
-        a matrix like ``x`` (the cubes, costly, only where a row holds x)."""
+        a matrix like ``x`` (the cubes, the products of the squares and log
+        x, only where a row holds x)."""
         out = np.zeros((3, *self.x.shape))
         lx = np.log(self.x, out=out[0])
         np.square(lx, out=out[1])
-        np.power(lx, 3, out=out[2], where=self.held)
+        np.multiply(out[1], lx, out=out[2], where=self.held)
         return out
 
     @cached_property

@@ -11,6 +11,7 @@ through the rate ``lam = theta**(-alpha)``, which turns the cdf into
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,25 +131,27 @@ def sample(count: int, p: IwParams, seed) -> np.ndarray:
 
 def _sample_rows(count: int, p: IwParams, seeds) -> np.ndarray:
     """:func:`sample` for each seed in ``seeds``, as the rows of one matrix:
-    each row draws its uniforms from its own generator, and one
+    each row draws its uniforms from its own stream, and one
     inverse-transform call maps them all, the measure-zero draw u == 0 (the
     one outside (0, 1)) as 2**-53.
 
-    ``seeds`` is a list of seeds, or a uint32 matrix whose row i holds the
-    entropy words of the seed ``SeedSequence(seeds[i], spawn_key=(0,))``.
-    The generator states of a matrix's rows come from one array pass
-    (:func:`_child_states`), and one generator, re-stated per row, draws
-    them all."""
+    ``seeds`` is a list of seeds, each drawn from by its own generator, or a
+    uint32 matrix whose row i holds the entropy words of the seed
+    ``SeedSequence(seeds[i], spawn_key=(0,))``.  A matrix builds no
+    generator: one array pass gives its rows' PCG64 states
+    (:func:`_child_states`), and another their uniforms
+    (:func:`_pcg64_doubles`), a block of rows of at most ``_BLOCK`` values
+    at a time."""
     try:
         u = np.empty((len(seeds), count))
     except (ValueError, MemoryError):
         raise DomainError(f"a sample of {len(seeds) * count} lifetimes needs "
                           f"{8 * len(seeds) * count} bytes, which cannot be allocated") from None
     if isinstance(seeds, np.ndarray):
-        rng = np.random.Generator(np.random.PCG64(0))
-        for row, state in zip(u, _child_states(seeds)):
-            rng.bit_generator.state = state
-            rng.random(out=row)
+        words = _child_states(seeds)
+        step = max(_BLOCK // count, 1)
+        for start in range(0, len(u), step):
+            _pcg64_doubles(words[..., start:start + step], out=u[start:start + step])
     else:
         for row, seed in zip(u, seeds):
             np.random.default_rng(seed).random(out=row)
@@ -158,17 +161,26 @@ def _sample_rows(count: int, p: IwParams, seeds) -> np.ndarray:
 
 # numpy's SeedSequence (NEP 19): a pool of four 32-bit words, filled and mixed
 # by a multiply-xorshift hash whose constant is multiplied by a fixed factor
-# at each use; then PCG64's 128-bit LCG multiplier
+# at each use; then PCG64's 128-bit LCG multiplier, also as (hi, lo) words
 _POOL = 4
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _XSHIFT = np.uint32(16)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# at least this many seeds take the array pass, whose fixed cost is about
-# five times numpy's seeding of one stream
+_PCG_WORDS = (np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64))
+_LOW32, _HALF = np.uint64(_MASK32), np.uint64(32)
+# a batch of at least this many rows, the size at which the harness also
+# fits its rows as arrays, takes the array passes; their fixed cost (about
+# 150-200 us on a 2-core Xeon) is that of numpy's own seeding and drawing of
+# some 20 streams of 30 values.  The uniforms pass runs over blocks of rows
+# of at most _BLOCK values, so that its dozens of temporaries stay in a
+# core's cache: the draw of 400 rows of 50 took about 1.3 times as long in
+# one block
 _ARRAY_SEEDING = 8
+_BLOCK = 8192
 # the pool words that each pool word is mixed into (all but itself), and the
 # cycle of pool words that generate_state hashes into eight output words
 _OTHERS = [np.array([dst for dst in range(_POOL) if dst != src]) for src in range(_POOL)]
@@ -210,13 +222,15 @@ def _entropy_words(values) -> list:
             for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
-def _child_seeds(prefix: tuple, last: range):
+def _child_seeds(prefix: tuple, last: range, rows: int | None = None):
     """Seeds for :func:`_sample_rows`: child 0 of ``SeedSequence((*prefix,
-    i))`` for each ``i`` in ``last``.  At least ``_ARRAY_SEEDING`` of them,
-    all with ``i`` below 2**32, come as the matrix of their entropy words,
-    each int split into little-endian 32-bit words as numpy splits it; any
-    others as numpy's own ``SeedSequence`` each."""
-    if len(last) < _ARRAY_SEEDING or last[-1] > _MASK32:
+    i))`` for each ``i`` in ``last``, whose draws go to a batch of ``rows``
+    rows (``len(last)`` by default).  In a batch of at least
+    ``_ARRAY_SEEDING`` rows, seeds all with ``i`` below 2**32 come as the
+    matrix of their entropy words, each int split into little-endian 32-bit
+    words as numpy splits it; any others as numpy's own ``SeedSequence``
+    each."""
+    if (len(last) if rows is None else rows) < _ARRAY_SEEDING or last[-1] > _MASK32:
         return [np.random.SeedSequence((*prefix, i), spawn_key=(0,)) for i in last]
     head = _entropy_words(prefix)
     words = np.empty((len(last), len(head) + 1), dtype=np.uint32)
@@ -225,15 +239,16 @@ def _child_seeds(prefix: tuple, last: range):
     return words
 
 
-def _child_states(entropy: np.ndarray) -> list:
-    """The PCG64 state of ``default_rng(SeedSequence(row, spawn_key=(0,)))``
-    for each row of the uint32 matrix ``entropy``, as
-    ``bit_generator.state`` takes it.
+def _child_states(entropy: np.ndarray) -> np.ndarray:
+    """``(state, inc)``: the PCG64 state and increment of
+    ``default_rng(SeedSequence(row, spawn_key=(0,)))`` for each row of the
+    uint32 matrix ``entropy``, each a ``(hi, lo)`` pair of uint64 word
+    rows, a word a row: an array of shape (2, 2, rows).
 
     This is numpy's own seeding, computed for all rows at once:
     SeedSequence's ``mix_entropy`` and ``generate_state(4, np.uint64)`` in
     uint32 arithmetic, vectorised over the rows and the pool words, then the
-    two LCG steps of ``pcg64_set_seed`` in Python ints.
+    two LCG steps of ``pcg64_set_seed`` in uint64 word arithmetic.
     """
     rows, width = entropy.shape
     # the assembled entropy, a column per row: the words zero-padded to the
@@ -253,15 +268,68 @@ def _child_states(entropy: np.ndarray) -> list:
         pool = _mix(pool, _hashmix(word, a[k:k + _POOL], a[k + 1:k + _POOL + 1]))
         k += _POOL
     # generate_state: eight hashed words, read in pairs as little-endian
-    # uint64 words (lo | hi << 32); the first two seed the state, the
-    # last two the increment
+    # uint64 words (lo | hi << 32); the first two seed the state (hi, lo),
+    # the last two the increment
     out = _hashmix(pool[_CYCLE], _HASH_B[:-1], _HASH_B[1:]).astype(np.uint64)
-    seed = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*seed):
-        # pcg64_set_seed: from state 0, one step, add the seed, one more step
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+    seed_hi, seed_lo, inc_hi, inc_lo = out[0::2] | out[1::2] << _HALF
+    # pcg64_set_seed: inc = 2 * inc + 1; from state 0, one step, add the
+    # seed, one more step
+    one = np.uint64(1)
+    inc = (inc_hi << one | inc_lo >> np.uint64(63), inc_lo << one | one)
+    state = _add128(_mul128(_add128(inc, (seed_hi, seed_lo)), _PCG_WORDS), inc)
+    return np.array([state, inc])
+
+
+def _add128(a: tuple, b: tuple) -> tuple:
+    """``a + b`` modulo 2**128 for 128-bit ints given as ``(hi, lo)`` pairs
+    of uint64 words that broadcast together."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
+
+
+def _mul128(a: tuple, b: tuple) -> tuple:
+    """``a * b`` modulo 2**128, as :func:`_add128` takes them: the full
+    product of the low words, built from their 32-bit halves, plus the two
+    cross products that reach the high word."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    a1, a0 = a_lo >> _HALF, a_lo & _LOW32
+    b1, b0 = b_lo >> _HALF, b_lo & _LOW32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _HALF) + (p01 & _LOW32) + (p10 & _LOW32)
+    hi = a1 * b1 + (p01 >> _HALF) + (p10 >> _HALF) + (mid >> _HALF) + a_lo * b_hi + a_hi * b_lo
+    return hi, a_lo * b_lo
+
+
+@lru_cache(maxsize=32)
+def _jumps(count: int) -> np.ndarray:
+    """``(mult, step)`` for k = 1..count, read-only: k steps of PCG64's LCG
+    take a state s with increment inc to ``mult[k-1] * s + step[k-1] *
+    inc`` modulo 2**128, where mult is M**k and step is 1 + M + ... +
+    M**(k-1) for the multiplier M, each a ``(hi, lo)`` pair of uint64 word
+    rows."""
+    mult, step = [_PCG_MULT], [1]
+    for _ in range(count - 1):
+        mult.append(mult[-1] * _PCG_MULT & _MASK128)
+        step.append((step[-1] * _PCG_MULT + 1) & _MASK128)
+    words = np.array([[[v >> 64 for v in ints], [v & _MASK64 for v in ints]]
+                      for ints in (mult, step)], dtype=np.uint64)
+    words.flags.writeable = False
+    return words
+
+
+def _pcg64_doubles(words: np.ndarray, out: np.ndarray) -> None:
+    """Into row i of ``out``, the ``random()`` draws of numpy's PCG64 from
+    the state and increment ``words[..., i]`` (:func:`_child_states`), every
+    draw of every row at once.
+
+    numpy's PCG64 (O'Neill's XSL-RR 128/64) steps its LCG, then outputs the
+    new state's two words xor-ed and rotated right by its top six bits, and
+    a double is that output's top 53 bits times 2**-53.  Draw k reads the
+    state k steps on, by :func:`_jumps`."""
+    mult, step = _jumps(out.shape[1])
+    state, inc = words[..., None]
+    hi, lo = _add128(_mul128(state, mult), _mul128(inc, step))
+    rot = hi >> np.uint64(58)
+    hi ^= lo
+    bits = hi >> rot | hi << ((np.uint64(64) - rot) & np.uint64(63))
+    np.multiply(bits >> np.uint64(11), 0.5 ** 53, out=out)

@@ -9,9 +9,11 @@ intervals for importance sampling; the expansion estimator has no interval).
 Reproducibility contract: replicate seeds derive from
 ``SeedSequence((base_seed, cell_index, replicate_index))``; child 0 generates
 the data and child 1+p drives importance sampling under prior p.  Each
-replicate is one independent task that returns a record per (method, prior)
-group, and a merge step builds the rows from the records in replicate order,
-so a summary is bit-identical for a given config no matter how the replicates
+replicate is one independent task that fills a column of a block per
+(method, prior) group: its two estimates and, for the MLE and importance
+sampling, the lower and upper bounds of its two intervals, or a failure.
+A merge step builds the rows from the columns in replicate order, so a
+summary is bit-identical for a given config no matter how the replicates
 are scheduled, and no group's stream depends on which other groups run.
 
 The (cell, replicate) tasks, in cell-major order, run in batches
@@ -20,22 +22,31 @@ batch's widest cell, so that a batch may span cells.  Each cell's piece of
 a batch draws its replicates' data into the rows of a matrix and censors
 them under its own scheme; the pieces are then stacked into one
 ``ReciprocalRows``, its rows padded to the widest n and ordered by r.  The
-data streams are the same child 0 streams in every batch: a piece of at
-least ``_ARRAY_SEEDING`` replicates computes their generator states in one
-array pass over its entropy words, and a smaller one gets them from numpy's
-own ``SeedSequence`` (``distribution._child_seeds``).  Only the fits fork,
-on the number of rows: a batch of fewer than ``_ARRAY_SEEDING`` rows, such
+data streams are the same child 0 streams in every batch, drawn for all
+the batch's rows at once at the widest n, of which each piece keeps its
+own n.  A batch of at least ``_ARRAY_SEEDING`` rows builds no generator:
+one array pass over the rows' entropy words gives their PCG64 states, and
+another their uniforms (``distribution._sample_rows``).  A smaller batch
+draws each row from numpy's own ``SeedSequence`` and generator.  The fits
+fork on the same count: a batch of fewer than ``_ARRAY_SEEDING`` rows, such
 as the one batch of a study of one replicate in each of two cells, fits
 each row on its own sample with ``fit_mle``, ``asymptotic_ci`` and
 ``lindley_estimates``, and a larger one fits all its rows at once as
 arrays, with the same bits, so that the fixed cost of the array fit is paid
-once per batch rather than once per cell.  Importance sampling records alpha and lambda only, so theta, which
+once per batch rather than once per cell.  Either way the results land in
+the batch's blocks, the array fits with one permutation from the order of
+r to the order of the tasks; only the one-sample fits and importance
+sampling, whose work is done a sample at a time, loop over the rows.
+Importance sampling records alpha and lambda only, so theta, which
 ``bayes_is`` summarizes on first read, is never computed here.
 
-The merge (``run_study``) takes the means and standard errors of the
-records with ``_mean`` and ``_se``: numpy's ``ndarray.mean()`` and
-``std(ddof=1) / sqrt(n)`` in the same two passes of ``add.reduce`` sums,
-bit for bit, without the method dispatch that dominates on a few values.
+The merge (``run_study``) concatenates each cell's slices of the blocks,
+keeps the columns that fitted, and takes the lengths as upper - lower, the
+bits of ``ConfidenceInterval.length``.  It takes the means and standard
+errors of the estimates, their squared errors and the lengths, a row each,
+with ``_mean`` and ``_se``: numpy's ``ndarray.mean()`` and ``std(ddof=1) /
+sqrt(n)`` of each row in the same two passes of ``add.reduce`` sums, bit
+for bit, without the method dispatch that dominates on a few values.
 """
 
 from __future__ import annotations
@@ -191,20 +202,22 @@ class SimulationSummary:
     lengths: dict = field(default_factory=dict)
 
 
-def _mean(values: np.ndarray) -> float:
-    """``values.mean()`` as numpy's method computes it, NaN for no values."""
-    return float(np.add.reduce(values) / values.size) if values.size else float("nan")
+def _mean(values: np.ndarray) -> np.ndarray:
+    """``values.mean(axis=-1)`` as numpy's method computes it, NaN for no
+    values.  numpy's pairwise sum along a contiguous last axis rounds each
+    row as it rounds the row alone."""
+    n = values.shape[-1]
+    return np.add.reduce(values, axis=-1) / n if n else np.full(values.shape[:-1], np.nan)
 
 
-def _se(values: np.ndarray) -> float:
-    """``values.std(ddof=1) / sqrt(values.size)`` in the two passes of
-    numpy's method, NaN for fewer than two values.  Square roots are
-    correctly rounded, so ``math.sqrt`` gives numpy's bits."""
-    n = values.size
+def _se(values: np.ndarray) -> np.ndarray:
+    """``values.std(ddof=1, axis=-1) / sqrt(n)`` for n values a row, in the
+    two passes of numpy's method, NaN for fewer than two values."""
+    n = values.shape[-1]
     if n < 2:
-        return float("nan")
-    d = values - np.add.reduce(values) / n
-    return math.sqrt(np.add.reduce(d * d) / (n - 1)) / math.sqrt(n)
+        return np.full(values.shape[:-1], np.nan)
+    d = values - (np.add.reduce(values, axis=-1) / n)[..., None]
+    return np.sqrt(np.add.reduce(d * d, axis=-1) / (n - 1)) / math.sqrt(n)
 
 
 def _groups(config: StudyConfig) -> list:
@@ -226,7 +239,8 @@ def _is_record(config: StudyConfig, rs, pi: int, entropy: np.ndarray):
         res = bayes_is(rs, config.priors[pi], config.draws, rng, level=config.level)
     except _FIT_ERRORS:
         return None
-    return (res.alpha.mean, res.lam.mean, res.alpha.hpd.length, res.lam.hpd.length)
+    a, lam = res.alpha.hpd, res.lam.hpd
+    return (res.alpha.mean, res.lam.mean, a.lower, lam.lower, a.upper, lam.upper)
 
 
 def _batches(replicates: int, schemes: list):
@@ -254,104 +268,136 @@ def _batches(replicates: int, schemes: list):
 
 def _batch(config: StudyConfig, schemes: list, params: IwParams, groups: list,
            batch: list) -> list:
-    """The records of the replicates of ``batch``, a list of ``(cell,
-    reps)`` pieces, in the order of the pieces and their replicates.
+    """The column blocks of the replicates of ``batch``, a list of ``(cell,
+    reps)`` pieces: one ``(values, ok)`` per group, whose columns are the
+    replicates in the order of the pieces and their replicates.
 
-    A replicate's record has one entry per group: ``(alpha, lambda, alpha
-    length, lambda length)``, with lengths ``None`` for Lindley, or ``None``
-    where the fit failed.  Fewer than two failures fail every group.  A
-    batch where some replicate raises an error that is not a failed fit
-    (DomainError) runs again one replicate at a time, in batch order, so
-    that the error comes from the replicate that a loop over the cells and
-    their replicates meets first.
+    ``values`` has a row for each of alpha and lambda, and for the MLE and
+    importance sampling then rows for the lower bounds of their intervals
+    and for the upper bounds; ``ok`` is False where the fit failed, and
+    there the values are not read.  A replicate with fewer than two
+    failures (r < 2) fails every group.  A batch where some replicate raises
+    an error that is not a failed fit (DomainError) runs again one replicate
+    at a time, in batch order, so that the error comes from the replicate
+    that a loop over the cells and their replicates meets first.
     """
     try:
         return _records(config, schemes, params, groups, batch)
     except DomainError:
         if sum(len(reps) for _, reps in batch) == 1:
             raise
-    return [_records(config, schemes, params, groups, [(cell, range(rep, rep + 1))])[0]
+    runs = [_records(config, schemes, params, groups, [(cell, range(rep, rep + 1))])
             for cell, reps in batch for rep in reps]
+    return [tuple(np.concatenate(parts, axis=-1) for parts in zip(*blocks))
+            for blocks in zip(*runs)]
 
 
 def _records(config, schemes, params, groups, batch) -> list:
-    """The records of :func:`_batch`, from one try at the whole batch.  A
-    batch of fewer than ``_ARRAY_SEEDING`` rows fits each row on its own
-    sample, which importance sampling then reads too, so that the logs and
-    the regression start that the sample caches are computed once; a larger
-    one fits all its rows as arrays."""
-    rows, order = _censor_rows([
-        (_sample_rows(schemes[cell].n, params, _child_seeds((config.base_seed, cell), reps)),
-         schemes[cell]) for cell, reps in batch])
-    tasks = [(cell, rep) for cell, reps in batch for rep in reps]
-    small = len(tasks) < _ARRAY_SEEDING
+    """The blocks of :func:`_batch`, from one try at the whole batch: row i
+    of the batch's ``ReciprocalRows``, which are in the order of r, fills
+    column ``order[i]``.  A batch of fewer than ``_ARRAY_SEEDING`` rows
+    fits each row on its own sample, which importance sampling then reads
+    too, so that the logs and the regression start that the sample caches
+    are computed once; a larger one draws and fits all its rows as
+    arrays."""
+    size = sum(len(reps) for _, reps in batch)
+    rows, order = _censor_rows(_pieces(config, schemes, params, batch, size))
+    blocks = [(np.full((2 if method == "lindley" else 6, size), np.nan),
+               np.zeros(size, dtype=bool)) for method, _ in groups]
+    small = size < _ARRAY_SEEDING
     fitting = groups[0][0] != "is"      # row order puts the MLE and Lindley groups first
-    sampled = any(method == "is" for method, _ in groups)
-    fitted = _row_fits(config, groups, rows) if fitting and not small else {}
-    records = [None] * len(tasks)
-    for i, (k, r) in enumerate(zip(order.tolist(), rows.r.tolist())):
-        if r < 2:
-            records[k] = [None] * len(groups)
-            continue
-        if small or sampled:
+    sampled = [g for g, (method, _) in enumerate(groups) if method == "is"]
+    if fitting and not small:
+        _row_fits(config, groups, rows, order, blocks)
+    if small or sampled:
+        tasks = [(cell, rep) for cell, reps in batch for rep in reps]
+        for i in np.flatnonzero(rows.r >= 2).tolist():
+            k = order[i]
             rs = rows.sample(i)
-        if small and fitting:
-            fitted = _sample_fits(config, groups, rs, i)
-        if sampled:
-            # the seed (base_seed, cell, replicate) as words, once for every prior
-            entropy = np.array(_entropy_words((config.base_seed, *tasks[k])), dtype=np.uint32)
-        records[k] = [fitted[group].get(i) if group in fitted
-                      else _is_record(config, rs, group[1], entropy)
-                      for group in groups]
-    return records
+            records = _sample_fits(config, groups, rs) if small and fitting else {}
+            if sampled:
+                # the seed (base_seed, cell, replicate) as words, once for every prior
+                entropy = np.array(_entropy_words((config.base_seed, *tasks[k])),
+                                   dtype=np.uint32)
+                records.update((g, _is_record(config, rs, groups[g][1], entropy))
+                               for g in sampled)
+            for g, record in records.items():
+                if record is not None:
+                    blocks[g][0][:, k] = record
+                    blocks[g][1][k] = True
+    return blocks
 
 
-def _sample_fits(config: StudyConfig, groups: list, rs, row: int) -> dict:
-    """``{group: {row: record}}`` for the MLE and Lindley groups on the
-    sample ``rs`` of row ``row``, the record left out where the fit fails."""
-    fitted = {group: {} for group in groups if group[0] != "is"}
+def _pieces(config, schemes, params, batch, size: int) -> list:
+    """The ``(complete samples, scheme)`` piece of each cell of ``batch``,
+    for ``_censor_rows``: the data of every row are drawn at the widest n,
+    of which each piece keeps its own n.  The drawn matrix is freed once
+    censored, before the fit, whose buffers set the batch's memory peak."""
+    data = _sample_rows(max(schemes[cell].n for cell, _ in batch), params,
+                        _data_seeds(config.base_seed, batch, size))
+    pieces, start = [], 0
+    for cell, reps in batch:
+        pieces.append((data[start:start + len(reps), :schemes[cell].n], schemes[cell]))
+        start += len(reps)
+    return pieces
+
+
+def _data_seeds(base_seed: int, batch: list, size: int):
+    """The seeds of the data of the ``size`` rows of ``batch``, for
+    ``_sample_rows``: in a batch of at least ``_ARRAY_SEEDING`` rows, the
+    matrix of their entropy words (``_child_seeds``); else, or where some
+    replicate index passes 2**32, numpy's ``SeedSequence`` each."""
+    if size >= _ARRAY_SEEDING:
+        pieces = [_child_seeds((base_seed, cell), reps, size) for cell, reps in batch]
+        if all(isinstance(piece, np.ndarray) for piece in pieces):
+            return np.concatenate(pieces)
+    return [np.random.SeedSequence((base_seed, cell, rep), spawn_key=(0,))
+            for cell, reps in batch for rep in reps]
+
+
+def _sample_fits(config: StudyConfig, groups: list, rs) -> dict:
+    """``{group index: record}`` for the MLE and Lindley groups on the
+    sample ``rs``, a record ``_batch``'s column of values or None where the
+    fit fails."""
+    fitted = {g: None for g, (method, _) in enumerate(groups) if method != "is"}
     try:
         fit = fit_mle(rs)
     except _FIT_ERRORS:
         return fitted
-    for method, pi in fitted:
+    for g in fitted:
+        method, pi = groups[g]
         try:
             if method == "mle":
-                ci_a, ci_l, _ = asymptotic_ci(fit, config.level)
-                fitted[method, pi][row] = (fit.alpha_hat, fit.lam_hat, ci_a.length, ci_l.length)
+                a, lam, _ = asymptotic_ci(fit, config.level)
+                fitted[g] = (fit.alpha_hat, fit.lam_hat, a.lower, lam.lower, a.upper, lam.upper)
             else:
                 est = lindley_estimates(fit, config.priors[pi], rs)
-                fitted[method, pi][row] = (est.alpha_L, est.lambda_L, None, None)
+                fitted[g] = (est.alpha_L, est.lambda_L)
         except _FIT_ERRORS:
             pass
     return fitted
 
 
-def _row_fits(config: StudyConfig, groups: list, rows) -> dict:
-    """``{group: {row: record}}`` for the MLE and Lindley groups on every row
-    of ``rows`` at once, the rows where the fit fails left out."""
+def _row_fits(config: StudyConfig, groups: list, rows, order: np.ndarray, blocks: list) -> None:
+    """Fills the blocks of the MLE and Lindley groups from fits of every row
+    of ``rows`` at once, each group's columns put in task order by one
+    permutation, ``order``."""
     fits = _fit_rows(rows)
-    fitted = {}
+    fitted = []
     if groups[0][0] == "mle":
-        len_a, len_l, ok = _ci_rows(fits, config.level)
-        fitted[groups[0]] = _by_row(ok, fits.alpha, fits.lam, len_a, len_l)
-    lindley = [group for group in groups if group[0] == "lindley"]
-    for group, (alpha_L, lambda_L, ok) in zip(lindley, _lindley_rows(
-            fits, rows, [config.priors[pi] for _, pi in lindley])):
-        fitted[group] = _by_row(ok, alpha_L, lambda_L, None, None)
-    return fitted
-
-
-def _by_row(ok: np.ndarray, *columns) -> dict:
-    """``{row: record}`` over the rows where ``ok``, a column None where it
-    is None."""
-    rows = np.flatnonzero(ok)
-    return dict(zip(rows.tolist(), zip(*(
-        [None] * rows.size if column is None else column[rows].tolist() for column in columns))))
+        (lower_a, upper_a), (lower_l, upper_l), ok = _ci_rows(fits, config.level)
+        fitted.append((0, (fits.alpha, fits.lam, lower_a, lower_l, upper_a, upper_l), ok))
+    lindley = [g for g, (method, _) in enumerate(groups) if method == "lindley"]
+    for g, (alpha_L, lambda_L, ok) in zip(lindley, _lindley_rows(
+            fits, rows, [config.priors[groups[g][1]] for g in lindley])):
+        fitted.append((g, (alpha_L, lambda_L), ok))
+    for g, columns, ok in fitted:
+        blocks[g][0][:, order] = columns
+        blocks[g][1][order] = ok
 
 
 def run_study(config: StudyConfig) -> SimulationSummary:
-    truth = (config.true_alpha, config.true_lambda)
+    truth = np.array([[config.true_alpha], [config.true_lambda]])
     params = IwParams.from_rate(config.true_alpha, config.true_lambda)
     groups = _groups(config)
     rows: list[CellMetric] = []
@@ -359,34 +405,43 @@ def run_study(config: StudyConfig) -> SimulationSummary:
     lengths: dict = {}
 
     schemes = [HybridScheme(n=n, R=R, T=T) for n, T, R in config.cells]
-    by_cell: list = [[] for _ in schemes]
+    # each cell's slices of the blocks of the batches, a list per group
+    pieces: list = [[[] for _ in groups] for _ in schemes]
     for batch in _batches(config.replicates, schemes):
-        records = iter(_batch(config, schemes, params, groups, batch))
+        blocks = _batch(config, schemes, params, groups, batch)
+        start = 0
         for cell, reps in batch:
-            by_cell[cell] += [next(records) for _ in reps]
-    for cell_idx, (scheme, records) in enumerate(zip(schemes, by_cell)):
-        for g, (method, pi) in enumerate(groups):
-            fits = [rec[g] for rec in records if rec[g] is not None]
+            for piece, (values, ok) in zip(pieces[cell], blocks):
+                piece.append((values[:, start:start + len(reps)], ok[start:start + len(reps)]))
+            start += len(reps)
+    for cell_idx, scheme in enumerate(schemes):
+        for (method, pi), piece in zip(groups, pieces[cell_idx]):
+            values, ok = (np.concatenate(parts, axis=-1) for parts in zip(*piece))
+            # the replicates that fitted, in replicate order: a row each for
+            # the estimates, their squared errors and the interval lengths
+            kept = np.ascontiguousarray(values[:, ok])
+            used = kept.shape[1]
+            bounded = len(kept) == 6 and used > 0
+            table = np.concatenate([kept[:2], (kept[:2] - truth) ** 2,
+                                    kept[4:] - kept[2:4] if bounded else kept[:0]])
+            mean, se = _mean(table), _se(table)
             prior = config.priors[pi].as_tuple() if pi is not None else None
             for i, parameter in enumerate(("alpha", "lambda")):
-                vals = np.array([fit[i] for fit in fits])
-                lvals = np.array([fit[2 + i] for fit in fits if fit[2 + i] is not None])
-                errors2 = (vals - truth[i]) ** 2
                 rows.append(CellMetric(
                     n=scheme.n, T=scheme.T, R=scheme.R,
                     method=method, prior=prior, parameter=parameter,
-                    average_estimate=_mean(vals),
-                    mse=_mean(errors2),
-                    avg_interval_length=_mean(lvals) if lvals.size else None,
-                    se_average=_se(vals),
-                    se_mse=_se(errors2),
-                    se_interval_length=_se(lvals) if lvals.size else None,
-                    replicates_used=len(fits),
-                    failures=config.replicates - len(fits),
+                    average_estimate=float(mean[i]),
+                    mse=float(mean[2 + i]),
+                    avg_interval_length=float(mean[4 + i]) if bounded else None,
+                    se_average=float(se[i]),
+                    se_mse=float(se[2 + i]),
+                    se_interval_length=float(se[4 + i]) if bounded else None,
+                    replicates_used=used,
+                    failures=config.replicates - used,
                 ))
-                estimates[(cell_idx, method, pi, parameter)] = vals
-                if lvals.size:
-                    lengths[(cell_idx, method, pi, parameter)] = lvals
+                estimates[(cell_idx, method, pi, parameter)] = table[i]
+                if bounded:
+                    lengths[(cell_idx, method, pi, parameter)] = table[4 + i]
     return SimulationSummary(config=config, rows=rows, estimates=estimates, lengths=lengths)
 
 

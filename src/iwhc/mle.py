@@ -569,9 +569,10 @@ def asymptotic_ci(
 
 
 def _ci_rows(fits: _RowFits, level: float) -> tuple:
-    """``(alpha length, lam length, ok)``: :func:`asymptotic_ci` on every ok
-    row of ``fits``, with the same bits.  ``ok`` is False on the rows that
-    failed to fit and where asymptotic_ci raises NumericError."""
+    """``((alpha lower, alpha upper), (lam lower, lam upper), ok)``:
+    :func:`asymptotic_ci` on every ok row of ``fits``, with the same bits.
+    ``ok`` is False on the rows that failed to fit and where asymptotic_ci
+    raises NumericError."""
     z = _z(level)
     alpha, lam, theta = fits.alpha, fits.lam, fits.theta
     with np.errstate(all="ignore"):
@@ -580,10 +581,10 @@ def _ci_rows(fits: _RowFits, level: float) -> tuple:
         cov = np.stack([fits.v11, fits.v12, fits.v12, fits.v22], axis=1).reshape(-1, 2, 2)
         var_theta = (grad[:, None, :] @ cov @ grad[:, :, None])[:, 0, 0]
         ok = fits.ok & (alpha2 < np.inf) & (alpha_lam != 0.0)
-        lengths = []
+        bounds = []
         for centre, half in ((alpha, z * np.sqrt(fits.v11)), (lam, z * np.sqrt(fits.v22)),
                              (theta, z * np.sqrt(var_theta))):
             lower, upper = centre - half, centre + half
             ok &= lower < upper
-            lengths.append(upper - lower)
-    return lengths[0], lengths[1], ok
+            bounds.append((lower, upper))
+    return bounds[0], bounds[1], ok

@@ -123,7 +123,7 @@ def third_derivatives_ref(alpha, lam, s):
     x = s.x
     lx = np.log(x)
     xa = x ** alpha
-    l30 = 2.0 * s.r / alpha ** 3 - lam * (xa * lx ** 3).sum()
+    l30 = 2.0 * s.r / alpha ** 3 - lam * (xa * (lx ** 2 * lx)).sum()
     l03 = 2.0 * s.r / lam ** 3
     l21 = -(xa * lx ** 2).sum()
     l12 = 0.0

@@ -36,6 +36,7 @@ from iwhc.distribution import (
     _child_seeds,
     _child_states,
     _entropy_words,
+    _pcg64_doubles,
     _quantile,
     _sample_rows,
 )
@@ -159,7 +160,7 @@ def _check_rows(samples, level):
             _fit_rows(rows)
         return
     fits = _fit_rows(rows)
-    len_a, len_l, ci_ok = _ci_rows(fits, level)
+    ci_a, ci_l, ci_ok = _ci_rows(fits, level)
     lindley = _lindley_rows(fits, rows, _PRIORS)
     for i, (s, (fit, error)) in enumerate(zip(samples, fits_alone)):
         assert fits.error[i] is error
@@ -176,7 +177,10 @@ def _check_rows(samples, level):
         assert error in (None, NumericError)
         assert bool(ci_ok[i]) == (error is None)
         if ci is not None:
-            assert _bits(len_a[i], len_l[i]) == _bits(ci[0].length, ci[1].length)
+            assert _bits(ci_a[0][i], ci_a[1][i], ci_l[0][i], ci_l[1][i]) \
+                == _bits(ci[0].lower, ci[0].upper, ci[1].lower, ci[1].upper)
+            assert _bits(ci_a[1][i] - ci_a[0][i], ci_l[1][i] - ci_l[0][i]) \
+                == _bits(ci[0].length, ci[1].length)
         for prior, (alpha_L, lambda_L, ok) in zip(_PRIORS, lindley):
             est, error = _outcome(lindley_estimates, fit, prior, s)
             assert error in (None, NumericError)
@@ -361,6 +365,21 @@ def test_a_batch_raises_as_the_loop_does_from_a_later_cell():
     assert str(got.value) == str(want.value)
 
 
+def _state_ints(words) -> list:
+    """``_child_states`` words as a ``(state, inc)`` pair of ints a row."""
+    (s_hi, s_lo), (i_hi, i_lo) = words
+    return [(int(a) << 64 | int(b), int(c) << 64 | int(d))
+            for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo)]
+
+
+def _state_of(rng) -> tuple:
+    """The ``(state, inc)`` ints of a fresh PCG64 generator, which holds no
+    buffered 32-bit draw."""
+    state = rng.bit_generator.state
+    assert state["bit_generator"] == "PCG64" and state["has_uint32"] == 0
+    return state["state"]["state"], state["state"]["inc"]
+
+
 # where the entropy of (base_seed, cell, rep) gains a 32-bit word
 _WORD_EDGES = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 96)
 
@@ -382,7 +401,7 @@ def test_child_seeds_give_numpys_child_streams(base_seed, cell, start, size):
             for rep in reps]
     assert isinstance(seeds, np.ndarray) == (size >= _ARRAY_SEEDING and reps[-1] < 2 ** 32)
     if isinstance(seeds, np.ndarray):
-        assert _child_states(seeds) == [rng.bit_generator.state for rng in want]
+        assert _state_ints(_child_states(seeds)) == [_state_of(rng) for rng in want]
     params = IwParams.from_rate(2.0, 1.0)
     u = np.array([rng.random(9) for rng in want])
     u[u == 0.0] = 0.5 ** 53
@@ -411,9 +430,52 @@ def test_child_states_are_numpys_for_any_entropy_width(entropy):
     every further word into the pool and, past eight assembled words, needs
     a longer hash chain than the precomputed one."""
     entropy = np.array(entropy, dtype=np.uint32)
-    assert _child_states(entropy) == [
-        np.random.default_rng(np.random.SeedSequence(row, spawn_key=(0,))).bit_generator.state
+    assert _state_ints(_child_states(entropy)) == [
+        _state_of(np.random.default_rng(np.random.SeedSequence(row, spawn_key=(0,))))
         for row in entropy]
+
+
+_WORD = st.integers(0, 2 ** 32 - 1) | st.sampled_from([0, 2 ** 32 - 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(entropy=st.integers(1, 12).flatmap(lambda width: st.lists(
+    st.lists(_WORD, min_size=width, max_size=width), min_size=1, max_size=12)),
+       count=st.sampled_from([1, 2, 7, 50, 1000]))
+def test_sample_rows_draw_numpys_uniforms_from_entropy_words(entropy, count):
+    """The array pass draws, byte for byte, the uniforms of numpy's
+    generator seeded by each row, and the lifetimes mapped from them; at
+    1000 draws, more than eight rows take two blocks."""
+    entropy = np.array(entropy, dtype=np.uint32)
+    want = np.array([np.random.default_rng(np.random.SeedSequence(row, spawn_key=(0,)))
+                     .random(count) for row in entropy])
+    u = np.empty((len(entropy), count))
+    _pcg64_doubles(_child_states(entropy), out=u)
+    assert u.tobytes() == want.tobytes()
+    params = IwParams.from_rate(2.0, 1.0)
+    want[want == 0.0] = 0.5 ** 53
+    assert _sample_rows(count, params, entropy).tobytes() == _quantile(want, params).tobytes()
+
+
+@pytest.mark.parametrize("cells, replicates", [
+    (((30, 1.5, 20), (30, 1.5, 30), (50, 1.5, 35), (50, 2.5, 50)), 100),
+    (((12, 1.5, 8), (20, 2.5, 20), (4, 0.3, 4)), 3),
+    (((12, 1.5, 8),), _ARRAY_SEEDING),
+], ids=["benchmark", "pieces-of-3", "one-piece-of-8"])
+def test_a_batch_of_eight_rows_builds_no_generator(monkeypatch, cells, replicates):
+    """A batch of at least ``_ARRAY_SEEDING`` rows, however its cells cut
+    it, draws its data by the array pass: it makes no SeedSequence, bit
+    generator or Generator, so it sets no generator's state."""
+    config = _config(cells=cells, replicates=replicates, methods=("mle", "lindley"))
+    want = run_study_ref(config)
+    made = collections.Counter()
+    for name in ("default_rng", "Generator", "PCG64", "SeedSequence"):
+        def spy(*args, _name=name, _make=getattr(np.random, name), **kwargs):
+            made[_name] += 1
+            return _make(*args, **kwargs)
+        monkeypatch.setattr(np.random, name, spy)
+    _assert_same_bytes(run_study(config), want)
+    assert made == {}
 
 
 @pytest.mark.parametrize("base_seed", [17, 2 ** 64])
