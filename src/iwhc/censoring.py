@@ -8,7 +8,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, _integer, _positive, _real
+from .errors import DomainError, _data, _integer, _positive, _real
 
 __all__ = ["HybridScheme", "HybridSample", "ReciprocalSample", "apply_scheme", "reciprocals"]
 
@@ -261,8 +261,8 @@ def apply_scheme(complete_times, scheme: HybridScheme) -> HybridSample:
     the budget, exactly ``R`` failures are kept even if further ties at
     ``t_(R)`` exist: the test stops at that failure event.
     """
-    times = np.asarray(complete_times, dtype=float)
-    if times.ndim != 1 or times.size != scheme.n:
+    times = _data("complete failure times", complete_times)
+    if times.size != scheme.n:
         raise DomainError(
             f"expected exactly {scheme.n} complete failure times, got {times.size}"
         )

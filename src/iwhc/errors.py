@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the integer, real number
-and positive array checks that raise one."""
+"""Exception types shared across the package, and the integer, real number,
+data and positive array checks that raise one."""
 
 import numbers
 import operator
+import reprlib
 
 import numpy as np
 
@@ -58,6 +59,18 @@ def _real(name: str, value) -> float:
         return float(value)
     except OverflowError:
         raise DomainError(f"{name} is outside the float range, got {value!r}") from None
+
+
+def _data(name: str, values) -> np.ndarray:
+    """``values`` as a one-dimensional float array.  Else DomainError naming
+    its shape, or the input that cannot be read as numbers."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be numbers, got {reprlib.repr(values)}") from None
+    if arr.ndim != 1:
+        raise DomainError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    return arr
 
 
 def _positive(name: str, values) -> np.ndarray:

@@ -96,6 +96,15 @@ def test_length_mismatch_rejected():
         apply_scheme(np.array([1.0, 2.0]), HybridScheme(n=3, R=2, T=5.0))
 
 
+@pytest.mark.parametrize("times, match", [
+    (np.ones((2, 3)), r"complete failure times must be one-dimensional, got shape \(2, 3\)"),
+    ("abcdef", "complete failure times must be numbers, got 'abcdef'"),
+], ids=["matrix", "string"])
+def test_malformed_complete_times_rejected(times, match):
+    with pytest.raises(DomainError, match=match):
+        apply_scheme(times, HybridScheme(n=6, R=4, T=2.0))
+
+
 def test_reciprocals_basic():
     s = apply_scheme(np.array([0.5, 2.0]), HybridScheme(n=2, R=2, T=math.inf))
     rs = reciprocals(s)

@@ -1,10 +1,13 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iwhc import DomainError, IwParams, cdf, fit_mle, ks_statistic, ks_test, quantile
-from iwhc.gof import _null_sf, _null_stats
+from iwhc.gof import _BLOCK_VALUES, _null_sf, _null_stats
 from _oracles import null_sf_streaming
 
 
@@ -64,6 +67,21 @@ def test_empty_data_rejected():
         ks_test([], IwParams(1.0, 1.0))
 
 
+@pytest.mark.parametrize("data, match", [
+    (np.ones((2, 3)), r"data must be one-dimensional, got shape \(2, 3\)"),
+    ([[1.0]], r"data must be one-dimensional, got shape \(1, 1\)"),
+    (2.5, r"data must be one-dimensional, got shape \(\)"),
+    ("abc", "data must be numbers, got 'abc'"),
+    ([[1.0], [1.0, 2.0]], "data must be numbers"),
+], ids=["matrix", "1x1", "scalar", "string", "ragged"])
+def test_malformed_data_rejected(data, match):
+    p = IwParams(1.0, 1.0)
+    with pytest.raises(DomainError, match=match):
+        ks_test(data, p, sims=10)
+    with pytest.raises(DomainError, match=match):
+        ks_statistic(data, p)
+
+
 def test_nonpositive_sims_rejected(flood):
     with pytest.raises(DomainError):
         ks_test(flood, IwParams(4.3143, 2.7905), sims=0)
@@ -78,8 +96,11 @@ def test_non_integer_sims_and_seed_rejected(flood, kwargs):
         ks_test(flood, IwParams(4.3143, 2.7905), **kwargs)
 
 
-@pytest.mark.parametrize("sims", [999, 50_000, 120_001])
-@pytest.mark.parametrize("n", [1, 2, 20, 72])
+@pytest.mark.parametrize("n, sims", [
+    *itertools.product([1, 2, 20, 72], [999, 50_000, 120_001]),
+    # blocks of 3, 3 and 2 samples; of 2, 2 and 1; of one sample each
+    (_BLOCK_VALUES // 3, 8), (_BLOCK_VALUES // 2, 5), (_BLOCK_VALUES + 1, 3),
+])
 def test_null_table_p_values_equal_streaming_oracle(n, sims):
     seed = 11
     table = _null_stats(n, sims, seed)
@@ -108,6 +129,19 @@ def test_null_table_cached_read_only_and_bounded(flood):
     for seed in range(limit + 3):
         _null_stats(2, 10, seed)
     assert _null_stats.cache_info().currsize <= limit
+
+
+def test_null_table_build_holds_one_block_besides_the_table():
+    # a buffer of all 4,000 samples would take 64 MB
+    n, sims = 2_000, 4_000
+    _null_stats.__wrapped__(n, 2, 7)  # numpy's lazy set-up, paid once a process
+    tracemalloc.start()
+    try:
+        _null_stats.__wrapped__(n, sims, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * sims + 8 * _BLOCK_VALUES + 2**20
 
 
 @settings(max_examples=200, deadline=None)
