@@ -73,9 +73,10 @@ class IwParams:
 
 
 def _validate_x(x):
-    if np.size(x) == 0:
+    arr = _positive("x", x)
+    if arr.size == 0:
         raise DomainError("x must be nonempty")
-    return _positive("x", x)
+    return arr
 
 
 def _log_tail(x: np.ndarray, p: IwParams) -> np.ndarray:
@@ -172,14 +173,9 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_WORDS = (np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64))
 _LOW32, _HALF = np.uint64(_MASK32), np.uint64(32)
-# a batch of at least this many rows, the size at which the harness also
-# fits its rows as arrays, takes the array passes; their fixed cost (about
-# 150-200 us on a 2-core Xeon) is that of numpy's own seeding and drawing of
-# some 20 streams of 30 values.  The uniforms pass runs over blocks of rows
-# of at most _BLOCK values, so that its dozens of temporaries stay in a
-# core's cache: the draw of 400 rows of 50 took about 1.3 times as long in
-# one block
-_ARRAY_SEEDING = 8
+# the uniforms pass runs over blocks of rows of at most _BLOCK values, so
+# that its dozens of temporaries stay in a core's cache: the draw of 400
+# rows of 50 took about 1.3 times as long in one block
 _BLOCK = 8192
 # the pool words that each pool word is mixed into (all but itself), and the
 # cycle of pool words that generate_state hashes into eight output words
@@ -220,23 +216,6 @@ def _entropy_words(values) -> list:
     array of these words is mixed without converting the ints again."""
     return [value >> shift & _MASK32 for value in values
             for shift in range(0, max(value.bit_length(), 1), 32)]
-
-
-def _child_seeds(prefix: tuple, last: range, rows: int | None = None):
-    """Seeds for :func:`_sample_rows`: child 0 of ``SeedSequence((*prefix,
-    i))`` for each ``i`` in ``last``, whose draws go to a batch of ``rows``
-    rows (``len(last)`` by default).  In a batch of at least
-    ``_ARRAY_SEEDING`` rows, seeds all with ``i`` below 2**32 come as the
-    matrix of their entropy words, each int split into little-endian 32-bit
-    words as numpy splits it; any others as numpy's own ``SeedSequence``
-    each."""
-    if (len(last) if rows is None else rows) < _ARRAY_SEEDING or last[-1] > _MASK32:
-        return [np.random.SeedSequence((*prefix, i), spawn_key=(0,)) for i in last]
-    head = _entropy_words(prefix)
-    words = np.empty((len(last), len(head) + 1), dtype=np.uint32)
-    words[:, :-1] = head
-    words[:, -1] = np.arange(last.start, last.stop)
-    return words
 
 
 def _child_states(entropy: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the integer, real number,
-data and positive array checks that raise one."""
+float array, data and positive array checks that raise one."""
 
 import numbers
 import operator
@@ -61,22 +61,28 @@ def _real(name: str, value) -> float:
         raise DomainError(f"{name} is outside the float range, got {value!r}") from None
 
 
-def _data(name: str, values) -> np.ndarray:
-    """``values`` as a one-dimensional float array.  Else DomainError naming
-    its shape, or the input that cannot be read as numbers."""
+def _floats(name: str, values) -> np.ndarray:
+    """``values`` as a float array of any shape.  Else DomainError naming
+    the input that is not numbers (a string, a ragged list, an int past 1e308)."""
     try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must be numbers, got {reprlib.repr(values)}") from None
+
+
+def _data(name: str, values) -> np.ndarray:
+    """``values`` as a one-dimensional float array (:func:`_floats`).  Else
+    DomainError naming its shape."""
+    arr = _floats(name, values)
     if arr.ndim != 1:
         raise DomainError(f"{name} must be one-dimensional, got shape {arr.shape}")
     return arr
 
 
 def _positive(name: str, values) -> np.ndarray:
-    """``values`` as a float array whose every element is in (0, inf).
-    Else DomainError; NaN fails too."""
-    arr = np.asarray(values, dtype=float)
+    """``values`` as a float array (:func:`_floats`) whose every element is
+    in (0, inf).  Else DomainError; NaN fails too."""
+    arr = _floats(name, values)
     if not np.all((arr > 0.0) & (arr < np.inf)):
         raise DomainError(f"{name} must be strictly positive and finite")
     return arr

@@ -18,35 +18,39 @@ are scheduled, and no group's stream depends on which other groups run.
 
 The (cell, replicate) tasks, in cell-major order, run in batches
 (``_batches``) of at most ``_CHUNK_VALUES`` values at the width of the
-batch's widest cell, so that a batch may span cells.  Each cell's piece of
-a batch draws its replicates' data into the rows of a matrix and censors
-them under its own scheme; the pieces are then stacked into one
-``ReciprocalRows``, its rows padded to the widest n and ordered by r.  The
-data streams are the same child 0 streams in every batch, drawn for all
-the batch's rows at once at the widest n, of which each piece keeps its
-own n.  A batch of at least ``_ARRAY_SEEDING`` rows builds no generator:
-one array pass over the rows' entropy words gives their PCG64 states, and
-another their uniforms (``distribution._sample_rows``).  A smaller batch
-draws each row from numpy's own ``SeedSequence`` and generator.  The fits
-fork on the same count: a batch of fewer than ``_ARRAY_SEEDING`` rows, such
-as the one batch of a study of one replicate in each of two cells, fits
-each row on its own sample with ``fit_mle``, ``asymptotic_ci`` and
-``lindley_estimates``, and a larger one fits all its rows at once as
-arrays, with the same bits, so that the fixed cost of the array fit is paid
-once per batch rather than once per cell.  Either way the results land in
-the batch's blocks, the array fits with one permutation from the order of
-r to the order of the tasks; only the one-sample fits and importance
-sampling, whose work is done a sample at a time, loop over the rows.
-Importance sampling records alpha and lambda only, so theta, which
-``bayes_is`` summarizes on first read, is never computed here.
+batch's widest cell, so that a batch may span cells.  A batch draws the
+data of all its rows at once at the widest n, from the same child 0
+streams whatever the batch; each cell's piece keeps its own n and is
+censored under its own scheme, and the pieces are stacked into one
+``ReciprocalRows``, padded to the widest n and ordered by r.  A batch of at
+least ``_ARRAY_SEEDING`` rows builds no generator (the array passes of
+``distribution._sample_rows``) and fits all its rows at once as arrays,
+with the same bits.  A smaller one, such as the one batch of a study of
+one replicate in each of two cells, draws each row from numpy's own
+generator and fits it on its own sample with ``fit_mle``,
+``asymptotic_ci`` and ``lindley_estimates``.  Either way the results land
+in the batch's blocks, the array fits with one permutation from the order
+of r to the order of the tasks; only the one-sample fits and importance
+sampling loop over the rows.  Importance sampling records alpha and lambda
+only, so theta, which ``bayes_is`` summarizes on first read, is never
+computed here.
 
-The merge (``run_study``) concatenates each cell's slices of the blocks,
-keeps the columns that fitted, and takes the lengths as upper - lower, the
-bits of ``ConfidenceInterval.length``.  It takes the means and standard
-errors of the estimates, their squared errors and the lengths, a row each,
-with ``_mean`` and ``_se``: numpy's ``ndarray.mean()`` and ``std(ddof=1) /
-sqrt(n)`` of each row in the same two passes of ``add.reduce`` sums, bit
-for bit, without the method dispatch that dominates on a few values.
+A replicate whose fit fails (too few failures, a regression start that
+float64 cannot hold, no convergence, ...) fails its groups, and the study
+goes on.  A batch is tried once: the DomainErrors that can still escape
+``run_study`` name no replicate (failure times that are not positive and
+finite, a one-row batch or importance-sampling draws too large to
+allocate), so none depends on which replicate of the batch met it first.
+
+The merge (``run_study``) concatenates each group's blocks over the
+batches, in which cell c is columns ``[c * replicates, (c + 1) *
+replicates)``, keeps each cell's columns that fitted, and takes the
+lengths as ``upper - lower``, the bits of ``ConfidenceInterval.length``.
+It takes the means and standard errors of the estimates, their squared
+errors and the lengths, a row each, with ``_mean`` and ``_se``: numpy's
+``ndarray.mean()`` and ``std(ddof=1) / sqrt(n)`` of each row in the same
+two passes of ``add.reduce`` sums, bit for bit, without the method
+dispatch that dominates on a few values.
 """
 
 from __future__ import annotations
@@ -60,13 +64,7 @@ import numpy as np
 
 from .censoring import HybridScheme, _censor_rows
 from .datasets import _read_text
-from .distribution import (
-    _ARRAY_SEEDING,
-    IwParams,
-    _child_seeds,
-    _entropy_words,
-    _sample_rows,
-)
+from .distribution import IwParams, _entropy_words, _sample_rows
 from .errors import (
     ConvergenceError,
     DegenerateWeightsError,
@@ -89,6 +87,10 @@ _FIT_ERRORS = (ConvergenceError, NumericError, InsufficientDataError,
 # replicates fitted together: at most this many values, rows times the
 # largest n among their cells
 _CHUNK_VALUES = 1 << 16
+# a batch of at least this many rows draws by the array passes of
+# distribution._sample_rows and fits as arrays; the passes' fixed cost (about
+# 150-200 us on a 2-core Xeon) is numpy's seeding and drawing of 20 rows of 30
+_ARRAY_SEEDING = 8
 
 
 def _json_integer(name: str, value) -> int:
@@ -266,8 +268,7 @@ def _batches(replicates: int, schemes: list):
         yield batch
 
 
-def _batch(config: StudyConfig, schemes: list, params: IwParams, groups: list,
-           batch: list) -> list:
+def _records(config, schemes, params, groups, batch) -> list:
     """The column blocks of the replicates of ``batch``, a list of ``(cell,
     reps)`` pieces: one ``(values, ok)`` per group, whose columns are the
     replicates in the order of the pieces and their replicates.
@@ -276,30 +277,11 @@ def _batch(config: StudyConfig, schemes: list, params: IwParams, groups: list,
     importance sampling then rows for the lower bounds of their intervals
     and for the upper bounds; ``ok`` is False where the fit failed, and
     there the values are not read.  A replicate with fewer than two
-    failures (r < 2) fails every group.  A batch where some replicate raises
-    an error that is not a failed fit (DomainError) runs again one replicate
-    at a time, in batch order, so that the error comes from the replicate
-    that a loop over the cells and their replicates meets first.
-    """
-    try:
-        return _records(config, schemes, params, groups, batch)
-    except DomainError:
-        if sum(len(reps) for _, reps in batch) == 1:
-            raise
-    runs = [_records(config, schemes, params, groups, [(cell, range(rep, rep + 1))])
-            for cell, reps in batch for rep in reps]
-    return [tuple(np.concatenate(parts, axis=-1) for parts in zip(*blocks))
-            for blocks in zip(*runs)]
-
-
-def _records(config, schemes, params, groups, batch) -> list:
-    """The blocks of :func:`_batch`, from one try at the whole batch: row i
-    of the batch's ``ReciprocalRows``, which are in the order of r, fills
-    column ``order[i]``.  A batch of fewer than ``_ARRAY_SEEDING`` rows
-    fits each row on its own sample, which importance sampling then reads
-    too, so that the logs and the regression start that the sample caches
-    are computed once; a larger one draws and fits all its rows as
-    arrays."""
+    failures (r < 2) fails every group.  Row i of the batch's
+    ``ReciprocalRows``, which are in the order of r, fills column
+    ``order[i]``.  Importance sampling reads the sample that a batch of
+    fewer than ``_ARRAY_SEEDING`` rows fits, so that the sample's cached
+    logs and regression start are computed once."""
     size = sum(len(reps) for _, reps in batch)
     rows, order = _censor_rows(_pieces(config, schemes, params, batch, size))
     blocks = [(np.full((2 if method == "lindley" else 6, size), np.nan),
@@ -343,21 +325,25 @@ def _pieces(config, schemes, params, batch, size: int) -> list:
 
 
 def _data_seeds(base_seed: int, batch: list, size: int):
-    """The seeds of the data of the ``size`` rows of ``batch``, for
-    ``_sample_rows``: in a batch of at least ``_ARRAY_SEEDING`` rows, the
-    matrix of their entropy words (``_child_seeds``); else, or where some
-    replicate index passes 2**32, numpy's ``SeedSequence`` each."""
-    if size >= _ARRAY_SEEDING:
-        pieces = [_child_seeds((base_seed, cell), reps, size) for cell, reps in batch]
-        if all(isinstance(piece, np.ndarray) for piece in pieces):
-            return np.concatenate(pieces)
-    return [np.random.SeedSequence((base_seed, cell, rep), spawn_key=(0,))
-            for cell, reps in batch for rep in reps]
+    """Child 0 of ``SeedSequence((base_seed, cell, rep))`` for each of the
+    ``size`` rows of ``batch``, for ``_sample_rows``: where the batch has at
+    least ``_ARRAY_SEEDING`` rows and every index is below 2**32, the matrix
+    of their entropy words (the base seed's words, little end first as numpy
+    splits the int, then the cell and the replicate); else ``SeedSequence``s."""
+    if size < _ARRAY_SEEDING or any(max(cell, reps[-1]) >> 32 for cell, reps in batch):
+        return [np.random.SeedSequence((base_seed, cell, rep), spawn_key=(0,))
+                for cell, reps in batch for rep in reps]
+    head = _entropy_words((base_seed,))
+    words = np.empty((size, len(head) + 2), dtype=np.uint32)
+    words[:, :-2] = head
+    words[:, -2] = np.repeat([cell for cell, _ in batch], [len(reps) for _, reps in batch])
+    words[:, -1] = np.concatenate([np.arange(reps.start, reps.stop) for _, reps in batch])
+    return words
 
 
 def _sample_fits(config: StudyConfig, groups: list, rs) -> dict:
     """``{group index: record}`` for the MLE and Lindley groups on the
-    sample ``rs``, a record ``_batch``'s column of values or None where the
+    sample ``rs``, a record ``_records``' column of values or None where the
     fit fails."""
     fitted = {g: None for g, (method, _) in enumerate(groups) if method != "is"}
     try:
@@ -405,21 +391,18 @@ def run_study(config: StudyConfig) -> SimulationSummary:
     lengths: dict = {}
 
     schemes = [HybridScheme(n=n, R=R, T=T) for n, T, R in config.cells]
-    # each cell's slices of the blocks of the batches, a list per group
-    pieces: list = [[[] for _ in groups] for _ in schemes]
-    for batch in _batches(config.replicates, schemes):
-        blocks = _batch(config, schemes, params, groups, batch)
-        start = 0
-        for cell, reps in batch:
-            for piece, (values, ok) in zip(pieces[cell], blocks):
-                piece.append((values[:, start:start + len(reps)], ok[start:start + len(reps)]))
-            start += len(reps)
+    batches = [_records(config, schemes, params, groups, batch)
+               for batch in _batches(config.replicates, schemes)]
+    # each group's blocks over the batches, in task order: cell c is
+    # columns [c * replicates, (c + 1) * replicates)
+    merged = [[np.concatenate(parts, axis=-1) for parts in zip(*blocks)]
+              for blocks in zip(*batches)]
     for cell_idx, scheme in enumerate(schemes):
-        for (method, pi), piece in zip(groups, pieces[cell_idx]):
-            values, ok = (np.concatenate(parts, axis=-1) for parts in zip(*piece))
+        cols = slice(cell_idx * config.replicates, (cell_idx + 1) * config.replicates)
+        for (method, pi), (values, ok) in zip(groups, merged):
             # the replicates that fitted, in replicate order: a row each for
             # the estimates, their squared errors and the interval lengths
-            kept = np.ascontiguousarray(values[:, ok])
+            kept = np.ascontiguousarray(values[:, cols][:, ok[cols]])
             used = kept.shape[1]
             bounded = len(kept) == 6 and used > 0
             table = np.concatenate([kept[:2], (kept[:2] - truth) ** 2,

@@ -367,7 +367,8 @@ def fit_mle(s: ReciprocalSample) -> MleFit:
 
     The log parametrization keeps both parameters positive without constraints;
     steps are halved until the log-likelihood does not decrease, and a scaled
-    gradient step replaces any Newton direction that fails to ascend.
+    gradient step replaces any Newton direction that fails to ascend.  A
+    regression start that float64 cannot hold in (0, inf)**2 raises NumericError.
     """
     if s.r < 2:
         raise InsufficientDataError(
@@ -380,11 +381,14 @@ def fit_mle(s: ReciprocalSample) -> MleFit:
             f"all {s.r} observed failures are tied at t={1.0 / s.x[0]:g} and no unit "
             "is censored later, so the likelihood has no maximum"
         )
+    alpha, lam = s.regression_start
+    if not (0.0 < alpha < math.inf and 0.0 < lam < math.inf):
+        raise NumericError(f"the regression start (alpha, lam) = ({alpha}, {lam}) "
+                           "is not in (0, inf)**2 in float64")
     # extreme iterates overflow in the Newton step and the line search; the
     # gradient step replaces a step that is not finite, and a candidate that
     # leaves (0, inf) or whose log-likelihood is not finite is a failed halving.
     with np.errstate(all="ignore"):
-        alpha, lam = s.regression_start
         ll, g, h = _derivatives(alpha, lam, s, 2)
         alpha, lam = float(alpha), float(lam)
         iterations = 0
@@ -464,19 +468,17 @@ def _fit_rows(rows: ReciprocalRows) -> _RowFits:
 
     The rows still iterating take their Newton steps together, and the rows
     still searching halve their steps together, so each row follows the path
-    fit_mle takes on it alone.  Raises DomainError, as fit_mle does, where a
-    regression start is not in (0, inf)**2.
+    fit_mle takes on it alone.  A row whose regression start is not in (0,
+    inf)**2 is not fitted, and its error is NumericError, as fit_mle's.
     """
     k = rows.r.size
     first = rows.x[:, :1]
     tied = ((rows.x == first) | ~rows.held).all(axis=1) & (
         (rows.r == rows.n) | (rows.u * first[:, 0] <= 1.0 + 1e-12))
     fitted = (rows.r >= 2) & ~tied
-    live = np.flatnonzero(fitted)
     alpha, lam = (v.copy() for v in rows.regression_start)
-    if not np.all((0.0 < alpha[live]) & (alpha[live] < np.inf)
-                  & (0.0 < lam[live]) & (lam[live] < np.inf)):
-        raise DomainError("alpha and lam must be positive at every regression start")
+    started = fitted & (0.0 < alpha) & (alpha < np.inf) & (0.0 < lam) & (lam < np.inf)
+    live = np.flatnonzero(started)
     terms = np.full((6, k), np.nan)       # ll, d_a, d_l, d2_aa, d2_al, d2_ll per row
     iterations = np.zeros(k, dtype=int)
     with np.errstate(all="ignore"):
@@ -513,7 +515,7 @@ def _fit_rows(rows: ReciprocalRows) -> _RowFits:
             active = np.delete(active, pending)
         iterations[active] = _MAX_ITER
         grad_norm = np.maximum(np.abs(terms[1]), np.abs(terms[2]))
-        converged = fitted & ~(grad_norm >= _TOL)
+        converged = started & ~(grad_norm >= _TOL)
         h11, h12, h22 = terms[3:]
         det = h11 * h22 - np.float_power(h12, 2)
         v11, v12, v22 = -h22 / det, h12 / det, -h11 / det
@@ -522,7 +524,7 @@ def _fit_rows(rows: ReciprocalRows) -> _RowFits:
         theta = np.exp(-np.log(lam) / alpha)
     error = np.full(k, None, dtype=object)
     error[~ok] = NumericError
-    error[~converged] = ConvergenceError
+    error[started & ~converged] = ConvergenceError
     error[~fitted] = InsufficientDataError
     return _RowFits(alpha, lam, theta, terms[0], v11, v12, v22, iterations, grad_norm, ok, error)
 

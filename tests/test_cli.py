@@ -118,6 +118,25 @@ def test_fit_with_an_overflowing_covariance_fails_with_one_error_line(capsys, tm
     assert err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_fit_with_an_overflowing_regression_start_fails_with_one_error_line(capsys, tmp_path):
+    # lifetimes near 1e150: the start's lam = r / sum x**alpha overflows to inf
+    times = [1.0503058208139734e+150, 2.4270890441582012e+150, 4.536495187358006e+149,
+             6.941406644390681e+149, 1.2545219862857242e+150, 9.566168490614521e+149,
+             1.7843745323766974e+150, 7.481658595511192e+149, 6.335291628646696e+149,
+             1.088748692918536e+150, 2.0616971221545144e+150, 8.51561570988147e+149,
+             1.9306745972809093e+150, 1.2880823128013326e+150, 1.0396403958663661e+150,
+             2.3287967333547094e+150, 8.281096878388988e+149, 9.682031172896633e+149,
+             7.998019035790862e+149, 9.258297216871484e+149]
+    path = tmp_path / "data.txt"
+    path.write_text(" ".join(map(repr, times)))
+    code, out, err = run_cli(capsys, "fit", str(path), "--big-r", "18", "--time", "1e150")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the regression start (alpha, lam) = (2.129")
+    assert ", inf) is not in (0, inf)**2" in err
+    assert err.count("\n") == 1
+
+
 def test_bayes_is_improper_posterior_fails(capsys, tmp_path):
     path = tmp_path / "tied.txt"
     path.write_text("1 1 1 1 1\n")

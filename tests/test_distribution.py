@@ -2,9 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from iwhc import DomainError, IwParams, cdf, pdf, quantile, rate_from_scale, sample, scale_from_rate
+from iwhc import (
+    DegenerateWeightsError,
+    DomainError,
+    GammaPriors,
+    HybridSample,
+    HybridScheme,
+    InsufficientDataError,
+    IwParams,
+    NumericError,
+    apply_scheme,
+    cdf,
+    g2_log_density,
+    pdf,
+    quantile,
+    rate_from_scale,
+    reciprocals,
+    sample,
+    sample_g1,
+    scale_from_rate,
+)
 
 PARAM_GRID = [
     (1.0, 1.0), (2.0, 1.0), (0.5, 2.0), (4.3143, 2.7905), (1.4142, 0.0169),
@@ -158,3 +179,47 @@ def test_sample_count_validation():
     count = 10 ** 30        # numpy rejects the shape before allocating
     with pytest.raises(DomainError, match=f"{count} lifetimes needs {8 * count} bytes"):
         sample(count, IwParams(1.0, 1.0), 1)
+
+
+_TYPED = (DomainError, InsufficientDataError, NumericError, DegenerateWeightsError)
+_SCHEME = HybridScheme(n=10, R=8, T=2.0)
+_SAMPLE = reciprocals(apply_scheme(sample(10, IwParams(2.0, 1.0), 1), _SCHEME))
+_POSITIVE = st.floats(0.5, 2.0)
+# input that is not an array of positive floats, or reads as one only by luck
+_JUNK = st.one_of(
+    st.text(alphabet="abcxyz ,.[]-", max_size=6),    # spells no number, "nan" or "inf"
+    st.none(),
+    st.dictionaries(st.text(max_size=2), _POSITIVE, max_size=2),
+    st.complex_numbers(allow_nan=False, allow_infinity=False).filter(lambda z: z.imag != 0),
+    st.integers(2 ** 1024, 2 ** 1100),                # beyond the float range
+    st.lists(_POSITIVE | st.text(alphabet="abc", min_size=1, max_size=3),
+             min_size=1, max_size=4),
+    st.lists(st.lists(_POSITIVE, max_size=3), min_size=2, max_size=3),    # ragged or not
+)
+_CALLS = {
+    "pdf": lambda junk: pdf(junk, IwParams(2.0, 1.0)),
+    "cdf": lambda junk: cdf(junk, IwParams(2.0, 1.0)),
+    "reciprocals": lambda junk: reciprocals(HybridSample(times=junk, r=2, u=3.0,
+                                                         scheme=_SCHEME)).x,
+    "g2_log_density": lambda junk: g2_log_density(junk, _SAMPLE, GammaPriors()),
+    "sample_g1": lambda junk: sample_g1(junk, _SAMPLE, GammaPriors(), 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_CALLS))
+@settings(max_examples=150, deadline=None)
+@given(junk=_JUNK)
+def test_junk_input_gives_a_finite_answer_or_a_typed_error(name, junk):
+    try:
+        out = _CALLS[name](junk)
+    except _TYPED:
+        return
+    assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("junk", ["abc", [[1.0], [2.0, 3.0]], 2 ** 1024],
+                         ids=["string", "ragged", "huge-int"])
+def test_unreadable_input_is_named_in_a_domain_error(junk):
+    for name, call in _CALLS.items():
+        with pytest.raises(DomainError, match="must be numbers, got "):
+            call(junk)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iwhc import (
+    ConvergenceError,
     DomainError,
     GammaPriors,
     HybridScheme,
@@ -32,14 +33,13 @@ from iwhc import (
 from iwhc import harness, lindley, mle
 from iwhc.censoring import ReciprocalRows, _censor_rows
 from iwhc.distribution import (
-    _ARRAY_SEEDING,
-    _child_seeds,
     _child_states,
     _entropy_words,
     _pcg64_doubles,
     _quantile,
     _sample_rows,
 )
+from iwhc.harness import _ARRAY_SEEDING, _data_seeds
 from iwhc.lindley import _lindley_rows
 from iwhc.mle import _ci_rows, _derivative_rows, _derivatives, _fit_rows
 from _oracles import run_study_ref
@@ -133,19 +133,28 @@ def test_rows_and_samples_read_one_set_of_solver_settings(samples, max_iter, tol
         _check_rows(samples, 0.95)
 
 
+# the failures of replicate 1 of cell 1 of _OVERFLOWING, below, as reciprocals
+_START_X = [2.2043448933589337e-150, 1.57845930166535e-150, 1.4406301938931865e-150,
+            1.3366020211079597e-150, 1.2503096023215677e-150, 1.2075694979606868e-150,
+            1.1743132077221451e-150, 1.0801122242842781e-150, 1.0453506029933632e-150,
+            1.0328411282121744e-150]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("x, u, n", [
+@pytest.mark.parametrize("x, u, n, match", [
     ([0.0019100684920142657, 0.0018879949331040062, 0.0018697917762716162], 534.8189101537339,
-     8),
+     8, "not positive definite"),
     ([0.0011410199106734185, 0.0011404504464113255, 0.0011248179918839235,
       0.0011228336123929893, 0.0011218149770192134, 0.0011217876779440145], 891.4342880221113,
-     35),
-], ids=["n8", "n35"])
-def test_rows_keep_a_covariance_error(x, u, n):
-    """Found in a random scan: these fits raise NumericError, since the
-    covariance at the maximum is not positive definite in float64."""
+     35, "not positive definite"),
+    (_START_X, 1e150, 20, r"regression start \(alpha, lam\) = \(2\.129\d*, inf\)"),
+], ids=["n8", "n35", "start"])
+def test_rows_keep_a_numeric_error(x, u, n, match):
+    """The first two fits, found in a random scan, raise NumericError since
+    the covariance at the maximum is not positive definite in float64; in
+    the third, the regression start overflows lam to inf."""
     odd = ReciprocalSample(x=np.array(x), u=u, r=len(x), n=n)
-    with pytest.raises(NumericError, match="not positive definite"):
+    with pytest.raises(NumericError, match=match):
         fit_mle(odd)
     plain = reciprocals(apply_scheme(sample(n, IwParams(2.0, 1.0), 5),
                                      HybridScheme(n=n, R=n - 1, T=2.0)))
@@ -155,10 +164,6 @@ def test_rows_keep_a_covariance_error(x, u, n):
 def _check_rows(samples, level):
     rows = _stack(samples)
     fits_alone = [_outcome(fit_mle, s) for s in samples]
-    if any(error is DomainError for _, error in fits_alone):
-        with pytest.raises(DomainError):
-            _fit_rows(rows)
-        return
     fits = _fit_rows(rows)
     ci_a, ci_l, ci_ok = _ci_rows(fits, level)
     lindley = _lindley_rows(fits, rows, _PRIORS)
@@ -347,22 +352,41 @@ def test_a_chunk_with_a_replicate_that_raises_raises_as_one_at_a_time():
     assert str(got.value) == str(want.value)
 
 
+# lifetimes near 1e150: some regression starts overflow lam to inf
+_OVERFLOWING = dict(true_lambda=1e300, cells=((12, 1e150, 9), (20, 1e150, 18)), replicates=6,
+                    base_seed=11, methods=("mle", "lindley"))
+
+
+def _study_samples(config) -> list:
+    """The censored sample of every (cell, replicate) task of ``config``,
+    in task order."""
+    params = IwParams.from_rate(config.true_alpha, config.true_lambda)
+    samples = []
+    for cell, (n, T, R) in enumerate(config.cells):
+        for rep in range(config.replicates):
+            seed = np.random.SeedSequence((config.base_seed, cell, rep), spawn_key=(0,))
+            samples.append(reciprocals(apply_scheme(sample(n, params, seed),
+                                                    HybridScheme(n=n, R=R, T=T))))
+    return samples
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_batch_raises_as_the_loop_does_from_a_later_cell():
-    """At this rate the lifetimes are near 1e150, and some regression starts
-    overflow lam to inf, which fit_mle rejects with a message that names
-    the start.  The 12 rows are one batch.  No replicate of cell 0 raises;
-    in cell 1, replicates 1 (r = 10) and 4 (r = 7) raise.  The batch's rows
-    are in the order of r, but the loop meets replicate 1 first."""
-    config = _config(true_lambda=1e300, cells=((12, 1e150, 9), (20, 1e150, 18)), replicates=6,
-                     base_seed=11, methods=("mle", "lindley"))
-    run_study(dataclasses.replace(config, cells=config.cells[:1]))
-    with pytest.raises(DomainError) as want:
-        run_study_ref(config)
-    with pytest.raises(DomainError) as got:
-        run_study(config)
-    assert str(want.value).startswith("alpha and lam must be positive, got (")
-    assert str(got.value) == str(want.value)
+def test_a_study_counts_an_overflowing_start_as_a_failed_fit():
+    """The 12 rows are one batch.  In cell 1, the regression starts of
+    replicates 1 (r = 10) and 4 (r = 7) overflow lam to inf, where fit_mle
+    raises NumericError naming the start, and the other four replicates do
+    not converge: the study completes, and its MLE fails 6 times of 6 in
+    that cell."""
+    config = _config(**_OVERFLOWING)
+    got = run_study(config)
+    _assert_same_bytes(got, run_study_ref(config))
+    cell1 = _study_samples(config)[6:]
+    assert [_outcome(fit_mle, s)[1] for s in cell1] == [
+        ConvergenceError, NumericError, ConvergenceError,
+        ConvergenceError, NumericError, ConvergenceError]
+    assert (cell1[1].x.tolist(), cell1[1].u) == (_START_X, 1e150)
+    assert [(row.replicates_used, row.failures) for row in got.rows
+            if (row.n, row.method) == (20, "mle")] == [(0, 6), (0, 6)]
 
 
 def _state_ints(words) -> list:
@@ -388,18 +412,22 @@ _WORD_EDGES = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 96)
 @given(base_seed=st.integers(0, 2 ** 70) | st.sampled_from(_WORD_EDGES),
        cell=st.integers(0, 40) | st.sampled_from(_WORD_EDGES),
        start=st.integers(0, 5000) | st.integers(2 ** 32 - 20, 2 ** 32 + 5),
-       size=st.integers(1, 3 * _ARRAY_SEEDING))
-@example(base_seed=2 ** 64, cell=0, start=0, size=_ARRAY_SEEDING)
-@example(base_seed=2 ** 32 - 1, cell=3, start=0, size=_ARRAY_SEEDING - 1)
-@example(base_seed=2 ** 32, cell=0, start=2 ** 32 - 4, size=_ARRAY_SEEDING)
-def test_child_seeds_give_numpys_child_streams(base_seed, cell, start, size):
-    """The data of replicates ``reps`` are drawn from child 0 of numpy's
-    ``SeedSequence((base_seed, cell, rep))``, by the array pass or not."""
-    reps = range(start, start + size)
-    seeds = _child_seeds((base_seed, cell), reps)
-    want = [np.random.default_rng(np.random.SeedSequence((base_seed, cell, rep), spawn_key=(0,)))
-            for rep in reps]
-    assert isinstance(seeds, np.ndarray) == (size >= _ARRAY_SEEDING and reps[-1] < 2 ** 32)
+       size=st.integers(1, 3 * _ARRAY_SEEDING), more=st.integers(0, _ARRAY_SEEDING))
+@example(base_seed=2 ** 64, cell=0, start=0, size=_ARRAY_SEEDING, more=0)
+@example(base_seed=2 ** 32 - 1, cell=3, start=0, size=_ARRAY_SEEDING - 1, more=0)
+@example(base_seed=2 ** 32, cell=0, start=2 ** 32 - 4, size=_ARRAY_SEEDING, more=0)
+def test_data_seeds_give_numpys_child_streams(base_seed, cell, start, size, more):
+    """The data of a batch of replicates ``start`` to ``start + size`` of
+    ``cell``, then of the first ``more`` of the next cell, are drawn from
+    child 0 of numpy's ``SeedSequence((base_seed, cell, rep))``, by the
+    array pass or not."""
+    batch = [(cell, range(start, start + size))] + [(cell + 1, range(more))] * (more > 0)
+    tasks = [(c, rep) for c, reps in batch for rep in reps]
+    seeds = _data_seeds(base_seed, batch, len(tasks))
+    want = [np.random.default_rng(np.random.SeedSequence((base_seed, c, rep), spawn_key=(0,)))
+            for c, rep in tasks]
+    assert isinstance(seeds, np.ndarray) == (
+        len(tasks) >= _ARRAY_SEEDING and all(max(c, rep) < 2 ** 32 for c, rep in tasks))
     if isinstance(seeds, np.ndarray):
         assert _state_ints(_child_states(seeds)) == [_state_of(rng) for rng in want]
     params = IwParams.from_rate(2.0, 1.0)
