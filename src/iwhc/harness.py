@@ -23,17 +23,17 @@ data of all its rows at once at the widest n, from the same child 0
 streams whatever the batch; each cell's piece keeps its own n and is
 censored under its own scheme, and the pieces are stacked into one
 ``ReciprocalRows``, padded to the widest n and ordered by r.  A batch of at
-least ``_ARRAY_SEEDING`` rows builds no generator (the array passes of
-``distribution._sample_rows``) and fits all its rows at once as arrays,
-with the same bits.  A smaller one, such as the one batch of a study of
-one replicate in each of two cells, draws each row from numpy's own
-generator and fits it on its own sample with ``fit_mle``,
-``asymptotic_ci`` and ``lindley_estimates``.  Either way the results land
-in the batch's blocks, the array fits with one permutation from the order
-of r to the order of the tasks; only the one-sample fits and importance
-sampling loop over the rows.  Importance sampling records alpha and lambda
-only, so theta, which ``bayes_is`` summarizes on first read, is never
-computed here.
+least ``_ARRAY_DRAWS`` rows builds no generator (the array passes of
+``distribution._sample_rows``), and one of at least ``_ARRAY_FITS`` rows
+fits all its rows at once as arrays, both with the same bits.  A smaller
+one, such as the one batch of a study of one replicate in each of two
+cells, draws each row from numpy's own generator and fits it on its own
+sample with ``fit_mle``, ``asymptotic_ci`` and ``lindley_estimates``.
+Either way the results land in the batch's blocks, the array fits with one
+permutation from the order of r to the order of the tasks; only the
+one-sample fits and importance sampling loop over the rows.  Importance
+sampling records alpha and lambda only, so theta, which ``bayes_is``
+summarizes on first read, is never computed here.
 
 A replicate whose fit fails (too few failures, a regression start that
 float64 cannot hold, no convergence, ...) fails its groups, and the study
@@ -76,7 +76,7 @@ from .errors import (
 )
 from .lindley import GammaPriors, _lindley_rows, lindley_estimates
 from .mle import _ci_rows, _fit_rows, asymptotic_ci, fit_mle
-from .posterior import bayes_is
+from .posterior import _draw_buffers, bayes_is
 
 __all__ = ["StudyConfig", "CellMetric", "SimulationSummary", "run_study",
            "write_csv", "format_table"]
@@ -87,10 +87,12 @@ _FIT_ERRORS = (ConvergenceError, NumericError, InsufficientDataError,
 # replicates fitted together: at most this many values, rows times the
 # largest n among their cells
 _CHUNK_VALUES = 1 << 16
-# a batch of at least this many rows draws by the array passes of
-# distribution._sample_rows and fits as arrays; the passes' fixed cost (about
-# 150-200 us on a 2-core Xeon) is numpy's seeding and drawing of 20 rows of 30
-_ARRAY_SEEDING = 8
+# the measured crossovers (README.md) at and above which a batch fits as
+# arrays (mle._fit_rows and the rows' intervals and Lindley estimates) rather
+# than one sample at a time, and draws by the array passes of
+# distribution._sample_rows rather than from numpy's generator row by row
+_ARRAY_FITS = 11
+_ARRAY_DRAWS = 12
 
 
 def _json_integer(name: str, value) -> int:
@@ -124,6 +126,8 @@ class StudyConfig:
         # count past 2**53, which a float cannot hold, compares as 2**53
         if self.draws < 2 or min(self.draws, 2 ** 53) * self.level < 2:
             raise DomainError(f"draws must be >= 2 with draws * level >= 2, got {self.draws}")
+        # the draws of an importance-sampling record, checked before any is run
+        _draw_buffers(self.draws)
         if self.true_alpha <= 0 or self.true_lambda <= 0:
             raise DomainError("true parameters must be positive")
         if not (math.isfinite(self.true_alpha) and math.isfinite(self.true_lambda)):
@@ -280,13 +284,13 @@ def _records(config, schemes, params, groups, batch) -> list:
     failures (r < 2) fails every group.  Row i of the batch's
     ``ReciprocalRows``, which are in the order of r, fills column
     ``order[i]``.  Importance sampling reads the sample that a batch of
-    fewer than ``_ARRAY_SEEDING`` rows fits, so that the sample's cached
+    fewer than ``_ARRAY_FITS`` rows fits, so that the sample's cached
     logs and regression start are computed once."""
     size = sum(len(reps) for _, reps in batch)
     rows, order = _censor_rows(_pieces(config, schemes, params, batch, size))
     blocks = [(np.full((2 if method == "lindley" else 6, size), np.nan),
                np.zeros(size, dtype=bool)) for method, _ in groups]
-    small = size < _ARRAY_SEEDING
+    small = size < _ARRAY_FITS
     fitting = groups[0][0] != "is"      # row order puts the MLE and Lindley groups first
     sampled = [g for g, (method, _) in enumerate(groups) if method == "is"]
     if fitting and not small:
@@ -327,10 +331,10 @@ def _pieces(config, schemes, params, batch, size: int) -> list:
 def _data_seeds(base_seed: int, batch: list, size: int):
     """Child 0 of ``SeedSequence((base_seed, cell, rep))`` for each of the
     ``size`` rows of ``batch``, for ``_sample_rows``: where the batch has at
-    least ``_ARRAY_SEEDING`` rows and every index is below 2**32, the matrix
+    least ``_ARRAY_DRAWS`` rows and every index is below 2**32, the matrix
     of their entropy words (the base seed's words, little end first as numpy
     splits the int, then the cell and the replicate); else ``SeedSequence``s."""
-    if size < _ARRAY_SEEDING or any(max(cell, reps[-1]) >> 32 for cell, reps in batch):
+    if size < _ARRAY_DRAWS or any(max(cell, reps[-1]) >> 32 for cell, reps in batch):
         return [np.random.SeedSequence((base_seed, cell, rep), spawn_key=(0,))
                 for cell, reps in batch for rep in reps]
     head = _entropy_words((base_seed,))

@@ -19,6 +19,11 @@ censoring helper.  The mode search, at one alpha per Newton step, and the
 hull over a few tangents do their scalar arithmetic in Python floats over
 numpy's sums and logarithms, in the operations and order of the array
 arithmetic.
+
+A round's ``sum x**alpha`` over more than 5,461 proposals runs in blocks of
+at most 4,096 alphas, so M draws need r x 4,096 values plus O(M), not r x M.
+Every block has at least 2 columns and smaller arrays (every round at 1,000
+draws) take one call, which keeps the bits of the one array.
 """
 
 from __future__ import annotations
@@ -55,18 +60,54 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+# the order-0 sums of more than 4/3 of this many alphas (5,461) run through one
+# buffer of r times at most this many exponentials, a block of alphas at a time
+_ALPHA_BLOCK = 4096
+
+
+def _blocked_exp_sums(lxs: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """``sum exp(alpha * lxs)`` over ``lxs`` at every element of ``alpha``,
+    the bits of ``np.add.reduce(np.exp(np.multiply.outer(lxs, alpha)), axis=0)``
+    in the fewest blocks of at most ``_ALPHA_BLOCK`` alphas, of equal width
+    to one alpha, through one buffer of r x block values.
+
+    The axis-0 reduce adds the rows of a block in order, column by column,
+    so a block's sums are those of the whole array, provided the block has
+    at least two columns: a one-column block is summed pairwise along r.
+    The caller passes more than 5,461 alphas, so every block is at least
+    2,731 (8,192 / 3) wide, below which numpy's broadcast multiply runs
+    about four times slower per element.
+    """
+    flat = alpha.reshape(-1)
+    total = np.empty(flat.size)
+    blocks = -(-flat.size // _ALPHA_BLOCK)
+    buf = np.empty(lxs.size * -(-flat.size // blocks))
+    edges = [flat.size * i // blocks for i in range(blocks + 1)]
+    for start, stop in zip(edges, edges[1:]):
+        e = buf[:lxs.size * (stop - start)].reshape(lxs.size, stop - start)
+        np.multiply.outer(lxs, flat[start:stop], out=e)
+        np.exp(e, out=e)
+        np.add.reduce(e, axis=0, out=total[start:stop])
+    return total.reshape(alpha.shape)
+
+
 def _log_rate_sums(alpha, s: ReciprocalSample, d: float, order: int) -> list:
     """``log(d + S_0)`` and, for k = 1..order, ``S_k / (d + S_0)`` at every
     element of ``alpha`` (> 0), where ``S_k = sum x**alpha * (log x)**k``.
 
     Sums ``exp(alpha * (log x - max log x))``, whose largest term is 1, and
     adds the shift back in logs, so nothing under- or overflows at any finite
-    alpha.  ``d + S_0`` is the rate of g1.
+    alpha.  ``d + S_0`` is the rate of g1.  Order 0 on more than 5,461
+    alphas sums in blocks (:func:`_blocked_exp_sums`); otherwise, and for a
+    higher order, whose products need them, the exponentials are one array.
     """
     top = s.log_x_max
-    e = np.multiply.outer(s.log_x_shifted, alpha)
-    np.exp(e, out=e)
-    total = np.add.reduce(e, axis=0)
+    if order or 3 * alpha.size <= 4 * _ALPHA_BLOCK:
+        e = np.multiply.outer(s.log_x_shifted, alpha)
+        np.exp(e, out=e)
+        total = np.add.reduce(e, axis=0)
+    else:
+        total = _blocked_exp_sums(s.log_x_shifted, alpha)
     log_sum = alpha * top + np.log(total)
     out = [log_sum if d == 0 else np.logaddexp(np.log(d), log_sum)]
     if order:
@@ -279,6 +320,16 @@ def _find_mode(dlnf, guess: float) -> float:
     return float(np.exp(eta))
 
 
+def _draw_buffers(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Empty arrays for ``count`` draws and their log rates; a count that
+    cannot be allocated is a :class:`DomainError` naming it."""
+    try:
+        return np.empty(count), np.empty(count)
+    except (ValueError, MemoryError):
+        raise DomainError(f"{count} draws need {16 * count} bytes, which cannot be "
+                          "allocated") from None
+
+
 def sample_g2(
     count: int,
     s: ReciprocalSample,
@@ -332,12 +383,7 @@ def sample_g2(
         raise InsufficientDataError(f"{_IMPROPER}: the slope of log g2 vanishes only to "
                                     f"rounding at alpha={mode:.3g}")
     hull = _Hull(xs, hs, ds)
-    try:
-        draws = np.empty(count)
-        log_rate = np.empty(count)
-    except (ValueError, MemoryError):
-        raise DomainError(f"{count} draws need {16 * count} bytes, which cannot be "
-                          "allocated") from None
+    draws, log_rate = _draw_buffers(count)
     filled = proposals = accepted = rounds = 0
     while filled < count:
         # an envelope without finite mass (NaN hull masses far out, as on a

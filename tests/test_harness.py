@@ -206,7 +206,12 @@ def _rows(summary, method=None):
     _tiny_config(cells=((4, 0.05, 4), (12, 1.5, 8)), replicates=20, draws=100,
                  methods=("lindley", "is")),
     _tiny_config(replicates=10, draws=100, methods=("is",)),
-], ids=["all-methods", "mle-lindley", "degenerate-cell", "lindley-is", "is-only"])
+    # one batch of 9 rows: one sample at a time below both forks, which sat
+    # at 8 rows before each had its own threshold
+    _tiny_config(cells=((12, 1.5, 8), (20, 2.5, 14), (4, 1.0, 4)), priors=_TWO_PRIORS,
+                 replicates=3, draws=100),
+], ids=["all-methods", "mle-lindley", "degenerate-cell", "lindley-is", "is-only",
+        "between-the-old-and-new-forks"])
 def test_run_study_equals_the_one_loop_copy(config):
     new, ref = run_study(config), run_study_ref(config)
     assert _rows(new) == _rows(ref)
@@ -215,6 +220,32 @@ def test_run_study_equals_the_one_loop_copy(config):
         for key in want:
             assert got[key].dtype == want[key].dtype
             assert got[key].tobytes() == want[key].tobytes()
+
+
+# lifetimes that overflow to inf at shape 0.005, and draws that no machine holds
+_UNALLOCATABLE_DRAWS = dict(true_alpha=0.005, true_lambda=1.0, cells=((30, 1.5, 20),),
+                            replicates=40, draws=10 ** 15, methods=("is",))
+
+
+def test_config_rejects_draws_that_cannot_be_allocated():
+    """The draws are checked when the config is built, so no study meets
+    the lifetimes that do not fit float64 first."""
+    with pytest.raises(DomainError, match=f"{10 ** 15} draws need {16 * 10 ** 15} bytes, "
+                                          "which cannot be allocated"):
+        StudyConfig(**_UNALLOCATABLE_DRAWS)
+
+
+def test_simulate_rejects_draws_that_cannot_be_allocated(tmp_path):
+    raw = {**_UNALLOCATABLE_DRAWS, "cells": [list(_UNALLOCATABLE_DRAWS["cells"][0])],
+           "methods": ["is"]}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(raw))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(["simulate", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert err.getvalue() == (f"error: {10 ** 15} draws need {16 * 10 ** 15} bytes, "
+                              "which cannot be allocated\n")
 
 
 def test_a_groups_stream_does_not_depend_on_the_other_groups():

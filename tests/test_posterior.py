@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -336,6 +337,59 @@ def test_sampler_tail_doubling_equals_the_numpy_copy(request, monkeypatch, case)
         monkeypatch.setattr(_oracles, "find_mode_ref", lambda dlnf, guess: low)
         _assert_sampler_and_summaries_equal_the_copies(s, priors, 40 + i, 1000)
         monkeypatch.undo()
+
+
+# counts about the edges of the blocks of the order-0 sums: the one call of
+# up to 5,461 alphas, then two blocks, three and more
+_BLOCK_EDGE_COUNTS = (4095, 4096, 4097, 4098, 5461, 5462, 8192, 8193, 3 * 4096 + 1,
+                      int(np.random.default_rng(33).integers(3 * 4096, 6 * 4096)))
+
+
+@pytest.mark.parametrize("r", [1, 2, 300])
+def test_blocked_sums_equal_the_unblocked_copies(r):
+    """Every order-0 sum, through each public reader, has the bits of the
+    one array of exponentials, at d = 0 and d > 0 and block edges."""
+    rng = np.random.default_rng(r)
+    s = _complete(np.exp(rng.normal(size=r)))
+    lx = np.log(s.x)
+    for priors in (FLAT, GammaPriors(2, 1, 1, 1)):
+        for count in _BLOCK_EDGE_COUNTS:
+            a = np.exp(rng.normal(size=count))
+            bits = [v.tobytes() for v in _oracles._log_rate_sums_ref(a, lx, priors.d, 0)]
+            assert [v.tobytes() for v in posterior._log_rate_sums(a, s, priors.d, 0)] == bits
+            ref = g2_terms_ref(a, s, priors, 0)
+            assert [v.tobytes() for v in posterior._g2_terms(a, s, priors, 0)] \
+                == [v.tobytes() for v in ref]
+            assert g2_log_density(a, s, priors).tobytes() == ref[1].tobytes()
+            want = posterior._draw_lams(ref[0], s.r + priors.c, np.random.default_rng(count))
+            assert sample_g1(a, s, priors, count).tobytes() == want.tobytes()
+        # an array of any shape is blocked as its flat order
+        a = np.exp(rng.normal(size=(3, 4097)))
+        assert g2_log_density(a, s, priors).tobytes() \
+            == g2_terms_ref(a, s, priors, 0)[1].tobytes()
+
+
+@pytest.mark.parametrize("case", ["flood_s1", "guinea_s1", "guinea_complete"])
+def test_sampler_and_summaries_equal_the_numpy_copies_in_blocks(request, case):
+    """20,000 draws: a first round of 21,254 proposals in six blocks."""
+    s = request.getfixturevalue(case)
+    _assert_sampler_and_summaries_equal_the_copies(s, _PRIORS3[1], 50, 20_000)
+
+
+def test_sample_g2_memory_is_linear_in_the_draw_count(guinea_s1):
+    """No buffer grows as r times the draws: the exponentials of a round
+    take one block of r x 4,096 values.  The rest measured 102 bytes a
+    draw on guinea (R=50, T=90) at 200,000 and 400,000 draws; the bound
+    allows 120, where one r x M array alone would take 376 (r = 47)."""
+    count = 200_000
+    sample_g2(10, guinea_s1, FLAT, 7)      # numpy's lazy set-up, paid once a process
+    tracemalloc.start()
+    try:
+        sample_g2(count, guinea_s1, FLAT, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 120 * count + 8 * guinea_s1.r * posterior._ALPHA_BLOCK + 2**20
 
 
 @settings(max_examples=200, deadline=None)

@@ -39,7 +39,7 @@ from iwhc.distribution import (
     _quantile,
     _sample_rows,
 )
-from iwhc.harness import _ARRAY_SEEDING, _data_seeds
+from iwhc.harness import _ARRAY_DRAWS, _ARRAY_FITS, _data_seeds
 from iwhc.lindley import _lindley_rows
 from iwhc.mle import _ci_rows, _derivative_rows, _derivatives, _fit_rows
 from _oracles import run_study_ref
@@ -257,11 +257,11 @@ def _assert_same_bytes(got, want):
 
 
 @pytest.mark.parametrize("replicates", [1, 2, 3, 9])
-@pytest.mark.parametrize("batch_rows", [1, 7, 8, 9, None])
+@pytest.mark.parametrize("batch_rows", [1, 7, 8, 9, _ARRAY_FITS, None])
 def test_run_study_bytes_do_not_depend_on_the_batch_bound(monkeypatch, replicates, batch_rows):
-    """A bound of 1, 7, 8 or 9 rows at the widest cell's n, or the default
-    one, cuts batches inside cells and across cells of different n, on both
-    sides of the fit fork at 8 rows."""
+    """A bound of 1, 7, 8, 9 or ``_ARRAY_FITS`` rows at the widest cell's
+    n, or the default one, cuts batches inside cells and across cells of
+    different n, on both sides of the fit fork."""
     config = _config(replicates=replicates)
     if batch_rows is not None:
         monkeypatch.setattr(harness, "_CHUNK_VALUES",
@@ -301,8 +301,8 @@ def test_the_replicates_of_every_cell_are_fitted_in_one_call(monkeypatch):
 
 @pytest.mark.parametrize("cells, replicates", [(((12, 1.5, 8), (20, 2.5, 20)), 1),
                                                (((12, 1.5, 8), (20, 2.5, 20), (4, 0.3, 4)), 2),
-                                               (((12, 1.5, 8),), _ARRAY_SEEDING - 1)])
-def test_a_study_of_fewer_than_eight_rows_fits_no_rows(monkeypatch, cells, replicates):
+                                               (((12, 1.5, 8),), _ARRAY_FITS - 1)])
+def test_a_study_below_the_fit_fork_fits_no_rows(monkeypatch, cells, replicates):
     calls = _spy_fit_rows(monkeypatch)
     config = _config(cells=cells, replicates=replicates, methods=("mle", "lindley"))
     _assert_same_bytes(run_study(config), run_study_ref(config))
@@ -412,10 +412,10 @@ _WORD_EDGES = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 96)
 @given(base_seed=st.integers(0, 2 ** 70) | st.sampled_from(_WORD_EDGES),
        cell=st.integers(0, 40) | st.sampled_from(_WORD_EDGES),
        start=st.integers(0, 5000) | st.integers(2 ** 32 - 20, 2 ** 32 + 5),
-       size=st.integers(1, 3 * _ARRAY_SEEDING), more=st.integers(0, _ARRAY_SEEDING))
-@example(base_seed=2 ** 64, cell=0, start=0, size=_ARRAY_SEEDING, more=0)
-@example(base_seed=2 ** 32 - 1, cell=3, start=0, size=_ARRAY_SEEDING - 1, more=0)
-@example(base_seed=2 ** 32, cell=0, start=2 ** 32 - 4, size=_ARRAY_SEEDING, more=0)
+       size=st.integers(1, 3 * _ARRAY_DRAWS), more=st.integers(0, _ARRAY_DRAWS))
+@example(base_seed=2 ** 64, cell=0, start=0, size=_ARRAY_DRAWS, more=0)
+@example(base_seed=2 ** 32 - 1, cell=3, start=0, size=_ARRAY_DRAWS - 1, more=0)
+@example(base_seed=2 ** 32, cell=0, start=2 ** 32 - 4, size=_ARRAY_DRAWS, more=0)
 def test_data_seeds_give_numpys_child_streams(base_seed, cell, start, size, more):
     """The data of a batch of replicates ``start`` to ``start + size`` of
     ``cell``, then of the first ``more`` of the next cell, are drawn from
@@ -427,7 +427,7 @@ def test_data_seeds_give_numpys_child_streams(base_seed, cell, start, size, more
     want = [np.random.default_rng(np.random.SeedSequence((base_seed, c, rep), spawn_key=(0,)))
             for c, rep in tasks]
     assert isinstance(seeds, np.ndarray) == (
-        len(tasks) >= _ARRAY_SEEDING and all(max(c, rep) < 2 ** 32 for c, rep in tasks))
+        len(tasks) >= _ARRAY_DRAWS and all(max(c, rep) < 2 ** 32 for c, rep in tasks))
     if isinstance(seeds, np.ndarray):
         assert _state_ints(_child_states(seeds)) == [_state_of(rng) for rng in want]
     params = IwParams.from_rate(2.0, 1.0)
@@ -487,11 +487,11 @@ def test_sample_rows_draw_numpys_uniforms_from_entropy_words(entropy, count):
 
 @pytest.mark.parametrize("cells, replicates", [
     (((30, 1.5, 20), (30, 1.5, 30), (50, 1.5, 35), (50, 2.5, 50)), 100),
-    (((12, 1.5, 8), (20, 2.5, 20), (4, 0.3, 4)), 3),
-    (((12, 1.5, 8),), _ARRAY_SEEDING),
-], ids=["benchmark", "pieces-of-3", "one-piece-of-8"])
-def test_a_batch_of_eight_rows_builds_no_generator(monkeypatch, cells, replicates):
-    """A batch of at least ``_ARRAY_SEEDING`` rows, however its cells cut
+    (((12, 1.5, 8), (20, 2.5, 20), (4, 0.3, 4)), -(-_ARRAY_DRAWS // 3)),
+    (((12, 1.5, 8),), _ARRAY_DRAWS),
+], ids=["benchmark", "pieces-of-a-third", "one-piece-at-the-fork"])
+def test_a_batch_at_the_draw_fork_builds_no_generator(monkeypatch, cells, replicates):
+    """A batch of at least ``_ARRAY_DRAWS`` rows, however its cells cut
     it, draws its data by the array pass: it makes no SeedSequence, bit
     generator or Generator, so it sets no generator's state."""
     config = _config(cells=cells, replicates=replicates, methods=("mle", "lindley"))
@@ -507,9 +507,12 @@ def test_a_batch_of_eight_rows_builds_no_generator(monkeypatch, cells, replicate
 
 
 @pytest.mark.parametrize("base_seed", [17, 2 ** 64])
-@pytest.mark.parametrize("replicates", [_ARRAY_SEEDING - 1, _ARRAY_SEEDING,
-                                        2 * _ARRAY_SEEDING + 1])
-def test_run_study_bytes_across_the_array_seeding_threshold(base_seed, replicates):
-    config = _config(cells=((12, 1.5, 8), (4, 0.3, 4)), replicates=replicates,
-                     base_seed=base_seed, draws=40)
+@pytest.mark.parametrize("replicates", sorted({_ARRAY_FITS - 1, _ARRAY_FITS, _ARRAY_DRAWS - 1,
+                                               _ARRAY_DRAWS, 2 * _ARRAY_DRAWS + 1}))
+@pytest.mark.parametrize("cells", [((12, 1.5, 8),), ((12, 1.5, 8), (4, 0.3, 4))],
+                         ids=["one-cell", "two-cells"])
+def test_run_study_bytes_across_the_fork_thresholds(base_seed, replicates, cells):
+    """A batch of each size on both sides of the fit fork and the draw fork,
+    and of twice those sizes across two cells of different n."""
+    config = _config(cells=cells, replicates=replicates, base_seed=base_seed, draws=40)
     _assert_same_bytes(run_study(config), run_study_ref(config))
