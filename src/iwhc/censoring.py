@@ -122,12 +122,6 @@ class ReciprocalSample:
         return float(np.log(self.u))
 
     @cached_property
-    def _thirds(self) -> dict:
-        """Third log-likelihood derivatives by point ``(alpha, lam)``, kept by
-        the Lindley expansion, which reads them at one MLE under every prior."""
-        return {}
-
-    @cached_property
     def regression_start(self) -> tuple[float, float]:
         """``(alpha0, lam0)`` from regressing log(-log F_hat) on log x over
         the observed portion.

@@ -164,12 +164,8 @@ def cmd_bayes(args) -> int:
     seed = _seed(args)
     if args.method == "lindley":
         fit = fit_mle(rs)
-        est = lindley_estimates(fit, priors, rs, curvature=not args.debug_zero_curvature)
-        method = {
-            "estimator": "lindley-expansion",
-            "prior": priors.as_tuple(),
-            "curvature": not args.debug_zero_curvature,
-        }
+        est = lindley_estimates(fit, priors, rs)
+        method = {"estimator": "lindley-expansion", "prior": priors.as_tuple()}
         results = {"alpha": est.alpha_L, "lambda": est.lambda_L, "theta": est.theta_L,
                    "mle_alpha": fit.alpha_hat, "mle_lambda": fit.lam_hat}
         return _report(args, data, hs, method, results, [
@@ -287,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bayes.add_argument("--draws", type=int, default=10_000,
                          help="importance-sampling draws (default 10000)")
     p_bayes.add_argument("--level", type=float, default=0.95, help="credible level")
-    p_bayes.add_argument("--debug-zero-curvature", action="store_true",
-                         help=argparse.SUPPRESS)
     p_bayes.set_defaults(func=cmd_bayes)
 
     p_censor = sub.add_parser("censor", help="apply a censoring scheme and list the sample")

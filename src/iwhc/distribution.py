@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, _positive
+from .errors import DomainError, _floats, _integer, _positive, _real
 
 __all__ = [
     "IwParams",
@@ -30,22 +30,35 @@ __all__ = [
 # exp() saturation guards: beyond these the result under/overflows anyway
 _EXP_MAX = 709.0
 
+
+def _check_positive(**values) -> None:
+    """DomainError unless each of ``values`` is a real number
+    (:func:`errors._real`) in (0, inf)."""
+    for name, value in values.items():
+        if not 0.0 < _real(name, value) < np.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
+def _finite_exp(name: str, exponent) -> float:
+    """``exp(exponent)`` as a float, DomainError naming ``name`` where it
+    overflows: the parameters have no float64 rate or scale."""
+    with np.errstate(over="ignore"):
+        value = float(np.exp(exponent))
+    if value == np.inf:
+        raise DomainError(f"{name} = exp({float(exponent)}) is outside the float64 range")
+    return value
+
+
 def rate_from_scale(alpha: float, theta: float) -> float:
     """Rate ``lam = theta**(-alpha)``, evaluated in log space."""
-    if not (alpha > 0 and np.isfinite(alpha)):
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
-    if not (theta > 0 and np.isfinite(theta)):
-        raise DomainError(f"theta must be positive and finite, got {theta}")
-    return float(np.exp(-alpha * np.log(theta)))
+    _check_positive(alpha=alpha, theta=theta)
+    return _finite_exp("lam", -alpha * np.log(theta))
 
 
 def scale_from_rate(alpha: float, lam: float) -> float:
     """Scale ``theta = lam**(-1/alpha)``, the inverse of :func:`rate_from_scale`."""
-    if not (alpha > 0 and np.isfinite(alpha)):
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
-    if not (lam > 0 and np.isfinite(lam)):
-        raise DomainError(f"lam must be positive and finite, got {lam}")
-    return float(np.exp(-np.log(lam) / alpha))
+    _check_positive(alpha=alpha, lam=lam)
+    return _finite_exp("theta", -np.log(lam) / alpha)
 
 
 @dataclass(frozen=True)
@@ -56,10 +69,7 @@ class IwParams:
     theta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
-        if not (np.isfinite(self.theta) and self.theta > 0):
-            raise DomainError(f"theta must be positive and finite, got {self.theta}")
+        _check_positive(alpha=self.alpha, theta=self.theta)
 
     @property
     def lam(self) -> float:
@@ -107,7 +117,7 @@ def cdf(x, p: IwParams):
 
 def quantile(prob, p: IwParams):
     """Inverse cdf: ``(lam / -log(prob))**(1/alpha)`` for ``prob`` in (0, 1)."""
-    arr = np.asarray(prob, dtype=float)
+    arr = _floats("prob", prob)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0) or not np.all(np.isfinite(arr)):
         raise DomainError("prob must lie strictly inside (0, 1)")
     out = _quantile(arr, p)
@@ -125,9 +135,7 @@ def sample(count: int, p: IwParams, seed) -> np.ndarray:
     ``SeedSequence``; distinct replicates should pass distinct, deterministically
     derived seeds (see ``harness`` for the derivation used in simulations).
     """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
-    return _sample_rows(count, p, [seed])[0]
+    return _sample_rows(_integer("count", count, 1), p, [seed])[0]
 
 
 def _sample_rows(count: int, p: IwParams, seeds) -> np.ndarray:

@@ -28,7 +28,7 @@ least ``_ARRAY_DRAWS`` rows builds no generator (the array passes of
 fits all its rows at once as arrays, both with the same bits.  A smaller
 one, such as the one batch of a study of one replicate in each of two
 cells, draws each row from numpy's own generator and fits it on its own
-sample with ``fit_mle``, ``asymptotic_ci`` and ``lindley_estimates``.
+sample with ``fit_mle``, ``asymptotic_ci`` and the Lindley expansion.
 Either way the results land in the batch's blocks, the array fits with one
 permutation from the order of r to the order of the tasks; only the
 one-sample fits and importance sampling loop over the rows.  Importance
@@ -74,7 +74,7 @@ from .errors import (
     _integer,
     _real,
 )
-from .lindley import GammaPriors, _lindley_rows, lindley_estimates
+from .lindley import GammaPriors, _estimate, _lindley_rows, third_derivatives
 from .mle import _ci_rows, _fit_rows, asymptotic_ci, fit_mle
 from .posterior import _draw_buffers, bayes_is
 
@@ -120,7 +120,7 @@ class StudyConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         for name in ("true_alpha", "true_lambda"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if not 0.0 < self.level < 1.0:
+        if not 0.0 < _real("level", self.level) < 1.0:
             raise DomainError(f"level must be in (0, 1), got {self.level}")
         # the importance-sampling HPD interval needs draws * level >= 2; a
         # count past 2**53, which a float cannot hold, compares as 2**53
@@ -354,6 +354,9 @@ def _sample_fits(config: StudyConfig, groups: list, rs) -> dict:
         fit = fit_mle(rs)
     except _FIT_ERRORS:
         return fitted
+    if any(groups[g][0] == "lindley" for g in fitted):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # as in lindley
+            thirds = third_derivatives(fit.alpha_hat, fit.lam_hat, rs)      # for every prior
     for g in fitted:
         method, pi = groups[g]
         try:
@@ -361,7 +364,7 @@ def _sample_fits(config: StudyConfig, groups: list, rs) -> dict:
                 a, lam, _ = asymptotic_ci(fit, config.level)
                 fitted[g] = (fit.alpha_hat, fit.lam_hat, a.lower, lam.lower, a.upper, lam.upper)
             else:
-                est = lindley_estimates(fit, config.priors[pi], rs)
+                est = _estimate(fit, config.priors[pi], thirds)
                 fitted[g] = (est.alpha_L, est.lambda_L)
         except _FIT_ERRORS:
             pass
@@ -378,9 +381,10 @@ def _row_fits(config: StudyConfig, groups: list, rows, order: np.ndarray, blocks
         (lower_a, upper_a), (lower_l, upper_l), ok = _ci_rows(fits, config.level)
         fitted.append((0, (fits.alpha, fits.lam, lower_a, lower_l, upper_a, upper_l), ok))
     lindley = [g for g, (method, _) in enumerate(groups) if method == "lindley"]
-    for g, (alpha_L, lambda_L, ok) in zip(lindley, _lindley_rows(
-            fits, rows, [config.priors[groups[g][1]] for g in lindley])):
-        fitted.append((g, (alpha_L, lambda_L), ok))
+    if lindley:
+        for g, (alpha_L, lambda_L, ok) in zip(lindley, _lindley_rows(
+                fits, rows, [config.priors[groups[g][1]] for g in lindley])):
+            fitted.append((g, (alpha_L, lambda_L), ok))
     for g, columns, ok in fitted:
         blocks[g][0][:, order] = columns
         blocks[g][1][order] = ok

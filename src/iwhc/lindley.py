@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .censoring import ReciprocalRows, ReciprocalSample
-from .errors import DomainError, NumericError
-from .mle import MleFit, _derivative_rows, _derivatives, _in_floats, _RowFits
+from .errors import DomainError, NumericError, _real
+from .mle import MleFit, _checked_derivatives, _derivative_rows, _in_floats, _RowFits
 
 __all__ = ["GammaPriors", "LindleyEstimate", "third_derivatives", "lindley_estimates"]
 
@@ -40,7 +40,7 @@ class GammaPriors:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
+            if not 0.0 <= _real(f"hyperparameter {name}", v) < np.inf:
                 raise DomainError(f"hyperparameter {name} must be >= 0, got {v}")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
@@ -63,50 +63,42 @@ def third_derivatives(
     l30 = 2r/alpha**3 - lam*sum(x**alpha * log(x)**3), l03 = 2r/lam**3,
     l21 = -sum(x**alpha * log(x)**2) and l12 = 0.
     """
-    return _derivatives(alpha_hat, lam_hat, s, 3)[3]
+    return _checked_derivatives(alpha_hat, lam_hat, s, 3)[3]
 
 
-def _expansion(pw, alpha_hat, lam_hat, t11, t12, t22, l30, l03, l21, l12, p1, p2, curvature):
+def _expansion(pw, alpha_hat, lam_hat, t11, t12, t22, l30, l03, l21, l12, p1, p2):
     """(alpha_L, lambda_L): the MLE plus the curvature and prior corrections,
     for floats or arrays (``pw`` as in :func:`iwhc.mle._derivative_terms`)."""
     t21 = t12
-    if curvature:
-        corr_a = 0.5 * (l30 * pw(t11, 2) + l03 * t21 * t22 + 3.0 * l21 * t11 * t12
-                        + l12 * (t22 * t11 + 2.0 * pw(t21, 2)))
-        corr_l = 0.5 * (l30 * t12 * t11 + l03 * pw(t22, 2) + l21 * (t11 * t22 + 2.0 * pw(t12, 2))
-                        + 3.0 * l12 * t22 * t21)
-    else:
-        corr_a = corr_l = 0.0
+    corr_a = 0.5 * (l30 * pw(t11, 2) + l03 * t21 * t22 + 3.0 * l21 * t11 * t12
+                    + l12 * (t22 * t11 + 2.0 * pw(t21, 2)))
+    corr_l = 0.5 * (l30 * t12 * t11 + l03 * pw(t22, 2) + l21 * (t11 * t22 + 2.0 * pw(t12, 2))
+                    + 3.0 * l12 * t22 * t21)
     return (alpha_hat + corr_a + p1 * t11 + p2 * t12,
             lam_hat + corr_l + p1 * t21 + p2 * t22)
 
 
-def lindley_estimates(
-    fit: MleFit,
-    priors: GammaPriors,
-    s: ReciprocalSample,
-    curvature: bool = True,
-) -> LindleyEstimate:
-    """Expansion-corrected estimates of alpha and lam (theta derived).
-
-    ``curvature=False`` drops the third-derivative terms, leaving only the
-    prior tilt; with priors (1, 0, 1, 0) that reduces to the MLE exactly,
-    which is the debugging identity exposed by the command line.
-    """
+def lindley_estimates(fit: MleFit, priors: GammaPriors, s: ReciprocalSample) -> LindleyEstimate:
+    """Expansion-corrected estimates of alpha and lam (theta derived), from
+    the third derivatives of the log-likelihood of ``s`` at the MLE."""
     if not fit.converged:
         raise DomainError("the expansion must be evaluated at a converged MLE")
-    point = alpha_hat, lam_hat = fit.alpha_hat, fit.lam_hat
-    # a wide covariance overflows the third derivatives, the corrections or theta
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):    # they may overflow
+        thirds = third_derivatives(fit.alpha_hat, fit.lam_hat, s)
+    return _estimate(fit, priors, thirds)
+
+
+def _estimate(fit: MleFit, priors: GammaPriors, thirds: tuple) -> LindleyEstimate:
+    """:func:`lindley_estimates` from ``thirds``, the third derivatives at the MLE."""
+    alpha_hat, lam_hat = fit.alpha_hat, fit.lam_hat
+    # a wide covariance overflows the corrections or theta
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if point not in s._thirds:      # the same for every prior
-            s._thirds[point] = third_derivatives(*point, s)
         p1 = (priors.a - 1.0) / alpha_hat - priors.b
         p2 = (priors.c - 1.0) / lam_hat - priors.d
         if not (np.isfinite(p1) and np.isfinite(p2)):
             raise NumericError("prior gradient overflowed; estimate too close to zero")
         alpha_L, lambda_L = _in_floats(_expansion, operator.pow, alpha_hat, lam_hat, fit.cov.v11,
-                                       fit.cov.v12, fit.cov.v22, *s._thirds[point], p1, p2,
-                                       curvature)
+                                       fit.cov.v12, fit.cov.v22, *thirds, p1, p2)
         theta_L = np.exp(-np.log(lambda_L) / alpha_L)
     if not (np.isfinite(alpha_L) and np.isfinite(lambda_L)):
         raise NumericError(
@@ -140,7 +132,7 @@ def _lindley_rows(fits: _RowFits, rows: ReciprocalRows, priors) -> list:
             p1 = (prior.a - 1.0) / alpha - prior.b
             p2 = (prior.c - 1.0) / lam - prior.d
             alpha_L, lambda_L = _expansion(np.float_power, alpha, lam, fits.v11[good],
-                                           fits.v12[good], fits.v22[good], *thirds, p1, p2, True)
+                                           fits.v12[good], fits.v22[good], *thirds, p1, p2)
             theta_L = np.exp(-np.log(lambda_L) / alpha_L)
             fine = (np.isfinite(p1) & np.isfinite(p2) & np.isfinite(alpha_L)
                     & np.isfinite(lambda_L) & (alpha_L > 0) & (lambda_L > 0)

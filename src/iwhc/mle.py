@@ -41,7 +41,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .censoring import ReciprocalRows, ReciprocalSample
-from .errors import ConvergenceError, DomainError, InsufficientDataError, NumericError
+from .errors import ConvergenceError, DomainError, InsufficientDataError, NumericError, _real
 
 __all__ = [
     "FisherMatrix",
@@ -171,19 +171,17 @@ def _derivatives(alpha: float, lam: float, s: ReciprocalSample, order: int) -> l
                       float(np.log(alpha * lam)), alpha, lam, s.sum_log_x, L, q, p, ll_censor, *S)
 
 
-def _derivative_rows(alpha: np.ndarray, lam: np.ndarray, rows: ReciprocalRows, idx,
-                     order: int) -> np.ndarray:
+def _derivative_rows(alpha: np.ndarray, lam: np.ndarray, rows: ReciprocalRows,
+                     idx: np.ndarray, order: int) -> np.ndarray:
     """:func:`_derivatives` at ``(alpha[j], lam[j])`` on row ``idx[j]`` of
     ``rows``, for every j at once and with the same bits.
 
-    ``idx`` is all rows (``slice(None)``) or an increasing index array, and
-    every point must be in (0, inf)**2.  Returns one row per term: the value, d_a, d_l, then
-    d2_aa, d2_al, d2_ll, then l30, l03, l21, l12, as far as ``order``.  The
+    ``idx`` is an increasing index array, and every point must be in (0,
+    inf)**2.  Returns one row per term: the value, d_a, d_l, then d2_aa,
+    d2_al, d2_ll, then l30, l03, l21, l12, as far as ``order``.  The
     arithmetic runs once over the complete rows and once over the censored
     ones, where some row of each kind is present.
     """
-    if isinstance(idx, slice):
-        idx = np.arange(rows.r.size)[idx]
     # the terms of S_k for k <= order in one buffer, each formed in place
     # where its rows are gathered: x**alpha with the exponent broadcast along
     # each row, as over one sample's x, then its products with the logs.
@@ -296,18 +294,27 @@ def _derivative_terms(pw, order, full, r, m, log_al, alpha, lam, slx, L, q, p, l
     return out
 
 
+def _checked_derivatives(alpha, lam, s: ReciprocalSample, order: int) -> list:
+    """:func:`_derivatives` for the public functions: DomainError unless
+    alpha and lam are real numbers (:func:`errors._real`).  fit_mle calls
+    the kernel without this check."""
+    _real("alpha", alpha)
+    _real("lam", lam)
+    return _derivatives(alpha, lam, s, order)
+
+
 def log_likelihood(alpha: float, lam: float, s: ReciprocalSample) -> float:
-    return _derivatives(alpha, lam, s, 0)[0]
+    return _checked_derivatives(alpha, lam, s, 0)[0]
 
 
 def score(alpha: float, lam: float, s: ReciprocalSample) -> tuple[float, float]:
     """Gradient of :func:`log_likelihood` in (alpha, lam)."""
-    return _derivatives(alpha, lam, s, 1)[1]
+    return _checked_derivatives(alpha, lam, s, 1)[1]
 
 
 def observed_fisher(alpha: float, lam: float, s: ReciprocalSample) -> FisherMatrix:
     """Second partials of the log-likelihood; negate to get observed information."""
-    return FisherMatrix(*_derivatives(alpha, lam, s, 2)[2])
+    return FisherMatrix(*_checked_derivatives(alpha, lam, s, 2)[2])
 
 
 def _sup_norm(a: float, b: float) -> float:
@@ -546,7 +553,7 @@ def asymptotic_ci(
     (theta*log(lam)/alpha**2, -theta/(alpha*lam)) and the full covariance;
     NumericError where alpha**2 overflows or alpha*lam underflows to 0.
     """
-    if not 0.0 < level < 1.0:
+    if not 0.0 < _real("level", level) < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
     if not fit.converged:
         raise DomainError("confidence intervals require a converged fit")

@@ -37,7 +37,7 @@ import numpy as np
 
 from .censoring import ReciprocalSample
 from .errors import (DegenerateWeightsError, DomainError, InsufficientDataError, NumericError,
-                     _positive)
+                     _floats, _integer, _positive, _real)
 from .lindley import GammaPriors
 from .mle import ConfidenceInterval, _censor_q, _in_floats
 
@@ -196,9 +196,8 @@ def sample_g1(alpha, s: ReciprocalSample, priors: GammaPriors, seed):
     shape = s.r + priors.c
     if shape <= 0:
         raise DomainError(f"gamma shape r + c must be positive, got {shape}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     arr = _positive("alpha", alpha)
-    out = _draw_lams(_log_rate_sums(arr, s, priors.d, 0)[0], shape, rng)
+    out = _draw_lams(_log_rate_sums(arr, s, priors.d, 0)[0], shape, np.random.default_rng(seed))
     return float(out) if arr.ndim == 0 else out
 
 
@@ -351,11 +350,10 @@ def sample_g2(
     number of hull points and of rounds, the mode, and ``log_rate``: log(d +
     sum x**alpha), the log g1 rate, at each draw.
     """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    count = _integer("count", count, 1)
     if s.r < 1:
         raise InsufficientDataError("g2 requires at least one observed failure")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     def dlnf(a):
         return _g2_slope_curve(a, s, priors)
@@ -489,8 +487,7 @@ def posterior_draws(
     """
     if s.r < 1:
         raise InsufficientDataError("posterior sampling needs at least one failure")
-    if count < 2:
-        raise DomainError(f"count must be >= 2, got {count}")
+    count = _integer("count", count, 2)
     if isinstance(seed, np.random.Generator):
         rng = seed
     else:
@@ -553,10 +550,10 @@ def weighted_quantile(values, weights, beta: float) -> float:
     """Step-function quantile: the first ordered value whose cumulative weight
     reaches ``beta``.  ``beta = 0`` returns the smallest value; ties in the
     values accumulate weight in stable sorted order."""
-    if not 0.0 <= beta <= 1.0:
+    if not 0.0 <= _real("beta", beta) <= 1.0:
         raise DomainError(f"beta must be in [0, 1], got {beta}")
-    v = np.asarray(values, dtype=float)
-    vs, cum = _sorted_cum(v, np.asarray(weights, dtype=float))
+    v = _floats("values", values)
+    vs, cum = _sorted_cum(v, _floats("weights", weights))
     idx = int(np.searchsorted(cum, beta, side="left"))
     return float(vs[min(idx, v.size - 1)])
 
@@ -576,10 +573,10 @@ def _hpd_thresholds(m: int, level: float) -> np.ndarray:
 def hpd_interval(values, weights, level: float) -> ConfidenceInterval:
     """Shortest credible interval among the candidate quantile windows
     (q(j/M), q((j + floor(level*M))/M)) for j = 1, ..., M - floor(level*M)."""
-    if not 0.0 < level < 1.0:
+    if not 0.0 < _real("level", level) < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    v = _floats("values", values)
+    w = _floats("weights", weights)
     m = v.size
     if m * level < 2:
         raise DomainError(f"need M*level >= 2, got M={m}, level={level}")

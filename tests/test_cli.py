@@ -178,17 +178,6 @@ def test_censor_scheme2_listing(capsys):
     assert times[-1] == pytest.approx(0.423)
 
 
-def test_bayes_lindley_zero_curvature_equals_mle(capsys):
-    fit_report = run_json(capsys, "fit", "flood", "--big-r", "18", "--time", "0.5")
-    bayes_report = run_json(
-        capsys, "bayes", "flood", "--big-r", "18", "--time", "0.5",
-        "--method", "lindley", "--prior", "1,0,1,0", "--debug-zero-curvature")
-    assert bayes_report["results"]["alpha"] == pytest.approx(
-        fit_report["results"]["alpha"], rel=1e-12)
-    assert bayes_report["results"]["lambda"] == pytest.approx(
-        fit_report["results"]["lambda"], rel=1e-12)
-
-
 def test_bayes_is_deterministic_and_seeded(capsys):
     a = run_json(capsys, "bayes", "flood", "--big-r", "18", "--time", "0.5",
                  "--method", "is", "--draws", "2000", "--seed", "11")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from iwhc import (
+    ConvergenceError,
     DegenerateWeightsError,
     DomainError,
     GammaPriors,
@@ -15,17 +16,30 @@ from iwhc import (
     InsufficientDataError,
     IwParams,
     NumericError,
+    StudyConfig,
     apply_scheme,
+    asymptotic_ci,
+    bayes_is,
     cdf,
+    fit_mle,
     g2_log_density,
+    hpd_interval,
+    log_likelihood,
+    observed_fisher,
     pdf,
+    posterior_draws,
     quantile,
     rate_from_scale,
     reciprocals,
     sample,
     sample_g1,
+    sample_g2,
     scale_from_rate,
+    score,
+    third_derivatives,
+    weighted_quantile,
 )
+from iwhc.datasets import load_bundled
 
 PARAM_GRID = [
     (1.0, 1.0), (2.0, 1.0), (0.5, 2.0), (4.3143, 2.7905), (1.4142, 0.0169),
@@ -223,3 +237,116 @@ def test_unreadable_input_is_named_in_a_domain_error(junk):
     for name, call in _CALLS.items():
         with pytest.raises(DomainError, match="must be numbers, got "):
             call(junk)
+
+
+_ERRORS = (*_TYPED, ConvergenceError)
+_FLOOD_S1 = reciprocals(apply_scheme(load_bundled("flood"), HybridScheme(n=20, R=18, T=0.5)))
+_FIT = fit_mle(_FLOOD_S1)
+_P = IwParams(2.0, 1.0)
+_G = GammaPriors()
+_VALUES, _WEIGHTS = [1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0]
+# every numeric argument of the public functions, the others valid: a count,
+# a level, a point or a parameter, or the values of a summary
+_ARGUMENTS = {
+    "sample count": lambda v: sample(v, _P, 0),
+    "quantile prob": lambda v: quantile(v, _P),
+    "log_likelihood alpha": lambda v: log_likelihood(v, 1.0, _FLOOD_S1),
+    "log_likelihood lam": lambda v: log_likelihood(2.0, v, _FLOOD_S1),
+    "score alpha": lambda v: score(v, 1.0, _FLOOD_S1),
+    "score lam": lambda v: score(2.0, v, _FLOOD_S1),
+    "observed_fisher alpha": lambda v: observed_fisher(v, 1.0, _FLOOD_S1),
+    "third_derivatives alpha": lambda v: third_derivatives(v, 1.0, _FLOOD_S1),
+    "third_derivatives lam": lambda v: third_derivatives(2.0, v, _FLOOD_S1),
+    "asymptotic_ci level": lambda v: asymptotic_ci(_FIT, v),
+    "bayes_is count": lambda v: bayes_is(_FLOOD_S1, _G, v, 0),
+    "bayes_is level": lambda v: bayes_is(_FLOOD_S1, _G, 20, 0, level=v),
+    "posterior_draws count": lambda v: posterior_draws(_FLOOD_S1, _G, v, 0),
+    "sample_g2 count": lambda v: sample_g2(v, _FLOOD_S1, _G, 0),
+    "hpd_interval values": lambda v: hpd_interval(v, _WEIGHTS, 0.5),
+    "hpd_interval weights": lambda v: hpd_interval(_VALUES, v, 0.5),
+    "hpd_interval level": lambda v: hpd_interval(_VALUES, _WEIGHTS, v),
+    "weighted_quantile values": lambda v: weighted_quantile(v, _WEIGHTS, 0.5),
+    "weighted_quantile weights": lambda v: weighted_quantile(_VALUES, v, 0.5),
+    "weighted_quantile beta": lambda v: weighted_quantile(_VALUES, _WEIGHTS, v),
+    "IwParams alpha": lambda v: IwParams(v, 1.0),
+    "IwParams theta": lambda v: IwParams(2.0, v),
+    "rate_from_scale alpha": lambda v: rate_from_scale(v, 1.0),
+    "rate_from_scale theta": lambda v: rate_from_scale(2.0, v),
+    "scale_from_rate alpha": lambda v: scale_from_rate(v, 1.0),
+    "scale_from_rate lam": lambda v: scale_from_rate(2.0, v),
+    **{f"GammaPriors {name}": (lambda v, name=name: GammaPriors(**{name: v}))
+       for name in "abcd"},
+    "StudyConfig level": lambda v: StudyConfig(2.0, 1.0, ((10, 2.0, 8),), level=v),
+}
+# _JUNK, and bools and non-integral floats, which no count accepts
+_ARGUMENT_JUNK = _JUNK | st.booleans() | st.floats(-3.0, 10.0).filter(
+    lambda v: not v.is_integer())
+
+
+@pytest.mark.parametrize("name", list(_ARGUMENTS))
+@settings(max_examples=60, deadline=None)
+@given(junk=_ARGUMENT_JUNK)
+def test_junk_numeric_argument_gives_an_answer_or_a_typed_error(name, junk):
+    try:
+        _ARGUMENTS[name](junk)
+    except _ERRORS:
+        pass
+
+
+# the 18 calls that raised a bare TypeError, ValueError or OverflowError
+# before their numeric arguments went through errors._integer, _real and _floats
+_NON_NUMBERS = [
+    'sample("3", _P, 0)',
+    'sample(2.5, _P, 0)',
+    'quantile("a", _P)',
+    'log_likelihood("a", 1.0, _FLOOD_S1)',
+    'score(None, 1.0, _FLOOD_S1)',
+    'third_derivatives("a", 1.0, _FLOOD_S1)',
+    'asymptotic_ci(_FIT, "0.9")',
+    'bayes_is(_FLOOD_S1, _G, "10", 0)',
+    'bayes_is(_FLOOD_S1, _G, 10.5, 0)',
+    'sample_g2("10", _FLOOD_S1, _G, 0)',
+    'hpd_interval([1.0, 2, 3, 4], [1, 1, 1, 1], "x")',
+    'hpd_interval(["a", "b", "c", "d"], [1, 1, 1, 1], 0.5)',
+    'weighted_quantile([1.0, 2], [1, 1], "x")',
+    'IwParams("2", 1.0)',
+    'IwParams(2.0, 10 ** 400)',
+    'rate_from_scale("2", 1.0)',
+    'scale_from_rate(2.0, None)',
+    'GammaPriors("a")',
+]
+
+
+@pytest.mark.parametrize("call", _NON_NUMBERS)
+def test_a_non_number_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="must be (an integer|a real number|numbers)|float range"):
+        eval(call)
+
+
+@pytest.mark.parametrize("call, message", [
+    ('sample(0, _P, 0)', "count must be >= 1, got 0"),
+    ('sample_g2(0, _FLOOD_S1, _G, 0)', "count must be >= 1, got 0"),
+    ('bayes_is(_FLOOD_S1, _G, 1, 0)', "count must be >= 2, got 1"),
+    ('asymptotic_ci(_FIT, 1)', "level must be in (0, 1), got 1"),
+    ('hpd_interval(_VALUES, _WEIGHTS, 1.5)', "level must be in (0, 1), got 1.5"),
+    ('weighted_quantile(_VALUES, _WEIGHTS, -1)', "beta must be in [0, 1], got -1"),
+    ('IwParams(0, 1.0)', "alpha must be positive and finite, got 0"),
+    ('rate_from_scale(2.0, -math.inf)', "theta must be positive and finite, got -inf"),
+    ('scale_from_rate(2.0, 0)', "lam must be positive and finite, got 0"),
+    ('GammaPriors(0, -1)', "hyperparameter b must be >= 0, got -1"),
+    ('log_likelihood(0, 1.0, _FLOOD_S1)', "alpha and lam must be positive, got (0, 1.0)"),
+])
+def test_a_number_out_of_range_keeps_its_message(call, message):
+    with pytest.raises(DomainError) as info:
+        eval(call)
+    assert str(info.value) == message
+
+
+def test_a_rate_or_scale_beyond_the_float_range_is_a_domain_error():
+    # theta**-2 = exp(1418) and lam**(-1/0.5) = exp(1381)
+    with pytest.raises(DomainError, match="lam = exp.* is outside the float64 range"):
+        rate_from_scale(2.0, 1e-308)
+    with pytest.raises(DomainError, match="lam = exp"):
+        IwParams(2.0, 1e-308).lam
+    with pytest.raises(DomainError, match="theta = exp.* is outside the float64 range"):
+        IwParams.from_rate(0.5, 1e-300)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,15 +12,17 @@ from iwhc import (
     HybridScheme,
     IwParams,
     NumericError,
-    ReciprocalSample,
+    StudyConfig,
     apply_scheme,
     fit_mle,
     lindley_estimates,
     reciprocals,
+    run_study,
     sample,
     third_derivatives,
 )
-from iwhc import errors, lindley
+from iwhc import errors, harness, lindley
+from iwhc.harness import _ARRAY_FITS
 from iwhc.cli import main
 from _oracles import fd_third_derivatives, lindley_estimates_ref, posterior_quadrature_means
 from conftest import censored_samples, random_censored_sample
@@ -66,14 +69,6 @@ def test_third_derivatives_match_finite_differences_random():
         numeric = fd_third_derivatives(alpha, lam, s)
         for a, n in zip(analytic, numeric):
             assert a == pytest.approx(n, rel=1e-3, abs=1e-3)
-
-
-def test_estimate_reduces_to_mle_without_curvature(flood_s1):
-    fit = fit_mle(flood_s1)
-    est = lindley_estimates(fit, GammaPriors(1, 0, 1, 0), flood_s1, curvature=False)
-    assert est.alpha_L == pytest.approx(fit.alpha_hat, rel=1e-14)
-    assert est.lambda_L == pytest.approx(fit.lam_hat, rel=1e-14)
-    assert est.theta_L == pytest.approx(fit.theta_hat, rel=1e-12)
 
 
 def test_flood_scheme1_matches_quadrature_posterior_means(flood_s1):
@@ -130,27 +125,50 @@ def test_estimates_equal_python_float_formulas():
 
 
 def test_third_derivatives_evaluated_once_per_fit(monkeypatch):
-    rng = np.random.default_rng(42)
-    priors = (GammaPriors(), GammaPriors(2, 1, 1, 1))
-    calls = []
-    kernel = lindley.third_derivatives
-    monkeypatch.setattr(lindley, "third_derivatives",
-                        lambda *args: calls.append(args) or kernel(*args))
-    for _ in range(50):
-        s, _ = random_censored_sample(rng)
-        fresh = [ReciprocalSample(s.x.copy(), s.u, s.r, s.n) for _ in priors]
-        fit = fit_mle(s)
-        calls.clear()
-        for p, s_alone in zip(priors, fresh):
-            # the same bits or error as on a sample that has seen no other prior
-            try:
-                want = lindley_estimates(fit, p, s_alone)
-            except NumericError as exc:
-                with pytest.raises(NumericError, match=str(exc)):
-                    lindley_estimates(fit, p, s)
-                continue
-            assert lindley_estimates(fit, p, s) == want
-        assert len(calls) == 1 + len(priors)
+    """A study under two priors evaluates the third derivatives once for
+    each replicate that fits: one sample at a time in a batch of fewer than
+    ``_ARRAY_FITS`` rows, once for all the fitted rows of a larger batch.
+    Without a Lindley group it evaluates none."""
+    events = []     # ("fit", rows fitted) and ("thirds", rows evaluated), as made
+    fit_mle_, fit_rows, kernel, derivative_rows = (
+        harness.fit_mle, harness._fit_rows, harness.third_derivatives, lindley._derivative_rows)
+
+    def fit_spy(s):
+        fit = fit_mle_(s)
+        events.append(("fit", 1))
+        return fit
+
+    def fit_rows_spy(rows):
+        fits = fit_rows(rows)
+        events.append(("fit", int(fits.ok.sum())))
+        return fits
+
+    def thirds_spy(alpha, lam, s):
+        events.append(("thirds", 1))
+        return kernel(alpha, lam, s)
+
+    def thirds_rows_spy(alpha, lam, rows, idx, order):
+        if order == 3:
+            events.append(("thirds", idx.size))
+        return derivative_rows(alpha, lam, rows, idx, order)
+
+    monkeypatch.setattr(harness, "fit_mle", fit_spy)
+    monkeypatch.setattr(harness, "_fit_rows", fit_rows_spy)
+    monkeypatch.setattr(harness, "third_derivatives", thirds_spy)
+    monkeypatch.setattr(lindley, "_derivative_rows", thirds_rows_spy)
+    for replicates in (3, _ARRAY_FITS):
+        config = StudyConfig(true_alpha=2.0, true_lambda=1.0, cells=((12, 1.5, 8),),
+                             priors=(GammaPriors(), GammaPriors(2, 1, 1, 1)),
+                             replicates=replicates, base_seed=17, methods=("mle", "lindley"))
+        events.clear()
+        run_study(config)
+        fits = [event for event in events if event[0] == "fit"]
+        assert len(fits) == (replicates if replicates < _ARRAY_FITS else 1)
+        assert sum(rows for _, rows in fits) > 0
+        assert events == [event for fit in fits for event in (fit, ("thirds", fit[1]))]
+        events.clear()
+        run_study(dataclasses.replace(config, methods=("mle",)))
+        assert events and all(name == "fit" for name, _ in events)
 
 
 _WIDE = ("484 496 497 499 500 508 509 509 511 512 528 529 539", 12, 541.3552498174076)
@@ -201,5 +219,3 @@ def test_lindley_is_finite_and_consistent_or_a_typed_error(case, priors):
     assert np.all(np.isfinite([est.alpha_L, est.lambda_L, est.theta_L]))
     assert est.alpha_L > 0 and est.lambda_L > 0
     assert est.theta_L == float(np.exp(-np.log(est.lambda_L) / est.alpha_L))
-    flat = lindley_estimates(fit, GammaPriors(1, 0, 1, 0), s, curvature=False)
-    assert (flat.alpha_L, flat.lambda_L) == (fit.alpha_hat, fit.lam_hat)

@@ -30,7 +30,7 @@ from iwhc import (
     run_study,
     sample,
 )
-from iwhc import harness, lindley, mle
+from iwhc import harness, mle
 from iwhc.censoring import ReciprocalRows, _censor_rows
 from iwhc.distribution import (
     _child_states,
@@ -208,7 +208,8 @@ def test_row_kernel_equals_the_sample_kernel_at_extreme_points(samples, data):
     points = np.exp(np.array(data.draw(st.lists(log_points, min_size=len(samples),
                                                 max_size=len(samples)))))
     for order in range(4):
-        got = _derivative_rows(points[:, 0], points[:, 1], rows, slice(None), order)
+        got = _derivative_rows(points[:, 0], points[:, 1], rows, np.arange(len(samples)),
+                               order)
         for i, s in enumerate(samples):
             want = _derivatives(points[i, 0], points[i, 1], s, order)
             assert _bits(*got[:, i]) == _bits(want[0], *(t for terms in want[1:] for t in terms))
@@ -313,31 +314,35 @@ def test_a_single_replicate_is_fitted_and_sampled_on_one_sample(monkeypatch):
     """A batch of one replicate in each of two cells, the shape of a Bayes
     study, is fitted by the one-sample functions, not as arrays, and
     importance sampling reads the very sample they fitted, so that its
-    cached work is done once: the third derivatives once for both priors."""
+    cached work is done once: the third derivatives once for both priors,
+    and the expansion once for each."""
     config = _config(cells=((12, 1.5, 8), (20, 2.5, 20)), replicates=1,
                      methods=("lindley", "is"))
     want = run_study_ref(config)
     calls = []
 
-    def spy(module, name, at):
-        fn = getattr(module, name)
+    def spy(name, at):
+        fn = getattr(harness, name)
 
         def wrapper(*args, **kwargs):
             calls.append((name, args[at]))
             return fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(harness, name, wrapper)
 
-    for module, name, at in ((harness, "_fit_rows", 0), (harness, "fit_mle", 0),
-                             (harness, "lindley_estimates", 2), (harness, "bayes_is", 0),
-                             (lindley, "third_derivatives", 2)):
-        spy(module, name, at)
+    for name, at in (("_fit_rows", 0), ("fit_mle", 0), ("third_derivatives", 2),
+                     ("_estimate", 0), ("bayes_is", 0)):
+        spy(name, at)
     _assert_same_bytes(run_study(config), want)
     by_sample = {}      # the calls on each sample object, by its id
     for name, s in calls:
-        by_sample.setdefault(id(s), []).append(name)
-    per_replicate = {"fit_mle": 1, "lindley_estimates": 2, "third_derivatives": 1, "bayes_is": 2}
+        if name != "_estimate":
+            by_sample.setdefault(id(s), []).append(name)
+    per_replicate = {"fit_mle": 1, "third_derivatives": 1, "bayes_is": 2}
     assert [collections.Counter(names) for names in by_sample.values()] \
         == [per_replicate] * len(config.cells)
+    # the expansion under each prior at each replicate's fit
+    estimated = collections.Counter(id(fit) for name, fit in calls if name == "_estimate")
+    assert list(estimated.values()) == [len(config.priors)] * len(config.cells)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
