@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the integer, real number,
-float array, data and positive array checks that raise one."""
+float array, data, positive array and seed checks that raise one."""
 
 import numbers
 import operator
@@ -86,3 +86,20 @@ def _positive(name: str, values) -> np.ndarray:
     if not np.all((arr > 0.0) & (arr < np.inf)):
         raise DomainError(f"{name} must be strictly positive and finite")
     return arr
+
+
+def _rng(seed, child: bool = False) -> "np.random.Generator":
+    """numpy's ``default_rng(seed)``; where ``child``, and ``seed`` is not a
+    Generator, the generator of the first child of ``SeedSequence(seed)``,
+    made without advancing a ``SeedSequence`` passed in.  DomainError for a
+    seed numpy does not take (a string, a float, a negative int, ...)."""
+    try:
+        if child and not isinstance(seed, np.random.Generator):
+            root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+            # the child that root.spawn(1) would give first
+            return np.random.default_rng(np.random.SeedSequence(
+                root.entropy, spawn_key=root.spawn_key + (0,), pool_size=root.pool_size))
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise DomainError("seed must be a nonnegative integer, a SeedSequence, a Generator "
+                          f"or None, got {reprlib.repr(seed)}") from None

@@ -6,34 +6,35 @@ average estimates, mean squared errors against the truth, and average 95%
 interval lengths (confidence intervals for the MLE, highest-density credible
 intervals for importance sampling; the expansion estimator has no interval).
 
-Reproducibility contract: replicate seeds derive from
-``SeedSequence((base_seed, cell_index, replicate_index))``; child 0 generates
-the data and child 1+p drives importance sampling under prior p.  Each
-replicate is one independent task that fills a column of a block per
-(method, prior) group: its two estimates and, for the MLE and importance
-sampling, the lower and upper bounds of its two intervals, or a failure.
-A merge step builds the rows from the columns in replicate order, so a
-summary is bit-identical for a given config no matter how the replicates
-are scheduled, and no group's stream depends on which other groups run.
+Reproducibility contract: cell c draws its data from one stream,
+``PCG64(SeedSequence((base_seed, c), spawn_key=(0,)))``, of which replicate
+i reads the uniforms ``[i * n, (i + 1) * n)``; importance sampling under
+prior p draws from child 0 of child 1+p of
+``SeedSequence((base_seed, cell_index, replicate_index))``.  Each replicate
+is one independent task that fills a column of a block per (method, prior)
+group: its two estimates and, for the MLE and importance sampling, the
+lower and upper bounds of its two intervals, or a failure.  A merge step
+builds the rows from the columns in replicate order, so a summary is
+bit-identical for a given config no matter how the replicates are
+scheduled, and no group's stream depends on which other groups run.
 
 The (cell, replicate) tasks, in cell-major order, run in batches
 (``_batches``) of at most ``_CHUNK_VALUES`` values at the width of the
-batch's widest cell, so that a batch may span cells.  A batch draws the
-data of all its rows at once at the widest n, from the same child 0
-streams whatever the batch; each cell's piece keeps its own n and is
-censored under its own scheme, and the pieces are stacked into one
-``ReciprocalRows``, padded to the widest n and ordered by r.  A batch of at
-least ``_ARRAY_DRAWS`` rows builds no generator (the array passes of
-``distribution._sample_rows``), and one of at least ``_ARRAY_FITS`` rows
-fits all its rows at once as arrays, both with the same bits.  A smaller
+batch's widest cell, so that a batch may span cells.  Each cell's piece of
+a batch, replicates ``[start, stop)``, builds one generator on the cell's
+stream, advances it past ``start * n`` uniforms (PCG64's ``advance`` jumps
+there in O(log) steps) and draws its rows with one ``random()`` call, so
+a replicate's data do not depend on the batch.  The pieces are censored
+each under its own scheme and stacked into one ``ReciprocalRows``, padded
+to the widest n and ordered by r.  A batch of at least ``_ARRAY_FITS``
+rows fits all its rows at once as arrays, with the same bits.  A smaller
 one, such as the one batch of a study of one replicate in each of two
-cells, draws each row from numpy's own generator and fits it on its own
-sample with ``fit_mle``, ``asymptotic_ci`` and the Lindley expansion.
-Either way the results land in the batch's blocks, the array fits with one
-permutation from the order of r to the order of the tasks; only the
-one-sample fits and importance sampling loop over the rows.  Importance
-sampling records alpha and lambda only, so theta, which ``bayes_is``
-summarizes on first read, is never computed here.
+cells, fits each row on its own sample with ``fit_mle``, ``asymptotic_ci``
+and the Lindley expansion.  Either way the results land in the batch's
+blocks, the array fits with one permutation from the order of r to the
+order of the tasks; only the one-sample fits and importance sampling loop
+over the rows.  Importance sampling records alpha and lambda only, so
+theta, which ``bayes_is`` summarizes on first read, is never computed here.
 
 A replicate whose fit fails (too few failures, a regression start that
 float64 cannot hold, no convergence, ...) fails its groups, and the study
@@ -64,7 +65,7 @@ import numpy as np
 
 from .censoring import HybridScheme, _censor_rows
 from .datasets import _read_text
-from .distribution import IwParams, _entropy_words, _sample_rows
+from .distribution import IwParams, _lifetimes
 from .errors import (
     ConvergenceError,
     DegenerateWeightsError,
@@ -87,12 +88,10 @@ _FIT_ERRORS = (ConvergenceError, NumericError, InsufficientDataError,
 # replicates fitted together: at most this many values, rows times the
 # largest n among their cells
 _CHUNK_VALUES = 1 << 16
-# the measured crossovers (README.md) at and above which a batch fits as
+# the measured crossover (README.md) at and above which a batch fits as
 # arrays (mle._fit_rows and the rows' intervals and Lindley estimates) rather
-# than one sample at a time, and draws by the array passes of
-# distribution._sample_rows rather than from numpy's generator row by row
+# than one sample at a time
 _ARRAY_FITS = 11
-_ARRAY_DRAWS = 12
 
 
 def _json_integer(name: str, value) -> int:
@@ -235,12 +234,13 @@ def _groups(config: StudyConfig) -> list:
     return groups
 
 
-def _is_record(config: StudyConfig, rs, pi: int, entropy: np.ndarray):
-    """The importance-sampling record under prior ``pi``, or None.
-    ``entropy`` holds the words of the replicate's seed."""
-    # the stream of child 0 of child 1 + pi of SeedSequence(entropy), as
-    # bayes_is reads it from a seed
-    rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(1 + pi, 0)))
+def _is_record(config: StudyConfig, rs, pi: int, task: tuple):
+    """The importance-sampling record under prior ``pi`` of the ``(cell,
+    replicate)`` task, or None."""
+    # child 0 of child 1 + pi of SeedSequence((base_seed, cell, replicate)),
+    # the stream bayes_is reads from that child 1 + pi
+    rng = np.random.default_rng(np.random.SeedSequence((config.base_seed, *task),
+                                                       spawn_key=(1 + pi, 0)))
     try:
         res = bayes_is(rs, config.priors[pi], config.draws, rng, level=config.level)
     except _FIT_ERRORS:
@@ -287,7 +287,7 @@ def _records(config, schemes, params, groups, batch) -> list:
     fewer than ``_ARRAY_FITS`` rows fits, so that the sample's cached
     logs and regression start are computed once."""
     size = sum(len(reps) for _, reps in batch)
-    rows, order = _censor_rows(_pieces(config, schemes, params, batch, size))
+    rows, order = _censor_rows(_pieces(config, schemes, params, batch))
     blocks = [(np.full((2 if method == "lindley" else 6, size), np.nan),
                np.zeros(size, dtype=bool)) for method, _ in groups]
     small = size < _ARRAY_FITS
@@ -301,12 +301,8 @@ def _records(config, schemes, params, groups, batch) -> list:
             k = order[i]
             rs = rows.sample(i)
             records = _sample_fits(config, groups, rs) if small and fitting else {}
-            if sampled:
-                # the seed (base_seed, cell, replicate) as words, once for every prior
-                entropy = np.array(_entropy_words((config.base_seed, *tasks[k])),
-                                   dtype=np.uint32)
-                records.update((g, _is_record(config, rs, groups[g][1], entropy))
-                               for g in sampled)
+            records.update((g, _is_record(config, rs, groups[g][1], tasks[k]))
+                           for g in sampled)
             for g, record in records.items():
                 if record is not None:
                     blocks[g][0][:, k] = record
@@ -314,35 +310,21 @@ def _records(config, schemes, params, groups, batch) -> list:
     return blocks
 
 
-def _pieces(config, schemes, params, batch, size: int) -> list:
-    """The ``(complete samples, scheme)`` piece of each cell of ``batch``,
-    for ``_censor_rows``: the data of every row are drawn at the widest n,
-    of which each piece keeps its own n.  The drawn matrix is freed once
-    censored, before the fit, whose buffers set the batch's memory peak."""
-    data = _sample_rows(max(schemes[cell].n for cell, _ in batch), params,
-                        _data_seeds(config.base_seed, batch, size))
-    pieces, start = [], 0
+def _pieces(config, schemes, params, batch) -> list:
+    """The ``(complete samples, scheme)`` piece of each ``(cell, reps)`` of
+    ``batch``, for ``_censor_rows``: replicate i of the cell reads values
+    ``[i * n, (i + 1) * n)`` of the cell's data stream, so one generator
+    per piece, advanced past the cell's earlier replicates, fills the piece.
+    The drawn matrices are freed once censored, before the fit, whose
+    buffers set the batch's memory peak."""
+    pieces = []
     for cell, reps in batch:
-        pieces.append((data[start:start + len(reps), :schemes[cell].n], schemes[cell]))
-        start += len(reps)
+        scheme = schemes[cell]
+        bits = np.random.PCG64(np.random.SeedSequence((config.base_seed, cell), spawn_key=(0,)))
+        bits.advance(reps.start * scheme.n)
+        pieces.append((_lifetimes(np.random.Generator(bits), (len(reps), scheme.n), params),
+                       scheme))
     return pieces
-
-
-def _data_seeds(base_seed: int, batch: list, size: int):
-    """Child 0 of ``SeedSequence((base_seed, cell, rep))`` for each of the
-    ``size`` rows of ``batch``, for ``_sample_rows``: where the batch has at
-    least ``_ARRAY_DRAWS`` rows and every index is below 2**32, the matrix
-    of their entropy words (the base seed's words, little end first as numpy
-    splits the int, then the cell and the replicate); else ``SeedSequence``s."""
-    if size < _ARRAY_DRAWS or any(max(cell, reps[-1]) >> 32 for cell, reps in batch):
-        return [np.random.SeedSequence((base_seed, cell, rep), spawn_key=(0,))
-                for cell, reps in batch for rep in reps]
-    head = _entropy_words((base_seed,))
-    words = np.empty((size, len(head) + 2), dtype=np.uint32)
-    words[:, :-2] = head
-    words[:, -2] = np.repeat([cell for cell, _ in batch], [len(reps) for _, reps in batch])
-    words[:, -1] = np.concatenate([np.arange(reps.start, reps.stop) for _, reps in batch])
-    return words
 
 
 def _sample_fits(config: StudyConfig, groups: list, rs) -> dict:

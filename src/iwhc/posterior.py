@@ -37,7 +37,7 @@ import numpy as np
 
 from .censoring import ReciprocalSample
 from .errors import (DegenerateWeightsError, DomainError, InsufficientDataError, NumericError,
-                     _floats, _integer, _positive, _real)
+                     _floats, _integer, _positive, _real, _rng)
 from .lindley import GammaPriors
 from .mle import ConfidenceInterval, _censor_q, _in_floats
 
@@ -197,7 +197,7 @@ def sample_g1(alpha, s: ReciprocalSample, priors: GammaPriors, seed):
     if shape <= 0:
         raise DomainError(f"gamma shape r + c must be positive, got {shape}")
     arr = _positive("alpha", alpha)
-    out = _draw_lams(_log_rate_sums(arr, s, priors.d, 0)[0], shape, np.random.default_rng(seed))
+    out = _draw_lams(_log_rate_sums(arr, s, priors.d, 0)[0], shape, _rng(seed))
     return float(out) if arr.ndim == 0 else out
 
 
@@ -353,7 +353,7 @@ def sample_g2(
     count = _integer("count", count, 1)
     if s.r < 1:
         raise InsufficientDataError("g2 requires at least one observed failure")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
 
     def dlnf(a):
         return _g2_slope_curve(a, s, priors)
@@ -488,13 +488,7 @@ def posterior_draws(
     if s.r < 1:
         raise InsufficientDataError("posterior sampling needs at least one failure")
     count = _integer("count", count, 2)
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        # the child that root.spawn(1) would give first, made without advancing root
-        rng = np.random.default_rng(np.random.SeedSequence(
-            root.entropy, spawn_key=root.spawn_key + (0,), pool_size=root.pool_size))
+    rng = _rng(seed, child=True)
     alphas, info = sample_g2(count, s, priors, rng)
     lams = _draw_lams(info["log_rate"], s.r + priors.c, rng)
     if s.n == s.r:

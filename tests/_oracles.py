@@ -721,7 +721,9 @@ def bayes_is_ref(s, priors, count, seed, level=0.95):
 def run_study_ref(config):
     """``run_study`` as one loop over cells and replicates that records and
     counts failures in three dicts per cell, as the harness did before it was
-    split into per-replicate records and a merge."""
+    split into per-replicate records and a merge.  Each cell's replicates
+    draw their data in order from one generator on the cell's stream, with
+    no jump."""
     from iwhc.harness import _FIT_ERRORS, CellMetric, SimulationSummary
 
     def se(values):
@@ -762,9 +764,12 @@ def run_study_ref(config):
             if want_is:
                 method_keys.append(("is", pi))
 
+        # the cell's data stream, read in replicate order
+        data_rng = np.random.default_rng(
+            np.random.SeedSequence((config.base_seed, cell_idx), spawn_key=(0,)))
         for rep in range(config.replicates):
             entropy = (config.base_seed, cell_idx, rep)
-            data = sample(scheme.n, params, np.random.SeedSequence(entropy, spawn_key=(0,)))
+            data = sample(scheme.n, params, data_rng)
             rs = reciprocals(apply_scheme(data, scheme))
             if rs.r < 2:
                 for key in method_keys:

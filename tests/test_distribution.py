@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -220,12 +220,25 @@ _CALLS = {
 }
 
 
-@pytest.mark.parametrize("name", list(_CALLS))
+# a junk seed, of the functions that build a generator from one
+_SEEDED = {
+    "sample seed": lambda junk: sample(3, IwParams(2.0, 1.0), junk),
+    "sample_g1 seed": lambda junk: sample_g1(1.5, _SAMPLE, GammaPriors(), junk),
+    "sample_g2 seed": lambda junk: sample_g2(20, _SAMPLE, GammaPriors(), junk)[0],
+    "posterior_draws seed": lambda junk: posterior_draws(_SAMPLE, GammaPriors(), 20, junk).alphas,
+    "bayes_is seed": lambda junk: bayes_is(_SAMPLE, GammaPriors(), 20, junk).alpha.mean,
+}
+
+
+@pytest.mark.parametrize("name", [*_CALLS, *_SEEDED])
 @settings(max_examples=150, deadline=None)
 @given(junk=_JUNK)
+@example(junk="x")
+@example(junk=1.5)
+@example(junk=-1)
 def test_junk_input_gives_a_finite_answer_or_a_typed_error(name, junk):
     try:
-        out = _CALLS[name](junk)
+        out = {**_CALLS, **_SEEDED}[name](junk)
     except _TYPED:
         return
     assert np.all(np.isfinite(out))

@@ -119,34 +119,42 @@ def test_config_json_round_trip(tmp_path):
     assert config.priors[1].as_tuple() == (2, 1, 1, 1)
 
 
-def test_single_replicate_equals_direct_fit():
-    config = _tiny_config(replicates=1, methods=("mle",), cells=((25, 1.5, 18),))
+def _direct_samples(config) -> list:
+    """The censored samples of the replicates of cell 0 of ``config``, one
+    design (25, 1.5, 18): replicate i reads the values ``[25 * i, 25 * (i +
+    1))`` of the cell's data stream."""
+    stream = np.random.default_rng(np.random.SeedSequence((config.base_seed, 0), spawn_key=(0,)))
+    scheme = HybridScheme(n=25, R=18, T=1.5)
+    return [reciprocals(apply_scheme(sample(25, IwParams.from_rate(2.0, 1.0), stream), scheme))
+            for _ in range(config.replicates)]
+
+
+def test_replicates_equal_direct_fits():
+    config = _tiny_config(replicates=3, methods=("mle",), cells=((25, 1.5, 18),))
     summary = run_study(config)
-    root = np.random.SeedSequence(entropy=(config.base_seed, 0, 0))
-    children = root.spawn(1 + len(config.priors))
-    data = sample(25, IwParams.from_rate(2.0, 1.0), children[0])
-    s = reciprocals(apply_scheme(data, HybridScheme(n=25, R=18, T=1.5)))
-    fit = fit_mle(s)
-    ci_a, ci_l, _ = asymptotic_ci(fit, 0.95)
+    fits = [fit_mle(s) for s in _direct_samples(config)]
+    intervals = [asymptotic_ci(fit, 0.95) for fit in fits]
+    assert summary.estimates[(0, "mle", None, "alpha")].tolist() == [f.alpha_hat for f in fits]
+    assert summary.estimates[(0, "mle", None, "lambda")].tolist() == [f.lam_hat for f in fits]
+    assert summary.lengths[(0, "mle", None, "alpha")].tolist() == [ci[0].length for ci in intervals]
+    assert summary.lengths[(0, "mle", None, "lambda")].tolist() == [ci[1].length for ci in intervals]
     by_param = {row.parameter: row for row in summary.rows}
-    assert by_param["alpha"].average_estimate == fit.alpha_hat
-    assert by_param["alpha"].mse == (fit.alpha_hat - 2.0) ** 2
-    assert by_param["alpha"].avg_interval_length == ci_a.length
-    assert by_param["lambda"].average_estimate == fit.lam_hat
-    assert by_param["lambda"].avg_interval_length == ci_l.length
+    assert by_param["alpha"].average_estimate == np.mean([f.alpha_hat for f in fits])
+    assert by_param["lambda"].avg_interval_length == np.mean([ci[1].length for ci in intervals])
 
 
 def test_importance_sampling_uses_child_one_plus_prior():
+    """Replicate i under prior p samples from child 1 + p of
+    ``SeedSequence((base_seed, 0, i))``, on the data of replicate i."""
     priors = (GammaPriors(), GammaPriors(2, 1, 1, 1))
-    config = _tiny_config(replicates=1, methods=("is",), cells=((25, 1.5, 18),), priors=priors)
+    config = _tiny_config(replicates=2, methods=("is",), cells=((25, 1.5, 18),), priors=priors)
     summary = run_study(config)
-    children = np.random.SeedSequence(entropy=(config.base_seed, 0, 0)).spawn(3)
-    data = sample(25, IwParams.from_rate(2.0, 1.0), children[0])
-    s = reciprocals(apply_scheme(data, HybridScheme(n=25, R=18, T=1.5)))
-    for p, prior in enumerate(priors):
-        res = bayes_is(s, prior, config.draws, children[1 + p], level=config.level)
-        assert summary.estimates[(0, "is", p, "alpha")].tolist() == [res.alpha.mean]
-        assert summary.lengths[(0, "is", p, "lambda")].tolist() == [res.lam.hpd.length]
+    for rep, s in enumerate(_direct_samples(config)):
+        children = np.random.SeedSequence(entropy=(config.base_seed, 0, rep)).spawn(3)
+        for p, prior in enumerate(priors):
+            res = bayes_is(s, prior, config.draws, children[1 + p], level=config.level)
+            assert summary.estimates[(0, "is", p, "alpha")][rep] == res.alpha.mean
+            assert summary.lengths[(0, "is", p, "lambda")][rep] == res.lam.hpd.length
 
 
 def test_bit_identical_reruns():

@@ -32,14 +32,8 @@ from iwhc import (
 )
 from iwhc import harness, mle
 from iwhc.censoring import ReciprocalRows, _censor_rows
-from iwhc.distribution import (
-    _child_states,
-    _entropy_words,
-    _pcg64_doubles,
-    _quantile,
-    _sample_rows,
-)
-from iwhc.harness import _ARRAY_DRAWS, _ARRAY_FITS, _data_seeds
+from iwhc.distribution import _quantile
+from iwhc.harness import _ARRAY_FITS, _pieces
 from iwhc.lindley import _lindley_rows
 from iwhc.mle import _ci_rows, _derivative_rows, _derivatives, _fit_rows
 from _oracles import run_study_ref
@@ -133,7 +127,9 @@ def test_rows_and_samples_read_one_set_of_solver_settings(samples, max_iter, tol
         _check_rows(samples, 0.95)
 
 
-# the failures of replicate 1 of cell 1 of _OVERFLOWING, below, as reciprocals
+# the reciprocal failures of a sample of 20 lifetimes near 1e150, of the
+# design of cell 1 of _OVERFLOWING (below), censored at u = 1e150, whose
+# regression start overflows lam to inf
 _START_X = [2.2043448933589337e-150, 1.57845930166535e-150, 1.4406301938931865e-150,
             1.3366020211079597e-150, 1.2503096023215677e-150, 1.2075694979606868e-150,
             1.1743132077221451e-150, 1.0801122242842781e-150, 1.0453506029933632e-150,
@@ -218,14 +214,14 @@ def test_row_kernel_equals_the_sample_kernel_at_extreme_points(samples, data):
 def test_censored_rows_equal_each_censored_sample():
     """Two designs, the rows of the narrower padded to the wider n."""
     params = IwParams.from_rate(2.0, 1.0)
-    pieces, samples = [], []
-    for cell, scheme in enumerate((HybridScheme(n=30, R=20, T=1.5),
-                                   HybridScheme(n=12, R=12, T=1.0))):
-        seeds = [np.random.SeedSequence((3, cell, rep), spawn_key=(0,)) for rep in range(25)]
-        pieces.append((_sample_rows(scheme.n, params, seeds), scheme))
-        samples += [reciprocals(apply_scheme(sample(scheme.n, params, seed), scheme))
-                    for seed in seeds]
-    rows, order = _censor_rows(pieces)
+    schemes = [HybridScheme(n=30, R=20, T=1.5), HybridScheme(n=12, R=12, T=1.0)]
+    rows, order = _censor_rows(_pieces(_config(base_seed=3), schemes, params,
+                                       [(0, range(25)), (1, range(25))]))
+    samples = []
+    for cell, scheme in enumerate(schemes):
+        stream = _cell_stream(3, cell)
+        samples += [reciprocals(apply_scheme(sample(scheme.n, params, stream), scheme))
+                    for _ in range(25)]
     assert rows.x.shape == (50, 30)
     assert (np.diff(rows.r) >= 0).all() and sorted(order.tolist()) == list(range(50))
     for i, k in enumerate(order.tolist()):
@@ -237,6 +233,12 @@ def test_censored_rows_equal_each_censored_sample():
         if want.r >= 2:     # the rows give NaN below two failures
             assert _bits(rows.sum_log_x[i], *(v[i] for v in rows.regression_start)) \
                 == _bits(want.sum_log_x, *want.regression_start)
+
+
+def _cell_stream(base_seed: int, cell: int) -> np.random.Generator:
+    """A generator at the start of the data stream of ``cell``, from which
+    its replicates draw n values each, in replicate order."""
+    return np.random.default_rng(np.random.SeedSequence((base_seed, cell), spawn_key=(0,)))
 
 
 def _config(**overrides):
@@ -359,7 +361,7 @@ def test_a_chunk_with_a_replicate_that_raises_raises_as_one_at_a_time():
 
 # lifetimes near 1e150: some regression starts overflow lam to inf
 _OVERFLOWING = dict(true_lambda=1e300, cells=((12, 1e150, 9), (20, 1e150, 18)), replicates=6,
-                    base_seed=11, methods=("mle", "lindley"))
+                    base_seed=30, methods=("mle", "lindley"))
 
 
 def _study_samples(config) -> list:
@@ -368,9 +370,9 @@ def _study_samples(config) -> list:
     params = IwParams.from_rate(config.true_alpha, config.true_lambda)
     samples = []
     for cell, (n, T, R) in enumerate(config.cells):
+        stream = _cell_stream(config.base_seed, cell)
         for rep in range(config.replicates):
-            seed = np.random.SeedSequence((config.base_seed, cell, rep), spawn_key=(0,))
-            samples.append(reciprocals(apply_scheme(sample(n, params, seed),
+            samples.append(reciprocals(apply_scheme(sample(n, params, stream),
                                                     HybridScheme(n=n, R=R, T=T))))
     return samples
 
@@ -378,7 +380,7 @@ def _study_samples(config) -> list:
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_study_counts_an_overflowing_start_as_a_failed_fit():
     """The 12 rows are one batch.  In cell 1, the regression starts of
-    replicates 1 (r = 10) and 4 (r = 7) overflow lam to inf, where fit_mle
+    replicates 2 (r = 5) and 4 (r = 9) overflow lam to inf, where fit_mle
     raises NumericError naming the start, and the other four replicates do
     not converge: the study completes, and its MLE fails 6 times of 6 in
     that cell."""
@@ -387,137 +389,84 @@ def test_a_study_counts_an_overflowing_start_as_a_failed_fit():
     _assert_same_bytes(got, run_study_ref(config))
     cell1 = _study_samples(config)[6:]
     assert [_outcome(fit_mle, s)[1] for s in cell1] == [
-        ConvergenceError, NumericError, ConvergenceError,
+        ConvergenceError, ConvergenceError, NumericError,
         ConvergenceError, NumericError, ConvergenceError]
-    assert (cell1[1].x.tolist(), cell1[1].u) == (_START_X, 1e150)
+    for s in (cell1[2], cell1[4]):
+        with pytest.raises(NumericError, match=r"regression start \(alpha, lam\) = \(2\.\d*, inf\)"):
+            fit_mle(s)
     assert [(row.replicates_used, row.failures) for row in got.rows
             if (row.n, row.method) == (20, "mle")] == [(0, 6), (0, 6)]
 
 
-def _state_ints(words) -> list:
-    """``_child_states`` words as a ``(state, inc)`` pair of ints a row."""
-    (s_hi, s_lo), (i_hi, i_lo) = words
-    return [(int(a) << 64 | int(b), int(c) << 64 | int(d))
-            for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo)]
-
-
-def _state_of(rng) -> tuple:
-    """The ``(state, inc)`` ints of a fresh PCG64 generator, which holds no
-    buffered 32-bit draw."""
-    state = rng.bit_generator.state
-    assert state["bit_generator"] == "PCG64" and state["has_uint32"] == 0
-    return state["state"]["state"], state["state"]["inc"]
-
-
-# where the entropy of (base_seed, cell, rep) gains a 32-bit word
-_WORD_EDGES = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 96)
+# where the entropy of (base_seed, cell) gains a 32-bit word
+_WORD_EDGES = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 96)
 
 
 @settings(max_examples=80, deadline=None)
 @given(base_seed=st.integers(0, 2 ** 70) | st.sampled_from(_WORD_EDGES),
-       cell=st.integers(0, 40) | st.sampled_from(_WORD_EDGES),
-       start=st.integers(0, 5000) | st.integers(2 ** 32 - 20, 2 ** 32 + 5),
-       size=st.integers(1, 3 * _ARRAY_DRAWS), more=st.integers(0, _ARRAY_DRAWS))
-@example(base_seed=2 ** 64, cell=0, start=0, size=_ARRAY_DRAWS, more=0)
-@example(base_seed=2 ** 32 - 1, cell=3, start=0, size=_ARRAY_DRAWS - 1, more=0)
-@example(base_seed=2 ** 32, cell=0, start=2 ** 32 - 4, size=_ARRAY_DRAWS, more=0)
-def test_data_seeds_give_numpys_child_streams(base_seed, cell, start, size, more):
-    """The data of a batch of replicates ``start`` to ``start + size`` of
-    ``cell``, then of the first ``more`` of the next cell, are drawn from
-    child 0 of numpy's ``SeedSequence((base_seed, cell, rep))``, by the
-    array pass or not."""
+       cell=st.integers(0, 40), n=st.integers(1, 60), offset=st.integers(0, 3 * 2 ** 16),
+       edge=st.sampled_from([None, -1, 0, 1]), size=st.integers(1, 40), more=st.integers(0, 5))
+@example(base_seed=2 ** 64, cell=0, n=50, offset=0, edge=-1, size=3, more=2)
+def test_pieces_read_the_cell_streams_in_replicate_order(base_seed, cell, n, offset, edge,
+                                                         size, more):
+    """The pieces of a batch, replicates ``start`` to ``start + size`` of
+    ``cell`` and then the first ``more`` of the next cell, are, byte for
+    byte, those rows of each cell's stream drawn in order, n values a row:
+    the jump past ``start`` replicates is exact at every start, up to three
+    times the default batch bound (``_CHUNK_VALUES // n`` rows) and next to
+    it (``edge``)."""
+    bound = harness._CHUNK_VALUES // n
+    start = offset % (3 * bound + 1) if edge is None else bound + edge
+    schemes = {cell: HybridScheme(n=n, R=n, T=1.0), cell + 1: HybridScheme(n=n + 1, R=1, T=1.0)}
     batch = [(cell, range(start, start + size))] + [(cell + 1, range(more))] * (more > 0)
-    tasks = [(c, rep) for c, reps in batch for rep in reps]
-    seeds = _data_seeds(base_seed, batch, len(tasks))
-    want = [np.random.default_rng(np.random.SeedSequence((base_seed, c, rep), spawn_key=(0,)))
-            for c, rep in tasks]
-    assert isinstance(seeds, np.ndarray) == (
-        len(tasks) >= _ARRAY_DRAWS and all(max(c, rep) < 2 ** 32 for c, rep in tasks))
-    if isinstance(seeds, np.ndarray):
-        assert _state_ints(_child_states(seeds)) == [_state_of(rng) for rng in want]
     params = IwParams.from_rate(2.0, 1.0)
-    u = np.array([rng.random(9) for rng in want])
-    u[u == 0.0] = 0.5 ** 53
-    assert _sample_rows(9, params, seeds).tobytes() == _quantile(u, params).tobytes()
+    pieces = _pieces(_config(base_seed=base_seed), schemes, params, batch)
+    assert [scheme for _, scheme in pieces] == [schemes[c] for c, _ in batch]
+    for (times, scheme), (c, reps) in zip(pieces, batch):
+        u = _cell_stream(base_seed, c).random(reps.stop * scheme.n)
+        u = u.reshape(reps.stop, scheme.n)[reps.start:]
+        u[u == 0.0] = 0.5 ** 53
+        assert times.tobytes() == _quantile(u, params).tobytes()
 
 
-@settings(max_examples=80, deadline=None)
-@given(values=st.lists(st.integers(0, 2 ** 70) | st.sampled_from(_WORD_EDGES),
-                       min_size=1, max_size=4),
-       prior=st.integers(0, 3))
-def test_entropy_words_seed_as_the_ints_do(values, prior):
-    """The importance-sampling stream of prior p, child 0 of SeedSequence((base_seed,
-    cell, rep), spawn_key=(1 + p,)), is the same from the words of the seed."""
-    words = np.array(_entropy_words(values), dtype=np.uint32)
-    want = np.random.SeedSequence(tuple(values), spawn_key=(1 + prior, 0))
-    got = np.random.SeedSequence(words, spawn_key=(1 + prior, 0))
-    assert got.generate_state(8).tobytes() == want.generate_state(8).tobytes()
-
-
-@settings(max_examples=60, deadline=None)
-@given(entropy=st.integers(1, 12).flatmap(lambda width: st.lists(
-    st.lists(st.integers(0, 2 ** 32 - 1), min_size=width, max_size=width),
-    min_size=1, max_size=4)))
-def test_child_states_are_numpys_for_any_entropy_width(entropy):
-    """Entropy shorter than the pool is zero-padded; longer entropy mixes
-    every further word into the pool and, past eight assembled words, needs
-    a longer hash chain than the precomputed one."""
-    entropy = np.array(entropy, dtype=np.uint32)
-    assert _state_ints(_child_states(entropy)) == [
-        _state_of(np.random.default_rng(np.random.SeedSequence(row, spawn_key=(0,))))
-        for row in entropy]
-
-
-_WORD = st.integers(0, 2 ** 32 - 1) | st.sampled_from([0, 2 ** 32 - 1])
-
-
-@settings(max_examples=60, deadline=None)
-@given(entropy=st.integers(1, 12).flatmap(lambda width: st.lists(
-    st.lists(_WORD, min_size=width, max_size=width), min_size=1, max_size=12)),
-       count=st.sampled_from([1, 2, 7, 50, 1000]))
-def test_sample_rows_draw_numpys_uniforms_from_entropy_words(entropy, count):
-    """The array pass draws, byte for byte, the uniforms of numpy's
-    generator seeded by each row, and the lifetimes mapped from them; at
-    1000 draws, more than eight rows take two blocks."""
-    entropy = np.array(entropy, dtype=np.uint32)
-    want = np.array([np.random.default_rng(np.random.SeedSequence(row, spawn_key=(0,)))
-                     .random(count) for row in entropy])
-    u = np.empty((len(entropy), count))
-    _pcg64_doubles(_child_states(entropy), out=u)
-    assert u.tobytes() == want.tobytes()
-    params = IwParams.from_rate(2.0, 1.0)
-    want[want == 0.0] = 0.5 ** 53
-    assert _sample_rows(count, params, entropy).tobytes() == _quantile(want, params).tobytes()
-
-
-@pytest.mark.parametrize("cells, replicates", [
-    (((30, 1.5, 20), (30, 1.5, 30), (50, 1.5, 35), (50, 2.5, 50)), 100),
-    (((12, 1.5, 8), (20, 2.5, 20), (4, 0.3, 4)), -(-_ARRAY_DRAWS // 3)),
-    (((12, 1.5, 8),), _ARRAY_DRAWS),
-], ids=["benchmark", "pieces-of-a-third", "one-piece-at-the-fork"])
-def test_a_batch_at_the_draw_fork_builds_no_generator(monkeypatch, cells, replicates):
-    """A batch of at least ``_ARRAY_DRAWS`` rows, however its cells cut
-    it, draws its data by the array pass: it makes no SeedSequence, bit
-    generator or Generator, so it sets no generator's state."""
+@pytest.mark.parametrize("cells, replicates, batch_rows, built", [
+    (((30, 1.5, 20), (30, 1.5, 30), (50, 1.5, 35), (50, 2.5, 50)), 100, None, [4]),
+    (((12, 1.5, 8), (20, 2.5, 20), (4, 0.3, 4)), 5, 7, [2, 2, 1]),
+    (((12, 1.5, 8), (20, 2.5, 20)), 1, None, [2]),
+], ids=["benchmark", "cut-across-cells", "one-replicate-a-cell"])
+def test_a_batch_builds_one_generator_per_cell(monkeypatch, cells, replicates, batch_rows,
+                                               built):
+    """Each (cell, replicates) piece of a batch builds one PCG64 on the cell's
+    stream, whatever its number of rows: the benchmark's 400 rows build
+    four, and a bound of 7 rows at n = 20 cuts 5 replicates of each of
+    three cells into batches of 5 + 2, 3 + 4 and 1 rows."""
     config = _config(cells=cells, replicates=replicates, methods=("mle", "lindley"))
     want = run_study_ref(config)
-    made = collections.Counter()
-    for name in ("default_rng", "Generator", "PCG64", "SeedSequence"):
-        def spy(*args, _name=name, _make=getattr(np.random, name), **kwargs):
-            made[_name] += 1
-            return _make(*args, **kwargs)
-        monkeypatch.setattr(np.random, name, spy)
+    if batch_rows is not None:
+        monkeypatch.setattr(harness, "_CHUNK_VALUES",
+                            batch_rows * max(n for n, _, _ in config.cells))
+    made, batches = [], []
+    records = harness._records
+
+    def spy_records(*args):
+        batches.append(len(made))
+        return records(*args)
+
+    def spy_pcg64(*args, _make=np.random.PCG64, **kwargs):
+        made.append(args)
+        return _make(*args, **kwargs)
+    monkeypatch.setattr(harness, "_records", spy_records)
+    monkeypatch.setattr(np.random, "PCG64", spy_pcg64)
     _assert_same_bytes(run_study(config), want)
-    assert made == {}
+    assert np.diff(batches + [len(made)]).tolist() == built
 
 
 @pytest.mark.parametrize("base_seed", [17, 2 ** 64])
-@pytest.mark.parametrize("replicates", sorted({_ARRAY_FITS - 1, _ARRAY_FITS, _ARRAY_DRAWS - 1,
-                                               _ARRAY_DRAWS, 2 * _ARRAY_DRAWS + 1}))
+@pytest.mark.parametrize("replicates", [_ARRAY_FITS - 1, _ARRAY_FITS])
 @pytest.mark.parametrize("cells", [((12, 1.5, 8),), ((12, 1.5, 8), (4, 0.3, 4))],
                          ids=["one-cell", "two-cells"])
 def test_run_study_bytes_across_the_fork_thresholds(base_seed, replicates, cells):
-    """A batch of each size on both sides of the fit fork and the draw fork,
-    and of twice those sizes across two cells of different n."""
+    """A batch of each size on both sides of the fit fork, and of twice
+    those sizes across two cells of different n."""
     config = _config(cells=cells, replicates=replicates, base_seed=base_seed, draws=40)
     _assert_same_bytes(run_study(config), run_study_ref(config))
