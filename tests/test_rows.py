@@ -462,11 +462,11 @@ def test_a_batch_builds_one_generator_per_cell(monkeypatch, cells, replicates, b
 
 
 @pytest.mark.parametrize("base_seed", [17, 2 ** 64])
-@pytest.mark.parametrize("replicates", [_ARRAY_FITS - 1, _ARRAY_FITS])
+@pytest.mark.parametrize("replicates", sorted({_ARRAY_FITS - 1, _ARRAY_FITS, 12, 25}))
 @pytest.mark.parametrize("cells", [((12, 1.5, 8),), ((12, 1.5, 8), (4, 0.3, 4))],
                          ids=["one-cell", "two-cells"])
 def test_run_study_bytes_across_the_fork_thresholds(base_seed, replicates, cells):
-    """A batch of each size on both sides of the fit fork, and of twice
-    those sizes across two cells of different n."""
+    """A batch of each size on both sides of the fit fork, of 12 and 25
+    rows past it, and of twice those sizes across two cells of different n."""
     config = _config(cells=cells, replicates=replicates, base_seed=base_seed, draws=40)
     _assert_same_bytes(run_study(config), run_study_ref(config))
