@@ -45,7 +45,6 @@ from .posterior import (
     g2_log_density,
     hpd_interval,
     posterior_draws,
-    sample_g1,
     sample_g2,
     weighted_quantile,
 )
@@ -63,7 +62,7 @@ __all__ = [
     "ConfidenceInterval", "CovarianceMatrix", "FisherMatrix", "MleFit",
     "asymptotic_ci", "fit_mle", "log_likelihood", "observed_fisher", "score",
     "BayesEstimate", "IsResult", "PosteriorDraws", "bayes_is", "g2_log_density",
-    "hpd_interval", "posterior_draws", "sample_g1", "sample_g2",
+    "hpd_interval", "posterior_draws", "sample_g2",
     "weighted_quantile",
     "__version__",
 ]

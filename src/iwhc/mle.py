@@ -138,20 +138,13 @@ def _censor_q(alpha, lam, log_u):
     return q, np.where(log_q < _LOG_TINY, log_q, np.log(-np.expm1(-q)))
 
 
-def _q_over_expm1(q: float) -> float:
-    """``p = q/expm1(q)`` for q > 0: 1 to float precision below about 1e-16,
-    and 0 where expm1 overflows (q above about 709.78)."""
-    if q < 709.0:
-        return q / float(np.expm1(q))
-    with np.errstate(over="ignore"):
-        return q / float(np.expm1(q))
-
-
 def _derivatives(alpha: float, lam: float, s: ReciprocalSample, order: int) -> list:
     """The log-likelihood and its partials up to ``order`` (0 to 3) at one point.
 
     Entry k of the result holds the order-k terms as floats: the value, then
     (d_a, d_l), then (d2_aa, d2_al, d2_ll), then (l30, l03, l21, l12).
+    ``p = q/expm1(q)`` is 0 where expm1 overflows (q above about 709.78), so
+    callers hold ``np.errstate(over="ignore")``.
     """
     if s.r < 1:
         raise InsufficientDataError(f"need at least 1 observed failures, got r={s.r}")
@@ -166,7 +159,7 @@ def _derivatives(alpha: float, lam: float, s: ReciprocalSample, order: int) -> l
         log_q = float(np.log(lam)) - alpha * L
         q = max(float(np.exp(min(log_q, 709.0))), _TINY)     # _censor_q on floats
         ll_censor = m * (log_q if log_q < _LOG_TINY else float(np.log(-np.expm1(-q))))
-        p = _q_over_expm1(q) if order else 0.0
+        p = q / float(np.expm1(q)) if order else 0.0
     return _in_floats(_derivative_terms, operator.pow, order, m > 0, s.r, m,
                       float(np.log(alpha * lam)), alpha, lam, s.sum_log_x, L, q, p, ll_censor, *S)
 
@@ -300,7 +293,8 @@ def _checked_derivatives(alpha, lam, s: ReciprocalSample, order: int) -> list:
     the kernel without this check."""
     _real("alpha", alpha)
     _real("lam", lam)
-    return _derivatives(alpha, lam, s, order)
+    with np.errstate(over="ignore"):
+        return _derivatives(alpha, lam, s, order)
 
 
 def log_likelihood(alpha: float, lam: float, s: ReciprocalSample) -> float:

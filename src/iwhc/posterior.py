@@ -23,13 +23,12 @@ arithmetic.
 A round's ``sum x**alpha`` over more than 5,461 proposals runs in blocks of
 at most 4,096 alphas, so M draws need r x 4,096 values plus O(M), not r x M.
 Every block has at least 2 columns and smaller arrays (every round at 1,000
-draws) take one call, which keeps the bits of the one array.
+draws) take one block, which keeps the bits of the one array.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -39,7 +38,7 @@ from .censoring import ReciprocalSample
 from .errors import (DegenerateWeightsError, DomainError, InsufficientDataError, NumericError,
                      _floats, _integer, _positive, _real, _rng)
 from .lindley import GammaPriors
-from .mle import ConfidenceInterval, _censor_q, _in_floats
+from .mle import ConfidenceInterval, _censor_q
 
 __all__ = [
     "PosteriorDraws",
@@ -74,13 +73,14 @@ def _blocked_exp_sums(lxs: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     The axis-0 reduce adds the rows of a block in order, column by column,
     so a block's sums are those of the whole array, provided the block has
     at least two columns: a one-column block is summed pairwise along r.
-    The caller passes more than 5,461 alphas, so every block is at least
-    2,731 (8,192 / 3) wide, below which numpy's broadcast multiply runs
-    about four times slower per element.
+    Up to 5,461 alphas (4/3 of ``_ALPHA_BLOCK``) take one block, the whole
+    array, so a single alpha is summed as its one array is.  More are cut
+    into blocks at least 2,731 (8,192 / 3) wide, below which numpy's
+    broadcast multiply runs about four times slower per element.
     """
     flat = alpha.reshape(-1)
     total = np.empty(flat.size)
-    blocks = -(-flat.size // _ALPHA_BLOCK)
+    blocks = -(-flat.size // _ALPHA_BLOCK) if 3 * flat.size > 4 * _ALPHA_BLOCK else 1
     buf = np.empty(lxs.size * -(-flat.size // blocks))
     edges = [flat.size * i // blocks for i in range(blocks + 1)]
     for start, stop in zip(edges, edges[1:]):
@@ -97,12 +97,12 @@ def _log_rate_sums(alpha, s: ReciprocalSample, d: float, order: int) -> list:
 
     Sums ``exp(alpha * (log x - max log x))``, whose largest term is 1, and
     adds the shift back in logs, so nothing under- or overflows at any finite
-    alpha.  ``d + S_0`` is the rate of g1.  Order 0 on more than 5,461
-    alphas sums in blocks (:func:`_blocked_exp_sums`); otherwise, and for a
-    higher order, whose products need them, the exponentials are one array.
+    alpha.  ``d + S_0`` is the rate of g1.  Order 0 sums through
+    :func:`_blocked_exp_sums`, in one block up to 5,461 alphas; a higher
+    order, whose products need them, keeps the exponentials as one array.
     """
     top = s.log_x_max
-    if order or 3 * alpha.size <= 4 * _ALPHA_BLOCK:
+    if order:
         e = np.multiply.outer(s.log_x_shifted, alpha)
         np.exp(e, out=e)
         total = np.add.reduce(e, axis=0)
@@ -138,18 +138,15 @@ def _g2_slope_curve(alpha: float, s: ReciprocalSample, priors: GammaPriors) -> t
     and the rest runs on floats in the order of the elementwise array
     arithmetic.  No division can be by zero (the sum is at least 1 and
     alpha > 0), and ``r1 ** 2`` is a power, as on a numpy scalar, not a
-    product, which rounds differently.
+    product, which rounds differently.  Where ``-alpha * max log x``
+    passes 709, ``d * exp(-alpha * max log x)`` overflows to inf and both
+    ratios read 0; the caller ignores numpy's overflow warning there.
     """
     e = s.log_x_shifted * alpha
     np.exp(e, out=e)
     denom = float(np.add.reduce(e))
     if priors.d != 0:
-        tilt = -alpha * s.log_x_max
-        if tilt < 709.0:
-            denom += priors.d * float(np.exp(tilt))
-        else:
-            with np.errstate(over="ignore"):
-                denom += priors.d * float(np.exp(tilt))
+        denom += priors.d * float(np.exp(-alpha * s.log_x_max))
     powers = s.log_x_powers
     r1 = float(powers[1] @ e) / denom
     r2 = float(powers[2] @ e) / denom
@@ -301,8 +298,8 @@ def _find_mode(dlnf, guess: float) -> float:
             hi = eta
         else:
             return alpha
-        # a zero curvature gives a signed inf, as on numpy scalars
-        step = _in_floats(operator.truediv, -slope, alpha * curve)
+        # a zero curvature gives a signed inf
+        step = float(-slope / np.float64(alpha * curve))
         if not step * slope > 0:        # curvature lost to rounding
             step = slope
         step = min(max(step, -_MODE_STEP), _MODE_STEP)
@@ -337,7 +334,8 @@ def sample_g2(
 ) -> tuple[np.ndarray, dict]:
     """Exact draws from the normalized g2 via adaptive rejection sampling.
 
-    Finds the mode of log g2 by Newton's method and builds a tangent hull at
+    Finds the mode of log g2 by Newton's method, ignoring numpy's overflow
+    and divide warnings there, and builds a tangent hull at
     ``mode * exp(k * sigma)``, k = -2..2, where ``sigma`` is the spread in
     log alpha that the curvature at the mode implies.  Then draws in rounds:
     each round proposes ``need + need // 16 + 4`` points from the current
@@ -358,9 +356,11 @@ def sample_g2(
     def dlnf(a):
         return _g2_slope_curve(a, s, priors)
 
-    # the regression start of the MLE is near the mode of g2
-    mode = _find_mode(dlnf, s.regression_start[0])
-    curve = mode * mode * dlnf(mode)[1]
+    # the regression start of the MLE is near the mode of g2; far out, d *
+    # exp(-alpha * max log x) overflows and a zero curvature divides by zero
+    with np.errstate(over="ignore", divide="ignore"):
+        mode = _find_mode(dlnf, s.regression_start[0])
+        curve = mode * mode * dlnf(mode)[1]
     sigma = min(1.0, 1.0 / math.sqrt(-curve)) if curve < 0 else 1.0
     xs = (mode * np.exp(sigma * np.arange(-2.0, 3.0))).tolist()
     _, hs, ds = _g2_terms(np.array(xs), s, priors, 1)
@@ -491,15 +491,13 @@ def posterior_draws(
     rng = _rng(seed, child=True)
     alphas, info = sample_g2(count, s, priors, rng)
     lams = _draw_lams(info["log_rate"], s.r + priors.c, rng)
-    if s.n == s.r:
-        weights = np.full(count, 1.0 / count)
-    else:
-        lw = (s.n - s.r) * _censor_q(alphas, lams, s.log_u)[1]
-        w = np.exp(lw - np.maximum.reduce(lw))
-        total = np.add.reduce(w)
-        if not total > 0:
-            raise DegenerateWeightsError("all importance weights underflowed to zero")
-        weights = w / total
+    # a complete sample (n = r) has log weights 0 * finite, so weights 1/count
+    lw = (s.n - s.r) * _censor_q(alphas, lams, s.log_u)[1]
+    w = np.exp(lw - np.maximum.reduce(lw))
+    total = np.add.reduce(w)
+    if not total > 0:
+        raise DegenerateWeightsError("all importance weights underflowed to zero")
+    weights = w / total
     return PosteriorDraws(alphas, lams, weights, acceptance_ratio=info["acceptance_ratio"])
 
 

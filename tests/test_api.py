@@ -20,7 +20,7 @@ PUBLIC = {
     "ConfidenceInterval", "CovarianceMatrix", "FisherMatrix", "MleFit",
     "asymptotic_ci", "fit_mle", "log_likelihood", "observed_fisher", "score",
     "BayesEstimate", "IsResult", "PosteriorDraws", "bayes_is", "g2_log_density",
-    "hpd_interval", "posterior_draws", "sample_g1", "sample_g2",
+    "hpd_interval", "posterior_draws", "sample_g2",
     "weighted_quantile",
     "__version__",
 }

@@ -32,7 +32,6 @@ from iwhc import (
     rate_from_scale,
     reciprocals,
     sample,
-    sample_g1,
     sample_g2,
     scale_from_rate,
     score,
@@ -40,6 +39,7 @@ from iwhc import (
     weighted_quantile,
 )
 from iwhc.datasets import load_bundled
+from iwhc.posterior import sample_g1
 
 PARAM_GRID = [
     (1.0, 1.0), (2.0, 1.0), (0.5, 2.0), (4.3143, 2.7905), (1.4142, 0.0169),

@@ -24,11 +24,11 @@ from iwhc import (
     posterior_draws,
     reciprocals,
     sample,
-    sample_g1,
     sample_g2,
     weighted_quantile,
 )
 from iwhc import errors, posterior
+from iwhc.posterior import sample_g1
 import _oracles
 from _oracles import (
     bayes_is_ref,
@@ -339,9 +339,9 @@ def test_sampler_tail_doubling_equals_the_numpy_copy(request, monkeypatch, case)
         monkeypatch.undo()
 
 
-# counts about the edges of the blocks of the order-0 sums: the one call of
+# counts about the edges of the blocks of the order-0 sums: the one block of
 # up to 5,461 alphas, then two blocks, three and more
-_BLOCK_EDGE_COUNTS = (4095, 4096, 4097, 4098, 5461, 5462, 8192, 8193, 3 * 4096 + 1,
+_BLOCK_EDGE_COUNTS = (1, 2, 1066, 4095, 4096, 4097, 4098, 5461, 5462, 8192, 8193, 3 * 4096 + 1,
                       int(np.random.default_rng(33).integers(3 * 4096, 6 * 4096)))
 
 
@@ -364,9 +364,10 @@ def test_blocked_sums_equal_the_unblocked_copies(r):
             want = posterior._draw_lams(ref[0], s.r + priors.c, np.random.default_rng(count))
             assert sample_g1(a, s, priors, count).tobytes() == want.tobytes()
         # an array of any shape is blocked as its flat order
-        a = np.exp(rng.normal(size=(3, 4097)))
-        assert g2_log_density(a, s, priors).tobytes() \
-            == g2_terms_ref(a, s, priors, 0)[1].tobytes()
+        for shape in ((3, 4097), (1, 1)):
+            a = np.exp(rng.normal(size=shape))
+            assert g2_log_density(a, s, priors).tobytes() \
+                == g2_terms_ref(a, s, priors, 0)[1].tobytes()
 
 
 @pytest.mark.parametrize("case", ["flood_s1", "guinea_s1", "guinea_complete"])
@@ -374,6 +375,19 @@ def test_sampler_and_summaries_equal_the_numpy_copies_in_blocks(request, case):
     """20,000 draws: a first round of 21,254 proposals in six blocks."""
     s = request.getfixturevalue(case)
     _assert_sampler_and_summaries_equal_the_copies(s, _PRIORS3[1], 50, 20_000)
+
+
+def test_sampler_where_the_prior_rate_term_overflows_equals_the_numpy_copy():
+    """Failure times near 1e28, scaled so that the mode search starts at
+    -alpha * max log x = 725: there d * exp(-alpha * max log x) in the slope
+    of log g2 overflows to inf, which the sampler must hold, not warn."""
+    base = sample(20, IwParams.from_rate(15.0, 1.0), 21)
+    alpha0 = _complete(base).regression_start[0]
+    s = _complete(base * np.exp(725.0 / alpha0 - np.log(base.min())))
+    assert 709.8 < s.regression_start[0] * -s.log_x_max < 745.0
+    for i, priors in enumerate((GammaPriors(2, 1, 1, 1), GammaPriors(0, 0, 0, 1),
+                                GammaPriors(1, 0.5, 3, 0.2))):
+        _assert_sampler_and_summaries_equal_the_copies(s, priors, 50 + i, 1000)
 
 
 def test_sample_g2_memory_is_linear_in_the_draw_count(guinea_s1):
@@ -494,7 +508,7 @@ def test_sample_g1_deterministic(flood_s1):
 def test_complete_sample_weights_uniform():
     s = _complete(sample(25, IwParams(2.0, 1.0), 10))
     draws = posterior_draws(s, FLAT, 400, seed=11)
-    assert draws.weights.max() - draws.weights.min() == 0.0
+    assert draws.weights.tobytes() == np.full(400, 1.0 / 400).tobytes()
     assert draws.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 

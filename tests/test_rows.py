@@ -26,9 +26,13 @@ from iwhc import (
     asymptotic_ci,
     fit_mle,
     lindley_estimates,
+    log_likelihood,
+    observed_fisher,
     reciprocals,
     run_study,
     sample,
+    score,
+    third_derivatives,
 )
 from iwhc import harness, mle
 from iwhc.censoring import ReciprocalRows, _censor_rows
@@ -209,6 +213,23 @@ def test_row_kernel_equals_the_sample_kernel_at_extreme_points(samples, data):
         for i, s in enumerate(samples):
             want = _derivatives(points[i, 0], points[i, 1], s, order)
             assert _bits(*got[:, i]) == _bits(want[0], *(t for terms in want[1:] for t in terms))
+
+
+def test_public_derivatives_where_expm1_overflows_equal_the_row_kernel():
+    """Where q = lam * u**-alpha passes 709.78, expm1(q) overflows and p =
+    q/expm1(q) is 0: the public functions hold the overflow warning and give
+    the bits of the row kernel."""
+    s = reciprocals(apply_scheme(np.linspace(0.2, 2.0, 20), HybridScheme(n=20, R=15, T=1.1)))
+    assert s.r < s.n
+    rows = _stack([s])
+    for alpha, lam in ((2.0, 720.0 * s.u ** 2.0), (3.0, 1e3), (0.5, 1e4), (1.5, 1e300)):
+        assert lam * s.u ** -alpha > 709.79
+        got = (log_likelihood(alpha, lam, s), *score(alpha, lam, s),
+               *dataclasses.astuple(observed_fisher(alpha, lam, s)),
+               *third_derivatives(alpha, lam, s))
+        with np.errstate(all="ignore"):     # as the study runs the row kernel
+            want = _derivative_rows(np.array([alpha]), np.array([lam]), rows, np.arange(1), 3)
+        assert _bits(*got) == _bits(*want[:, 0])
 
 
 def test_censored_rows_equal_each_censored_sample():
