@@ -78,14 +78,30 @@ class ReciprocalSample:
     inverse Weibull data become Weibull data under ``t -> 1/t``.
 
     The logs that the likelihood code reads, and the regression start of the
-    MLE and of the g2 mode search, are computed once per sample and cached, so
-    ``x`` must not be changed after construction.
+    MLE and of the g2 tangent table, are computed once per sample and cached,
+    so ``x`` must not be changed after construction.  ``r`` and ``n`` must be
+    integers with 0 <= r <= n, ``x`` one-dimensional with r entries in (0,
+    inf) and ``u`` in (0, inf); else DomainError.
     """
 
     x: np.ndarray
     u: float
     r: int
     n: int
+
+    def __post_init__(self):
+        # numpy integers are stored as the ints they hold, u as a float
+        object.__setattr__(self, "r", _integer("r", self.r))
+        object.__setattr__(self, "n", _integer("n", self.n))
+        if not 0 <= self.r <= self.n:
+            raise DomainError(f"r must satisfy 0 <= r <= n, got r={self.r}, n={self.n}")
+        object.__setattr__(self, "x", _positive("x", self.x))
+        if self.x.shape != (self.r,):
+            raise DomainError(f"x must hold the r={self.r} reciprocals in one dimension, "
+                              f"got shape {self.x.shape}")
+        object.__setattr__(self, "u", _real("u", self.u))
+        if not 0.0 < self.u < np.inf:
+            raise DomainError(f"u must be positive and finite, got {self.u}")
 
     @cached_property
     def log_x(self) -> np.ndarray:

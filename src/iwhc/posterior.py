@@ -7,18 +7,15 @@ Under independent gamma priors the joint posterior of (alpha, lam) factors as
 where g1 is Gamma(r + c, rate d + sum(x_i**alpha)), g2 is a proper log-concave
 density on alpha, and h = (1 - exp(-lam * u**-alpha))**(n-r) carries the
 censoring information.  Posterior summaries are computed by importance
-sampling: draw alpha from g2 (adaptive rejection sampling exploits the
-log-concavity), lam from g1 given alpha, and weight each pair by h.  Weighted
-step-function quantiles give credible bounds, and the highest-density interval
-is the shortest of the candidate quantile windows.  g2, its derivatives and
-the g1 rate read ``log(d + sum x**alpha)`` and the ratios ``sum x**alpha *
-(log x)**k / (d + sum x**alpha)`` from log-sum-exp sums over the sample's
-cached ``log x - max log x``, and each lam is drawn with the g1 rate of the
-round that accepted its alpha; h takes ``q`` from the likelihood kernel's
-censoring helper.  The mode search, at one alpha per Newton step, and the
-hull over a few tangents do their scalar arithmetic in Python floats over
-numpy's sums and logarithms, in the operations and order of the array
-arithmetic.
+sampling: draw alpha from g2 (rejection from one envelope of tangents, which
+the log-concavity makes an upper bound), lam from g1 given alpha, and weight
+each pair by h.  Weighted step-function quantiles give credible bounds, and
+the highest-density interval is the shortest of the candidate quantile
+windows.  g2, its slope and the g1 rate read ``log(d + sum x**alpha)`` and
+the ratio ``sum x**alpha * log x / (d + sum x**alpha)`` from log-sum-exp
+sums over the sample's cached ``log x - max log x``, and each lam is drawn
+with the g1 rate of the round that accepted its alpha; h takes ``q`` from
+the likelihood kernel's censoring helper.
 
 A round's ``sum x**alpha`` over more than 5,461 proposals runs in blocks of
 at most 4,096 alphas, so M draws need r x 4,096 values plus O(M), not r x M.
@@ -92,14 +89,14 @@ def _blocked_exp_sums(lxs: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 
 
 def _log_rate_sums(alpha, s: ReciprocalSample, d: float, order: int) -> list:
-    """``log(d + S_0)`` and, for k = 1..order, ``S_k / (d + S_0)`` at every
+    """``log(d + S_0)`` and, for ``order`` 1, ``S_1 / (d + S_0)`` at every
     element of ``alpha`` (> 0), where ``S_k = sum x**alpha * (log x)**k``.
 
     Sums ``exp(alpha * (log x - max log x))``, whose largest term is 1, and
     adds the shift back in logs, so nothing under- or overflows at any finite
     alpha.  ``d + S_0`` is the rate of g1.  Order 0 sums through
-    :func:`_blocked_exp_sums`, in one block up to 5,461 alphas; a higher
-    order, whose products need them, keeps the exponentials as one array.
+    :func:`_blocked_exp_sums`, in one block up to 5,461 alphas; order 1,
+    whose product needs them, keeps the exponentials as one array.
     """
     top = s.log_x_max
     if order:
@@ -113,7 +110,7 @@ def _log_rate_sums(alpha, s: ReciprocalSample, d: float, order: int) -> list:
     if order:
         with np.errstate(over="ignore"):
             denom = total if d == 0 else total + d * np.exp(-alpha * top)
-        out += [(s.log_x_powers[k] @ e) / denom for k in range(1, order + 1)]
+        out.append((s.log_x_powers[1] @ e) / denom)
     return out
 
 
@@ -128,31 +125,6 @@ def _g2_terms(alpha, s: ReciprocalSample, priors: GammaPriors, order: int) -> li
     if order:
         out.append(-shape * ratio[0] + k / alpha - priors.b + slx)
     return out
-
-
-def _g2_slope_curve(alpha: float, s: ReciprocalSample, priors: GammaPriors) -> tuple:
-    """``(log g2)'`` and ``(log g2)'' = -(r+c) (S_2/(d + S_0) - (S_1/(d +
-    S_0))**2) - (a+r-1)/alpha**2`` at one alpha (> 0), as Python floats.
-
-    numpy takes the exponentials over x, their sum and the two dot products,
-    and the rest runs on floats in the order of the elementwise array
-    arithmetic.  No division can be by zero (the sum is at least 1 and
-    alpha > 0), and ``r1 ** 2`` is a power, as on a numpy scalar, not a
-    product, which rounds differently.  Where ``-alpha * max log x``
-    passes 709, ``d * exp(-alpha * max log x)`` overflows to inf and both
-    ratios read 0; the caller ignores numpy's overflow warning there.
-    """
-    e = s.log_x_shifted * alpha
-    np.exp(e, out=e)
-    denom = float(np.add.reduce(e))
-    if priors.d != 0:
-        denom += priors.d * float(np.exp(-alpha * s.log_x_max))
-    powers = s.log_x_powers
-    r1 = float(powers[1] @ e) / denom
-    r2 = float(powers[2] @ e) / denom
-    shape, k = s.r + priors.c, priors.a + s.r - 1.0
-    return (-shape * r1 + k / alpha - priors.b + s.sum_log_x,
-            -shape * (r2 - r1 ** 2) - k / alpha ** 2)
 
 
 def g2_log_density(alpha, s: ReciprocalSample, priors: GammaPriors):
@@ -199,121 +171,116 @@ def sample_g1(alpha, s: ReciprocalSample, priors: GammaPriors, seed):
 
 
 # ---------------------------------------------------------------------------
-# adaptive rejection sampling from the log-concave g2
+# rejection sampling from the log-concave g2 under one table of tangents
 # ---------------------------------------------------------------------------
 
 
-_REFINE_PER_ROUND = 8      # rejected points added to the hull after a round
-_MAX_HULL_POINTS = 60
-_MODE_STEP = 2.0           # longest Newton step of the mode search, in log alpha
-_LOG_ALPHA_LIMIT = 80.0    # the mode search stays in exp(-80) < alpha < exp(80)
+_TANGENTS = 64     # points of the tangent table, evenly spaced in log alpha
+_DROP = 40.0       # the table spans where log g2 is within this of its top
 _IMPROPER = "the alpha posterior is improper for these data and priors"
 _SLOPE_ROUNDING = 8.0 * math.ulp(1.0)   # relative rounding of (log g2)'
 
 
-class _Hull:
-    """Piecewise-linear upper hull of a concave function on (0, inf).
+def _tangent_table(s: ReciprocalSample, priors: GammaPriors) -> tuple:
+    """``(alpha, log g2, (log g2)')`` at ``_TANGENTS`` points evenly spaced in
+    log alpha over where log g2 is within ``_DROP`` of its top.
 
-    Tangents at the support points bound the function from above; the
-    exponential of the hull is a piecewise-exponential envelope that can be
-    sampled by inverse cdf segment by segment.
+    The table starts at log alpha0 - 3 to log alpha0 + 3 about the
+    regression start.  An end where log g2 is within ``_DROP`` of the
+    table's highest value, or an upper end where it still rises, moves out
+    by the table's width, within -80 <= log alpha <= 80; the lower end stops
+    at -80 where g2 does not vanish at 0.  Once both ends lie below, a table
+    with fewer than three quarters of its points within shrinks once, to
+    those points and one more on each side.  An improper g2 is an
+    :class:`InsufficientDataError`: a slope that turns negative where
+    (a+r-1)/alpha is below the rounding of its other terms, a false turn of
+    a rising log g2, or an upper end at e^80 that still rises or has not
+    fallen ``_DROP``.
     """
-
-    def __init__(self, xs, hs, ds):
-        self.x = np.asarray(xs, dtype=float)
-        self.h = np.asarray(hs, dtype=float)
-        self.d = np.asarray(ds, dtype=float)
-        self._refresh()
-
-    def _refresh(self):
-        # Python floats over the few tangents; numpy takes expm1 and log
-        x, h, d = self.x.tolist(), self.h.tolist(), self.d.tolist()
-        n = len(x)
-        z = [0.0]
-        for i in range(n - 1):
-            gap = d[i] - d[i + 1]
-            # numerically parallel tangents meet halfway between their points
-            z.append(0.5 * (x[i] + x[i + 1]) if gap <= 1e-14
-                     else (h[i + 1] - h[i] + x[i] * d[i] - x[i + 1] * d[i + 1]) / gap)
-        z.append(math.inf)
-        # segment j carries exp(a_j + d_j t) on [z_j, z_j+1]; its mass is
-        # factored out at the end where the envelope is highest, so that
-        # nothing overflows
-        span = [hi - lo for lo, hi in zip(z, z[1:])]
-        width = [max(v, 0.0) for v in span]
-        top = [hi if dj > 0 else lo for dj, lo, hi in zip(d, z, z[1:])]
-        flat = [abs(dj) < 1e-12 and math.isfinite(hi) for dj, hi in zip(d, z[1:])]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # expm1(-|d| width) for the masses, and over the unclamped span
-            # for the proposals
-            em = np.expm1([-abs(dj) * wj for dj, wj in zip(d + d, width + span)]).tolist()
-            logs = np.log([wj if fj else -ej for wj, fj, ej in zip(width, flat, em)]
-                          + [abs(dj) for dj in d]).tolist()
-        logmass = np.array([
-            h[j] - x[j] * d[j] + d[j] * z[j] + logs[j] if flat[j] else
-            h[j] - x[j] * d[j] + d[j] * top[j] + logs[j] - logs[n + j]
-            for j in range(n)])
-        w = np.exp(logmass - logmass.max())
-        self.z, self.flat, self.any_flat = np.array(z), np.array(flat), any(flat)
-        self.cum = w.cumsum()
-        # what a proposal in segment j reads, the same for every proposal
-        self.top, self.span, self.fall = np.array([top, span, em[n:]])
-
-    def propose(self, size: int, rng: np.random.Generator):
-        """``size`` independent envelope draws and the segment of each."""
-        j = np.minimum(self.cum.searchsorted(rng.random(size) * self.cum[-1], side="right"),
-                       self.x.size - 1)
-        xi = rng.random(size)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = self.top[j] + np.log1p(xi * self.fall[j]) / self.d[j]
-            if self.any_flat:
-                t = np.where(self.flat[j], self.z[j] + xi * self.span[j], t)
-        return t, j
-
-    def insert(self, ts, hs, ds) -> None:
-        x = np.concatenate((self.x, ts))
-        order = np.argsort(x, kind="stable")
-        self.x = x[order]
-        self.h = np.concatenate((self.h, hs))[order]
-        self.d = np.concatenate((self.d, ds))[order]
-        self._refresh()
+    k = priors.a + s.r - 1.0
+    rounding = _SLOPE_ROUNDING * (abs((s.r + priors.c) * s.log_x_max) + abs(s.sum_log_x)
+                                  + priors.b)
+    lo = math.log(s.regression_start[0]) - 3.0
+    hi = lo + 6.0
+    while True:
+        eta = np.linspace(lo, hi, _TANGENTS)
+        alpha = np.exp(eta)
+        _, h, d = _g2_terms(alpha, s, priors, 1)
+        turn = np.flatnonzero(d <= 0.0)
+        if turn.size and k > 0 and k / alpha[turn[0]] <= rounding:
+            raise InsufficientDataError(f"{_IMPROPER}: the slope of log g2 vanishes only to "
+                                        f"rounding at alpha={alpha[turn[0]]:.3g}")
+        inside = np.flatnonzero(h >= h.max() - _DROP)
+        i, j = inside[0], inside[-1]
+        low = i == 0 and lo > -80.0
+        high = j == _TANGENTS - 1 or not d[-1] < 0.0
+        if not (low or high):
+            break
+        if high and hi >= 80.0:
+            raise InsufficientDataError(
+                f"{_IMPROPER}: the upper tail of g2 never turns over" if d[-1] < 0.0 else
+                f"{_IMPROPER}: log g2 is still rising at alpha={alpha[-1]:.3g}")
+        width = hi - lo
+        if low:
+            lo = max(lo - width, -80.0)
+        if high:
+            hi = min(hi + width, 80.0)
+    if 4 * (j - i) < 3 * _TANGENTS:
+        alpha = np.exp(np.linspace(eta[max(i - 1, 0)], eta[j + 1], _TANGENTS))
+        _, h, d = _g2_terms(alpha, s, priors, 1)
+    return alpha, h, d
 
 
-def _find_mode(dlnf, guess: float) -> float:
-    """Stationary point of a concave lnf on (0, inf); ``dlnf(alpha)`` returns
-    the first and second derivatives of lnf as floats.
+def _envelope(x: np.ndarray, h: np.ndarray, d: np.ndarray) -> dict:
+    """The inverse-cdf columns of the piecewise-exponential envelope under
+    the tangents ``h + d * (t - x)`` of a concave log density at increasing
+    points ``x``.
 
-    Newton's method for the root of the first derivative in eta = log(alpha),
-    from ``guess``.  Each step is clamped to ``_MODE_STEP``, and a step that
-    leaves the bracket of the sign changes seen so far bisects it instead.
+    Segment j runs from ``z[j]`` to ``z[j + 1]``, where its tangent meets
+    its neighbours' (0 and inf at the ends, and halfway between the points
+    where two slopes differ by at most 1e-14).  Its envelope is highest at
+    ``start``, where its log is ``peak``, and a proposal at the uniform xi
+    lies below it by ``log1p(xi * fall)``, ``fall = expm1(-|d| * width)``.
+    A segment over which the tangent changes by less than 1e-12 is flat: it
+    proposes uniformly under the constant ``exp(peak)``, and its ``fall`` is
+    0.  ``cum`` holds the cumulative masses over their largest term; where
+    they are not finite and positive, an :class:`InsufficientDataError`.
     """
-    eta = min(max(float(np.log(guess)), -_LOG_ALPHA_LIMIT), _LOG_ALPHA_LIMIT)
-    lo, hi = -math.inf, math.inf
-    for _ in range(200):
-        alpha = float(np.exp(eta))
-        slope, curve = dlnf(alpha)
-        if slope > 0:
-            lo = eta
-        elif slope < 0:
-            hi = eta
-        else:
-            return alpha
-        # a zero curvature gives a signed inf
-        step = float(-slope / np.float64(alpha * curve))
-        if not step * slope > 0:        # curvature lost to rounding
-            step = slope
-        step = min(max(step, -_MODE_STEP), _MODE_STEP)
-        if abs(step) < 1e-10 or hi - lo < 1e-10:
-            return float(np.exp(eta + step))
-        new = eta + step
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi)
-        if new > _LOG_ALPHA_LIMIT:
-            raise InsufficientDataError(f"{_IMPROPER}: log g2 is still rising at alpha={alpha:.3g}")
-        if new < -_LOG_ALPHA_LIMIT:
-            return alpha      # decreasing everywhere that matters: mode at the left edge
-        eta = new
-    return float(np.exp(eta))
+    gap = d[:-1] - d[1:]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cross = (h[1:] - h[:-1] + x[:-1] * d[:-1] - x[1:] * d[1:]) / gap
+        z = np.concatenate(([0.0], np.where(gap <= 1e-14, 0.5 * (x[:-1] + x[1:]), cross),
+                            [math.inf]))
+        width = np.maximum(z[1:] - z[:-1], 0.0)
+        start = np.where(d > 0.0, z[1:], z[:-1])
+        peak = h + d * (start - x)
+        flat = np.abs(d) * width < 1e-12
+        fall = np.expm1(-np.abs(d) * width)
+        logmass = peak + np.log(np.where(flat, width, -fall / np.abs(d)))
+        cum = np.exp(logmass - logmass.max()).cumsum()
+    if not 0.0 < cum[-1] < math.inf:
+        raise InsufficientDataError(f"{_IMPROPER}: the envelope of g2 has no finite mass")
+    fall[flat] = 0.0
+    return {"cum": cum, "z": z, "width": width, "start": start, "peak": peak, "fall": fall,
+            "d": d, "flat": flat if flat.any() else None}
+
+
+def _propose(env: dict, size: int, rng: np.random.Generator) -> tuple:
+    """``size`` independent draws from the envelope ``env`` of
+    :func:`_envelope`, and the log of the envelope at each."""
+    j = env["cum"].searchsorted(rng.random(size) * env["cum"][-1], side="right")
+    np.minimum(j, env["cum"].size - 1, out=j)
+    xi = rng.random(size)
+    drop = np.multiply(xi, env["fall"][j])
+    np.log1p(drop, out=drop)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = drop / env["d"][j]
+    t += env["start"][j]
+    if env["flat"] is not None:
+        flat = env["flat"][j]
+        t[flat] = env["z"][j[flat]] + xi[flat] * env["width"][j[flat]]
+    drop += env["peak"][j]
+    return t, drop
 
 
 def _draw_buffers(count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -332,86 +299,46 @@ def sample_g2(
     priors: GammaPriors,
     seed,
 ) -> tuple[np.ndarray, dict]:
-    """Exact draws from the normalized g2 via adaptive rejection sampling.
+    """Exact draws from the normalized g2 by rejection from one fixed envelope.
 
-    Finds the mode of log g2 by Newton's method, ignoring numpy's overflow
-    and divide warnings there, and builds a tangent hull at
-    ``mode * exp(k * sigma)``, k = -2..2, where ``sigma`` is the spread in
-    log alpha that the curvature at the mode implies.  Then draws in rounds:
-    each round proposes ``need + need // 16 + 4`` points from the current
-    envelope, evaluates log g2 on them at once and accepts with one
-    comparison, then adds up to eight of the rejected points to the hull.
-    Every proposal is judged against the envelope it was drawn from, so each
-    accepted draw is exact.  Deterministic for a given seed.  Returns the
-    draws and a dict carrying the acceptance ratio (accepted over evaluated
+    Builds the table of ``_TANGENTS`` tangents of log g2 over where it is
+    within ``_DROP`` of its top (:func:`_tangent_table`) and the
+    piecewise-exponential envelope under them (:func:`_envelope`), once.
+    Then draws in rounds from that envelope: each round proposes ``need +
+    need // 16 + 4`` points, evaluates log g2 on them at once and accepts
+    with one comparison.  Deterministic for a given seed.  Returns the draws
+    and a dict carrying the acceptance ratio (accepted over evaluated
     proposals, including accepted surplus the last round discards), the
-    number of hull points and of rounds, the mode, and ``log_rate``: log(d +
-    sum x**alpha), the log g1 rate, at each draw.
+    number of rounds, and ``log_rate``: log(d + sum x**alpha), the log g1
+    rate, at each draw.
     """
     count = _integer("count", count, 1)
     if s.r < 1:
         raise InsufficientDataError("g2 requires at least one observed failure")
     rng = _rng(seed)
-
-    def dlnf(a):
-        return _g2_slope_curve(a, s, priors)
-
-    # the regression start of the MLE is near the mode of g2; far out, d *
-    # exp(-alpha * max log x) overflows and a zero curvature divides by zero
-    with np.errstate(over="ignore", divide="ignore"):
-        mode = _find_mode(dlnf, s.regression_start[0])
-        curve = mode * mode * dlnf(mode)[1]
-    sigma = min(1.0, 1.0 / math.sqrt(-curve)) if curve < 0 else 1.0
-    xs = (mode * np.exp(sigma * np.arange(-2.0, 3.0))).tolist()
-    _, hs, ds = _g2_terms(np.array(xs), s, priors, 1)
-    offset = float(hs[2])
-    hs, ds = (hs - offset).tolist(), ds.tolist()
-    while ds[-1] >= 0.0:
-        xs.append(xs[-1] * 2.0)
-        _, h, d = _g2_terms(np.array(xs[-1:]), s, priors, 1)
-        hs += (h - offset).tolist()
-        ds += d.tolist()
-        if xs[-1] > 1e12:
-            raise InsufficientDataError(f"{_IMPROPER}: the upper tail of g2 never turns over")
-    # a rising (a+r-1)/alpha lost to the rounding of the slope's other terms
-    # fakes a mode of an improper g2, and a tail that seems to turn over
-    k = priors.a + s.r - 1.0
-    if k > 0 and k / mode <= _SLOPE_ROUNDING * (
-            abs((s.r + priors.c) * s.log_x_max) + abs(s.sum_log_x) + priors.b):
-        raise InsufficientDataError(f"{_IMPROPER}: the slope of log g2 vanishes only to "
-                                    f"rounding at alpha={mode:.3g}")
-    hull = _Hull(xs, hs, ds)
+    env = _envelope(*_tangent_table(s, priors))
     draws, log_rate = _draw_buffers(count)
     filled = proposals = accepted = rounds = 0
     while filled < count:
-        # an envelope without finite mass (NaN hull masses far out, as on a
-        # faked mode) could never accept a draw
-        if not 0.0 < hull.cum[-1] < math.inf:
-            raise InsufficientDataError(f"{_IMPROPER}: the envelope of g2 has no finite mass")
         need = count - filled
-        t, j = hull.propose(need + need // 16 + 4, rng)
-        u = rng.random(t.size)
-        ok = (t > 0.0) & np.isfinite(t)
+        t, log_env = _propose(env, need + need // 16 + 4, rng)
+        ok = (t > 0.0) & (t < math.inf)
         if np.count_nonzero(ok) < t.size:
-            t, j, u = t[ok], j[ok], u[ok]
+            t, log_env = t[ok], log_env[ok]
         lr, hval = _g2_terms(t, s, priors, 0)
-        hval -= offset
-        hit = np.log(u) <= hval - hull.h[j] - hull.d[j] * (t - hull.x[j])
+        # accept where log(uniform) + log envelope <= log g2
+        level = rng.random(t.size)
+        np.log(level, out=level)
+        level += log_env
+        hit = level <= hval
         got = np.flatnonzero(hit)[:need]
         draws[filled:filled + got.size] = t[got]
         log_rate[filled:filled + got.size] = lr[got]
         filled += got.size
-        hits = np.count_nonzero(hit)
         proposals += t.size
-        accepted += hits
+        accepted += np.count_nonzero(hit)
         rounds += 1
-        room = min(_REFINE_PER_ROUND, _MAX_HULL_POINTS - hull.x.size)
-        if filled < count and room > 0 and hits < t.size:
-            miss = ~hit
-            ts = t[miss][:room]
-            hull.insert(ts, hval[miss][:room], _g2_terms(ts, s, priors, 1)[2])
-    return draws, {"acceptance_ratio": accepted / proposals,
-                   "hull_points": int(hull.x.size), "rounds": rounds, "mode": mode,
+    return draws, {"acceptance_ratio": accepted / proposals, "rounds": rounds,
                    "log_rate": log_rate}
 
 

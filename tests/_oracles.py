@@ -11,6 +11,8 @@ loop does.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import integrate, optimize, special, stats
 
@@ -487,9 +489,9 @@ def g1_rate_ref(s, priors, alphas):
 # the g2 sampler's setup and the importance-sampling summaries on numpy
 # ---------------------------------------------------------------------------
 #
-# Copies of the mode search, the tangent hull and the summaries as they ran on
-# numpy scalars and small arrays, before the library moved their scalar work
-# to Python floats; the library must match them in every bit and every error.
+# A plain copy of the sampler (one tangent table, one envelope, rounds drawn
+# from it) and of the summaries as they ran on numpy scalars and small
+# arrays; the library must match them in every bit and every error.
 
 
 def _log_rate_sums_ref(alpha, lx, d, order):
@@ -507,147 +509,124 @@ def _log_rate_sums_ref(alpha, lx, d, order):
 
 
 def g2_terms_ref(alpha, s, priors, order):
-    """``[log(d + S_0), log g2, (log g2)', (log g2)'']`` up to ``order``."""
+    """``[log(d + S_0), log g2]``, and ``(log g2)'`` where ``order`` is 1."""
     log_rate, *ratio = _log_rate_sums_ref(alpha, np.log(s.x), priors.d, order)
     shape, k, slx = s.r + priors.c, priors.a + s.r - 1.0, float(np.log(s.x).sum())
     out = [log_rate, -shape * log_rate + k * np.log(alpha) - priors.b * alpha
            + (alpha + 1.0) * slx]
-    if order >= 1:
+    if order:
         out.append(-shape * ratio[0] + k / alpha - priors.b + slx)
-    if order >= 2:
-        out.append(-shape * (ratio[1] - ratio[0] ** 2) - k / alpha ** 2)
     return out
 
 
-def find_mode_ref(dlnf, guess):
-    eta = float(np.clip(np.log(guess), -80.0, 80.0))
-    lo, hi = -np.inf, np.inf
-    for _ in range(200):
-        alpha = float(np.exp(eta))
-        slope, curve = dlnf(alpha)
-        if slope > 0:
-            lo = eta
-        elif slope < 0:
-            hi = eta
-        else:
-            return alpha
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = -slope / (alpha * curve)
-        if not step * slope > 0:
-            step = slope
-        step = float(np.clip(step, -2.0, 2.0))
-        if abs(step) < 1e-10 or hi - lo < 1e-10:
-            return float(np.exp(eta + step))
-        new = eta + step
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi)
-        if new > 80.0:
+_IMPROPER_REF = "the alpha posterior is improper for these data and priors"
+
+
+def tangent_table_ref(s, priors):
+    """``(alpha, log g2, slope)`` at the 64 tangent points of the sampler:
+    evenly spaced in log alpha from log alpha0 -+ 3, each end that is within
+    40 of the top (or the upper end while it rises) moved out by the width,
+    within log alpha = +-80; then, where fewer than 48 points lie within 40,
+    once more over those points and one beyond each side."""
+    k = priors.a + s.r - 1.0
+    lx = np.log(s.x)
+    rounding = 8.0 * np.finfo(float).eps * (abs((s.r + priors.c) * float(lx.max()))
+                                            + abs(float(lx.sum())) + priors.b)
+    with np.errstate(over="ignore"):
+        lo = math.log(_initial_guess_ref(s)[0]) - 3.0
+    hi = lo + 6.0
+    while True:
+        eta = np.linspace(lo, hi, 64)
+        alpha = np.exp(eta)
+        _, h, d = g2_terms_ref(alpha, s, priors, 1)
+        falling = alpha[d <= 0.0]
+        if k > 0 and falling.size and k / falling[0] <= rounding:
+            raise InsufficientDataError(f"{_IMPROPER_REF}: the slope of log g2 vanishes only "
+                                        f"to rounding at alpha={falling[0]:.3g}")
+        within = np.nonzero(h >= h.max() - 40.0)[0]
+        i, j = within.min(), within.max()
+        grow_lo = i == 0 and lo > -80.0
+        grow_hi = j == 63 or d[-1] >= 0.0 or np.isnan(d[-1])
+        if not grow_lo and not grow_hi:
+            break
+        if grow_hi and hi >= 80.0:
+            if d[-1] < 0.0:
+                raise InsufficientDataError(
+                    f"{_IMPROPER_REF}: the upper tail of g2 never turns over")
             raise InsufficientDataError(
-                "the alpha posterior is improper for these data and priors: "
-                f"log g2 is still rising at alpha={alpha:.3g}")
-        if new < -80.0:
-            return alpha
-        eta = new
-    return float(np.exp(eta))
+                f"{_IMPROPER_REF}: log g2 is still rising at alpha={alpha[-1]:.3g}")
+        width = hi - lo
+        if grow_lo:
+            lo = max(lo - width, -80.0)
+        if grow_hi:
+            hi = min(hi + width, 80.0)
+    if j - i < 48:
+        alpha = np.exp(np.linspace(eta[max(i - 1, 0)], eta[j + 1], 64))
+        _, h, d = g2_terms_ref(alpha, s, priors, 1)
+    return alpha, h, d
 
 
-def hull_refresh_ref(x, h, d):
-    """``(z, flat, cum)`` of the tangent hull at points x with values h and
-    slopes d, all float arrays."""
-    gap = d[:-1] - d[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = (h[1:] - h[:-1] + x[:-1] * d[:-1] - x[1:] * d[1:]) / gap
-    cross = np.where(gap <= 1e-14, 0.5 * (x[:-1] + x[1:]), cross)
-    z = np.concatenate(([0.0], cross, [np.inf]))
-    a = h - x * d
-    width = np.maximum(z[1:] - z[:-1], 0.0)
-    top = np.where(d > 0, z[1:], z[:-1])
-    flat = (np.abs(d) < 1e-12) & np.isfinite(z[1:])
+def envelope_ref(x, h, d):
+    """``(cum, z, width, start, peak, fall, flat)`` of the envelope under the
+    tangents at x: segment j runs between the crossings z[j] and z[j + 1]
+    of its tangent with its neighbours' and has its highest log value peak
+    at start; a flat one (|d| * width < 1e-12) has fall 0."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logmass = np.where(
-            flat,
-            a + d * z[:-1] + np.log(width),
-            a + d * top + np.log(-np.expm1(-np.abs(d) * width)) - np.log(np.abs(d)))
-    w = np.exp(logmass - logmass.max())
-    return z, flat, np.cumsum(w)
+        gap = d[:-1] - d[1:]
+        cross = (h[1:] - h[:-1] + x[:-1] * d[:-1] - x[1:] * d[1:]) / gap
+        cross[gap <= 1e-14] = (0.5 * (x[:-1] + x[1:]))[gap <= 1e-14]
+        z = np.concatenate(([0.0], cross, [np.inf]))
+        width = np.clip(z[1:] - z[:-1], 0.0, None)
+        start = np.where(d > 0.0, z[1:], z[:-1])
+        peak = h + d * (start - x)
+        flat = np.abs(d) * width < 1e-12
+        fall = np.expm1(-np.abs(d) * width)
+        mass = np.where(flat, width, -fall / np.abs(d))
+        logmass = peak + np.log(mass)
+        cum = np.cumsum(np.exp(logmass - logmass.max()))
+    if not (cum[-1] > 0.0 and np.isfinite(cum[-1])):
+        raise InsufficientDataError(f"{_IMPROPER_REF}: the envelope of g2 has no finite mass")
+    return cum, z, width, start, peak, np.where(flat, 0.0, fall), flat
 
 
-def hull_ref(xs, hs, ds):
-    """The hull with the numpy refresh and proposal step."""
-    from iwhc.posterior import _Hull
-
-    class HullRef(_Hull):
-        def _refresh(self):
-            self.z, self.flat, self.cum = hull_refresh_ref(self.x, self.h, self.d)
-
-        def propose(self, size, rng):
-            j = np.minimum(np.searchsorted(self.cum, rng.random(size) * self.cum[-1],
-                                           side="right"), self.x.size - 1)
-            k = self.d[j]
-            lo, hi = self.z[j], self.z[j + 1]
-            xi = rng.random(size)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                width = hi - lo
-                steep = np.where(k > 0, hi, lo) + np.log1p(xi * np.expm1(-np.abs(k) * width)) / k
-                t = np.where(self.flat[j], lo + xi * width, steep)
-            return t, j
-
-    return HullRef(xs, hs, ds)
+def propose_ref(columns, d, size, rng):
+    """``size`` draws from the envelope of :func:`envelope_ref` with slopes
+    d, and the log of the envelope at each: a segment by the cumulative
+    masses, then its inverse cdf at a second uniform xi."""
+    cum, z, width, start, peak, fall, flat = columns
+    j = np.minimum(np.searchsorted(cum, rng.random(size) * cum[-1], side="right"), cum.size - 1)
+    xi = rng.random(size)
+    drop = np.log1p(xi * fall[j])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = start[j] + drop / d[j]
+    return np.where(flat[j], z[j] + xi * width[j], t), peak[j] + drop
 
 
 def sample_g2_ref(count, s, priors, rng):
     """``(draws, info)`` of the sampler over the copies above."""
     if s.r < 1:
         raise InsufficientDataError("g2 requires at least one observed failure")
-
-    def dlnf(a):
-        return g2_terms_ref(a, s, priors, 2)[2:]
-
-    with np.errstate(over="ignore"):
-        guess = _initial_guess_ref(s)[0]
-    mode = find_mode_ref(dlnf, guess)
-    curve = mode * mode * dlnf(mode)[1]
-    sigma = min(1.0, 1.0 / np.sqrt(-curve)) if curve < 0 else 1.0
-    xs = mode * np.exp(sigma * np.arange(-2.0, 3.0))
-    _, hs, ds = g2_terms_ref(xs, s, priors, 1)
-    offset = hs[2]
-    xs, hs, ds = list(xs), list(hs - offset), list(ds)
-    while ds[-1] >= 0.0:
-        xs.append(xs[-1] * 2.0)
-        _, h, d = g2_terms_ref(xs[-1], s, priors, 1)
-        hs.append(h - offset)
-        ds.append(d)
-        if xs[-1] > 1e12:
-            raise InsufficientDataError(
-                "the alpha posterior is improper for these data and priors: "
-                "the upper tail of g2 never turns over")
-    hull = hull_ref(xs, hs, ds)
+    x, h, d = tangent_table_ref(s, priors)
+    columns = envelope_ref(x, h, d)
     draws = np.empty(count)
     log_rate = np.empty(count)
     filled = proposals = accepted = rounds = 0
     while filled < count:
         need = count - filled
-        t, j = hull.propose(need + need // 16 + 4, rng)
-        u = rng.random(t.size)
+        t, log_env = propose_ref(columns, d, need + need // 16 + 4, rng)
         ok = (t > 0.0) & np.isfinite(t)
-        t, j, u = t[ok], j[ok], u[ok]
+        t, log_env = t[ok], log_env[ok]
         lr, hval = g2_terms_ref(t, s, priors, 0)
-        hval -= offset
-        hit = np.log(u) <= hval - hull.h[j] - hull.d[j] * (t - hull.x[j])
-        got = np.flatnonzero(hit)[:need]
+        hit = np.log(rng.random(t.size)) + log_env <= hval
+        got = np.nonzero(hit)[0][:need]
         draws[filled:filled + got.size] = t[got]
         log_rate[filled:filled + got.size] = lr[got]
         filled += got.size
         proposals += t.size
         accepted += int(hit.sum())
         rounds += 1
-        miss = ~hit
-        room = min(8, 60 - hull.x.size)
-        if filled < count and room > 0 and miss.any():
-            ts = t[miss][:room]
-            hull.insert(ts, hval[miss][:room], g2_terms_ref(ts, s, priors, 1)[2])
-    return draws, {"acceptance_ratio": accepted / proposals, "hull_points": int(hull.x.size),
-                   "rounds": rounds, "mode": mode, "log_rate": log_rate}
+    return draws, {"acceptance_ratio": accepted / proposals, "rounds": rounds,
+                   "log_rate": log_rate}
 
 
 def hpd_interval_numpy_ref(values, weights, level):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from iwhc import (DomainError, HybridSample, HybridScheme, IwParams, apply_scheme, reciprocals,
-                  sample)
+from iwhc import (DomainError, HybridSample, HybridScheme, IwParams, ReciprocalSample,
+                  apply_scheme, reciprocals, sample)
 from _oracles import _initial_guess_ref
 from conftest import censored_samples, random_censored_sample
 
@@ -141,6 +141,38 @@ def test_reciprocals_rejects_a_sample_apply_scheme_cannot_return(times, r, u, ma
     s = HybridSample(times=np.array(times), r=r, u=u, scheme=HybridScheme(n=4, R=3, T=math.inf))
     with pytest.raises(DomainError, match=match):
         reciprocals(s)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("r", 2.5, "r must be an integer, got 2.5"),
+    ("r", -1, "0 <= r <= n, got r=-1"),
+    ("r", 5, "0 <= r <= n, got r=5, n=3"),
+    ("n", "4", "n must be an integer, got '4'"),
+    ("n", 2, "0 <= r <= n, got r=3, n=2"),
+    ("x", np.array([[1.0, 0.5, 0.25]]), r"one dimension, got shape \(1, 3\)"),
+    ("x", np.array([1.0, 0.5]), r"r=3 reciprocals in one dimension, got shape \(2,\)"),
+    ("x", np.array([1.0, 0.5, 0.0]), "x must be strictly positive and finite"),
+    ("x", np.array([math.inf, 0.5, 0.25]), "x must be strictly positive and finite"),
+    ("x", np.array([1.0, math.nan, 0.25]), "x must be strictly positive and finite"),
+    ("x", "abc", "x must be numbers"),
+    ("u", math.inf, "u must be positive and finite, got inf"),
+    ("u", 0.0, "u must be positive and finite, got 0.0"),
+    ("u", math.nan, "u must be positive and finite, got nan"),
+    ("u", "4", "u must be a real number, got '4'"),
+], ids=["r-fraction", "r-negative", "r-above-n", "n-string", "n-below-r", "x-2d", "x-short",
+        "x-zero", "x-inf", "x-nan", "x-string", "u-inf", "u-zero", "u-nan", "u-string"])
+def test_reciprocal_sample_rejects_each_bad_field(field, value, match):
+    # a complete sample: with u = inf its log weights once read 0 * -inf =
+    # NaN, and posterior_draws raised DegenerateWeightsError after a warning
+    fields = {"x": np.array([1.0, 0.5, 0.25]), "u": 4.0, "r": 3, "n": 3, field: value}
+    with pytest.raises(DomainError, match=match):
+        ReciprocalSample(**fields)
+
+
+def test_reciprocal_sample_stores_numpy_numbers_as_python_ones():
+    s = ReciprocalSample(x=[1.0, 0.5], u=np.float32(4.0), r=np.int64(2), n=np.int32(3))
+    assert (type(s.r), type(s.n), type(s.u), s.x.dtype) == (int, int, float, np.float64)
+    assert ReciprocalSample(x=np.empty(0), u=1.0, r=0, n=0).x.size == 0
 
 
 def test_reciprocals_keeps_ties_and_a_failure_at_u():

@@ -399,12 +399,12 @@ expansion estimate: alpha=3.3019  theta=2.9332  lambda=0.0286344
     "bayes-is-low-ess": (("bayes", "flood", "--big-r", "10", "--time", "0.35", "--method", "is",
                           "--draws", "300", "--seed", "7"), """\
 observed r=6 of n=20, censoring terminus u=0.35
-posterior means (M=300, seed=7): alpha=5.0108  theta=2.9413  lambda=0.00493406
-95% HPD alpha : (4.6208, 5.4612)
-95% HPD lambda: (0.00291125, 0.00657624)
-95% HPD theta : (2.9131, 2.9663)
-effective sample size 3.0, acceptance ratio 0.969
-warning: effective sample size 3.0 of 300 draws; posterior summaries are noisy under heavy \
+posterior means (M=300, seed=7): alpha=5.0098  theta=2.9073  lambda=0.0056489
+95% HPD alpha : (4.0670, 5.4658)
+95% HPD lambda: (0.00295232, 0.0116064)
+95% HPD theta : (2.8621, 3.0143)
+effective sample size 3.5, acceptance ratio 0.991
+warning: effective sample size 3.5 of 300 draws; posterior summaries are noisy under heavy \
 censoring
 """),
     "gof-curve": (("gof", "flood", "--sims", "2000", "--seed", "4", "--curve"), """\

@@ -32,14 +32,13 @@ from iwhc.posterior import sample_g1
 import _oracles
 from _oracles import (
     bayes_is_ref,
-    find_mode_ref,
+    envelope_ref,
     g1_rate_ref,
     g2_quadrature_cdf,
     g2_terms_ref,
     hpd_interval_ref,
-    hull_ref,
-    hull_refresh_ref,
     posterior_quadrature_means,
+    propose_ref,
     sample_g2_ref,
     stable_sorted_cum,
     weighted_quantile_ref,
@@ -141,10 +140,21 @@ def test_sample_g2_fewer_draws_than_first_round(flood_s1, count):
     assert np.all(np.isfinite(draws)) and np.all(draws > 0)
 
 
-def test_sample_g2_acceptance_after_refinement(flood_s1):
-    # one full-size first round, before the hull is refined, drops this to ~0.66
-    _, info = sample_g2(1000, flood_s1, FLAT, seed=26)
-    assert info["acceptance_ratio"] >= 0.9
+def _c4_samples(count):
+    """The first ``count`` samples of the C4 cell (n, T, R) = (30, 1.5, 20)
+    at alpha = 2, lam = 1, one seed each."""
+    params = IwParams.from_rate(2.0, 1.0)
+    scheme = HybridScheme(n=30, R=20, T=1.5)
+    return [reciprocals(apply_scheme(sample(30, params, seed), scheme)) for seed in range(count)]
+
+
+@pytest.mark.parametrize("priors", [FLAT, GammaPriors(2, 1, 1, 1)], ids=["flat", "prior2"])
+def test_sample_g2_acceptance_floor(flood_s1, guinea_s1, priors):
+    # the table's envelope accepts 0.988 or more of the proposals here; the
+    # floor lies six binomial standard errors (about 0.003 each) below
+    for seed, s in enumerate([flood_s1, guinea_s1, *_c4_samples(50)]):
+        _, info = sample_g2(1000, s, priors, seed=26 + seed)
+        assert info["acceptance_ratio"] >= 0.97
 
 
 def test_sample_g2_improper_posterior_is_insufficient_data():
@@ -162,27 +172,32 @@ def test_sample_g2_improper_posterior_is_insufficient_data():
 def test_sample_g2_improper_with_a_rounded_mode_is_insufficient_data(deadline, s, count, seed):
     # every failure tied at the censoring time u under flat priors: log g2 =
     # (r-1)*log(alpha) + const, but its float slope reads 0 near alpha =
-    # 4.8e15; the hull masses there came out NaN and the sampler never
+    # 4.8e15; an envelope there once had NaN masses and the sampler never
     # returned, or on other seeds it returned draws near that false mode
     deadline(5)
     with pytest.raises(InsufficientDataError, match="improper"):
         sample_g2(count, s, FLAT, seed=seed)
 
 
-def test_sample_g2_envelope_without_finite_mass_is_insufficient_data(deadline, monkeypatch):
-    # with the rounding check off, the false mode of the eighteen-tied sample
-    # gives NaN hull masses on this seed, and the envelope check stops the loop
-    monkeypatch.setattr(posterior, "_SLOPE_ROUNDING", 0.0)
-    deadline(5)
+@pytest.mark.parametrize("slope", [0.0, 0.5])
+def test_sample_g2_envelope_without_finite_mass_is_insufficient_data(flood_s1, monkeypatch,
+                                                                     slope):
+    # a table whose upper tangent is flat or rising, which the table search
+    # never returns, leaves the last segment of the envelope without a finite
+    # mass, and the envelope check stops the sampler before its first round
+    alpha, h, d = posterior._tangent_table(flood_s1, FLAT)
+    d = np.append(d[:-1], slope)
+    monkeypatch.setattr(posterior, "_tangent_table", lambda s, priors: (alpha, h, d))
     with pytest.raises(InsufficientDataError, match="no finite mass"):
-        sample_g2(1000, ReciprocalSample(x=np.full(18, 1 / 8), u=8.0, r=18, n=32), FLAT, seed=0)
+        sample_g2(1000, flood_s1, FLAT, seed=0)
 
 
-def test_sample_g2_tail_that_never_turns_over_is_insufficient_data(monkeypatch):
-    # a mode reported inside the rising density reaches the upper-tail check
-    monkeypatch.setattr(posterior, "_find_mode", lambda lnf, dlnf: 1.0)
+def test_sample_g2_tail_that_never_turns_over_is_insufficient_data():
+    # failures tied at 1 under an alpha prior of rate 1e-34: log g2 = 4 log
+    # alpha - 1e-34 alpha + const turns at alpha = 4e34 but has not fallen 40
+    # below its top at e^80, where the table stops
     with pytest.raises(InsufficientDataError, match="never turns over"):
-        sample_g2(10, _complete([1.0] * 5), FLAT, seed=0)
+        sample_g2(10, _complete([1.0] * 5), GammaPriors(0, 1e-34, 0, 0), seed=0)
 
 
 def test_sample_g2_unallocatable_count_is_a_domain_error(flood_s1):
@@ -216,7 +231,7 @@ def test_sample_g2_fills_m1000_in_at_most_two_rounds(request, case, priors):
     ("guinea_s1", GammaPriors(2, 1, 1, 1), 0.3, 1.5),
 ], ids=["flood", "guinea"])
 def test_sample_g2_pooled_three_draw_calls_match_quadrature_cdf(request, case, priors, lo, hi):
-    # each call builds its own hull and fills in one or two rounds
+    # each call builds its own envelope and fills in one or two rounds
     s = request.getfixturevalue(case)
     draws = np.concatenate([sample_g2(3, s, priors, seed=seed)[0] for seed in range(6000)])
     grid = np.linspace(lo, hi, 4000)
@@ -264,8 +279,8 @@ def _outcome(fn):
 
 
 def _g2_fields(draws, info):
-    return (draws.tobytes(), info["log_rate"].tobytes(), info["mode"], info["hull_points"],
-            info["rounds"], info["acceptance_ratio"])
+    return (draws.tobytes(), info["log_rate"].tobytes(), info["rounds"],
+            info["acceptance_ratio"])
 
 
 def _bayes_is_fields(res):
@@ -311,31 +326,29 @@ def test_sampler_and_summaries_equal_the_numpy_copies_random():
         seed = int(rng.integers(2 ** 32))
         for priors in _PRIORS3:
             _assert_sampler_and_summaries_equal_the_copies(s, priors, seed, 1000)
-            # the mode search from starts other than the regression start
+            # tangents about starts other than the regression start
             guess = float(np.exp(rng.uniform(-5.0, 5.0)))
-            new = _outcome(lambda: posterior._find_mode(
-                lambda a: posterior._g2_slope_curve(a, s, priors), guess))
-            ref = _outcome(lambda: find_mode_ref(lambda a: g2_terms_ref(a, s, priors, 2)[2:],
-                                                 guess))
-            assert new == ref
-            # the tangents of the hull, at the start points and one doubling
-            alphas = guess * np.exp(np.arange(-2.0, 3.0))
-            for a in (alphas, alphas[-1:] * 2.0):
-                new = [v.tobytes() for v in posterior._g2_terms(a, s, priors, 1)]
-                assert new == [v.tobytes() for v in g2_terms_ref(a, s, priors, 1)]
+            alphas = guess * np.exp(np.linspace(-3.0, 3.0, posterior._TANGENTS))
+            new = [v.tobytes() for v in posterior._g2_terms(alphas, s, priors, 1)]
+            assert new == [v.tobytes() for v in g2_terms_ref(alphas, s, priors, 1)]
 
 
+@pytest.mark.parametrize("factor", [1e-3, 1e3], ids=["below", "above"])
 @pytest.mark.parametrize("case", ["flood_s1", "guinea_s2"])
-def test_sampler_tail_doubling_equals_the_numpy_copy(request, monkeypatch, case):
-    # a mode reported far below the true one puts the top start tangent on
-    # the rising side, so the setup doubles alpha until log g2 turns over
+def test_sampler_tail_doubling_equals_the_numpy_copy(request, monkeypatch, case, factor):
+    # a regression start far below or above the top of log g2 puts the whole
+    # start table on one side of it, so the search doubles the table's width
+    # until both ends fall 40 below its top
     s = request.getfixturevalue(case)
     for i, priors in enumerate(_PRIORS3):
-        low = sample_g2(10, s, priors, 0)[1]["mode"] / 1000.0
-        assert g2_terms_ref(low * math.e ** 2, s, priors, 1)[2] > 0
-        monkeypatch.setattr(posterior, "_find_mode", lambda dlnf, guess: low)
-        monkeypatch.setattr(_oracles, "find_mode_ref", lambda dlnf, guess: low)
-        _assert_sampler_and_summaries_equal_the_copies(s, priors, 40 + i, 1000)
+        alpha, h, _ = posterior._tangent_table(s, priors)
+        start = float(alpha[h.argmax()]) * factor
+        slopes = g2_terms_ref(start * np.exp([-3.0, 3.0]), s, priors, 1)[2]
+        assert np.all(slopes > 0) if factor < 1 else np.all(slopes < 0)
+        moved = ReciprocalSample(x=s.x, u=s.u, r=s.r, n=s.n)
+        moved.__dict__["regression_start"] = (start, 1.0)
+        monkeypatch.setattr(_oracles, "_initial_guess_ref", lambda s: (start, 1.0))
+        _assert_sampler_and_summaries_equal_the_copies(moved, priors, 40 + i, 1000)
         monkeypatch.undo()
 
 
@@ -378,7 +391,7 @@ def test_sampler_and_summaries_equal_the_numpy_copies_in_blocks(request, case):
 
 
 def test_sampler_where_the_prior_rate_term_overflows_equals_the_numpy_copy():
-    """Failure times near 1e28, scaled so that the mode search starts at
+    """Failure times near 1e28, scaled so that the table search starts about
     -alpha * max log x = 725: there d * exp(-alpha * max log x) in the slope
     of log g2 overflows to inf, which the sampler must hold, not warn."""
     base = sample(20, IwParams.from_rate(15.0, 1.0), 21)
@@ -392,9 +405,9 @@ def test_sampler_where_the_prior_rate_term_overflows_equals_the_numpy_copy():
 
 def test_sample_g2_memory_is_linear_in_the_draw_count(guinea_s1):
     """No buffer grows as r times the draws: the exponentials of a round
-    take one block of r x 4,096 values.  The rest measured 102 bytes a
-    draw on guinea (R=50, T=90) at 200,000 and 400,000 draws; the bound
-    allows 120, where one r x M array alone would take 376 (r = 47)."""
+    take one block of r x 4,096 values.  The rest measured 77 bytes a draw
+    on guinea (R=50, T=90) at 200,000 and 400,000 draws; the bound allows
+    85, where one r x M array alone would take 376 (r = 47)."""
     count = 200_000
     sample_g2(10, guinea_s1, FLAT, 7)      # numpy's lazy set-up, paid once a process
     tracemalloc.start()
@@ -403,7 +416,7 @@ def test_sample_g2_memory_is_linear_in_the_draw_count(guinea_s1):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 120 * count + 8 * guinea_s1.r * posterior._ALPHA_BLOCK + 2**20
+    assert peak < 85 * count + 8 * guinea_s1.r * posterior._ALPHA_BLOCK + 2**20
 
 
 @settings(max_examples=200, deadline=None)
@@ -416,32 +429,34 @@ def test_sampler_and_summaries_equal_the_numpy_copies_property(case, priors, see
         reciprocals(apply_scheme(data, scheme)), priors, seed, 50)
 
 
-# a tangent set that no concave function has can give NaN masses, in both
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
-def test_hull_refresh_equals_the_numpy_copy():
+def test_envelope_equals_the_numpy_copy():
+    # random tangent sets, with parallel and flat tangents; one that no
+    # concave function has can give NaN masses, a typed error in both
     rng = np.random.default_rng(32)
     for _ in range(2000):
         n = int(rng.integers(2, 14))
         x = np.sort(np.exp(rng.normal(size=n) * 2.0))
         d = np.sort(rng.normal(size=n) * 10.0 ** rng.uniform(-14, 3))[::-1].copy()
         h = rng.normal(size=n) * 10.0
-        # parallel tangents, and flat ones exactly or nearly at zero slope
         for i in np.flatnonzero(rng.random(n) < 0.2):
             d[i] = d[i - 1] if i > 0 else d[i]
         for i in np.flatnonzero(rng.random(n) < 0.2):
             d[i] = rng.choice([0.0, -0.0, 1e-13, -5e-13])
         if rng.random() < 0.5:
             d = np.sort(d)[::-1].copy()
-        hull = posterior._Hull(x, h, d)
-        z, flat, cum = hull_refresh_ref(x, h, d)
-        assert hull.z.tobytes() == z.tobytes()
-        assert hull.flat.tobytes() == flat.tobytes()
-        assert hull.cum.tobytes() == cum.tobytes()
-        if np.isfinite(cum[-1]) and cum[-1] > 0:
-            seed = int(rng.integers(2 ** 32))
-            t, j = hull.propose(50, np.random.default_rng(seed))
-            t_ref, j_ref = hull_ref(x, h, d).propose(50, np.random.default_rng(seed))
-            assert (t.tobytes(), j.tobytes()) == (t_ref.tobytes(), j_ref.tobytes())
+        env = _outcome(lambda: posterior._envelope(x, h, d))
+        ref = _outcome(lambda: envelope_ref(x, h, d))
+        if isinstance(ref, tuple) and isinstance(ref[0], type):
+            assert env == ref
+            continue
+        cum, z, width, start, peak, fall, flat = ref
+        assert [env[key].tobytes() for key in ("cum", "z", "width", "start", "peak", "fall")] \
+            == [v.tobytes() for v in (cum, z, width, start, peak, fall)]
+        assert env["flat"] is None if not flat.any() else np.array_equal(env["flat"], flat)
+        seed = int(rng.integers(2 ** 32))
+        t, log_env = posterior._propose(env, 50, np.random.default_rng(seed))
+        t_ref, log_env_ref = propose_ref(ref, d, 50, np.random.default_rng(seed))
+        assert (t.tobytes(), log_env.tobytes()) == (t_ref.tobytes(), log_env_ref.tobytes())
 
 
 def test_posterior_draws_reuse_of_one_seed_sequence(flood_s1):
