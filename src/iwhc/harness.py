@@ -32,9 +32,13 @@ one, such as the one batch of a study of one replicate in each of two
 cells, fits each row on its own sample with ``fit_mle``, ``asymptotic_ci``
 and the Lindley expansion.  Either way the results land in the batch's
 blocks, the array fits with one permutation from the order of r to the
-order of the tasks; only the one-sample fits and importance sampling loop
-over the rows.  Importance sampling records alpha and lambda only, so
-theta, which ``bayes_is`` summarizes on first read, is never computed here.
+order of the tasks.  Importance sampling runs every record of the batch
+(each row under each prior, on the row's sample) in one call of the array
+core ``posterior._is_rows``, with the bits ``bayes_is`` gives each record on
+its own generator; the core reads the records a group at a time, so memory
+stays bounded in the batch's size, and a record that fails fails only its
+column.  Importance sampling records alpha and lambda only, so theta, which
+``bayes_is`` summarizes on first read, is never computed here.
 
 A replicate whose fit fails (too few failures, a regression start that
 float64 cannot hold, no convergence, ...) fails its groups, and the study
@@ -77,7 +81,7 @@ from .errors import (
 )
 from .lindley import GammaPriors, _estimate, _lindley_rows, third_derivatives
 from .mle import _ci_rows, _fit_rows, asymptotic_ci, fit_mle
-from .posterior import _draw_buffers, bayes_is
+from .posterior import _draw_buffers, _is_rows
 
 __all__ = ["StudyConfig", "CellMetric", "SimulationSummary", "run_study",
            "write_csv", "format_table"]
@@ -234,21 +238,6 @@ def _groups(config: StudyConfig) -> list:
     return groups
 
 
-def _is_record(config: StudyConfig, rs, pi: int, task: tuple):
-    """The importance-sampling record under prior ``pi`` of the ``(cell,
-    replicate)`` task, or None."""
-    # child 0 of child 1 + pi of SeedSequence((base_seed, cell, replicate)),
-    # the stream bayes_is reads from that child 1 + pi
-    rng = np.random.default_rng(np.random.SeedSequence((config.base_seed, *task),
-                                                       spawn_key=(1 + pi, 0)))
-    try:
-        res = bayes_is(rs, config.priors[pi], config.draws, rng, level=config.level)
-    except _FIT_ERRORS:
-        return None
-    a, lam = res.alpha.hpd, res.lam.hpd
-    return (res.alpha.mean, res.lam.mean, a.lower, lam.lower, a.upper, lam.upper)
-
-
 def _batches(replicates: int, schemes: list):
     """The (cell, replicate) tasks in cell-major order, cut into batches:
     lists of ``(cell, reps)`` pieces.  A batch holds at most
@@ -285,7 +274,8 @@ def _records(config, schemes, params, groups, batch) -> list:
     ``ReciprocalRows``, which are in the order of r, fills column
     ``order[i]``.  Importance sampling reads the sample that a batch of
     fewer than ``_ARRAY_FITS`` rows fits, so that the sample's cached
-    logs and regression start are computed once."""
+    logs and regression start are computed once, and runs the batch's
+    records, in the order of r, through one call of ``_is_rows``."""
     size = sum(len(reps) for _, reps in batch)
     rows, order = _censor_rows(_pieces(config, schemes, params, batch))
     blocks = [(np.full((2 if method == "lindley" else 6, size), np.nan),
@@ -295,18 +285,30 @@ def _records(config, schemes, params, groups, batch) -> list:
     sampled = [g for g, (method, _) in enumerate(groups) if method == "is"]
     if fitting and not small:
         _row_fits(config, groups, rows, order, blocks)
-    if small or sampled:
-        tasks = [(cell, rep) for cell, reps in batch for rep in reps]
-        for i in np.flatnonzero(rows.r >= 2).tolist():
-            k = order[i]
-            rs = rows.sample(i)
-            records = _sample_fits(config, groups, rs) if small and fitting else {}
-            records.update((g, _is_record(config, rs, groups[g][1], tasks[k]))
-                           for g in sampled)
-            for g, record in records.items():
+    if not (small and fitting or sampled):
+        return blocks
+    fitted = np.flatnonzero(rows.r >= 2)
+    samples = (rows.sample(i) for i in fitted.tolist())
+    if small and fitting:
+        samples = list(samples)
+        for k, rs in zip(order[fitted].tolist(), samples):
+            for g, record in _sample_fits(config, groups, rs).items():
                 if record is not None:
                     blocks[g][0][:, k] = record
                     blocks[g][1][k] = True
+    if sampled:
+        # a record for each row under each prior, made as the core reads them;
+        # prior p draws from child 0 of child 1 + p of SeedSequence((base_seed,
+        # cell, replicate)), the stream bayes_is reads from that child 1 + p
+        tasks = [(cell, rep) for cell, reps in batch for rep in reps]
+        pis = [groups[g][1] for g in sampled]
+        records = ((rs, config.priors[pi], np.random.default_rng(np.random.SeedSequence(
+                        (config.base_seed, *tasks[k]), spawn_key=(1 + pi, 0))))
+                   for k, rs in zip(order[fitted].tolist(), samples) for pi in pis)
+        values, ok = _is_rows(records, config.draws, config.level)
+        for p, g in enumerate(sampled):
+            blocks[g][0][:, order[fitted]] = values[:, p::len(pis)]
+            blocks[g][1][order[fitted]] = ok[p::len(pis)]
     return blocks
 
 

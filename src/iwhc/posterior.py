@@ -17,10 +17,27 @@ sums over the sample's cached ``log x - max log x``, and each lam is drawn
 with the g1 rate of the round that accepted its alpha; h takes ``q`` from
 the likelihood kernel's censoring helper.
 
-A round's ``sum x**alpha`` over more than 5,461 proposals runs in blocks of
-at most 4,096 alphas, so M draws need r x 4,096 values plus O(M), not r x M.
-Every block has at least 2 columns and smaller arrays (every round at 1,000
-draws) take one block, which keeps the bits of the one array.
+One array core runs importance-sampling records (a sample, a prior and a
+generator each) together: ``sample_g2``, ``posterior_draws`` and
+``bayes_is`` are calls of one record, and the study harness runs every
+record of a batch in one call of :func:`_is_rows`.  The records' samples
+are rows padded to the widest r, and every sum over a sample runs a run of
+records of equal r at a time, so that no padding enters it; a round's
+proposals are rows padded to the widest, and the padding is never accepted.
+So each record's sums, draws and summaries have the bits of the record run
+alone, and each record draws from its own generator in the order of a lone
+record.  The records run in groups of at most ``_GROUP_VALUES`` proposals
+(or table points) a round, so that a round's exponentials take at most r x
+16,384 values at the group's widest r.
+Each proposal finds its envelope segment through a guide table of 2 x 64
+equal cells of the cumulative mass, with one comparison where a cell holds
+at most one segment end.
+
+A round's ``sum x**alpha`` over more than 5,461 proposals of one record
+runs in blocks of at most 4,096 alphas, so M draws need r x 4,096 values
+plus O(M), not r x M; such a record forms a group of its own.  Every block
+has at least 2 columns and smaller arrays (every round at 1,000 draws) take
+one block, which keeps the bits of the one array.
 """
 
 from __future__ import annotations
@@ -28,6 +45,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,75 +75,151 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+class _Rows(NamedTuple):
+    """The samples and priors of K records, one row each: ``lx`` holds
+    each sample's log x and ``shifted`` its log x - max log x, padded to the
+    widest r, and ``runs`` the ``(start, stop, r)`` of each run of rows of
+    equal r; the rest hold one value a row.  Every sum over a sample reads
+    the ``[:r]`` of its run, so that no term of the padding is computed."""
+
+    lx: np.ndarray
+    shifted: np.ndarray
+    top: np.ndarray        # max log x
+    slx: np.ndarray        # sum log x
+    log_u: np.ndarray
+    alpha0: np.ndarray     # the regression start
+    r: np.ndarray
+    n: np.ndarray
+    shape: np.ndarray      # r + c, the shape of g1
+    k: np.ndarray          # a + r - 1, the coefficient of log alpha in log g2
+    b: np.ndarray
+    d: np.ndarray
+    log_d: np.ndarray      # log d, -inf where d = 0
+    runs: list
+
+    @classmethod
+    def of(cls, samples: list, priors: list) -> "_Rows":
+        """The rows of the samples (each with r >= 1) under their priors."""
+        width = max(s.r for s in samples)
+        lx, shifted = np.zeros((2, len(samples), width))
+        for i, s in enumerate(samples):
+            lx[i, :s.r] = s.log_x
+            shifted[i, :s.r] = s.log_x_shifted
+        top, slx, log_u, alpha0, r, n, shape, k, b, d = np.array(
+            [[s.log_x_max, s.sum_log_x, s.log_u, s.regression_start[0], s.r, s.n,
+              s.r + p.c, p.a + s.r - 1.0, p.b, p.d] for s, p in zip(samples, priors)]).T
+        log_d = np.log(d, out=np.full_like(d, -np.inf), where=d > 0)
+        r = r.astype(np.intp)
+        return cls(lx, shifted, top, slx, log_u, alpha0, r, n, shape, k, b, d, log_d, _runs(r))
+
+    def take(self, idx) -> "_Rows":
+        """The rows ``idx``, padded to their own widest r."""
+        r = self.r[idx]
+        width = int(r.max())
+        return _Rows(self.lx[idx, :width], self.shifted[idx, :width],
+                     *(v[idx] for v in self[2:-1]), _runs(r))
+
+
+def _runs(r: np.ndarray) -> list:
+    """``(start, stop, r)`` of each run of equal r in ``r``."""
+    r = r.tolist()
+    cuts = [0, *(i for i in range(1, len(r)) if r[i] != r[i - 1]), len(r)]
+    return [(a, b, r[a]) for a, b in zip(cuts, cuts[1:])]
+
+
 # the order-0 sums of more than 4/3 of this many alphas (5,461) run through one
 # buffer of r times at most this many exponentials, a block of alphas at a time
 _ALPHA_BLOCK = 4096
 
 
-def _blocked_exp_sums(lxs: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """``sum exp(alpha * lxs)`` over ``lxs`` at every element of ``alpha``,
-    the bits of ``np.add.reduce(np.exp(np.multiply.outer(lxs, alpha)), axis=0)``
-    in the fewest blocks of at most ``_ALPHA_BLOCK`` alphas, of equal width
-    to one alpha, through one buffer of r x block values.
+def _blocked_exp_sums(rows: _Rows, alpha: np.ndarray) -> np.ndarray:
+    """``sum exp(alpha * (log x - max log x))`` over each row's sample at
+    every element of the same row of ``alpha`` (K, w), the bits of
+    ``np.add.reduce(np.exp(np.multiply.outer(shifted, a)), axis=0)`` for a
+    row's ``shifted`` and ``a``, a run of rows of equal r at a time, in the
+    fewest blocks of at most ``_ALPHA_BLOCK`` columns, of equal width to
+    one column, through one buffer.
 
-    The axis-0 reduce adds the rows of a block in order, column by column,
-    so a block's sums are those of the whole array, provided the block has
-    at least two columns: a one-column block is summed pairwise along r.
-    Up to 5,461 alphas (4/3 of ``_ALPHA_BLOCK``) take one block, the whole
-    array, so a single alpha is summed as its one array is.  More are cut
-    into blocks at least 2,731 (8,192 / 3) wide, below which numpy's
-    broadcast multiply runs about four times slower per element.
+    The reduce adds the r terms of a block in order, column by column, so
+    a block's sums are those of the whole array, provided the block has at
+    least two columns: a one-column block is summed pairwise along r (the
+    callers sum a row of one proposal on its own, as one row of one
+    column).  Up to 5,461 columns (4/3 of ``_ALPHA_BLOCK``) take one
+    block, the whole array.  More are cut into blocks at least 2,731 (8,192
+    / 3) wide, below which numpy's broadcast multiply runs about four times
+    slower per element.
     """
-    flat = alpha.reshape(-1)
-    total = np.empty(flat.size)
-    blocks = -(-flat.size // _ALPHA_BLOCK) if 3 * flat.size > 4 * _ALPHA_BLOCK else 1
-    buf = np.empty(lxs.size * -(-flat.size // blocks))
-    edges = [flat.size * i // blocks for i in range(blocks + 1)]
-    for start, stop in zip(edges, edges[1:]):
-        e = buf[:lxs.size * (stop - start)].reshape(lxs.size, stop - start)
-        np.multiply.outer(lxs, flat[start:stop], out=e)
-        np.exp(e, out=e)
-        np.add.reduce(e, axis=0, out=total[start:stop])
-    return total.reshape(alpha.shape)
+    width = alpha.shape[1]
+    total = np.empty(alpha.shape)
+    blocks = -(-width // _ALPHA_BLOCK) if 3 * width > 4 * _ALPHA_BLOCK else 1
+    edges = [width * i // blocks for i in range(blocks + 1)]
+    buf = np.empty(max((b - a) * r for a, b, r in rows.runs) * -(-width // blocks))
+    for a, b, r in rows.runs:
+        lxs = rows.shifted[a:b, :r, None]
+        for start, stop in zip(edges, edges[1:]):
+            e = buf[:(b - a) * r * (stop - start)].reshape(b - a, r, stop - start)
+            np.multiply(lxs, alpha[a:b, None, start:stop], out=e)
+            np.exp(e, out=e)
+            np.add.reduce(e, axis=1, out=total[a:b, start:stop])
+    return total
 
 
-def _log_rate_sums(alpha, s: ReciprocalSample, d: float, order: int) -> list:
+def _log_rate_sums(alpha: np.ndarray, rows: _Rows, order: int) -> list:
     """``log(d + S_0)`` and, for ``order`` 1, ``S_1 / (d + S_0)`` at every
-    element of ``alpha`` (> 0), where ``S_k = sum x**alpha * (log x)**k``.
+    element of each row of ``alpha`` (K, w; > 0) for the same row of
+    ``rows``, where ``S_k = sum x**alpha * (log x)**k``.
 
     Sums ``exp(alpha * (log x - max log x))``, whose largest term is 1, and
     adds the shift back in logs, so nothing under- or overflows at any finite
     alpha.  ``d + S_0`` is the rate of g1.  Order 0 sums through
-    :func:`_blocked_exp_sums`, in one block up to 5,461 alphas; order 1,
-    whose product needs them, keeps the exponentials as one array.
+    :func:`_blocked_exp_sums`; order 1, whose products need them, keeps the
+    exponentials of a run as one array and takes ``S_1`` by one product a
+    row.
     """
-    top = s.log_x_max
+    top = rows.top[:, None]
     if order:
-        e = np.multiply.outer(s.log_x_shifted, alpha)
-        np.exp(e, out=e)
-        total = np.add.reduce(e, axis=0)
+        total, s1 = np.empty((2, *alpha.shape))
+        for a, b, r in rows.runs:
+            e = rows.shifted[a:b, :r, None] * alpha[a:b, None]
+            np.exp(e, out=e)
+            np.add.reduce(e, axis=1, out=total[a:b])
+            for i in range(a, b):
+                s1[i] = rows.lx[i, :r] @ e[i - a]
     else:
-        total = _blocked_exp_sums(s.log_x_shifted, alpha)
-    log_sum = alpha * top + np.log(total)
-    out = [log_sum if d == 0 else np.logaddexp(np.log(d), log_sum)]
-    if order:
-        with np.errstate(over="ignore"):
-            denom = total if d == 0 else total + d * np.exp(-alpha * top)
-        out.append((s.log_x_powers[1] @ e) / denom)
-    return out
+        total = _blocked_exp_sums(rows, alpha)
+    log_rate = alpha * top
+    log_rate += np.log(total)
+    proper = rows.d > 0
+    if proper.any():
+        proper = proper[:, None]
+        np.logaddexp(rows.log_d[:, None], log_rate, out=log_rate, where=proper)
+    if not order:
+        return [log_rate]
+    if proper.any():
+        # d * exp(-alpha * max log x) overflows to inf, and is NaN where d = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(total, rows.d[:, None] * np.exp(-alpha * top), out=total, where=proper)
+    s1 /= total
+    return [log_rate, s1]
 
 
-def _g2_terms(alpha, s: ReciprocalSample, priors: GammaPriors, order: int) -> list:
-    """``[log(d + S_0), log g2]`` at every element of ``alpha`` (> 0), and
-    for ``order`` 1 also ``(log g2)' = -(r+c) S_1/(d + S_0) + (a+r-1)/alpha
-    - b + sum log x``."""
-    log_rate, *ratio = _log_rate_sums(alpha, s, priors.d, order)
-    shape, k, slx = s.r + priors.c, priors.a + s.r - 1.0, s.sum_log_x
-    out = [log_rate, -shape * log_rate + k * np.log(alpha) - priors.b * alpha
-           + (alpha + 1.0) * slx]
-    if order:
-        out.append(-shape * ratio[0] + k / alpha - priors.b + slx)
-    return out
+def _g2_terms(alpha: np.ndarray, rows: _Rows, order: int) -> list:
+    """``[log(d + S_0), log g2]`` at every element of each row of ``alpha``
+    (K, w; > 0), and for ``order`` 1 also ``(log g2)' = -(r+c) S_1/(d + S_0)
+    + (a+r-1)/alpha - b + sum log x``."""
+    log_rate, *ratio = _log_rate_sums(alpha, rows, order)
+    shape, k, b, slx = (v[:, None] for v in (rows.shape, rows.k, rows.b, rows.slx))
+    h = -shape * log_rate
+    h += k * np.log(alpha)
+    h -= b * alpha
+    h += (alpha + 1.0) * slx
+    if not order:
+        return [log_rate, h]
+    slope = -shape * ratio[0]
+    slope += k / alpha
+    slope -= b
+    slope += slx
+    return [log_rate, h, slope]
 
 
 def g2_log_density(alpha, s: ReciprocalSample, priors: GammaPriors):
@@ -137,21 +232,35 @@ def g2_log_density(alpha, s: ReciprocalSample, priors: GammaPriors):
     if s.r < 1:
         raise InsufficientDataError("g2 requires at least one observed failure")
     arr = _positive("alpha", alpha)
-    out = _g2_terms(arr, s, priors, 0)[1]
+    out = _g2_terms(arr.reshape(1, -1), _Rows.of([s], [priors]), 0)[1].reshape(arr.shape)
     return float(out) if arr.ndim == 0 else out
+
+
+def _lam_rows(log_rate: np.ndarray, gammas: np.ndarray) -> tuple:
+    """``gammas / exp(log_rate)``, the lam draws of each row, and the
+    :class:`NumericError` of each row where one overflows or underflows
+    float64, keyed by row."""
+    with np.errstate(over="ignore", divide="ignore"):
+        lams = np.log(gammas)
+        lams -= log_rate
+        np.exp(lams, out=lams)
+    bad = ~((lams > 0) & (lams < math.inf))
+    if not bad.any():
+        return lams, {}
+    bad = np.count_nonzero(bad, axis=-1)
+    return lams, {i: NumericError(
+        f"{bad[i]} of {lams.shape[-1]} lam draws from g1 overflow or underflow float64: "
+        f"the log rate log(d + sum x**alpha) reaches {np.min(log_rate[i]):.4g} "
+        f"to {np.max(log_rate[i]):.4g} at these alphas") for i in np.flatnonzero(bad).tolist()}
 
 
 def _draw_lams(log_rate, shape: float, rng: np.random.Generator):
     """One Gamma(shape, rate exp(log_rate)) draw per element of ``log_rate``."""
-    with np.errstate(over="ignore", divide="ignore"):
-        lams = np.exp(np.log(rng.gamma(shape, 1.0, size=np.shape(log_rate))) - log_rate)
-    bad = np.count_nonzero(~((lams > 0) & np.isfinite(lams)))
-    if bad:
-        raise NumericError(
-            f"{bad} of {np.size(lams)} lam draws from g1 overflow or underflow float64: "
-            f"the log rate log(d + sum x**alpha) reaches {np.min(log_rate):.4g} "
-            f"to {np.max(log_rate):.4g} at these alphas")
-    return lams
+    gammas = np.asarray(rng.gamma(shape, 1.0, size=np.shape(log_rate)))
+    lams, failed = _lam_rows(np.reshape(log_rate, (1, -1)), gammas.reshape(1, -1))
+    if failed:
+        raise failed[0]
+    return lams.reshape(np.shape(log_rate))
 
 
 def sample_g1(alpha, s: ReciprocalSample, priors: GammaPriors, seed):
@@ -166,7 +275,8 @@ def sample_g1(alpha, s: ReciprocalSample, priors: GammaPriors, seed):
     if shape <= 0:
         raise DomainError(f"gamma shape r + c must be positive, got {shape}")
     arr = _positive("alpha", alpha)
-    out = _draw_lams(_log_rate_sums(arr, s, priors.d, 0)[0], shape, _rng(seed))
+    log_rate = _log_rate_sums(arr.reshape(1, -1), _Rows.of([s], [priors]), 0)[0]
+    out = _draw_lams(log_rate.reshape(arr.shape), shape, _rng(seed))
     return float(out) if arr.ndim == 0 else out
 
 
@@ -179,62 +289,105 @@ _TANGENTS = 64     # points of the tangent table, evenly spaced in log alpha
 _DROP = 40.0       # the table spans where log g2 is within this of its top
 _IMPROPER = "the alpha posterior is improper for these data and priors"
 _SLOPE_ROUNDING = 8.0 * math.ulp(1.0)   # relative rounding of (log g2)'
+# a group's round proposes at most this many alphas, and its table search
+# evaluates at most this many points, over all its records
+_GROUP_VALUES = 1 << 14
 
 
-def _tangent_table(s: ReciprocalSample, priors: GammaPriors) -> tuple:
-    """``(alpha, log g2, (log g2)')`` at ``_TANGENTS`` points evenly spaced in
-    log alpha over where log g2 is within ``_DROP`` of its top.
+def _grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``_TANGENTS`` points evenly spaced from each ``lo`` to its ``hi``:
+    the bits of ``np.linspace(lo, hi, _TANGENTS, axis=-1)``."""
+    out = np.arange(_TANGENTS) * ((hi - lo) / (_TANGENTS - 1))[:, None]
+    out += lo[:, None]
+    out[:, -1] = hi
+    return out
 
-    The table starts at log alpha0 - 3 to log alpha0 + 3 about the
+
+def _tangent_tables(rows: _Rows) -> tuple:
+    """``(alpha, log g2, (log g2)')`` of each row, at ``_TANGENTS`` points
+    evenly spaced in log alpha over where log g2 is within ``_DROP`` of its
+    top, and the error of each row that has no table, keyed by row.
+
+    A row's table starts at log alpha0 - 3 to log alpha0 + 3 about the
     regression start.  An end where log g2 is within ``_DROP`` of the
     table's highest value, or an upper end where it still rises, moves out
     by the table's width, within -80 <= log alpha <= 80; the lower end stops
-    at -80 where g2 does not vanish at 0.  Once both ends lie below, a table
-    with fewer than three quarters of its points within shrinks once, to
-    those points and one more on each side.  An improper g2 is an
+    at -80 where g2 does not vanish at 0.  Each step evaluates the rows
+    that still move as one array.  Once both ends lie below, a table with
+    fewer than three quarters of its points within shrinks once, to those
+    points and one more on each side.  An improper g2 is an
     :class:`InsufficientDataError`: a slope that turns negative where
     (a+r-1)/alpha is below the rounding of its other terms, a false turn of
-    a rising log g2, or an upper end at e^80 that still rises or has not
-    fallen ``_DROP``.
+    a rising log g2, or an upper end at e^80 where it still rises.  A g2
+    that turns over but has not fallen ``_DROP`` by e^80 is proper, with its
+    mass beyond the table's range: a :class:`NumericError`.
     """
-    k = priors.a + s.r - 1.0
-    rounding = _SLOPE_ROUNDING * (abs((s.r + priors.c) * s.log_x_max) + abs(s.sum_log_x)
-                                  + priors.b)
-    lo = math.log(s.regression_start[0]) - 3.0
-    hi = lo + 6.0
-    while True:
-        eta = np.linspace(lo, hi, _TANGENTS)
+    count = rows.r.size
+    k = rows.k.tolist()
+    rounding = (_SLOPE_ROUNDING * (np.abs(rows.shape * rows.top) + np.abs(rows.slx)
+                                   + rows.b)).tolist()
+    lo = [math.log(a) - 3.0 for a in rows.alpha0.tolist()]
+    hi = [v + 6.0 for v in lo]
+    table = np.empty((3, count, _TANGENTS))
+    failed, shrink = {}, []
+    active = list(range(count))
+    while active:
+        eta = _grid(np.array([lo[row] for row in active]), np.array([hi[row] for row in active]))
         alpha = np.exp(eta)
-        _, h, d = _g2_terms(alpha, s, priors, 1)
-        turn = np.flatnonzero(d <= 0.0)
-        if turn.size and k > 0 and k / alpha[turn[0]] <= rounding:
-            raise InsufficientDataError(f"{_IMPROPER}: the slope of log g2 vanishes only to "
-                                        f"rounding at alpha={alpha[turn[0]]:.3g}")
-        inside = np.flatnonzero(h >= h.max() - _DROP)
-        i, j = inside[0], inside[-1]
-        low = i == 0 and lo > -80.0
-        high = j == _TANGENTS - 1 or not d[-1] < 0.0
-        if not (low or high):
-            break
-        if high and hi >= 80.0:
-            raise InsufficientDataError(
-                f"{_IMPROPER}: the upper tail of g2 never turns over" if d[-1] < 0.0 else
-                f"{_IMPROPER}: log g2 is still rising at alpha={alpha[-1]:.3g}")
-        width = hi - lo
-        if low:
-            lo = max(lo - width, -80.0)
-        if high:
-            hi = min(hi + width, 80.0)
-    if 4 * (j - i) < 3 * _TANGENTS:
-        alpha = np.exp(np.linspace(eta[max(i - 1, 0)], eta[j + 1], _TANGENTS))
-        _, h, d = _g2_terms(alpha, s, priors, 1)
-    return alpha, h, d
+        _, h, d = _g2_terms(alpha, rows if len(active) == count else rows.take(active), 1)
+        inside = h >= (h.max(axis=1) - _DROP)[:, None]
+        at = np.arange(len(active))
+        turn = (d <= 0.0).argmax(axis=1)
+        facts = np.stack((inside.argmax(axis=1), inside[:, ::-1].argmax(axis=1),
+                          alpha[at, turn], d[at, turn], d[:, -1], alpha[:, -1])).T.tolist()
+        done, moving = [], []
+        for n, (row, (i, j, turn_alpha, turn_d, last_d, last_alpha)) in enumerate(
+                zip(active, facts)):
+            i, j = int(i), _TANGENTS - 1 - int(j)
+            if turn_d <= 0.0 and k[row] > 0 and k[row] / turn_alpha <= rounding[row]:
+                failed[row] = InsufficientDataError(
+                    f"{_IMPROPER}: the slope of log g2 vanishes only to rounding at "
+                    f"alpha={turn_alpha:.3g}")
+                continue
+            low = i == 0 and lo[row] > -80.0
+            high = j == _TANGENTS - 1 or not last_d < 0.0
+            if not (low or high):
+                done.append(n)
+                if 4 * (j - i) < 3 * _TANGENTS:
+                    shrink.append((row, eta[n, max(i - 1, 0)], eta[n, j + 1]))
+            elif high and hi[row] >= 80.0:
+                failed[row] = NumericError(
+                    f"g2 turns over but has not fallen {_DROP:g} below its top by alpha=e^80, "
+                    "the end of the sampler's range, so its mass lies beyond the draws it "
+                    "can make") if last_d < 0.0 else InsufficientDataError(
+                    f"{_IMPROPER}: log g2 is still rising at alpha={last_alpha:.3g}")
+            else:
+                width = hi[row] - lo[row]
+                if low:
+                    lo[row] = max(lo[row] - width, -80.0)
+                if high:
+                    hi[row] = min(hi[row] + width, 80.0)
+                moving.append(row)
+        if len(done) == count:
+            table = np.stack((alpha, h, d))
+        elif done:
+            table[:, [active[n] for n in done]] = alpha[done], h[done], d[done]
+        active = moving
+    if shrink:
+        idx, start, stop = zip(*shrink)
+        alpha = np.exp(_grid(np.array(start), np.array(stop)))
+        if list(idx) == list(range(count)):
+            table = np.stack((alpha, *_g2_terms(alpha, rows, 1)[1:]))
+        else:
+            table[:, idx] = alpha, *_g2_terms(alpha, rows.take(list(idx)), 1)[1:]
+    return table, failed
 
 
-def _envelope(x: np.ndarray, h: np.ndarray, d: np.ndarray) -> dict:
+def _envelope(x: np.ndarray, h: np.ndarray, d: np.ndarray) -> tuple:
     """The inverse-cdf columns of the piecewise-exponential envelope under
-    the tangents ``h + d * (t - x)`` of a concave log density at increasing
-    points ``x``.
+    the tangents ``h + d * (t - x)`` of a concave log density at the
+    increasing points of each row of ``x`` (K, k), and the error of each
+    row whose envelope has no finite mass, keyed by row.
 
     Segment j runs from ``z[j]`` to ``z[j + 1]``, where its tangent meets
     its neighbours' (0 and inf at the ends, and halfway between the points
@@ -243,54 +396,199 @@ def _envelope(x: np.ndarray, h: np.ndarray, d: np.ndarray) -> dict:
     lies below it by ``log1p(xi * fall)``, ``fall = expm1(-|d| * width)``.
     A segment over which the tangent changes by less than 1e-12 is flat: it
     proposes uniformly under the constant ``exp(peak)``, and its ``fall`` is
-    0.  ``cum`` holds the cumulative masses over their largest term; where
-    they are not finite and positive, an :class:`InsufficientDataError`.
+    0.  ``cum`` holds the cumulative masses over their largest term, and
+    ``guide`` the guide table of :func:`_segments` over them; where the
+    masses are not finite and positive, an :class:`InsufficientDataError`.
     """
-    gap = d[:-1] - d[1:]
+    gap = d[:, :-1] - d[:, 1:]
+    ends = np.zeros((len(x), 1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cross = (h[1:] - h[:-1] + x[:-1] * d[:-1] - x[1:] * d[1:]) / gap
-        z = np.concatenate(([0.0], np.where(gap <= 1e-14, 0.5 * (x[:-1] + x[1:]), cross),
-                            [math.inf]))
-        width = np.maximum(z[1:] - z[:-1], 0.0)
-        start = np.where(d > 0.0, z[1:], z[:-1])
+        cross = (h[:, 1:] - h[:, :-1] + x[:, :-1] * d[:, :-1] - x[:, 1:] * d[:, 1:]) / gap
+        z = np.concatenate((ends, np.where(gap <= 1e-14, 0.5 * (x[:, :-1] + x[:, 1:]), cross),
+                            ends + math.inf), axis=1)
+        width = np.maximum(z[:, 1:] - z[:, :-1], 0.0)
+        start = np.where(d > 0.0, z[:, 1:], z[:, :-1])
         peak = h + d * (start - x)
         flat = np.abs(d) * width < 1e-12
         fall = np.expm1(-np.abs(d) * width)
         logmass = peak + np.log(np.where(flat, width, -fall / np.abs(d)))
-        cum = np.exp(logmass - logmass.max()).cumsum()
-    if not 0.0 < cum[-1] < math.inf:
-        raise InsufficientDataError(f"{_IMPROPER}: the envelope of g2 has no finite mass")
+        cum = np.exp(logmass - logmass.max(axis=1, keepdims=True)).cumsum(axis=1)
     fall[flat] = 0.0
-    return {"cum": cum, "z": z, "width": width, "start": start, "peak": peak, "fall": fall,
-            "d": d, "flat": flat if flat.any() else None}
+    failed = {i: InsufficientDataError(f"{_IMPROPER}: the envelope of g2 has no finite mass")
+              for i in np.flatnonzero(~((0.0 < cum[:, -1]) & (cum[:, -1] < math.inf))).tolist()}
+    return {"cum": cum, **_guide(cum), "z": z, "width": width, "start": start, "peak": peak,
+            "fall": fall, "d": d, "flat": flat if flat.any() else None}, failed
 
 
-def _propose(env: dict, size: int, rng: np.random.Generator) -> tuple:
-    """``size`` independent draws from the envelope ``env`` of
-    :func:`_envelope`, and the log of the envelope at each."""
-    j = env["cum"].searchsorted(rng.random(size) * env["cum"][-1], side="right")
-    np.minimum(j, env["cum"].size - 1, out=j)
-    xi = rng.random(size)
-    drop = np.multiply(xi, env["fall"][j])
+def _guide(cum: np.ndarray) -> dict:
+    """The guide table of :func:`_segments` over each row of the cumulative
+    masses ``cum`` (K, k): for the 2k equal cells of ``[0, cum[-1]]`` and
+    the edge ``cum[-1]``, a column each, ``guide``, the count of the entries
+    up to the cell's lower edge ``c / 2k * cum[-1]``; ``next``, the first
+    entry above that edge (inf past the last); and ``wide``, whether the
+    cell holds two or more entries."""
+    cells = 2 * cum.shape[1]
+    edges = np.arange(cells + 1) / cells * cum[:, -1:]
+    guide = np.array([row.searchsorted(at, side="right") for row, at in zip(cum, edges)],
+                     dtype=np.intp).reshape(edges.shape)
+    above = np.concatenate((cum, np.full((len(cum), 1), math.inf)), axis=1)
+    wide = np.zeros(guide.shape, dtype=bool)
+    wide[:, :-1] = guide[:, 1:] - guide[:, :-1] > 1
+    offsets = np.arange(0, above.size, above.shape[1])[:, None] if len(cum) > 1 else 0
+    return {"guide": guide, "next": np.take(above, guide + offsets), "wide": wide,
+            "total": cum[:, -1:]}
+
+
+def _segments(env: dict, keys: np.ndarray) -> np.ndarray:
+    """The segment of the cumulative masses ``env["cum"]`` (K, k) at each
+    uniform in [0, 1] of the same row of ``keys`` (K, w): the index that
+    ``searchsorted(cum, key * cum[-1], side="right")`` gives, clipped to
+    k - 1.
+
+    ``key * 2k`` is exact, so its floor is the key's cell c among the 2k
+    equal cells of :func:`_guide`, and ``key * cum[-1]`` rounds to within
+    the cell's edges, ``c / 2k * cum[-1]`` and the next.  So the index is
+    the count of the entries up to the lower edge, plus one where the first
+    entry above it is at most the key, if the cell holds at most one entry.
+    The keys of a wide cell, such as a cell of the tails, whose segments
+    carry little mass, count every entry up to them.
+    """
+    cum = env["cum"]
+    rows, size = cum.shape
+    u = keys * env["total"]
+    cell = (keys * (env["guide"].shape[1] - 1)).astype(np.intp)
+    if rows > 1:
+        cell += np.arange(0, rows * env["guide"].shape[1], env["guide"].shape[1])[:, None]
+    j = np.take(env["guide"], cell)
+    j += np.take(env["next"], cell) <= u
+    wide = np.take(env["wide"], cell)
+    if wide.any():
+        wide = np.flatnonzero(wide)
+        key = u.reshape(-1)[wide]
+        j.reshape(-1)[wide] = np.count_nonzero(cum[wide // keys.shape[1]] <= key[:, None],
+                                               axis=1)
+    return np.minimum(j, size - 1, out=j)
+
+
+def _propose(env: dict, keys: np.ndarray, xi: np.ndarray) -> tuple:
+    """The draws from the envelopes ``env`` of :func:`_envelope` at the
+    uniforms ``keys`` (a segment each) and ``xi`` (a point within it), of
+    the same shape (K, w), and the log of the envelope at each."""
+    j = _segments(env, keys)
+    size = env["cum"].shape[1]
+    if len(j) > 1:
+        j += np.arange(0, len(j) * size, size)[:, None]
+    drop = np.multiply(xi, np.take(env["fall"], j))
     np.log1p(drop, out=drop)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = drop / env["d"][j]
-    t += env["start"][j]
+        t = drop / np.take(env["d"], j)
+    t += np.take(env["start"], j)
     if env["flat"] is not None:
-        flat = env["flat"][j]
-        t[flat] = env["z"][j[flat]] + xi[flat] * env["width"][j[flat]]
-    drop += env["peak"][j]
+        flat = np.take(env["flat"], j)
+        jf = j[flat]
+        # z has one column more than the segments: row i starts at i * (size + 1)
+        t[flat] = np.take(env["z"], jf + jf // size) + xi[flat] * np.take(env["width"], jf)
+    drop += np.take(env["peak"], j)
     return t, drop
 
 
-def _draw_buffers(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Empty arrays for ``count`` draws and their log rates; a count that
-    cannot be allocated is a :class:`DomainError` naming it."""
+def _draw_buffers(count: int, rows: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Empty arrays for ``count`` draws of ``rows`` records and their log
+    rates; a count that cannot be allocated is a :class:`DomainError`
+    naming it."""
     try:
-        return np.empty(count), np.empty(count)
+        return np.empty((rows, count)), np.empty((rows, count))
     except (ValueError, MemoryError):
         raise DomainError(f"{count} draws need {16 * count} bytes, which cannot be "
                           "allocated") from None
+
+
+def _g2_rows(rows: _Rows, rngs: list, count: int) -> tuple:
+    """``count`` exact draws from the normalized g2 of each row of ``rows``
+    by rejection from one fixed envelope, each row from its generator in
+    ``rngs``: the draws and their log g1 rates (K, count), the acceptance
+    ratio and rounds of each row (K,), and the error of each row that could
+    not draw, keyed by row.
+
+    Builds the tables (:func:`_tangent_tables`) and the envelopes
+    (:func:`_envelope`) once.  Then draws in rounds: each round proposes
+    ``need + need // 16 + 4`` points a row that still needs draws, from
+    two arrays of uniforms drawn from its generator (segment keys, then the
+    points within the segments), evaluates log g2 on the proposals that
+    are positive and finite and accepts with one comparison to the log of
+    a third array of uniforms.  The rows of a round are padded to the
+    widest, and the padding is never accepted.
+    """
+    draws, log_rate = _draw_buffers(count, rows.r.size)
+    table, failed = _tangent_tables(rows)
+    live = [i for i in range(rows.r.size) if i not in failed]
+    env, no_mass = _envelope(*table[:, live])
+    failed.update((live[i], exc) for i, exc in no_mass.items())
+    # the row of each record's envelope
+    at = np.zeros(rows.r.size, dtype=np.intp)
+    at[live] = np.arange(len(live))
+    filled = np.zeros(rows.r.size, dtype=np.intp)
+    proposals, accepted, rounds = np.zeros((3, rows.r.size), dtype=np.intp)
+    live = [i for i in live if i not in failed]
+    while live:
+        every = len(live) == rows.r.size
+        sub, sub_env = (rows, env) if every else (
+            rows.take(live), {key: None if v is None else v[at[live]] for key, v in env.items()})
+        need = count - filled[live]
+        size = need + need // 16 + 4
+        sizes = size.tolist()
+        width = max(sizes)
+        keys, xi = np.zeros((2, len(live), width))
+        for i, (row, m) in enumerate(zip(live, sizes)):
+            rngs[row].random(out=keys[i, :m])
+            rngs[row].random(out=xi[i, :m])
+        t, log_env = _propose(sub_env, keys, xi)
+        del keys, xi
+        ok = (t > 0.0) & (t < math.inf)
+        if width > min(sizes):
+            ok &= np.arange(width) < size[:, None]
+        held = sizes
+        if not ok.all():
+            held = np.count_nonzero(ok, axis=1).tolist()
+            for i in np.flatnonzero(np.array(held) < size).tolist():
+                t[i, :held[i]], log_env[i, :held[i]] = t[i, ok[i]], log_env[i, ok[i]]
+            padded = np.arange(width) >= np.array(held)[:, None]
+            t[padded] = 1.0
+        del ok
+        lr, hval = _g2_terms(t, sub, 0)
+        # a row of one proposal is summed as one column alone
+        for i in [i for i, m in enumerate(held) if m == 1]:
+            lr[i, :1], hval[i, :1] = _g2_terms(t[i:i + 1, :1], sub.take([i]), 0)
+        # accept where log(uniform) + log envelope <= log g2
+        level = np.ones((len(live), width))
+        for i, (row, m) in enumerate(zip(live, held)):
+            rngs[row].random(out=level[i, :m])
+        np.log(level, out=level)
+        level += log_env
+        hit = level <= hval
+        del level, log_env, hval
+        if held is not sizes or width > min(sizes):
+            hit &= np.arange(width) < np.array(held)[:, None]
+        got = np.count_nonzero(hit, axis=1)
+        # each row accepts its first ``need`` hits, which fill its next columns in order
+        for i in np.flatnonzero(got > need).tolist():
+            hit[i, np.flatnonzero(hit[i])[need[i]]:] = False
+        start = filled[live]
+        filled[live] += np.minimum(got, need)
+        if every and not start.any() and (got >= need).all():
+            draws[...], log_rate[...] = t[hit].reshape(draws.shape), lr[hit].reshape(draws.shape)
+        else:
+            columns = np.arange(count)
+            into = (columns >= start[:, None]) & (columns < filled[live][:, None])
+            for out, values in ((draws, t), (log_rate, lr)):
+                part = out[live]
+                part[into] = values[hit]
+                out[live] = part
+        proposals[live] += held
+        accepted[live] += got
+        rounds[live] += 1
+        live = [row for row in live if filled[row] < count]
+    return draws, log_rate, accepted / np.maximum(proposals, 1), rounds, failed
 
 
 def sample_g2(
@@ -302,7 +600,7 @@ def sample_g2(
     """Exact draws from the normalized g2 by rejection from one fixed envelope.
 
     Builds the table of ``_TANGENTS`` tangents of log g2 over where it is
-    within ``_DROP`` of its top (:func:`_tangent_table`) and the
+    within ``_DROP`` of its top (:func:`_tangent_tables`) and the
     piecewise-exponential envelope under them (:func:`_envelope`), once.
     Then draws in rounds from that envelope: each round proposes ``need +
     need // 16 + 4`` points, evaluates log g2 on them at once and accepts
@@ -315,31 +613,12 @@ def sample_g2(
     count = _integer("count", count, 1)
     if s.r < 1:
         raise InsufficientDataError("g2 requires at least one observed failure")
-    rng = _rng(seed)
-    env = _envelope(*_tangent_table(s, priors))
-    draws, log_rate = _draw_buffers(count)
-    filled = proposals = accepted = rounds = 0
-    while filled < count:
-        need = count - filled
-        t, log_env = _propose(env, need + need // 16 + 4, rng)
-        ok = (t > 0.0) & (t < math.inf)
-        if np.count_nonzero(ok) < t.size:
-            t, log_env = t[ok], log_env[ok]
-        lr, hval = _g2_terms(t, s, priors, 0)
-        # accept where log(uniform) + log envelope <= log g2
-        level = rng.random(t.size)
-        np.log(level, out=level)
-        level += log_env
-        hit = level <= hval
-        got = np.flatnonzero(hit)[:need]
-        draws[filled:filled + got.size] = t[got]
-        log_rate[filled:filled + got.size] = lr[got]
-        filled += got.size
-        proposals += t.size
-        accepted += np.count_nonzero(hit)
-        rounds += 1
-    return draws, {"acceptance_ratio": accepted / proposals, "rounds": rounds,
-                   "log_rate": log_rate}
+    draws, log_rate, acceptance, rounds, failed = _g2_rows(_Rows.of([s], [priors]),
+                                                           [_rng(seed)], count)
+    if failed:
+        raise failed[0]
+    return draws[0], {"acceptance_ratio": float(acceptance[0]), "rounds": int(rounds[0]),
+                      "log_rate": log_rate[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +670,69 @@ class IsResult:
 
     @cached_property
     def theta(self) -> BayesEstimate:
-        # theta and its moments overflow to inf, which _mean_var reports
+        # theta and its moments overflow to inf, which _summary_rows reports
         with np.errstate(over="ignore", invalid="ignore"):
             return _summary(self.draws.thetas, self.draws.weights, self.level)
+
+
+class _Draws(NamedTuple):
+    """The weighted draws of the records ``rows`` of a group that drew
+    them, each a row of (K, M) arrays, and the error of every record of the
+    group that failed, keyed by record."""
+
+    rows: np.ndarray
+    alphas: np.ndarray
+    lams: np.ndarray
+    weights: np.ndarray
+    acceptance: np.ndarray
+    failed: dict
+
+
+def _draw_rows(samples: list, priors: list, rngs: list, count: int) -> _Draws:
+    """Steps 1-3 of the sampler for each record (a sample, its priors and
+    its generator): alphas from g2 (:func:`_g2_rows`), then lams from g1,
+    each with the g1 rate of its alpha, and weights from h.
+
+    A record without a failure is an :class:`InsufficientDataError`, and a
+    record fails where its g2 cannot be drawn, a lam is beyond the float64
+    range (:class:`NumericError`) or all its weights underflow
+    (:class:`DegenerateWeightsError`).  For complete samples the weights
+    are exactly uniform.
+    """
+    failed = {i: InsufficientDataError("posterior sampling needs at least one failure")
+              for i, s in enumerate(samples) if s.r < 1}
+    live = np.array([i for i in range(len(samples)) if i not in failed], dtype=np.intp)
+    if not live.size:
+        return _Draws(live, *np.empty((3, 0, count)), np.empty(0), failed)
+    rows = _Rows.of([samples[i] for i in live], [priors[i] for i in live])
+    rngs = [rngs[i] for i in live]
+    alphas, log_rate, acceptance, _, row_failed = _g2_rows(rows, rngs, count)
+    keep = np.array([i for i in range(live.size) if i not in row_failed], dtype=np.intp)
+    gammas = np.empty((keep.size, count))
+    for i, (row, shape) in enumerate(zip(keep.tolist(), rows.shape[keep].tolist())):
+        # Gamma(shape, scale 1), the draws and bits of rng.gamma(shape, 1.0)
+        rngs[row].standard_gamma(shape, out=gammas[i])
+    lams, lam_failed = _lam_rows(log_rate[keep], gammas)
+    del gammas
+    if lam_failed:
+        row_failed.update((int(keep[i]), exc) for i, exc in lam_failed.items())
+        ok = np.array([i not in lam_failed for i in range(keep.size)], dtype=bool)
+        keep, lams = keep[ok], lams[ok]
+    alphas = alphas[keep]
+    # a complete sample (n = r) has log weights 0 * finite, so weights 1/count
+    lw = _censor_q(alphas, lams, rows.log_u[keep, None])[1]
+    lw *= (rows.n - rows.r)[keep, None]
+    lw -= np.maximum.reduce(lw, axis=1)[:, None]
+    w = np.exp(lw, out=lw)
+    total = np.add.reduce(w, axis=1)
+    ok = total > 0
+    if not ok.all():
+        row_failed.update((int(keep[i]), DegenerateWeightsError(
+            "all importance weights underflowed to zero")) for i in np.flatnonzero(~ok).tolist())
+        keep, alphas, lams, w, total = keep[ok], alphas[ok], lams[ok], w[ok], total[ok]
+    failed.update((int(live[i]), exc) for i, exc in row_failed.items())
+    w /= total[:, None]
+    return _Draws(live[keep], alphas, lams, w, acceptance[keep], failed)
 
 
 def posterior_draws(
@@ -415,54 +754,52 @@ def posterior_draws(
     if s.r < 1:
         raise InsufficientDataError("posterior sampling needs at least one failure")
     count = _integer("count", count, 2)
-    rng = _rng(seed, child=True)
-    alphas, info = sample_g2(count, s, priors, rng)
-    lams = _draw_lams(info["log_rate"], s.r + priors.c, rng)
-    # a complete sample (n = r) has log weights 0 * finite, so weights 1/count
-    lw = (s.n - s.r) * _censor_q(alphas, lams, s.log_u)[1]
-    w = np.exp(lw - np.maximum.reduce(lw))
-    total = np.add.reduce(w)
-    if not total > 0:
-        raise DegenerateWeightsError("all importance weights underflowed to zero")
-    weights = w / total
-    return PosteriorDraws(alphas, lams, weights, acceptance_ratio=info["acceptance_ratio"])
-
-
-def _mean_var(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
-    """Weighted mean and variance; callers ignore numpy's overflow and
-    invalid warnings around it, since a value that overflows raises here."""
-    mean = float(np.add.reduce(values * weights))
-    var = float(np.add.reduce(((values - mean) ** 2) * weights))
-    if not (math.isfinite(mean) and math.isfinite(var)):
-        raise NumericError(f"the weighted mean or variance overflows float64 "
-                           f"(mean={mean:.4g}, variance={var:.4g})")
-    return mean, var
+    out = _draw_rows([s], [priors], [_rng(seed, child=True)], count)
+    if out.failed:
+        raise out.failed[0]
+    return PosteriorDraws(out.alphas[0], out.lams[0], out.weights[0],
+                          acceptance_ratio=float(out.acceptance[0]))
 
 
 def _sorted_cum(v: np.ndarray, w: np.ndarray):
     """``v`` in ascending order and the cumulative weights in that order over
-    their total, both as a stable sort gives them.
-
-    Sorts with numpy's default (SIMD) argsort, which is several times faster
-    than the stable one at 10,000 values.  Where the sorted values increase
-    strictly the order is unique, so it is the stable one; otherwise (a tie,
-    signed zeros or a NaN) the values are sorted again stably, so that tied
-    values gather weight in their input order.  Raises :class:`DomainError`
-    unless the weights are nonnegative and as many as the values (at least one).
-    """
+    their total, both as a stable sort gives them (:func:`_sorted_rows`).
+    Raises :class:`DomainError` unless the weights are nonnegative and as
+    many as the values (at least one)."""
     if v.size == 0 or v.shape != w.shape:
         raise DomainError("values and weights must be nonempty and equally long")
     if (w < 0).any():
         raise DomainError("weights must be nonnegative")
-    total = np.add.reduce(w, axis=None)
-    if not total > 0:
+    vs, cum = _sorted_rows(v[None], w[None])
+    return vs[0], cum[0]
+
+
+def _sorted_rows(v: np.ndarray, w: np.ndarray):
+    """Each row of ``v`` (K, M) in ascending order and the cumulative
+    weights of the same row of ``w`` in that order over their total, both
+    as a stable sort gives them.
+
+    Sorts with numpy's default (SIMD) argsort, which is several times faster
+    than the stable one at 10,000 values.  Where a row's sorted values
+    increase strictly the order is unique, so it is the stable one;
+    otherwise (a tie, signed zeros or a NaN) the row is sorted again stably,
+    so that tied values gather weight in their input order.  Weights that
+    sum to zero in a row raise :class:`DegenerateWeightsError`.
+    """
+    total = np.add.reduce(w, axis=-1)
+    if not (total > 0).all():
         raise DegenerateWeightsError("weights sum to zero")
-    order = v.argsort()
-    vs = v[order]
-    if not (vs[1:] > vs[:-1]).all():
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-    return vs, w[order].cumsum() / total
+    order = v.argsort(axis=-1)
+    if len(v) > 1:
+        order += np.arange(0, v.size, v.shape[-1])[:, None]
+    vs = np.take(v, order)
+    ties = np.flatnonzero(~(vs[:, 1:] > vs[:, :-1]).all(axis=-1))
+    if ties.size:
+        order[ties] = np.argsort(v[ties], axis=-1, kind="stable") + ties[:, None] * v.shape[-1]
+        vs[ties] = np.take(v, order[ties])
+    cum = np.take(w, order).cumsum(axis=-1)
+    cum /= total[:, None]
+    return vs, cum
 
 
 def weighted_quantile(values, weights, beta: float) -> float:
@@ -489,31 +826,78 @@ def _hpd_thresholds(m: int, level: float) -> np.ndarray:
     return out
 
 
+def _check_level(level: float) -> None:
+    if not 0.0 < _real("level", level) < 1.0:
+        raise DomainError(f"level must be in (0, 1), got {level}")
+
+
+def _check_count(m: int, level: float) -> None:
+    if m * level < 2:
+        raise DomainError(f"need M*level >= 2, got M={m}, level={level}")
+
+
+def _hpd_rows(vs: np.ndarray, cum: np.ndarray, level: float) -> tuple:
+    """The lower and upper ends of the shortest candidate window of each
+    row of the sorted values ``vs`` under the cumulative weights ``cum`` of
+    :func:`_sorted_rows`, one search of the thresholds a row."""
+    m = vs.shape[-1]
+    thresholds = _hpd_thresholds(m, level)
+    ends = np.empty((len(vs), thresholds.size), dtype=np.intp)
+    for i, row in enumerate(cum):
+        ends[i] = row.searchsorted(thresholds, side="left")
+    np.minimum(ends, m - 1, out=ends)
+    half = thresholds.size // 2
+    if len(vs) > 1:
+        ends += np.arange(0, vs.size, m)[:, None]
+    bounds = np.take(vs, ends)
+    # a window with both ends at one infinity has length inf - inf = NaN,
+    # which argmin picks and the callers reject as degenerate
+    with np.errstate(invalid="ignore"):
+        j = (bounds[:, half:] - bounds[:, :half]).argmin(axis=-1)
+    rows = np.arange(len(vs))
+    return bounds[rows, j], bounds[rows, half + j]
+
+
 def hpd_interval(values, weights, level: float) -> ConfidenceInterval:
     """Shortest credible interval among the candidate quantile windows
     (q(j/M), q((j + floor(level*M))/M)) for j = 1, ..., M - floor(level*M)."""
-    if not 0.0 < _real("level", level) < 1.0:
-        raise DomainError(f"level must be in (0, 1), got {level}")
+    _check_level(level)
     v = _floats("values", values)
     w = _floats("weights", weights)
-    m = v.size
-    if m * level < 2:
-        raise DomainError(f"need M*level >= 2, got M={m}, level={level}")
+    _check_count(v.size, level)
     vs, cum = _sorted_cum(v, w)
-    ends = np.minimum(cum.searchsorted(_hpd_thresholds(m, level), side="left"), m - 1)
-    lo_idx, hi_idx = ends[:ends.size // 2], ends[ends.size // 2:]
-    # a window with both ends at one infinity has length inf - inf = NaN,
-    # which argmin picks and ConfidenceInterval rejects as degenerate
-    with np.errstate(invalid="ignore"):
-        lengths = vs[hi_idx] - vs[lo_idx]
-    j = int(lengths.argmin())
-    return ConfidenceInterval(float(vs[lo_idx[j]]), float(vs[hi_idx[j]]), level)
+    lower, upper = _hpd_rows(vs[None], cum[None], level)
+    return ConfidenceInterval(float(lower[0]), float(upper[0]), level)
+
+
+def _summary_rows(values: np.ndarray, weights: np.ndarray, level: float) -> tuple:
+    """The weighted mean, variance and highest-density interval of each row
+    of ``values`` (K, M) under the same row of ``weights`` as four rows
+    (mean, variance, lower, upper), and the :class:`NumericError` of each
+    row whose moments overflow or whose interval is degenerate, keyed by
+    row.  Callers ignore numpy's overflow and invalid warnings around it."""
+    _check_level(level)
+    mean = np.add.reduce(values * weights, axis=-1)
+    var = np.add.reduce(((values - mean[:, None]) ** 2) * weights, axis=-1)
+    failed = {i: NumericError(f"the weighted mean or variance overflows float64 "
+                              f"(mean={mean[i]:.4g}, variance={var[i]:.4g})")
+              for i in np.flatnonzero(~(np.isfinite(mean) & np.isfinite(var))).tolist()}
+    _check_count(values.shape[-1], level)
+    lower, upper = _hpd_rows(*_sorted_rows(values, weights), level)
+    for i in np.flatnonzero(~(lower < upper)).tolist():
+        failed.setdefault(i, NumericError(f"degenerate interval ({float(lower[i])}, "
+                                          f"{float(upper[i])})"))
+    return np.stack((mean, var, lower, upper)), failed
 
 
 def _summary(values: np.ndarray, weights: np.ndarray, level: float) -> BayesEstimate:
-    """Weighted mean, variance and highest-density interval; callers ignore
-    numpy's overflow and invalid warnings around it, as for :func:`_mean_var`."""
-    return BayesEstimate(*_mean_var(values, weights), hpd=hpd_interval(values, weights, level))
+    """:func:`_summary_rows` of one row, as a :class:`BayesEstimate`; its
+    error raised.  Callers ignore numpy's overflow and invalid warnings."""
+    (mean, var, lower, upper), failed = _summary_rows(values[None], weights[None], level)
+    if failed:
+        raise failed[0]
+    return BayesEstimate(float(mean[0]), float(var[0]),
+                         hpd=ConfidenceInterval(float(lower[0]), float(upper[0]), level))
 
 
 def bayes_is(
@@ -528,8 +912,44 @@ def bayes_is(
     lam**(-1/alpha) when :attr:`IsResult.theta` is first read.  ``seed`` is
     read as :func:`posterior_draws` reads it."""
     draws = posterior_draws(s, priors, count, seed)
-    # the moments overflow to inf, which _mean_var reports
+    # the moments overflow to inf, which _summary_rows reports
     with np.errstate(over="ignore", invalid="ignore"):
         alpha = _summary(draws.alphas, draws.weights, level)
         lam = _summary(draws.lams, draws.weights, level)
     return IsResult(alpha=alpha, lam=lam, draws=draws, level=level)
+
+
+def _is_rows(records, count: int, level: float) -> tuple:
+    """The importance-sampling records of :func:`bayes_is`, a ``(sample,
+    priors, generator)`` each from the iterable ``records``, with ``count``
+    draws at ``level``, run together as arrays: a (6, K) array of the alpha
+    and lam means, the lower ends of their intervals and the upper ends, and
+    a (K,) mask of the records that did not fail.  Each record has the bits
+    of :func:`bayes_is` on its generator, and a record that fails (a typed
+    error of that call) fails only its column.
+
+    The records run in groups of at most ``_GROUP_VALUES`` proposals in the
+    first round (or table points), one group at a time, a record of more
+    than 5,461 first proposals alone.  ``records`` is read a group at a
+    time, so that memory stays bounded however many records a call has.
+    """
+    size = count + count // 16 + 4
+    group = 1 if 3 * size > 4 * _ALPHA_BLOCK else max(1, _GROUP_VALUES // max(size, _TANGENTS))
+    records, values, ok = iter(records), [np.empty((6, 0))], [np.empty(0, dtype=bool)]
+    while part := list(islice(records, group)):
+        values.append(np.full((6, len(part)), np.nan))
+        ok.append(np.zeros(len(part), dtype=bool))
+        out = _draw_rows(*zip(*part), count)
+        if not out.rows.size:
+            continue
+        # the moments overflow to inf, which _summary_rows reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary, failed = _summary_rows(np.concatenate((out.alphas, out.lams)),
+                                            np.concatenate((out.weights, out.weights)), level)
+        # alpha and then lam, a row each, of the mean and the two ends
+        summary = summary[[0, 2, 3]].reshape(3, 2, -1).reshape(6, -1)
+        good = np.ones(out.rows.size, dtype=bool)
+        good[[i % out.rows.size for i in failed]] = False
+        values[-1][:, out.rows[good]] = summary[:, good]
+        ok[-1][out.rows[good]] = True
+    return np.concatenate(values, axis=1), np.concatenate(ok)

@@ -551,8 +551,9 @@ def tangent_table_ref(s, priors):
             break
         if grow_hi and hi >= 80.0:
             if d[-1] < 0.0:
-                raise InsufficientDataError(
-                    f"{_IMPROPER_REF}: the upper tail of g2 never turns over")
+                raise NumericError("g2 turns over but has not fallen 40 below its top by "
+                                   "alpha=e^80, the end of the sampler's range, so its mass "
+                                   "lies beyond the draws it can make")
             raise InsufficientDataError(
                 f"{_IMPROPER_REF}: log g2 is still rising at alpha={alpha[-1]:.3g}")
         width = hi - lo
@@ -648,11 +649,11 @@ def hpd_interval_numpy_ref(values, weights, level):
     return float(vs[lo_idx[j]]), float(vs[hi_idx[j]])
 
 
-def bayes_is_ref(s, priors, count, seed, level=0.95):
+def bayes_is_ref(s, priors, count, seed, level=0.95, theta=True):
     """Every field of ``bayes_is`` as a tuple: (draws, weights, acceptance
-    ratio, then mean, variance, HPD lower and upper of alpha, lam and theta).
-    Raises what the library raised: the typed errors, and ``NumericError`` for
-    a degenerate interval."""
+    ratio, then mean, variance, HPD lower and upper of alpha, lam and, where
+    ``theta``, theta).  Raises what the library raised: the typed errors,
+    and ``NumericError`` for a degenerate interval."""
     from iwhc.posterior import _draw_lams
 
     if s.r < 1:
@@ -678,7 +679,7 @@ def bayes_is_ref(s, priors, count, seed, level=0.95):
     out = [alphas, lams, weights, info["acceptance_ratio"]]
     with np.errstate(over="ignore"):
         thetas = np.exp(-np.log(lams) / alphas)
-    for values in (alphas, lams, thetas):
+    for values in (alphas, lams, thetas)[:3 if theta else 2]:
         with np.errstate(over="ignore", invalid="ignore"):
             mean = float((values * weights).sum())
             var = float((((values - mean) ** 2) * weights).sum())

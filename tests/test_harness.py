@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -24,7 +25,7 @@ from iwhc import (
     run_study,
     sample,
 )
-from iwhc import cli, harness
+from iwhc import cli, harness, posterior
 from iwhc.harness import format_table, write_csv
 from _oracles import run_study_ref
 
@@ -141,6 +142,25 @@ def test_replicates_equal_direct_fits():
     by_param = {row.parameter: row for row in summary.rows}
     assert by_param["alpha"].average_estimate == np.mean([f.alpha_hat for f in fits])
     assert by_param["lambda"].avg_interval_length == np.mean([ci[1].length for ci in intervals])
+
+
+def test_importance_sampling_memory_follows_the_group_budget():
+    """2,100 records of one batch at M = 1,000 run in groups of 15, so the
+    peak is one group's: its exponentials, 8 bytes for each of r x 16,384
+    proposals (2.6 MB at r = 20), and about as much again for its draws
+    and summaries, not the batch's 2,100 records.  Measured 4.8 MB; one
+    record at a time, the peak was 2.0 MB."""
+    config = _tiny_config(cells=((30, 1.5, 20),), replicates=2100, draws=1000, methods=("is",))
+    assert len(list(harness._batches(config.replicates, [HybridScheme(30, 20, 1.5)]))) == 1
+    run_study(dataclasses.replace(config, replicates=2))    # numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        summary = run_study(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.rows[0].replicates_used > 2000
+    assert peak < 2 * 8 * 20 * posterior._GROUP_VALUES + 2 ** 21
 
 
 def test_importance_sampling_uses_child_one_plus_prior():

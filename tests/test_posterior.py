@@ -185,18 +185,19 @@ def test_sample_g2_envelope_without_finite_mass_is_insufficient_data(flood_s1, m
     # a table whose upper tangent is flat or rising, which the table search
     # never returns, leaves the last segment of the envelope without a finite
     # mass, and the envelope check stops the sampler before its first round
-    alpha, h, d = posterior._tangent_table(flood_s1, FLAT)
-    d = np.append(d[:-1], slope)
-    monkeypatch.setattr(posterior, "_tangent_table", lambda s, priors: (alpha, h, d))
+    (alpha, h, d), _ = posterior._tangent_tables(posterior._Rows.of([flood_s1], [FLAT]))
+    d[:, -1] = slope
+    monkeypatch.setattr(posterior, "_tangent_tables", lambda rows: (np.stack((alpha, h, d)), {}))
     with pytest.raises(InsufficientDataError, match="no finite mass"):
         sample_g2(1000, flood_s1, FLAT, seed=0)
 
 
-def test_sample_g2_tail_that_never_turns_over_is_insufficient_data():
+def test_sample_g2_mass_beyond_e80_is_a_numeric_error():
     # failures tied at 1 under an alpha prior of rate 1e-34: log g2 = 4 log
     # alpha - 1e-34 alpha + const turns at alpha = 4e34 but has not fallen 40
-    # below its top at e^80, where the table stops
-    with pytest.raises(InsufficientDataError, match="never turns over"):
+    # below its top at e^80, where the table stops; the posterior is proper,
+    # with its mass beyond the sampler's range
+    with pytest.raises(NumericError, match=r"not fallen 40 below its top by alpha=e\^80"):
         sample_g2(10, _complete([1.0] * 5), GammaPriors(0, 1e-34, 0, 0), seed=0)
 
 
@@ -329,7 +330,8 @@ def test_sampler_and_summaries_equal_the_numpy_copies_random():
             # tangents about starts other than the regression start
             guess = float(np.exp(rng.uniform(-5.0, 5.0)))
             alphas = guess * np.exp(np.linspace(-3.0, 3.0, posterior._TANGENTS))
-            new = [v.tobytes() for v in posterior._g2_terms(alphas, s, priors, 1)]
+            new = [v[0].tobytes() for v in posterior._g2_terms(
+                alphas[None], posterior._Rows.of([s], [priors]), 1)]
             assert new == [v.tobytes() for v in g2_terms_ref(alphas, s, priors, 1)]
 
 
@@ -341,7 +343,8 @@ def test_sampler_tail_doubling_equals_the_numpy_copy(request, monkeypatch, case,
     # until both ends fall 40 below its top
     s = request.getfixturevalue(case)
     for i, priors in enumerate(_PRIORS3):
-        alpha, h, _ = posterior._tangent_table(s, priors)
+        (alpha, h, _), _ = posterior._tangent_tables(posterior._Rows.of([s], [priors]))
+        alpha, h = alpha[0], h[0]
         start = float(alpha[h.argmax()]) * factor
         slopes = g2_terms_ref(start * np.exp([-3.0, 3.0]), s, priors, 1)[2]
         assert np.all(slopes > 0) if factor < 1 else np.all(slopes < 0)
@@ -369,9 +372,10 @@ def test_blocked_sums_equal_the_unblocked_copies(r):
         for count in _BLOCK_EDGE_COUNTS:
             a = np.exp(rng.normal(size=count))
             bits = [v.tobytes() for v in _oracles._log_rate_sums_ref(a, lx, priors.d, 0)]
-            assert [v.tobytes() for v in posterior._log_rate_sums(a, s, priors.d, 0)] == bits
+            rows = posterior._Rows.of([s], [priors])
+            assert [v[0].tobytes() for v in posterior._log_rate_sums(a[None], rows, 0)] == bits
             ref = g2_terms_ref(a, s, priors, 0)
-            assert [v.tobytes() for v in posterior._g2_terms(a, s, priors, 0)] \
+            assert [v[0].tobytes() for v in posterior._g2_terms(a[None], rows, 0)] \
                 == [v.tobytes() for v in ref]
             assert g2_log_density(a, s, priors).tobytes() == ref[1].tobytes()
             want = posterior._draw_lams(ref[0], s.r + priors.c, np.random.default_rng(count))
@@ -444,19 +448,169 @@ def test_envelope_equals_the_numpy_copy():
             d[i] = rng.choice([0.0, -0.0, 1e-13, -5e-13])
         if rng.random() < 0.5:
             d = np.sort(d)[::-1].copy()
-        env = _outcome(lambda: posterior._envelope(x, h, d))
+        env, failed = posterior._envelope(x[None], h[None], d[None])
         ref = _outcome(lambda: envelope_ref(x, h, d))
         if isinstance(ref, tuple) and isinstance(ref[0], type):
-            assert env == ref
+            assert (type(failed[0]), str(failed[0])) == ref
             continue
+        assert not failed
         cum, z, width, start, peak, fall, flat = ref
-        assert [env[key].tobytes() for key in ("cum", "z", "width", "start", "peak", "fall")] \
+        assert [env[key][0].tobytes() for key in ("cum", "z", "width", "start", "peak", "fall")] \
             == [v.tobytes() for v in (cum, z, width, start, peak, fall)]
-        assert env["flat"] is None if not flat.any() else np.array_equal(env["flat"], flat)
+        assert env["flat"] is None if not flat.any() else np.array_equal(env["flat"][0], flat)
         seed = int(rng.integers(2 ** 32))
-        t, log_env = posterior._propose(env, 50, np.random.default_rng(seed))
+        keys = np.random.default_rng(seed).random((2, 1, 50))
+        t, log_env = posterior._propose(env, *keys)
+        t, log_env = t[0], log_env[0]
         t_ref, log_env_ref = propose_ref(ref, d, 50, np.random.default_rng(seed))
         assert (t.tobytes(), log_env.tobytes()) == (t_ref.tobytes(), log_env_ref.tobytes())
+
+
+def _guide_env(cum):
+    return {"cum": cum[None], **posterior._guide(cum[None])}
+
+
+def _searchsorted_segments(cum, keys):
+    return np.minimum(np.searchsorted(cum, keys * cum[-1], side="right"), cum.size - 1)
+
+
+def test_guide_table_gives_the_searchsorted_segment():
+    """The guide table's segment is ``searchsorted(side="right")``'s, clipped
+    to the last, at keys equal to each cumulative mass and at their float
+    neighbours (a total that is a power of two makes ``key * total`` exact),
+    on repeated masses (segments of zero mass), at both end cells and the
+    cell edges, and at random keys under any total."""
+    rng = np.random.default_rng(61)
+    for trial in range(300):
+        masses = rng.exponential(size=64) * 10.0 ** rng.uniform(-12, 0, size=64)
+        masses[rng.random(64) < 0.15] = 0.0
+        masses[rng.integers(64)] += 1.0
+        cum = np.cumsum(masses)
+        if trial % 2:
+            # a total of 2**e: every cum[j] / total is a key that lands on cum[j]
+            cum *= 2.0 ** int(rng.integers(-30, 30)) / cum[-1]
+            cum[-1] = 2.0 ** round(math.log2(cum[-1]))
+            cum = np.minimum.accumulate(cum[::-1])[::-1]
+            at = cum / cum[-1]
+            keys = np.concatenate((at, np.nextafter(at, 0.0), np.nextafter(at, 2.0)))
+        else:
+            keys = rng.random(2000)
+        keys = np.concatenate((keys, np.arange(129) / 128, [0.0, 5e-324, 2.0 ** -53,
+                                                             1.0 - 2.0 ** -53]))
+        keys = np.clip(keys, 0.0, 1.0)
+        got = posterior._segments(_guide_env(cum), keys[None])[0]
+        assert np.array_equal(got, _searchsorted_segments(cum, keys))
+    # one cell holds most of the ends: the tails of a narrow envelope
+    cum = np.cumsum(np.exp(-0.5 * np.linspace(-40, 40, 64) ** 2))
+    keys = np.concatenate((rng.random(5000), cum / cum[-1]))
+    assert np.array_equal(posterior._segments(_guide_env(cum), keys[None])[0],
+                          _searchsorted_segments(cum, keys))
+
+
+# the failures of the importance-sampling records, at 40 draws: a sample
+# without a failure; five failures tied at 1, whose log g2 still rises at
+# e^80; lam draws beyond float64; and two failures among 14 units whose lam
+# interval is one draw wide, the weight of that draw being above the level
+_ONE_DRAW_TIMES = np.array([
+    1.1846583238909634, 2.2624351807595198, 1.3955177453441618, 0.6450078874036312,
+    1.8266543324607352, 1.5406483065815202, 1.3676657972999122, 0.7713511564589174,
+    1.1737787016639833, 1.5306323588640252, 0.8630278670496957, 4.156334785115118,
+    2.999530971502964, 1.0646381531288611])
+_ONE_DRAW_SCHEME = HybridScheme(n=14, R=5, T=0.8091364603916209)
+
+
+def _failing_records():
+    return [
+        (ReciprocalSample(x=np.empty(0), u=1.0, r=0, n=5), FLAT, 3),
+        (_complete([1.0] * 5), FLAT, 4),
+        (_wide_shape_sample(), FLAT, 0),
+        (reciprocals(apply_scheme(_ONE_DRAW_TIMES, _ONE_DRAW_SCHEME)), FLAT, 2801903999),
+    ]
+
+
+def _run_records(records, count):
+    """``posterior._is_rows`` on the records, (sample, priors, seed) each,
+    every record drawing from the generator bayes_is makes of its seed."""
+    samples, priors, seeds = zip(*records)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return posterior._is_rows(zip(samples, priors, (errors._rng(seed, child=True)
+                                                        for seed in seeds)), count, 0.95)
+
+
+def _assert_records_equal_the_copies(records, count):
+    """Each record has the bits of ``bayes_is_ref``'s alpha and lam means
+    and interval ends, or fails where it raises a typed error; the records'
+    grouping (one call, one record a group, two a group) and their order
+    change no record."""
+    values, ok = _run_records(records, count)
+    outcomes = []
+    for i, (s, priors, seed) in enumerate(records):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                ref = bayes_is_ref(s, priors, count, seed, theta=False)
+            except (InsufficientDataError, NumericError, DegenerateWeightsError):
+                outcomes.append(False)
+                assert not ok[i]
+                continue
+        outcomes.append(True)
+        assert ok[i]
+        assert values[:, i].tobytes() == np.array([ref[j] for j in (4, 8, 6, 10, 7, 11)]).tobytes()
+    order = np.random.default_rng(len(records)).permutation(len(records))
+    for budget in (1, 2 * (count + count // 16 + 4)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(posterior, "_GROUP_VALUES", budget)
+            again, again_ok = _run_records([records[i] for i in order], count)
+        assert again[:, np.argsort(order)][:, ok].tobytes() == values[:, ok].tobytes()
+        assert np.array_equal(again_ok[np.argsort(order)], ok)
+    return outcomes
+
+
+def test_array_core_fails_only_the_failing_records(flood_s1, guinea_s1):
+    records = [(flood_s1, FLAT, 5), *_failing_records(), (guinea_s1, _PRIORS3[1], 6),
+               (flood_s1, _PRIORS3[2], 7)]
+    assert _assert_records_equal_the_copies(records, 40) == [True, False, False, False, False,
+                                                             True, True]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(censored_samples(), st.sampled_from(_PRIORS3),
+                          st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=5),
+       st.sampled_from([3, 40, 300]), st.lists(st.integers(0, 3), max_size=2))
+# one failure among two units: log g2 is flat, so the group's only table fails
+@example([((np.array([2.2170699, 0.76328677]), HybridScheme(n=2, R=1, T=math.inf)), FLAT, 0)],
+         3, [])
+def test_array_core_equals_the_numpy_copies_on_mixed_batches(cases, count, failing):
+    records = [(reciprocals(apply_scheme(data, scheme)), priors, seed)
+               for (data, scheme), priors, seed in cases
+               if scheme is not None and np.all(np.isfinite(data)) and np.all(data > 0)]
+    records += [_failing_records()[i] for i in failing]
+    if records:
+        _assert_records_equal_the_copies(records, count)
+
+
+def test_array_core_rounds_pad_the_rows_that_need_fewer_draws(monkeypatch, flood_s1, guinea_s1):
+    """An envelope three times too high accepts about a third of the
+    proposals, so the records fill in rounds of different widths; each has
+    the bits it has alone."""
+    envelope = posterior._envelope
+
+    def loose(x, h, d):
+        return envelope(x, h + math.log(3.0), d)
+    monkeypatch.setattr(posterior, "_envelope", loose)
+    samples = [flood_s1, guinea_s1, _c4_samples(3)[2]] * 2
+    priors = [FLAT, _PRIORS3[1], _PRIORS3[2]] * 2
+    seeds = range(len(samples))
+    together = posterior._is_rows(zip(samples, priors, (errors._rng(s, child=True) for s in seeds)),
+                                  300, 0.95)
+    for i, (s, p) in enumerate(zip(samples, priors)):
+        res = bayes_is(s, p, 300, i)
+        assert res.draws.acceptance_ratio < 0.5
+        assert together[0][:, i].tobytes() == np.array(
+            [res.alpha.mean, res.lam.mean, res.alpha.hpd.lower, res.lam.hpd.lower,
+             res.alpha.hpd.upper, res.lam.hpd.upper]).tobytes()
+    assert together[1].all()
 
 
 def test_posterior_draws_reuse_of_one_seed_sequence(flood_s1):
@@ -547,7 +701,8 @@ def test_posterior_draws_deterministic(flood_s1):
 
 def test_mean_var_hand_oracle():
     raw = np.array([1.0, 1.0, 2.0])
-    mean, var = posterior._mean_var(np.array([1.0, 2.0, 3.0]), raw / raw.sum())
+    (mean, var, _, _), _ = posterior._summary_rows(np.array([[1.0, 2.0, 3.0]]),
+                                                   (raw / raw.sum())[None], 0.9)
     assert mean == pytest.approx(2.25, abs=1e-14)
     assert var == pytest.approx(0.6875, abs=1e-14)
 

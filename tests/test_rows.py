@@ -338,7 +338,8 @@ def test_a_single_replicate_is_fitted_and_sampled_on_one_sample(monkeypatch):
     study, is fitted by the one-sample functions, not as arrays, and
     importance sampling reads the very sample they fitted, so that its
     cached work is done once: the third derivatives once for both priors,
-    and the expansion once for each."""
+    and the expansion once for each.  The array core runs the batch's
+    importance-sampling records, one for each sample and prior."""
     config = _config(cells=((12, 1.5, 8), (20, 2.5, 20)), replicates=1,
                      methods=("lindley", "is"))
     want = run_study_ref(config)
@@ -348,19 +349,24 @@ def test_a_single_replicate_is_fitted_and_sampled_on_one_sample(monkeypatch):
         fn = getattr(harness, name)
 
         def wrapper(*args, **kwargs):
+            if name == "_is_rows":
+                # the array core reads (sample, priors, generator) records
+                records = list(args[0])
+                calls.extend((name, s) for s, _, _ in records)
+                return fn(records, *args[1:], **kwargs)
             calls.append((name, args[at]))
             return fn(*args, **kwargs)
         monkeypatch.setattr(harness, name, wrapper)
 
     for name, at in (("_fit_rows", 0), ("fit_mle", 0), ("third_derivatives", 2),
-                     ("_estimate", 0), ("bayes_is", 0)):
+                     ("_estimate", 0), ("_is_rows", 0)):
         spy(name, at)
     _assert_same_bytes(run_study(config), want)
     by_sample = {}      # the calls on each sample object, by its id
     for name, s in calls:
         if name != "_estimate":
             by_sample.setdefault(id(s), []).append(name)
-    per_replicate = {"fit_mle": 1, "third_derivatives": 1, "bayes_is": 2}
+    per_replicate = {"fit_mle": 1, "third_derivatives": 1, "_is_rows": 2}
     assert [collections.Counter(names) for names in by_sample.values()] \
         == [per_replicate] * len(config.cells)
     # the expansion under each prior at each replicate's fit
