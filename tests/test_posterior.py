@@ -613,6 +613,30 @@ def test_array_core_rounds_pad_the_rows_that_need_fewer_draws(monkeypatch, flood
     assert together[1].all()
 
 
+def test_array_core_drops_a_record_whose_envelope_fails(monkeypatch, flood_s1, guinea_s1):
+    """A record whose envelope fails leaves the group before its first
+    round; the others, under an envelope three times too high, fill in
+    rounds of different widths with the bits they have alone."""
+    envelope = posterior._envelope
+
+    def second_fails(x, h, d):
+        env, failed = envelope(x, h + math.log(3.0), d)
+        if len(x) > 1:
+            failed[1] = InsufficientDataError("no mass")
+        return env, failed
+    monkeypatch.setattr(posterior, "_envelope", second_fails)
+    samples = [flood_s1, guinea_s1, _c4_samples(3)[2], flood_s1]
+    priors = [FLAT, _PRIORS3[1], _PRIORS3[2], _PRIORS3[1]]
+    values, ok = posterior._is_rows(
+        zip(samples, priors, (errors._rng(s, child=True) for s in range(4))), 300, 0.95)
+    assert ok.tolist() == [True, False, True, True]
+    for i in (0, 2, 3):
+        res = bayes_is(samples[i], priors[i], 300, i)
+        assert values[:, i].tobytes() == np.array(
+            [res.alpha.mean, res.lam.mean, res.alpha.hpd.lower, res.lam.hpd.lower,
+             res.alpha.hpd.upper, res.lam.hpd.upper]).tobytes()
+
+
 def test_posterior_draws_reuse_of_one_seed_sequence(flood_s1):
     root = np.random.SeedSequence(18)
     first = posterior_draws(flood_s1, FLAT, 300, root)
@@ -899,6 +923,28 @@ def test_quantile_and_hpd_equal_the_stable_sort_formulas(sample_, beta, level, d
         assert not lo < hi
         return
     assert (_bits(interval.lower), _bits(interval.upper)) == (_bits(lo), _bits(hi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 30) | st.integers(1_000, 5_000),
+       st.sampled_from(["distinct", "ties", "low bits", "huge and tiny"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_sorted_rows_of_positive_values_equal_the_stable_sort(k, m, kind, seed):
+    """Positive finite rows sort as keys of their bits and their index; the
+    order and the cumulative weights are the stable argsort's, also where
+    values tie or differ only in the low bits that hold the index."""
+    rng = np.random.default_rng(seed)
+    values = {"distinct": lambda: rng.gamma(2.0, 1.0, (k, m)),
+              "ties": lambda: rng.integers(1, 20, (k, m)) / 7.0,
+              # 1 + j ulp: equal but for the bits below the index, in any order
+              "low bits": lambda: 1.0 + rng.integers(0, 64, (k, m)) * np.finfo(float).eps,
+              "huge and tiny": lambda: np.exp(rng.uniform(-700.0, 700.0, (k, m)))}[kind]()
+    weights = rng.random((k, m))
+    vs, cum = posterior._sorted_rows(values, weights)
+    for i in range(k):
+        ref_vs, ref_cum = stable_sorted_cum(values[i], weights[i])
+        assert np.array_equal(vs[i], ref_vs)
+        assert np.array_equal(cum[i], ref_cum)
 
 
 # ---------------------------------------------------------------------------
