@@ -21,14 +21,14 @@ One array core runs importance-sampling records (a sample, a prior and a
 generator each) together: ``sample_g2``, ``posterior_draws`` and
 ``bayes_is`` are calls of one record, and the study harness runs every
 record of a batch in one call of :func:`_is_rows`.  The records' samples
-are rows padded to the widest r, and every sum over a sample runs a run of
-records of equal r at a time, so that no padding enters it; a round's
-proposals are rows padded to the widest, and the padding is never read.
+are rows padded to the widest r, and a round's proposals are rows padded to
+the widest; every sum over a sample runs a row at a time over its own r
+terms and its own proposals, so that the padding is never computed or read.
 So each record's sums, draws and summaries have the bits of the record run
 alone, and each record draws from its own generator in the order of a lone
 record.  The records run in groups of at most ``_GROUP_VALUES`` proposals
-(or table points) a round, so that a round's exponentials take at most r x
-16,384 values at the group's widest r.  Each proposal finds its envelope
+(or table points) a round, so that each array of a round holds at most
+16,384 values however many records a batch has.  Each proposal finds its envelope
 segment through a guide table of 2 x 64 equal cells of the cumulative mass,
 with one comparison where a cell holds at most one segment end, and the
 summaries sort positive draws as float keys that carry their index.
@@ -78,9 +78,8 @@ __all__ = [
 class _Rows(NamedTuple):
     """The samples and priors of K records, one row each: ``lx`` holds
     each sample's log x and ``shifted`` its log x - max log x, padded to the
-    widest r, and ``runs`` the ``(start, stop, r)`` of each run of rows of
-    equal r; the rest hold one value a row.  Every sum over a sample reads
-    the ``[:r]`` of its run, so that no term of the padding is computed."""
+    widest r with 0 and -inf, whose exponentials add exact zeros to a sum;
+    the rest hold one value a row."""
 
     lx: np.ndarray
     shifted: np.ndarray
@@ -95,13 +94,12 @@ class _Rows(NamedTuple):
     b: np.ndarray
     d: np.ndarray
     log_d: np.ndarray      # log d, -inf where d = 0
-    runs: list
 
     @classmethod
     def of(cls, samples: list, priors: list) -> "_Rows":
         """The rows of the samples (each with r >= 1) under their priors."""
         width = max(s.r for s in samples)
-        lx, shifted = np.zeros((2, len(samples), width))
+        lx, shifted = np.zeros((len(samples), width)), np.full((len(samples), width), -np.inf)
         for i, s in enumerate(samples):
             lx[i, :s.r] = s.log_x
             shifted[i, :s.r] = s.log_x_shifted
@@ -109,24 +107,16 @@ class _Rows(NamedTuple):
             [[s.log_x_max, s.sum_log_x, s.log_u, s.regression_start[0], s.r, s.n,
               s.r + p.c, p.a + s.r - 1.0, p.b, p.d] for s, p in zip(samples, priors)]).T
         log_d = np.log(d, out=np.full_like(d, -np.inf), where=d > 0)
-        r = r.astype(np.intp)
-        return cls(lx, shifted, top, slx, log_u, alpha0, r, n, shape, k, b, d, log_d, _runs(r))
+        return cls(lx, shifted, top, slx, log_u, alpha0, r.astype(np.intp), n, shape, k, b, d,
+                   log_d)
 
     def take(self, idx: list) -> "_Rows":
         """The rows ``idx`` (increasing), padded to their own widest r."""
         if len(idx) == self.r.size:
             return self
-        r = self.r[idx]
-        width = int(r.max())
+        width = int(self.r[idx].max())
         return _Rows(self.lx[idx, :width], self.shifted[idx, :width],
-                     *(v[idx] for v in self[2:-1]), _runs(r))
-
-
-def _runs(r: np.ndarray) -> list:
-    """``(start, stop, r)`` of each run of equal r in ``r``."""
-    r = r.tolist()
-    cuts = [0, *(i for i in range(1, len(r)) if r[i] != r[i - 1]), len(r)]
-    return [(a, b, r[a]) for a, b in zip(cuts, cuts[1:])]
+                     *(v[idx] for v in self[2:]))
 
 
 # the order-0 sums of more than 4/3 of this many alphas (5,461) run through one
@@ -134,61 +124,60 @@ def _runs(r: np.ndarray) -> list:
 _ALPHA_BLOCK = 4096
 
 
-def _blocked_exp_sums(rows: _Rows, alpha: np.ndarray) -> np.ndarray:
+def _blocked_exp_sums(rows: _Rows, alpha: np.ndarray, widths: list) -> np.ndarray:
     """``sum exp(alpha * (log x - max log x))`` over each row's sample at
-    every element of the same row of ``alpha`` (K, w), the bits of
-    ``np.add.reduce(np.exp(np.multiply.outer(shifted, a)), axis=0)`` for a
-    row's ``shifted`` and ``a``, a run of rows of equal r at a time, in the
-    fewest blocks of at most ``_ALPHA_BLOCK`` columns, of equal width to
-    one column, through one buffer.
+    the first ``widths[i]`` elements of row i of ``alpha`` (K, w), and 1 at
+    the rest: the bits of ``np.add.reduce(np.exp(np.multiply.outer(shifted,
+    a)), axis=0)`` for a row's ``shifted`` and ``a``, in the fewest blocks
+    of at most ``_ALPHA_BLOCK`` columns, of equal width to one column,
+    through one buffer.
 
     The reduce adds the r terms of a block in order, column by column, so
     a block's sums are those of the whole array, provided the block has at
-    least two columns: a one-column block is summed pairwise along r (the
-    callers sum a row of one proposal on its own, as one row of one
-    column).  Up to 5,461 columns (4/3 of ``_ALPHA_BLOCK``) take one
-    block, the whole array.  More are cut into blocks at least 2,731 (8,192
-    / 3) wide, below which numpy's broadcast multiply runs about four times
-    slower per element.
+    least two columns: a one-column block is summed pairwise along r.  Up to
+    5,461 columns (4/3 of ``_ALPHA_BLOCK``) take one block, the whole row.
+    More are cut into blocks at least 2,731 (8,192 / 3) wide, below which
+    numpy's broadcast multiply runs about four times slower per element.
     """
-    width = alpha.shape[1]
-    total = np.empty(alpha.shape)
-    blocks = -(-width // _ALPHA_BLOCK) if 3 * width > 4 * _ALPHA_BLOCK else 1
-    edges = [width * i // blocks for i in range(blocks + 1)]
-    buf = np.empty(max((b - a) * r for a, b, r in rows.runs) * -(-width // blocks))
-    for a, b, r in rows.runs:
-        lxs = rows.shifted[a:b, :r, None]
+    total = np.ones(alpha.shape)
+    r = rows.r.tolist()
+    blocks = [-(-w // _ALPHA_BLOCK) if 3 * w > 4 * _ALPHA_BLOCK else 1 for w in widths]
+    buf = np.empty(max(k * -(-w // n) for k, w, n in zip(r, widths, blocks)))
+    for i, (k, w, n) in enumerate(zip(r, widths, blocks)):
+        edges = [w * j // n for j in range(n + 1)]
         for start, stop in zip(edges, edges[1:]):
-            e = buf[:(b - a) * r * (stop - start)].reshape(b - a, r, stop - start)
-            np.multiply(lxs, alpha[a:b, None, start:stop], out=e)
+            e = buf[:k * (stop - start)].reshape(k, stop - start)
+            np.multiply.outer(rows.shifted[i, :k], alpha[i, start:stop], out=e)
             np.exp(e, out=e)
-            np.add.reduce(e, axis=1, out=total[a:b, start:stop])
+            np.add.reduce(e, axis=0, out=total[i, start:stop])
     return total
 
 
-def _log_rate_sums(alpha: np.ndarray, rows: _Rows, order: int) -> list:
+def _log_rate_sums(alpha: np.ndarray, rows: _Rows, order: int, widths=None) -> list:
     """``log(d + S_0)`` and, for ``order`` 1, ``S_1 / (d + S_0)`` at every
     element of each row of ``alpha`` (K, w; > 0) for the same row of
-    ``rows``, where ``S_k = sum x**alpha * (log x)**k``.
+    ``rows``, where ``S_k = sum x**alpha * (log x)**k``; for order 0, only
+    at the first ``widths[i]`` elements of row i (all by default), the rest
+    being padding that is not read.
 
     Sums ``exp(alpha * (log x - max log x))``, whose largest term is 1, and
     adds the shift back in logs, so nothing under- or overflows at any finite
     alpha.  ``d + S_0`` is the rate of g1.  Order 0 sums through
-    :func:`_blocked_exp_sums`; order 1, whose products need them, keeps the
-    exponentials of a run as one array and takes ``S_1`` by one product a
-    row.
+    :func:`_blocked_exp_sums`, a row at a time; order 1, whose products
+    need them, keeps the exponentials of all rows as one array, the padding
+    adding exact zeros, and takes ``S_1`` by one product a row over its r
+    terms.
     """
     top = rows.top[:, None]
     if order:
-        total, s1 = np.empty((2, *alpha.shape))
-        for a, b, r in rows.runs:
-            e = rows.shifted[a:b, :r, None] * alpha[a:b, None]
-            np.exp(e, out=e)
-            np.add.reduce(e, axis=1, out=total[a:b])
-            for i in range(a, b):
-                s1[i] = rows.lx[i, :r] @ e[i - a]
+        e = rows.shifted[:, :, None] * alpha[:, None]
+        np.exp(e, out=e)
+        total = np.add.reduce(e, axis=1)
+        s1 = np.empty(alpha.shape)
+        for i, r in enumerate(rows.r.tolist()):
+            s1[i] = rows.lx[i, :r] @ e[i, :r]
     else:
-        total = _blocked_exp_sums(rows, alpha)
+        total = _blocked_exp_sums(rows, alpha, widths or [alpha.shape[1]] * len(alpha))
     log_rate = alpha * top
     log_rate += np.log(total)
     proper = rows.d > 0
@@ -205,11 +194,12 @@ def _log_rate_sums(alpha: np.ndarray, rows: _Rows, order: int) -> list:
     return [log_rate, s1]
 
 
-def _g2_terms(alpha: np.ndarray, rows: _Rows, order: int) -> list:
+def _g2_terms(alpha: np.ndarray, rows: _Rows, order: int, widths=None) -> list:
     """``[log(d + S_0), log g2]`` at every element of each row of ``alpha``
     (K, w; > 0), and for ``order`` 1 also ``(log g2)' = -(r+c) S_1/(d + S_0)
-    + (a+r-1)/alpha - b + sum log x``."""
-    log_rate, *ratio = _log_rate_sums(alpha, rows, order)
+    + (a+r-1)/alpha - b + sum log x``; ``widths`` as in
+    :func:`_log_rate_sums`."""
+    log_rate, *ratio = _log_rate_sums(alpha, rows, order, widths)
     shape, k, b, slx = (v[:, None] for v in (rows.shape, rows.k, rows.b, rows.slx))
     h = -shape * log_rate
     h += k * np.log(alpha)
@@ -548,10 +538,7 @@ def _g2_rows(rows: _Rows, rngs: list, count: int) -> tuple:
                 t[i, :m], log_env[i, :m] = t[i, ok[i]], log_env[i, ok[i]]
                 t[i, m:] = 1.0
         del ok
-        lr, hval = _g2_terms(t, sub, 0)
-        # a row of one proposal is summed as one column alone
-        for i in [i for i, m in enumerate(held) if m == 1]:
-            lr[i, :1], hval[i, :1] = _g2_terms(t[i:i + 1, :1], sub.take([i]), 0)
+        lr, hval = _g2_terms(t, sub, 0, held)
         # accept where log(uniform) + log envelope <= log g2
         level = np.ones((len(live), width))
         for i, (row, m) in enumerate(zip(live, held)):
@@ -599,7 +586,7 @@ def sample_g2(
                                                            [_rng(seed)], count)
     if failed:
         raise failed[0]
-    return draws[0], {"acceptance_ratio": float(acceptance[0]), "rounds": int(rounds[0]),
+    return draws[0], {"acceptance_ratio": acceptance[0], "rounds": rounds[0],
                       "log_rate": log_rate[0]}
 
 
@@ -743,7 +730,7 @@ def posterior_draws(
     if out.failed:
         raise out.failed[0]
     return PosteriorDraws(out.alphas[0], out.lams[0], out.weights[0],
-                          acceptance_ratio=float(out.acceptance[0]))
+                          acceptance_ratio=out.acceptance[0])
 
 
 def _sorted_cum(v: np.ndarray, w: np.ndarray):

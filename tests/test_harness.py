@@ -146,10 +146,11 @@ def test_replicates_equal_direct_fits():
 
 def test_importance_sampling_memory_follows_the_group_budget():
     """2,100 records of one batch at M = 1,000 run in groups of 15, so the
-    peak is one group's: its exponentials, 8 bytes for each of r x 16,384
-    proposals (2.6 MB at r = 20), and about as much again for its draws
-    and summaries, not the batch's 2,100 records.  Measured 4.8 MB; one
-    record at a time, the peak was 2.0 MB."""
+    peak is one group's, not the batch's 2,100 records: its round arrays
+    (uniforms, proposals, log densities and levels) of at most 16,384
+    values each, its draws and summaries, and one row's exponentials, over
+    the batch's samples and records (about 2 MB).  Measured 3.05 MB; one
+    record at a time, the peak was 2.1 MB."""
     config = _tiny_config(cells=((30, 1.5, 20),), replicates=2100, draws=1000, methods=("is",))
     assert len(list(harness._batches(config.replicates, [HybridScheme(30, 20, 1.5)]))) == 1
     run_study(dataclasses.replace(config, replicates=2))    # numpy's lazy set-up
@@ -160,7 +161,7 @@ def test_importance_sampling_memory_follows_the_group_budget():
     finally:
         tracemalloc.stop()
     assert summary.rows[0].replicates_used > 2000
-    assert peak < 2 * 8 * 20 * posterior._GROUP_VALUES + 2 ** 21
+    assert peak < 16 * 8 * posterior._GROUP_VALUES + 2 ** 21
 
 
 def test_importance_sampling_uses_child_one_plus_prior():
