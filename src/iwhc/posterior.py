@@ -20,24 +20,25 @@ the likelihood kernel's censoring helper.
 One array core runs importance-sampling records (a sample, a prior and a
 generator each) together: ``sample_g2``, ``posterior_draws`` and
 ``bayes_is`` are calls of one record, and the study harness runs every
-record of a batch in one call of :func:`_is_rows`.  The records' samples
-are rows padded to the widest r, and a round's proposals are rows padded to
-the widest; every sum over a sample runs a row at a time over its own r
-terms and its own proposals, so that the padding is never computed or read.
-So each record's sums, draws and summaries have the bits of the record run
-alone, and each record draws from its own generator in the order of a lone
-record.  The records run in groups of at most ``_GROUP_VALUES`` proposals
-(or table points) a round, so that each array of a round holds at most
-16,384 values however many records a batch has.  Each proposal finds its envelope
-segment through a guide table of 2 x 64 equal cells of the cumulative mass,
-with one comparison where a cell holds at most one segment end, and the
-summaries sort positive draws as float keys that carry their index.
+record of a batch in one call of :func:`_is_rows`.  Each record keeps its
+sample's own cached arrays, and one routine, :func:`_blocked_exp_sums`,
+sums over the samples a record at a time, for the tangent tables and the
+rounds alike; only a round's proposals are rows padded to the widest, and
+the padding is never read.  So each record's sums, draws and summaries
+have the bits of the record run alone, and each record draws from its own
+generator in the order of a lone record.  The records run in groups of at
+most ``_GROUP_VALUES`` proposals (or table points) a round, so that each
+array of a round holds at most 16,384 values however many records a batch
+has.  Each proposal finds its envelope segment through a guide table of 2
+x 64 equal cells of the cumulative mass, with one comparison where a cell
+holds at most one segment end, and the summaries sort positive draws as
+float keys that carry their index.
 
 A round's ``sum x**alpha`` over more than 5,461 proposals of one record
 runs in blocks of at most 4,096 alphas, so M draws need r x 4,096 values
 plus O(M), not r x M; such a record forms a group of its own.  Every block
-has at least 2 columns and smaller arrays (every round at 1,000 draws) take
-one block, which keeps the bits of the one array.
+has at least 2 columns and smaller arrays (every table, and every round at
+1,000 draws) take one block, which keeps the bits of the one array.
 """
 
 from __future__ import annotations
@@ -76,13 +77,12 @@ __all__ = [
 
 
 class _Rows(NamedTuple):
-    """The samples and priors of K records, one row each: ``lx`` holds
-    each sample's log x and ``shifted`` its log x - max log x, padded to the
-    widest r with 0 and -inf, whose exponentials add exact zeros to a sum;
-    the rest hold one value a row."""
+    """The samples and priors of K records, one row each: ``lx`` and
+    ``shifted`` hold each sample's cached log x and log x - max log x, the
+    rest one value a row."""
 
-    lx: np.ndarray
-    shifted: np.ndarray
+    lx: list
+    shifted: list
     top: np.ndarray        # max log x
     slx: np.ndarray        # sum log x
     log_u: np.ndarray
@@ -98,48 +98,44 @@ class _Rows(NamedTuple):
     @classmethod
     def of(cls, samples: list, priors: list) -> "_Rows":
         """The rows of the samples (each with r >= 1) under their priors."""
-        width = max(s.r for s in samples)
-        lx, shifted = np.zeros((len(samples), width)), np.full((len(samples), width), -np.inf)
-        for i, s in enumerate(samples):
-            lx[i, :s.r] = s.log_x
-            shifted[i, :s.r] = s.log_x_shifted
         top, slx, log_u, alpha0, r, n, shape, k, b, d = np.array(
             [[s.log_x_max, s.sum_log_x, s.log_u, s.regression_start[0], s.r, s.n,
               s.r + p.c, p.a + s.r - 1.0, p.b, p.d] for s, p in zip(samples, priors)]).T
         log_d = np.log(d, out=np.full_like(d, -np.inf), where=d > 0)
-        return cls(lx, shifted, top, slx, log_u, alpha0, r.astype(np.intp), n, shape, k, b, d,
-                   log_d)
+        return cls([s.log_x for s in samples], [s.log_x_shifted for s in samples], top, slx,
+                   log_u, alpha0, r.astype(np.intp), n, shape, k, b, d, log_d)
 
     def take(self, idx: list) -> "_Rows":
-        """The rows ``idx`` (increasing), padded to their own widest r."""
+        """The rows ``idx`` (increasing)."""
         if len(idx) == self.r.size:
             return self
-        width = int(self.r[idx].max())
-        return _Rows(self.lx[idx, :width], self.shifted[idx, :width],
+        return _Rows([self.lx[i] for i in idx], [self.shifted[i] for i in idx],
                      *(v[idx] for v in self[2:]))
 
 
-# the order-0 sums of more than 4/3 of this many alphas (5,461) run through one
-# buffer of r times at most this many exponentials, a block of alphas at a time
+# the sums of more than 4/3 of this many alphas (5,461) run through one buffer
+# of r times at most this many exponentials, a block of alphas at a time
 _ALPHA_BLOCK = 4096
 
 
-def _blocked_exp_sums(rows: _Rows, alpha: np.ndarray, widths: list) -> np.ndarray:
+def _blocked_exp_sums(rows: _Rows, alpha: np.ndarray, widths: list, order: int) -> list:
     """``sum exp(alpha * (log x - max log x))`` over each row's sample at
     the first ``widths[i]`` elements of row i of ``alpha`` (K, w), and 1 at
-    the rest: the bits of ``np.add.reduce(np.exp(np.multiply.outer(shifted,
-    a)), axis=0)`` for a row's ``shifted`` and ``a``, in the fewest blocks
-    of at most ``_ALPHA_BLOCK`` columns, of equal width to one column,
-    through one buffer.
+    the rest, and for ``order`` 1 also ``sum exp(...) * log x`` there:
+    for a row's ``shifted`` and ``a``, the bits of ``e = np.exp(np.multiply
+    .outer(shifted, a))``, ``np.add.reduce(e, axis=0)`` and ``log x @ e``,
+    in the fewest blocks of at most ``_ALPHA_BLOCK`` columns, of equal width
+    to one column, through one buffer.
 
     The reduce adds the r terms of a block in order, column by column, so
     a block's sums are those of the whole array, provided the block has at
     least two columns: a one-column block is summed pairwise along r.  Up to
-    5,461 columns (4/3 of ``_ALPHA_BLOCK``) take one block, the whole row.
-    More are cut into blocks at least 2,731 (8,192 / 3) wide, below which
-    numpy's broadcast multiply runs about four times slower per element.
+    5,461 columns (4/3 of ``_ALPHA_BLOCK``) take one block, the whole row,
+    as every table of ``_TANGENTS`` points does.  More are cut into blocks
+    at least 2,731 (8,192 / 3) wide, below which numpy's broadcast multiply
+    runs about four times slower per element.
     """
-    total = np.ones(alpha.shape)
+    out = [np.ones(alpha.shape)] + [np.zeros(alpha.shape) for _ in range(order)]
     r = rows.r.tolist()
     blocks = [-(-w // _ALPHA_BLOCK) if 3 * w > 4 * _ALPHA_BLOCK else 1 for w in widths]
     buf = np.empty(max(k * -(-w // n) for k, w, n in zip(r, widths, blocks)))
@@ -147,59 +143,33 @@ def _blocked_exp_sums(rows: _Rows, alpha: np.ndarray, widths: list) -> np.ndarra
         edges = [w * j // n for j in range(n + 1)]
         for start, stop in zip(edges, edges[1:]):
             e = buf[:k * (stop - start)].reshape(k, stop - start)
-            np.multiply.outer(rows.shifted[i, :k], alpha[i, start:stop], out=e)
+            np.multiply.outer(rows.shifted[i], alpha[i, start:stop], out=e)
             np.exp(e, out=e)
-            np.add.reduce(e, axis=0, out=total[i, start:stop])
-    return total
-
-
-def _log_rate_sums(alpha: np.ndarray, rows: _Rows, order: int, widths=None) -> list:
-    """``log(d + S_0)`` and, for ``order`` 1, ``S_1 / (d + S_0)`` at every
-    element of each row of ``alpha`` (K, w; > 0) for the same row of
-    ``rows``, where ``S_k = sum x**alpha * (log x)**k``; for order 0, only
-    at the first ``widths[i]`` elements of row i (all by default), the rest
-    being padding that is not read.
-
-    Sums ``exp(alpha * (log x - max log x))``, whose largest term is 1, and
-    adds the shift back in logs, so nothing under- or overflows at any finite
-    alpha.  ``d + S_0`` is the rate of g1.  Order 0 sums through
-    :func:`_blocked_exp_sums`, a row at a time; order 1, whose products
-    need them, keeps the exponentials of all rows as one array, the padding
-    adding exact zeros, and takes ``S_1`` by one product a row over its r
-    terms.
-    """
-    top = rows.top[:, None]
-    if order:
-        e = rows.shifted[:, :, None] * alpha[:, None]
-        np.exp(e, out=e)
-        total = np.add.reduce(e, axis=1)
-        s1 = np.empty(alpha.shape)
-        for i, r in enumerate(rows.r.tolist()):
-            s1[i] = rows.lx[i, :r] @ e[i, :r]
-    else:
-        total = _blocked_exp_sums(rows, alpha, widths or [alpha.shape[1]] * len(alpha))
-    log_rate = alpha * top
-    log_rate += np.log(total)
-    proper = rows.d > 0
-    if proper.any():
-        proper = proper[:, None]
-        np.logaddexp(rows.log_d[:, None], log_rate, out=log_rate, where=proper)
-    if not order:
-        return [log_rate]
-    if proper.any():
-        # d * exp(-alpha * max log x) overflows to inf, and is NaN where d = 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add(total, rows.d[:, None] * np.exp(-alpha * top), out=total, where=proper)
-    s1 /= total
-    return [log_rate, s1]
+            np.add.reduce(e, axis=0, out=out[0][i, start:stop])
+            if order:
+                out[1][i, start:stop] = rows.lx[i] @ e
+    return out
 
 
 def _g2_terms(alpha: np.ndarray, rows: _Rows, order: int, widths=None) -> list:
     """``[log(d + S_0), log g2]`` at every element of each row of ``alpha``
-    (K, w; > 0), and for ``order`` 1 also ``(log g2)' = -(r+c) S_1/(d + S_0)
-    + (a+r-1)/alpha - b + sum log x``; ``widths`` as in
-    :func:`_log_rate_sums`."""
-    log_rate, *ratio = _log_rate_sums(alpha, rows, order, widths)
+    (K, w; > 0) for the same row of ``rows``, where ``S_k = sum x**alpha *
+    (log x)**k``, and for ``order`` 1 also ``(log g2)' = -(r+c) S_1/(d +
+    S_0) + (a+r-1)/alpha - b + sum log x``; only at the first ``widths[i]``
+    elements of row i (all by default), the rest being padding that is not
+    read.
+
+    Sums ``exp(alpha * (log x - max log x))``, whose largest term is 1, by
+    :func:`_blocked_exp_sums` and adds the shift back in logs, so nothing
+    under- or overflows at any finite alpha.  ``d + S_0`` is the rate of g1.
+    """
+    total, *s1 = _blocked_exp_sums(rows, alpha, widths or [alpha.shape[1]] * len(alpha), order)
+    top = rows.top[:, None]
+    log_rate = alpha * top
+    log_rate += np.log(total)
+    proper = (rows.d > 0)[:, None]
+    if proper.any():
+        np.logaddexp(rows.log_d[:, None], log_rate, out=log_rate, where=proper)
     shape, k, b, slx = (v[:, None] for v in (rows.shape, rows.k, rows.b, rows.slx))
     h = -shape * log_rate
     h += k * np.log(alpha)
@@ -207,7 +177,12 @@ def _g2_terms(alpha: np.ndarray, rows: _Rows, order: int, widths=None) -> list:
     h += (alpha + 1.0) * slx
     if not order:
         return [log_rate, h]
-    slope = -shape * ratio[0]
+    if proper.any():
+        # d * exp(-alpha * max log x) overflows to inf, and is NaN where d = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(total, rows.d[:, None] * np.exp(-alpha * top), out=total, where=proper)
+    s1[0] /= total
+    slope = -shape * s1[0]
     slope += k / alpha
     slope -= b
     slope += slx
@@ -246,15 +221,6 @@ def _lam_rows(log_rate: np.ndarray, gammas: np.ndarray) -> tuple:
         f"to {np.max(log_rate[i]):.4g} at these alphas") for i in np.flatnonzero(bad).tolist()}
 
 
-def _draw_lams(log_rate, shape: float, rng: np.random.Generator):
-    """One Gamma(shape, rate exp(log_rate)) draw per element of ``log_rate``."""
-    gammas = np.asarray(rng.gamma(shape, 1.0, size=np.shape(log_rate)))
-    lams, failed = _lam_rows(np.reshape(log_rate, (1, -1)), gammas.reshape(1, -1))
-    if failed:
-        raise failed[0]
-    return lams.reshape(np.shape(log_rate))
-
-
 def sample_g1(alpha, s: ReciprocalSample, priors: GammaPriors, seed):
     """Draw lam ~ g1(. | alpha): Gamma(r + c, rate d + sum x**alpha).
 
@@ -267,9 +233,12 @@ def sample_g1(alpha, s: ReciprocalSample, priors: GammaPriors, seed):
     if shape <= 0:
         raise DomainError(f"gamma shape r + c must be positive, got {shape}")
     arr = _positive("alpha", alpha)
-    log_rate = _log_rate_sums(arr.reshape(1, -1), _Rows.of([s], [priors]), 0)[0]
-    out = _draw_lams(log_rate.reshape(arr.shape), shape, _rng(seed))
-    return float(out) if arr.ndim == 0 else out
+    log_rate = _g2_terms(arr.reshape(1, -1), _Rows.of([s], [priors]), 0)[0]
+    gammas = np.asarray(_rng(seed).gamma(shape, 1.0, size=arr.shape))
+    lams, failed = _lam_rows(log_rate, gammas.reshape(1, -1))
+    if failed:
+        raise failed[0]
+    return float(lams[0, 0]) if arr.ndim == 0 else lams.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -862,10 +831,11 @@ def hpd_interval(values, weights, level: float) -> ConfidenceInterval:
 
 def _summary_rows(values: np.ndarray, weights: np.ndarray, level: float) -> tuple:
     """The weighted mean, variance and highest-density interval of each row
-    of ``values`` (K, M) under the same row of ``weights`` as four rows
-    (mean, variance, lower, upper), and the :class:`NumericError` of each
-    row whose moments overflow or whose interval is degenerate, keyed by
-    row.  Callers ignore numpy's overflow and invalid warnings around it."""
+    of ``values`` (K, M) under the same row of normalized ``weights`` as
+    four rows (mean, variance, lower, upper), and the :class:`NumericError`
+    of each row whose moments overflow or whose interval is degenerate (its
+    message gives the row's largest weight and ESS), keyed by row.  Callers
+    ignore numpy's overflow and invalid warnings around it."""
     _check_level(level)
     mean = np.add.reduce(values * weights, axis=-1)
     var = np.add.reduce(((values - mean[:, None]) ** 2) * weights, axis=-1)
@@ -875,8 +845,10 @@ def _summary_rows(values: np.ndarray, weights: np.ndarray, level: float) -> tupl
     _check_count(values.shape[-1], level)
     lower, upper = _hpd_rows(*_sorted_rows(values, weights), level)
     for i in np.flatnonzero(~(lower < upper)).tolist():
-        failed.setdefault(i, NumericError(f"degenerate interval ({float(lower[i])}, "
-                                          f"{float(upper[i])})"))
+        w = weights[i]
+        failed.setdefault(i, NumericError(
+            f"degenerate interval ({float(lower[i])}, {float(upper[i])}): the largest weight "
+            f"is {w.max():.4g}, the ESS {1.0 / (w ** 2).sum():.4g} of {w.size} draws"))
     return np.stack((mean, var, lower, upper)), failed
 
 

@@ -630,6 +630,22 @@ def sample_g2_ref(count, s, priors, rng):
                    "log_rate": log_rate}
 
 
+def draw_lams_ref(log_rate, shape, rng):
+    """One Gamma(shape, rate exp(log_rate)) draw per element of
+    ``log_rate``: a Gamma(shape, scale 1) draw over the rate, taken in
+    logs; a draw beyond the float64 range raises ``NumericError``."""
+    gammas = rng.gamma(shape, 1.0, size=np.shape(log_rate))
+    with np.errstate(over="ignore", divide="ignore"):
+        lams = np.exp(np.log(gammas) - log_rate)
+    bad = int(np.count_nonzero(~((lams > 0) & np.isfinite(lams))))
+    if bad:
+        raise NumericError(
+            f"{bad} of {lams.size} lam draws from g1 overflow or underflow float64: "
+            f"the log rate log(d + sum x**alpha) reaches {np.min(log_rate):.4g} "
+            f"to {np.max(log_rate):.4g} at these alphas")
+    return lams
+
+
 def hpd_interval_numpy_ref(values, weights, level):
     """(lower, upper) as the library computed them on numpy, window ends by
     two searches."""
@@ -654,14 +670,12 @@ def bayes_is_ref(s, priors, count, seed, level=0.95, theta=True):
     ratio, then mean, variance, HPD lower and upper of alpha, lam and, where
     ``theta``, theta).  Raises what the library raised: the typed errors,
     and ``NumericError`` for a degenerate interval."""
-    from iwhc.posterior import _draw_lams
-
     if s.r < 1:
         raise InsufficientDataError("posterior sampling needs at least one failure")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(root.spawn(1)[0])
     alphas, info = sample_g2_ref(count, s, priors, rng)
-    lams = _draw_lams(info["log_rate"], s.r + priors.c, rng)
+    lams = draw_lams_ref(info["log_rate"], s.r + priors.c, rng)
     if s.n == s.r:
         weights = np.full(count, 1.0 / count)
     else:
@@ -688,7 +702,9 @@ def bayes_is_ref(s, priors, count, seed, level=0.95, theta=True):
                                f"(mean={mean:.4g}, variance={var:.4g})")
         lo, hi = hpd_interval_numpy_ref(values, weights, level)
         if not lo < hi:
-            raise NumericError(f"degenerate interval ({lo}, {hi})")
+            raise NumericError(f"degenerate interval ({lo}, {hi}): the largest weight is "
+                               f"{weights.max():.4g}, the ESS {1.0 / (weights ** 2).sum():.4g} "
+                               f"of {weights.size} draws")
         out += [mean, var, lo, hi]
     return tuple(out)
 

@@ -150,18 +150,30 @@ def test_importance_sampling_memory_follows_the_group_budget():
     (uniforms, proposals, log densities and levels) of at most 16,384
     values each, its draws and summaries, and one row's exponentials, over
     the batch's samples and records (about 2 MB).  Measured 3.05 MB; one
-    record at a time, the peak was 2.1 MB."""
-    config = _tiny_config(cells=((30, 1.5, 20),), replicates=2100, draws=1000, methods=("is",))
-    assert len(list(harness._batches(config.replicates, [HybridScheme(30, 20, 1.5)]))) == 1
-    run_study(dataclasses.replace(config, replicates=2))    # numpy's lazy set-up
-    tracemalloc.start()
-    try:
-        summary = run_study(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert summary.rows[0].replicates_used > 2000
-    assert peak < 16 * 8 * posterior._GROUP_VALUES + 2 ** 21
+    record at a time, the peak was 2.1 MB.
+
+    At M = 40, the 1,310 records of one batch of a complete n = 50 cell run
+    in groups of 16,384 // 64 = 256, whose tables of 64 points each hold
+    the whole budget: 256 x 64 = 16,384 values an array (the guide table's
+    twice that).  The envelopes, the group's largest step, hold about 20
+    such arrays at once beside the tables and the draws, so the bound is 32
+    arrays of 16,384 values (4.2 MB) over the same 2 MB.  Measured 5.5 MB;
+    with one (256, r, 64) array of the exponentials of the tables' sums, 50
+    x 16,384 values at r = 50 and more than the 32 arrays alone, 10.5 MB."""
+    for cell, replicates, draws, arrays in (((30, 1.5, 20), 2100, 1000, 16),
+                                            ((50, math.inf, 50), 1310, 40, 32)):
+        config = _tiny_config(cells=(cell,), replicates=replicates, draws=draws, methods=("is",))
+        n, t, big_r = cell
+        assert len(list(harness._batches(replicates, [HybridScheme(n, big_r, t)]))) == 1
+        run_study(dataclasses.replace(config, replicates=2))    # numpy's lazy set-up
+        tracemalloc.start()
+        try:
+            summary = run_study(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary.rows[0].replicates_used > replicates - 100
+        assert peak < arrays * 8 * posterior._GROUP_VALUES + 2 ** 21
 
 
 def test_importance_sampling_uses_child_one_plus_prior():

@@ -364,27 +364,34 @@ _BLOCK_EDGE_COUNTS = (1, 2, 1066, 4095, 4096, 4097, 4098, 5461, 5462, 8192, 8193
 @pytest.mark.parametrize("r", [1, 2, 300])
 def test_blocked_sums_equal_the_unblocked_copies(r):
     """Every order-0 sum, through each public reader, has the bits of the
-    one array of exponentials, at d = 0 and d > 0 and block edges."""
+    one array of exponentials, at d = 0 and d > 0 and block edges; and the
+    order-1 sums of a table, one call for several records of r = 1, 2 and
+    300, have the bits of each record's own array."""
     rng = np.random.default_rng(r)
     s = _complete(np.exp(rng.normal(size=r)))
     lx = np.log(s.x)
+    mixed = [_complete(np.exp(rng.normal(size=m))) for m in (r, 1, 300, 2)]
     for priors in (FLAT, GammaPriors(2, 1, 1, 1)):
         for count in _BLOCK_EDGE_COUNTS:
             a = np.exp(rng.normal(size=count))
-            bits = [v.tobytes() for v in _oracles._log_rate_sums_ref(a, lx, priors.d, 0)]
             rows = posterior._Rows.of([s], [priors])
-            assert [v[0].tobytes() for v in posterior._log_rate_sums(a[None], rows, 0)] == bits
+            new = [v[0].tobytes() for v in posterior._g2_terms(a[None], rows, 0)]
+            assert new[:1] == [v.tobytes() for v in _oracles._log_rate_sums_ref(a, lx, priors.d, 0)]
             ref = g2_terms_ref(a, s, priors, 0)
-            assert [v[0].tobytes() for v in posterior._g2_terms(a[None], rows, 0)] \
-                == [v.tobytes() for v in ref]
+            assert new == [v.tobytes() for v in ref]
             assert g2_log_density(a, s, priors).tobytes() == ref[1].tobytes()
-            want = posterior._draw_lams(ref[0], s.r + priors.c, np.random.default_rng(count))
+            want = _oracles.draw_lams_ref(ref[0], s.r + priors.c, np.random.default_rng(count))
             assert sample_g1(a, s, priors, count).tobytes() == want.tobytes()
         # an array of any shape is blocked as its flat order
         for shape in ((3, 4097), (1, 1)):
             a = np.exp(rng.normal(size=shape))
             assert g2_log_density(a, s, priors).tobytes() \
                 == g2_terms_ref(a, s, priors, 0)[1].tobytes()
+        a = np.exp(rng.normal(size=(len(mixed), posterior._TANGENTS)) * 2.0)
+        terms = posterior._g2_terms(a, posterior._Rows.of(mixed, [priors] * len(mixed)), 1)
+        for i, m in enumerate(mixed):
+            assert [v[i].tobytes() for v in terms] \
+                == [v.tobytes() for v in g2_terms_ref(a[i], m, priors, 1)]
 
 
 @pytest.mark.parametrize("case", ["flood_s1", "guinea_s1", "guinea_complete"])
@@ -729,6 +736,23 @@ def test_mean_var_hand_oracle():
                                                    (raw / raw.sum())[None], 0.9)
     assert mean == pytest.approx(2.25, abs=1e-14)
     assert var == pytest.approx(0.6875, abs=1e-14)
+
+
+def test_degenerate_interval_names_the_largest_weight_and_the_ess():
+    """One draw of 100 carries 0.97 of the weight, more than the level, so
+    the shortest window starts and ends at it; the other row is uniform."""
+    values = np.tile(np.arange(1.0, 101.0), (2, 1))
+    weights = np.full((2, 100), 0.01)
+    weights[0] = 0.03 / 99
+    weights[0, 49] = 0.97
+    ess = 1.0 / (0.97 ** 2 + 99 * (0.03 / 99) ** 2)
+    (_, _, lower, upper), failed = posterior._summary_rows(values, weights, 0.95)
+    assert list(failed) == [0] and (lower[0], upper[0]) == (50.0, 50.0) and lower[1] < upper[1]
+    message = f"degenerate interval (50.0, 50.0): the largest weight is 0.97, the ESS {ess:.4g} " \
+        "of 100 draws"
+    assert ess == pytest.approx(1.063, abs=1e-3) and str(failed[0]) == message
+    with pytest.raises(NumericError, match=r"^degenerate interval \("):
+        posterior._summary(values[0], weights[0], 0.95)
 
 
 # ---------------------------------------------------------------------------
