@@ -62,9 +62,8 @@ def _centred_positions(r: int, n: int) -> np.ndarray:
     """``y - mean(y)`` for the plotting positions ``y = log(-log((i -
     0.5)/n))``, i = 1..r, of :attr:`ReciprocalSample.regression_start`.
     Read-only: every sample with this (r, n) shares it."""
-    i = np.arange(1, r + 1)
-    y = np.log(-np.log((i - 0.5) / n))
-    out = y - y.mean()
+    y = np.log(-np.log((np.arange(1, r + 1) - 0.5) / n))
+    out = y - y.mean() if r else y
     out.flags.writeable = False
     return out
 
@@ -153,7 +152,8 @@ class ReciprocalSample:
             denom = (cx ** 2).sum()
             alpha0 = (float((cx * _centred_positions(self.r, self.n)).sum() / denom)
                       if denom > 0 else 1.0)
-            total = float(np.power(self.x, alpha0).sum())
+            # an exponent as long as x, as ReciprocalRows takes it
+            total = float(np.power(self.x, np.full(self.r, alpha0)).sum())
         if not (np.isfinite(alpha0) and alpha0 > 0.05 and 0.0 < total < np.inf):
             alpha0, total = 1.0, float(self.x.sum())
         return alpha0, self.r / total
@@ -165,11 +165,13 @@ class ReciprocalRows:
     array path of the study harness.  The samples may come from designs of
     different n.
 
-    Row i holds ``x[i, :r[i]]`` of its ``n[i]`` units and is padded with ones
-    to the width of ``x``; the rows are ordered by r.  numpy's pairwise sum
-    rounds by length, so each sum along rows reduces a slice ``[:, :r]`` of
-    the rows of equal r, which gives the bits of the same sum over
-    ``ReciprocalSample.x``.
+    Row i is segment i of the flat array ``x``: a lead slot holding 1, then
+    the row's ``r[i]`` reciprocals; ``starts`` indexes the lead slots.  Each
+    sum over the rows is one ``np.add.reduceat`` over the segments with a
+    lead term of 0.0, which gives the bits of ``ndarray.sum`` over each
+    row's own sample: numpy adds the pairwise sum of a segment's later terms
+    to its first, as a reduction adds the pairwise sum to its identity 0.0.
+    The logs of the lead slot are 0; other terms are set to 0.0 there.
     """
 
     x: np.ndarray
@@ -177,37 +179,49 @@ class ReciprocalRows:
     r: np.ndarray
     n: np.ndarray
 
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """The index in ``x`` of each row's lead slot."""
+        size = self.r + 1
+        return np.cumsum(size) - size
+
     def sample(self, i: int) -> ReciprocalSample:
         """The sample of row i."""
-        r = int(self.r[i])
-        return ReciprocalSample(x=self.x[i, :r].copy(), u=float(self.u[i]), r=r,
+        r, start = int(self.r[i]), int(self.starts[i]) + 1
+        return ReciprocalSample(x=self.x[start:start + r].copy(), u=float(self.u[i]), r=r,
                                 n=int(self.n[i]))
 
-    def runs(self, idx=slice(None), *keys) -> list:
-        """``(start, stop, r)`` for each run of equal r, and of equal
-        ``keys`` (arrays over the same rows) where given, in the rows
-        ``idx``, all rows or an increasing index array: ``idx[start:stop]``
-        are the rows of the run."""
-        r = self.r[idx]
-        change = r[1:] != r[:-1]
-        for key in keys:
-            change |= key[1:] != key[:-1]
-        cuts = [0, *(np.flatnonzero(change) + 1).tolist(), r.size]
-        return [(a, b, int(r[a])) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
-
-    def row_sums(self, values: np.ndarray, idx=slice(None)) -> np.ndarray:
-        """The sums over the last axis of ``values``, whose first axis runs
-        over the rows ``idx``, of each row's r entries: one reduction for
-        each run of equal r."""
-        out = np.empty(values.shape[:-1])
-        for a, b, r in self.runs(idx):
-            np.add.reduce(values[a:b, ..., :r], axis=-1, out=out[a:b])
-        return out
+    def power_sums(self, alpha: np.ndarray, idx: np.ndarray, order: int) -> np.ndarray:
+        """``[k, j]``, the sum of ``x**alpha[j] * (log x)**k`` over the sample of
+        row ``idx[j]`` (idx increasing), for k = 0..order: the power sums of
+        ``mle._derivatives`` on each row's sample, with the same bits."""
+        x, logs, starts = self.x, self.log_x_powers[:order], self.starts
+        if idx.size < self.r.size:
+            # the rows' segments end to end; an increasing idx of r's size is every row,
+            # and x itself spares the gathers (about 0.05 ms a call, five a study_mle batch)
+            size = self.r[idx] + 1
+            starts = np.cumsum(size) - size
+            slots = np.arange(size.sum()) + np.repeat(self.starts[idx] - starts, size)
+            x, logs = x.take(slots), logs.take(slots, axis=1)
+        # x**alpha with an exponent as long as the values (the bits of one
+        # sample's power wherever they sit), times the logs, 0 at the lead slots
+        terms = np.empty((order + 1, x.size))
+        np.power(x, np.repeat(alpha, self.r[idx] + 1), out=terms[0])
+        terms[0, starts] = 0.0
+        np.multiply(logs, terms[0], out=terms[1:])
+        return np.add.reduceat(terms, starts, axis=-1)
 
     @cached_property
-    def held(self) -> np.ndarray:
-        """True at the entries of ``x`` that a row holds, False in the padding."""
-        return np.arange(self.x.shape[1]) < self.r[:, None]
+    def last(self) -> np.ndarray:
+        """Each row's last value, 1.0 where r = 0."""
+        return self.x[self.starts + self.r]
+
+    @cached_property
+    def all_equal(self) -> np.ndarray:
+        """True where a row's r values are all equal, so also where r <= 1."""
+        same = self.x == np.repeat(self.last, self.r + 1)
+        same[self.starts] = True
+        return np.logical_and.reduceat(same, self.starts)
 
     @cached_property
     def log_x(self) -> np.ndarray:
@@ -218,17 +232,16 @@ class ReciprocalRows:
     def log_x_powers(self) -> np.ndarray:
         """``[k - 1] = (log x)**k`` for k = 1..3, the powers of
         ReciprocalSample's ``log_x_powers`` but for the ones of k = 0, each
-        a matrix like ``x`` (the cubes, the products of the squares and log
-        x, only where a row holds x)."""
-        out = np.zeros((3, *self.x.shape))
+        flat like ``x`` (the cubes as the products of the squares and log x)."""
+        out = np.empty((3, self.x.size))
         lx = np.log(self.x, out=out[0])
         np.square(lx, out=out[1])
-        np.multiply(out[1], lx, out=out[2], where=self.held)
+        np.multiply(out[1], lx, out=out[2])
         return out
 
     @cached_property
     def sum_log_x(self) -> np.ndarray:
-        return self.row_sums(self.log_x)
+        return np.add.reduceat(self.log_x, self.starts)
 
     @cached_property
     def log_u(self) -> np.ndarray:
@@ -238,23 +251,25 @@ class ReciprocalRows:
     def regression_start(self) -> tuple[np.ndarray, np.ndarray]:
         """:attr:`ReciprocalSample.regression_start` of every row, as two
         arrays (NaN where r < 2)."""
-        # two terms a row, summed by one row_sums: first the squares of the
-        # centred log x and their products with the positions, then x**slope and x
-        pair = np.zeros((self.r.size, 2, self.x.shape[1]))
-        positions = pair[:, 1]
-        for a, b, r in self.runs(slice(None), self.n):
-            if r >= 2:
-                positions[a:b, :r] = _centred_positions(r, int(self.n[a]))
+        # two terms a slot, 0.0 at the lead slots, summed by one reduceat:
+        # the squares of the centred log x and their products with the
+        # positions, then x**slope and x
+        starts, size, lead = self.starts, self.r + 1, np.zeros(1)
+        pair = np.empty((2, self.x.size))
+        positions = np.concatenate([a for r, n in zip(self.r.tolist(), self.n.tolist())
+                                    for a in (lead, _centred_positions(r, n))])
         with np.errstate(all="ignore"):
             # the mean is the sum of log x over r, as ndarray.mean computes it
-            cx = self.log_x - (self.sum_log_x / self.r)[:, None]
-            np.square(cx, out=pair[:, 0])
-            positions *= cx
-            denom, cross = self.row_sums(pair).T
+            cx = self.log_x - np.repeat(self.sum_log_x / self.r, size)
+            cx[starts] = 0.0
+            np.square(cx, out=pair[0])
+            np.multiply(cx, positions, out=pair[1])
+            denom, cross = np.add.reduceat(pair, starts, axis=-1)
             slope = np.where(denom > 0, cross / denom, 1.0)
-            np.power(self.x, slope[:, None], out=pair[:, 0])
-            pair[:, 1] = self.x
-            total, x_sum = self.row_sums(pair).T
+            np.power(self.x, np.repeat(slope, size), out=pair[0])
+            pair[1] = self.x
+            pair[:, starts] = 0.0
+            total, x_sum = np.add.reduceat(pair, starts, axis=-1)
             bad = ~(np.isfinite(slope) & (slope > 0.05) & (0.0 < total) & (total < np.inf))
             alpha0 = np.where(bad, 1.0, slope)
             lam0 = self.r / np.where(bad, x_sum, total)
@@ -293,26 +308,21 @@ def _stop(complete_times: np.ndarray, scheme: HybridScheme) -> tuple:
             np.minimum(srt[..., scheme.R - 1], scheme.T))
 
 
-def _censor_rows(pieces) -> tuple:
+def _censor_rows(pieces) -> ReciprocalRows:
     """:func:`apply_scheme` and :func:`reciprocals` on every row of each
     ``(complete samples, scheme)`` piece, a matrix of samples of
     ``scheme.n`` lifetimes each, with the same bits.  Returns the
-    :class:`ReciprocalRows` of all the pieces' rows, as wide as the widest,
-    and, for each of its rows, the index of the row it came from in the
-    pieces' rows taken in order."""
+    :class:`ReciprocalRows` of all the pieces' rows, in order."""
     srt, r, u = zip(*(_stop(times, scheme) for times, scheme in pieces))
-    r, u = np.concatenate(r), np.concatenate(u)
+    segments = []
+    for t, k in zip(srt, r):
+        # each row's segment: the lead slot, then its k observed times
+        led = np.hstack((np.ones((len(t), 1)), t))
+        segments.append(led[np.arange(led.shape[1]) <= k[:, None]])
+    x = np.concatenate(segments)
     n = np.concatenate([np.full(len(times), scheme.n) for times, scheme in pieces])
-    order = np.argsort(r, kind="stable")
-    x = np.ones((r.size, n.max()))
-    start = 0
-    for block in srt:
-        x[start:start + len(block), :block.shape[1]] = block
-        start += len(block)
-    x, r = x[order], r[order]
-    np.divide(1.0, x, out=x)
-    x[np.arange(x.shape[1]) >= r[:, None]] = 1.0
-    return ReciprocalRows(x=x, u=u[order], r=r, n=n[order]), order
+    return ReciprocalRows(x=np.divide(1.0, x, out=x), u=np.concatenate(u), r=np.concatenate(r),
+                          n=n)
 
 
 def reciprocals(s: HybridSample) -> ReciprocalSample:

@@ -25,19 +25,18 @@ a batch, replicates ``[start, stop)``, builds one generator on the cell's
 stream, advances it past ``start * n`` uniforms (PCG64's ``advance`` jumps
 there in O(log) steps) and draws its rows with one ``random()`` call, so
 a replicate's data do not depend on the batch.  The pieces are censored
-each under its own scheme and stacked into one ``ReciprocalRows``, padded
-to the widest n and ordered by r.  A batch of at least ``_ARRAY_FITS``
-rows fits all its rows at once as arrays, with the same bits.  A smaller
-one, such as the one batch of a study of one replicate in each of two
-cells, fits each row on its own sample with ``fit_mle``, ``asymptotic_ci``
-and the Lindley expansion.  Either way the results land in the batch's
-blocks, the array fits with one permutation from the order of r to the
-order of the tasks.  Importance sampling runs every record of the batch
-(each row under each prior, on the row's sample) in one call of the array
-core ``posterior._is_rows``, with the bits ``bayes_is`` gives each record on
-its own generator; the core reads the records a group at a time, so memory
-stays bounded in the batch's size, and a record that fails fails only its
-column.  Importance sampling records alpha and lambda only, so theta, which
+each under its own scheme and laid end to end in one ``ReciprocalRows``,
+a segment of each row's own sample a row, in task order.  A batch of at
+least ``_ARRAY_FITS`` rows fits all its rows at once as arrays, with the
+same bits.  A smaller one, such as the one batch of a study of one
+replicate in each of two cells, fits each row on its own sample with
+``fit_mle``, ``asymptotic_ci`` and the Lindley expansion.  Either way row
+i lands in column i of the batch's blocks.  Importance sampling runs every
+record of the batch (each row under each prior, on the row's sample) in one
+call of the array core ``posterior._is_rows``, with the bits ``bayes_is``
+gives each record on its own generator; the core reads the records a group
+at a time, so memory stays bounded in the batch's size, and a record that
+fails fails only its column.  Importance sampling records alpha and lambda only, so theta, which
 ``bayes_is`` summarizes on first read, is never computed here.
 
 A replicate whose fit fails (too few failures, a regression start that
@@ -271,27 +270,26 @@ def _records(config, schemes, params, groups, batch) -> list:
     and for the upper bounds; ``ok`` is False where the fit failed, and
     there the values are not read.  A replicate with fewer than two
     failures (r < 2) fails every group.  Row i of the batch's
-    ``ReciprocalRows``, which are in the order of r, fills column
-    ``order[i]``.  Importance sampling reads the sample that a batch of
-    fewer than ``_ARRAY_FITS`` rows fits, so that the sample's cached
-    logs and regression start are computed once, and runs the batch's
-    records, in the order of r, through one call of ``_is_rows``."""
+    ``ReciprocalRows`` fills column i.  Importance sampling reads the
+    sample that a batch of fewer than ``_ARRAY_FITS`` rows fits, so that
+    the sample's cached logs and regression start are computed once, and
+    runs the batch's records through one call of ``_is_rows``."""
     size = sum(len(reps) for _, reps in batch)
-    rows, order = _censor_rows(_pieces(config, schemes, params, batch))
+    rows = _censor_rows(_pieces(config, schemes, params, batch))
     blocks = [(np.full((2 if method == "lindley" else 6, size), np.nan),
                np.zeros(size, dtype=bool)) for method, _ in groups]
     small = size < _ARRAY_FITS
     fitting = groups[0][0] != "is"      # row order puts the MLE and Lindley groups first
     sampled = [g for g, (method, _) in enumerate(groups) if method == "is"]
     if fitting and not small:
-        _row_fits(config, groups, rows, order, blocks)
+        _row_fits(config, groups, rows, blocks)
     if not (small and fitting or sampled):
         return blocks
     fitted = np.flatnonzero(rows.r >= 2)
     samples = (rows.sample(i) for i in fitted.tolist())
     if small and fitting:
         samples = list(samples)
-        for k, rs in zip(order[fitted].tolist(), samples):
+        for k, rs in zip(fitted.tolist(), samples):
             for g, record in _sample_fits(config, groups, rs).items():
                 if record is not None:
                     blocks[g][0][:, k] = record
@@ -304,11 +302,11 @@ def _records(config, schemes, params, groups, batch) -> list:
         pis = [groups[g][1] for g in sampled]
         records = ((rs, config.priors[pi], np.random.default_rng(np.random.SeedSequence(
                         (config.base_seed, *tasks[k]), spawn_key=(1 + pi, 0))))
-                   for k, rs in zip(order[fitted].tolist(), samples) for pi in pis)
+                   for k, rs in zip(fitted.tolist(), samples) for pi in pis)
         values, ok = _is_rows(records, config.draws, config.level)
         for p, g in enumerate(sampled):
-            blocks[g][0][:, order[fitted]] = values[:, p::len(pis)]
-            blocks[g][1][order[fitted]] = ok[p::len(pis)]
+            blocks[g][0][:, fitted] = values[:, p::len(pis)]
+            blocks[g][1][fitted] = ok[p::len(pis)]
     return blocks
 
 
@@ -355,10 +353,9 @@ def _sample_fits(config: StudyConfig, groups: list, rs) -> dict:
     return fitted
 
 
-def _row_fits(config: StudyConfig, groups: list, rows, order: np.ndarray, blocks: list) -> None:
+def _row_fits(config: StudyConfig, groups: list, rows, blocks: list) -> None:
     """Fills the blocks of the MLE and Lindley groups from fits of every row
-    of ``rows`` at once, each group's columns put in task order by one
-    permutation, ``order``."""
+    of ``rows`` at once, a column a row."""
     fits = _fit_rows(rows)
     fitted = []
     if groups[0][0] == "mle":
@@ -370,8 +367,8 @@ def _row_fits(config: StudyConfig, groups: list, rows, order: np.ndarray, blocks
                 fits, rows, [config.priors[groups[g][1]] for g in lindley])):
             fitted.append((g, (alpha_L, lambda_L), ok))
     for g, columns, ok in fitted:
-        blocks[g][0][:, order] = columns
-        blocks[g][1][order] = ok
+        blocks[g][0][:] = columns
+        blocks[g][1][:] = ok
 
 
 def run_study(config: StudyConfig) -> SimulationSummary:

@@ -27,8 +27,9 @@ floats too.
 
 For the study harness, ``_derivative_rows``, ``_fit_rows`` and ``_ci_rows``
 run the same arithmetic on arrays over many samples at once, one sample a
-row of a ``ReciprocalRows``, and give each row the bits and the outcome that
-the one-sample functions give its sample.
+segment of the flat arrays of a ``ReciprocalRows``, each power sum one
+``np.add.reduceat`` over the segments, and give each row the bits and the
+outcome that the one-sample functions give its sample.
 """
 
 from __future__ import annotations
@@ -151,7 +152,10 @@ def _derivatives(alpha: float, lam: float, s: ReciprocalSample, order: int) -> l
     if not (0.0 < alpha < np.inf and 0.0 < lam < np.inf):
         raise DomainError(f"alpha and lam must be positive, got ({alpha}, {lam})")
     alpha, lam = float(alpha), float(lam)
-    S = (s.x ** alpha * s.log_x_powers[:order + 1]).sum(axis=1).tolist()
+    # x**alpha with an exponent as long as x, as _derivative_rows takes it
+    power = np.empty(s.r)
+    power.fill(alpha)
+    S = (np.power(s.x, power, out=power) * s.log_x_powers[:order + 1]).sum(axis=1).tolist()
     m = s.n - s.r
     L = q = p = ll_censor = 0.0
     if m:
@@ -175,16 +179,7 @@ def _derivative_rows(alpha: np.ndarray, lam: np.ndarray, rows: ReciprocalRows,
     arithmetic runs once over the complete rows and once over the censored
     ones, where some row of each kind is present.
     """
-    # the terms of S_k for k <= order in one buffer, each formed in place
-    # where its rows are gathered: x**alpha with the exponent broadcast along
-    # each row, as over one sample's x, then its products with the logs.
-    # The padding gives terms that no sum reads.
-    terms = np.empty((order + 1, idx.size, rows.x.shape[1]))
-    power = np.take(rows.x, idx, axis=0, out=terms[0], mode="clip")
-    np.power(power, alpha[:, None], out=power)
-    np.take(rows.log_x_powers[:order], idx, axis=1, out=terms[1:], mode="clip")
-    terms[1:] *= power
-    S = rows.row_sums(terms.transpose(1, 0, 2), idx).T
+    S = rows.power_sums(alpha, idx, order)
     # the counts as floats: Python converts an int that meets a float the same way
     r = rows.r[idx].astype(float)
     m = rows.n[idx] - r
@@ -473,9 +468,7 @@ def _fit_rows(rows: ReciprocalRows) -> _RowFits:
     inf)**2 is not fitted, and its error is NumericError, as fit_mle's.
     """
     k = rows.r.size
-    first = rows.x[:, :1]
-    tied = ((rows.x == first) | ~rows.held).all(axis=1) & (
-        (rows.r == rows.n) | (rows.u * first[:, 0] <= 1.0 + 1e-12))
+    tied = rows.all_equal & ((rows.r == rows.n) | (rows.u * rows.last <= 1.0 + 1e-12))
     fitted = (rows.r >= 2) & ~tied
     alpha, lam = (v.copy() for v in rows.regression_start)
     started = fitted & (0.0 < alpha) & (alpha < np.inf) & (0.0 < lam) & (lam < np.inf)

@@ -1,5 +1,5 @@
 """The array path of the study harness: censored samples fitted together as
-the rows of one matrix, of one design or of several, give, row by row, the
+the rows of one batch, of one design or of several, give, row by row, the
 bits and the error classes of ``fit_mle``, ``asymptotic_ci`` and
 ``lindley_estimates`` on each sample, and ``run_study`` gives the bytes of
 the one-replicate-at-a-time loop whatever the batch bound."""
@@ -18,6 +18,7 @@ from iwhc import (
     DomainError,
     GammaPriors,
     HybridScheme,
+    InsufficientDataError,
     IwParams,
     NumericError,
     ReciprocalSample,
@@ -46,11 +47,8 @@ _PRIORS = (GammaPriors(), GammaPriors(2, 1, 1, 1), GammaPriors(5, 0.1, 3, 2))
 
 
 def _stack(samples) -> ReciprocalRows:
-    """Samples, given in the order of r, as the rows of one batch, padded to
-    the largest n."""
-    x = np.ones((len(samples), max(s.n for s in samples)))
-    for row, s in zip(x, samples):
-        row[:s.r] = s.x
+    """Samples as the rows of one batch: each a segment of a lead 1 and its x."""
+    x = np.concatenate([np.concatenate(([1.0], s.x)) for s in samples])
     return ReciprocalRows(x=x, u=np.array([s.u for s in samples], dtype=float),
                           r=np.array([s.r for s in samples]),
                           n=np.array([s.n for s in samples]))
@@ -233,27 +231,116 @@ def test_public_derivatives_where_expm1_overflows_equal_the_row_kernel():
 
 
 def test_censored_rows_equal_each_censored_sample():
-    """Two designs, the rows of the narrower padded to the wider n."""
+    """Two designs, each row a segment of a lead 1 and its own r values, in
+    task order."""
     params = IwParams.from_rate(2.0, 1.0)
     schemes = [HybridScheme(n=30, R=20, T=1.5), HybridScheme(n=12, R=12, T=1.0)]
-    rows, order = _censor_rows(_pieces(_config(base_seed=3), schemes, params,
-                                       [(0, range(25)), (1, range(25))]))
+    rows = _censor_rows(_pieces(_config(base_seed=3), schemes, params,
+                                [(0, range(25)), (1, range(25))]))
     samples = []
     for cell, scheme in enumerate(schemes):
         stream = _cell_stream(3, cell)
         samples += [reciprocals(apply_scheme(sample(scheme.n, params, stream), scheme))
                     for _ in range(25)]
-    assert rows.x.shape == (50, 30)
-    assert (np.diff(rows.r) >= 0).all() and sorted(order.tolist()) == list(range(50))
-    for i, k in enumerate(order.tolist()):
-        want = samples[k]
+    assert rows.x.shape == (sum(s.r + 1 for s in samples),)
+    assert (rows.x[rows.starts] == 1.0).all()
+    for i, want in enumerate(samples):
         got = rows.sample(i)
         assert (got.r, got.u, got.n) == (want.r, want.u, want.n)
-        assert got.x.tobytes() == want.x.tobytes() and (rows.x[i, got.r:] == 1.0).all()
+        assert got.x.tobytes() == want.x.tobytes()
         assert got.regression_start == want.regression_start
         if want.r >= 2:     # the rows give NaN below two failures
             assert _bits(rows.sum_log_x[i], *(v[i] for v in rows.regression_start)) \
                 == _bits(want.sum_log_x, *want.regression_start)
+
+
+def _edge_pieces() -> list:
+    """Pieces of mixed n whose rows hold 0 failures (a segment of its lead
+    slot alone), 1, 2 and more, tied failures with no unit censored later
+    and with some, and complete samples."""
+    params = IwParams(2.0, 1.0)
+    few = np.array([[2.0, 3.0, 4.0, 5.0, 6.0],        # r = 0
+                    [0.5, 3.0, 4.0, 5.0, 6.0],        # r = 1
+                    [0.5, 0.7, 4.0, 5.0, 6.0],        # r = 2
+                    [0.2, 0.5, 0.7, 0.9, 6.0],        # r = R = 3
+                    [0.5, 0.5, 0.5, 5.0, 6.0],        # tied at u: no MLE
+                    [0.5, 0.5, 2.0, 3.0, 4.0],        # tied, censored at T = 1 > 0.5
+                    [3.0, 0.1, 0.9, 2.0, 0.6]])       # r = 3, unsorted
+    complete = np.stack([sample(8, params, seed) for seed in range(4)])
+    single = np.stack([sample(3, params, seed) for seed in range(3)])
+    return [(few, HybridScheme(n=5, R=3, T=1.0)), (complete, HybridScheme(n=8, R=8, T=np.inf)),
+            (single, HybridScheme(n=3, R=1, T=10.0)), (few[::-1], HybridScheme(n=5, R=5, T=0.8))]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_edge_segments_equal_each_censored_sample():
+    """Rows of r = 0 and r = 1 among others, censored together in task
+    order, give each sample's sum of logs, its regression start (NaN below
+    two failures) and its fit_mle outcome."""
+    pieces = _edge_pieces()
+    rows = _censor_rows(pieces)
+    samples = [reciprocals(apply_scheme(times, scheme))
+               for block, scheme in pieces for times in block]
+    assert rows.r.tolist() == [s.r for s in samples]
+    assert {0, 1, 2, 8}.issubset(rows.r.tolist())
+    fits = _fit_rows(rows)
+    for i, s in enumerate(samples):
+        got = rows.sample(i)
+        assert got.x.tobytes() == s.x.tobytes() and (got.u, got.n) == (s.u, s.n)
+        assert _bits(rows.sum_log_x[i]) == _bits(s.sum_log_x)
+        assert rows.all_equal[i] == (s.x == s.x[-1:]).all()
+        assert rows.last[i] == (s.x[-1] if s.r else 1.0)
+        start = [v[i] for v in rows.regression_start]
+        if s.r >= 2:
+            assert _bits(*start) == _bits(*s.regression_start)
+        else:
+            assert np.isnan(start).all()
+        fit, error = _outcome(fit_mle, s)
+        assert fits.error[i] is error
+        if fit is not None:
+            assert _bits(fits.alpha[i], fits.lam[i], fits.loglik[i]) \
+                == _bits(fit.alpha_hat, fit.lam_hat, fit.loglik)
+    assert InsufficientDataError in fits.error.tolist() and fits.ok.any()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("order", range(4))
+def test_row_kernel_on_a_subset_equals_its_columns_of_every_row(order):
+    """An empty subset gives no columns; a strict subset that skips rows,
+    its segments gathered end to end, gives the columns of the call on
+    every row."""
+    rows = _censor_rows(_edge_pieces())
+    k = rows.r.size
+    rng = np.random.default_rng(order)
+    alpha, lam = np.exp(rng.uniform(-1.0, 2.0, k)), np.exp(rng.uniform(-2.0, 2.0, k))
+    every = _derivative_rows(alpha, lam, rows, np.arange(k), order)
+    assert every.shape == ((1, 3, 6, 10)[order], k)
+    none = _derivative_rows(alpha[:0], lam[:0], rows, np.arange(0), order)
+    assert none.shape == (every.shape[0], 0)
+    for idx in (np.array([1, 3, 4, 9, k - 1]), np.flatnonzero(rows.r >= 2)[::2],
+                np.array([0]), np.array([k - 1])):
+        some = _derivative_rows(alpha[idx], lam[idx], rows, idx, order)
+        assert some.tobytes() == every[:, idx].tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+def test_row_kernel_equals_the_sample_kernel_where_numpy_squares_or_roots(alpha):
+    """For a scalar or stride-0 exponent of exactly 2 or 0.5 numpy squares
+    or takes a root, with other last bits than ``pow``; both kernels take
+    x**alpha with an exponent array as long as the values, so that every
+    order agrees bit for bit on a batch of three rows."""
+    samples = [reciprocals(apply_scheme(sample(n, IwParams(2.0, 1.0), seed),
+                                        HybridScheme(n=n, R=R, T=T)))
+               for n, R, T, seed in ((20, 15, 1.5, 2), (10, 10, math.inf, 1), (12, 8, 1.2, 3))]
+    rows = _stack(samples)
+    with np.errstate(over="ignore"):
+        for order in range(4):
+            got = _derivative_rows(np.full(3, alpha), np.full(3, 0.7), rows, np.arange(3),
+                                   order)
+            for i, s in enumerate(samples):
+                want = _derivatives(alpha, 0.7, s, order)
+                assert _bits(*got[:, i]) \
+                    == _bits(want[0], *(t for terms in want[1:] for t in terms))
 
 
 def _cell_stream(base_seed: int, cell: int) -> np.random.Generator:
