@@ -21,12 +21,11 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import datasets, mle
-from .censoring import HybridScheme, HybridSample, apply_scheme, reciprocals
-from .distribution import IwParams, cdf
+from . import datasets
 from .errors import (
     ConvergenceError,
     DegenerateWeightsError,
@@ -35,10 +34,12 @@ from .errors import (
     NumericError,
 )
 from .gof import ks_test
-from .harness import StudyConfig, format_table, run_study, write_csv
-from .lindley import GammaPriors, lindley_estimates
-from .mle import asymptotic_ci, fit_mle
-from .posterior import bayes_is
+
+# Each command imports the modules it runs when it is called, so that start-up
+# and the quick commands never load the samplers or the study harness.
+if TYPE_CHECKING:
+    from .censoring import HybridSample
+    from .lindley import GammaPriors
 
 REPORT_VERSION = 1
 _DEFAULT_SEED = 0
@@ -73,6 +74,8 @@ def _add_common(parser, scheme=True, seed=False):
 
 
 def _parse_prior(text: str) -> GammaPriors:
+    from .lindley import GammaPriors
+
     parts = text.split(",")
     try:
         values = [float(v) for v in parts]
@@ -86,6 +89,8 @@ def _parse_prior(text: str) -> GammaPriors:
 def _observed(args, complete: bool = False) -> tuple:
     """The data and its sample under the ``--big-r``/``--time`` scheme, or
     complete when ``complete`` is set or neither flag is given."""
+    from .censoring import HybridScheme, apply_scheme
+
     data = datasets.resolve(args.data)
     n = data.size
     if complete or (args.big_r is None and args.time is None):
@@ -128,13 +133,16 @@ def _report(args, data, hs: HybridSample, method: dict, results: dict, lines,
 
 
 def cmd_fit(args) -> int:
+    from .censoring import reciprocals
+    from .mle import _MAX_ITER, _TOL, asymptotic_ci, fit_mle
+
     data, hs = _observed(args)
     fit = fit_mle(reciprocals(hs))
     cis = asymptotic_ci(fit, args.level)
     method = {
         "solver": "damped-newton-log-scale",
-        "tol": mle._TOL,
-        "max_iter": mle._MAX_ITER,
+        "tol": _TOL,
+        "max_iter": _MAX_ITER,
         "theta_ci": "delta-method on lam**(-1/alpha)",
         "level": args.level,
     }
@@ -158,11 +166,16 @@ def cmd_fit(args) -> int:
 
 
 def cmd_bayes(args) -> int:
+    from .censoring import reciprocals
+
     data, hs = _observed(args)
     rs = reciprocals(hs)
     priors = _parse_prior(args.prior)
     seed = _seed(args)
     if args.method == "lindley":
+        from .lindley import lindley_estimates
+        from .mle import fit_mle
+
         fit = fit_mle(rs)
         est = lindley_estimates(fit, priors, rs)
         method = {"estimator": "lindley-expansion", "prior": priors.as_tuple()}
@@ -173,6 +186,8 @@ def cmd_bayes(args) -> int:
             f"expansion estimate: alpha={est.alpha_L:.4f}  theta={est.theta_L:.4f}  "
             f"lambda={est.lambda_L:.6g}",
         ])
+    from .posterior import bayes_is
+
     res = bayes_is(rs, priors, args.draws, seed, level=args.level)
     ess = res.draws.ess
     warnings = []
@@ -209,6 +224,10 @@ def cmd_censor(args) -> int:
 
 
 def cmd_gof(args) -> int:
+    from .censoring import reciprocals
+    from .distribution import IwParams, cdf
+    from .mle import fit_mle
+
     data, hs = _observed(args, complete=True)
     fit = fit_mle(reciprocals(hs))
     params = IwParams(fit.alpha_hat, fit.theta_hat)
@@ -238,6 +257,8 @@ def cmd_gof(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .harness import StudyConfig, format_table, run_study, write_csv
+
     config = StudyConfig.from_json(args.config)
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)     # before the study, which may take long

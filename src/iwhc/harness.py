@@ -95,6 +95,11 @@ _CHUNK_VALUES = 1 << 16
 # arrays (mle._fit_rows and the rows' intervals and Lindley estimates) rather
 # than one sample at a time
 _ARRAY_FITS = 11
+# the most lifetimes a study may draw, replicates times the sum of the cells'
+# n; a larger study is rejected before it runs, since it would hold every
+# batch's blocks until the merge.  The acceptance studies (1,000 replicates of
+# the four C4 cells, 160,000 lifetimes) lie 62 times below it.
+_MAX_STUDY_VALUES = 10 ** 7
 
 
 def _json_integer(name: str, value) -> int:
@@ -138,8 +143,12 @@ class StudyConfig:
         for method in self.methods:
             if method not in _METHODS:
                 raise DomainError(f"unknown method {method!r}; choose from {_METHODS}")
-        for n, T, R in self.cells:
-            HybridScheme(n=n, R=R, T=T)  # validates invariants
+        values = self.replicates * sum(HybridScheme(n=n, R=R, T=T).n  # validates invariants
+                                       for n, T, R in self.cells)
+        if values > _MAX_STUDY_VALUES:
+            raise DomainError(f"the study draws {values:,} lifetimes (replicates times the sum "
+                              f"of the cells' n), more than harness._MAX_STUDY_VALUES = "
+                              f"{_MAX_STUDY_VALUES:,}")
         if not self.cells or not _groups(self):
             raise DomainError("the study runs no estimator: it needs a cell and a method, "
                               "and lindley and is need a prior")

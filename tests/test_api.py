@@ -1,10 +1,13 @@
 import importlib
 import importlib.util
+import json
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import iwhc
 
@@ -40,13 +43,18 @@ def test_every_submodule_export_resolves():
             assert hasattr(module, name), f"iwhc.{info.name}.{name}"
 
 
-def test_every_traced_function_resolves():
-    # the benchmark's span tracer wraps these by name and fails on a missing one
+def _traced() -> tuple:
+    """The (module, function) pairs the benchmark's span tracer wraps."""
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    for module, function in tracer.TRACED:
+    return tracer.TRACED
+
+
+def test_every_traced_function_resolves():
+    # the benchmark's span tracer wraps these by name and fails on a missing one
+    for module, function in _traced():
         assert callable(getattr(importlib.import_module(f"iwhc.{module}"), function, None)), \
             f"iwhc.{module}.{function}"
 
@@ -75,3 +83,73 @@ def test_import_path_loads_no_numpy_random():
     # at import, which would add to every command's start-up
     assert _fresh_import("import sys, iwhc, iwhc.cli\n"
                          "print('numpy.random' in sys.modules)\n") == "False"
+
+
+# The start-up and each command load only the modules they run.
+_START_UP = ("import sys, iwhc, iwhc.cli\n"
+             "from iwhc import datasets\n"
+             "datasets.resolve('flood'), datasets.resolve('guinea')\n")
+
+
+def _loaded(code: str, names) -> list:
+    """Those of the package's modules ``names`` loaded after ``code`` runs in
+    a fresh interpreter."""
+    return json.loads(_fresh_import(
+        f"{code}\nimport json, sys\n"
+        f"print(json.dumps([m for m in {list(names)!r} if 'iwhc.' + m in sys.modules]))\n"))
+
+
+def test_start_up_loads_no_estimator_module():
+    assert _loaded(_START_UP, ["posterior", "harness", "mle", "censoring", "lindley"]) == []
+
+
+@pytest.mark.parametrize("argv", [["fit", "flood", "--json"],
+                                  ["censor", "guinea", "--big-r", "50", "--time", "90"],
+                                  ["gof", "flood", "--sims", "200"]])
+def test_quick_commands_load_neither_posterior_nor_harness(argv):
+    code = (f"{_START_UP}import contextlib, io\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert iwhc.cli.main({argv!r}) == 0\n")
+    assert _loaded(code, ["posterior", "harness"]) == []
+
+
+def test_the_study_workloads_load_every_traced_module():
+    # the tracer looks each module up in sys.modules once the warm-up has run,
+    # and a study workload loads only what these names and run_study load
+    traced = sorted({module for module, _ in _traced()})
+    assert _loaded("from iwhc import GammaPriors, StudyConfig, cli, harness", traced) == traced
+
+
+def test_each_public_name_is_the_object_of_its_home_module():
+    # every submodule that binds a public name binds the same object
+    homes = {}
+    for info in pkgutil.iter_modules(iwhc.__path__):
+        module = importlib.import_module(f"iwhc.{info.name}")
+        for name in set(vars(module)) & PUBLIC:
+            homes.setdefault(name, []).append(module)
+    assert set(homes) == PUBLIC - {"__version__"}
+    for name, modules in homes.items():
+        assert all(getattr(iwhc, name) is getattr(m, name) for m in modules), name
+
+
+def test_public_names_resolve_on_first_access():
+    code = ("import json, sys, iwhc\n"
+            "listed = set(iwhc.__all__) <= set(dir(iwhc))\n"
+            "before = sorted(m for m in sys.modules if m.startswith('iwhc.'))\n"
+            "from iwhc import *\n"
+            "bound = sum(name in globals() for name in iwhc.__all__)\n"
+            "print(json.dumps([listed, before, bound, iwhc.fit_mle is iwhc.mle.fit_mle]))\n")
+    assert json.loads(_fresh_import(code)) == [True, [], len(PUBLIC), True]
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'iwhc' has no attribute 'fit_bootstrap'"):
+        iwhc.fit_bootstrap
+    assert not hasattr(iwhc, "__wrapped__")
+
+
+def test_from_iwhc_import_cli_returns_the_submodule():
+    code = ("import sys\n"
+            "from iwhc import cli\n"
+            "print(cli is sys.modules['iwhc.cli'] and callable(cli.main))\n")
+    assert _fresh_import(code) == "True"

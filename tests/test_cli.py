@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iwhc import DomainError, HybridScheme, cli, datasets
+from iwhc import DomainError, HybridScheme, cli, datasets, harness
 from iwhc.cli import main
 from conftest import censored_samples
 
@@ -253,12 +253,13 @@ def test_gof_unallocatable_null_table_fails(capsys):
     assert f"sims={sims}" in err and f"{8 * sims} bytes" in err
 
 
-@pytest.mark.parametrize("argv, config", [
-    (("bayes", "flood", "--method", "is", "--draws", str(10 ** 30)), None),
-    (("simulate",), {"draws": 10 ** 30}),
-    (("simulate",), {"cells": [[10 ** 30, 1.5, 8]]}),
+@pytest.mark.parametrize("argv, config, needle", [
+    (("bayes", "flood", "--method", "is", "--draws", str(10 ** 30)), None, "cannot be allocated"),
+    (("simulate",), {"draws": 10 ** 30}, "cannot be allocated"),
+    # a study this large is rejected before any sample is allocated
+    (("simulate",), {"cells": [[10 ** 30, 1.5, 8]]}, "more than harness._MAX_STUDY_VALUES"),
 ], ids=["bayes-draws", "simulate-draws", "simulate-n"])
-def test_unallocatable_counts_fail_with_one_error_line(capsys, tmp_path, argv, config):
+def test_unallocatable_counts_fail_with_one_error_line(capsys, tmp_path, argv, config, needle):
     if config is not None:
         study = {"true_alpha": 2.0, "true_lambda": 1.0, "cells": [[12, 1.5, 8]],
                  "replicates": 1, "draws": 100, **config}
@@ -267,7 +268,7 @@ def test_unallocatable_counts_fail_with_one_error_line(capsys, tmp_path, argv, c
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "cannot be allocated" in err
+    assert needle in err
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -293,7 +294,7 @@ def test_unreadable_or_unwritable_paths_fail_with_one_error_line(capsys, tmp_pat
 def test_simulate_checks_the_out_dir_before_the_study(capsys, tmp_path, monkeypatch):
     def study(config):
         raise AssertionError("run_study ran before the output directory was checked")
-    monkeypatch.setattr(cli, "run_study", study)
+    monkeypatch.setattr(harness, "run_study", study)
     (tmp_path / "file").write_text("")
     (tmp_path / "study.json").write_text(json.dumps(
         {"true_alpha": 2.0, "true_lambda": 1.0, "cells": [[12, 1.5, 8]], "replicates": 3000}))

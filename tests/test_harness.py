@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -61,6 +62,35 @@ def test_config_validation():
         with pytest.raises(DomainError, match="no estimator"):
             _tiny_config(**empty)
     assert _tiny_config(methods=("mle",), priors=()).priors == ()
+
+
+def test_a_study_too_large_to_run_is_rejected():
+    limit = harness._MAX_STUDY_VALUES
+    cells = ((10, 1.5, 8), (5, 1.5, 5))
+    assert _tiny_config(cells=cells, replicates=limit // 15).replicates == limit // 15
+    assert _tiny_config(cells=((limit, 1.5, 1),), replicates=1).cells[0][0] == limit
+    # the first count past the limit, and a study of 76,765,005 lifetimes
+    for replicates in (limit // 15 + 1, 5_117_667):
+        with pytest.raises(DomainError, match=f"{replicates * 15:,} lifetimes .* "
+                                              f"harness._MAX_STUDY_VALUES = {limit:,}"):
+            _tiny_config(cells=cells, replicates=replicates)
+    with pytest.raises(DomainError, match="_MAX_STUDY_VALUES"):
+        _tiny_config(cells=((limit + 1, 1.5, 1),), replicates=1)
+
+
+def test_simulate_rejects_a_study_too_large_to_run_at_once(tmp_path):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps({"true_alpha": 2.0, "true_lambda": 1.0,
+                                "cells": [[12, 1.5, 8]], "replicates": 10 ** 12}))
+    err = io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(["simulate", str(path), "--out-dir", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err.getvalue()) == (1, "error: the study draws 12,000,000,000,000 lifetimes "
+                                         "(replicates times the sum of the cells' n), more than "
+                                         "harness._MAX_STUDY_VALUES = 10,000,000\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, "3", None, [1], math.nan])
