@@ -32,7 +32,15 @@ array of a round holds at most 16,384 values however many records a batch
 has.  Each proposal finds its envelope segment through a guide table of 2
 x 64 equal cells of the cumulative mass, with one comparison where a cell
 holds at most one segment end, and the summaries sort positive draws as
-float keys that carry their index.
+float keys that carry their index.  The groups of one call reuse one
+workspace (:class:`_Work`) for the arrays of their rounds and summaries.
+
+The core runs with numpy's ufunc buffers at ``_BUFSIZE`` elements
+(:class:`_SmallBuffers`, which restores the caller's size): at numpy's
+default, every product that broadcasts a column along rows of fewer than
+2,731 elements, as each record's exponents and each row's terms of g2 do,
+goes through the buffered iterator, several times slower per element, with
+the same bits.
 
 A round's ``sum x**alpha`` over more than 5,461 proposals of one record
 runs in blocks of at most 4,096 alphas, so M draws need r x 4,096 values
@@ -77,9 +85,9 @@ __all__ = [
 
 
 class _Rows(NamedTuple):
-    """The samples and priors of K records, one row each: ``lx`` and
-    ``shifted`` hold each sample's cached log x and log x - max log x, the
-    rest one value a row."""
+    """The samples and priors of K records, one row each: ``lx`` holds each
+    sample's cached log x and ``shifted`` its log x - max log x as an (r, 1)
+    column, and the rest hold one value a row as (K, 1) columns."""
 
     lx: list
     shifted: list
@@ -94,23 +102,82 @@ class _Rows(NamedTuple):
     b: np.ndarray
     d: np.ndarray
     log_d: np.ndarray      # log d, -inf where d = 0
+    neg_shape: np.ndarray  # -(r + c)
 
     @classmethod
     def of(cls, samples: list, priors: list) -> "_Rows":
         """The rows of the samples (each with r >= 1) under their priors."""
-        top, slx, log_u, alpha0, r, n, shape, k, b, d = np.array(
-            [[s.log_x_max, s.sum_log_x, s.log_u, s.regression_start[0], s.r, s.n,
-              s.r + p.c, p.a + s.r - 1.0, p.b, p.d] for s, p in zip(samples, priors)]).T
-        log_d = np.log(d, out=np.full_like(d, -np.inf), where=d > 0)
-        return cls([s.log_x for s in samples], [s.log_x_shifted for s in samples], top, slx,
-                   log_u, alpha0, r.astype(np.intp), n, shape, k, b, d, log_d)
+        values = np.array([[s.log_x_max, s.sum_log_x, s.log_u, s.regression_start[0], s.r, s.n,
+                            s.r + p.c, p.a + s.r - 1.0, p.b, p.d, -math.inf, -(s.r + p.c)]
+                           for s, p in zip(samples, priors)]).T.copy()[:, :, None]
+        np.log(values[9], out=values[10], where=values[9] > 0)
+        return cls([s.log_x for s in samples], [s.log_x_shifted[:, None] for s in samples],
+                   *values)
 
-    def take(self, idx: list) -> "_Rows":
+    def take(self, idx) -> "_Rows":
         """The rows ``idx`` (increasing)."""
-        if len(idx) == self.r.size:
+        if len(idx) == len(self.lx):
             return self
         return _Rows([self.lx[i] for i in idx], [self.shifted[i] for i in idx],
-                     *(v[idx] for v in self[2:]))
+                     *np.array(self[2:])[:, idx])
+
+
+# the ufunc buffer size of the core, in elements: numpy's default of 8,192
+# sends a product that broadcasts one operand along rows of fewer than
+# 8,192 / 3 elements through its buffered iterator (tests/test_numpy_facts.py
+# pins that the bits are the same at both sizes)
+_BUFSIZE = 1024
+
+
+class _SmallBuffers:
+    """numpy's ufunc buffers at ``_BUFSIZE`` elements within the block, and
+    the caller's size restored however the block exits."""
+
+    def __enter__(self):
+        self.old = np.setbufsize(_BUFSIZE)
+
+    def __exit__(self, *exc):
+        np.setbufsize(self.old)
+
+
+class _Work:
+    """The scratch arrays of one call, one a name, of 8-byte values (the
+    arena holds float64, viewed as each name's dtype).  A name asked for more
+    values than its place in the arena holds gets a new array, and
+    :meth:`regroup`, which :func:`_is_rows` calls between groups, lays every
+    name out at its largest size in one arena, of which the later groups
+    take views.  So the groups of a call reuse one block of memory, which
+    the heap would otherwise give back after each group and fault in again;
+    one-record calls take :func:`_fresh`, which keeps nothing.  One block
+    rather than a buffer a name, since glibc trims the top of its heap where
+    the free memory there exceeds twice the largest block freed: buffers
+    freed together at the end of a call went back to the system every call
+    at 10,000 draws, and one arena does not."""
+
+    def __init__(self):
+        self.sizes, self.places, self.grown = {}, {}, False
+
+    def __call__(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        place = self.places.get(name)
+        if place is not None and place.size >= size:
+            return place[:size].view(dtype).reshape(shape)
+        if size > self.sizes.get(name, 0):
+            self.sizes[name], self.grown = size, True
+        return np.empty(shape, dtype)
+
+    def regroup(self) -> None:
+        """Lay every name out in one arena, if one has grown since the last."""
+        if self.grown:
+            arena, start = np.empty(sum(self.sizes.values())), 0
+            for name, size in self.sizes.items():
+                self.places[name], start = arena[start:start + size], start + size
+            self.grown = False
+
+
+def _fresh(name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """The workspace of one-record calls: a new array each time."""
+    return np.empty(shape, dtype)
 
 
 # the sums of more than 4/3 of this many alphas (5,461) run through one buffer
@@ -118,40 +185,45 @@ class _Rows(NamedTuple):
 _ALPHA_BLOCK = 4096
 
 
-def _blocked_exp_sums(rows: _Rows, alpha: np.ndarray, widths: list, order: int) -> list:
+def _blocked_exp_sums(rows: _Rows, alpha: np.ndarray, widths, order: int, work) -> np.ndarray:
     """``sum exp(alpha * (log x - max log x))`` over each row's sample at
     the first ``widths[i]`` elements of row i of ``alpha`` (K, w), and 1 at
-    the rest, and for ``order`` 1 also ``sum exp(...) * log x`` there:
-    for a row's ``shifted`` and ``a``, the bits of ``e = np.exp(np.multiply
-    .outer(shifted, a))``, ``np.add.reduce(e, axis=0)`` and ``log x @ e``,
-    in the fewest blocks of at most ``_ALPHA_BLOCK`` columns, of equal width
-    to one column, through one buffer.
+    the rest, and for ``order`` 1 also ``sum exp(...) * log x`` there, 0 at
+    the rest, as one (1 + order, K, w) array; ``widths`` None is every
+    element.  For a row's ``shifted`` and ``a``, the bits of ``e =
+    np.exp(np.multiply.outer(shifted, a))``, ``np.add.reduce(e, axis=0)``
+    and ``log x @ e``, in the fewest blocks of at most ``_ALPHA_BLOCK``
+    columns, of equal width to one column, through one buffer.
 
     The reduce adds the r terms of a block in order, column by column, so
     a block's sums are those of the whole array, provided the block has at
     least two columns: a one-column block is summed pairwise along r.  Up to
     5,461 columns (4/3 of ``_ALPHA_BLOCK``) take one block, the whole row,
-    as every table of ``_TANGENTS`` points does.  More are cut into blocks
-    at least 2,731 (8,192 / 3) wide, below which numpy's broadcast multiply
-    runs about four times slower per element.
+    as every table of ``_TANGENTS`` points and every round at up to 5,120
+    draws does.  More are cut into blocks at least 2,731 wide, so that the
+    buffer, ``work``'s ``"exp"``, stays near r x ``_ALPHA_BLOCK`` values.
     """
-    out = [np.ones(alpha.shape)] + [np.zeros(alpha.shape) for _ in range(order)]
-    r = rows.r.tolist()
+    out = work("sums", (1 + order, *alpha.shape))
+    if widths is None:
+        widths = [alpha.shape[1]] * len(alpha)
+    else:
+        out[0].fill(1.0)
+        out[1:].fill(0.0)
     blocks = [-(-w // _ALPHA_BLOCK) if 3 * w > 4 * _ALPHA_BLOCK else 1 for w in widths]
-    buf = np.empty(max(k * -(-w // n) for k, w, n in zip(r, widths, blocks)))
-    for i, (k, w, n) in enumerate(zip(r, widths, blocks)):
-        edges = [w * j // n for j in range(n + 1)]
-        for start, stop in zip(edges, edges[1:]):
-            e = buf[:k * (stop - start)].reshape(k, stop - start)
-            np.multiply.outer(rows.shifted[i], alpha[i, start:stop], out=e)
+    buf = work("exp", (max([c.size * -(-w // n) for c, w, n in zip(rows.shifted, widths, blocks)]),))
+    for i, (lx, col, w, n) in enumerate(zip(rows.lx, rows.shifted, widths, blocks)):
+        for j in range(n):
+            start, stop = w * j // n, w * (j + 1) // n
+            e = buf[:col.size * (stop - start)].reshape(col.size, stop - start)
+            np.multiply(col, alpha[i, start:stop], out=e)
             np.exp(e, out=e)
-            np.add.reduce(e, axis=0, out=out[0][i, start:stop])
+            np.add.reduce(e, axis=0, out=out[0, i, start:stop])
             if order:
-                out[1][i, start:stop] = rows.lx[i] @ e
+                np.matmul(lx, e, out=out[1, i, start:stop])
     return out
 
 
-def _g2_terms(alpha: np.ndarray, rows: _Rows, order: int, widths=None) -> list:
+def _g2_terms(alpha: np.ndarray, rows: _Rows, order: int, widths=None, work=_fresh) -> list:
     """``[log(d + S_0), log g2]`` at every element of each row of ``alpha``
     (K, w; > 0) for the same row of ``rows``, where ``S_k = sum x**alpha *
     (log x)**k``, and for ``order`` 1 also ``(log g2)' = -(r+c) S_1/(d +
@@ -162,30 +234,42 @@ def _g2_terms(alpha: np.ndarray, rows: _Rows, order: int, widths=None) -> list:
     Sums ``exp(alpha * (log x - max log x))``, whose largest term is 1, by
     :func:`_blocked_exp_sums` and adds the shift back in logs, so nothing
     under- or overflows at any finite alpha.  ``d + S_0`` is the rate of g1.
+    The sums, and the order-0 log rates, are arrays of ``work``.
     """
-    total, *s1 = _blocked_exp_sums(rows, alpha, widths or [alpha.shape[1]] * len(alpha), order)
-    top = rows.top[:, None]
-    log_rate = alpha * top
-    log_rate += np.log(total)
-    proper = (rows.d > 0)[:, None]
-    if proper.any():
-        np.logaddexp(rows.log_d[:, None], log_rate, out=log_rate, where=proper)
-    shape, k, b, slx = (v[:, None] for v in (rows.shape, rows.k, rows.b, rows.slx))
-    h = -shape * log_rate
-    h += k * np.log(alpha)
-    h -= b * alpha
-    h += (alpha + 1.0) * slx
+    sums = _blocked_exp_sums(rows, alpha, widths, order, work)
+    total = sums[0]
+    log_rate = np.log(total) if order else np.log(total, out=total)
+    term = np.multiply(alpha, rows.top)
+    log_rate += term
+    proper = rows.d > 0.0
+    any_proper = np.logical_or.reduce(proper, axis=None)
+    if any_proper:
+        np.logaddexp(rows.log_d, log_rate, out=log_rate, where=proper)
+    h = rows.neg_shape * log_rate
+    np.log(alpha, out=term)
+    term *= rows.k
+    h += term
+    np.multiply(rows.b, alpha, out=term)
+    h -= term
+    np.add(alpha, 1.0, out=term)
+    term *= rows.slx
+    h += term
     if not order:
         return [log_rate, h]
-    if proper.any():
+    if any_proper:
         # d * exp(-alpha * max log x) overflows to inf, and is NaN where d = 0
         with np.errstate(over="ignore", invalid="ignore"):
-            np.add(total, rows.d[:, None] * np.exp(-alpha * top), out=total, where=proper)
-    s1[0] /= total
-    slope = -shape * s1[0]
-    slope += k / alpha
-    slope -= b
-    slope += slx
+            np.negative(alpha, out=term)
+            term *= rows.top
+            np.exp(term, out=term)
+            term *= rows.d
+            np.add(total, term, out=total, where=proper)
+    slope = np.divide(sums[1], total, out=sums[1])
+    slope *= rows.neg_shape
+    np.divide(rows.k, alpha, out=term)
+    slope += term
+    slope -= rows.b
+    slope += rows.slx
     return [log_rate, h, slope]
 
 
@@ -204,15 +288,15 @@ def g2_log_density(alpha, s: ReciprocalSample, priors: GammaPriors):
 
 
 def _lam_rows(log_rate: np.ndarray, gammas: np.ndarray) -> tuple:
-    """``gammas / exp(log_rate)``, the lam draws of each row, and the
-    :class:`NumericError` of each row where one overflows or underflows
-    float64, keyed by row."""
+    """``gammas / exp(log_rate)``, the lam draws of each row, in place of
+    ``gammas``, and the :class:`NumericError` of each row where one
+    overflows or underflows float64, keyed by row."""
     with np.errstate(over="ignore", divide="ignore"):
-        lams = np.log(gammas)
+        lams = np.log(gammas, out=gammas)
         lams -= log_rate
         np.exp(lams, out=lams)
     bad = ~((lams > 0) & (lams < math.inf))
-    if not bad.any():
+    if not np.logical_or.reduce(bad, axis=None):
         return lams, {}
     bad = np.count_nonzero(bad, axis=-1)
     return lams, {i: NumericError(
@@ -255,10 +339,13 @@ _SLOPE_ROUNDING = 8.0 * math.ulp(1.0)   # relative rounding of (log g2)'
 _GROUP_VALUES = 1 << 14
 
 
+_STEPS = np.arange(_TANGENTS, dtype=float)
+
+
 def _grid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """``_TANGENTS`` points evenly spaced from each ``lo`` to its ``hi``:
     the bits of ``np.linspace(lo, hi, _TANGENTS, axis=-1)``."""
-    out = np.arange(_TANGENTS) * ((hi - lo) / (_TANGENTS - 1))[:, None]
+    out = _STEPS * ((hi - lo) / (_TANGENTS - 1))[:, None]
     out += lo[:, None]
     out[:, -1] = hi
     return out
@@ -283,28 +370,30 @@ def _tangent_tables(rows: _Rows) -> tuple:
     that turns over but has not fallen ``_DROP`` by e^80 is proper, with its
     mass beyond the table's range: a :class:`NumericError`.
     """
-    count = rows.r.size
-    k = rows.k.tolist()
+    count = len(rows.lx)
+    k = rows.k[:, 0].tolist()
     rounding = (_SLOPE_ROUNDING * (np.abs(rows.shape * rows.top) + np.abs(rows.slx)
-                                   + rows.b)).tolist()
-    lo = [math.log(a) - 3.0 for a in rows.alpha0.tolist()]
+                                   + rows.b))[:, 0].tolist()
+    lo = [math.log(a) - 3.0 for a in rows.alpha0[:, 0].tolist()]
     hi = [v + 6.0 for v in lo]
     table = np.empty((3, count, _TANGENTS))
     failed, shrink = {}, []
-    active = list(range(count))
-    while active:
+    # the records of the rows still moving, and those rows
+    active, sub = list(range(count)), rows
+    while True:
         eta = _grid(np.array([lo[row] for row in active]), np.array([hi[row] for row in active]))
         alpha = np.exp(eta)
-        _, h, d = _g2_terms(alpha, rows.take(active), 1)
-        inside = h >= (h.max(axis=1) - _DROP)[:, None]
-        at = np.arange(len(active))
+        _, h, d = _g2_terms(alpha, sub, 1)
+        inside = h >= np.maximum.reduce(h, axis=1, keepdims=True) - _DROP
+        # the first point where the slope turns, flat in the table
         turn = (d <= 0.0).argmax(axis=1)
+        turn += np.arange(0, d.size, _TANGENTS)
+        facts = np.array([inside.argmax(axis=1), inside[:, ::-1].argmax(axis=1),
+                          alpha.take(turn), d.take(turn), d[:, -1], alpha[:, -1]]).tolist()
         done, moving = [], []
-        for n, (row, i, j, turn_alpha, turn_d, last_d, last_alpha) in enumerate(zip(
-                active, inside.argmax(axis=1).tolist(), inside[:, ::-1].argmax(axis=1).tolist(),
-                alpha[at, turn].tolist(), d[at, turn].tolist(), d[:, -1].tolist(),
-                alpha[:, -1].tolist())):
-            j = _TANGENTS - 1 - j
+        for n, (row, i, j, turn_alpha, turn_d, last_d, last_alpha) in enumerate(
+                zip(active, *facts)):
+            i, j = int(i), _TANGENTS - 1 - int(j)
             if turn_d <= 0.0 and k[row] > 0 and k[row] / turn_alpha <= rounding[row]:
                 failed[row] = InsufficientDataError(
                     f"{_IMPROPER}: the slope of log g2 vanishes only to rounding at "
@@ -313,9 +402,10 @@ def _tangent_tables(rows: _Rows) -> tuple:
             low = i == 0 and lo[row] > -80.0
             high = j == _TANGENTS - 1 or not last_d < 0.0
             if not (low or high):
-                done.append(n)
                 if 4 * (j - i) < 3 * _TANGENTS:
                     shrink.append((row, eta[n, max(i - 1, 0)], eta[n, j + 1]))
+                else:
+                    done.append(n)
             elif high and hi[row] >= 80.0:
                 failed[row] = NumericError(
                     f"g2 turns over but has not fallen {_DROP:g} below its top by alpha=e^80, "
@@ -328,13 +418,21 @@ def _tangent_tables(rows: _Rows) -> tuple:
                     lo[row] = max(lo[row] - width, -80.0)
                 if high:
                     hi[row] = min(hi[row] + width, 80.0)
-                moving.append(row)
-        table[:, [active[n] for n in done]] = np.stack((alpha, h, d))[:, done]
-        active = moving
+                moving.append(n)
+        if done:
+            table[:, [active[n] for n in done]] = np.array((alpha, h, d))[:, done]
+        if not moving:
+            break
+        if len(moving) < len(active):
+            active, sub = [active[n] for n in moving], sub.take(moving)
     if shrink:
         idx, start, stop = map(list, zip(*sorted(shrink)))
         alpha = np.exp(_grid(np.array(start), np.array(stop)))
-        table[:, idx] = alpha, *_g2_terms(alpha, rows.take(idx), 1)[1:]
+        terms = np.array((alpha, *_g2_terms(alpha, rows.take(idx), 1)[1:]))
+        if len(idx) < count:
+            table[:, idx] = terms
+        else:
+            table = terms
     return table, failed
 
 
@@ -355,47 +453,73 @@ def _envelope(x: np.ndarray, h: np.ndarray, d: np.ndarray) -> tuple:
     ``guide`` the guide table of :func:`_segments` over them; where the
     masses are not finite and positive, an :class:`InsufficientDataError`.
     """
+    z = np.empty((len(x), x.shape[1] + 1))
+    z[:, 0], z[:, -1] = 0.0, math.inf
     gap = d[:, :-1] - d[:, 1:]
-    ends = np.zeros((len(x), 1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cross = (h[:, 1:] - h[:, :-1] + x[:, :-1] * d[:, :-1] - x[:, 1:] * d[:, 1:]) / gap
-        z = np.concatenate((ends, np.where(gap <= 1e-14, 0.5 * (x[:, :-1] + x[:, 1:]), cross),
-                            ends + math.inf), axis=1)
-        width = np.maximum(z[:, 1:] - z[:, :-1], 0.0)
+        np.divide(h[:, 1:] - h[:, :-1] + x[:, :-1] * d[:, :-1] - x[:, 1:] * d[:, 1:], gap,
+                  out=z[:, 1:-1])
+        near = gap <= 1e-14
+        if np.logical_or.reduce(near, axis=None):
+            np.copyto(z[:, 1:-1], 0.5 * (x[:, :-1] + x[:, 1:]), where=near)
+        del gap, near
+        width = np.subtract(z[:, 1:], z[:, :-1])
+        np.maximum(width, 0.0, out=width)
         start = np.where(d > 0.0, z[:, 1:], z[:, :-1])
-        peak = h + d * (start - x)
-        flat = np.abs(d) * width < 1e-12
-        fall = np.expm1(-np.abs(d) * width)
-        logmass = peak + np.log(np.where(flat, width, -fall / np.abs(d)))
-        cum = np.exp(logmass - logmass.max(axis=1, keepdims=True)).cumsum(axis=1)
-    fall[flat] = 0.0
-    failed = {i: InsufficientDataError(f"{_IMPROPER}: the envelope of g2 has no finite mass")
-              for i in np.flatnonzero(~((0.0 < cum[:, -1]) & (cum[:, -1] < math.inf))).tolist()}
+        peak = start - x
+        peak *= d
+        peak += h
+        slope = np.abs(d)
+        fall = slope * width
+        np.negative(fall, out=fall)
+        flat = fall > -1e-12          # |d| * width < 1e-12
+        np.expm1(fall, out=fall)
+        logmass = np.divide(fall, slope, out=slope)
+        np.negative(logmass, out=logmass)
+        if np.logical_or.reduce(flat, axis=None):
+            np.copyto(logmass, width, where=flat)
+            fall[flat] = 0.0
+        else:
+            flat = None
+        np.log(logmass, out=logmass)
+        logmass += peak
+        logmass -= np.maximum.reduce(logmass, axis=1, keepdims=True)
+        cum = np.add.accumulate(np.exp(logmass, out=logmass), axis=1, out=logmass)
+    total = cum[:, -1]
+    failed = {} if (np.minimum.reduce(total, initial=math.inf) > 0.0
+                    and np.maximum.reduce(total, initial=0.0) < math.inf) else {
+        i: InsufficientDataError(f"{_IMPROPER}: the envelope of g2 has no finite mass")
+        for i in (~((0.0 < total) & (total < math.inf))).nonzero()[0].tolist()}
     return {"cum": cum, **_guide(cum), "z": z, "width": width, "start": start, "peak": peak,
-            "fall": fall, "d": d, "flat": flat if flat.any() else None}, failed
+            "fall": fall, "d": d, "flat": flat}, failed
 
 
 def _guide(cum: np.ndarray) -> dict:
     """The guide table of :func:`_segments` over each row of the cumulative
     masses ``cum`` (K, k): for the 2k equal cells of ``[0, cum[-1]]`` and
     the edge ``cum[-1]``, a column each, ``guide``, the count of the entries
-    up to the cell's lower edge ``c / 2k * cum[-1]``, or -2 where the cell
-    holds two or more entries (it is wide), and ``next``, the first entry
-    above that edge (inf past the last)."""
-    cells = 2 * cum.shape[1]
+    but the last up to the cell's lower edge ``c / 2k * cum[-1]`` (the
+    clipped searchsorted), or -2 where the cell holds two or more of them
+    (it is wide), and ``next``, the first entry above that edge, inf where
+    the count is k - 1: so no key steps past the last segment."""
+    size = cum.shape[1]
+    cells = 2 * size
     edges = np.arange(cells + 1) / cells * cum[:, -1:]
-    guide = np.array([row.searchsorted(at, side="right") for row, at in zip(cum, edges)],
-                     dtype=np.intp).reshape(edges.shape)
-    above = np.concatenate((cum, np.full((len(cum), 1), math.inf)), axis=1)
-    offsets = np.arange(0, above.size, above.shape[1])[:, None] if len(cum) > 1 else 0
-    after = np.take(above, guide + offsets)
-    guide[:, :-1][guide[:, 1:] - guide[:, :-1] > 1] = -2
+    guide = np.empty(edges.shape, dtype=np.intp)
+    for row, at, out in zip(cum, edges, guide):
+        out[:] = row[:-1].searchsorted(at, side="right")
+    del edges
+    wide = guide[:, 1:] - guide[:, :-1] > 1
+    after = cum.take(guide + np.arange(0, cum.size, size)[:, None])
+    after[guide == size - 1] = math.inf
+    guide[:, :-1][wide] = -2
     return {"guide": guide, "next": after, "total": cum[:, -1:]}
 
 
 def _segments(env: dict, keys: np.ndarray) -> np.ndarray:
     """The segment of the cumulative masses ``env["cum"]`` (K, k) at each
-    uniform in [0, 1] of the same row of ``keys`` (K, w): the index that
+    uniform in [0, 1] of the same row of ``keys`` (K, w), as a flat index
+    of ``cum``: row i's index plus i * k, where its index is the one that
     ``searchsorted(cum, key * cum[-1], side="right")`` gives, clipped to
     k - 1.
 
@@ -407,23 +531,25 @@ def _segments(env: dict, keys: np.ndarray) -> np.ndarray:
     The keys of a wide cell, such as an end cell, whose tail segments carry
     little mass, are searched in their row.
     """
-    cum = env["cum"]
+    cum, guide = env["cum"], env["guide"]
     rows, size = cum.shape
     u = keys * env["total"]
-    cell = (keys * (env["guide"].shape[1] - 1)).astype(np.intp)
+    cell = (keys * (guide.shape[1] - 1)).astype(np.intp)
     if rows > 1:
-        cell += np.arange(0, rows * env["guide"].shape[1], env["guide"].shape[1])[:, None]
-    j = np.take(env["guide"], cell)
-    j += np.take(env["next"], cell) <= u
-    wide = np.flatnonzero(j < 0)
+        cell += np.arange(0, guide.size, guide.shape[1])[:, None]
+    j = guide.take(cell)
+    j += env["next"].take(cell) <= u
+    wide = (j < 0).ravel().nonzero()[0]
+    if rows > 1:
+        j += np.arange(0, cum.size, size)[:, None]
     if wide.size:
         # the wide keys of row i are wide[cuts[i]:cuts[i + 1]]
         cuts = wide.searchsorted(np.arange(rows + 1) * keys.shape[1]).tolist()
         flat, key = j.reshape(-1), u.reshape(-1)[wide]
         for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
             if a < b:
-                flat[wide[a:b]] = cum[i].searchsorted(key[a:b], side="right")
-    return np.minimum(j, size - 1, out=j)
+                flat[wide[a:b]] = cum[i, :-1].searchsorted(key[a:b], side="right") + i * size
+    return j
 
 
 def _propose(env: dict, keys: np.ndarray, xi: np.ndarray) -> tuple:
@@ -431,40 +557,39 @@ def _propose(env: dict, keys: np.ndarray, xi: np.ndarray) -> tuple:
     uniforms ``keys`` (a segment each) and ``xi`` (a point within it), of
     the same shape (K, w), and the log of the envelope at each."""
     j = _segments(env, keys)
-    size = env["cum"].shape[1]
-    if len(j) > 1:
-        j += np.arange(0, len(j) * size, size)[:, None]
-    drop = np.multiply(xi, np.take(env["fall"], j))
+    drop = env["fall"].take(j)
+    drop *= xi
     np.log1p(drop, out=drop)
+    t = env["d"].take(j)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = drop / np.take(env["d"], j)
-    t += np.take(env["start"], j)
+        np.divide(drop, t, out=t)
+    t += env["start"].take(j)
     if env["flat"] is not None:
-        flat = np.take(env["flat"], j)
+        flat = env["flat"].take(j)
         jf = j[flat]
         # z has one column more than the segments: row i starts at i * (size + 1)
-        t[flat] = np.take(env["z"], jf + jf // size) + xi[flat] * np.take(env["width"], jf)
-    drop += np.take(env["peak"], j)
+        t[flat] = env["z"].take(jf + jf // env["cum"].shape[1]) + xi[flat] * env["width"].take(jf)
+    drop += env["peak"].take(j)
     return t, drop
 
 
-def _draw_buffers(count: int, rows: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Empty arrays for ``count`` draws of ``rows`` records and their log
-    rates; a count that cannot be allocated is a :class:`DomainError`
-    naming it."""
+def _draw_buffers(count: int, rows: int = 1) -> np.ndarray:
+    """An empty (2, rows, count) array for ``count`` draws of ``rows``
+    records and their log rates; a count that cannot be allocated is a
+    :class:`DomainError` naming it."""
     try:
-        return np.empty((rows, count)), np.empty((rows, count))
+        return np.empty((2, rows, count))
     except (ValueError, MemoryError):
         raise DomainError(f"{count} draws need {16 * count} bytes, which cannot be "
                           "allocated") from None
 
 
-def _g2_rows(rows: _Rows, rngs: list, count: int) -> tuple:
+def _g2_rows(rows: _Rows, rngs: list, count: int, work) -> tuple:
     """``count`` exact draws from the normalized g2 of each row of ``rows``
     by rejection from one fixed envelope, each row from its generator in
-    ``rngs``: the draws and their log g1 rates (K, count), the acceptance
-    ratio and rounds of each row (lists), and the error of each row that
-    could not draw, keyed by row.
+    ``rngs``: the draws and their log g1 rates as one (2, K, count) array,
+    the acceptance ratio and rounds of each row (lists), and the error of
+    each row that could not draw, keyed by row.
 
     Builds the tables (:func:`_tangent_tables`) and the envelopes
     (:func:`_envelope`) once.  Then draws in rounds: each round proposes
@@ -473,60 +598,75 @@ def _g2_rows(rows: _Rows, rngs: list, count: int) -> tuple:
     points within the segments), evaluates log g2 on the proposals that
     are positive and finite and accepts with one comparison to the log of
     a third array of uniforms.  The rows of a round are padded to the
-    widest, and the padding is never read.
+    widest, and the padding is never read.  One search finds the hits of
+    every row, and each row copies its first hits, up to the draws it
+    needs, straight into its draws.  The uniforms and the sums of a round
+    are arrays of ``work``.
     """
-    draws, log_rate = _draw_buffers(count, rows.r.size)
+    size = len(rows.lx)
+    out = _draw_buffers(count, size)
     table, failed = _tangent_tables(rows)
-    live = [i for i in range(rows.r.size) if i not in failed]
-    env, no_mass = _envelope(*table[:, live])
-    failed.update((live[i], exc) for i, exc in no_mass.items())
-    # the record of each row of ``sub`` and ``env``
-    at, sub = live, rows.take(live) if live else rows
-    filled, proposals, accepted, rounds = ([0] * rows.r.size for _ in range(4))
-    live = [i for i in live if i not in failed]
-    while live:
-        if live != at:
-            idx = [i for i, row in enumerate(at) if filled[row] < count and row not in failed]
-            sub, at = sub.take(idx), live
-            env = {key: None if v is None else v[idx] for key, v in env.items()}
-        need = [count - filled[row] for row in live]
-        held = sizes = [m + m // 16 + 4 for m in need]
-        width = max(sizes)
-        keys, xi = np.zeros((2, len(live), width))
-        for i, (row, m) in enumerate(zip(live, sizes)):
-            rngs[row].random(out=keys[i, :m])
-            rngs[row].random(out=xi[i, :m])
+    # ``at`` holds the record of each row of ``sub`` and ``env``
+    at = [i for i in range(size) if i not in failed]
+    env, no_mass = _envelope(*(table[:, at] if failed else table))
+    sub = rows.take(at)
+    filled, proposals, accepted, rounds = [[0] * size for _ in range(4)]
+    keep = [i for i in range(len(at)) if i not in no_mass]
+    failed.update((at[i], exc) for i, exc in no_mass.items())
+    while keep:
+        if len(keep) < len(at):
+            at, sub = [at[i] for i in keep], sub.take(keep)
+            env = {key: None if v is None else v[keep] for key, v in env.items()}
+        need = [count - filled[row] for row in at]
+        widths = [m + m // 16 + 4 for m in need]
+        width = max(widths)
+        padded = width > min(widths)
+        keys, xi = uniforms = work("uniforms", (2, len(at), width))
+        if padded:
+            uniforms.fill(0.0)
+        streams = [rngs[row] for row in at]
+        for rng, m, key, x in zip(streams, widths, keys, xi):
+            rng.random(out=key[:m])
+            rng.random(out=x[:m])
         t, log_env = _propose(env, keys, xi)
-        del keys, xi
-        ok = (t > 0.0) & (t < math.inf)
-        if width > min(sizes) or not ok.all():
+        held = widths
+        if padded or not (np.minimum.reduce(t, axis=None) > 0.0
+                          and np.maximum.reduce(t, axis=None) < math.inf):
             # the positive and finite proposals first, then padding at alpha = 1
-            ok &= np.arange(width) < np.array(sizes)[:, None]
+            ok = (t > 0.0) & (t < math.inf) & (np.arange(width) < np.array(widths)[:, None])
             held = np.count_nonzero(ok, axis=1).tolist()
             for i, m in enumerate(held):
                 t[i, :m], log_env[i, :m] = t[i, ok[i]], log_env[i, ok[i]]
                 t[i, m:] = 1.0
-        del ok
-        lr, hval = _g2_terms(t, sub, 0, held)
+            padded = width > min(held)
+        lr, hval = _g2_terms(t, sub, 0, held if padded else None, work)
         # accept where log(uniform) + log envelope <= log g2
-        level = np.ones((len(live), width))
-        for i, (row, m) in enumerate(zip(live, held)):
-            rngs[row].random(out=level[i, :m])
+        level = work("level", (len(at), width))
+        if padded:
+            level.fill(1.0)
+        for rng, m, row in zip(streams, held, level):
+            rng.random(out=row[:m])
         np.log(level, out=level)
         level += log_env
         hit = level <= hval
-        del level, log_env, hval
-        for i, (row, m, want) in enumerate(zip(live, held, need)):
-            got = np.flatnonzero(hit[i, :m])
-            use = got[:want]
-            draws[row, filled[row]:filled[row] + use.size] = t[i, use]
-            log_rate[row, filled[row]:filled[row] + use.size] = lr[i, use]
-            filled[row] += use.size
-            proposals[row] += m
-            accepted[row] += got.size
+        if padded:
+            hit &= np.arange(width) < np.array(held)[:, None]
+        # each row's first hits, up to the draws it needs, after its draws so far:
+        # row i's hits are pos[edges[i]:edges[i + 1]]
+        pos = hit.ravel().nonzero()[0]
+        edges = pos.searchsorted(np.arange(0, hit.size + 1, width)).tolist()
+        keep = []
+        for i, (row, a, b, m, n) in enumerate(zip(at, edges, edges[1:], need, held)):
+            use, f = min(b - a, m), filled[row]
+            t.take(pos[a:a + use], out=out[0, row, f:f + use], mode="clip")
+            lr.take(pos[a:a + use], out=out[1, row, f:f + use], mode="clip")
+            filled[row] += use
+            proposals[row] += n
+            accepted[row] += b - a
             rounds[row] += 1
-        live = [row for row in live if filled[row] < count]
-    return draws, log_rate, [a / max(p, 1) for a, p in zip(accepted, proposals)], rounds, failed
+            if use < m:
+                keep.append(i)
+    return out, [a / max(p, 1) for a, p in zip(accepted, proposals)], rounds, failed
 
 
 def sample_g2(
@@ -551,8 +691,9 @@ def sample_g2(
     count = _integer("count", count, 1)
     if s.r < 1:
         raise InsufficientDataError("g2 requires at least one observed failure")
-    draws, log_rate, acceptance, rounds, failed = _g2_rows(_Rows.of([s], [priors]),
-                                                           [_rng(seed)], count)
+    with _SmallBuffers():
+        (draws, log_rate), acceptance, rounds, failed = _g2_rows(_Rows.of([s], [priors]),
+                                                                 [_rng(seed)], count, _fresh)
     if failed:
         raise failed[0]
     return draws[0], {"acceptance_ratio": acceptance[0], "rounds": rounds[0],
@@ -615,21 +756,22 @@ class IsResult:
 
 class _Draws(NamedTuple):
     """The weighted draws of the records ``rows`` of a group that drew
-    them, each a row of (K, M) arrays, and the error of every record of the
-    group that failed, keyed by record."""
+    them: ``values`` (2, K, M) holds the alphas and then the lams, a row a
+    record, and ``weights`` (K, M) their weights; and the error of every
+    record of the group that failed, keyed by record."""
 
     rows: list
-    alphas: np.ndarray
-    lams: np.ndarray
+    values: np.ndarray
     weights: np.ndarray
     acceptance: list
     failed: dict
 
 
-def _draw_rows(samples: list, priors: list, rngs: list, count: int) -> _Draws:
+def _draw_rows(samples: list, priors: list, rngs: list, count: int, work) -> _Draws:
     """Steps 1-3 of the sampler for each record (a sample, its priors and
     its generator): alphas from g2 (:func:`_g2_rows`), then lams from g1,
-    each with the g1 rate of its alpha, and weights from h.
+    each with the g1 rate of its alpha, and weights from h.  Callers hold
+    :class:`_SmallBuffers`.
 
     A record without a failure is an :class:`InsufficientDataError`, and a
     record fails where its g2 cannot be drawn, a lam is beyond the float64
@@ -641,39 +783,39 @@ def _draw_rows(samples: list, priors: list, rngs: list, count: int) -> _Draws:
               for i, s in enumerate(samples) if s.r < 1}
     live = [i for i in range(len(samples)) if i not in failed]
     if not live:
-        return _Draws([], *np.empty((3, 0, count)), [], failed)
+        return _Draws([], np.empty((2, 0, count)), np.empty((0, count)), [], failed)
     rows = _Rows.of([samples[i] for i in live], [priors[i] for i in live])
-    alphas, log_rate, acceptance, _, bad = _g2_rows(rows, [rngs[i] for i in live], count)
-    # the rows of ``rows`` still drawing, and of ``alphas`` and the arrays after it
+    values, acceptance, _, bad = _g2_rows(rows, [rngs[i] for i in live], count, work)
+    # the rows of ``rows`` still drawing, and of ``values`` and the arrays after it
     keep = [i for i in range(len(live)) if i not in bad]
-    gammas = np.empty((len(keep), count))
+    if len(keep) < len(live):
+        values = values[:, keep]
+    gammas = work("gammas", (len(keep), count))
     for g, i in zip(gammas, keep):
         # Gamma(shape, scale 1), the draws and bits of rng.gamma(shape, 1.0)
-        rngs[live[i]].standard_gamma(rows.shape[i], out=g)
-    lams, lam_bad = _lam_rows(log_rate[keep], gammas)
-    del gammas
+        rngs[live[i]].standard_gamma(rows.shape[i, 0], out=g)
+    lams, lam_bad = _lam_rows(values[1], gammas)
+    # the lams take the place of the log rates they were drawn with
+    values[1] = lams
+    del gammas, lams
     if lam_bad:
         bad.update((keep[i], exc) for i, exc in lam_bad.items())
         ok = [i for i in range(len(keep)) if i not in lam_bad]
-        keep, lams = [keep[i] for i in ok], lams[ok]
-    if len(keep) < len(alphas):
-        alphas = alphas[keep]
+        keep, values = [keep[i] for i in ok], values[:, ok]
     # a complete sample (n = r) has log weights 0 * finite, so weights 1/count
-    lw = _censor_q(alphas, lams, rows.log_u[keep, None])[1]
-    lw *= (rows.n - rows.r)[keep, None]
-    lw -= np.maximum.reduce(lw, axis=1)[:, None]
+    lw = _censor_q(values[0], values[1], rows.log_u[keep])[1]
+    lw *= (rows.n - rows.r)[keep]
+    lw -= np.maximum.reduce(lw, axis=1, keepdims=True)
     w = np.exp(lw, out=lw)
-    total = np.add.reduce(w, axis=1)
-    if not (total > 0).all():
+    total = np.add.reduce(w, axis=1, keepdims=True)
+    if not np.minimum.reduce(total, axis=None, initial=math.inf) > 0.0:
         bad.update((keep[i], DegenerateWeightsError("all importance weights underflowed to zero"))
-                   for i in np.flatnonzero(~(total > 0)).tolist())
-        ok = np.flatnonzero(total > 0)
-        keep, alphas, lams, w, total = ([keep[i] for i in ok.tolist()], alphas[ok], lams[ok],
-                                        w[ok], total[ok])
+                   for i in np.flatnonzero(~(total[:, 0] > 0)).tolist())
+        ok = np.flatnonzero(total[:, 0] > 0)
+        keep, values, w, total = [keep[i] for i in ok.tolist()], values[:, ok], w[ok], total[ok]
     failed.update((live[i], exc) for i, exc in bad.items())
-    w /= total[:, None]
-    return _Draws([live[i] for i in keep], alphas, lams, w, [acceptance[i] for i in keep],
-                  failed)
+    w /= total
+    return _Draws([live[i] for i in keep], values, w, [acceptance[i] for i in keep], failed)
 
 
 def posterior_draws(
@@ -695,10 +837,11 @@ def posterior_draws(
     if s.r < 1:
         raise InsufficientDataError("posterior sampling needs at least one failure")
     count = _integer("count", count, 2)
-    out = _draw_rows([s], [priors], [_rng(seed, child=True)], count)
+    with _SmallBuffers():
+        out = _draw_rows([s], [priors], [_rng(seed, child=True)], count, _fresh)
     if out.failed:
         raise out.failed[0]
-    return PosteriorDraws(out.alphas[0], out.lams[0], out.weights[0],
+    return PosteriorDraws(out.values[0, 0], out.values[1, 0], out.weights[0],
                           acceptance_ratio=out.acceptance[0])
 
 
@@ -715,7 +858,7 @@ def _sorted_cum(v: np.ndarray, w: np.ndarray):
     return vs[0], cum[0]
 
 
-def _sorted_rows(v: np.ndarray, w: np.ndarray):
+def _sorted_rows(v: np.ndarray, w: np.ndarray, work=_fresh):
     """Each row of ``v`` (K, M) in ascending order and the cumulative
     weights of the same row of ``w`` in that order over their total, both
     as a stable sort gives them.
@@ -731,33 +874,37 @@ def _sorted_rows(v: np.ndarray, w: np.ndarray):
     row whose sorted values do not increase strictly (a tie, signed zeros
     or a NaN) is sorted again stably, so that tied values gather weight in
     their input order.  Weights that sum to zero in a row raise
-    :class:`DegenerateWeightsError`.
+    :class:`DegenerateWeightsError`.  The keys and both results are arrays
+    of ``work``.
     """
-    total = np.add.reduce(w, axis=-1)
-    if not (total > 0).all():
+    total = np.add.reduce(w, axis=-1, keepdims=True)
+    if not np.minimum.reduce(total, axis=None, initial=math.inf) > 0.0:
         raise DegenerateWeightsError("weights sum to zero")
     m = v.shape[-1]
-    keyed = v.min() > 0.0 and v.max() < math.inf
+    keyed = np.minimum.reduce(v, axis=None) > 0.0 and np.maximum.reduce(v, axis=None) < math.inf
     if keyed:
         low = (m - 1).bit_length()
-        keys = v.view(np.uint64) & np.uint64(2 ** 64 - (1 << low))
+        keys = np.bitwise_and(v.view(np.uint64), np.uint64(2 ** 64 - (1 << low)),
+                              out=work("keys", v.shape, np.uint64))
         keys |= np.arange(m, dtype=np.uint64)
         keys.view(np.float64).sort(axis=-1)
-        order = (keys & np.uint64((1 << low) - 1)).astype(np.intp)
-        del keys
+        keys &= np.uint64((1 << low) - 1)
+        order = keys.view(np.intp)
     else:
         order = v.argsort(axis=-1)
     if len(v) > 1:
         order += np.arange(0, v.size, m)[:, None]
-    vs = np.take(v, order)
+    vs = v.take(order, out=work("sorted", v.shape), mode="clip")
     # for the keys, equal values are in order; for argsort, only distinct ones
     ordered = vs[:, 1:] >= vs[:, :-1] if keyed else vs[:, 1:] > vs[:, :-1]
-    ties = [] if ordered.all() else np.flatnonzero(~ordered.all(axis=-1))
+    ties = [] if np.logical_and.reduce(ordered, axis=None) else np.flatnonzero(
+        ~ordered.all(axis=-1))
     if len(ties):
         order[ties] = np.argsort(v[ties], axis=-1, kind="stable") + ties[:, None] * v.shape[-1]
         vs[ties] = np.take(v, order[ties])
-    cum = np.take(w, order).cumsum(axis=-1)
-    cum /= total[:, None]
+    cum = w.take(order, out=work("cum", v.shape), mode="clip")
+    np.add.accumulate(cum, axis=-1, out=cum)
+    cum /= total
     return vs, cum
 
 
@@ -808,11 +955,11 @@ def _hpd_rows(vs: np.ndarray, cum: np.ndarray, level: float) -> tuple:
     half = thresholds.size // 2
     if len(vs) > 1:
         ends += np.arange(0, vs.size, m)[:, None]
-    bounds = np.take(vs, ends)
+    bounds = vs.take(ends)
     # a window with both ends at one infinity has length inf - inf = NaN,
-    # which argmin picks and the callers reject as degenerate
-    with np.errstate(invalid="ignore"):
-        j = (bounds[:, half:] - bounds[:, :half]).argmin(axis=-1)
+    # which argmin picks and the callers reject as degenerate (callers
+    # ignore numpy's invalid warning)
+    j = (bounds[:, half:] - bounds[:, :half]).argmin(axis=-1)
     rows = np.arange(len(vs))
     return bounds[rows, j], bounds[rows, half + j]
 
@@ -825,37 +972,49 @@ def hpd_interval(values, weights, level: float) -> ConfidenceInterval:
     w = _floats("weights", weights)
     _check_count(v.size, level)
     vs, cum = _sorted_cum(v, w)
-    lower, upper = _hpd_rows(vs[None], cum[None], level)
+    with np.errstate(invalid="ignore"):
+        lower, upper = _hpd_rows(vs[None], cum[None], level)
     return ConfidenceInterval(float(lower[0]), float(upper[0]), level)
 
 
-def _summary_rows(values: np.ndarray, weights: np.ndarray, level: float) -> tuple:
+def _summary_rows(values: np.ndarray, weights: np.ndarray, level: float, work=_fresh) -> tuple:
     """The weighted mean, variance and highest-density interval of each row
-    of ``values`` (K, M) under the same row of normalized ``weights`` as
-    four rows (mean, variance, lower, upper), and the :class:`NumericError`
-    of each row whose moments overflow or whose interval is degenerate (its
-    message gives the row's largest weight and ESS), keyed by row.  Callers
-    ignore numpy's overflow and invalid warnings around it."""
-    _check_level(level)
-    mean = np.add.reduce(values * weights, axis=-1)
-    var = np.add.reduce(((values - mean[:, None]) ** 2) * weights, axis=-1)
-    failed = {i: NumericError(f"the weighted mean or variance overflows float64 "
-                              f"(mean={mean[i]:.4g}, variance={var[i]:.4g})")
-              for i in np.flatnonzero(~(np.isfinite(mean) & np.isfinite(var))).tolist()}
+    of ``values`` (K, M) under the same row of normalized ``weights``, as
+    the four arrays (mean, variance, lower, upper), and the
+    :class:`NumericError` of each row whose moments overflow or whose
+    interval is degenerate (its message gives the row's largest weight and
+    ESS), keyed by row.  Callers check ``level`` and
+    ignore numpy's overflow and invalid warnings around it; the temporary
+    arrays are those of ``work``."""
+    product = np.multiply(values, weights, out=work("product", values.shape))
+    mean = np.add.reduce(product, axis=-1)
+    np.subtract(values, mean[:, None], out=product)
+    np.square(product, out=product)
+    product *= weights
+    var = np.add.reduce(product, axis=-1)
+    finite = np.isfinite(mean) & np.isfinite(var)
+    failed = {} if np.logical_and.reduce(finite) else {
+        i: NumericError(f"the weighted mean or variance overflows float64 "
+                        f"(mean={mean[i]:.4g}, variance={var[i]:.4g})")
+        for i in (~finite).nonzero()[0].tolist()}
     _check_count(values.shape[-1], level)
-    lower, upper = _hpd_rows(*_sorted_rows(values, weights), level)
-    for i in np.flatnonzero(~(lower < upper)).tolist():
-        w = weights[i]
-        failed.setdefault(i, NumericError(
-            f"degenerate interval ({float(lower[i])}, {float(upper[i])}): the largest weight "
-            f"is {w.max():.4g}, the ESS {1.0 / (w ** 2).sum():.4g} of {w.size} draws"))
-    return np.stack((mean, var, lower, upper)), failed
+    lower, upper = _hpd_rows(*_sorted_rows(values, weights, work), level)
+    wide = lower < upper
+    if not np.logical_and.reduce(wide):
+        for i in (~wide).nonzero()[0].tolist():
+            w = weights[i]
+            failed.setdefault(i, NumericError(
+                f"degenerate interval ({float(lower[i])}, {float(upper[i])}): the largest "
+                f"weight is {w.max():.4g}, the ESS {1.0 / (w ** 2).sum():.4g} of {w.size} draws"))
+    return (mean, var, lower, upper), failed
 
 
 def _summary(values: np.ndarray, weights: np.ndarray, level: float) -> BayesEstimate:
     """:func:`_summary_rows` of one row, as a :class:`BayesEstimate`; its
     error raised.  Callers ignore numpy's overflow and invalid warnings."""
-    (mean, var, lower, upper), failed = _summary_rows(values[None], weights[None], level)
+    _check_level(level)
+    with _SmallBuffers():
+        (mean, var, lower, upper), failed = _summary_rows(values[None], weights[None], level)
     if failed:
         raise failed[0]
     return BayesEstimate(float(mean[0]), float(var[0]),
@@ -897,22 +1056,27 @@ def _is_rows(records, count: int, level: float) -> tuple:
     """
     size = count + count // 16 + 4
     group = 1 if 3 * size > 4 * _ALPHA_BLOCK else max(1, _GROUP_VALUES // max(size, _TANGENTS))
+    _check_level(level)
     records, values, ok = iter(records), [np.empty((6, 0))], [np.empty(0, dtype=bool)]
-    while part := list(islice(records, group)):
-        values.append(np.full((6, len(part)), np.nan))
-        ok.append(np.zeros(len(part), dtype=bool))
-        out = _draw_rows(*zip(*part), count)
-        if not out.rows:
-            continue
-        # the moments overflow to inf, which _summary_rows reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            summary, failed = _summary_rows(np.concatenate((out.alphas, out.lams)),
-                                            np.concatenate((out.weights, out.weights)), level)
-        # alpha and then lam, a row each, of the mean and the two ends
-        summary = summary[[0, 2, 3]].reshape(3, 2, -1).reshape(6, -1)
-        good = [i for i in range(len(out.rows)) if i not in failed
-                and i + len(out.rows) not in failed]
-        columns = [out.rows[i] for i in good]
-        values[-1][:, columns] = summary[:, good]
-        ok[-1][columns] = True
+    work = _Work()
+    with _SmallBuffers():
+        while part := list(islice(records, group)):
+            work.regroup()
+            values.append(np.full((6, len(part)), np.nan))
+            ok.append(np.zeros(len(part), dtype=bool))
+            out = _draw_rows(*zip(*part), count, work)
+            if not out.rows:
+                continue
+            # the moments overflow to inf, which _summary_rows reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                (mean, _, lower, upper), failed = _summary_rows(
+                    out.values.reshape(-1, count), np.concatenate((out.weights, out.weights)),
+                    level, work)
+            # alpha and then lam, a row each, of the mean and the two ends
+            summary = np.array((mean, lower, upper)).reshape(6, -1)
+            good = [i for i in range(len(out.rows)) if i not in failed
+                    and i + len(out.rows) not in failed]
+            columns = [out.rows[i] for i in good]
+            values[-1][:, columns] = summary[:, good]
+            ok[-1][columns] = True
     return np.concatenate(values, axis=1), np.concatenate(ok)

@@ -644,6 +644,57 @@ def test_array_core_drops_a_record_whose_envelope_fails(monkeypatch, flood_s1, g
              res.alpha.hpd.upper, res.lam.hpd.upper]).tobytes()
 
 
+def _numpy_state():
+    return np.getbufsize(), np.geterr()
+
+
+# one cell of 14 units with a budget of two failures: at 40 draws one of its
+# six replicates fails inside the importance-sampling core, the others return
+_ONE_FAILING_STUDY = dict(true_alpha=2.0, true_lambda=1.0, cells=((14, 0.8, 2),), replicates=6,
+                          draws=40, base_seed=7, methods=("is",))
+
+
+@pytest.mark.parametrize("state", ["default", "changed"])
+def test_numpy_state_is_restored_whether_a_call_returns_or_raises(monkeypatch, flood_s1, state):
+    """The core runs with its own ufunc buffer size and error handling;
+    the caller's are back after every call, also after a typed error (an
+    improper posterior: five failures tied at 1) and an error raised inside
+    a group of the study harness."""
+    from iwhc import StudyConfig
+    from iwhc.harness import run_study
+    tied = _complete([1.0] * 5)
+    calls = {
+        "bayes_is": lambda s: bayes_is(s, FLAT, 200, 1).theta,
+        "sample_g2": lambda s: sample_g2(200, s, FLAT, 1),
+        "posterior_draws": lambda s: posterior_draws(s, FLAT, 200, 1),
+    }
+    with np.errstate(divide="ignore", over="ignore") if state == "changed" else np.errstate():
+        old = np.setbufsize(4096 + 16) if state == "changed" else None
+        try:
+            before = _numpy_state()
+            for name, call in calls.items():
+                call(flood_s1)
+                assert _numpy_state() == before, name
+                with pytest.raises(InsufficientDataError, match="improper"):
+                    call(tied)
+                assert _numpy_state() == before, name
+            summary = run_study(StudyConfig(**_ONE_FAILING_STUDY))
+            assert _numpy_state() == before
+            assert {(row.replicates_used, row.failures) for row in summary.rows} == {(5, 1)}
+            with monkeypatch.context() as patch:
+                patch.setattr(posterior, "_summary_rows", _raise_runtime_error)
+                with pytest.raises(RuntimeError, match="inside a group"):
+                    run_study(StudyConfig(**_ONE_FAILING_STUDY))
+            assert _numpy_state() == before
+        finally:
+            if old is not None:
+                np.setbufsize(old)
+
+
+def _raise_runtime_error(*args):
+    raise RuntimeError("inside a group")
+
+
 def test_posterior_draws_reuse_of_one_seed_sequence(flood_s1):
     root = np.random.SeedSequence(18)
     first = posterior_draws(flood_s1, FLAT, 300, root)
