@@ -32,6 +32,7 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     NumericError,
+    _percent,
 )
 from .gof import ks_test
 
@@ -110,7 +111,7 @@ def _interval_lines(kind: str, level: float, rows) -> list:
     """One ``kind`` (CI or HPD) line for each of the alpha, lambda and theta
     intervals in ``rows``."""
     names = (("alpha ", ".4f"), ("lambda", ".6g"), ("theta ", ".4f"))
-    return [f"{level:.0%} {kind} {name}: ({ci.lower:{fmt}}, {ci.upper:{fmt}})"
+    return [f"{_percent(level)} {kind} {name}: ({ci.lower:{fmt}}, {ci.upper:{fmt}})"
             for (name, fmt), ci in zip(names, rows)]
 
 
@@ -270,14 +271,10 @@ def cmd_simulate(args) -> int:
     with open(table_path, "w") as handle:
         handle.write(table)
     if args.json:
-        rows = []
-        for row in summary.rows:
-            entry = row.__dict__.copy()
-            entry["prior"] = list(row.prior) if row.prior is not None else None
-            rows.append(entry)
         print(json.dumps({"report_version": REPORT_VERSION, "command": "simulate",
-                          "results": rows, "files": [csv_path, table_path],
-                          "warnings": []}, indent=2, sort_keys=True))
+                          "results": [row.__dict__ for row in summary.rows],   # priors as lists
+                          "files": [csv_path, table_path], "warnings": []},
+                         indent=2, sort_keys=True))
     else:
         print(table)
         print(f"wrote {csv_path} and {table_path}")

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the integer, real number,
-float array, data, positive array and seed checks that raise one."""
+level, float array, data, positive array and seed checks that raise one."""
 
 import numbers
 import operator
@@ -59,6 +59,18 @@ def _real(name: str, value) -> float:
         return float(value)
     except OverflowError:
         raise DomainError(f"{name} is outside the float range, got {value!r}") from None
+
+
+def _level(level) -> None:
+    """DomainError unless ``level`` is a real number (:func:`_real`) in (0, 1)."""
+    if not 0.0 < _real("level", level) < 1.0:
+        raise DomainError(f"level must be in (0, 1), got {level}")
+
+
+def _percent(level: float) -> str:
+    """``level`` as a percentage to the digits of its repr: 97.5%, never 100% below 1."""
+    from decimal import Decimal     # loaded only where a level is printed
+    return f"{(Decimal(repr(float(level))) * 100).normalize():f}%"
 
 
 def _floats(name: str, values) -> np.ndarray:

@@ -1,10 +1,9 @@
 """Monte Carlo study of the estimators over a grid of censoring designs.
 
 For every cell (n, T, R) and replicate the harness draws n lifetimes from the
-true distribution, censors them, fits the requested methods, and accumulates
-average estimates, mean squared errors against the truth, and average 95%
-interval lengths (confidence intervals for the MLE, highest-density credible
-intervals for importance sampling; the expansion estimator has no interval).
+true distribution, censors them, runs the requested estimators of
+``_METHODS``, the one table of them, and accumulates average estimates, mean
+squared errors against the truth, and average interval lengths.
 
 Reproducibility contract: cell c draws its data from one stream,
 ``PCG64(SeedSequence((base_seed, c), spawn_key=(0,)))``, of which replicate
@@ -12,8 +11,8 @@ i reads the uniforms ``[i * n, (i + 1) * n)``; importance sampling under
 prior p draws from child 0 of child 1+p of
 ``SeedSequence((base_seed, cell_index, replicate_index))``.  Each replicate
 is one independent task that fills a column of a block per (method, prior)
-group: its two estimates and, for the MLE and importance sampling, the
-lower and upper bounds of its two intervals, or a failure.  A merge step
+group: its two estimates and, for a method with intervals, the lower and
+upper bounds of its two intervals, or a failure.  A merge step
 builds the rows from the columns in replicate order, so a summary is
 bit-identical for a given config no matter how the replicates are
 scheduled, and no group's stream depends on which other groups run.
@@ -30,14 +29,15 @@ a segment of each row's own sample a row, in task order.  A batch of at
 least ``_ARRAY_FITS`` rows fits all its rows at once as arrays, with the
 same bits.  A smaller one, such as the one batch of a study of one
 replicate in each of two cells, fits each row on its own sample with
-``fit_mle``, ``asymptotic_ci`` and the Lindley expansion.  Either way row
-i lands in column i of the batch's blocks.  Importance sampling runs every
+``fit_mle``, once for every method.  Either way row i lands in column i of
+the batch's blocks.  Importance sampling runs every
 record of the batch (each row under each prior, on the row's sample) in one
 call of the array core ``posterior._is_rows``, with the bits ``bayes_is``
 gives each record on its own generator; the core reads the records a group
 at a time, so memory stays bounded in the batch's size, and a record that
-fails fails only its column.  Importance sampling records alpha and lambda only, so theta, which
-``bayes_is`` summarizes on first read, is never computed here.
+fails fails only its column.  Importance sampling records alpha and lambda
+only, so theta, which ``bayes_is`` summarizes on first read, is never
+computed here.
 
 A replicate whose fit fails (too few failures, a regression start that
 float64 cannot hold, no convergence, ...) fails its groups, and the study
@@ -63,6 +63,8 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,6 +78,8 @@ from .errors import (
     InsufficientDataError,
     NumericError,
     _integer,
+    _level,
+    _percent,
     _real,
 )
 from .lindley import GammaPriors, _estimate, _lindley_rows, third_derivatives
@@ -85,7 +89,6 @@ from .posterior import _draw_buffers, _is_rows
 __all__ = ["StudyConfig", "CellMetric", "SimulationSummary", "run_study",
            "write_csv", "format_table"]
 
-_METHODS = ("mle", "lindley", "is")
 _FIT_ERRORS = (ConvergenceError, NumericError, InsufficientDataError,
                DegenerateWeightsError)
 # replicates fitted together: at most this many values, rows times the
@@ -102,11 +105,70 @@ _ARRAY_FITS = 11
 _MAX_STUDY_VALUES = 10 ** 7
 
 
+def _or_none(make, *args):
+    """``make(*args)``, or None where it raises one of ``_FIT_ERRORS``."""
+    try:
+        return make(*args)
+    except _FIT_ERRORS:
+        return None
+
+
+def _mle_sample(config: StudyConfig, fit, rs) -> list:
+    cis = _or_none(asymptotic_ci, fit, config.level)
+    return [None if cis is None else (fit.alpha_hat, fit.lam_hat, cis[0].lower, cis[1].lower,
+                                      cis[0].upper, cis[1].upper)]
+
+
+def _mle_rows(config: StudyConfig, fits, rows) -> list:
+    (lower_a, upper_a), (lower_l, upper_l), ok = _ci_rows(fits, config.level)
+    return [(fits.alpha, fits.lam, lower_a, lower_l, upper_a, upper_l, ok)]
+
+
+def _lindley_sample(config: StudyConfig, fit, rs) -> list:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # as in lindley
+        thirds = third_derivatives(fit.alpha_hat, fit.lam_hat, rs)      # for every prior
+    ests = (_or_none(_estimate, fit, prior, thirds) for prior in config.priors)
+    return [None if est is None else (est.alpha_L, est.lambda_L) for est in ests]
+
+
+class _Method(NamedTuple):
+    """An estimator of the study.  A method that reads the MLE gives the
+    records of its groups from the fit of one sample (``sample``: None where
+    one fails) and as ``(*columns, ok)`` from the fits of a batch's rows at
+    once (``rows``); importance sampling has neither."""
+
+    label: str              # its format_table column head, {} standing for the prior
+    per_prior: bool         # runs once under each prior, else once
+    bounded: bool           # records end in the bounds of its intervals: 6 rows, else 2
+    sample: Callable | None = None
+    rows: Callable | None = None
+
+
+# the one list of the estimators, in the order of a study's groups and columns
+_METHODS = {
+    "mle": _Method("MLE", per_prior=False, bounded=True, sample=_mle_sample, rows=_mle_rows),
+    "lindley": _Method("Lindley({})", per_prior=True, bounded=False, sample=_lindley_sample,
+                       rows=lambda config, fits, rows: _lindley_rows(fits, rows, config.priors)),
+    "is": _Method("IS({})", per_prior=True, bounded=True),
+}
+
+
 def _json_integer(name: str, value) -> int:
     """A JSON number as an int, checked by :func:`_integer`: a float with an
     integral value counts (JSON reads ``1e3`` as one), and none is truncated."""
     return _integer(name, int(value) if isinstance(value, float) and value.is_integer()
                     else value)
+
+
+# how from_dict reads each key; a key left out takes the StudyConfig default
+_FROM_JSON = {
+    **dict.fromkeys(("true_alpha", "true_lambda", "level"), float),
+    "cells": lambda cells: tuple((_json_integer("n", n), float(T), _json_integer("R", R))
+                                 for n, T, R in cells),
+    "priors": lambda priors: tuple(GammaPriors(*map(float, p)) for p in priors),
+    **{key: partial(_json_integer, key) for key in ("replicates", "draws", "base_seed")},
+    "methods": lambda methods: methods,
+}
 
 
 @dataclass(frozen=True)
@@ -118,7 +180,7 @@ class StudyConfig:
     replicates: int = 1000
     draws: int = 1000
     base_seed: int = 0
-    methods: tuple = _METHODS
+    methods: tuple = tuple(_METHODS)
     level: float = 0.95
 
     def __post_init__(self):
@@ -127,8 +189,7 @@ class StudyConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         for name in ("true_alpha", "true_lambda"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if not 0.0 < _real("level", self.level) < 1.0:
-            raise DomainError(f"level must be in (0, 1), got {self.level}")
+        _level(self.level)
         # the importance-sampling HPD interval needs draws * level >= 2; a
         # count past 2**53, which a float cannot hold, compares as 2**53
         if self.draws < 2 or min(self.draws, 2 ** 53) * self.level < 2:
@@ -140,9 +201,11 @@ class StudyConfig:
         if not (math.isfinite(self.true_alpha) and math.isfinite(self.true_lambda)):
             raise DomainError(f"true parameters must be finite, got alpha={self.true_alpha}, "
                               f"lambda={self.true_lambda}")
-        for method in self.methods:
-            if method not in _METHODS:
-                raise DomainError(f"unknown method {method!r}; choose from {_METHODS}")
+        if not isinstance(self.methods, (list, tuple)) or not all(
+                isinstance(method, str) and method in _METHODS for method in self.methods):
+            raise DomainError(f"methods must be a list or tuple of names from {tuple(_METHODS)}, "
+                              f"got {self.methods!r}")
+        object.__setattr__(self, "methods", tuple(self.methods))
         values = self.replicates * sum(HybridScheme(n=n, R=R, T=T).n  # validates invariants
                                        for n, T, R in self.cells)
         if values > _MAX_STUDY_VALUES:
@@ -160,27 +223,13 @@ class StudyConfig:
         missing = [key for key in ("true_alpha", "true_lambda", "cells") if key not in raw]
         if missing:
             raise DomainError(f"study config lacks required keys: {', '.join(missing)}")
-        cells = raw["cells"]
-        priors = raw.get("priors", [(0, 0, 0, 0)])
-        for key, items, size, shape in (("cells", cells, 3, "[n, T, R]"),
-                                        ("priors", priors, 4, "[a, b, c, d]")):
+        for key, size, shape in (("cells", 3, "[n, T, R]"), ("priors", 4, "[a, b, c, d]")):
+            items = raw.get(key, [])
             if not isinstance(items, (list, tuple)) or not all(
-                isinstance(item, (list, tuple)) and len(item) == size for item in items
-            ):
+                    isinstance(item, (list, tuple)) and len(item) == size for item in items):
                 raise DomainError(f"{key} must be a list of {shape}, got {items!r}")
         try:
-            fields = dict(
-                true_alpha=float(raw["true_alpha"]),
-                true_lambda=float(raw["true_lambda"]),
-                cells=tuple((_json_integer("n", n), float(T), _json_integer("R", R))
-                            for n, T, R in cells),
-                priors=tuple(GammaPriors(*map(float, p)) for p in priors),
-                replicates=_json_integer("replicates", raw.get("replicates", 1000)),
-                draws=_json_integer("draws", raw.get("draws", 1000)),
-                base_seed=_json_integer("base_seed", raw.get("base_seed", 0)),
-                methods=tuple(raw.get("methods", list(_METHODS))),
-                level=float(raw.get("level", 0.95)),
-            )
+            fields = {key: read(raw[key]) for key, read in _FROM_JSON.items() if key in raw}
         except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed study config: {exc}") from None
         return cls(**fields)
@@ -239,11 +288,11 @@ def _se(values: np.ndarray) -> np.ndarray:
 
 def _groups(config: StudyConfig) -> list:
     """The (method, prior index) of every estimator the study runs, in row
-    order: the MLE, then Lindley and importance sampling under each prior."""
-    groups = [("mle", None)] if "mle" in config.methods else []
-    for pi in range(len(config.priors)):
-        groups += [(method, pi) for method in ("lindley", "is") if method in config.methods]
-    return groups
+    order: the methods that run once, then those of each prior in turn, each
+    in the order of ``_METHODS`` (the sort by prior is stable)."""
+    groups = [(method, pi) for method in _METHODS if method in config.methods
+              for pi in (range(len(config.priors)) if _METHODS[method].per_prior else [None])]
+    return sorted(groups, key=lambda group: -1 if group[1] is None else group[1])
 
 
 def _batches(replicates: int, schemes: list):
@@ -274,35 +323,42 @@ def _records(config, schemes, params, groups, batch) -> list:
     reps)`` pieces: one ``(values, ok)`` per group, whose columns are the
     replicates in the order of the pieces and their replicates.
 
-    ``values`` has a row for each of alpha and lambda, and for the MLE and
-    importance sampling then rows for the lower bounds of their intervals
-    and for the upper bounds; ``ok`` is False where the fit failed, and
-    there the values are not read.  A replicate with fewer than two
-    failures (r < 2) fails every group.  Row i of the batch's
-    ``ReciprocalRows`` fills column i.  Importance sampling reads the
-    sample that a batch of fewer than ``_ARRAY_FITS`` rows fits, so that
-    the sample's cached logs and regression start are computed once, and
-    runs the batch's records through one call of ``_is_rows``."""
+    ``values`` has a row for each of alpha and lambda, and for a bounded
+    method then rows for the lower bounds of its intervals and for the
+    upper bounds; ``ok`` is False where the fit failed, and there the values
+    are not read.  A replicate with fewer than two failures (r < 2) fails
+    every group.  Row i of the batch's ``ReciprocalRows`` fills column i.
+    Importance sampling reads the sample that a batch of fewer than
+    ``_ARRAY_FITS`` rows fits, so that the sample's cached logs and
+    regression start are computed once, and runs the batch's records
+    through one call of ``_is_rows``."""
     size = sum(len(reps) for _, reps in batch)
     rows = _censor_rows(_pieces(config, schemes, params, batch))
-    blocks = [(np.full((2 if method == "lindley" else 6, size), np.nan),
+    blocks = [(np.full((6 if _METHODS[method].bounded else 2, size), np.nan),
                np.zeros(size, dtype=bool)) for method, _ in groups]
-    small = size < _ARRAY_FITS
-    fitting = groups[0][0] != "is"      # row order puts the MLE and Lindley groups first
-    sampled = [g for g, (method, _) in enumerate(groups) if method == "is"]
-    if fitting and not small:
-        _row_fits(config, groups, rows, blocks)
-    if not (small and fitting or sampled):
-        return blocks
+    # each method that reads the MLE, with its groups: one, or one a prior
+    fitting = [(_METHODS[method], [g for g, (other, _) in enumerate(groups) if other == method])
+               for method in dict.fromkeys(m for m, _ in groups) if _METHODS[method].sample]
+    sampled = [g for g, (method, _) in enumerate(groups) if not _METHODS[method].sample]
     fitted = np.flatnonzero(rows.r >= 2)
     samples = (rows.sample(i) for i in fitted.tolist())
-    if small and fitting:
+    if fitting and size < _ARRAY_FITS:
         samples = list(samples)
         for k, rs in zip(fitted.tolist(), samples):
-            for g, record in _sample_fits(config, groups, rs).items():
-                if record is not None:
-                    blocks[g][0][:, k] = record
-                    blocks[g][1][k] = True
+            fit = _or_none(fit_mle, rs)     # once for every method
+            if fit is None:
+                continue
+            for method, gs in fitting:
+                for g, record in zip(gs, method.sample(config, fit, rs)):
+                    if record is not None:
+                        blocks[g][0][:, k] = record
+                        blocks[g][1][k] = True
+    elif fitting:
+        fits = _fit_rows(rows)
+        for method, gs in fitting:
+            for g, (*columns, ok) in zip(gs, method.rows(config, fits, rows)):
+                blocks[g][0][:] = columns
+                blocks[g][1][:] = ok
     if sampled:
         # a record for each row under each prior, made as the core reads them;
         # prior p draws from child 0 of child 1 + p of SeedSequence((base_seed,
@@ -336,50 +392,6 @@ def _pieces(config, schemes, params, batch) -> list:
     return pieces
 
 
-def _sample_fits(config: StudyConfig, groups: list, rs) -> dict:
-    """``{group index: record}`` for the MLE and Lindley groups on the
-    sample ``rs``, a record ``_records``' column of values or None where the
-    fit fails."""
-    fitted = {g: None for g, (method, _) in enumerate(groups) if method != "is"}
-    try:
-        fit = fit_mle(rs)
-    except _FIT_ERRORS:
-        return fitted
-    if any(groups[g][0] == "lindley" for g in fitted):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # as in lindley
-            thirds = third_derivatives(fit.alpha_hat, fit.lam_hat, rs)      # for every prior
-    for g in fitted:
-        method, pi = groups[g]
-        try:
-            if method == "mle":
-                a, lam, _ = asymptotic_ci(fit, config.level)
-                fitted[g] = (fit.alpha_hat, fit.lam_hat, a.lower, lam.lower, a.upper, lam.upper)
-            else:
-                est = _estimate(fit, config.priors[pi], thirds)
-                fitted[g] = (est.alpha_L, est.lambda_L)
-        except _FIT_ERRORS:
-            pass
-    return fitted
-
-
-def _row_fits(config: StudyConfig, groups: list, rows, blocks: list) -> None:
-    """Fills the blocks of the MLE and Lindley groups from fits of every row
-    of ``rows`` at once, a column a row."""
-    fits = _fit_rows(rows)
-    fitted = []
-    if groups[0][0] == "mle":
-        (lower_a, upper_a), (lower_l, upper_l), ok = _ci_rows(fits, config.level)
-        fitted.append((0, (fits.alpha, fits.lam, lower_a, lower_l, upper_a, upper_l), ok))
-    lindley = [g for g, (method, _) in enumerate(groups) if method == "lindley"]
-    if lindley:
-        for g, (alpha_L, lambda_L, ok) in zip(lindley, _lindley_rows(
-                fits, rows, [config.priors[groups[g][1]] for g in lindley])):
-            fitted.append((g, (alpha_L, lambda_L), ok))
-    for g, columns, ok in fitted:
-        blocks[g][0][:] = columns
-        blocks[g][1][:] = ok
-
-
 def run_study(config: StudyConfig) -> SimulationSummary:
     truth = np.array([[config.true_alpha], [config.true_lambda]])
     params = IwParams.from_rate(config.true_alpha, config.true_lambda)
@@ -402,7 +414,7 @@ def run_study(config: StudyConfig) -> SimulationSummary:
             # the estimates, their squared errors and the interval lengths
             kept = np.ascontiguousarray(values[:, cols][:, ok[cols]])
             used = kept.shape[1]
-            bounded = len(kept) == 6 and used > 0
+            bounded = _METHODS[method].bounded and used > 0
             table = np.concatenate([kept[:2], (kept[:2] - truth) ** 2,
                                     kept[4:] - kept[2:4] if bounded else kept[:0]])
             mean, se = _mean(table), _se(table)
@@ -429,8 +441,7 @@ def run_study(config: StudyConfig) -> SimulationSummary:
 def write_csv(summary: SimulationSummary, path) -> None:
     rows = [asdict(row) for row in summary.rows]
     for row in rows:
-        prior = row.pop("prior")
-        row["prior"] = "" if prior is None else ",".join(f"{v:g}" for v in prior)
+        row["prior"] = _prior_tag(row.pop("prior"))
     fieldnames = list(rows[0].keys()) if rows else []
     with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=fieldnames)
@@ -438,56 +449,39 @@ def write_csv(summary: SimulationSummary, path) -> None:
         writer.writerows(rows)
 
 
-def _column_label(method: str, prior) -> str:
-    if prior is None:
-        return "MLE"
-    tag = ",".join(f"{v:g}" for v in prior)
-    return {"lindley": f"Lindley({tag})", "is": f"IS({tag})"}[method]
+def _prior_tag(prior) -> str:
+    return "" if prior is None else ",".join(f"{v:g}" for v in prior)
 
 
 def format_table(summary: SimulationSummary) -> str:
     """Aligned text tables: A.E/MSE per parameter, then interval lengths."""
-    rows = summary.rows
-    columns = list(dict.fromkeys((row.method, row.prior) for row in rows))
-    cells = list(dict.fromkeys((row.n, row.T, row.R) for row in rows))
+    columns = list(dict.fromkeys((row.method, row.prior) for row in summary.rows))
+    cells = list(dict.fromkeys((row.n, row.T, row.R) for row in summary.rows))
     by_key: dict = {}
-    for row in rows:
+    for row in summary.rows:
         by_key.setdefault(((row.n, row.T, row.R), (row.method, row.prior), row.parameter), row)
+    width, out = 18, []
 
-    width = 18
-    out = []
-    header = "".join(_column_label(*c).rjust(width) for c in columns)
+    def section(title: str, head: str, cols: list, lines) -> None:
+        """``title``, a header of ``cols``, then a line for each cell and
+        ``(label, parameter, field)`` of ``lines``: each column's field, or -."""
+        out.extend([title, f" (n, T)      R   {head:6s}" + "".join(
+            _METHODS[method].label.format(_prior_tag(p)).rjust(width) for method, p in cols)])
+        for n, T, R in cells:
+            for label, parameter, field in lines:
+                values = (getattr(by_key.get(((n, T, R), col, parameter)), field, None)
+                          for col in cols)
+                texts = ("-" if v is None or np.isnan(v) else f"{v:.4f}" for v in values)
+                out.append(f"({n:3d},{T:5.2f}) {R:4d}  {label:6s}"
+                           + "".join(t.rjust(width) for t in texts))
+        out.append("")
+
     for parameter in ("alpha", "lambda"):
-        out.append(f"Average estimates and MSE for {parameter}")
-        out.append(" (n, T)      R   metric" + header)
-        for cell in cells:
-            n, T, R = cell
-            for metric in ("A.E", "MSE"):
-                line = f"({n:3d},{T:5.2f}) {R:4d}  {metric:6s}"
-                for col in columns:
-                    row = by_key.get((cell, col, parameter))
-                    if row is None or np.isnan(row.average_estimate):
-                        line += "-".rjust(width)
-                    else:
-                        value = row.average_estimate if metric == "A.E" else row.mse
-                        line += f"{value:.4f}".rjust(width)
-                out.append(line)
-        out.append("")
-    interval_cols = [c for c in columns if c[0] in ("mle", "is")]
+        section(f"Average estimates and MSE for {parameter}", "metric", columns,
+                (("A.E", parameter, "average_estimate"), ("MSE", parameter, "mse")))
+    interval_cols = [col for col in columns if _METHODS[col[0]].bounded]
     if interval_cols:
-        out.append(f"Average {summary.config.level:.0%} interval lengths (alpha row, lambda row)")
-        out.append(" (n, T)      R   param "
-                   + "".join(_column_label(*c).rjust(width) for c in interval_cols))
-        for cell in cells:
-            n, T, R = cell
-            for parameter in ("alpha", "lambda"):
-                line = f"({n:3d},{T:5.2f}) {R:4d}  {parameter:6s}"
-                for col in interval_cols:
-                    row = by_key.get((cell, col, parameter))
-                    if row is None or row.avg_interval_length is None:
-                        line += "-".rjust(width)
-                    else:
-                        line += f"{row.avg_interval_length:.4f}".rjust(width)
-                out.append(line)
-        out.append("")
+        section(f"Average {_percent(summary.config.level)} interval lengths "
+                "(alpha row, lambda row)", "param", interval_cols,
+                [(p, p, "avg_interval_length") for p in ("alpha", "lambda")])
     return "\n".join(out)

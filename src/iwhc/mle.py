@@ -42,7 +42,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .censoring import ReciprocalRows, ReciprocalSample
-from .errors import ConvergenceError, DomainError, InsufficientDataError, NumericError, _real
+from .errors import (ConvergenceError, DomainError, InsufficientDataError, NumericError, _level,
+                     _real)
 
 __all__ = [
     "FisherMatrix",
@@ -540,8 +541,7 @@ def asymptotic_ci(
     (theta*log(lam)/alpha**2, -theta/(alpha*lam)) and the full covariance;
     NumericError where alpha**2 overflows or alpha*lam underflows to 0.
     """
-    if not 0.0 < _real("level", level) < 1.0:
-        raise DomainError(f"level must be in (0, 1), got {level}")
+    _level(level)
     if not fit.converged:
         raise DomainError("confidence intervals require a converged fit")
     z = _z(level)

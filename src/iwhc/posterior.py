@@ -61,7 +61,7 @@ import numpy as np
 
 from .censoring import ReciprocalSample
 from .errors import (DegenerateWeightsError, DomainError, InsufficientDataError, NumericError,
-                     _floats, _integer, _positive, _real, _rng)
+                     _floats, _integer, _level, _positive, _real, _rng)
 from .lindley import GammaPriors
 from .mle import ConfidenceInterval, _censor_q
 
@@ -932,11 +932,6 @@ def _hpd_thresholds(m: int, level: float) -> np.ndarray:
     return out
 
 
-def _check_level(level: float) -> None:
-    if not 0.0 < _real("level", level) < 1.0:
-        raise DomainError(f"level must be in (0, 1), got {level}")
-
-
 def _check_count(m: int, level: float) -> None:
     if m * level < 2:
         raise DomainError(f"need M*level >= 2, got M={m}, level={level}")
@@ -967,7 +962,7 @@ def _hpd_rows(vs: np.ndarray, cum: np.ndarray, level: float) -> tuple:
 def hpd_interval(values, weights, level: float) -> ConfidenceInterval:
     """Shortest credible interval among the candidate quantile windows
     (q(j/M), q((j + floor(level*M))/M)) for j = 1, ..., M - floor(level*M)."""
-    _check_level(level)
+    _level(level)
     v = _floats("values", values)
     w = _floats("weights", weights)
     _check_count(v.size, level)
@@ -1012,7 +1007,7 @@ def _summary_rows(values: np.ndarray, weights: np.ndarray, level: float, work=_f
 def _summary(values: np.ndarray, weights: np.ndarray, level: float) -> BayesEstimate:
     """:func:`_summary_rows` of one row, as a :class:`BayesEstimate`; its
     error raised.  Callers ignore numpy's overflow and invalid warnings."""
-    _check_level(level)
+    _level(level)
     with _SmallBuffers():
         (mean, var, lower, upper), failed = _summary_rows(values[None], weights[None], level)
     if failed:
@@ -1056,7 +1051,7 @@ def _is_rows(records, count: int, level: float) -> tuple:
     """
     size = count + count // 16 + 4
     group = 1 if 3 * size > 4 * _ALPHA_BLOCK else max(1, _GROUP_VALUES // max(size, _TANGENTS))
-    _check_level(level)
+    _level(level)
     records, values, ok = iter(records), [np.empty((6, 0))], [np.empty(0, dtype=bool)]
     work = _Work()
     with _SmallBuffers():

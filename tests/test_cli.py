@@ -379,6 +379,21 @@ def test_human_readable_output(capsys):
     assert "95% CI alpha" in out
 
 
+@pytest.mark.parametrize("level, label", [("0.95", "95%"), ("0.975", "97.5%"),
+                                          ("0.999", "99.9%"), ("0.9", "90%")])
+def test_interval_lines_print_the_level_as_given(capsys, level, label):
+    """Not rounded to a whole percent: 0.999 is not 100%, nor 0.975 98%."""
+    code, out, _ = run_cli(capsys, "fit", "flood", "--level", level)
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()[2:]] \
+        == [f"{label} CI alpha ", f"{label} CI lambda", f"{label} CI theta "]
+    code, out, _ = run_cli(capsys, "bayes", "flood", "--method", "is", "--draws", "200",
+                           "--level", level)
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines() if "HPD" in line] \
+        == [f"{label} HPD alpha ", f"{label} HPD lambda", f"{label} HPD theta "]
+
+
 # text reports as printed, line for line
 _GOLDEN_TEXT = {
     "fit-censored": (("fit", "flood", "--big-r", "18", "--time", "0.5"), """\

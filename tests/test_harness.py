@@ -2,6 +2,8 @@ import dataclasses
 import io
 import json
 import math
+import pathlib
+import re
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -426,6 +428,67 @@ def test_outputs_are_complete(tmp_path):
     table = format_table(summary)
     assert "Average estimates and MSE for alpha" in table
     assert "MLE" in table and "IS(0,0,0,0)" in table
+
+
+_GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("batch_rows", [None, 12], ids=["one-array-batch", "both-forks"])
+def test_study_text_and_csv_match_the_golden_files(monkeypatch, tmp_path, batch_rows):
+    """``format_table`` and ``write_csv`` of a study of every method under
+    two priors, 16 rows in one batch or cut into batches of 12 rows (fitted
+    as arrays) and 4 rows (one sample at a time).  The text is compared
+    byte for byte.  The CSV is compared byte for byte but for its numbers,
+    which are compared to 12 significant digits, so that a last-bit
+    difference of another machine's math library does not fail it; the
+    byte tests of ``tests/test_rows.py`` pin the bits against
+    ``run_study_ref``."""
+    config = _tiny_config(cells=((12, 1.5, 8), (20, 2.5, 14)), priors=_TWO_PRIORS, replicates=8,
+                          draws=40, base_seed=3)
+    if batch_rows is not None:
+        monkeypatch.setattr(harness, "_CHUNK_VALUES", batch_rows * 20)
+        assert [sum(map(len, (reps for _, reps in batch)))
+                for batch in harness._batches(8, [HybridScheme(12, 8, 1.5),
+                                                  HybridScheme(20, 14, 2.5)])] == [12, 4]
+    summary = run_study(config)
+    assert format_table(summary) == (_GOLDEN / "study_table.txt").read_text()
+    write_csv(summary, tmp_path / "summary.csv")
+
+    def fields(text: str) -> list:
+        """The fields of each CSV line, a number to 12 significant digits."""
+        number = re.compile(r"-?\d+\.\d+(e[-+]\d+)?")
+        return [[f"{float(f):.12g}" if number.fullmatch(f) else f for f in line.split(",")]
+                for line in text.split("\r\n")]
+    got = (tmp_path / "summary.csv").read_bytes().decode()
+    want = (_GOLDEN / "study_summary.csv").read_bytes().decode()
+    assert fields(got) == fields(want)
+    assert got.count("\r\n") == want.count("\r\n") == 21
+
+
+@pytest.mark.parametrize("level, label", [(0.95, "95%"), (0.975, "97.5%"), (0.999, "99.9%"),
+                                          (0.9999, "99.99%"), (0.5, "50%")])
+def test_the_table_prints_the_interval_level_as_given(level, label):
+    summary = run_study(_tiny_config(replicates=2, draws=300, level=level, methods=("mle",)))
+    assert f"\nAverage {label} interval lengths (alpha row, lambda row)\n" in format_table(summary)
+
+
+@pytest.mark.parametrize("methods", ["is", "mle", [["x"]], ["mle", 1], ["mle", "bootstrap"], 3])
+def test_methods_must_be_a_list_of_method_names(methods):
+    """A string is not split into its letters, and a list inside the list
+    is a DomainError rather than a TypeError of the lookup."""
+    message = re.escape(f"methods must be a list or tuple of names from ('mle', 'lindley', "
+                        f"'is'), got {methods!r}")
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        _tiny_config(methods=methods)
+    raw = {"true_alpha": 2.0, "true_lambda": 1.0, "cells": [[12, 1.5, 8]], "methods": methods}
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        StudyConfig.from_dict(json.loads(json.dumps(raw)))
+    assert _tiny_config(methods=["is", "mle"]).methods == ("is", "mle")
+
+
+def test_config_from_dict_takes_the_dataclass_defaults():
+    raw = {"true_alpha": 2.0, "true_lambda": 1.0, "cells": [[12, 1.5, 8]]}
+    assert StudyConfig.from_dict(raw) == StudyConfig(2.0, 1.0, ((12, 1.5, 8),))
 
 
 def _cell():
